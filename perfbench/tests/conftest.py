@@ -1,0 +1,7 @@
+"""Self-tests of the benchmark's own code: python3 -m pytest perfbench/tests"""
+
+import sys
+from pathlib import Path
+
+BENCH = Path(__file__).resolve().parents[1]
+sys.path[:0] = [str(BENCH), str(BENCH.parent / "src")]
