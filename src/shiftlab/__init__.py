@@ -9,14 +9,14 @@ reproducible CSV reports.
 from .graded_basis import GradedBasis, enumerate_basis
 from .polynomials import (PolynomialGenerator, PolynomialSyntaxError,
                           monomial_generator, parse_generators, parse_polynomial)
-from .schatten import (ApWitness, DecayFit, DiagnosticThresholds, SchattenEstimate,
+from .schatten import (ApWitness, DecayFit, DiagnosticThresholds,
                        Verdict, Window, ap_witness, convergence_diagnostic,
                        decay_exponent_fit, schatten_norm, singular_values, trace)
 from .shift_operators import (BlockDecomposition, InvarianceError, RestrictedSpace,
                               SubspaceFrame, TruncatedOperator, add, adjoint,
-                              compress, compress_to_frame, coordinate_shift,
-                              cross_commutator, direct_sum, invariance_residual,
-                              restricted_commutator_decomposition,
+                              commutator, compress, compress_to_frame,
+                              coordinate_shift, cross_commutator, direct_sum,
+                              invariance_residual, restricted_commutator_decomposition,
                               multiply, restrict_to_invariant, scale,
                               self_commutator, subtract)
 from .submodules import (RankCollapseError, Side, SubmoduleBasis,

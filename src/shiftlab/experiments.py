@@ -16,14 +16,10 @@ import numpy as np
 from . import schatten, shift_operators as ops, submodules, weight_models as wm
 from .graded_basis import enumerate_basis
 from .schatten import DiagnosticThresholds, Verdict, Window
-from .shift_operators import SubspaceFrame
+from .shift_operators import SubspaceFrame, TheoremViolationError
 
 DEFAULT_SWEEP_M2 = (8, 12, 16, 20, 28, 40)
 DEFAULT_SWEEP_M3 = (6, 9, 12, 16, 20)
-
-
-class TheoremViolationError(AssertionError):
-    """A theorem-backed finite-matrix identity failed; indicates a bug."""
 
 
 @dataclass
@@ -205,9 +201,9 @@ def run_factorial_thresholds(m: int, delta_values, degree_sweep=None,
                                     "above_1_reductive_threshold", "above_s2_threshold"])
     for delta in delta_values:
         w = wm.factorial_delta_weights(basis, delta)
-        comms = {(i, j): ops.cross_commutator(w, i, j)
-                 for i in range(1, m + 1) for j in range(i, m + 1)}
         shifts = {i: ops.coordinate_shift(w, i) for i in range(1, m + 1)}
+        comms = {(i, j): ops.commutator(shifts[i], shifts[j])
+                 for i in range(1, m + 1) for j in range(i, m + 1)}
         def values_at(d):
             tr = {key: schatten.schatten_norm(C, 1, window=Window.INTERIOR,
                                               max_window_degree=d)
@@ -240,12 +236,6 @@ def _build_submodule(w, generators):
     return submodules.homogeneous_submodule(w, generators)
 
 
-def _pair_commutator(A, B):
-    """[A*, B] for two operators on the same space."""
-    As = ops.adjoint(A)
-    return ops.subtract(ops.multiply(As, B), ops.multiply(B, As))
-
-
 @_timed
 def run_submodule_probe(family: str, m: int, k: int, generators, p_values,
                       degree_sweep=None, delta: float | None = None,
@@ -276,7 +266,7 @@ def run_submodule_probe(family: str, m: int, k: int, generators, p_values,
     fits = rep.table("decay_fits", ["side", "i", "j", "beta", "critical_exponent",
                                     "fit_residual"])
     for side, Ys in sides.items():
-        comms = {(i, j): _pair_commutator(Ys[i - 1], Ys[j - 1])
+        comms = {(i, j): ops.commutator(Ys[i - 1], Ys[j - 1])
                  for i in range(1, m + 1) for j in range(i, m + 1)}
         for p in p_values:
             def values_at(d):
@@ -414,7 +404,7 @@ def run_quotient_smoothness_probe(generators, m: int, p_values, degree_sweep=Non
         # quotient-module action = compression of the shifts to the complement
         Rs = [ops.compress_to_frame(ops.coordinate_shift(w, i), S.comp)
               for i in range(1, m + 1)]
-        comms = {(i, j): _pair_commutator(Rs[i - 1], Rs[j - 1])
+        comms = {(i, j): ops.commutator(Rs[i - 1], Rs[j - 1])
                  for i in range(1, m + 1) for j in range(i, m + 1)}
         for p in p_values:
             vmax = 0.0

@@ -1,16 +1,26 @@
 """Singular values, Schatten norms, spectral splits and convergence verdicts.
 
-Densification happens here and nowhere else.  Dense SVD is used up to a
-configurable dimension; above it the leading singular values are computed by
-sparse iteration.
+Schatten norms are taken block by degree block from the sparse window.  When
+every nonzero of a graded window maps column degree n to row degree n + r for
+one offset r (shifts, their adjoints, every commutator [A*, B] of them), the
+window is the direct sum of its (degree n + r, degree n) blocks and its
+spectrum is the union of theirs.  An entry alone in its row and its column is
+a 1x1 summand whose singular value is its modulus, so scaled partial
+permutations (every operator of monomial weights) need no SVD; the other
+entries are densified one block at a time.  Ungraded windows and windows
+mixing offsets are one block and go through singular_values.
+
+singular_values is the full dense spectrum of a window.  It refuses windows
+wider than DENSE_SVD_LIMIT before densifying; there is no sparse-iteration
+fallback.
 """
 
 import enum
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
-from .shift_operators import TruncatedOperator
+from .shift_operators import TruncatedOperator, is_graded
 
 DENSE_SVD_LIMIT = 5_000
 
@@ -57,13 +67,10 @@ class DecayFit:
     window: tuple  # (first k, last k), 1-based
 
 
-@dataclass
-class SchattenEstimate:
-    p: float
-    values_by_degree: list              # of (degree, value)
-    fitted_decay: DecayFit | None = None
-    verdict: Verdict = Verdict.INCONCLUSIVE
-    thresholds: dict = field(default_factory=dict)
+def _window_indices(T: TruncatedOperator, window: Window, max_window_degree=None):
+    if window is Window.FULL and max_window_degree is None:
+        return np.arange(T.dimension)
+    return T.window_indices(max_window_degree)
 
 
 def _windowed(T: TruncatedOperator, window: Window, max_window_degree=None) -> np.ndarray:
@@ -77,36 +84,67 @@ def _windowed(T: TruncatedOperator, window: Window, max_window_degree=None) -> n
 
 
 def singular_values(T: TruncatedOperator, window: Window = Window.FULL,
-                    max_window_degree=None,
-                    dense_limit: int = DENSE_SVD_LIMIT) -> np.ndarray:
-    """Descending singular values of the (windowed) finite section."""
+                    max_window_degree=None) -> np.ndarray:
+    """Descending singular values of the (windowed) finite section, by dense SVD."""
+    n = _window_indices(T, window, max_window_degree).size
+    if n > DENSE_SVD_LIMIT:
+        raise ValueError(f"window dimension {n} exceeds DENSE_SVD_LIMIT={DENSE_SVD_LIMIT}; "
+                         f"refusing a dense SVD of that size")
     M = _windowed(T, window, max_window_degree)
     if min(M.shape) == 0:
         return np.zeros(0)
-    if M.shape[0] <= dense_limit:
-        return np.linalg.svd(M, compute_uv=False)
-    return _iterative_singular_values(M)
+    return np.linalg.svd(M, compute_uv=False)
 
 
-def _iterative_singular_values(M: np.ndarray, tol: float = 1e-8) -> np.ndarray:
-    """Leading singular values by sparse iteration, for very large sections."""
-    import scipy.sparse.linalg as spla
-    import scipy.sparse as sp
-    k = min(M.shape[0] - 1, 2000)
-    s = spla.svds(sp.csr_matrix(M), k=k, tol=tol, return_singular_vectors=False)
-    return np.sort(s)[::-1]
+def _block_singular_values(T: TruncatedOperator, window: Window, max_window_degree=None):
+    """Singular values of a graded single-offset window, up to zeros, one block at a time.
+
+    None when the window is one block: an ungraded space, or nonzeros with
+    more than one degree offset.
+    """
+    if not is_graded(T.space):
+        return None
+    idx = _window_indices(T, window, max_window_degree)
+    W = T.mat.tocsr()[idx][:, idx]
+    W.sum_duplicates()
+    W.eliminate_zeros()
+    if not np.all(np.isfinite(W.data)):
+        raise ValueError("operator has non-finite entries")
+    W = W.tocoo()
+    degs = np.asarray(T.space.degrees)[idx]
+    col_deg = degs[W.col]
+    if np.unique(degs[W.row] - col_deg).size > 1:
+        return None
+    alone = ((np.bincount(W.row, minlength=idx.size)[W.row] == 1)
+             & (np.bincount(W.col, minlength=idx.size)[W.col] == 1))
+    spectra = [np.abs(W.data[alone])]
+    rest = ~alone
+    for n in np.unique(col_deg[rest]):
+        e = rest & (col_deg == n)
+        rows, r = np.unique(W.row[e], return_inverse=True)
+        cols, c = np.unique(W.col[e], return_inverse=True)
+        B = np.zeros((rows.size, cols.size), dtype=W.dtype)
+        B[r, c] = W.data[e]
+        spectra.append(np.linalg.svd(B, compute_uv=False))
+    return np.concatenate(spectra)
 
 
 def schatten_norm(T: TruncatedOperator, p: float, window: Window = Window.FULL,
                   max_window_degree=None) -> float:
-    """(sum sigma_k^p)^(1/p); p = inf gives the operator norm."""
+    """(sum sigma_k^p)^(1/p); p = inf gives the operator norm.
+
+    Graded single-offset windows go block by degree block and are never
+    densified whole; others go through singular_values.
+    """
     if p != np.inf and p < 1:
         raise ValueError(f"Schatten p-norm requires p >= 1, got {p}")
-    s = singular_values(T, window, max_window_degree)
+    s = _block_singular_values(T, window, max_window_degree)
+    if s is None:
+        s = singular_values(T, window, max_window_degree)
     if s.size == 0:
         return 0.0
     if p == np.inf:
-        return float(s[0])
+        return float(s.max())
     return float(np.sum(s ** p) ** (1.0 / p))
 
 
@@ -225,20 +263,3 @@ def convergence_diagnostic(values_by_degree,
         return Verdict.DIVERGING, details
     details["reason"] = "no clear trend"
     return Verdict.INCONCLUSIVE, details
-
-
-def estimate(T_by_degree, p: float, thresholds: DiagnosticThresholds | None = None,
-             window: Window = Window.INTERIOR) -> SchattenEstimate:
-    """Schatten p-norm trend across truncation degrees with verdict and decay fit."""
-    values = []
-    last = None
-    for d, T in T_by_degree:
-        values.append((d, schatten_norm(T, p, window=window, max_window_degree=d)))
-        last = (d, T)
-    fit = None
-    if last is not None:
-        fit = decay_exponent_fit(singular_values(last[1], window=window,
-                                                 max_window_degree=last[0]))
-    verdict, details = convergence_diagnostic(values, thresholds)
-    return SchattenEstimate(p=p, values_by_degree=values, fitted_decay=fit,
-                            verdict=verdict, thresholds=details)

@@ -22,6 +22,10 @@ INVARIANCE_TOL = 1e-10
 PSD_TOL = 1e-10
 
 
+class TheoremViolationError(AssertionError):
+    """A theorem-backed finite-matrix identity failed; indicates a bug."""
+
+
 class InvarianceError(ValueError):
     """A subspace claimed invariant fails the invariance residual check."""
 
@@ -44,10 +48,6 @@ class RestrictedSpace:
     degrees: np.ndarray = field(compare=False)
     max_degree: int
     graded: bool = True
-
-
-def space_dims(space):
-    return space.dimension
 
 
 def is_graded(space) -> bool:
@@ -111,16 +111,6 @@ class TruncatedOperator:
     def windowed_dense(self, max_window_degree=None) -> np.ndarray:
         idx = self.window_indices(max_window_degree)
         return self.mat.tocsr()[np.ix_(idx, idx)].toarray()
-
-    def to_coo_text(self) -> str:
-        """Coordinate-list text export: `row col value` per line."""
-        coo = self.mat.tocoo()
-        order = np.lexsort((coo.col, coo.row))
-        lines = [f"# {self.mat.shape[0]} x {self.mat.shape[1]}, "
-                 f"interior_degree={self.interior_degree}"]
-        for t in order:
-            lines.append(f"{coo.row[t]} {coo.col[t]} {coo.data[t]!r}")
-        return "\n".join(lines) + "\n"
 
 
 def _same_space(a: TruncatedOperator, b: TruncatedOperator):
@@ -195,18 +185,20 @@ def scale(T: TruncatedOperator, c) -> TruncatedOperator:
                              degree_raise=T.degree_raise)
 
 
+def commutator(A: TruncatedOperator, B: TruncatedOperator) -> TruncatedOperator:
+    """[A*, B] = A*B - BA* for two operators on the same space."""
+    As = adjoint(A)
+    return subtract(multiply(As, B), multiply(B, As))
+
+
 def self_commutator(T: TruncatedOperator) -> TruncatedOperator:
     """[T*, T] = T*T - TT*."""
-    Ts = adjoint(T)
-    return subtract(multiply(Ts, T), multiply(T, Ts))
+    return commutator(T, T)
 
 
 def cross_commutator(w: WeightSet, i: int, j: int) -> TruncatedOperator:
     """[Z_i*, Z_j] on the weight set's basis."""
-    Zi = coordinate_shift(w, i)
-    Zj = coordinate_shift(w, j)
-    Zis = adjoint(Zi)
-    return subtract(multiply(Zis, Zj), multiply(Zj, Zis))
+    return commutator(coordinate_shift(w, i), coordinate_shift(w, j))
 
 
 def _check_projection(P: np.ndarray, tol: float = PROJECTION_TOL):
@@ -293,12 +285,12 @@ def restricted_commutator_decomposition(T: TruncatedOperator, Q: np.ndarray,
     corner = Q @ Tm @ Qp @ Tm.conj().T @ Q
 
     if np.abs(diag - diag.conj().T).max(initial=0.0) > SELF_ADJOINT_TOL * max(1.0, _norm_scale(T) ** 2):
-        raise AssertionError("diagonal part failed self-adjointness check")
+        raise TheoremViolationError("diagonal part failed self-adjointness check")
     if np.abs(corner - corner.conj().T).max(initial=0.0) > SELF_ADJOINT_TOL * max(1.0, _norm_scale(T) ** 2):
-        raise AssertionError("corner part failed self-adjointness check")
+        raise TheoremViolationError("corner part failed self-adjointness check")
     eig_min = float(np.linalg.eigvalsh((corner + corner.conj().T) / 2).min(initial=0.0))
     if eig_min < -PSD_TOL * max(1.0, _norm_scale(T) ** 2):
-        raise AssertionError(f"corner part not positive semidefinite: min eig {eig_min:.3e}")
+        raise TheoremViolationError(f"corner part not positive semidefinite: min eig {eig_min:.3e}")
 
     mk = lambda M: TruncatedOperator(T.space, sp.csr_matrix(M),
                                      interior_degree=comm.interior_degree,

@@ -211,8 +211,9 @@ def check_condition(w: WeightSet, condition: Condition, p: float | None = None,
         bad = [d for d in degrees if d > interior]
         if bad:
             raise ValueError(f"requested degrees {bad} exceed the interior window {interior}")
-        comms = [shift_operators.cross_commutator(w, i, j)
-                 for i in range(1, m + 1) for j in range(i, m + 1)]
+        shifts = [shift_operators.coordinate_shift(w, i) for i in range(1, m + 1)]
+        comms = [shift_operators.commutator(shifts[i], shifts[j])
+                 for i in range(m) for j in range(i, m)]
         trend = []
         for d in sorted(degrees):
             val = max(schatten.schatten_norm(C, p, window=schatten.Window.INTERIOR,

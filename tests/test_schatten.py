@@ -1,10 +1,17 @@
 import numpy as np
 import pytest
+import scipy.sparse as sp
+from hypothesis import given, settings, strategies as st
 
-from shiftlab import (DiagnosticThresholds, Verdict, Window, ap_witness,
-                      convergence_diagnostic, coordinate_shift,
-                      decay_exponent_fit, schatten_norm, self_commutator,
-                      singular_values, trace)
+from shiftlab import (DiagnosticThresholds, Verdict, Window, add, adjoint,
+                      ap_witness, commutator, compress_to_frame,
+                      convergence_diagnostic, coordinate_shift, cross_commutator,
+                      decay_exponent_fit, drury_arveson_weights, enumerate_basis,
+                      factorial_delta_weights, homogeneous_submodule,
+                      parse_polynomial, restrict_to_invariant, scale,
+                      schatten_norm, self_commutator, singular_values, trace,
+                      ungraded_submodule)
+from shiftlab import cli, schatten
 from shiftlab.shift_operators import RestrictedSpace, TruncatedOperator
 
 from conftest import random_weight_set
@@ -169,3 +176,150 @@ def test_windowed_norm_excludes_truncation_boundary(rng):
     full = schatten_norm(C, 1, window=Window.FULL)
     interior = schatten_norm(C, 1, window=Window.INTERIOR)
     assert interior < full
+
+
+# --- block-by-degree Schatten norms against the dense SVD of the whole window
+
+ORACLE_PS = (1.0, 2.0, 3.0, np.inf)
+
+
+def _dense_norm(T, p, d):
+    s = np.linalg.svd(T.windowed_dense(d), compute_uv=False)
+    if s.size == 0:
+        return 0.0
+    return float(s.max()) if p == np.inf else float(np.sum(s ** p) ** (1 / p))
+
+
+def _assert_matches_dense_oracle(T, degrees):
+    for d in degrees:
+        for p in ORACLE_PS:
+            got = schatten_norm(T, p, window=Window.INTERIOR, max_window_degree=d)
+            assert got == pytest.approx(_dense_norm(T, p, d), rel=1e-12, abs=1e-300), (d, p)
+
+
+@pytest.fixture
+def count_dense_spectra(monkeypatch):
+    """Counts calls of schatten.singular_values, the dense one-block path."""
+    calls = []
+    real = schatten.singular_values
+
+    def counted(*args, **kwargs):
+        calls.append(args[0])
+        return real(*args, **kwargs)
+    monkeypatch.setattr(schatten, "singular_values", counted)
+    return calls
+
+
+def test_block_norms_factorial_partial_permutations(count_dense_spectra):
+    b = enumerate_basis(3, 10)
+    for delta in (0.7, 2.0):
+        w = factorial_delta_weights(b, delta)
+        shifts = [coordinate_shift(w, i) for i in (1, 2, 3)]
+        ops_ = shifts + [commutator(shifts[i], shifts[j])
+                         for i in range(3) for j in range(i, 3)]
+        for T in ops_:
+            _assert_matches_dense_oracle(T, (2, 5, 8))
+    assert count_dense_spectra == []
+
+
+def test_block_norms_homogeneous_submodule_multi_entry_blocks(count_dense_spectra):
+    b = enumerate_basis(3, 9)
+    w = drury_arveson_weights(b)
+    S = homogeneous_submodule(w, [parse_polynomial("z1^2-z2^2", 3)])
+    shifts = [coordinate_shift(w, i) for i in (1, 2, 3)]
+    for Ys in ([restrict_to_invariant(Z, S.sub) for Z in shifts],
+               [restrict_to_invariant(adjoint(Z), S.comp) for Z in shifts]):
+        for i, j in ((0, 0), (0, 1), (1, 2)):
+            C = commutator(Ys[i], Ys[j])
+            # the restricted commutators have degree blocks with several entries per row
+            assert np.max(np.diff(C.mat.tocsr().indptr)) > 1
+            _assert_matches_dense_oracle(C, (3, 5, 7))
+    assert count_dense_spectra == []
+
+
+@settings(max_examples=25, deadline=None)
+@given(seed=st.integers(0, 2 ** 32 - 1), m=st.integers(1, 3))
+def test_block_norms_random_weights(seed, m):
+    rng = np.random.default_rng(seed)
+    w = random_weight_set(rng, m, 7 if m == 3 else 10, k=int(rng.integers(1, 3)))
+    i, j = (int(x) for x in rng.integers(1, m + 1, size=2))
+    Zi, Zj = coordinate_shift(w, i), coordinate_shift(w, j)
+    for T in (Zi, commutator(Zi, Zj), self_commutator(add(Zi, scale(Zj, 0.5 + 1j)))):
+        _assert_matches_dense_oracle(T, (1, 3, T.interior_degree))
+
+
+def test_block_norms_ungraded_quotient_falls_back(count_dense_spectra):
+    b = enumerate_basis(3, 6)
+    w = drury_arveson_weights(b)
+    S = ungraded_submodule(w, [parse_polynomial("z1-z2*z3", 3)])
+    R1, R2 = (compress_to_frame(coordinate_shift(w, i), S.comp) for i in (1, 2))
+    C = commutator(R1, R2)
+    _assert_matches_dense_oracle(C, (4,))
+    assert len(count_dense_spectra) == len(ORACLE_PS)
+
+
+def test_block_norms_mixed_offsets_fall_back(count_dense_spectra):
+    w = factorial_delta_weights(enumerate_basis(2, 8), 1.0)
+    Z1 = coordinate_shift(w, 1)
+    _assert_matches_dense_oracle(add(Z1, adjoint(Z1)), (3, 6))
+    assert len(count_dense_spectra) == 2 * len(ORACLE_PS)
+
+
+def test_block_norms_all_zero_window():
+    w = factorial_delta_weights(enumerate_basis(2, 6), 1.0)
+    for T in (scale(coordinate_shift(w, 1), 0.0),
+              TruncatedOperator(w.basis, sp.csr_matrix((w.basis.dimension,) * 2),
+                                interior_degree=4)):
+        for p in ORACLE_PS:
+            assert schatten_norm(T, p, window=Window.INTERIOR) == 0.0
+            assert schatten_norm(T, p, window=Window.INTERIOR, max_window_degree=0) == 0.0
+
+
+def test_non_finite_entry_rejected():
+    w = factorial_delta_weights(enumerate_basis(2, 6), 1.0)
+    Z = coordinate_shift(w, 1)
+    mat = Z.mat.copy()
+    mat.data[0] = np.nan
+    graded = TruncatedOperator(w.basis, mat, interior_degree=Z.interior_degree)
+    with pytest.raises(ValueError, match="non-finite"):
+        schatten_norm(graded, 1.0, window=Window.INTERIOR)
+    ungraded = _wrap(mat.toarray())
+    with pytest.raises(ValueError, match="non-finite"):
+        schatten_norm(ungraded, 1.0)
+
+
+def test_graded_window_is_never_densified_whole(monkeypatch):
+    b = enumerate_basis(3, 40)
+    C = cross_commutator(factorial_delta_weights(b, 2.0), 1, 2)
+    d = 38
+    # per-slice oracle; the window is 10,660 wide, its dense form 0.9 GB
+    sigma = np.concatenate([
+        np.linalg.svd(C.mat[sl.start:sl.stop, sl.start:sl.stop].toarray(), compute_uv=False)
+        for sl in (b.degree_slice(n) for n in range(d + 1))])
+    assert C.window_indices(d).size == 10_660
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("whole window densified")
+    monkeypatch.setattr(TruncatedOperator, "dense", refuse)
+    monkeypatch.setattr(TruncatedOperator, "windowed_dense", refuse)
+    for p in ORACLE_PS:
+        expected = sigma.max() if p == np.inf else np.sum(sigma ** p) ** (1 / p)
+        got = schatten_norm(C, p, window=Window.INTERIOR, max_window_degree=d)
+        assert got == pytest.approx(expected, rel=1e-12)
+
+
+def test_dense_svd_limit_raises_before_densifying(monkeypatch, tmp_path):
+    monkeypatch.setattr(schatten, "DENSE_SVD_LIMIT", 10)
+    M = _wrap(np.eye(12))
+    with monkeypatch.context() as mp:
+        def refuse(*args, **kwargs):
+            raise AssertionError("densified before the size check")
+        mp.setattr(TruncatedOperator, "dense", refuse)
+        mp.setattr(TruncatedOperator, "windowed_dense", refuse)
+        with pytest.raises(ValueError, match="window dimension 12"):
+            singular_values(M)
+    assert singular_values(_wrap(np.eye(10))).size == 10
+    # the decay fit of the submodule probe takes a dense spectrum: usage error
+    code = cli.main(["submodule-probe", "--m", "2", "--gens", "z1*z2",
+                     "--degrees", "4,5,6,7", "--out", str(tmp_path), "--tag", "t"])
+    assert code == 2

@@ -1,12 +1,14 @@
 import numpy as np
 import pytest
 
-from shiftlab import (InvarianceError, SubspaceFrame, add, adjoint, compress,
-                      compress_to_frame, coordinate_shift, cross_commutator,
+from shiftlab import (InvarianceError, SubspaceFrame, add, adjoint, commutator,
+                      compress, compress_to_frame, coordinate_shift, cross_commutator,
                       direct_sum, drury_arveson_weights, enumerate_basis,
                       restricted_commutator_decomposition, monomial_generator, monomial_submodule,
                       multiply, projection_matrix, restrict_to_invariant, scale,
                       self_commutator, subtract)
+from shiftlab import cli, shift_operators
+from shiftlab.shift_operators import TheoremViolationError
 from shiftlab.submodules import Side
 
 from conftest import random_weight_set
@@ -182,3 +184,25 @@ def test_drury_arveson_row_sums():
         for i in (1, 2):
             expected = np.sqrt((alpha[i - 1] + 1) / (n + 1))
             assert w.shift_weight(alpha, i) == pytest.approx(expected, rel=1e-12)
+
+
+def test_commutator_is_adjoint_product_difference(rng):
+    w = random_weight_set(rng, 2, 6)
+    Z1, Z2 = coordinate_shift(w, 1), coordinate_shift(w, 2)
+    A, B = Z1.mat.toarray(), Z2.mat.toarray()
+    assert np.abs(commutator(Z1, Z2).mat.toarray()
+                  - (A.conj().T @ B - B @ A.conj().T)).max() < 1e-14
+    assert (cross_commutator(w, 1, 2).mat != commutator(Z1, Z2).mat).nnz == 0
+    assert (self_commutator(Z1).mat != commutator(Z1, Z1).mat).nnz == 0
+
+
+def test_theorem_check_failure_is_exit_1(rng, monkeypatch, tmp_path):
+    monkeypatch.setattr(shift_operators, "PSD_TOL", -1.0)
+    w = random_weight_set(rng, 2, 5)
+    S = monomial_submodule(w, [(1, 0)])
+    Q = projection_matrix(S, Side.SUBMODULE)
+    with pytest.raises(TheoremViolationError, match="positive semidefinite"):
+        restricted_commutator_decomposition(coordinate_shift(w, 1), Q)
+    code = cli.main(["identity-check", "--trials", "1",
+                     "--out", str(tmp_path), "--tag", "t"])
+    assert code == 1
