@@ -19,7 +19,7 @@ import argparse
 import os
 import sys
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
@@ -27,7 +27,6 @@ import numpy as np
 from . import experiments as xp
 from .experiments import TheoremViolationError, write_report
 from .polynomials import PolynomialSyntaxError, parse_generators
-from .schatten import DiagnosticThresholds
 from .weight_models import FAMILIES
 
 
@@ -90,8 +89,7 @@ SCHEMAS = {
     "list-families": {},
 }
 
-GLOBAL_KEYS = {"seed": ("int", 0), "threads": ("int", 0),
-               "tag": ("str", ""), "out": ("str", "")}
+GLOBAL_KEYS = {"seed": ("int", 0), "tag": ("str", ""), "out": ("str", "")}
 
 
 @dataclass
@@ -99,10 +97,8 @@ class RunConfig:
     experiment: str
     params: dict
     seed: int = 0
-    threads: int = 0
     tag: str = ""
     out: str = ""
-    thresholds: DiagnosticThresholds = field(default_factory=DiagnosticThresholds)
 
     def to_text(self) -> str:
         """Serialize back to the flat config format (lossless round trip)."""
@@ -117,7 +113,7 @@ class RunConfig:
             else:
                 text = str(value)
             lines.append(f"{key} = {text}")
-        for gk in ("seed", "threads", "tag", "out"):
+        for gk in GLOBAL_KEYS:
             lines.append(f"{gk} = {getattr(self, gk)}")
         return "\n".join(lines) + "\n"
 
@@ -168,8 +164,6 @@ def build_config(experiment: str, file_values: dict, flag_values: dict) -> RunCo
 def _add_common(sp):
     sp.add_argument("--config", help="flat key = value config file")
     sp.add_argument("--seed", type=int, help="seed for all randomness")
-    sp.add_argument("--threads", type=int,
-                    help="worker threads for sweeps (default: machine parallelism)")
     sp.add_argument("--tag", help="report directory suffix (default: timestamp)")
     sp.add_argument("--out", help="output root (or env SHIFTLAB_OUT; default ./out)")
 
@@ -260,7 +254,6 @@ def execute(config: RunConfig) -> int:
         return 0
 
     p = config.params
-    threads = config.threads or (os.cpu_count() or 1)
     delta = _nan_to_none(p.get("delta"))
     if p.get("gens"):
         gens = parse_generators(p["gens"], p.get("m", 1), p.get("k", 1))
@@ -272,12 +265,10 @@ def execute(config: RunConfig) -> int:
     elif config.experiment == "direct-sum":
         rep = xp.run_direct_sum_trends(p["blocks"], p["p"])
     elif config.experiment == "factorial-family":
-        rep = xp.run_factorial_thresholds(p["m"], p["delta"], p["degrees"] or None,
-                              threads=threads)
+        rep = xp.run_factorial_thresholds(p["m"], p["delta"], p["degrees"] or None)
     elif config.experiment == "submodule-probe":
         rep = xp.run_submodule_probe(p["family"], p["m"], p["k"], gens, p["p"],
-                                   p["degrees"] or None, delta=delta,
-                                   threads=threads)
+                                   p["degrees"] or None, delta=delta)
     elif config.experiment == "trace-inequality":
         rep = xp.run_trace_inequality_check(
             p["family"], p["m"],

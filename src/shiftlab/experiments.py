@@ -15,11 +15,19 @@ import numpy as np
 
 from . import schatten, shift_operators as ops, submodules, weight_models as wm
 from .graded_basis import enumerate_basis
-from .schatten import DiagnosticThresholds, Verdict, Window
+from .schatten import Verdict, Window
 from .shift_operators import SubspaceFrame, TheoremViolationError
 
 DEFAULT_SWEEP_M2 = (8, 12, 16, 20, 28, 40)
 DEFAULT_SWEEP_M3 = (6, 9, 12, 16, 20)
+
+# trace-inequality check: slack on both sides of 0 <= Tr P_n <= ||C_n||_1, and
+# the invariance tolerance of the closed subspaces it restricts to
+INEQUALITY_SLACK = 1e-8
+CLOSURE_INVARIANCE_TOL = 1e-8
+# adjoint closure: relative rank cut-off and bound on the closing rounds
+CLOSURE_RANK_TOL = 1e-10
+CLOSURE_MAX_ROUNDS = 200
 
 
 @dataclass
@@ -93,16 +101,6 @@ def _timed(fn):
     return wrapper
 
 
-def _pmap(fn, items, threads: int = 1):
-    """Order-preserving map, optionally over a thread pool (SVD releases the GIL)."""
-    items = list(items)
-    if threads <= 1 or len(items) <= 1:
-        return [fn(x) for x in items]
-    from concurrent.futures import ThreadPoolExecutor
-    with ThreadPoolExecutor(max_workers=threads) as pool:
-        return list(pool.map(fn, items))
-
-
 def _tail_frame(basis, start_ordinal) -> SubspaceFrame:
     """Coordinate frame for span{ basis elements with ordinal >= start }."""
     idx = np.arange(start_ordinal, basis.dimension)
@@ -122,8 +120,7 @@ def _ramp_block(n: int, N: int):
 
 
 @_timed
-def run_ramp_block_norms(n_values, p_values, N: int,
-                 thresholds: DiagnosticThresholds | None = None) -> ExperimentReport:
+def run_ramp_block_norms(n_values, p_values, N: int) -> ExperimentReport:
     """Single-block weighted shift: computed vs stated commutator p-norms."""
     n_values = sorted(int(n) for n in n_values)
     if N <= max(n_values) + 5:
@@ -146,9 +143,7 @@ def run_ramp_block_norms(n_values, p_values, N: int,
 
 
 @_timed
-def run_direct_sum_trends(max_blocks: int, p_values,
-                                  thresholds: DiagnosticThresholds | None = None
-                                  ) -> ExperimentReport:
+def run_direct_sum_trends(max_blocks: int, p_values) -> ExperimentReport:
     """Partial direct sums of the weighted-shift blocks vs their restrictions."""
     if max_blocks < 8:
         raise ValueError(f"max_blocks must be >= 8, got {max_blocks}")
@@ -177,15 +172,13 @@ def run_direct_sum_trends(max_blocks: int, p_values,
             seq_f.append((B, vf))
             seq_r.append((B, vr))
         for label, seq in (("full", seq_f), ("restricted", seq_r)):
-            verdict, details = schatten.convergence_diagnostic(seq, thresholds)
+            verdict, details = schatten.convergence_diagnostic(seq)
             rep.set_verdict(f"{label}_p={_fmt(p)}", verdict, details)
     return rep
 
 
 @_timed
-def run_factorial_thresholds(m: int, delta_values, degree_sweep=None,
-                 thresholds: DiagnosticThresholds | None = None,
-                 threads: int = 1) -> ExperimentReport:
+def run_factorial_thresholds(m: int, delta_values, degree_sweep=None) -> ExperimentReport:
     """Factorial weight family: trace-norm and Hilbert-Schmidt trends per delta."""
     if m < 2:
         raise ValueError(f"factorial thresholds require m >= 2, got {m}")
@@ -204,25 +197,22 @@ def run_factorial_thresholds(m: int, delta_values, degree_sweep=None,
         shifts = {i: ops.coordinate_shift(w, i) for i in range(1, m + 1)}
         comms = {(i, j): ops.commutator(shifts[i], shifts[j])
                  for i in range(1, m + 1) for j in range(i, m + 1)}
-        def values_at(d):
+        trend_tr, trend_hs = [], []
+        for d in sweep:
             tr = {key: schatten.schatten_norm(C, 1, window=Window.INTERIOR,
                                               max_window_degree=d)
                   for key, C in comms.items()}
             hs = {i: schatten.schatten_norm(Z, 2, window=Window.INTERIOR,
                                             max_window_degree=d)
                   for i, Z in shifts.items()}
-            return tr, hs
-
-        trend_tr, trend_hs = [], []
-        for d, (tr, hs) in zip(sweep, _pmap(values_at, sweep, threads)):
             for (i, j), v in sorted(tr.items()):
                 tab.add(delta, i, j, d, v)
             trend_tr.append((d, max(tr.values())))
             for i, v in sorted(hs.items()):
                 tab_hs.add(delta, i, d, v)
             trend_hs.append((d, max(hs.values())))
-        v_tr, det_tr = schatten.convergence_diagnostic(trend_tr, thresholds)
-        v_hs, det_hs = schatten.convergence_diagnostic(trend_hs, thresholds)
+        v_tr, det_tr = schatten.convergence_diagnostic(trend_tr)
+        v_hs, det_hs = schatten.convergence_diagnostic(trend_hs)
         rep.set_verdict(f"trace_norm_delta={_fmt(delta)}", v_tr, det_tr)
         rep.set_verdict(f"hs_norm_delta={_fmt(delta)}", v_hs, det_hs)
         summary.add(delta, v_tr.value, v_hs.value,
@@ -238,9 +228,7 @@ def _build_submodule(w, generators):
 
 @_timed
 def run_submodule_probe(family: str, m: int, k: int, generators, p_values,
-                      degree_sweep=None, delta: float | None = None,
-                      thresholds: DiagnosticThresholds | None = None,
-                      threads: int = 1) -> ExperimentReport:
+                      degree_sweep=None, delta: float | None = None) -> ExperimentReport:
     """Cross-commutator trends for restrictions to a graded submodule."""
     sweep = sorted(degree_sweep or (DEFAULT_SWEEP_M2 if m == 2 else DEFAULT_SWEEP_M3))
     N = max(sweep) + 2
@@ -269,16 +257,15 @@ def run_submodule_probe(family: str, m: int, k: int, generators, p_values,
         comms = {(i, j): ops.commutator(Ys[i - 1], Ys[j - 1])
                  for i in range(1, m + 1) for j in range(i, m + 1)}
         for p in p_values:
-            def values_at(d):
-                return {key: schatten.schatten_norm(C, p, window=Window.INTERIOR,
+            trend = []
+            for d in sweep:
+                vals = {key: schatten.schatten_norm(C, p, window=Window.INTERIOR,
                                                     max_window_degree=d)
                         for key, C in comms.items()}
-            trend = []
-            for d, vals in zip(sweep, _pmap(values_at, sweep, threads)):
                 for (i, j), v in sorted(vals.items()):
                     tab.add(side, i, j, p, d, v)
                 trend.append((d, max(vals.values())))
-            verdict, details = schatten.convergence_diagnostic(trend, thresholds)
+            verdict, details = schatten.convergence_diagnostic(trend)
             rep.set_verdict(f"{side}_p={_fmt(p)}", verdict, details)
         for (i, j), C in comms.items():
             fit = schatten.decay_exponent_fit(
@@ -288,14 +275,14 @@ def run_submodule_probe(family: str, m: int, k: int, generators, p_values,
     return rep
 
 
-def _adjoint_closure(Tmat, vectors, rank_tol=1e-10, max_rounds=200):
+def _adjoint_closure(Tmat, vectors):
     """Close a span under a degree-lowering operator; terminates since degree drops."""
     cols = [v / np.linalg.norm(v) for v in vectors]
     M = np.column_stack(cols)
-    for _ in range(max_rounds):
+    for _ in range(CLOSURE_MAX_ROUNDS):
         cand = np.column_stack([M, Tmat @ M])
         U, s, _ = np.linalg.svd(cand, full_matrices=False)
-        rank = int(np.count_nonzero(s > rank_tol * s[0]))
+        rank = int(np.count_nonzero(s > CLOSURE_RANK_TOL * s[0]))
         Q = U[:, :rank]
         if rank == M.shape[1]:
             return Q
@@ -305,9 +292,7 @@ def _adjoint_closure(Tmat, vectors, rank_tol=1e-10, max_rounds=200):
 
 @_timed
 def run_trace_inequality_check(family: str, m: int, points=None, generators=None,
-                          degree_sweep=None, delta: float | None = None,
-                          inequality_slack: float = 1e-8,
-                          invariance_tol: float = 1e-8) -> ExperimentReport:
+                          degree_sweep=None, delta: float | None = None) -> ExperimentReport:
     """Trace inequality 0 <= Tr P_n <= ||C_n||_1 along nested invariant subspaces."""
     if (points is None) == (generators is None):
         raise ValueError("provide exactly one of points / generators")
@@ -316,7 +301,7 @@ def run_trace_inequality_check(family: str, m: int, points=None, generators=None
         "family": family, "m": m, "delta": delta,
         "points": [str(p) for p in points] if points else [],
         "generators": [str(sorted(g.terms)) for g in generators] if generators else [],
-        "degree_sweep": sweep, "inequality_slack": inequality_slack})
+        "degree_sweep": sweep, "inequality_slack": INEQUALITY_SLACK})
     tab = rep.table("trace_inequality", ["degree", "n", "trace_P", "trace_norm_C",
                                          "holds"])
     trend = rep.table("c_norm_trend", ["degree", "value"])
@@ -327,17 +312,11 @@ def run_trace_inequality_check(family: str, m: int, points=None, generators=None
         w = wm.family_weights(family, basis, delta)
         T = ops.adjoint(ops.coordinate_shift(w, 1))
         if points:
-            K = submodules._kernel_columns(w, points, range(basis.multiplicity))
+            K = submodules.kernel_columns(w, points, range(basis.multiplicity))
         else:
-            lam = w.lam
-            cols = []
-            for g in generators:
-                v = np.zeros(basis.dimension, dtype=complex)
-                for alpha, c, coef in g.terms:
-                    jj = basis.index_of(alpha, c)
-                    v[jj] += coef * lam[jj]
-                cols.append(v)
-            K = np.column_stack(cols)
+            # complex like the kernel columns, whatever the coefficients
+            K = np.column_stack([submodules.multiple_vector(w, g)
+                                 for g in generators]).astype(complex)
         last = None
         for n in range(1, count + 1):
             if points:
@@ -348,12 +327,12 @@ def run_trace_inequality_check(family: str, m: int, points=None, generators=None
                 cols = _adjoint_closure(T.mat.toarray(), list(K[:, :n].T))
             frame = SubspaceFrame(cols, np.zeros(cols.shape[1], dtype=np.int64),
                                   graded=False)
-            Tn = ops.restrict_to_invariant(T, frame, tol=invariance_tol)
+            Tn = ops.restrict_to_invariant(T, frame, tol=CLOSURE_INVARIANCE_TOL)
             comm = ops.self_commutator(Tn)
             wit = schatten.ap_witness(comm, p=1, window=Window.FULL)
             tr_p = float(np.real(np.trace(wit.positive_part)))
             c1 = wit.p_norm_of_c
-            holds = -inequality_slack <= tr_p <= c1 + inequality_slack
+            holds = -INEQUALITY_SLACK <= tr_p <= c1 + INEQUALITY_SLACK
             tab.add(N, n, tr_p, c1, holds)
             if not holds:
                 raise TheoremViolationError(
@@ -363,16 +342,14 @@ def run_trace_inequality_check(family: str, m: int, points=None, generators=None
         trend.add(N, last)
     rep.verdicts["trace_inequality"] = {
         "holds": True, "instances": len(sweep) * count,
-        "slack": inequality_slack}
+        "slack": INEQUALITY_SLACK}
     return rep
 
 
 @_timed
 def run_quotient_smoothness_probe(generators, m: int, p_values, degree_sweep=None,
                                   variety_dimension=None, family: str = "bergman-ball",
-                                  delta: float | None = None,
-                                  thresholds: DiagnosticThresholds | None = None
-                                  ) -> ExperimentReport:
+                                  delta: float | None = None) -> ExperimentReport:
     """Quotient-module cross-commutator decay for an ideal's submodule.
 
     The zero-variety dimension is user-supplied and only echoed in the report.
@@ -416,7 +393,7 @@ def run_quotient_smoothness_probe(generators, m: int, p_values, degree_sweep=Non
             trends[p].append((N, vmax))
         last_comms = (N, comms)
     for p, trend in trends.items():
-        verdict, details = schatten.convergence_diagnostic(trend, thresholds)
+        verdict, details = schatten.convergence_diagnostic(trend)
         rep.set_verdict(f"quotient_p={_fmt(p)}", verdict, details)
     N, comms = last_comms
     for (i, j), C in comms.items():

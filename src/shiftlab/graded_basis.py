@@ -21,13 +21,13 @@ def degree(alpha) -> int:
     return int(sum(alpha))
 
 
-def _compositions(n, m):
+def compositions(n, m):
     """All m-tuples of non-negative ints summing to n, leading exponent descending."""
     if m == 1:
         yield (n,)
         return
     for first in range(n, -1, -1):
-        for rest in _compositions(n - first, m - 1):
+        for rest in compositions(n - first, m - 1):
             yield (first,) + rest
 
 
@@ -123,7 +123,7 @@ def enumerate_basis(m: int, N: int, k: int = 1,
     i = 0
     for n in range(N + 1):
         bounds[n] = i
-        for alpha in _compositions(n, m):
+        for alpha in compositions(n, m):
             for c in range(k):
                 exps[i] = alpha
                 comps[i] = c

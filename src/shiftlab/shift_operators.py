@@ -238,11 +238,7 @@ def restrict_to_invariant(T: TruncatedOperator, frame: SubspaceFrame,
     resid = invariance_residual(T, frame.columns)
     if resid > tol:
         raise InvarianceError(resid, tol)
-    R = frame.columns.conj().T @ (T.mat @ frame.columns)
-    space = frame.to_space(T.space.max_degree)
-    return TruncatedOperator(space, sp.csr_matrix(R),
-                             interior_degree=T.interior_degree,
-                             degree_raise=T.degree_raise)
+    return compress_to_frame(T, frame)
 
 
 def compress_to_frame(T: TruncatedOperator, frame: SubspaceFrame) -> TruncatedOperator:
@@ -276,20 +272,22 @@ def restricted_commutator_decomposition(T: TruncatedOperator, Q: np.ndarray,
     """Split the restricted self-commutator into diagonal and corner summands."""
     Q = _check_projection(Q)
     Tm = T.mat.toarray()
-    resid = np.linalg.norm((np.eye(T.dimension) - Q) @ Tm @ Q, 2) / _norm_scale(T)
+    norm_scale = _norm_scale(T)
+    Qp = np.eye(T.dimension) - Q
+    resid = np.linalg.norm(Qp @ Tm @ Q, 2) / norm_scale
     if resid > tol:
         raise InvarianceError(resid, tol)
     comm = self_commutator(T)
     diag = Q @ comm.mat.toarray() @ Q
-    Qp = np.eye(T.dimension) - Q
     corner = Q @ Tm @ Qp @ Tm.conj().T @ Q
 
-    if np.abs(diag - diag.conj().T).max(initial=0.0) > SELF_ADJOINT_TOL * max(1.0, _norm_scale(T) ** 2):
+    scale_sq = max(1.0, norm_scale ** 2)
+    if np.abs(diag - diag.conj().T).max(initial=0.0) > SELF_ADJOINT_TOL * scale_sq:
         raise TheoremViolationError("diagonal part failed self-adjointness check")
-    if np.abs(corner - corner.conj().T).max(initial=0.0) > SELF_ADJOINT_TOL * max(1.0, _norm_scale(T) ** 2):
+    if np.abs(corner - corner.conj().T).max(initial=0.0) > SELF_ADJOINT_TOL * scale_sq:
         raise TheoremViolationError("corner part failed self-adjointness check")
     eig_min = float(np.linalg.eigvalsh((corner + corner.conj().T) / 2).min(initial=0.0))
-    if eig_min < -PSD_TOL * max(1.0, _norm_scale(T) ** 2):
+    if eig_min < -PSD_TOL * scale_sq:
         raise TheoremViolationError(f"corner part not positive semidefinite: min eig {eig_min:.3e}")
 
     mk = lambda M: TruncatedOperator(T.space, sp.csr_matrix(M),

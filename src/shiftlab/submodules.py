@@ -12,6 +12,7 @@ import enum
 
 import numpy as np
 
+from .graded_basis import compositions
 from .polynomials import PolynomialGenerator, monomial_generator
 from .shift_operators import SubspaceFrame
 from .weight_models import WeightSet
@@ -108,6 +109,24 @@ def monomial_submodule(w: WeightSet, generators) -> SubmoduleBasis:
     return SubmoduleBasis(w, sub, comp, graded=True)
 
 
+def multiple_vector(w: WeightSet, g: PolynomialGenerator, q=None) -> np.ndarray:
+    """z^q * g in orthonormal coordinates (coefficients scaled by lambda).
+
+    Real when every coefficient of g is real, complex otherwise.
+    """
+    b = w.basis
+    q = q or (0,) * b.num_vars
+    coefs = [complex(coef) for _, _, coef in g.terms]
+    if all(coef.imag == 0 for coef in coefs):
+        coefs = [coef.real for coef in coefs]
+    lam = w.lam
+    v = np.zeros(b.dimension, dtype=type(coefs[0]))
+    for (alpha, c, _), coef in zip(g.terms, coefs):
+        jj = b.index_of(tuple(a + t for a, t in zip(alpha, q)), c)
+        v[jj] += coef * lam[jj]
+    return v
+
+
 def _orthonormalize(columns: np.ndarray, rank_tol: float):
     """SVD orthonormalization with a relative rank decision.
 
@@ -138,9 +157,6 @@ def homogeneous_submodule(w: WeightSet, generators,
             raise ValueError(f"generator #{t} is not homogeneous")
         if g.num_vars != b.num_vars:
             raise ValueError(f"generator #{t} has {g.num_vars} variables, basis has {b.num_vars}")
-    lam = w.lam
-
-    from .graded_basis import _compositions
     sub_cols, sub_degs, comp_cols, comp_degs = [], [], [], []
     for n in range(b.max_degree + 1):
         sl = b.degree_slice(n)
@@ -149,19 +165,13 @@ def homogeneous_submodule(w: WeightSet, generators,
             d = g.homogeneous_degree
             if d > n:
                 continue
-            for q in _compositions(n - d, b.num_vars):
-                v = np.zeros(b.dimension)
-                for alpha, c, coef in g.terms:
-                    beta = tuple(alpha[t] + q[t] for t in range(b.num_vars))
-                    jj = b.index_of(beta, c)
-                    # coefficient coordinates scaled by lambda = orthonormal coords
-                    v[jj] += np.real(coef) * lam[jj]
-                span.append(v[sl.start:sl.stop])
+            for q in compositions(n - d, b.num_vars):
+                span.append(multiple_vector(w, g, q)[sl.start:sl.stop])
         block = np.column_stack(span) if span else np.zeros((len(sl), 0))
         on, on_comp = _orthonormalize(block, rank_tol)
         for src, cols, degs in ((on, sub_cols, sub_degs), (on_comp, comp_cols, comp_degs)):
             for t in range(src.shape[1]):
-                full = np.zeros(b.dimension)
+                full = np.zeros(b.dimension, dtype=src.dtype)
                 full[sl.start:sl.stop] = src[:, t]
                 cols.append(full)
                 degs.append(n)
@@ -174,7 +184,7 @@ def homogeneous_submodule(w: WeightSet, generators,
                           graded=True, rank_tolerance=rank_tol)
 
 
-def _kernel_columns(w: WeightSet, points, components):
+def kernel_columns(w: WeightSet, points, components):
     """Truncated evaluation vectors in orthonormal coordinates: conj(z)^beta / lambda_beta."""
     b = w.basis
     lam = w.lam
@@ -213,7 +223,7 @@ def span_of_point_evaluations(w: WeightSet, points,
         raise ValueError("empty point list")
     if len(points) * b.multiplicity > b.dimension:
         raise ValueError("more evaluation vectors than basis dimension")
-    K = _kernel_columns(w, points, range(b.multiplicity))
+    K = kernel_columns(w, points, range(b.multiplicity))
 
     U, s, _ = np.linalg.svd(K, full_matrices=True)
     cond = float(s[0] / s[-1]) if s[-1] > 0 else np.inf
@@ -236,19 +246,12 @@ def ungraded_submodule(w: WeightSet, generators,
     generators = list(generators)
     if not generators:
         raise ValueError("empty generator list")
-    lam = w.lam
-    from .graded_basis import _compositions
-    span = []
-    for g in generators:
-        d = g.max_degree
-        for budget in range(b.max_degree - d + 1):
-            for q in _compositions(budget, b.num_vars):
-                v = np.zeros(b.dimension, dtype=complex)
-                for alpha, c, coef in g.terms:
-                    beta = tuple(alpha[t] + q[t] for t in range(b.num_vars))
-                    jj = b.index_of(beta, c)
-                    v[jj] += coef * lam[jj]
-                span.append(v)
+    # ungraded frames are complex whatever the coefficients, like the
+    # point-evaluation frames
+    span = [multiple_vector(w, g, q).astype(complex)
+            for g in generators
+            for budget in range(b.max_degree - g.max_degree + 1)
+            for q in compositions(budget, b.num_vars)]
     M = np.column_stack(span)
     on, on_comp = _orthonormalize(M, rank_tol)
     zeros = lambda t: np.zeros(t, dtype=np.int64)

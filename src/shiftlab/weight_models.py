@@ -9,6 +9,7 @@ log-gamma to avoid factorial overflow.
 
 import enum
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 from scipy.special import gammaln
@@ -50,9 +51,9 @@ class WeightSet:
         if not np.all(np.isfinite(self.log_lambda)):
             raise ValueError("non-finite log weight")
 
-    @property
+    @cached_property
     def lam(self) -> np.ndarray:
-        """lambda values per basis ordinal."""
+        """lambda values per basis ordinal (computed once)."""
         return np.exp(self.log_lambda)
 
     def lambda_of(self, alpha, component: int = 0) -> float:
@@ -185,8 +186,7 @@ def family_weights(family: str, basis: GradedBasis, delta: float | None = None) 
 
 
 def check_condition(w: WeightSet, condition: Condition, p: float | None = None,
-                    degrees: list | None = None,
-                    diagnostic_thresholds=None) -> ConditionReport:
+                    degrees: list | None = None) -> ConditionReport:
     """Test boundedness / contractivity / S_p cross-commutator trends at truncation."""
     from . import schatten, shift_operators  # local import: avoids a cycle
 
@@ -219,8 +219,7 @@ def check_condition(w: WeightSet, condition: Condition, p: float | None = None,
             val = max(schatten.schatten_norm(C, p, window=schatten.Window.INTERIOR,
                                              max_window_degree=d) for C in comms)
             trend.append((d, val))
-        verdict, details = schatten.convergence_diagnostic(
-            trend, thresholds=diagnostic_thresholds)
+        verdict, details = schatten.convergence_diagnostic(trend)
         witness = trend[-1][1]
         return ConditionReport(condition, p, verdict is schatten.Verdict.CONVERGING,
                                witness, trend=trend, thresholds=details)

@@ -70,8 +70,7 @@ def test_criterion_3_direct_sum_trends():
 
 def test_criterion_4_factorial_family_thresholds():
     t0 = time.perf_counter()
-    rep = run_factorial_thresholds(2, [0.25, 1.0, 1.25], degree_sweep=(8, 12, 16, 20, 28, 40),
-                       threads=4)
+    rep = run_factorial_thresholds(2, [0.25, 1.0, 1.25], degree_sweep=(8, 12, 16, 20, 28, 40))
     dt = time.perf_counter() - t0
     tr_low = rep.verdicts["trace_norm_delta=0.25"]["verdict"]
     tr_mid = rep.verdicts["trace_norm_delta=1.0"]["verdict"]
@@ -126,7 +125,7 @@ def test_criterion_7_monomial_submodule_probe():
     t0 = time.perf_counter()
     rep = run_submodule_probe("drury-arveson", m=2, k=1,
                             generators=[monomial_generator((1, 1), num_vars=2)],
-                            p_values=[3.0], threads=4)
+                            p_values=[3.0])
     dt = time.perf_counter() - t0
     verdict = rep.verdicts["restriction_p=3.0"]["verdict"]
     ok = verdict == "converging" and dt < 180

@@ -1,8 +1,12 @@
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
 
+import shiftlab
 from shiftlab.cli import (ConfigError, build_config, load_config_file, main,
                           parse_args)
 
@@ -78,11 +82,28 @@ def test_flags_override_config(tmp_path):
     assert config.params["N"] == 40
 
 
-def test_unknown_config_key_rejected(tmp_path):
+def test_unknown_config_key_rejected(tmp_path, capsys):
     cfg = tmp_path / "run.cfg"
-    cfg.write_text("bogus = 1\n")
-    with pytest.raises(ConfigError):
-        parse_args(["ramp-block", "--config", str(cfg)])
+    for key in ("bogus", "threads"):
+        cfg.write_text(f"{key} = 1\n")
+        with pytest.raises(ConfigError):
+            parse_args(["ramp-block", "--config", str(cfg)])
+        assert main(["ramp-block", "--config", str(cfg)]) == 2
+        assert f"unknown config keys for ramp-block: ['{key}']" in capsys.readouterr().err
+
+
+def test_threads_flag_is_usage_error(tmp_path):
+    # the sweeps are sequential; there is no --threads flag
+    src = str(Path(shiftlab.__file__).parents[1])
+    env = {**os.environ,
+           "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    proc = subprocess.run([sys.executable, "-m", "shiftlab.cli", "ramp-block",
+                           "--threads", "2", "--out", str(tmp_path)],
+                          capture_output=True, text=True, env=env, timeout=60)
+    assert proc.returncode == 2
+    assert "error:" in proc.stderr and "--threads" in proc.stderr
+    assert "Traceback" not in proc.stderr
+    assert not any(tmp_path.iterdir())
 
 
 def test_malformed_config_line(tmp_path):

@@ -1,0 +1,55 @@
+"""No shiftlab module reaches into another module's private names."""
+
+import ast
+from pathlib import Path
+
+import shiftlab
+
+SRC = Path(shiftlab.__file__).parent
+SIBLINGS = {p.stem for p in SRC.glob("*.py")}
+
+
+def _private(name):
+    return name.startswith("_") and not name.endswith("__")
+
+
+def _internal(node: ast.ImportFrom):
+    return node.level >= 1 or (node.module or "").split(".")[0] == "shiftlab"
+
+
+def private_imports(source: str, filename: str = "<module>"):
+    """Lines that import or access a private name of a sibling shiftlab module."""
+    tree = ast.parse(source, filename=filename)
+    modules, found = set(), []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and _internal(node):
+            package = node.module in (None, "shiftlab")
+            for alias in node.names:
+                if package and alias.name in SIBLINGS:
+                    modules.add(alias.asname or alias.name)
+                elif _private(alias.name):
+                    found.append(f"{filename}:{node.lineno}: imports {alias.name}")
+    for node in ast.walk(tree):
+        if (isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name)
+                and node.value.id in modules and _private(node.attr)):
+            found.append(f"{filename}:{node.lineno}: uses {node.value.id}.{node.attr}")
+    return found
+
+
+def test_no_cross_module_private_names():
+    found = [line for path in sorted(SRC.glob("*.py"))
+             for line in private_imports(path.read_text(), path.name)]
+    assert found == []
+
+
+def test_private_names_are_detected():
+    source = ("from .graded_basis import _compositions, enumerate_basis\n"
+              "from . import submodules as sm, schatten\n"
+              "def f():\n"
+              "    from shiftlab import shift_operators\n"
+              "    return sm._kernel_columns, schatten.__name__, shift_operators._norm_scale\n")
+    assert private_imports(source) == [
+        "<module>:1: imports _compositions",
+        "<module>:5: uses sm._kernel_columns",
+        "<module>:5: uses shift_operators._norm_scale",
+    ]

@@ -2,12 +2,14 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from shiftlab import (RankCollapseError, bergman_ball_weights,
+from shiftlab import (PolynomialGenerator, RankCollapseError, bergman_ball_weights,
                       drury_arveson_weights, enumerate_basis,
                       homogeneous_submodule, monomial_generator,
                       monomial_submodule, parse_polynomial, projection_matrix,
                       span_of_point_evaluations)
+from shiftlab.graded_basis import compositions
 from shiftlab.submodules import Side, ungraded_submodule
 
 from conftest import random_weight_set
@@ -143,3 +145,39 @@ def test_nonhomogeneous_rejected_by_homogeneous_builder(rng):
     g = parse_polynomial("z1^2 + z2", num_vars=2)
     with pytest.raises(ValueError):
         homogeneous_submodule(w, [g])
+
+
+def _linear(a, b):
+    return PolynomialGenerator(terms=(((1, 0), 0, a), ((0, 1), 0, b)), num_vars=2)
+
+
+def test_homogeneous_keeps_imaginary_coefficients():
+    w = drury_arveson_weights(enumerate_basis(2, 5))
+    P_plus, P_minus = (projection_matrix(homogeneous_submodule(w, [_linear(1.0, c)]),
+                                         Side.SUBMODULE) for c in (1j, -1j))
+    assert np.abs(P_plus - P_minus).max() > 0.1
+    P_ungraded = projection_matrix(ungraded_submodule(w, [_linear(1.0, 1j)]), Side.SUBMODULE)
+    assert np.abs(P_plus - P_ungraded).max() < 1e-10
+
+
+def test_real_generators_give_real_graded_frames():
+    w = drury_arveson_weights(enumerate_basis(2, 5))
+    S = homogeneous_submodule(w, [parse_polynomial("z1^2 - z2^2", num_vars=2)])
+    assert S.sub.columns.dtype == S.comp.columns.dtype == np.float64
+
+
+@settings(max_examples=25, deadline=None)
+@given(seed=st.integers(0, 2 ** 32 - 1), m=st.integers(2, 3), degree=st.integers(1, 2))
+def test_graded_and_ungraded_agree_on_complex_homogeneous_generators(seed, m, degree):
+    # the same homogeneous ideal built degree by degree and as one ungraded span
+    rng = np.random.default_rng(seed)
+    w = random_weight_set(rng, m, 6 if m == 2 else 5)
+    alphas = list(compositions(degree, m))
+    gens = []
+    for _ in range(int(rng.integers(1, 3))):
+        coefs = rng.uniform(0.5, 2.0, len(alphas)) * np.exp(2j * np.pi * rng.uniform(size=len(alphas)))
+        terms = tuple((alpha, 0, complex(coef)) for alpha, coef in zip(alphas, coefs))
+        gens.append(PolynomialGenerator(terms=terms, num_vars=m))
+    P_graded = projection_matrix(homogeneous_submodule(w, gens), Side.SUBMODULE)
+    P_ungraded = projection_matrix(ungraded_submodule(w, gens), Side.SUBMODULE)
+    assert np.abs(P_graded - P_ungraded).max() < 1e-10
