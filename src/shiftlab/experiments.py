@@ -101,20 +101,13 @@ def _timed(fn):
     return wrapper
 
 
-def _tail_frame(basis, start_ordinal) -> SubspaceFrame:
-    """Coordinate frame for span{ basis elements with ordinal >= start }."""
-    idx = np.arange(start_ordinal, basis.dimension)
-    cols = np.zeros((basis.dimension, idx.size))
-    cols[idx, np.arange(idx.size)] = 1.0
-    return SubspaceFrame(cols, np.asarray(basis.degrees)[idx], graded=True)
-
-
 def _ramp_block(n: int, N: int):
     basis = enumerate_basis(1, N)
     w = wm.ramp_weights(n, basis)
     S = ops.coordinate_shift(w, 1)
     comm = ops.self_commutator(S)
-    restricted = ops.restrict_to_invariant(S, _tail_frame(basis, n - 1))
+    tail = submodules.monomial_submodule(w, [(n - 1,)]).sub
+    restricted = ops.restrict_to_invariant(S, tail)
     comm_restr = ops.self_commutator(restricted)
     return comm, comm_restr
 

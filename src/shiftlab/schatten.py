@@ -1,14 +1,8 @@
 """Singular values, Schatten norms, spectral splits and convergence verdicts.
 
-Schatten norms are taken block by degree block from the sparse window.  When
-every nonzero of a graded window maps column degree n to row degree n + r for
-one offset r (shifts, their adjoints, every commutator [A*, B] of them), the
-window is the direct sum of its (degree n + r, degree n) blocks and its
-spectrum is the union of theirs.  An entry alone in its row and its column is
-a 1x1 summand whose singular value is its modulus, so scaled partial
-permutations (every operator of monomial weights) need no SVD; the other
-entries are densified one block at a time.  Ungraded windows and windows
-mixing offsets are one block and go through singular_values.
+Schatten norms of graded windows are taken block by degree block from the
+sparse window (shift_operators.block_singular_values).  Ungraded windows and
+windows mixing degree offsets are one block and go through singular_values.
 
 singular_values is the full dense spectrum of a window.  It refuses windows
 wider than DENSE_SVD_LIMIT before densifying; there is no sparse-iteration
@@ -20,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .shift_operators import TruncatedOperator, is_graded
+from .shift_operators import TruncatedOperator, block_singular_values, is_graded
 
 DENSE_SVD_LIMIT = 5_000
 
@@ -96,39 +90,6 @@ def singular_values(T: TruncatedOperator, window: Window = Window.FULL,
     return np.linalg.svd(M, compute_uv=False)
 
 
-def _block_singular_values(T: TruncatedOperator, window: Window, max_window_degree=None):
-    """Singular values of a graded single-offset window, up to zeros, one block at a time.
-
-    None when the window is one block: an ungraded space, or nonzeros with
-    more than one degree offset.
-    """
-    if not is_graded(T.space):
-        return None
-    idx = _window_indices(T, window, max_window_degree)
-    W = T.mat.tocsr()[idx][:, idx]
-    W.sum_duplicates()
-    W.eliminate_zeros()
-    if not np.all(np.isfinite(W.data)):
-        raise ValueError("operator has non-finite entries")
-    W = W.tocoo()
-    degs = np.asarray(T.space.degrees)[idx]
-    col_deg = degs[W.col]
-    if np.unique(degs[W.row] - col_deg).size > 1:
-        return None
-    alone = ((np.bincount(W.row, minlength=idx.size)[W.row] == 1)
-             & (np.bincount(W.col, minlength=idx.size)[W.col] == 1))
-    spectra = [np.abs(W.data[alone])]
-    rest = ~alone
-    for n in np.unique(col_deg[rest]):
-        e = rest & (col_deg == n)
-        rows, r = np.unique(W.row[e], return_inverse=True)
-        cols, c = np.unique(W.col[e], return_inverse=True)
-        B = np.zeros((rows.size, cols.size), dtype=W.dtype)
-        B[r, c] = W.data[e]
-        spectra.append(np.linalg.svd(B, compute_uv=False))
-    return np.concatenate(spectra)
-
-
 def schatten_norm(T: TruncatedOperator, p: float, window: Window = Window.FULL,
                   max_window_degree=None) -> float:
     """(sum sigma_k^p)^(1/p); p = inf gives the operator norm.
@@ -138,7 +99,11 @@ def schatten_norm(T: TruncatedOperator, p: float, window: Window = Window.FULL,
     """
     if p != np.inf and p < 1:
         raise ValueError(f"Schatten p-norm requires p >= 1, got {p}")
-    s = _block_singular_values(T, window, max_window_degree)
+    s = None
+    if is_graded(T.space):
+        idx = _window_indices(T, window, max_window_degree)
+        degs = np.asarray(T.space.degrees)[idx]
+        s = block_singular_values(T.mat.tocsr()[idx][:, idx], degs, degs)
     if s is None:
         s = singular_values(T, window, max_window_degree)
     if s.size == 0:

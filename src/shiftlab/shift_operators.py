@@ -54,17 +54,34 @@ def is_graded(space) -> bool:
     return getattr(space, "graded", True)
 
 
+class SparseColumns(sp.csc_matrix):
+    """Sparse frame columns whose nbytes is the stored size, as for an ndarray."""
+
+    @property
+    def nbytes(self) -> int:
+        return self.data.nbytes + self.indices.nbytes + self.indptr.nbytes
+
+
 @dataclass(frozen=True)
 class SubspaceFrame:
-    """Orthonormal columns spanning a subspace, with per-column degree labels."""
+    """Orthonormal columns spanning a subspace, with per-column degree labels.
 
-    columns: np.ndarray           # (ambient_dim, r), orthonormal
+    Graded frames store SparseColumns, ungraded frames a dense ndarray.
+    """
+
+    columns: object               # (ambient_dim, r), orthonormal
     col_degrees: np.ndarray       # (r,) int labels
     graded: bool = True
 
     @property
     def rank(self) -> int:
         return self.columns.shape[1]
+
+    def dense(self) -> np.ndarray:
+        """The columns as a C-ordered (ambient_dim, r) ndarray."""
+        if sp.issparse(self.columns):
+            return np.ascontiguousarray(self.columns.toarray())
+        return self.columns
 
     def to_space(self, ambient_max_degree: int) -> RestrictedSpace:
         return RestrictedSpace(dimension=self.rank,
@@ -220,22 +237,62 @@ def compress(T: TruncatedOperator, P: np.ndarray) -> TruncatedOperator:
                              degree_raise=T.degree_raise)
 
 
-def invariance_residual(T: TruncatedOperator, columns: np.ndarray) -> float:
-    """Relative norm of (I - QQ*) T Q on the interior rows, Q = given frame."""
-    Y = T.mat @ columns
-    resid = Y - columns @ (columns.conj().T @ Y)
-    if is_graded(T.space):
-        keep = np.asarray(T.space.degrees) <= T.interior_degree
-        resid = resid[keep]
-    if resid.size == 0:
-        return 0.0
-    return float(np.linalg.norm(resid, 2)) / _norm_scale(T)
+def block_singular_values(W, row_degrees, col_degrees):
+    """Singular values of a sparse matrix, up to zeros, one degree block at a time.
+
+    W is canonicalised in place; row_degrees and col_degrees label its rows
+    and columns.  When every nonzero maps column degree n to row degree n + r
+    for one offset r (shifts, their adjoints, every commutator [A*, B] of
+    them, invariance residuals of graded frames), W is the direct sum of its
+    (degree n + r, degree n) blocks and its spectrum is the union of theirs.
+    An entry alone in its row and its column is a 1x1 summand whose singular
+    value is its modulus, so scaled partial permutations (every operator of
+    monomial weights) need no SVD; the other entries are densified one block
+    at a time.  None when the nonzeros have more than one degree offset.
+    """
+    W = W.tocsr()
+    W.sum_duplicates()
+    W.eliminate_zeros()
+    if not np.all(np.isfinite(W.data)):
+        raise ValueError("operator has non-finite entries")
+    W = W.tocoo()
+    col_deg = np.asarray(col_degrees)[W.col]
+    if np.unique(np.asarray(row_degrees)[W.row] - col_deg).size > 1:
+        return None
+    alone = ((np.bincount(W.row, minlength=W.shape[0])[W.row] == 1)
+             & (np.bincount(W.col, minlength=W.shape[1])[W.col] == 1))
+    spectra = [np.abs(W.data[alone])]
+    rest = ~alone
+    for n in np.unique(col_deg[rest]):
+        e = rest & (col_deg == n)
+        rows, r = np.unique(W.row[e], return_inverse=True)
+        cols, c = np.unique(W.col[e], return_inverse=True)
+        B = np.zeros((rows.size, cols.size), dtype=W.dtype)
+        B[r, c] = W.data[e]
+        spectra.append(np.linalg.svd(B, compute_uv=False))
+    return np.concatenate(spectra)
+
+
+def invariance_residual(T: TruncatedOperator, frame: SubspaceFrame) -> float:
+    """Relative 2-norm of (I - QQ*) T Q on the interior rows, Q = the frame's columns.
+
+    Sparse and one block SVD per degree for graded frames; ungraded frames
+    (all labels 0) mix degree offsets and take one dense SVD.
+    """
+    Q = frame.columns
+    Y = T.mat @ Q
+    rows = T.window_indices()
+    resid = sp.csr_matrix(Y - Q @ (Q.conj().T @ Y))[rows]
+    s = block_singular_values(resid, np.asarray(T.space.degrees)[rows], frame.col_degrees)
+    if s is None:
+        s = np.linalg.svd(resid.toarray(), compute_uv=False)
+    return float(s.max(initial=0.0)) / _norm_scale(T)
 
 
 def restrict_to_invariant(T: TruncatedOperator, frame: SubspaceFrame,
                           tol: float = INVARIANCE_TOL) -> TruncatedOperator:
     """Express T on an invariant subspace in the frame's orthonormal basis."""
-    resid = invariance_residual(T, frame.columns)
+    resid = invariance_residual(T, frame)
     if resid > tol:
         raise InvarianceError(resid, tol)
     return compress_to_frame(T, frame)
@@ -247,7 +304,10 @@ def compress_to_frame(T: TruncatedOperator, frame: SubspaceFrame) -> TruncatedOp
     This is the semi-invariant (quotient-module) action; use
     restrict_to_invariant when invariance is part of the contract.
     """
-    R = frame.columns.conj().T @ (T.mat @ frame.columns)
+    # a dense product, also for sparse frames: a sparse one rounds differently,
+    # and decay_exponent_fit counts round-off-sized singular values
+    Q = frame.dense()
+    R = Q.conj().T @ (T.mat @ Q)
     space = frame.to_space(T.space.max_degree)
     return TruncatedOperator(space, sp.csr_matrix(R),
                              interior_degree=T.interior_degree,

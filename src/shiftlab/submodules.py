@@ -2,8 +2,10 @@
 
 For homogeneous generators the submodule splits degree by degree; each slice
 carries an orthonormal basis of the intersection with the homogeneous
-polynomials of that degree, plus the complementary orthonormal set.  All
-vectors are stored in the orthonormal monomial coordinates (z^alpha scaled by
+polynomials of that degree, plus the complementary orthonormal set.  Graded
+frames store these per-slice blocks as one sparse block-diagonal matrix
+(monomial submodules: coordinate columns); ungraded frames are dense.  All
+vectors are in the orthonormal monomial coordinates (z^alpha scaled by
 1/lambda_alpha), so projections and restrictions are plain matrix algebra.
 """
 
@@ -11,10 +13,11 @@ from dataclasses import dataclass
 import enum
 
 import numpy as np
+import scipy.sparse as sp
 
 from .graded_basis import compositions
 from .polynomials import PolynomialGenerator, monomial_generator
-from .shift_operators import SubspaceFrame
+from .shift_operators import SparseColumns, SubspaceFrame
 from .weight_models import WeightSet
 
 DEFAULT_RANK_TOL = 1e-10
@@ -37,25 +40,20 @@ class RankCollapseError(ValueError):
 class SubmoduleBasis:
     """Orthonormal bases of a submodule S and its orthocomplement.
 
-    graded: True when the construction is degreewise (monomial/homogeneous
-    generators), in which case col_degrees label each column with its degree.
+    Both frames are graded when the construction is degreewise
+    (monomial/homogeneous generators); their col_degrees then label each
+    column with its degree.
     """
 
     weights: WeightSet
     sub: SubspaceFrame
     comp: SubspaceFrame
-    graded: bool
-    rank_tolerance: float = DEFAULT_RANK_TOL
-
-    @property
-    def basis(self):
-        return self.weights.basis
 
     def frame(self, side: Side) -> SubspaceFrame:
         return self.sub if side is Side.SUBMODULE else self.comp
 
     def dim_in_degree(self, n: int, side: Side = Side.SUBMODULE) -> int:
-        if not self.graded:
+        if not self.sub.graded:
             raise ValueError("submodule is not graded; per-degree dimensions undefined")
         f = self.frame(side)
         return int(np.count_nonzero(np.asarray(f.col_degrees) == n))
@@ -63,7 +61,7 @@ class SubmoduleBasis:
 
 def projection_matrix(S: SubmoduleBasis, side: Side) -> np.ndarray:
     """Orthogonal projection onto the requested side, on the full basis."""
-    F = S.frame(side).columns
+    F = S.frame(side).dense()
     return F @ F.conj().T
 
 
@@ -93,20 +91,16 @@ def monomial_submodule(w: WeightSet, generators) -> SubmoduleBasis:
     if not gens:
         raise ValueError("empty generator list")
     member = np.zeros(b.dimension, dtype=bool)
-    for j in range(b.dimension):
-        beta = b.exponents[j]
-        c = int(b.components[j])
-        for alpha, gc in gens:
-            if gc == c and all(int(beta[t]) >= alpha[t] for t in range(b.num_vars)):
-                member[j] = True
-                break
-    sub_idx = np.nonzero(member)[0]
-    comp_idx = np.nonzero(~member)[0]
-    eye = np.eye(b.dimension)
-    degs = np.asarray(b.degrees)
-    sub = SubspaceFrame(eye[:, sub_idx], degs[sub_idx], graded=True)
-    comp = SubspaceFrame(eye[:, comp_idx], degs[comp_idx], graded=True)
-    return SubmoduleBasis(w, sub, comp, graded=True)
+    for alpha, c in gens:
+        member |= (b.components == c) & np.all(b.exponents >= alpha, axis=1)
+
+    def coordinate_frame(idx):
+        cols = SparseColumns((np.ones(idx.size), idx, np.arange(idx.size + 1)),
+                             shape=(b.dimension, idx.size))
+        return SubspaceFrame(cols, np.asarray(b.degrees)[idx])
+
+    return SubmoduleBasis(w, coordinate_frame(np.nonzero(member)[0]),
+                          coordinate_frame(np.nonzero(~member)[0]))
 
 
 def multiple_vector(w: WeightSet, g: PolynomialGenerator, q=None) -> np.ndarray:
@@ -130,12 +124,9 @@ def multiple_vector(w: WeightSet, g: PolynomialGenerator, q=None) -> np.ndarray:
 def _orthonormalize(columns: np.ndarray, rank_tol: float):
     """SVD orthonormalization with a relative rank decision.
 
-    Returns (orthonormal basis of the column span, orthonormal basis of the
-    complement within the ambient coordinate space).
+    Returns (orthonormal basis of the column span, orthonormal basis of its
+    complement within the columns' coordinate space).
     """
-    dim = columns.shape[0]
-    if columns.shape[1] == 0:
-        return np.zeros((dim, 0)), np.eye(dim)
     U, s, _ = np.linalg.svd(columns, full_matrices=True)
     rank = int(np.count_nonzero(s > rank_tol * s[0])) if s.size and s[0] > 0 else 0
     return U[:, :rank], U[:, rank:]
@@ -157,31 +148,21 @@ def homogeneous_submodule(w: WeightSet, generators,
             raise ValueError(f"generator #{t} is not homogeneous")
         if g.num_vars != b.num_vars:
             raise ValueError(f"generator #{t} has {g.num_vars} variables, basis has {b.num_vars}")
-    sub_cols, sub_degs, comp_cols, comp_degs = [], [], [], []
+    blocks = []
     for n in range(b.max_degree + 1):
         sl = b.degree_slice(n)
-        span = []
-        for g in generators:
-            d = g.homogeneous_degree
-            if d > n:
-                continue
-            for q in compositions(n - d, b.num_vars):
-                span.append(multiple_vector(w, g, q)[sl.start:sl.stop])
+        span = [multiple_vector(w, g, q)[sl.start:sl.stop]
+                for g in generators if g.homogeneous_degree <= n
+                for q in compositions(n - g.homogeneous_degree, b.num_vars)]
         block = np.column_stack(span) if span else np.zeros((len(sl), 0))
-        on, on_comp = _orthonormalize(block, rank_tol)
-        for src, cols, degs in ((on, sub_cols, sub_degs), (on_comp, comp_cols, comp_degs)):
-            for t in range(src.shape[1]):
-                full = np.zeros(b.dimension, dtype=src.dtype)
-                full[sl.start:sl.stop] = src[:, t]
-                cols.append(full)
-                degs.append(n)
+        blocks.append(_orthonormalize(block, rank_tol))
+    sub_blocks, comp_blocks = zip(*blocks)
 
-    def pack(cols, degs):
-        M = np.column_stack(cols) if cols else np.zeros((b.dimension, 0))
-        return SubspaceFrame(M, np.asarray(degs, dtype=np.int64), graded=True)
+    def pack(per_slice):
+        degs = np.repeat(np.arange(len(per_slice)), [B.shape[1] for B in per_slice])
+        return SubspaceFrame(SparseColumns(sp.block_diag(per_slice, format="csc")), degs)
 
-    return SubmoduleBasis(w, pack(sub_cols, sub_degs), pack(comp_cols, comp_degs),
-                          graded=True, rank_tolerance=rank_tol)
+    return SubmoduleBasis(w, pack(sub_blocks), pack(comp_blocks))
 
 
 def kernel_columns(w: WeightSet, points, components):
@@ -233,7 +214,7 @@ def span_of_point_evaluations(w: WeightSet, points,
     zeros = lambda t: np.zeros(t, dtype=np.int64)
     comp = SubspaceFrame(U[:, :r], zeros(r), graded=False)
     sub = SubspaceFrame(U[:, r:], zeros(b.dimension - r), graded=False)
-    return SubmoduleBasis(w, sub, comp, graded=False, rank_tolerance=rank_tol)
+    return SubmoduleBasis(w, sub, comp)
 
 
 def ungraded_submodule(w: WeightSet, generators,
@@ -257,4 +238,4 @@ def ungraded_submodule(w: WeightSet, generators,
     zeros = lambda t: np.zeros(t, dtype=np.int64)
     sub = SubspaceFrame(on, zeros(on.shape[1]), graded=False)
     comp = SubspaceFrame(on_comp, zeros(on_comp.shape[1]), graded=False)
-    return SubmoduleBasis(w, sub, comp, graded=False, rank_tolerance=rank_tol)
+    return SubmoduleBasis(w, sub, comp)

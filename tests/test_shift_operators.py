@@ -1,14 +1,18 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from shiftlab import (InvarianceError, SubspaceFrame, add, adjoint, commutator,
-                      compress, compress_to_frame, coordinate_shift, cross_commutator,
-                      direct_sum, drury_arveson_weights, enumerate_basis,
+from shiftlab import (InvarianceError, PolynomialGenerator, SubspaceFrame,
+                      add, adjoint, commutator, compress, compress_to_frame,
+                      coordinate_shift, cross_commutator, direct_sum,
+                      drury_arveson_weights, enumerate_basis, homogeneous_submodule,
+                      invariance_residual, parse_polynomial,
                       restricted_commutator_decomposition, monomial_generator, monomial_submodule,
                       multiply, projection_matrix, restrict_to_invariant, scale,
-                      self_commutator, subtract)
+                      self_commutator, span_of_point_evaluations, subtract)
 from shiftlab import cli, shift_operators
-from shiftlab.shift_operators import TheoremViolationError
+from shiftlab.graded_basis import compositions
+from shiftlab.shift_operators import INVARIANCE_TOL, TheoremViolationError
 from shiftlab.submodules import Side
 
 from conftest import random_weight_set
@@ -206,3 +210,74 @@ def test_theorem_check_failure_is_exit_1(rng, monkeypatch, tmp_path):
     code = cli.main(["identity-check", "--trials", "1",
                      "--out", str(tmp_path), "--tag", "t"])
     assert code == 1
+
+
+def _dense_invariance_residual(T, frame):
+    """Oracle: 2-norm of (I - QQ*) T Q on the interior rows, all ambient and dense."""
+    Tm = T.mat.toarray()
+    Q = frame.columns.toarray() if hasattr(frame.columns, "toarray") else frame.columns
+    Y = Tm @ Q
+    resid = (Y - Q @ (Q.conj().T @ Y))[T.space.degrees <= T.interior_degree]
+    A = np.abs(Tm)
+    scale_ = float(np.sqrt(A.sum(axis=0).max() * A.sum(axis=1).max())) or 1.0
+    return float(np.linalg.norm(resid, 2)) / scale_ if resid.size else 0.0
+
+
+def _random_frames(rng, m, kind):
+    w = random_weight_set(rng, m, 6 if m == 2 else 5)
+    if kind == "monomial":
+        gens = [tuple(int(x) for x in rng.multinomial(int(rng.integers(1, 4)), np.ones(m) / m))
+                for _ in range(int(rng.integers(1, 3)))]
+        S = monomial_submodule(w, gens)
+    elif kind == "points":
+        pts = [tuple(0.4 * (rng.uniform(-1, 1, m) + 1j * rng.uniform(-1, 1, m)))
+               for _ in range(int(rng.integers(1, 3)))]
+        S = span_of_point_evaluations(w, pts)
+    else:
+        alphas = list(compositions(int(rng.integers(1, 3)), m))
+        coefs = rng.uniform(0.5, 2.0, len(alphas))
+        if kind == "homogeneous-complex":
+            coefs = coefs * np.exp(2j * np.pi * rng.uniform(size=len(alphas)))
+        terms = tuple((alpha, 0, c) for alpha, c in zip(alphas, coefs.tolist()))
+        S = homogeneous_submodule(w, [PolynomialGenerator(terms=terms, num_vars=m)])
+    return w, (S.sub, S.comp)
+
+
+@settings(max_examples=30, deadline=None)
+@given(seed=st.integers(0, 2 ** 32 - 1), m=st.integers(2, 3),
+       kind=st.sampled_from(["monomial", "homogeneous-real", "homogeneous-complex", "points"]))
+def test_invariance_residual_matches_dense_ambient_oracle(seed, m, kind):
+    # point evaluations exist for m <= 2 only
+    m = 2 if kind == "points" else m
+    w, frames = _random_frames(np.random.default_rng(seed), m, kind)
+    for i in range(1, m + 1):
+        Z = coordinate_shift(w, i)
+        for T in (Z, adjoint(Z)):
+            for frame in frames:
+                # abs covers the round-off residuals of invariant pairs
+                assert invariance_residual(T, frame) == pytest.approx(
+                    _dense_invariance_residual(T, frame), rel=1e-12, abs=1e-13)
+
+
+def test_invariance_residual_of_noninvariant_pairs():
+    w = drury_arveson_weights(enumerate_basis(2, 8))
+    S = homogeneous_submodule(w, [parse_polynomial("z1^2 - z2^2", num_vars=2)])
+    Z1 = coordinate_shift(w, 1)
+    for T, frame in ((Z1, S.comp), (adjoint(Z1), S.sub)):
+        got = invariance_residual(T, frame)
+        assert got == pytest.approx(_dense_invariance_residual(T, frame), rel=1e-12)
+        assert got == pytest.approx(np.sqrt(0.5), rel=1e-12)
+
+
+def test_graded_invariance_residual_never_densifies_the_frame(monkeypatch):
+    w = drury_arveson_weights(enumerate_basis(3, 24))
+    S = homogeneous_submodule(w, [parse_polynomial("z1^2 - z2^2", num_vars=3)])
+
+    def refuse(self):
+        raise AssertionError("frame densified")
+    monkeypatch.setattr(SubspaceFrame, "dense", refuse)
+    for i in (1, 2, 3):
+        Z = coordinate_shift(w, i)
+        assert invariance_residual(Z, S.sub) < INVARIANCE_TOL
+        assert invariance_residual(adjoint(Z), S.comp) < INVARIANCE_TOL
+    assert invariance_residual(adjoint(coordinate_shift(w, 1)), S.sub) > 0.1

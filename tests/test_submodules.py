@@ -86,7 +86,7 @@ def test_submodule_invariant_under_shifts(rng):
     S = homogeneous_submodule(w, [g])
     for i in (1, 2):
         Z = coordinate_shift(w, i)
-        assert invariance_residual(Z, S.sub.columns) < 1e-10
+        assert invariance_residual(Z, S.sub) < 1e-10
 
 
 def test_point_evaluations_kernel_property(rng):
@@ -181,3 +181,24 @@ def test_graded_and_ungraded_agree_on_complex_homogeneous_generators(seed, m, de
     P_graded = projection_matrix(homogeneous_submodule(w, gens), Side.SUBMODULE)
     P_ungraded = projection_matrix(ungraded_submodule(w, gens), Side.SUBMODULE)
     assert np.abs(P_graded - P_ungraded).max() < 1e-10
+
+
+def test_frames_expose_stored_bytes_and_graded_frames_stay_per_slice():
+    # graded frames store each slice's block, not ambient-length columns:
+    # at most (slice dim)^2 float64 values with int32 row indices per slice
+    w3 = drury_arveson_weights(enumerate_basis(3, 10))
+    w2 = drury_arveson_weights(enumerate_basis(2, 10))
+    builds = [
+        monomial_submodule(w3, [monomial_generator((1, 1, 0), num_vars=3)]),
+        homogeneous_submodule(w3, [parse_polynomial("z1^2 - z2^2", num_vars=3)]),
+        ungraded_submodule(w3, [parse_polynomial("z1 - z2*z3", num_vars=3)]),
+        span_of_point_evaluations(w2, [(0.3, 0.1), (0.2 - 0.3j, 0.4j)]),
+    ]
+    for S in builds:
+        b = S.weights.basis
+        bound = 12 * sum(len(b.degree_slice(n)) ** 2 for n in range(b.max_degree + 1))
+        for frame in (S.sub, S.comp):
+            assert type(frame.columns.nbytes) is int
+            if frame.graded:
+                assert frame.columns.nbytes <= bound
+    assert [S.sub.graded for S in builds] == [True, True, False, False]
