@@ -101,6 +101,19 @@ def _timed(fn):
     return wrapper
 
 
+def _check_p_values(p_values):
+    for p in p_values:
+        schatten.check_p(p)
+
+
+def _degree_sweep(degree_sweep, default):
+    """The sorted sweep; a negative truncation degree is a usage error."""
+    sweep = sorted(degree_sweep or default)
+    if sweep[0] < 0:
+        raise ValueError(f"sweep degree {sweep[0]} is negative")
+    return sweep
+
+
 def _ramp_block(n: int, N: int):
     basis = enumerate_basis(1, N)
     w = wm.ramp_weights(n, basis)
@@ -115,6 +128,7 @@ def _ramp_block(n: int, N: int):
 @_timed
 def run_ramp_block_norms(n_values, p_values, N: int) -> ExperimentReport:
     """Single-block weighted shift: computed vs stated commutator p-norms."""
+    _check_p_values(p_values)
     n_values = sorted(int(n) for n in n_values)
     if N <= max(n_values) + 5:
         raise ValueError(f"truncation N={N} too small; need N > max(n) + 5 = {max(n_values) + 5}")
@@ -140,6 +154,7 @@ def run_direct_sum_trends(max_blocks: int, p_values) -> ExperimentReport:
     """Partial direct sums of the weighted-shift blocks vs their restrictions."""
     if max_blocks < 8:
         raise ValueError(f"max_blocks must be >= 8, got {max_blocks}")
+    _check_p_values(p_values)
     rep = ExperimentReport("direct_sum_trends", {
         "max_blocks": max_blocks, "p_values": list(p_values)})
 
@@ -175,7 +190,7 @@ def run_factorial_thresholds(m: int, delta_values, degree_sweep=None) -> Experim
     """Factorial weight family: trace-norm and Hilbert-Schmidt trends per delta."""
     if m < 2:
         raise ValueError(f"factorial thresholds require m >= 2, got {m}")
-    sweep = sorted(degree_sweep or (DEFAULT_SWEEP_M2 if m == 2 else DEFAULT_SWEEP_M3))
+    sweep = _degree_sweep(degree_sweep, DEFAULT_SWEEP_M2 if m == 2 else DEFAULT_SWEEP_M3)
     N = max(sweep) + 2
     basis = enumerate_basis(m, N)
     rep = ExperimentReport("factorial_thresholds", {
@@ -223,7 +238,8 @@ def _build_submodule(w, generators):
 def run_submodule_probe(family: str, m: int, k: int, generators, p_values,
                       degree_sweep=None, delta: float | None = None) -> ExperimentReport:
     """Cross-commutator trends for restrictions to a graded submodule."""
-    sweep = sorted(degree_sweep or (DEFAULT_SWEEP_M2 if m == 2 else DEFAULT_SWEEP_M3))
+    _check_p_values(p_values)
+    sweep = _degree_sweep(degree_sweep, DEFAULT_SWEEP_M2 if m == 2 else DEFAULT_SWEEP_M3)
     N = max(sweep) + 2
     basis = enumerate_basis(m, N, k)
     w = wm.family_weights(family, basis, delta)
@@ -249,12 +265,12 @@ def run_submodule_probe(family: str, m: int, k: int, generators, p_values,
     for side, Ys in sides.items():
         comms = {(i, j): ops.commutator(Ys[i - 1], Ys[j - 1])
                  for i in range(1, m + 1) for j in range(i, m + 1)}
+        spectra = {d: {key: schatten.window_spectrum(C, Window.INTERIOR, d)
+                       for key, C in comms.items()} for d in sweep}
         for p in p_values:
             trend = []
             for d in sweep:
-                vals = {key: schatten.schatten_norm(C, p, window=Window.INTERIOR,
-                                                    max_window_degree=d)
-                        for key, C in comms.items()}
+                vals = {key: schatten.spectrum_norm(s, p) for key, s in spectra[d].items()}
                 for (i, j), v in sorted(vals.items()):
                     tab.add(side, i, j, p, d, v)
                 trend.append((d, max(vals.values())))
@@ -289,7 +305,7 @@ def run_trace_inequality_check(family: str, m: int, points=None, generators=None
     """Trace inequality 0 <= Tr P_n <= ||C_n||_1 along nested invariant subspaces."""
     if (points is None) == (generators is None):
         raise ValueError("provide exactly one of points / generators")
-    sweep = sorted(degree_sweep or ((24, 32, 40) if m == 1 else (12, 16, 20)))
+    sweep = _degree_sweep(degree_sweep, (24, 32, 40) if m == 1 else (12, 16, 20))
     rep = ExperimentReport("trace_inequality_check", {
         "family": family, "m": m, "delta": delta,
         "points": [str(p) for p in points] if points else [],
@@ -307,9 +323,7 @@ def run_trace_inequality_check(family: str, m: int, points=None, generators=None
         if points:
             K = submodules.kernel_columns(w, points, range(basis.multiplicity))
         else:
-            # complex like the kernel columns, whatever the coefficients
-            K = np.column_stack([submodules.multiple_vector(w, g)
-                                 for g in generators]).astype(complex)
+            K = np.column_stack([submodules.multiple_vector(w, g) for g in generators])
         last = None
         for n in range(1, count + 1):
             if points:
@@ -349,7 +363,9 @@ def run_quotient_smoothness_probe(generators, m: int, p_values, degree_sweep=Non
     """
     if m not in (2, 3):
         raise ValueError(f"quotient probe supports m in {{2, 3}}, got {m}")
-    sweep = sorted(degree_sweep or (DEFAULT_SWEEP_M2[:4] if m == 2 else DEFAULT_SWEEP_M3[:4]))
+    _check_p_values(p_values)
+    sweep = _degree_sweep(degree_sweep,
+                          DEFAULT_SWEEP_M2[:4] if m == 2 else DEFAULT_SWEEP_M3[:4])
     generators = list(generators)
     homogeneous = all(g.is_homogeneous for g in generators)
     rep = ExperimentReport("quotient_smoothness_probe", {
@@ -376,11 +392,12 @@ def run_quotient_smoothness_probe(generators, m: int, p_values, degree_sweep=Non
               for i in range(1, m + 1)]
         comms = {(i, j): ops.commutator(Rs[i - 1], Rs[j - 1])
                  for i in range(1, m + 1) for j in range(i, m + 1)}
+        spectra = {key: schatten.window_spectrum(C, Window.INTERIOR, N)
+                   for key, C in comms.items()}
         for p in p_values:
             vmax = 0.0
-            for (i, j), C in comms.items():
-                v = schatten.schatten_norm(C, p, window=Window.INTERIOR,
-                                           max_window_degree=N)
+            for (i, j), s in spectra.items():
+                v = schatten.spectrum_norm(s, p)
                 tab.add(i, j, p, N, v)
                 vmax = max(vmax, v)
             trends[p].append((N, vmax))

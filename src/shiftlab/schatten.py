@@ -1,8 +1,10 @@
 """Singular values, Schatten norms, spectral splits and convergence verdicts.
 
-Schatten norms of graded windows are taken block by degree block from the
-sparse window (shift_operators.block_singular_values).  Ungraded windows and
-windows mixing degree offsets are one block and go through singular_values.
+A Schatten norm is spectrum_norm of a window_spectrum.  window_spectrum
+takes graded windows block by degree block from the sparse window
+(shift_operators.block_singular_values); ungraded windows and windows mixing
+degree offsets are one block and go through singular_values.  A sweep takes
+each window's spectrum once and derives every p from it.
 
 singular_values is the full dense spectrum of a window.  It refuses windows
 wider than DENSE_SVD_LIMIT before densifying; there is no sparse-iteration
@@ -77,40 +79,59 @@ def _windowed(T: TruncatedOperator, window: Window, max_window_degree=None) -> n
     return M
 
 
+def check_dense_svd_size(n: int, what: str = "window"):
+    """Refuse a dense SVD n wide above DENSE_SVD_LIMIT, before anything is allocated."""
+    if n > DENSE_SVD_LIMIT:
+        raise ValueError(f"{what} dimension {n} exceeds DENSE_SVD_LIMIT={DENSE_SVD_LIMIT}; "
+                         f"refusing a dense SVD of that size")
+
+
 def singular_values(T: TruncatedOperator, window: Window = Window.FULL,
                     max_window_degree=None) -> np.ndarray:
     """Descending singular values of the (windowed) finite section, by dense SVD."""
-    n = _window_indices(T, window, max_window_degree).size
-    if n > DENSE_SVD_LIMIT:
-        raise ValueError(f"window dimension {n} exceeds DENSE_SVD_LIMIT={DENSE_SVD_LIMIT}; "
-                         f"refusing a dense SVD of that size")
+    check_dense_svd_size(_window_indices(T, window, max_window_degree).size)
     M = _windowed(T, window, max_window_degree)
     if min(M.shape) == 0:
         return np.zeros(0)
     return np.linalg.svd(M, compute_uv=False)
 
 
-def schatten_norm(T: TruncatedOperator, p: float, window: Window = Window.FULL,
-                  max_window_degree=None) -> float:
-    """(sum sigma_k^p)^(1/p); p = inf gives the operator norm.
+def window_spectrum(T: TruncatedOperator, window: Window = Window.FULL,
+                    max_window_degree=None) -> np.ndarray:
+    """Singular values of the (windowed) section, in no fixed order and up to zeros.
 
     Graded single-offset windows go block by degree block and are never
     densified whole; others go through singular_values.
     """
-    if p != np.inf and p < 1:
-        raise ValueError(f"Schatten p-norm requires p >= 1, got {p}")
-    s = None
     if is_graded(T.space):
         idx = _window_indices(T, window, max_window_degree)
         degs = np.asarray(T.space.degrees)[idx]
         s = block_singular_values(T.mat.tocsr()[idx][:, idx], degs, degs)
-    if s is None:
-        s = singular_values(T, window, max_window_degree)
+        if s is not None:
+            return s
+    return singular_values(T, window, max_window_degree)
+
+
+def check_p(p):
+    """Reject p < 1 and NaN: (sum sigma_k^p)^(1/p) is a norm only for p >= 1."""
+    if not p >= 1:
+        raise ValueError(f"Schatten p-norm requires p >= 1, got {p}")
+
+
+def spectrum_norm(s: np.ndarray, p: float) -> float:
+    """(sum s_k^p)^(1/p) of a spectrum; p = inf gives its largest value."""
+    check_p(p)
     if s.size == 0:
         return 0.0
     if p == np.inf:
         return float(s.max())
     return float(np.sum(s ** p) ** (1.0 / p))
+
+
+def schatten_norm(T: TruncatedOperator, p: float, window: Window = Window.FULL,
+                  max_window_degree=None) -> float:
+    """(sum sigma_k^p)^(1/p); p = inf gives the operator norm."""
+    return spectrum_norm(window_spectrum(T, window, max_window_degree), p)
 
 
 def trace(T: TruncatedOperator, window: Window = Window.FULL,

@@ -177,10 +177,16 @@ def adjoint(T: TruncatedOperator) -> TruncatedOperator:
 
 
 def multiply(A: TruncatedOperator, B: TruncatedOperator) -> TruncatedOperator:
+    """A B.  An ungraded space is one dense block: its product goes through
+    BLAS and is stored sparse like every other operator."""
     _same_space(A, B)
     interior = min(A.interior_degree, B.interior_degree) \
         - max(A.degree_raise, B.degree_raise, 0)
-    return TruncatedOperator(A.space, (A.mat @ B.mat).tocsr(),
+    if is_graded(A.space):
+        mat = (A.mat @ B.mat).tocsr()
+    else:
+        mat = sp.csr_matrix(A.mat.toarray() @ B.mat.toarray())
+    return TruncatedOperator(A.space, mat,
                              interior_degree=interior,
                              degree_raise=A.degree_raise + B.degree_raise)
 

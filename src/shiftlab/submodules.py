@@ -15,6 +15,7 @@ import enum
 import numpy as np
 import scipy.sparse as sp
 
+from . import schatten
 from .graded_basis import compositions
 from .polynomials import PolynomialGenerator, monomial_generator
 from .shift_operators import SparseColumns, SubspaceFrame
@@ -204,6 +205,7 @@ def span_of_point_evaluations(w: WeightSet, points,
         raise ValueError("empty point list")
     if len(points) * b.multiplicity > b.dimension:
         raise ValueError("more evaluation vectors than basis dimension")
+    schatten.check_dense_svd_size(b.dimension, "ambient")
     K = kernel_columns(w, points, range(b.multiplicity))
 
     U, s, _ = np.linalg.svd(K, full_matrices=True)
@@ -227,9 +229,8 @@ def ungraded_submodule(w: WeightSet, generators,
     generators = list(generators)
     if not generators:
         raise ValueError("empty generator list")
-    # ungraded frames are complex whatever the coefficients, like the
-    # point-evaluation frames
-    span = [multiple_vector(w, g, q).astype(complex)
+    schatten.check_dense_svd_size(b.dimension, "ambient")
+    span = [multiple_vector(w, g, q)
             for g in generators
             for budget in range(b.max_degree - g.max_degree + 1)
             for q in compositions(budget, b.num_vars)]

@@ -7,6 +7,7 @@ from pathlib import Path
 import pytest
 
 import shiftlab
+from shiftlab import experiments as xp
 from shiftlab.cli import (ConfigError, build_config, load_config_file, main,
                           parse_args)
 
@@ -131,3 +132,32 @@ def test_verdicts_printed_in_summary(tmp_path, capsys):
     assert code == 0
     out = capsys.readouterr().out
     assert "verdict" in out and "DIVERGING" in out
+
+
+@pytest.mark.parametrize("argv", [
+    ["ramp-block"],
+    ["direct-sum"],
+    ["submodule-probe", "--m", "2", "--gens", "z1*z2", "--degrees", "4,5,6,7"],
+    ["quotient-probe", "--m", "2", "--gens", "z1-z2^2", "--degrees", "4,5,6,7"],
+])
+@pytest.mark.parametrize("p", ["0.5", "nan", "1,0.99"])
+def test_bad_p_is_usage_error_before_any_work(argv, p, tmp_path, capsys, monkeypatch):
+    # (sum sigma^p)^(1/p) is a Schatten norm only for p >= 1
+    def refuse(*args, **kwargs):
+        raise AssertionError("basis built before p was checked")
+    monkeypatch.setattr(xp, "enumerate_basis", refuse)
+    assert run_cli(argv + ["--p", p], tmp_path) == 2
+    assert "error: Schatten p-norm requires p >= 1" in capsys.readouterr().err
+    assert not any(tmp_path.iterdir())
+
+
+@pytest.mark.parametrize("argv", [
+    ["factorial-family", "--m", "2", "--delta", "1", "--degrees=-2,3"],
+    ["submodule-probe", "--m", "2", "--gens", "z1", "--degrees=-2,3"],
+    ["quotient-probe", "--m", "2", "--gens", "z1-z2", "--degrees=-2,3"],
+    ["trace-inequality", "--m", "1", "--points", "0.3", "--degrees=-2,3"],
+])
+def test_negative_sweep_degree_is_usage_error(argv, tmp_path, capsys):
+    assert run_cli(argv, tmp_path) == 2
+    assert "error: sweep degree -2 is negative" in capsys.readouterr().err
+    assert not any(tmp_path.iterdir())

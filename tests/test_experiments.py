@@ -5,7 +5,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from shiftlab import monomial_generator, parse_polynomial
+from shiftlab import monomial_generator, parse_polynomial, schatten
 from shiftlab.experiments import (TheoremViolationError, run_submodule_probe,
                                   run_trace_inequality_check,
                                   run_direct_sum_trends, run_ramp_block_norms,
@@ -117,3 +117,30 @@ def test_csv_floats_roundtrip(tmp_path):
     header = lines[0].split(",")
     row = dict(zip(header, lines[1].split(",")))
     assert float(row["computed"]) == rep.tables["norms"].rows[0][2]
+
+
+@pytest.mark.parametrize("probe", ["submodule", "quotient-graded", "quotient-ungraded"])
+def test_sweeps_take_one_spectrum_per_window(probe, monkeypatch):
+    # every p is derived from one spectrum of each (degree, pair) window
+    calls = []
+    real = schatten.window_spectrum
+
+    def counted(C, window, max_window_degree):
+        calls.append(max_window_degree)
+        return real(C, window, max_window_degree)
+    monkeypatch.setattr(schatten, "window_spectrum", counted)
+    sweep = [4, 5, 6, 7]
+    for p_values in ([1.0], [1.0, 2.0, 3.0, np.inf]):
+        calls.clear()
+        if probe == "submodule":
+            run_submodule_probe("drury-arveson", m=2, k=1,
+                                generators=[parse_polynomial("z1^2 - z2^2", 2)],
+                                p_values=p_values, degree_sweep=sweep)
+            sides = 2
+        else:
+            gen = "z1^2 - z2^2" if probe == "quotient-graded" else "z1 - z2^2"
+            run_quotient_smoothness_probe([parse_polynomial(gen, 2)], m=2,
+                                          p_values=p_values, degree_sweep=sweep)
+            sides = 1
+        # three pairs (1,1), (1,2), (2,2) at m=2
+        assert sorted(calls) == sorted(sweep * 3 * sides)

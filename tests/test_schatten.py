@@ -4,7 +4,7 @@ import scipy.sparse as sp
 from hypothesis import given, settings, strategies as st
 
 from shiftlab import (DiagnosticThresholds, Verdict, Window, add, adjoint,
-                      ap_witness, commutator, compress_to_frame,
+                      ap_witness, bergman_ball_weights, commutator, compress_to_frame,
                       convergence_diagnostic, coordinate_shift, cross_commutator,
                       decay_exponent_fit, drury_arveson_weights, enumerate_basis,
                       factorial_delta_weights, homogeneous_submodule,
@@ -323,3 +323,19 @@ def test_dense_svd_limit_raises_before_densifying(monkeypatch, tmp_path):
     code = cli.main(["submodule-probe", "--m", "2", "--gens", "z1*z2",
                      "--degrees", "4,5,6,7", "--out", str(tmp_path), "--tag", "t"])
     assert code == 2
+
+
+@pytest.mark.parametrize("m, gen", [(2, "z1^2-z2^2"), (3, "z1*z2"), (3, "z1^2-z2*z3")])
+def test_ungraded_quotient_matches_graded_quotient(m, gen):
+    # one ideal as one dense block (BLAS products, dense spectrum) and degree
+    # by degree (sparse products, block spectra): the complements coincide
+    w = bergman_ball_weights(enumerate_basis(m, 8))
+    g = [parse_polynomial(gen, m)]
+    norms = []
+    for S in (homogeneous_submodule(w, g), ungraded_submodule(w, g)):
+        Rs = [compress_to_frame(coordinate_shift(w, i), S.comp) for i in range(1, m + 1)]
+        norms.append(np.array([schatten_norm(commutator(Rs[i], Rs[j]), p, window=Window.FULL)
+                               for i in range(m) for j in range(i, m) for p in ORACLE_PS]))
+    graded, ungraded = norms
+    assert graded.min() > 0
+    assert np.abs(ungraded - graded).max() <= 1e-12 * np.abs(graded).min()

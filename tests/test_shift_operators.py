@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+import scipy.sparse as sp
 from hypothesis import given, settings, strategies as st
 
 from shiftlab import (InvarianceError, PolynomialGenerator, SubspaceFrame,
@@ -13,7 +14,7 @@ from shiftlab import (InvarianceError, PolynomialGenerator, SubspaceFrame,
 from shiftlab import cli, shift_operators
 from shiftlab.graded_basis import compositions
 from shiftlab.shift_operators import INVARIANCE_TOL, TheoremViolationError
-from shiftlab.submodules import Side
+from shiftlab.submodules import Side, ungraded_submodule
 
 from conftest import random_weight_set
 
@@ -281,3 +282,18 @@ def test_graded_invariance_residual_never_densifies_the_frame(monkeypatch):
         assert invariance_residual(Z, S.sub) < INVARIANCE_TOL
         assert invariance_residual(adjoint(Z), S.comp) < INVARIANCE_TOL
     assert invariance_residual(adjoint(coordinate_shift(w, 1)), S.sub) > 0.1
+
+
+def test_ungraded_products_are_blas_products_stored_sparse():
+    # every operator keeps a sparse .mat with an int nnz, also on the dense
+    # one-block (ungraded) path
+    w = drury_arveson_weights(enumerate_basis(3, 6))
+    S = ungraded_submodule(w, [parse_polynomial("z1 - z2*z3", 3)])
+    R1, R2 = (compress_to_frame(coordinate_shift(w, i), S.comp) for i in (1, 2))
+    A, B = _dense(R1), _dense(R2)
+    results = [(R1, A), (multiply(R1, R2), A @ B),
+               (commutator(R1, R2), A.conj().T @ B - B @ A.conj().T)]
+    for T, expected in results:
+        assert not T.space.graded
+        assert sp.issparse(T.mat) and type(T.mat.nnz) is int
+        assert np.abs(_dense(T) - expected).max() < 1e-14

@@ -9,6 +9,7 @@ from shiftlab import (PolynomialGenerator, RankCollapseError, bergman_ball_weigh
                       homogeneous_submodule, monomial_generator,
                       monomial_submodule, parse_polynomial, projection_matrix,
                       span_of_point_evaluations)
+from shiftlab import cli, schatten, submodules
 from shiftlab.graded_basis import compositions
 from shiftlab.submodules import Side, ungraded_submodule
 
@@ -162,8 +163,11 @@ def test_homogeneous_keeps_imaginary_coefficients():
 
 def test_real_generators_give_real_graded_frames():
     w = drury_arveson_weights(enumerate_basis(2, 5))
-    S = homogeneous_submodule(w, [parse_polynomial("z1^2 - z2^2", num_vars=2)])
-    assert S.sub.columns.dtype == S.comp.columns.dtype == np.float64
+    for build in (homogeneous_submodule, ungraded_submodule):
+        S = build(w, [parse_polynomial("z1^2 - z2^2", num_vars=2)])
+        assert S.sub.columns.dtype == S.comp.columns.dtype == np.float64
+        S = build(w, [_linear(1.0, 1j)])
+        assert S.sub.columns.dtype == S.comp.columns.dtype == np.complex128
 
 
 @settings(max_examples=25, deadline=None)
@@ -202,3 +206,24 @@ def test_frames_expose_stored_bytes_and_graded_frames_stay_per_slice():
             if frame.graded:
                 assert frame.columns.nbytes <= bound
     assert [S.sub.graded for S in builds] == [True, True, False, False]
+
+
+def test_ambient_frames_refuse_large_spaces_before_any_work(monkeypatch, tmp_path):
+    # both builders take a full-matrices SVD of ambient size
+    w = drury_arveson_weights(enumerate_basis(2, 8))
+    assert w.basis.dimension == 45
+    monkeypatch.setattr(schatten, "DENSE_SVD_LIMIT", 44)
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("work done before the size check")
+    for name in ("multiple_vector", "kernel_columns"):
+        monkeypatch.setattr(submodules, name, refuse)
+    monkeypatch.setattr(np.linalg, "svd", refuse)
+    with pytest.raises(ValueError, match="ambient dimension 45 exceeds DENSE_SVD_LIMIT=44"):
+        ungraded_submodule(w, [parse_polynomial("z1 - z2^2", num_vars=2)])
+    with pytest.raises(ValueError, match="ambient dimension 45 exceeds DENSE_SVD_LIMIT=44"):
+        span_of_point_evaluations(w, [(0.3, 0.1)])
+    code = cli.main(["quotient-probe", "--m", "2", "--gens", "z1-z2^2", "--degrees", "6,8",
+                     "--out", str(tmp_path), "--tag", "t"])
+    assert code == 2
+    assert not any(tmp_path.iterdir())
