@@ -14,7 +14,7 @@ from .schatten import (ApWitness, DecayFit, DiagnosticThresholds,
                        decay_exponent_fit, schatten_norm, singular_values, trace)
 from .shift_operators import (BlockDecomposition, InvarianceError, RestrictedSpace,
                               SubspaceFrame, TruncatedOperator, add, adjoint,
-                              commutator, compress, compress_to_frame,
+                              commutator, compress_to_frame,
                               coordinate_shift, cross_commutator, direct_sum,
                               invariance_residual, restricted_commutator_decomposition,
                               multiply, restrict_to_invariant, scale,

@@ -329,11 +329,11 @@ def run_trace_inequality_check(family: str, m: int, points=None, generators=None
             if points:
                 # kernel vectors are joint eigenvectors of the adjoint shifts:
                 # their span is already invariant, no closure needed
-                cols = np.linalg.svd(K[:, :n], full_matrices=False)[0]
+                cols, s, _ = np.linalg.svd(K[:, :n], full_matrices=False)
+                submodules.check_distinct_points(s)
             else:
                 cols = _adjoint_closure(T.mat.toarray(), list(K[:, :n].T))
-            frame = SubspaceFrame(cols, np.zeros(cols.shape[1], dtype=np.int64),
-                                  graded=False)
+            frame = SubspaceFrame.ungraded(cols)
             Tn = ops.restrict_to_invariant(T, frame, tol=CLOSURE_INVARIANCE_TOL)
             comm = ops.self_commutator(Tn)
             wit = schatten.ap_witness(comm, p=1, window=Window.FULL)
@@ -353,6 +353,17 @@ def run_trace_inequality_check(family: str, m: int, points=None, generators=None
     return rep
 
 
+def _check_coinvariant(shifts, frame):
+    """The quotient's frame must be invariant under every adjoint shift; a
+    frame that is not is a defect of its builder, not of the input."""
+    for i, Z in enumerate(shifts, start=1):
+        resid = ops.invariance_residual(ops.adjoint(Z), frame)
+        if resid > ops.INVARIANCE_TOL:
+            raise TheoremViolationError(
+                f"complement frame is not invariant under Z_{i}*: residual "
+                f"{resid:.3e} exceeds tolerance {ops.INVARIANCE_TOL:.1e}")
+
+
 @_timed
 def run_quotient_smoothness_probe(generators, m: int, p_values, degree_sweep=None,
                                   variety_dimension=None, family: str = "bergman-ball",
@@ -360,6 +371,10 @@ def run_quotient_smoothness_probe(generators, m: int, p_values, degree_sweep=Non
     """Quotient-module cross-commutator decay for an ideal's submodule.
 
     The zero-variety dimension is user-supplied and only echoed in the report.
+    For homogeneous ideals the complement frame must be invariant under every
+    Z_i* (TheoremViolationError otherwise).  Non-homogeneous ideals are not
+    checked: truncating z_i*f at degree N drops its top-degree part, so the
+    truncated complement is not Z*-invariant even when the frame is exact.
     """
     if m not in (2, 3):
         raise ValueError(f"quotient probe supports m in {{2, 3}}, got {m}")
@@ -387,9 +402,11 @@ def run_quotient_smoothness_probe(generators, m: int, p_values, degree_sweep=Non
             S = _build_submodule(w, generators)
         else:
             S = submodules.ungraded_submodule(w, generators)
+        shifts = [ops.coordinate_shift(w, i) for i in range(1, m + 1)]
+        if homogeneous:
+            _check_coinvariant(shifts, S.comp)
         # quotient-module action = compression of the shifts to the complement
-        Rs = [ops.compress_to_frame(ops.coordinate_shift(w, i), S.comp)
-              for i in range(1, m + 1)]
+        Rs = [ops.compress_to_frame(Z, S.comp) for Z in shifts]
         comms = {(i, j): ops.commutator(Rs[i - 1], Rs[j - 1])
                  for i in range(1, m + 1) for j in range(i, m + 1)}
         spectra = {key: schatten.window_spectrum(C, Window.INTERIOR, N)
@@ -442,9 +459,8 @@ def run_restriction_identity_check(trials: int = 200, seed: int = 0,
             alpha = tuple(int(x) for x in rng.multinomial(d, np.ones(m) / m))
             gens.append(alpha)
         S = submodules.monomial_submodule(w, gens)
-        Q = submodules.projection_matrix(S, submodules.Side.SUBMODULE)
-        decomp = ops.restricted_commutator_decomposition(T, Q)
-        lhs = ops.self_commutator(ops.compress(T, Q)).mat.toarray()
+        decomp = ops.restricted_commutator_decomposition(T, S.sub)
+        lhs = ops.self_commutator(decomp.restricted).mat.toarray()
         rhs = decomp.diagonal_part.mat.toarray() + decomp.corner_part.mat.toarray()
         residual = float(np.abs(lhs - rhs).max(initial=0.0))
         tab.add(t, m, N, residual)

@@ -17,7 +17,6 @@ from .graded_basis import GradedBasis
 from .weight_models import WeightSet
 
 SELF_ADJOINT_TOL = 1e-12
-PROJECTION_TOL = 1e-12
 INVARIANCE_TOL = 1e-10
 PSD_TOL = 1e-10
 
@@ -72,6 +71,11 @@ class SubspaceFrame:
     columns: object               # (ambient_dim, r), orthonormal
     col_degrees: np.ndarray       # (r,) int labels
     graded: bool = True
+
+    @classmethod
+    def ungraded(cls, columns: np.ndarray) -> "SubspaceFrame":
+        """A frame with no grading: every column is labelled degree 0."""
+        return cls(columns, np.zeros(columns.shape[1], dtype=np.int64), graded=False)
 
     @property
     def rank(self) -> int:
@@ -224,25 +228,6 @@ def cross_commutator(w: WeightSet, i: int, j: int) -> TruncatedOperator:
     return commutator(coordinate_shift(w, i), coordinate_shift(w, j))
 
 
-def _check_projection(P: np.ndarray, tol: float = PROJECTION_TOL):
-    P = np.asarray(P)
-    scale_ = max(1.0, float(np.abs(P).max(initial=0.0)))
-    if np.abs(P - P.conj().T).max(initial=0.0) > tol * scale_:
-        raise ValueError("projection matrix is not self-adjoint to tolerance")
-    if np.abs(P @ P - P).max(initial=0.0) > tol * max(1.0, scale_ ** 2):
-        raise ValueError("projection matrix is not idempotent to tolerance")
-    return P
-
-
-def compress(T: TruncatedOperator, P: np.ndarray) -> TruncatedOperator:
-    """P T P on the full space; P must be an orthogonal projection."""
-    P = _check_projection(P)
-    mat = sp.csr_matrix(P @ T.mat.toarray() @ P)
-    return TruncatedOperator(T.space, mat,
-                             interior_degree=T.interior_degree,
-                             degree_raise=T.degree_raise)
-
-
 def block_singular_values(W, row_degrees, col_degrees):
     """Singular values of a sparse matrix, up to zeros, one degree block at a time.
 
@@ -322,44 +307,41 @@ def compress_to_frame(T: TruncatedOperator, frame: SubspaceFrame) -> TruncatedOp
 
 @dataclass(frozen=True)
 class BlockDecomposition:
-    """The two summands of the restricted self-commutator identity.
+    """The restriction Y of T to an invariant frame and the two summands of
+    its self-commutator, [Y*,Y] = diagonal_part + corner_part.
 
-    diagonal_part = Q [T*,T] Q, corner_part = Q T Qperp T* Q; both live on the
-    ambient space and are supported on range(Q).
+    diagonal_part = Q*[T*,T]Q, corner_part = Q*T(I - QQ*)T*Q; all three are
+    r x r operators in the frame's coordinates.
     """
 
     diagonal_part: TruncatedOperator
     corner_part: TruncatedOperator
-    projection: np.ndarray
+    restricted: TruncatedOperator
 
 
-def restricted_commutator_decomposition(T: TruncatedOperator, Q: np.ndarray,
-                         tol: float = INVARIANCE_TOL) -> BlockDecomposition:
-    """Split the restricted self-commutator into diagonal and corner summands."""
-    Q = _check_projection(Q)
-    Tm = T.mat.toarray()
-    norm_scale = _norm_scale(T)
-    Qp = np.eye(T.dimension) - Q
-    resid = np.linalg.norm(Qp @ Tm @ Q, 2) / norm_scale
-    if resid > tol:
-        raise InvarianceError(resid, tol)
-    comm = self_commutator(T)
-    diag = Q @ comm.mat.toarray() @ Q
-    corner = Q @ Tm @ Qp @ Tm.conj().T @ Q
+def restricted_commutator_decomposition(T: TruncatedOperator,
+                                        frame: SubspaceFrame) -> BlockDecomposition:
+    """Split the self-commutator of T restricted to an invariant frame into
+    its compression and positive corner summands."""
+    Y = restrict_to_invariant(T, frame)
+    diag = compress_to_frame(self_commutator(T), frame)
+    Q = frame.dense()
+    # (I - QQ*)T*Q, whose Gram matrix is the corner
+    V = T.mat.conj().T @ Q
+    V = V - Q @ (Q.conj().T @ V)
+    corner = V.conj().T @ V
 
-    scale_sq = max(1.0, norm_scale ** 2)
-    if np.abs(diag - diag.conj().T).max(initial=0.0) > SELF_ADJOINT_TOL * scale_sq:
-        raise TheoremViolationError("diagonal part failed self-adjointness check")
-    if np.abs(corner - corner.conj().T).max(initial=0.0) > SELF_ADJOINT_TOL * scale_sq:
-        raise TheoremViolationError("corner part failed self-adjointness check")
+    scale_sq = max(1.0, _norm_scale(T) ** 2)
+    for name, M in (("diagonal", diag.mat.toarray()), ("corner", corner)):
+        if np.abs(M - M.conj().T).max(initial=0.0) > SELF_ADJOINT_TOL * scale_sq:
+            raise TheoremViolationError(f"{name} part failed self-adjointness check")
     eig_min = float(np.linalg.eigvalsh((corner + corner.conj().T) / 2).min(initial=0.0))
     if eig_min < -PSD_TOL * scale_sq:
         raise TheoremViolationError(f"corner part not positive semidefinite: min eig {eig_min:.3e}")
 
-    mk = lambda M: TruncatedOperator(T.space, sp.csr_matrix(M),
-                                     interior_degree=comm.interior_degree,
-                                     degree_raise=0)
-    return BlockDecomposition(mk(diag), mk(corner), Q)
+    corner_op = TruncatedOperator(diag.space, sp.csr_matrix(corner),
+                                  interior_degree=diag.interior_degree)
+    return BlockDecomposition(diag, corner_op, Y)
 
 
 def direct_sum(operators) -> TruncatedOperator:

@@ -190,6 +190,14 @@ def kernel_columns(w: WeightSet, points, components):
     return np.column_stack(cols)
 
 
+def check_distinct_points(s, rank_tol: float = DEFAULT_RANK_TOL):
+    """Reject evaluation vectors, with singular values s in descending order,
+    that are numerically dependent: their points nearly coincide."""
+    if s[-1] <= rank_tol * s[0]:
+        cond = float(s[0] / s[-1]) if s[-1] > 0 else np.inf
+        raise RankCollapseError("nearly coincident evaluation points", cond)
+
+
 def span_of_point_evaluations(w: WeightSet, points,
                               rank_tol: float = DEFAULT_RANK_TOL) -> SubmoduleBasis:
     """Complement-first construction: S-perp = span of kernel vectors at the points.
@@ -209,14 +217,9 @@ def span_of_point_evaluations(w: WeightSet, points,
     K = kernel_columns(w, points, range(b.multiplicity))
 
     U, s, _ = np.linalg.svd(K, full_matrices=True)
-    cond = float(s[0] / s[-1]) if s[-1] > 0 else np.inf
-    if s[-1] <= rank_tol * s[0]:
-        raise RankCollapseError("nearly coincident evaluation points", cond)
+    check_distinct_points(s, rank_tol)
     r = K.shape[1]
-    zeros = lambda t: np.zeros(t, dtype=np.int64)
-    comp = SubspaceFrame(U[:, :r], zeros(r), graded=False)
-    sub = SubspaceFrame(U[:, r:], zeros(b.dimension - r), graded=False)
-    return SubmoduleBasis(w, sub, comp)
+    return SubmoduleBasis(w, SubspaceFrame.ungraded(U[:, r:]), SubspaceFrame.ungraded(U[:, :r]))
 
 
 def ungraded_submodule(w: WeightSet, generators,
@@ -236,7 +239,4 @@ def ungraded_submodule(w: WeightSet, generators,
             for q in compositions(budget, b.num_vars)]
     M = np.column_stack(span)
     on, on_comp = _orthonormalize(M, rank_tol)
-    zeros = lambda t: np.zeros(t, dtype=np.int64)
-    sub = SubspaceFrame(on, zeros(on.shape[1]), graded=False)
-    comp = SubspaceFrame(on_comp, zeros(on_comp.shape[1]), graded=False)
-    return SubmoduleBasis(w, sub, comp)
+    return SubmoduleBasis(w, SubspaceFrame.ungraded(on), SubspaceFrame.ungraded(on_comp))

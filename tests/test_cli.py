@@ -161,3 +161,19 @@ def test_negative_sweep_degree_is_usage_error(argv, tmp_path, capsys):
     assert run_cli(argv, tmp_path) == 2
     assert "error: sweep degree -2 is negative" in capsys.readouterr().err
     assert not any(tmp_path.iterdir())
+
+
+def test_quotient_probe_rejects_non_coinvariant_complement(tmp_path, capsys):
+    # at degree 60 the homogeneous frame of z1^2-z2^2 has lost exactness: a
+    # defect of the frame builder, so exit 1, not wrong numbers with exit 0
+    code = run_cli(["quotient-probe", "--m", "2", "--gens", "z1^2-z2^2", "--p", "1,3",
+                    "--degrees", "60"], tmp_path)
+    assert code == 1
+    assert "complement frame is not invariant under Z_" in capsys.readouterr().err
+    assert not any(tmp_path.iterdir())
+
+
+def test_trace_inequality_rejects_coincident_points(tmp_path, capsys):
+    assert run_cli(["trace-inequality", "--m", "1", "--points", "0.5;0.5"], tmp_path) == 2
+    assert "nearly coincident evaluation points" in capsys.readouterr().err
+    assert not any(tmp_path.iterdir())

@@ -4,7 +4,7 @@ import scipy.sparse as sp
 from hypothesis import given, settings, strategies as st
 
 from shiftlab import (InvarianceError, PolynomialGenerator, SubspaceFrame,
-                      add, adjoint, commutator, compress, compress_to_frame,
+                      add, adjoint, commutator, compress_to_frame,
                       coordinate_shift, cross_commutator, direct_sum,
                       drury_arveson_weights, enumerate_basis, homogeneous_submodule,
                       invariance_residual, parse_polynomial,
@@ -98,15 +98,6 @@ def test_self_commutator_is_self_adjoint_and_traceless(rng):
         assert abs(np.trace(C)) < 1e-12  # finite sections: tr[A*,A] = 0
 
 
-def test_compress_requires_projection(rng):
-    w = random_weight_set(rng, 1, 5)
-    Z = coordinate_shift(w, 1)
-    P = np.eye(Z.dimension)
-    P[0, 0] = 0.5  # not idempotent
-    with pytest.raises(ValueError):
-        compress(Z, P)
-
-
 def test_restrict_to_invariant_rejects_noninvariant(rng):
     w = random_weight_set(rng, 2, 5)
     Z = coordinate_shift(w, 1)
@@ -130,15 +121,14 @@ def test_restriction_identity_monomial_submodules(rng):
         w = random_weight_set(rng, m, N)
         gen_alpha = tuple(rng.multinomial(int(rng.integers(0, N)), np.ones(m) / m))
         S = monomial_submodule(w, [monomial_generator(gen_alpha, num_vars=m)])
-        Q = projection_matrix(S, Side.SUBMODULE)
         coeffs = rng.normal(size=m) + 1j * rng.normal(size=m)
         T = coordinate_shift(w, 1)
         T = scale(T, complex(coeffs[0]))
         for i in range(2, m + 1):
             T = add(T, scale(coordinate_shift(w, i), complex(coeffs[i - 1])))
 
-        dec = restricted_commutator_decomposition(T, Q)
-        lhs = _dense(self_commutator(compress(T, Q)))
+        dec = restricted_commutator_decomposition(T, S.sub)
+        lhs = _dense(self_commutator(dec.restricted))
         rhs = _dense(dec.diagonal_part) + _dense(dec.corner_part)
         assert np.abs(lhs - rhs).max(initial=0.0) < 1e-12
 
@@ -146,9 +136,8 @@ def test_restriction_identity_monomial_submodules(rng):
 def test_restriction_identity_corner_is_psd(rng):
     w = random_weight_set(rng, 2, 6)
     S = monomial_submodule(w, [monomial_generator((1, 1), num_vars=2)])
-    Q = projection_matrix(S, Side.SUBMODULE)
     T = coordinate_shift(w, 1)
-    dec = restricted_commutator_decomposition(T, Q)
+    dec = restricted_commutator_decomposition(T, S.sub)
     eigs = np.linalg.eigvalsh(_dense(dec.corner_part))
     assert eigs.min() > -1e-12
 
@@ -205,9 +194,8 @@ def test_theorem_check_failure_is_exit_1(rng, monkeypatch, tmp_path):
     monkeypatch.setattr(shift_operators, "PSD_TOL", -1.0)
     w = random_weight_set(rng, 2, 5)
     S = monomial_submodule(w, [(1, 0)])
-    Q = projection_matrix(S, Side.SUBMODULE)
     with pytest.raises(TheoremViolationError, match="positive semidefinite"):
-        restricted_commutator_decomposition(coordinate_shift(w, 1), Q)
+        restricted_commutator_decomposition(coordinate_shift(w, 1), S.sub)
     code = cli.main(["identity-check", "--trials", "1",
                      "--out", str(tmp_path), "--tag", "t"])
     assert code == 1
@@ -224,7 +212,7 @@ def _dense_invariance_residual(T, frame):
     return float(np.linalg.norm(resid, 2)) / scale_ if resid.size else 0.0
 
 
-def _random_frames(rng, m, kind):
+def _random_submodule(rng, m, kind):
     w = random_weight_set(rng, m, 6 if m == 2 else 5)
     if kind == "monomial":
         gens = [tuple(int(x) for x in rng.multinomial(int(rng.integers(1, 4)), np.ones(m) / m))
@@ -241,7 +229,7 @@ def _random_frames(rng, m, kind):
             coefs = coefs * np.exp(2j * np.pi * rng.uniform(size=len(alphas)))
         terms = tuple((alpha, 0, c) for alpha, c in zip(alphas, coefs.tolist()))
         S = homogeneous_submodule(w, [PolynomialGenerator(terms=terms, num_vars=m)])
-    return w, (S.sub, S.comp)
+    return w, S
 
 
 @settings(max_examples=30, deadline=None)
@@ -250,14 +238,42 @@ def _random_frames(rng, m, kind):
 def test_invariance_residual_matches_dense_ambient_oracle(seed, m, kind):
     # point evaluations exist for m <= 2 only
     m = 2 if kind == "points" else m
-    w, frames = _random_frames(np.random.default_rng(seed), m, kind)
+    w, S = _random_submodule(np.random.default_rng(seed), m, kind)
     for i in range(1, m + 1):
         Z = coordinate_shift(w, i)
         for T in (Z, adjoint(Z)):
-            for frame in frames:
+            for frame in (S.sub, S.comp):
                 # abs covers the round-off residuals of invariant pairs
                 assert invariance_residual(T, frame) == pytest.approx(
                     _dense_invariance_residual(T, frame), rel=1e-12, abs=1e-13)
+
+
+@settings(max_examples=30, deadline=None)
+@given(seed=st.integers(0, 2 ** 32 - 1), m=st.integers(2, 3),
+       kind=st.sampled_from(["monomial", "homogeneous-real", "homogeneous-complex"]))
+def test_restricted_commutator_decomposition_matches_dense_ambient_oracle(seed, m, kind):
+    # P[T*,T]P and PT(I - P)T*P on the ambient space, read in the frame's coordinates
+    rng = np.random.default_rng(seed)
+    w, S = _random_submodule(rng, m, kind)
+    coeffs = rng.normal(size=m) + 1j * rng.normal(size=m)
+    T = scale(coordinate_shift(w, 1), complex(coeffs[0]))
+    for i in range(2, m + 1):
+        T = add(T, scale(coordinate_shift(w, i), complex(coeffs[i - 1])))
+    dec = restricted_commutator_decomposition(T, S.sub)
+
+    P = projection_matrix(S, Side.SUBMODULE)
+    F = S.sub.dense()
+    Tm = _dense(T)
+    Pperp = np.eye(T.dimension) - P
+    diagonal = F.conj().T @ (P @ _dense(self_commutator(T)) @ P) @ F
+    corner = F.conj().T @ (P @ Tm @ Pperp @ Tm.conj().T @ P) @ F
+    # entries are quadratic in T: errors relative to its largest entry squared
+    tol = 1e-12 * max(1.0, np.abs(Tm).max() ** 2)
+    assert np.abs(_dense(dec.diagonal_part) - diagonal).max(initial=0.0) < tol
+    assert np.abs(_dense(dec.corner_part) - corner).max(initial=0.0) < tol
+    lhs = _dense(self_commutator(dec.restricted))
+    rhs = _dense(dec.diagonal_part) + _dense(dec.corner_part)
+    assert np.abs(lhs - rhs).max(initial=0.0) < tol
 
 
 def test_invariance_residual_of_noninvariant_pairs():
