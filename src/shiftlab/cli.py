@@ -120,7 +120,11 @@ class RunConfig:
 
 def load_config_file(path: str) -> dict:
     raw = {}
-    text = Path(path).read_text()
+    try:
+        text = Path(path).read_text()
+    except (OSError, UnicodeDecodeError) as exc:
+        reason = getattr(exc, "strerror", None) or exc
+        raise ConfigError(f"{path}: cannot read config file: {reason}") from None
     for lineno, line in enumerate(text.splitlines(), 1):
         line = line.split("#", 1)[0].strip()
         if not line:
@@ -132,8 +136,9 @@ def load_config_file(path: str) -> dict:
     return raw
 
 
-def build_config(experiment: str, file_values: dict, flag_values: dict) -> RunConfig:
-    """Merge config-file values and flags (flags win) against the schema."""
+def build_config(experiment: str, file_values: dict, flag_values: dict,
+                 source: str = "config") -> RunConfig:
+    """Merge the values of config file `source` and flags (flags win) against the schema."""
     schema = SCHEMAS[experiment]
     file_values = dict(file_values)
     file_values.pop("experiment", None)
@@ -141,24 +146,22 @@ def build_config(experiment: str, file_values: dict, flag_values: dict) -> RunCo
     if unknown:
         raise ConfigError(f"unknown config keys for {experiment}: {sorted(unknown)}")
 
-    params, globals_ = {}, {}
-    for key, (kind, default) in schema.items():
-        if key in flag_values and flag_values[key] is not None:
-            params[key] = flag_values[key]
+    values = {}
+    for key, (kind, default) in {**schema, **GLOBAL_KEYS}.items():
+        if flag_values.get(key) is not None:
+            values[key] = flag_values[key]
         elif key in file_values:
-            params[key] = _parse_scalar(kind, file_values[key])
+            try:
+                values[key] = _parse_scalar(kind, file_values[key])
+            except ValueError:
+                raise ConfigError(f"{source}: bad value for {key}: {file_values[key]!r} "
+                                  f"(expected {kind.replace('_', ' ')})") from None
         elif default is not None:
-            params[key] = default
+            values[key] = default
         else:
             raise ConfigError(f"missing required option --{key} for {experiment}")
-    for key, (kind, default) in GLOBAL_KEYS.items():
-        if key in flag_values and flag_values[key] is not None:
-            globals_[key] = flag_values[key]
-        elif key in file_values:
-            globals_[key] = _parse_scalar(kind, file_values[key])
-        else:
-            globals_[key] = default
-    return RunConfig(experiment=experiment, params=params, **globals_)
+    return RunConfig(experiment=experiment, params={key: values[key] for key in schema},
+                     **{key: values[key] for key in GLOBAL_KEYS})
 
 
 def _add_common(sp):
@@ -239,7 +242,7 @@ def parse_args(argv) -> RunConfig:
                    for k, v in vars(ns).items()
                    if k not in ("experiment", "config")}
     file_values = load_config_file(ns.config) if ns.config else {}
-    return build_config(ns.experiment, file_values, flag_values)
+    return build_config(ns.experiment, file_values, flag_values, source=ns.config)
 
 
 def _nan_to_none(x):

@@ -323,7 +323,8 @@ def run_trace_inequality_check(family: str, m: int, points=None, generators=None
         if points:
             K = submodules.kernel_columns(w, points, range(basis.multiplicity))
         else:
-            K = np.column_stack([submodules.multiple_vector(w, g) for g in generators])
+            K = np.hstack([submodules.multiple_vectors(w, g, 0, 0).toarray()
+                           for g in generators])
         last = None
         for n in range(1, count + 1):
             if points:

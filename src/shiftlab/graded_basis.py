@@ -3,7 +3,8 @@
 Basis elements are pairs (multi-index, component).  The ordering is graded
 lexicographic: degree-major, lexicographic (leading exponent first) within a
 degree, component varying fastest.  Degree slices are therefore contiguous,
-which every downstream module relies on.
+which every downstream module relies on.  Ordinals are ranks of compositions
+in closed form (GradedBasis.rank); no per-monomial table is kept.
 """
 
 from dataclasses import dataclass, field
@@ -12,8 +13,6 @@ from math import comb
 import numpy as np
 
 DEFAULT_DIMENSION_CAP = 50_000
-
-MultiIndex = tuple  # tuple of non-negative ints, length m
 
 
 def degree(alpha) -> int:
@@ -52,7 +51,6 @@ class GradedBasis:
     components: np.ndarray = field(repr=False, compare=False)  # (dimension,) int
     degrees: np.ndarray = field(repr=False, compare=False)     # (dimension,) int
     slice_bounds: np.ndarray = field(repr=False, compare=False)  # (N+2,) cumulative
-    _lookup: dict = field(repr=False, compare=False)
 
     @property
     def dimension(self) -> int:
@@ -66,18 +64,44 @@ class GradedBasis:
     def __hash__(self):
         return hash((self.num_vars, self.max_degree, self.multiplicity))
 
-    def index_of(self, alpha, component: int = 0) -> int:
-        """Ordinal of the basis element (alpha, component)."""
-        alpha = tuple(int(a) for a in alpha)
-        if len(alpha) != self.num_vars:
-            raise ValueError(f"multi-index has {len(alpha)} exponents, expected {self.num_vars}")
+    def rank(self, exponents, components) -> np.ndarray:
+        """Ordinals of the rows (exponents[r], components[r]), in closed form.
+
+        With n = |alpha| and r_t = n - alpha_0 - ... - alpha_{t-1}, the
+        ordinal is slice_bounds[n] + k * sum_{t < m-1} C(r_t - alpha_t + m - t - 2,
+        m - t - 1) + c: the t-th term counts the compositions of r_t with a
+        larger leading exponent.  ValueError names the first non-element row.
+        """
+        m, N, k = self.num_vars, self.max_degree, self.multiplicity
+        exps = np.asarray(exponents, dtype=np.int64)
+        comps = np.asarray(components, dtype=np.int64)
+        if exps.ndim != 2 or exps.shape[1] != m:
+            raise ValueError(f"multi-index has {exps.shape[-1]} exponents, expected {m}")
+        # tails[:, t] = alpha_t + ... + alpha_{m-1}; tails[:, 0] is the degree
+        tails = np.cumsum(exps[:, ::-1], axis=1)[:, ::-1]
+        bad = (exps < 0).any(axis=1) | (tails[:, 0] > N) | (comps < 0) | (comps >= k)
+        if bad.any():
+            r = int(np.argmax(bad))
+            self._reject(tuple(int(a) for a in exps[r]), int(comps[r]))
+        # binom[b, a] = C(a, b), exact integers
+        binom = np.array([[comb(a, b) for a in range(N + m - 1)] for b in range(m)],
+                         dtype=np.int64)
+        within = np.zeros(len(exps), dtype=np.int64)
+        for t in range(m - 1):
+            within += binom[m - t - 1, tails[:, t + 1] + m - t - 2]
+        return self.slice_bounds[tails[:, 0]] + k * within + comps
+
+    def _reject(self, alpha, component):
+        """Raise the ValueError that says why (alpha, component) is no basis element."""
         if any(a < 0 for a in alpha):
             raise ValueError(f"negative exponent in multi-index {alpha}")
-        if degree(alpha) > self.max_degree:
-            raise ValueError(f"multi-index {alpha} has degree {degree(alpha)} > max degree {self.max_degree}")
-        if not 0 <= component < self.multiplicity:
-            raise ValueError(f"component {component} out of range [0, {self.multiplicity})")
-        return self._lookup[(alpha, component)]
+        if sum(alpha) > self.max_degree:
+            raise ValueError(f"multi-index {alpha} has degree {sum(alpha)} > max degree {self.max_degree}")
+        raise ValueError(f"component {component} out of range [0, {self.multiplicity})")
+
+    def index_of(self, alpha, component: int = 0) -> int:
+        """Ordinal of the basis element (alpha, component)."""
+        return int(self.rank([tuple(int(a) for a in alpha)], [component])[0])
 
     def element_at(self, i: int):
         """Inverse of index_of: returns (multi-index, component)."""
@@ -115,27 +139,26 @@ def enumerate_basis(m: int, N: int, k: int = 1,
             f"basis dimension {dim} exceeds cap {dimension_cap}; "
             f"raise dimension_cap explicitly if this is intentional")
 
-    exps = np.empty((dim, m), dtype=np.int64)
-    comps = np.empty(dim, dtype=np.int64)
-    degs = np.empty(dim, dtype=np.int64)
-    bounds = np.zeros(N + 2, dtype=np.int64)
-    lookup = {}
-    i = 0
-    for n in range(N + 1):
-        bounds[n] = i
-        for alpha in compositions(n, m):
-            for c in range(k):
-                exps[i] = alpha
-                comps[i] = c
-                degs[i] = n
-                lookup[(alpha, c)] = i
-                i += 1
-    bounds[N + 1] = i
-    assert i == dim
-    exps.setflags(write=False)
-    comps.setflags(write=False)
-    degs.setflags(write=False)
-    bounds.setflags(write=False)
+    # one variable: slice n is z^n.  Adding a leading variable, slice n lists
+    # (n - |beta|, beta) for every beta of the old slices 0..n in order.
+    exps = np.arange(N + 1)[:, None]
+    degs = np.arange(N + 1)
+    bounds = np.arange(N + 2)
+    for _ in range(m - 1):
+        lengths = bounds[1:]
+        ends = np.cumsum(lengths)
+        beta = np.arange(ends[-1]) - np.repeat(ends - lengths, lengths)
+        n = np.repeat(np.arange(N + 1), lengths)
+        exps = np.column_stack([n - degs[beta], exps[beta]])
+        degs = n
+        bounds = np.concatenate([[0], ends])
+    exps = np.repeat(exps, k, axis=0)
+    comps = np.tile(np.arange(k), len(degs))
+    degs = np.repeat(degs, k)
+    bounds = k * bounds
+    assert exps.shape == (dim, m)
+    for a in (exps, comps, degs, bounds):
+        a.setflags(write=False)
     return GradedBasis(num_vars=m, max_degree=N, multiplicity=k,
                        exponents=exps, components=comps, degrees=degs,
-                       slice_bounds=bounds, _lookup=lookup)
+                       slice_bounds=bounds)

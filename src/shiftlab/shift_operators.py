@@ -143,10 +143,12 @@ def _same_space(a: TruncatedOperator, b: TruncatedOperator):
 
 def _norm_scale(T: TruncatedOperator) -> float:
     """Cheap upper bound on the operator norm: sqrt(||.||_1 * ||.||_inf)."""
-    A = abs(T.mat)
-    col = A.sum(axis=0).max()
-    row = A.sum(axis=1).max()
-    return float(np.sqrt(float(col) * float(row))) or 1.0
+    A = T.mat.tocsr()
+    a = np.abs(A.data)
+    rows = np.repeat(np.arange(A.shape[0]), np.diff(A.indptr))
+    col = np.bincount(A.indices, a, minlength=A.shape[1]).max(initial=0.0)
+    row = np.bincount(rows, a, minlength=A.shape[0]).max(initial=0.0)
+    return float(np.sqrt(col * row)) or 1.0
 
 
 def coordinate_shift(w: WeightSet, i: int) -> TruncatedOperator:
@@ -158,18 +160,12 @@ def coordinate_shift(w: WeightSet, i: int) -> TruncatedOperator:
     m = b.num_vars
     if not 1 <= i <= m:
         raise ValueError(f"coordinate index {i} out of range [1, {m}]")
-    rows, cols, vals = [], [], []
-    logl = w.log_lambda
-    for j in range(b.dimension):
-        if b.degrees[j] >= b.max_degree:
-            continue
-        alpha = tuple(int(a) for a in b.exponents[j])
-        c = int(b.components[j])
-        target = alpha[:i - 1] + (alpha[i - 1] + 1,) + alpha[i:]
-        t = b.index_of(target, c)
-        rows.append(t)
-        cols.append(j)
-        vals.append(np.exp(logl[t] - logl[j]))
+    top = b.slice_bounds[b.max_degree]  # ordinals below the top degree
+    target = b.exponents[:top].copy()
+    target[:, i - 1] += 1
+    rows = b.rank(target, b.components[:top])
+    cols = np.arange(top)
+    vals = np.exp(w.log_lambda[rows] - w.log_lambda[:top])
     mat = sp.csr_matrix((vals, (rows, cols)), shape=(b.dimension, b.dimension))
     return TruncatedOperator(b, mat, interior_degree=b.max_degree - 1, degree_raise=1)
 

@@ -16,7 +16,6 @@ import numpy as np
 import scipy.sparse as sp
 
 from . import schatten
-from .graded_basis import compositions
 from .polynomials import PolynomialGenerator, monomial_generator
 from .shift_operators import SparseColumns, SubspaceFrame
 from .weight_models import WeightSet
@@ -104,22 +103,24 @@ def monomial_submodule(w: WeightSet, generators) -> SubmoduleBasis:
                           coordinate_frame(np.nonzero(~member)[0]))
 
 
-def multiple_vector(w: WeightSet, g: PolynomialGenerator, q=None) -> np.ndarray:
-    """z^q * g in orthonormal coordinates (coefficients scaled by lambda).
+def multiple_vectors(w: WeightSet, g: PolynomialGenerator, lo: int, hi: int) -> sp.csr_matrix:
+    """Columns z^q * g in orthonormal coordinates (coefficients scaled by
+    lambda), one per multi-index q with lo <= |q| <= hi, in basis order.
 
-    Real when every coefficient of g is real, complex otherwise.
+    A CSR matrix, so that callers densify only the rows they need; real when
+    every coefficient of g is real, complex otherwise.
     """
     b = w.basis
-    q = q or (0,) * b.num_vars
-    coefs = [complex(coef) for _, _, coef in g.terms]
-    if all(coef.imag == 0 for coef in coefs):
-        coefs = [coef.real for coef in coefs]
-    lam = w.lam
-    v = np.zeros(b.dimension, dtype=type(coefs[0]))
-    for (alpha, c, _), coef in zip(g.terms, coefs):
-        jj = b.index_of(tuple(a + t for a, t in zip(alpha, q)), c)
-        v[jj] += coef * lam[jj]
-    return v
+    coefs = np.array([complex(coef) for _, _, coef in g.terms])
+    if not coefs.imag.any():
+        coefs = coefs.real
+    alphas = np.array([alpha for alpha, _, _ in g.terms])
+    shifts = b.exponents[b.slice_bounds[lo]:b.slice_bounds[max(hi + 1, lo)]:b.multiplicity]
+    rows = b.rank((shifts[:, None, :] + alphas).reshape(-1, b.num_vars),
+                  np.tile([c for _, c, _ in g.terms], len(shifts)))
+    cols = np.repeat(np.arange(len(shifts)), len(alphas))
+    vals = np.tile(coefs, len(shifts)) * w.lam[rows]
+    return sp.csr_matrix((vals, (rows, cols)), shape=(b.dimension, len(shifts)))
 
 
 def _orthonormalize(columns: np.ndarray, rank_tol: float):
@@ -149,13 +150,13 @@ def homogeneous_submodule(w: WeightSet, generators,
             raise ValueError(f"generator #{t} is not homogeneous")
         if g.num_vars != b.num_vars:
             raise ValueError(f"generator #{t} has {g.num_vars} variables, basis has {b.num_vars}")
+    degrees = [g.homogeneous_degree for g in generators]
     blocks = []
     for n in range(b.max_degree + 1):
         sl = b.degree_slice(n)
-        span = [multiple_vector(w, g, q)[sl.start:sl.stop]
-                for g in generators if g.homogeneous_degree <= n
-                for q in compositions(n - g.homogeneous_degree, b.num_vars)]
-        block = np.column_stack(span) if span else np.zeros((len(sl), 0))
+        span = [multiple_vectors(w, g, n - d, n - d)[sl.start:sl.stop].toarray()
+                for g, d in zip(generators, degrees) if d <= n]
+        block = np.hstack(span) if span else np.zeros((len(sl), 0))
         blocks.append(_orthonormalize(block, rank_tol))
     sub_blocks, comp_blocks = zip(*blocks)
 
@@ -233,10 +234,7 @@ def ungraded_submodule(w: WeightSet, generators,
     if not generators:
         raise ValueError("empty generator list")
     schatten.check_dense_svd_size(b.dimension, "ambient")
-    span = [multiple_vector(w, g, q)
-            for g in generators
-            for budget in range(b.max_degree - g.max_degree + 1)
-            for q in compositions(budget, b.num_vars)]
-    M = np.column_stack(span)
+    M = np.hstack([multiple_vectors(w, g, 0, b.max_degree - g.max_degree).toarray()
+                   for g in generators])
     on, on_comp = _orthonormalize(M, rank_tol)
     return SubmoduleBasis(w, SubspaceFrame.ungraded(on), SubspaceFrame.ungraded(on_comp))

@@ -61,52 +61,34 @@ class WeightSet:
 
     def shift_weight(self, alpha, i: int) -> float:
         """Matrix entry of Z_i from alpha to alpha + e_i."""
-        alpha = tuple(alpha)
-        target = alpha[:i - 1] + (alpha[i - 1] + 1,) + alpha[i:]
-        j0 = self.basis.index_of(alpha)
-        j1 = self.basis.index_of(target)
+        target = list(alpha)
+        target[i - 1] += 1
+        j0, j1 = self.basis.rank([tuple(alpha), target], [0, 0])
         return float(np.exp(self.log_lambda[j1] - self.log_lambda[j0]))
 
     def all_shift_weights(self, i: int) -> np.ndarray:
         """Shift weights of Z_i for every alpha with degree < N (component 0)."""
         b = self.basis
-        out = []
-        for j in range(b.dimension):
-            if b.components[j] != 0 or b.degrees[j] >= b.max_degree:
-                continue
-            alpha = tuple(int(a) for a in b.exponents[j])
-            target = alpha[:i - 1] + (alpha[i - 1] + 1,) + alpha[i:]
-            j1 = b.index_of(target)
-            out.append(np.exp(self.log_lambda[j1] - self.log_lambda[j]))
-        return np.asarray(out)
+        src = np.flatnonzero((b.components == 0) & (b.degrees < b.max_degree))
+        target = b.exponents[src]
+        target[:, i - 1] += 1
+        dst = b.rank(target, b.components[src])
+        return np.exp(self.log_lambda[dst] - self.log_lambda[src])
 
     def to_table_text(self) -> str:
         """Serialize as a text table: one line per multi-index, exponents then lambda."""
         b = self.basis
         lines = [f"# weight set: {self.label}",
                  f"# m={b.num_vars} N={b.max_degree}"]
-        lam = self.lam
-        for j in range(b.dimension):
-            if b.components[j] != 0:
-                continue
-            exps = " ".join(str(int(a)) for a in b.exponents[j])
-            lines.append(f"{exps} {float(lam[j])!r}")
+        lines += [" ".join(str(int(a)) for a in b.exponents[j]) + f" {float(self.lam[j])!r}"
+                  for j in np.flatnonzero(b.components == 0)]
         return "\n".join(lines) + "\n"
-
-
-def _per_alpha(basis: GradedBasis, fn) -> np.ndarray:
-    """Evaluate fn(exponent row, degree) for every basis ordinal."""
-    vals = np.empty(basis.dimension)
-    for j in range(basis.dimension):
-        vals[j] = fn(basis.exponents[j], int(basis.degrees[j]))
-    return vals
 
 
 def drury_arveson_weights(basis: GradedBasis) -> WeightSet:
     """Symmetric-Fock normalization: lambda_alpha = sqrt(alpha! / |alpha|!)."""
-    def logw(alpha, n):
-        return 0.5 * (float(np.sum(gammaln(alpha + 1))) - float(gammaln(n + 1)))
-    return WeightSet(basis, _per_alpha(basis, logw), "drury-arveson")
+    logw = 0.5 * (gammaln(basis.exponents + 1).sum(axis=1) - gammaln(basis.degrees + 1))
+    return WeightSet(basis, logw, "drury-arveson")
 
 
 def bergman_ball_weights(basis: GradedBasis) -> WeightSet:
@@ -115,10 +97,9 @@ def bergman_ball_weights(basis: GradedBasis) -> WeightSet:
     lambda_alpha^2 = alpha! m! / (|alpha| + m)!.
     """
     m = basis.num_vars
-    def logw(alpha, n):
-        return 0.5 * (float(np.sum(gammaln(alpha + 1))) + float(gammaln(m + 1))
-                      - float(gammaln(n + m + 1)))
-    return WeightSet(basis, _per_alpha(basis, logw), "bergman-ball")
+    logw = 0.5 * (gammaln(basis.exponents + 1).sum(axis=1) + float(gammaln(m + 1))
+                  - gammaln(basis.degrees + m + 1))
+    return WeightSet(basis, logw, "bergman-ball")
 
 
 def hardy_ball_weights(basis: GradedBasis) -> WeightSet:
@@ -127,10 +108,9 @@ def hardy_ball_weights(basis: GradedBasis) -> WeightSet:
     lambda_alpha^2 = alpha! (m-1)! / (|alpha| + m - 1)!.
     """
     m = basis.num_vars
-    def logw(alpha, n):
-        return 0.5 * (float(np.sum(gammaln(alpha + 1))) + float(gammaln(m))
-                      - float(gammaln(n + m)))
-    return WeightSet(basis, _per_alpha(basis, logw), "hardy-ball")
+    logw = 0.5 * (gammaln(basis.exponents + 1).sum(axis=1) + float(gammaln(m))
+                  - gammaln(basis.degrees + m))
+    return WeightSet(basis, logw, "hardy-ball")
 
 
 def factorial_delta_weights(basis: GradedBasis, delta: float) -> WeightSet:
@@ -155,12 +135,9 @@ def ramp_weights(n: int, basis: GradedBasis) -> WeightSet:
         raise ValueError("ramp weights require a single-variable basis")
     if n < 1:
         raise ValueError(f"block parameter n must be >= 1, got {n}")
-    N = basis.max_degree
-    logw = np.zeros(N + 1)
-    for j in range(1, N + 1):
-        # weight on e_j (the step z^(j-1) -> z^j)
-        w = np.sqrt(j / n) if j <= n else 1.0
-        logw[j] = logw[j - 1] + np.log(w)
+    k = np.arange(1, basis.max_degree + 1)
+    # the weight on e_k is the step z^(k-1) -> z^k
+    logw = np.concatenate([[0.0], np.cumsum(np.log(np.where(k <= n, np.sqrt(k / n), 1.0)))])
     vals = logw[np.asarray(basis.degrees)]
     return WeightSet(basis, vals, f"ramp(n={n})")
 

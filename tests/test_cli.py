@@ -177,3 +177,48 @@ def test_trace_inequality_rejects_coincident_points(tmp_path, capsys):
     assert run_cli(["trace-inequality", "--m", "1", "--points", "0.5;0.5"], tmp_path) == 2
     assert "nearly coincident evaluation points" in capsys.readouterr().err
     assert not any(tmp_path.iterdir())
+
+
+@pytest.mark.parametrize("line,key", [("m = abc", "m"), ("seed = x", "seed"),
+                                      ("degrees = 4,x", "degrees")])
+def test_bad_config_value_is_usage_error(line, key, tmp_path, capsys):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("m = 2\ndelta = 1.0\n" + line + "\n")
+    with pytest.raises(ConfigError):
+        parse_args(["factorial-family", "--config", str(cfg)])
+    assert main(["factorial-family", "--config", str(cfg), "--out", str(tmp_path)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and str(cfg) in err and f"bad value for {key}:" in err
+
+
+def test_missing_config_file_is_usage_error(tmp_path):
+    src = str(Path(shiftlab.__file__).parents[1])
+    env = {**os.environ,
+           "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    missing = tmp_path / "no-such.cfg"
+    proc = subprocess.run([sys.executable, "-m", "shiftlab.cli", "factorial-family",
+                           "--config", str(missing), "--out", str(tmp_path)],
+                          capture_output=True, text=True, env=env, timeout=60)
+    assert proc.returncode == 2
+    assert proc.stderr.startswith("error: ") and str(missing) in proc.stderr
+    assert "Traceback" not in proc.stderr
+    assert not any(tmp_path.iterdir())
+
+
+def test_factorial_family_m4_end_to_end(tmp_path, capsys):
+    code = run_cli(["factorial-family", "--m", "4", "--delta", "2.0",
+                    "--degrees", "12,16,20"], tmp_path)
+    assert code == 0
+    out = capsys.readouterr().out
+    assert "verdict hs_norm_delta=2.0:" in out and "verdict trace_norm_delta=2.0:" in out
+    rep_dir = tmp_path / "factorial_thresholds-t"
+    verdicts = json.loads((rep_dir / "report.json").read_text())["verdicts"]
+    assert set(verdicts) == {"hs_norm_delta=2.0", "trace_norm_delta=2.0"}
+    # factorial weights depend on the degree alone: the four shifts agree
+    rows = (rep_dir / "shift_hs_norms.csv").read_text().splitlines()[1:]
+    by_degree = {}
+    for row in rows:
+        _, i, deg, value = row.split(",")
+        by_degree.setdefault(int(deg), set()).add(value)
+    assert sorted(by_degree) == [12, 16, 20]
+    assert all(len(values) == 1 for values in by_degree.values())

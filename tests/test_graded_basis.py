@@ -4,8 +4,8 @@ import numpy as np
 import pytest
 
 from shiftlab import enumerate_basis
-from shiftlab.graded_basis import (count_degree_slice, count_up_to_degree,
-                                   degree)
+from shiftlab.graded_basis import (compositions, count_degree_slice,
+                                   count_up_to_degree, degree)
 
 
 @pytest.mark.parametrize("m,N", [(1, 0), (1, 7), (2, 5), (3, 4), (4, 3)])
@@ -83,3 +83,48 @@ def test_basis_equality_by_shape():
     c = enumerate_basis(2, 6)
     assert a == b and hash(a) == hash(b)
     assert a != c
+
+
+def _ordinals_by_enumeration(m, N, k):
+    """(alpha, c) -> ordinal, from the compositions generator in graded-lex order."""
+    rows = [(alpha, c) for n in range(N + 1) for alpha in compositions(n, m)
+            for c in range(k)]
+    return {row: j for j, row in enumerate(rows)}
+
+
+@pytest.mark.parametrize("m", [1, 2, 3, 4, 5])
+@pytest.mark.parametrize("N", [0, 1, 7])
+@pytest.mark.parametrize("k", [1, 3])
+def test_rank_matches_enumeration_oracle(m, N, k):
+    basis = enumerate_basis(m, N, k)
+    ordinal = _ordinals_by_enumeration(m, N, k)
+    rows = list(ordinal)
+    assert np.array_equal(basis.exponents, np.array([a for a, _ in rows]).reshape(-1, m))
+    assert np.array_equal(basis.components, [c for _, c in rows])
+    assert np.array_equal(basis.degrees, [sum(a) for a, _ in rows])
+    assert np.array_equal(basis.rank(basis.exponents, basis.components),
+                          np.arange(basis.dimension))
+    # rows in any order rank to their own ordinals
+    perm = np.random.default_rng(m * 100 + N * 10 + k).permutation(len(rows))
+    shuffled = [rows[j] for j in perm]
+    got = basis.rank(np.array([a for a, _ in shuffled]).reshape(-1, m),
+                     [c for _, c in shuffled])
+    assert np.array_equal(got, [ordinal[row] for row in shuffled])
+
+
+@pytest.mark.parametrize("alpha,component,message", [
+    ((1,), 0, "has 1 exponents, expected 2"),
+    ((1, 1, 1), 0, "has 3 exponents, expected 2"),
+    ((-1, 2), 0, "negative exponent"),
+    ((3, 2), 0, "has degree 5 > max degree 4"),
+    ((1, 1), 2, "component 2 out of range"),
+    ((1, 1), -1, "component -1 out of range"),
+])
+def test_index_of_rejects_non_elements(alpha, component, message):
+    basis = enumerate_basis(2, 4, k=2)
+    with pytest.raises(ValueError, match=message):
+        basis.index_of(alpha, component)
+    # in a batch, the first row that is no basis element is named
+    batch = [(0, 0), alpha] if len(alpha) == 2 else [alpha]
+    with pytest.raises(ValueError, match=message):
+        basis.rank(batch, [0] * (len(batch) - 1) + [component])

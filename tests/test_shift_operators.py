@@ -6,7 +6,8 @@ from hypothesis import given, settings, strategies as st
 from shiftlab import (InvarianceError, PolynomialGenerator, SubspaceFrame,
                       add, adjoint, commutator, compress_to_frame,
                       coordinate_shift, cross_commutator, direct_sum,
-                      drury_arveson_weights, enumerate_basis, homogeneous_submodule,
+                      drury_arveson_weights, enumerate_basis, family_weights,
+                      homogeneous_submodule,
                       invariance_residual, parse_polynomial,
                       restricted_commutator_decomposition, monomial_generator, monomial_submodule,
                       multiply, projection_matrix, restrict_to_invariant, scale,
@@ -313,3 +314,54 @@ def test_ungraded_products_are_blas_products_stored_sparse():
         assert not T.space.graded
         assert sp.issparse(T.mat) and type(T.mat.nnz) is int
         assert np.abs(_dense(T) - expected).max() < 1e-14
+
+
+def _shift_by_monomial_loop(w, i):
+    """Z_i built one monomial at a time through an ordinal dict of the test's own."""
+    b = w.basis
+    rows = [(alpha, c) for n in range(b.max_degree + 1)
+            for alpha in compositions(n, b.num_vars) for c in range(b.multiplicity)]
+    ordinal = {row: j for j, row in enumerate(rows)}
+    dst, src, vals = [], [], []
+    for (alpha, c), j in ordinal.items():
+        if sum(alpha) == b.max_degree:
+            continue
+        t = ordinal[(alpha[:i - 1] + (alpha[i - 1] + 1,) + alpha[i:], c)]
+        dst.append(t)
+        src.append(j)
+        vals.append(np.exp(w.log_lambda[t] - w.log_lambda[j]))
+    comp0 = [v for v, j in zip(vals, src) if rows[j][1] == 0]
+    return sp.csr_matrix((vals, (dst, src)), shape=(b.dimension, b.dimension)), comp0
+
+
+@pytest.mark.parametrize("m,N,k", [(1, 12, 1), (1, 0, 2), (2, 10, 2), (3, 8, 1),
+                                   (3, 5, 3), (4, 6, 1)])
+@pytest.mark.parametrize("family", ["random", "drury-arveson", "bergman-ball",
+                                    "hardy-ball", "factorial-delta"])
+def test_coordinate_shift_is_bit_identical_to_monomial_loop(m, N, k, family, rng):
+    if family == "random":
+        w = random_weight_set(rng, m, N, k)
+    else:
+        w = family_weights(family, enumerate_basis(m, N, k), delta=1.5)
+    for i in range(1, m + 1):
+        got = coordinate_shift(w, i).mat
+        expected, comp0 = _shift_by_monomial_loop(w, i)
+        for name in ("data", "indices", "indptr"):
+            a, b = getattr(got, name), getattr(expected, name)
+            assert a.dtype == b.dtype and np.array_equal(a, b), name
+        assert np.array_equal(w.all_shift_weights(i), np.asarray(comp0, dtype=float))
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_norm_scale_matches_dense_formula(seed):
+    rng = np.random.default_rng(seed)
+    n = 40
+    D = rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n))
+    D[rng.random((n, n)) > 0.1] = 0
+    D[::3] = 0  # empty rows
+    A = sp.csr_matrix(D)
+    for M in (A, A.T.tocsr(), sp.csr_matrix((n, n), dtype=complex)):
+        T = shift_operators.TruncatedOperator(enumerate_basis(1, n - 1), M, interior_degree=n - 1)
+        D = M.toarray()
+        expected = np.sqrt(np.linalg.norm(D, 1) * np.linalg.norm(D, np.inf)) or 1.0
+        assert abs(shift_operators._norm_scale(T) - expected) <= 1e-14 * expected

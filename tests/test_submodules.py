@@ -216,7 +216,7 @@ def test_ambient_frames_refuse_large_spaces_before_any_work(monkeypatch, tmp_pat
 
     def refuse(*args, **kwargs):
         raise AssertionError("work done before the size check")
-    for name in ("multiple_vector", "kernel_columns"):
+    for name in ("multiple_vectors", "kernel_columns"):
         monkeypatch.setattr(submodules, name, refuse)
     monkeypatch.setattr(np.linalg, "svd", refuse)
     with pytest.raises(ValueError, match="ambient dimension 45 exceeds DENSE_SVD_LIMIT=44"):

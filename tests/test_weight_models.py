@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+from scipy.special import gammaln
 from scipy.stats import qmc
 
 from shiftlab import (Condition, WeightSet, bergman_ball_weights, check_condition,
@@ -145,3 +146,21 @@ def test_to_table_text_roundtrip_values():
     exps, lam = lines[5].rsplit(" ", 1)
     alpha = tuple(int(t) for t in exps.split())
     assert float(lam) == pytest.approx(w.lambda_of(alpha), rel=1e-15)
+
+
+@pytest.mark.parametrize("m,N,k", [(1, 10, 1), (2, 12, 2), (3, 9, 1), (4, 7, 1), (5, 5, 1)])
+def test_ball_families_are_bit_identical_to_scalar_formula(m, N, k):
+    # log lambda_alpha = (log alpha! + log c - log (|alpha| + s)!) / 2, one row at a time
+    scalar = {drury_arveson_weights: (None, 1),
+              bergman_ball_weights: (m + 1, m + 1),
+              hardy_ball_weights: (m, m)}
+    basis = enumerate_basis(m, N, k)
+    for family, (c, s) in scalar.items():
+        expected = np.empty(basis.dimension)
+        for j in range(basis.dimension):
+            alpha, n = basis.exponents[j], int(basis.degrees[j])
+            log_fact = float(np.sum(gammaln(alpha + 1)))
+            if c is not None:
+                log_fact = log_fact + float(gammaln(c))
+            expected[j] = 0.5 * (log_fact - float(gammaln(n + s)))
+        assert np.array_equal(family(basis).log_lambda, expected), family.__name__
