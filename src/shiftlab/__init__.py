@@ -15,7 +15,7 @@ from .schatten import (ApWitness, DecayFit, DiagnosticThresholds,
 from .shift_operators import (BlockDecomposition, InvarianceError, RestrictedSpace,
                               SubspaceFrame, TruncatedOperator, add, adjoint,
                               commutator, compress_to_frame,
-                              coordinate_shift, cross_commutator, direct_sum,
+                              coordinate_shift, cross_commutators, direct_sum,
                               invariance_residual, restricted_commutator_decomposition,
                               multiply, restrict_to_invariant, scale,
                               self_commutator, subtract)

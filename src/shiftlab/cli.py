@@ -27,7 +27,7 @@ import numpy as np
 from . import experiments as xp
 from .experiments import TheoremViolationError, write_report
 from .polynomials import PolynomialSyntaxError, parse_generators
-from .weight_models import FAMILIES
+from .weight_models import FAMILY_IDS
 
 
 class ConfigError(ValueError):
@@ -40,7 +40,7 @@ def _parse_scalar(kind, text):
         return int(text)
     if kind == "float":
         return np.inf if text in ("inf", "Inf") else float(text)
-    if kind == "str":
+    if kind in ("str", "family"):
         return text
     if kind in ("int_list", "float_list"):
         item = "int" if kind == "int_list" else "float"
@@ -55,41 +55,52 @@ def _parse_scalar(kind, text):
     raise AssertionError(kind)
 
 
-# per-experiment config schema: key -> (kind, default); None default = required
+# The one option table: experiment -> (summary, {key: (kind, default[, help])}).
+# Each key is both the flag --key and the config-file key; None default = required.
 SCHEMAS = {
-    "ramp-block": {"n": ("int_list", [1, 5, 25, 100]),
-                 "p": ("float_list", [1.0, 2.0, 3.0]),
-                 "N": ("int", 110)},
-    "direct-sum": {"blocks": ("int", 64),
-                       "p": ("float_list", [3.0])},
-    "factorial-family": {"m": ("int", None),
-                 "delta": ("float_list", None),
-                 "degrees": ("int_list", [])},
-    "submodule-probe": {"family": ("str", "drury-arveson"),
-                      "m": ("int", None),
-                      "k": ("int", 1),
-                      "gens": ("str", None),
-                      "p": ("float_list", [3.0]),
-                      "degrees": ("int_list", []),
-                      "delta": ("float", np.nan)},
-    "trace-inequality": {"family": ("str", "bergman-ball"),
-                    "m": ("int", None),
-                    "points": ("points", []),
-                    "gens": ("str", ""),
-                    "degrees": ("int_list", []),
-                    "delta": ("float", np.nan)},
-    "quotient-probe": {"family": ("str", "bergman-ball"),
-                       "m": ("int", None),
-                       "gens": ("str", None),
-                       "p": ("float_list", [3.0]),
-                       "degrees": ("int_list", []),
-                       "variety-dim": ("float", np.nan),
-                       "delta": ("float", np.nan)},
-    "identity-check": {"trials": ("int", 200)},
-    "list-families": {},
+    "ramp-block": ("single-block weighted shift norms", {
+        "n": ("int_list", [1, 5, 25, 100]),
+        "p": ("float_list", [1.0, 2.0, 3.0]),
+        "N": ("int", 110, "truncation degree (must exceed max n + 5)")}),
+    "direct-sum": ("direct-sum vs restriction norm trends", {
+        "blocks": ("int", 64),
+        "p": ("float_list", [3.0])}),
+    "factorial-family": ("factorial weight family thresholds", {
+        "m": ("int", None),
+        "delta": ("float_list", None),
+        "degrees": ("int_list", [])}),
+    "submodule-probe": ("submodule cross-commutator trends", {
+        "family": ("family", "drury-arveson"),
+        "m": ("int", None),
+        "k": ("int", 1),
+        "gens": ("str", None, "';'-separated polynomial generators (see epilog)"),
+        "p": ("float_list", [3.0]),
+        "degrees": ("int_list", []),
+        "delta": ("float", np.nan)}),
+    "trace-inequality": ("trace inequality along nested subspaces", {
+        "family": ("family", "bergman-ball"),
+        "m": ("int", None),
+        "points": ("points", [], "';'-separated points, coordinates comma-separated"),
+        "gens": ("str", ""),
+        "degrees": ("int_list", []),
+        "delta": ("float", np.nan)}),
+    "quotient-probe": ("quotient-module smoothness probe", {
+        "family": ("family", "bergman-ball"),
+        "m": ("int", None),
+        "gens": ("str", None),
+        "p": ("float_list", [3.0]),
+        "degrees": ("int_list", []),
+        "variety-dim": ("float", np.nan,
+                        "dimension of the zero variety (echoed, never computed)"),
+        "delta": ("float", np.nan)}),
+    "identity-check": ("restricted self-commutator identity", {
+        "trials": ("int", 200)}),
+    "list-families": ("list built-in weight families", {}),
 }
 
-GLOBAL_KEYS = {"seed": ("int", 0), "tag": ("str", ""), "out": ("str", "")}
+GLOBAL_KEYS = {"seed": ("int", 0, "seed for all randomness"),
+               "tag": ("str", "", "report directory suffix (default: timestamp)"),
+               "out": ("str", "", "output root (or env SHIFTLAB_OUT; default ./out)")}
 
 
 @dataclass
@@ -103,7 +114,7 @@ class RunConfig:
     def to_text(self) -> str:
         """Serialize back to the flat config format (lossless round trip)."""
         lines = [f"experiment = {self.experiment}"]
-        schema = SCHEMAS[self.experiment]
+        schema = SCHEMAS[self.experiment][1]
         for key, value in self.params.items():
             kind = schema[key][0]
             if kind in ("int_list", "float_list"):
@@ -139,7 +150,7 @@ def load_config_file(path: str) -> dict:
 def build_config(experiment: str, file_values: dict, flag_values: dict,
                  source: str = "config") -> RunConfig:
     """Merge the values of config file `source` and flags (flags win) against the schema."""
-    schema = SCHEMAS[experiment]
+    schema = SCHEMAS[experiment][1]
     file_values = dict(file_values)
     file_values.pop("experiment", None)
     unknown = set(file_values) - set(schema) - set(GLOBAL_KEYS)
@@ -147,7 +158,7 @@ def build_config(experiment: str, file_values: dict, flag_values: dict,
         raise ConfigError(f"unknown config keys for {experiment}: {sorted(unknown)}")
 
     values = {}
-    for key, (kind, default) in {**schema, **GLOBAL_KEYS}.items():
+    for key, (kind, default, *_) in {**schema, **GLOBAL_KEYS}.items():
         if flag_values.get(key) is not None:
             values[key] = flag_values[key]
         elif key in file_values:
@@ -164,11 +175,15 @@ def build_config(experiment: str, file_values: dict, flag_values: dict,
                      **{key: values[key] for key in GLOBAL_KEYS})
 
 
-def _add_common(sp):
-    sp.add_argument("--config", help="flat key = value config file")
-    sp.add_argument("--seed", type=int, help="seed for all randomness")
-    sp.add_argument("--tag", help="report directory suffix (default: timestamp)")
-    sp.add_argument("--out", help="output root (or env SHIFTLAB_OUT; default ./out)")
+def _add_flag(parser, key, kind, default, help_text=None):
+    """Flag --key of one table entry; it stays None unless given (flags win)."""
+    if kind == "family":
+        parser.add_argument(f"--{key}", dest=key, choices=FAMILY_IDS, help=help_text)
+        return
+    flag_type = {"int": int, "float": float, "str": str}.get(kind) \
+        or (lambda t: _parse_scalar(kind, t))
+    parser.add_argument(f"--{key}", dest=key, metavar=key.upper().replace("-", "_"),
+                        type=flag_type, help=help_text)
 
 
 def make_parser() -> argparse.ArgumentParser:
@@ -177,70 +192,19 @@ def make_parser() -> argparse.ArgumentParser:
         description="Finite-truncation experiments on commuting weighted shifts.",
         epilog=__doc__, formatter_class=argparse.RawDescriptionHelpFormatter)
     sub = ap.add_subparsers(dest="experiment", required=True)
-
-    s = sub.add_parser("ramp-block", help="single-block weighted shift norms")
-    s.add_argument("--n", type=lambda t: _parse_scalar("int_list", t))
-    s.add_argument("--p", type=lambda t: _parse_scalar("float_list", t))
-    s.add_argument("--N", type=int, help="truncation degree (must exceed max n + 5)")
-    _add_common(s)
-
-    s = sub.add_parser("direct-sum", help="direct-sum vs restriction norm trends")
-    s.add_argument("--blocks", type=int)
-    s.add_argument("--p", type=lambda t: _parse_scalar("float_list", t))
-    _add_common(s)
-
-    s = sub.add_parser("factorial-family", help="factorial weight family thresholds")
-    s.add_argument("--m", type=int)
-    s.add_argument("--delta", type=lambda t: _parse_scalar("float_list", t))
-    s.add_argument("--degrees", type=lambda t: _parse_scalar("int_list", t))
-    _add_common(s)
-
-    s = sub.add_parser("submodule-probe", help="submodule cross-commutator trends")
-    s.add_argument("--family", choices=sorted(FAMILIES) + ["factorial-delta"])
-    s.add_argument("--m", type=int)
-    s.add_argument("--k", type=int)
-    s.add_argument("--gens", help="';'-separated polynomial generators (see epilog)")
-    s.add_argument("--p", type=lambda t: _parse_scalar("float_list", t))
-    s.add_argument("--degrees", type=lambda t: _parse_scalar("int_list", t))
-    s.add_argument("--delta", type=float)
-    _add_common(s)
-
-    s = sub.add_parser("trace-inequality", help="trace inequality along nested subspaces")
-    s.add_argument("--family", choices=sorted(FAMILIES) + ["factorial-delta"])
-    s.add_argument("--m", type=int)
-    s.add_argument("--points", type=lambda t: _parse_scalar("points", t),
-                   help="';'-separated points, coordinates comma-separated")
-    s.add_argument("--gens")
-    s.add_argument("--degrees", type=lambda t: _parse_scalar("int_list", t))
-    s.add_argument("--delta", type=float)
-    _add_common(s)
-
-    s = sub.add_parser("quotient-probe", help="quotient-module smoothness probe")
-    s.add_argument("--family", choices=sorted(FAMILIES) + ["factorial-delta"])
-    s.add_argument("--m", type=int)
-    s.add_argument("--gens")
-    s.add_argument("--p", type=lambda t: _parse_scalar("float_list", t))
-    s.add_argument("--degrees", type=lambda t: _parse_scalar("int_list", t))
-    s.add_argument("--variety-dim", dest="variety_dim", type=float,
-                   help="dimension of the zero variety (echoed, never computed)")
-    s.add_argument("--delta", type=float)
-    _add_common(s)
-
-    s = sub.add_parser("identity-check", help="restricted self-commutator identity")
-    s.add_argument("--trials", type=int)
-    _add_common(s)
-
-    s = sub.add_parser("list-families", help="list built-in weight families")
-    _add_common(s)
+    for experiment, (summary, schema) in SCHEMAS.items():
+        s = sub.add_parser(experiment, help=summary)
+        for key, spec in schema.items():
+            _add_flag(s, key, *spec)
+        s.add_argument("--config", help="flat key = value config file")
+        for key, spec in GLOBAL_KEYS.items():
+            _add_flag(s, key, *spec)
     return ap
 
 
 def parse_args(argv) -> RunConfig:
-    ap = make_parser()
-    ns = ap.parse_args(argv)
-    flag_values = {k.replace("_", "-") if k == "variety_dim" else k: v
-                   for k, v in vars(ns).items()
-                   if k not in ("experiment", "config")}
+    ns = make_parser().parse_args(argv)
+    flag_values = {k: v for k, v in vars(ns).items() if k not in ("experiment", "config")}
     file_values = load_config_file(ns.config) if ns.config else {}
     return build_config(ns.experiment, file_values, flag_values, source=ns.config)
 
@@ -252,7 +216,7 @@ def _nan_to_none(x):
 def execute(config: RunConfig) -> int:
     """Run one experiment, write its report directory, print a summary."""
     if config.experiment == "list-families":
-        for name in sorted(FAMILIES) + ["factorial-delta"]:
+        for name in FAMILY_IDS:
             print(name)
         return 0
 

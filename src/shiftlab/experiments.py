@@ -202,9 +202,8 @@ def run_factorial_thresholds(m: int, delta_values, degree_sweep=None) -> Experim
                                     "above_1_reductive_threshold", "above_s2_threshold"])
     for delta in delta_values:
         w = wm.factorial_delta_weights(basis, delta)
-        shifts = {i: ops.coordinate_shift(w, i) for i in range(1, m + 1)}
-        comms = {(i, j): ops.commutator(shifts[i], shifts[j])
-                 for i in range(1, m + 1) for j in range(i, m + 1)}
+        shifts = [ops.coordinate_shift(w, i) for i in range(1, m + 1)]
+        comms = ops.cross_commutators(shifts)
         trend_tr, trend_hs = [], []
         for d in sweep:
             tr = {key: schatten.schatten_norm(C, 1, window=Window.INTERIOR,
@@ -212,7 +211,7 @@ def run_factorial_thresholds(m: int, delta_values, degree_sweep=None) -> Experim
                   for key, C in comms.items()}
             hs = {i: schatten.schatten_norm(Z, 2, window=Window.INTERIOR,
                                             max_window_degree=d)
-                  for i, Z in shifts.items()}
+                  for i, Z in enumerate(shifts, start=1)}
             for (i, j), v in sorted(tr.items()):
                 tab.add(delta, i, j, d, v)
             trend_tr.append((d, max(tr.values())))
@@ -263,8 +262,7 @@ def run_submodule_probe(family: str, m: int, k: int, generators, p_values,
     fits = rep.table("decay_fits", ["side", "i", "j", "beta", "critical_exponent",
                                     "fit_residual"])
     for side, Ys in sides.items():
-        comms = {(i, j): ops.commutator(Ys[i - 1], Ys[j - 1])
-                 for i in range(1, m + 1) for j in range(i, m + 1)}
+        comms = ops.cross_commutators(Ys)
         spectra = {d: {key: schatten.window_spectrum(C, Window.INTERIOR, d)
                        for key, C in comms.items()} for d in sweep}
         for p in p_values:
@@ -335,7 +333,17 @@ def run_trace_inequality_check(family: str, m: int, points=None, generators=None
             else:
                 cols = _adjoint_closure(T.mat.toarray(), list(K[:, :n].T))
             frame = SubspaceFrame.ungraded(cols)
-            Tn = ops.restrict_to_invariant(T, frame, tol=CLOSURE_INVARIANCE_TOL)
+            try:
+                Tn = ops.restrict_to_invariant(T, frame, tol=CLOSURE_INVARIANCE_TOL)
+            except ops.InvarianceError as exc:
+                if not points:
+                    raise
+                r = max(np.linalg.norm(np.asarray(z, dtype=complex)) for z in points)
+                raise ValueError(
+                    f"{exc} at truncation degree N={N}: kernel vectors truncated at "
+                    f"degree N are invariant only up to a tail of order "
+                    f"max|z|^(N+1) = {r ** (N + 1):.1e}; try a larger --degrees"
+                ) from None
             comm = ops.self_commutator(Tn)
             wit = schatten.ap_witness(comm, p=1, window=Window.FULL)
             tr_p = float(np.real(np.trace(wit.positive_part)))
@@ -408,8 +416,7 @@ def run_quotient_smoothness_probe(generators, m: int, p_values, degree_sweep=Non
             _check_coinvariant(shifts, S.comp)
         # quotient-module action = compression of the shifts to the complement
         Rs = [ops.compress_to_frame(Z, S.comp) for Z in shifts]
-        comms = {(i, j): ops.commutator(Rs[i - 1], Rs[j - 1])
-                 for i in range(1, m + 1) for j in range(i, m + 1)}
+        comms = ops.cross_commutators(Rs)
         spectra = {key: schatten.window_spectrum(C, Window.INTERIOR, N)
                    for key, C in comms.items()}
         for p in p_values:

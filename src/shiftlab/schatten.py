@@ -19,6 +19,11 @@ import numpy as np
 from .shift_operators import TruncatedOperator, block_singular_values, is_graded
 
 DENSE_SVD_LIMIT = 5_000
+# ap_witness: largest |M - M*| entry, relative to the largest |M| entry (or 1)
+SELF_ADJOINT_TOL = 1e-10
+# decay_exponent_fit: rank window [FIT_START*n, FIT_STOP*n] of the n nonzero
+# singular values, and the fewest values it fits
+FIT_START, FIT_STOP, MIN_TAIL = 0.05, 0.4, 20
 
 
 class Window(enum.Enum):
@@ -157,27 +162,23 @@ class ApWitness:
 
 
 def ap_witness(self_commutator: TruncatedOperator, p: float,
-               window: Window = Window.FULL,
-               self_adjoint_tol: float = 1e-10) -> ApWitness:
+               window: Window = Window.FULL) -> ApWitness:
     """Split a self-adjoint commutator into positive and negative spectral parts."""
     M = _windowed(self_commutator, window)
     scale = max(1.0, float(np.abs(M).max(initial=0.0)))
-    if np.abs(M - M.conj().T).max(initial=0.0) > self_adjoint_tol * scale:
+    if np.abs(M - M.conj().T).max(initial=0.0) > SELF_ADJOINT_TOL * scale:
         raise ValueError("ap_witness requires a self-adjoint input")
     M = (M + M.conj().T) / 2
     vals, vecs = np.linalg.eigh(M)
     pos = vecs @ np.diag(np.maximum(vals, 0.0)) @ vecs.conj().T
     neg = vecs @ np.diag(np.minimum(vals, 0.0)) @ vecs.conj().T
-    pnorm = float(np.sum(np.abs(np.minimum(vals, 0.0)) ** p) ** (1.0 / p)) \
-        if p != np.inf else float(np.abs(np.minimum(vals, 0.0)).max(initial=0.0))
-    return ApWitness(pos, neg, p, pnorm)
+    return ApWitness(pos, neg, p, spectrum_norm(np.abs(np.minimum(vals, 0.0)), p))
 
 
-def decay_exponent_fit(sigma, fit_start: float = 0.05, fit_stop: float = 0.4,
-                       min_tail: int = 20) -> DecayFit | None:
+def decay_exponent_fit(sigma) -> DecayFit | None:
     """Fit log sigma_k vs log k over a central rank window; None when too short.
 
-    The window [fit_start*n, fit_stop*n] skips the non-asymptotic head and,
+    The window [FIT_START*n, FIT_STOP*n] skips the non-asymptotic head and,
     crucially, the deep tail: in a finite section the smallest singular
     values are truncation artifacts that decay far faster than the operator's
     true spectrum (calibrated on the m-shift cross-commutator, where the
@@ -186,10 +187,10 @@ def decay_exponent_fit(sigma, fit_start: float = 0.05, fit_stop: float = 0.4,
     s = np.asarray(sigma, dtype=float)
     s = s[s > 0]
     n = s.size
-    k0 = max(0, int(np.floor(n * fit_start)))
-    k1 = max(k0, int(np.ceil(n * fit_stop)))
+    k0 = max(0, int(np.floor(n * FIT_START)))
+    k1 = max(k0, int(np.ceil(n * FIT_STOP)))
     tail = s[k0:k1]
-    if tail.size < min_tail:
+    if tail.size < MIN_TAIL:
         return None
     ks = np.arange(k0 + 1, k1 + 1, dtype=float)
     slope, intercept = np.polyfit(np.log(ks), np.log(tail), 1)

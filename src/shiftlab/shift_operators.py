@@ -219,9 +219,11 @@ def self_commutator(T: TruncatedOperator) -> TruncatedOperator:
     return commutator(T, T)
 
 
-def cross_commutator(w: WeightSet, i: int, j: int) -> TruncatedOperator:
-    """[Z_i*, Z_j] on the weight set's basis."""
-    return commutator(coordinate_shift(w, i), coordinate_shift(w, j))
+def cross_commutators(operators) -> dict:
+    """{(i, j): [T_i*, T_j]} for 1 <= i <= j <= m, of operators T_1, ..., T_m."""
+    T = list(operators)
+    return {(i, j): commutator(T[i - 1], T[j - 1])
+            for i in range(1, len(T) + 1) for j in range(i, len(T) + 1)}
 
 
 def block_singular_values(W, row_degrees, col_degrees):

@@ -123,19 +123,18 @@ def multiple_vectors(w: WeightSet, g: PolynomialGenerator, lo: int, hi: int) -> 
     return sp.csr_matrix((vals, (rows, cols)), shape=(b.dimension, len(shifts)))
 
 
-def _orthonormalize(columns: np.ndarray, rank_tol: float):
+def _orthonormalize(columns: np.ndarray):
     """SVD orthonormalization with a relative rank decision.
 
     Returns (orthonormal basis of the column span, orthonormal basis of its
     complement within the columns' coordinate space).
     """
     U, s, _ = np.linalg.svd(columns, full_matrices=True)
-    rank = int(np.count_nonzero(s > rank_tol * s[0])) if s.size and s[0] > 0 else 0
+    rank = int(np.count_nonzero(s > DEFAULT_RANK_TOL * s[0])) if s.size and s[0] > 0 else 0
     return U[:, :rank], U[:, rank:]
 
 
-def homogeneous_submodule(w: WeightSet, generators,
-                          rank_tol: float = DEFAULT_RANK_TOL) -> SubmoduleBasis:
+def homogeneous_submodule(w: WeightSet, generators) -> SubmoduleBasis:
     """Submodule generated by homogeneous polynomials, built degree by degree.
 
     Degree-n slice: orthonormalize { z^q * g : deg g + |q| = n } in the
@@ -157,7 +156,7 @@ def homogeneous_submodule(w: WeightSet, generators,
         span = [multiple_vectors(w, g, n - d, n - d)[sl.start:sl.stop].toarray()
                 for g, d in zip(generators, degrees) if d <= n]
         block = np.hstack(span) if span else np.zeros((len(sl), 0))
-        blocks.append(_orthonormalize(block, rank_tol))
+        blocks.append(_orthonormalize(block))
     sub_blocks, comp_blocks = zip(*blocks)
 
     def pack(per_slice):
@@ -170,7 +169,6 @@ def homogeneous_submodule(w: WeightSet, generators,
 def kernel_columns(w: WeightSet, points, components):
     """Truncated evaluation vectors in orthonormal coordinates: conj(z)^beta / lambda_beta."""
     b = w.basis
-    lam = w.lam
     cols = []
     for z in points:
         z = tuple(complex(c) for c in z)
@@ -178,29 +176,24 @@ def kernel_columns(w: WeightSet, points, components):
             raise ValueError(f"point {z} has wrong dimension, expected {b.num_vars}")
         if sum(abs(c) ** 2 for c in z) >= 1.0:
             raise ValueError(f"point {z} is not inside the open unit ball")
+        mono = np.ones(b.dimension, dtype=complex)
+        for t in range(b.num_vars):
+            mono *= np.conj(z[t]) ** b.exponents[:, t]
         for comp in components:
-            v = np.zeros(b.dimension, dtype=complex)
-            for j in range(b.dimension):
-                if int(b.components[j]) != comp:
-                    continue
-                mono = 1.0 + 0.0j
-                for t in range(b.num_vars):
-                    mono *= np.conj(z[t]) ** int(b.exponents[j][t])
-                v[j] = mono / lam[j]
+            v = np.where(b.components == comp, mono / w.lam, 0.0)
             cols.append(v / np.linalg.norm(v))
     return np.column_stack(cols)
 
 
-def check_distinct_points(s, rank_tol: float = DEFAULT_RANK_TOL):
+def check_distinct_points(s):
     """Reject evaluation vectors, with singular values s in descending order,
     that are numerically dependent: their points nearly coincide."""
-    if s[-1] <= rank_tol * s[0]:
+    if s[-1] <= DEFAULT_RANK_TOL * s[0]:
         cond = float(s[0] / s[-1]) if s[-1] > 0 else np.inf
         raise RankCollapseError("nearly coincident evaluation points", cond)
 
 
-def span_of_point_evaluations(w: WeightSet, points,
-                              rank_tol: float = DEFAULT_RANK_TOL) -> SubmoduleBasis:
+def span_of_point_evaluations(w: WeightSet, points) -> SubmoduleBasis:
     """Complement-first construction: S-perp = span of kernel vectors at the points.
 
     The result is generally not graded: both frames are single ungraded blocks
@@ -218,13 +211,12 @@ def span_of_point_evaluations(w: WeightSet, points,
     K = kernel_columns(w, points, range(b.multiplicity))
 
     U, s, _ = np.linalg.svd(K, full_matrices=True)
-    check_distinct_points(s, rank_tol)
+    check_distinct_points(s)
     r = K.shape[1]
     return SubmoduleBasis(w, SubspaceFrame.ungraded(U[:, r:]), SubspaceFrame.ungraded(U[:, :r]))
 
 
-def ungraded_submodule(w: WeightSet, generators,
-                       rank_tol: float = DEFAULT_RANK_TOL) -> SubmoduleBasis:
+def ungraded_submodule(w: WeightSet, generators) -> SubmoduleBasis:
     """Degreewise closure of { z^q * g : |q| + deg g <= N } for arbitrary generators.
 
     Used for non-homogeneous ideals; no graded decomposition is claimed.
@@ -236,5 +228,5 @@ def ungraded_submodule(w: WeightSet, generators,
     schatten.check_dense_svd_size(b.dimension, "ambient")
     M = np.hstack([multiple_vectors(w, g, 0, b.max_degree - g.max_degree).toarray()
                    for g in generators])
-    on, on_comp = _orthonormalize(M, rank_tol)
+    on, on_comp = _orthonormalize(M)
     return SubmoduleBasis(w, SubspaceFrame.ungraded(on), SubspaceFrame.ungraded(on_comp))

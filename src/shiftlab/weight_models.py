@@ -147,6 +147,7 @@ FAMILIES = {
     "bergman-ball": bergman_ball_weights,
     "hardy-ball": hardy_ball_weights,
 }
+FAMILY_IDS = sorted(FAMILIES) + ["factorial-delta"]
 
 
 def family_weights(family: str, basis: GradedBasis, delta: float | None = None) -> WeightSet:
@@ -159,7 +160,7 @@ def family_weights(family: str, basis: GradedBasis, delta: float | None = None) 
         return FAMILIES[family](basis)
     except KeyError:
         raise ValueError(f"unknown weight family {family!r}; "
-                         f"known: {sorted(FAMILIES) + ['factorial-delta']}") from None
+                         f"known: {FAMILY_IDS}") from None
 
 
 def check_condition(w: WeightSet, condition: Condition, p: float | None = None,
@@ -189,8 +190,7 @@ def check_condition(w: WeightSet, condition: Condition, p: float | None = None,
         if bad:
             raise ValueError(f"requested degrees {bad} exceed the interior window {interior}")
         shifts = [shift_operators.coordinate_shift(w, i) for i in range(1, m + 1)]
-        comms = [shift_operators.commutator(shifts[i], shifts[j])
-                 for i in range(m) for j in range(i, m)]
+        comms = shift_operators.cross_commutators(shifts).values()
         trend = []
         for d in sorted(degrees):
             val = max(schatten.schatten_norm(C, p, window=schatten.Window.INTERIOR,

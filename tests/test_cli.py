@@ -8,8 +8,8 @@ import pytest
 
 import shiftlab
 from shiftlab import experiments as xp
-from shiftlab.cli import (ConfigError, build_config, load_config_file, main,
-                          parse_args)
+from shiftlab.cli import (GLOBAL_KEYS, SCHEMAS, ConfigError, build_config,
+                          load_config_file, main, parse_args)
 
 
 def run_cli(args, tmp_path, tag="t"):
@@ -81,6 +81,25 @@ def test_flags_override_config(tmp_path):
     cfg.write_text("N = 30\n")
     config = parse_args(["ramp-block", "--config", str(cfg), "--N", "40"])
     assert config.params["N"] == 40
+
+
+# one non-default value per option kind, as typed on a command line or in a config file
+SAMPLE_VALUES = {"int": "3", "float": "0.5", "str": "z1*z2", "family": "hardy-ball",
+                 "int_list": "4,6", "float_list": "1.5,2", "points": "0.1,0.2;0.3,-0.1j"}
+
+
+@pytest.mark.parametrize("experiment", sorted(SCHEMAS))
+def test_every_flag_matches_its_config_key(experiment, tmp_path):
+    options = {**SCHEMAS[experiment][1], **GLOBAL_KEYS}
+    values = {key: SAMPLE_VALUES[kind] for key, (kind, *_) in options.items()}
+    flags = [arg for key, v in values.items() for arg in (f"--{key}", v)]
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("".join(f"{key} = {v}\n" for key, v in values.items()))
+    from_flags = parse_args([experiment] + flags)
+    assert from_flags == parse_args([experiment, "--config", str(cfg)])
+    given = {**from_flags.params, **{key: getattr(from_flags, key) for key in GLOBAL_KEYS}}
+    for key, (_, default, *_) in options.items():
+        assert given[key] != default, key
 
 
 def test_unknown_config_key_rejected(tmp_path, capsys):
@@ -177,6 +196,20 @@ def test_trace_inequality_rejects_coincident_points(tmp_path, capsys):
     assert run_cli(["trace-inequality", "--m", "1", "--points", "0.5;0.5"], tmp_path) == 2
     assert "nearly coincident evaluation points" in capsys.readouterr().err
     assert not any(tmp_path.iterdir())
+
+
+def test_trace_inequality_names_truncation_tail(tmp_path, capsys):
+    # truncated kernel vectors are invariant only up to a tail of order
+    # max|z|^(N+1): too large at the default sweep, small enough further out
+    argv = ["trace-inequality", "--m", "2", "--points", "0.3,0.1;0.1,-0.2j;0.5,0.2"]
+    assert run_cli(argv, tmp_path) == 2
+    err = capsys.readouterr().err
+    assert "invariance residual 4.863e-05 exceeds tolerance 1.0e-08" in err
+    assert "truncation degree N=12" in err and "max|z|^(N+1) = 3.2e-04" in err
+    assert "larger --degrees" in err
+    assert not any(tmp_path.iterdir())
+    assert run_cli(argv + ["--degrees", "30,40,50"], tmp_path) == 0
+    assert "verdict trace_inequality: RECORDED" in capsys.readouterr().out
 
 
 @pytest.mark.parametrize("line,key", [("m = abc", "m"), ("seed = x", "seed"),

@@ -5,7 +5,7 @@ from hypothesis import given, settings, strategies as st
 
 from shiftlab import (DiagnosticThresholds, Verdict, Window, add, adjoint,
                       ap_witness, bergman_ball_weights, commutator, compress_to_frame,
-                      convergence_diagnostic, coordinate_shift, cross_commutator,
+                      convergence_diagnostic, coordinate_shift,
                       decay_exponent_fit, drury_arveson_weights, enumerate_basis,
                       factorial_delta_weights, homogeneous_submodule,
                       parse_polynomial, restrict_to_invariant, scale,
@@ -290,7 +290,8 @@ def test_non_finite_entry_rejected():
 
 def test_graded_window_is_never_densified_whole(monkeypatch):
     b = enumerate_basis(3, 40)
-    C = cross_commutator(factorial_delta_weights(b, 2.0), 1, 2)
+    w = factorial_delta_weights(b, 2.0)
+    C = commutator(coordinate_shift(w, 1), coordinate_shift(w, 2))
     d = 38
     # per-slice oracle; the window is 10,660 wide, its dense form 0.9 GB
     sigma = np.concatenate([

@@ -5,7 +5,7 @@ from hypothesis import given, settings, strategies as st
 
 from shiftlab import (InvarianceError, PolynomialGenerator, SubspaceFrame,
                       add, adjoint, commutator, compress_to_frame,
-                      coordinate_shift, cross_commutator, direct_sum,
+                      coordinate_shift, cross_commutators, direct_sum,
                       drury_arveson_weights, enumerate_basis, family_weights,
                       homogeneous_submodule,
                       invariance_residual, parse_polynomial,
@@ -56,7 +56,7 @@ def test_interior_degree_bookkeeping(rng):
     assert Zs.interior_degree == 7 and Zs.degree_raise == -1
     comm = self_commutator(Z)
     assert comm.interior_degree == 6 and comm.degree_raise == 0
-    cross = cross_commutator(w, 1, 2)
+    cross = commutator(Z, coordinate_shift(w, 2))
     assert cross.interior_degree == 6 and cross.degree_raise == 0
     prod = multiply(Z, Z)
     assert prod.degree_raise == 2
@@ -187,7 +187,11 @@ def test_commutator_is_adjoint_product_difference(rng):
     A, B = Z1.mat.toarray(), Z2.mat.toarray()
     assert np.abs(commutator(Z1, Z2).mat.toarray()
                   - (A.conj().T @ B - B @ A.conj().T)).max() < 1e-14
-    assert (cross_commutator(w, 1, 2).mat != commutator(Z1, Z2).mat).nnz == 0
+    Zs = [Z1, Z2]
+    comms = cross_commutators(Zs)
+    assert list(comms) == [(1, 1), (1, 2), (2, 2)]
+    for (i, j), C in comms.items():
+        assert (C.mat != commutator(Zs[i - 1], Zs[j - 1]).mat).nnz == 0
     assert (self_commutator(Z1).mat != commutator(Z1, Z1).mat).nnz == 0
 
 

@@ -108,6 +108,36 @@ def test_point_evaluations_kernel_property(rng):
         assert np.linalg.norm(Zs @ proj - proj @ Zs @ proj, 2) < 1e-6
 
 
+def _kernel_columns_loop(w, points, components):
+    """Per-monomial oracle for submodules.kernel_columns."""
+    b = w.basis
+    cols = []
+    for z in points:
+        for comp in components:
+            v = np.zeros(b.dimension, dtype=complex)
+            for j in range(b.dimension):
+                if int(b.components[j]) != comp:
+                    continue
+                mono = 1.0 + 0.0j
+                for t in range(b.num_vars):
+                    mono *= np.conj(complex(z[t])) ** int(b.exponents[j][t])
+                v[j] = mono / w.lam[j]
+            cols.append(v / np.linalg.norm(v))
+    return np.column_stack(cols)
+
+
+@pytest.mark.parametrize("m,N", [(1, 40), (2, 20), (3, 10), (4, 7)])
+def test_kernel_columns_match_per_monomial_loop(m, N, rng):
+    w = bergman_ball_weights(enumerate_basis(m, N, 2))
+    points = [tuple(z) for z in
+              (rng.normal(size=(4, m)) + 1j * rng.normal(size=(4, m))) / (2 * m)]
+    points.append((0.0,) * m)
+    K = submodules.kernel_columns(w, points, range(2))
+    oracle = _kernel_columns_loop(w, points, range(2))
+    assert K.shape == oracle.shape == (w.basis.dimension, 2 * len(points))
+    assert np.abs(K - oracle).max() <= 1e-15 * np.abs(oracle).max()
+
+
 def test_point_evaluations_rank_collapse():
     basis = enumerate_basis(1, 15)
     w = drury_arveson_weights(basis)
