@@ -106,6 +106,12 @@ def _check_p_values(p_values):
         schatten.check_p(p)
 
 
+def _window_norms(T, sweep, p_values) -> dict:
+    """{(d, p): Schatten p-norm of T's interior window d}, from one spectral pass."""
+    return {(d, p): schatten.spectrum_norm(s, p)
+            for d, s in schatten.window_spectra(T, sweep).items() for p in p_values}
+
+
 def _degree_sweep(degree_sweep, default):
     """The sorted sweep; a negative truncation degree is a usage error."""
     sweep = sorted(degree_sweep or default)
@@ -204,20 +210,16 @@ def run_factorial_thresholds(m: int, delta_values, degree_sweep=None) -> Experim
         w = wm.factorial_delta_weights(basis, delta)
         shifts = [ops.coordinate_shift(w, i) for i in range(1, m + 1)]
         comms = ops.cross_commutators(shifts)
+        tr = {key: _window_norms(C, sweep, [1]) for key, C in comms.items()}
+        hs = {i: _window_norms(Z, sweep, [2]) for i, Z in enumerate(shifts, start=1)}
         trend_tr, trend_hs = [], []
         for d in sweep:
-            tr = {key: schatten.schatten_norm(C, 1, window=Window.INTERIOR,
-                                              max_window_degree=d)
-                  for key, C in comms.items()}
-            hs = {i: schatten.schatten_norm(Z, 2, window=Window.INTERIOR,
-                                            max_window_degree=d)
-                  for i, Z in enumerate(shifts, start=1)}
             for (i, j), v in sorted(tr.items()):
-                tab.add(delta, i, j, d, v)
-            trend_tr.append((d, max(tr.values())))
+                tab.add(delta, i, j, d, v[d, 1])
+            trend_tr.append((d, max(v[d, 1] for v in tr.values())))
             for i, v in sorted(hs.items()):
-                tab_hs.add(delta, i, d, v)
-            trend_hs.append((d, max(hs.values())))
+                tab_hs.add(delta, i, d, v[d, 2])
+            trend_hs.append((d, max(v[d, 2] for v in hs.values())))
         v_tr, det_tr = schatten.convergence_diagnostic(trend_tr)
         v_hs, det_hs = schatten.convergence_diagnostic(trend_hs)
         rep.set_verdict(f"trace_norm_delta={_fmt(delta)}", v_tr, det_tr)
@@ -263,12 +265,11 @@ def run_submodule_probe(family: str, m: int, k: int, generators, p_values,
                                     "fit_residual"])
     for side, Ys in sides.items():
         comms = ops.cross_commutators(Ys)
-        spectra = {d: {key: schatten.window_spectrum(C, Window.INTERIOR, d)
-                       for key, C in comms.items()} for d in sweep}
+        norms = {key: _window_norms(C, sweep, p_values) for key, C in comms.items()}
         for p in p_values:
             trend = []
             for d in sweep:
-                vals = {key: schatten.spectrum_norm(s, p) for key, s in spectra[d].items()}
+                vals = {key: v[d, p] for key, v in norms.items()}
                 for (i, j), v in sorted(vals.items()):
                     tab.add(side, i, j, p, d, v)
                 trend.append((d, max(vals.values())))
@@ -417,14 +418,12 @@ def run_quotient_smoothness_probe(generators, m: int, p_values, degree_sweep=Non
         # quotient-module action = compression of the shifts to the complement
         Rs = [ops.compress_to_frame(Z, S.comp) for Z in shifts]
         comms = ops.cross_commutators(Rs)
-        spectra = {key: schatten.window_spectrum(C, Window.INTERIOR, N)
-                   for key, C in comms.items()}
+        norms = {key: _window_norms(C, [N], p_values) for key, C in comms.items()}
         for p in p_values:
             vmax = 0.0
-            for (i, j), s in spectra.items():
-                v = schatten.spectrum_norm(s, p)
-                tab.add(i, j, p, N, v)
-                vmax = max(vmax, v)
+            for (i, j), norm in norms.items():
+                tab.add(i, j, p, N, norm[N, p])
+                vmax = max(vmax, norm[N, p])
             trends[p].append((N, vmax))
         last_comms = (N, comms)
     for p, trend in trends.items():

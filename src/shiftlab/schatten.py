@@ -1,10 +1,14 @@
 """Singular values, Schatten norms, spectral splits and convergence verdicts.
 
-A Schatten norm is spectrum_norm of a window_spectrum.  window_spectrum
+A Schatten norm is spectrum_norm of a window_spectrum.  window_spectra
 takes graded windows block by degree block from the sparse window
-(shift_operators.block_singular_values); ungraded windows and windows mixing
-degree offsets are one block and go through singular_values.  A sweep takes
-each window's spectrum once and derives every p from it.
+(shift_operators.block_singular_values), and a whole sweep of nested windows
+{degree <= d} from one pass over the widest: each block value carries the
+smallest window degree that holds it, and window d keeps the values labelled
+<= d.  Ungraded windows and windows mixing degree offsets are one block and
+go through singular_values, once per window.  A sweep takes each operator's
+spectra once and derives every (d, p) norm from them; window_spectrum is the
+one-window case.
 
 singular_values is the full dense spectrum of a window.  It refuses windows
 wider than DENSE_SVD_LIMIT before densifying; there is no sparse-iteration
@@ -101,6 +105,27 @@ def singular_values(T: TruncatedOperator, window: Window = Window.FULL,
     return np.linalg.svd(M, compute_uv=False)
 
 
+def window_spectra(T: TruncatedOperator, degrees, window: Window = Window.INTERIOR) -> dict:
+    """{d: window_spectrum(T, window, d)} for every d of degrees, from one block pass.
+
+    Graded single-offset windows take the blocks of the widest window once
+    (shift_operators.block_singular_values); window d keeps the values
+    labelled <= d, which are exactly its own blocks' values in the same
+    order.  Ungraded and mixed-offset operators take one singular_values
+    call per window.  A degree None stands for the whole window.
+    """
+    degrees = list(degrees)
+    widest = None if None in degrees else max(degrees)
+    if is_graded(T.space):
+        idx = _window_indices(T, window, widest)
+        degs = np.asarray(T.space.degrees)[idx]
+        blocks = block_singular_values(T.mat.tocsr()[idx][:, idx], degs, degs)
+        if blocks is not None:
+            s, labels = blocks
+            return {d: s if d is None else s[labels <= d] for d in degrees}
+    return {d: singular_values(T, window, d) for d in degrees}
+
+
 def window_spectrum(T: TruncatedOperator, window: Window = Window.FULL,
                     max_window_degree=None) -> np.ndarray:
     """Singular values of the (windowed) section, in no fixed order and up to zeros.
@@ -108,13 +133,7 @@ def window_spectrum(T: TruncatedOperator, window: Window = Window.FULL,
     Graded single-offset windows go block by degree block and are never
     densified whole; others go through singular_values.
     """
-    if is_graded(T.space):
-        idx = _window_indices(T, window, max_window_degree)
-        degs = np.asarray(T.space.degrees)[idx]
-        s = block_singular_values(T.mat.tocsr()[idx][:, idx], degs, degs)
-        if s is not None:
-            return s
-    return singular_values(T, window, max_window_degree)
+    return window_spectra(T, [max_window_degree], window)[max_window_degree]
 
 
 def check_p(p):

@@ -227,17 +227,23 @@ def cross_commutators(operators) -> dict:
 
 
 def block_singular_values(W, row_degrees, col_degrees):
-    """Singular values of a sparse matrix, up to zeros, one degree block at a time.
+    """Singular values of a sparse matrix, up to zeros, one degree block at a
+    time, each with the smallest window degree that contains it.
 
     W is canonicalised in place; row_degrees and col_degrees label its rows
     and columns.  When every nonzero maps column degree n to row degree n + r
     for one offset r (shifts, their adjoints, every commutator [A*, B] of
-    them, invariance residuals of graded frames), W is the direct sum of its
-    (degree n + r, degree n) blocks and its spectrum is the union of theirs.
-    An entry alone in its row and its column is a 1x1 summand whose singular
-    value is its modulus, so scaled partial permutations (every operator of
-    monomial weights) need no SVD; the other entries are densified one block
-    at a time.  None when the nonzeros have more than one degree offset.
+    them), W is the direct sum of its (degree n + r, degree n) blocks and its
+    spectrum is the union of theirs.  An entry alone in its row and its
+    column is a 1x1 summand whose singular value is its modulus, so scaled
+    partial permutations (every operator of monomial weights) need no SVD;
+    the other entries are densified one block at a time.
+
+    Returns (values, labels): the (n + r, n) block's values are labelled
+    max(n, n + r), a lone entry's max(row degree, column degree).  A block
+    enters or leaves a window {degree <= d} whole, so values[labels <= d] is
+    the spectrum of the window d, value for value and in the same order.
+    None when the nonzeros have more than one degree offset.
     """
     W = W.tocsr()
     W.sum_duplicates()
@@ -246,11 +252,13 @@ def block_singular_values(W, row_degrees, col_degrees):
         raise ValueError("operator has non-finite entries")
     W = W.tocoo()
     col_deg = np.asarray(col_degrees)[W.col]
-    if np.unique(np.asarray(row_degrees)[W.row] - col_deg).size > 1:
+    row_deg = np.asarray(row_degrees)[W.row]
+    if np.unique(row_deg - col_deg).size > 1:
         return None
+    label = np.maximum(row_deg, col_deg)
     alone = ((np.bincount(W.row, minlength=W.shape[0])[W.row] == 1)
              & (np.bincount(W.col, minlength=W.shape[1])[W.col] == 1))
-    spectra = [np.abs(W.data[alone])]
+    spectra, labels = [np.abs(W.data[alone])], [label[alone]]
     rest = ~alone
     for n in np.unique(col_deg[rest]):
         e = rest & (col_deg == n)
@@ -259,23 +267,91 @@ def block_singular_values(W, row_degrees, col_degrees):
         B = np.zeros((rows.size, cols.size), dtype=W.dtype)
         B[r, c] = W.data[e]
         spectra.append(np.linalg.svd(B, compute_uv=False))
-    return np.concatenate(spectra)
+        labels.append(np.full(spectra[-1].size, label[e][0]))
+    return np.concatenate(spectra), np.concatenate(labels)
+
+
+def _slice_positions(degrees: np.ndarray) -> np.ndarray:
+    """Position of each ordinal among the ordinals of its degree, in ordinal order."""
+    order = np.argsort(degrees, kind="stable")
+    counts = np.bincount(degrees)
+    starts = np.cumsum(counts) - counts
+    pos = np.empty_like(order)
+    pos[order] = np.arange(degrees.size) - starts[degrees[order]]
+    return pos
+
+
+def _dense_blocks(key, rows, cols, data, shape_of) -> dict:
+    """{k: B} with B[rows, cols] = data over the entries whose key is k, B of shape_of(k)."""
+    order = np.argsort(key, kind="stable")
+    keys, starts = np.unique(key[order], return_index=True)
+    blocks = {}
+    for k, e in zip(keys.tolist(), np.split(order, starts[1:])):
+        B = np.zeros(shape_of(k), dtype=data.dtype)
+        B[rows[e], cols[e]] = data[e]
+        blocks[k] = B
+    return blocks
+
+
+def _csc_entries(M):
+    """(rows, cols, data) of a canonical CSC matrix, read off its arrays."""
+    cols = np.repeat(np.arange(M.shape[1]), np.diff(M.indptr))
+    return M.indices, cols, M.data
 
 
 def invariance_residual(T: TruncatedOperator, frame: SubspaceFrame) -> float:
     """Relative 2-norm of (I - QQ*) T Q on the interior rows, Q = the frame's columns.
 
-    Sparse and one block SVD per degree for graded frames; ungraded frames
-    (all labels 0) mix degree offsets and take one dense SVD.
+    A graded frame's columns labelled n live on the ambient rows of degree n:
+    its slice-n block Q_n.  The residual's (t, n) block is then
+    D = T_tn Q_n - Q_t (Q_t* T_tn Q_n), densified from T's (t, n) block and
+    the frame's slices; blocks with t above the interior degree are dropped.
+    When each column degree reaches one row degree and each row degree is
+    reached from one column degree (every single-offset T), the residual is
+    the direct sum of the blocks and its norm their largest sigma_max;
+    otherwise the blocks are placed in one dense matrix of one SVD.
+    Ungraded frames (all labels 0) take one dense SVD of the ambient residual.
     """
-    Q = frame.columns
-    Y = T.mat @ Q
-    rows = T.window_indices()
-    resid = sp.csr_matrix(Y - Q @ (Q.conj().T @ Y))[rows]
-    s = block_singular_values(resid, np.asarray(T.space.degrees)[rows], frame.col_degrees)
-    if s is None:
-        s = np.linalg.svd(resid.toarray(), compute_uv=False)
-    return float(s.max(initial=0.0)) / _norm_scale(T)
+    if not frame.graded:
+        Q = frame.columns
+        Y = T.mat @ Q
+        resid = (Y - Q @ (Q.conj().T @ Y))[T.window_indices()]
+        s = np.linalg.svd(resid, compute_uv=False) if resid.size else np.zeros(0)
+        return float(s.max(initial=0.0)) / _norm_scale(T)
+
+    deg = np.asarray(T.space.degrees)
+    col_deg = np.asarray(frame.col_degrees)
+    size = np.bincount(deg)
+    rank = np.bincount(col_deg, minlength=size.size)
+    pos, col_pos = _slice_positions(deg), _slice_positions(col_deg)
+    q_rows, q_cols, q_data = _csc_entries(frame.columns)
+    Qs = _dense_blocks(col_deg[q_cols], pos[q_rows], col_pos[q_cols], q_data,
+                       lambda n: (size[n], rank[n]))
+
+    A = T.mat.tocsc()
+    A.sum_duplicates()
+    rows, cols, data = _csc_entries(A)
+    row_deg, entry_col_deg = deg[rows], deg[cols]
+    keep = (row_deg <= T.interior_degree) & (rank[entry_col_deg] > 0)
+    Ts = _dense_blocks(row_deg[keep] * size.size + entry_col_deg[keep],
+                       pos[rows[keep]], pos[cols[keep]], data[keep],
+                       lambda k: (size[k // size.size], size[k % size.size]))
+
+    blocks = {}
+    for k, Ttn in Ts.items():
+        t, n = divmod(k, size.size)
+        D = Ttn @ Qs[n]
+        if t in Qs:
+            D = D - Qs[t] @ (Qs[t].conj().T @ D)
+        blocks[t, n] = D
+    row_degs = sorted({t for t, _ in blocks})
+    col_degs = sorted({n for _, n in blocks})
+    if not len(row_degs) == len(col_degs) == len(blocks):
+        blocks = {None: np.block([[blocks.get((t, n), np.zeros((size[t], rank[n])))
+                                   for n in col_degs] for t in row_degs])}
+    sigma = max((np.linalg.svd(D, compute_uv=False)[0] for D in blocks.values() if D.any()),
+                default=0.0)
+    return float(sigma) / _norm_scale(T)
 
 
 def restrict_to_invariant(T: TruncatedOperator, frame: SubspaceFrame,

@@ -191,11 +191,11 @@ def check_condition(w: WeightSet, condition: Condition, p: float | None = None,
             raise ValueError(f"requested degrees {bad} exceed the interior window {interior}")
         shifts = [shift_operators.coordinate_shift(w, i) for i in range(1, m + 1)]
         comms = shift_operators.cross_commutators(shifts).values()
-        trend = []
-        for d in sorted(degrees):
-            val = max(schatten.schatten_norm(C, p, window=schatten.Window.INTERIOR,
-                                             max_window_degree=d) for C in comms)
-            trend.append((d, val))
+        degrees = sorted(degrees)
+        # one commutator's spectra at a time: peak memory is one operator's windows
+        norms = [{d: schatten.spectrum_norm(s, p)
+                  for d, s in schatten.window_spectra(C, degrees).items()} for C in comms]
+        trend = [(d, max(n[d] for n in norms)) for d in degrees]
         verdict, details = schatten.convergence_diagnostic(trend)
         witness = trend[-1][1]
         return ConditionReport(condition, p, verdict is schatten.Verdict.CONVERGING,

@@ -119,28 +119,34 @@ def test_csv_floats_roundtrip(tmp_path):
     assert float(row["computed"]) == rep.tables["norms"].rows[0][2]
 
 
-@pytest.mark.parametrize("probe", ["submodule", "quotient-graded", "quotient-ungraded"])
+@pytest.mark.parametrize("probe", ["submodule", "factorial", "quotient-graded",
+                                   "quotient-ungraded"])
 def test_sweeps_take_one_spectrum_per_window(probe, monkeypatch):
-    # every p is derived from one spectrum of each (degree, pair) window
+    # every (d, p) of a sweep is derived from one spectral pass per operator;
+    # the quotient probe builds new operators per degree, one window each
     calls = []
-    real = schatten.window_spectrum
+    real = schatten.window_spectra
 
-    def counted(C, window, max_window_degree):
-        calls.append(max_window_degree)
-        return real(C, window, max_window_degree)
-    monkeypatch.setattr(schatten, "window_spectrum", counted)
-    sweep = [4, 5, 6, 7]
-    for p_values in ([1.0], [1.0, 2.0, 3.0, np.inf]):
-        calls.clear()
-        if probe == "submodule":
-            run_submodule_probe("drury-arveson", m=2, k=1,
-                                generators=[parse_polynomial("z1^2 - z2^2", 2)],
-                                p_values=p_values, degree_sweep=sweep)
-            sides = 2
-        else:
-            gen = "z1^2 - z2^2" if probe == "quotient-graded" else "z1 - z2^2"
-            run_quotient_smoothness_probe([parse_polynomial(gen, 2)], m=2,
-                                          p_values=p_values, degree_sweep=sweep)
-            sides = 1
-        # three pairs (1,1), (1,2), (2,2) at m=2
-        assert sorted(calls) == sorted(sweep * 3 * sides)
+    def counted(T, degrees, *args, **kwargs):
+        calls.append(tuple(degrees))
+        return real(T, degrees, *args, **kwargs)
+    monkeypatch.setattr(schatten, "window_spectra", counted)
+    for sweep in ([4, 5, 6, 7], [3, 5, 6, 7, 8, 9]):
+        for p_values in ([1.0], [1.0, 2.0, 3.0, np.inf]):
+            calls.clear()
+            # three pairs (1,1), (1,2), (2,2) at m=2
+            if probe == "submodule":
+                run_submodule_probe("drury-arveson", m=2, k=1,
+                                    generators=[parse_polynomial("z1^2 - z2^2", 2)],
+                                    p_values=p_values, degree_sweep=sweep)
+                expected = [tuple(sweep)] * 3 * 2      # per (side, pair)
+            elif probe == "factorial":
+                # the factorial sweep has fixed p values: 1 and 2
+                run_factorial_thresholds(2, [0.5, 2.0], degree_sweep=sweep)
+                expected = [tuple(sweep)] * 5 * 2      # per (operator, delta)
+            else:
+                gen = "z1^2 - z2^2" if probe == "quotient-graded" else "z1 - z2^2"
+                run_quotient_smoothness_probe([parse_polynomial(gen, 2)], m=2,
+                                              p_values=p_values, degree_sweep=sweep)
+                expected = [(d,) for d in sweep] * 3   # per (degree, pair)
+            assert sorted(calls) == sorted(expected)

@@ -265,6 +265,74 @@ def test_block_norms_mixed_offsets_fall_back(count_dense_spectra):
     assert len(count_dense_spectra) == 2 * len(ORACLE_PS)
 
 
+# --- a sweep's nested windows from one block pass over the widest
+
+SWEEP = (0, 2, 3, 5, 8, 12)   # 12 lies past every interior degree below
+
+
+def _assert_nested_windows(T, sweep=SWEEP):
+    """Each window of the sweep's one pass equals its own one-window pass, value
+    for value, and both match the dense SVD of the window."""
+    spectra = schatten.window_spectra(T, sweep)
+    assert sorted(spectra) == sorted(set(sweep))
+    for d in sweep:
+        assert np.array_equal(spectra[d], schatten.window_spectra(T, [d])[d]), d
+    _assert_matches_dense_oracle(T, sweep)
+
+
+def test_nested_windows_factorial(count_dense_spectra):
+    b = enumerate_basis(3, 10)
+    for delta in (0.7, 2.0):
+        w = factorial_delta_weights(b, delta)
+        shifts = [coordinate_shift(w, i) for i in (1, 2, 3)]
+        for T in shifts + [commutator(shifts[i], shifts[j])
+                           for i in range(3) for j in range(i, 3)]:
+            _assert_nested_windows(T)
+    assert count_dense_spectra == []
+
+
+def test_nested_windows_restricted_commutators(count_dense_spectra):
+    b = enumerate_basis(3, 9)
+    w = drury_arveson_weights(b)
+    S = homogeneous_submodule(w, [parse_polynomial("z1^2-z2^2", 3)])
+    shifts = [coordinate_shift(w, i) for i in (1, 2, 3)]
+    for Ys in ([restrict_to_invariant(Z, S.sub) for Z in shifts],
+               [restrict_to_invariant(adjoint(Z), S.comp) for Z in shifts]):
+        for i, j in ((0, 0), (0, 1), (1, 2)):
+            _assert_nested_windows(commutator(Ys[i], Ys[j]))
+    assert count_dense_spectra == []
+
+
+@settings(max_examples=25, deadline=None)
+@given(seed=st.integers(0, 2 ** 32 - 1), m=st.integers(1, 3), k=st.integers(1, 2))
+def test_nested_windows_random_weights(seed, m, k):
+    rng = np.random.default_rng(seed)
+    w = random_weight_set(rng, m, 7 if m == 3 else 10, k=k)
+    i, j = (int(x) for x in rng.integers(1, m + 1, size=2))
+    Zi, Zj = coordinate_shift(w, i), coordinate_shift(w, j)
+    c = complex(*rng.normal(size=2))
+    for T in (Zi, commutator(Zi, Zj), commutator(add(Zi, scale(Zj, c)), Zj),
+              self_commutator(add(Zi, scale(Zj, c)))):
+        _assert_nested_windows(T)
+
+
+@pytest.mark.parametrize("kind", ["ungraded-quotient", "mixed-offsets"])
+def test_nested_windows_one_dense_spectrum_per_window(kind, count_dense_spectra):
+    if kind == "ungraded-quotient":
+        w = drury_arveson_weights(enumerate_basis(3, 6))
+        S = ungraded_submodule(w, [parse_polynomial("z1-z2*z3", 3)])
+        R1, R2 = (compress_to_frame(coordinate_shift(w, i), S.comp) for i in (1, 2))
+        T = commutator(R1, R2)
+    else:
+        Z1 = coordinate_shift(factorial_delta_weights(enumerate_basis(2, 8), 1.0), 1)
+        T = add(Z1, adjoint(Z1))
+    spectra = schatten.window_spectra(T, SWEEP)
+    assert len(count_dense_spectra) == len(SWEEP)
+    for d in SWEEP:
+        assert np.array_equal(spectra[d], singular_values(T, Window.INTERIOR, d))
+    _assert_matches_dense_oracle(T, SWEEP)
+
+
 def test_block_norms_all_zero_window():
     w = factorial_delta_weights(enumerate_basis(2, 6), 1.0)
     for T in (scale(coordinate_shift(w, 1), 0.0),

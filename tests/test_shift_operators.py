@@ -14,7 +14,7 @@ from shiftlab import (InvarianceError, PolynomialGenerator, SubspaceFrame,
                       self_commutator, span_of_point_evaluations, subtract)
 from shiftlab import cli, shift_operators
 from shiftlab.graded_basis import compositions
-from shiftlab.shift_operators import INVARIANCE_TOL, TheoremViolationError
+from shiftlab.shift_operators import INVARIANCE_TOL, SparseColumns, TheoremViolationError
 from shiftlab.submodules import Side, ungraded_submodule
 
 from conftest import random_weight_set
@@ -289,6 +289,48 @@ def test_invariance_residual_of_noninvariant_pairs():
         got = invariance_residual(T, frame)
         assert got == pytest.approx(_dense_invariance_residual(T, frame), rel=1e-12)
         assert got == pytest.approx(np.sqrt(0.5), rel=1e-12)
+
+
+def _refuse_block_singular_values(*args, **kwargs):
+    raise AssertionError("block_singular_values called")
+
+
+@settings(max_examples=20, deadline=None)
+@given(seed=st.integers(0, 2 ** 32 - 1), m=st.integers(2, 3),
+       kind=st.sampled_from(["monomial", "homogeneous-real", "homogeneous-complex"]))
+def test_invariance_residual_of_mixed_offsets_and_products(seed, m, kind):
+    # Z1 + Z1* sends each column slice to two row slices (the one-matrix path;
+    # a submodule frame is invariant under one of Z1, Z1*, so the next test
+    # is the one where coupling moves the norm); Z1 Z2 and its adjoint have
+    # offset 2 and interior degree N - 2
+    w, S = _random_submodule(np.random.default_rng(seed), m, kind)
+    Z1, Z2 = coordinate_shift(w, 1), coordinate_shift(w, 2)
+    Z12 = multiply(Z1, Z2)
+    assert Z12.interior_degree < w.basis.max_degree - 1
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(shift_operators, "block_singular_values", _refuse_block_singular_values)
+        for T in (add(Z1, adjoint(Z1)), Z12, adjoint(Z12)):
+            for frame in (S.sub, S.comp):
+                assert invariance_residual(T, frame) == pytest.approx(
+                    _dense_invariance_residual(T, frame), rel=1e-12, abs=1e-13)
+
+
+def test_invariance_residual_of_mixed_offsets_couples_the_blocks():
+    # the frame of the even powers z1^n is invariant under neither Z1 nor Z1*,
+    # and Z1 + Z1* sends z1^n to z1^(n+1) and z1^(n-1), both outside it with
+    # weight 1.  Each (t, n) block of the residual has norm 1; the residual is
+    # the path z1^0 - z1^1 - ... - z1^8 of unit weights, of norm 2 cos(pi/10)
+    w = drury_arveson_weights(enumerate_basis(2, 8))
+    idx = w.basis.slice_bounds[0:9:2]          # z1^n is first in its slice
+    frame = SubspaceFrame(SparseColumns((np.ones(idx.size), idx, np.arange(idx.size + 1)),
+                                        shape=(w.basis.dimension, idx.size)),
+                          w.basis.degrees[idx])
+    Z1 = coordinate_shift(w, 1)
+    T = add(Z1, adjoint(Z1))
+    expected = _dense_invariance_residual(T, frame)
+    assert expected == pytest.approx(2 * np.cos(np.pi / 10) / shift_operators._norm_scale(T),
+                                     rel=1e-12)
+    assert invariance_residual(T, frame) == pytest.approx(expected, rel=1e-12)
 
 
 def test_graded_invariance_residual_never_densifies_the_frame(monkeypatch):
