@@ -15,7 +15,7 @@ import numpy as np
 
 from . import schatten, shift_operators as ops, submodules, weight_models as wm
 from .graded_basis import enumerate_basis
-from .schatten import Verdict, Window
+from .schatten import Verdict
 from .shift_operators import SubspaceFrame, TheoremViolationError
 
 DEFAULT_SWEEP_M2 = (8, 12, 16, 20, 28, 40)
@@ -106,20 +106,6 @@ def _check_p_values(p_values):
         schatten.check_p(p)
 
 
-def _window_norms(T, sweep, p_values) -> dict:
-    """{(d, p): Schatten p-norm of T's interior window d}, from one spectral pass."""
-    return {(d, p): schatten.spectrum_norm(s, p)
-            for d, s in schatten.window_spectra(T, sweep).items() for p in p_values}
-
-
-def _degree_sweep(degree_sweep, default):
-    """The sorted sweep; a negative truncation degree is a usage error."""
-    sweep = sorted(degree_sweep or default)
-    if sweep[0] < 0:
-        raise ValueError(f"sweep degree {sweep[0]} is negative")
-    return sweep
-
-
 def _ramp_block(n: int, N: int):
     basis = enumerate_basis(1, N)
     w = wm.ramp_weights(n, basis)
@@ -145,10 +131,10 @@ def run_ramp_block_norms(n_values, p_values, N: int) -> ExperimentReport:
     for n in n_values:
         comm, comm_restr = _ramp_block(n, N)
         for p in p_values:
-            computed = schatten.schatten_norm(comm, p, window=Window.INTERIOR)
+            computed = schatten.schatten_norm(comm, p)
             closed = float(n) ** ((1.0 - p) / p) if p != np.inf else 1.0 / n
             stated = float(n) ** (1.0 - p) if p != np.inf else None
-            restr = schatten.schatten_norm(comm_restr, p, window=Window.INTERIOR)
+            restr = schatten.schatten_norm(comm_restr, p)
             matches = stated is not None and abs(computed - stated) <= 1e-10
             tab.add(n, p, computed, closed,
                     stated if stated is not None else "n/a", matches, restr)
@@ -167,8 +153,8 @@ def run_direct_sum_trends(max_blocks: int, p_values) -> ExperimentReport:
     sigmas_full, sigmas_restr = [], []
     for n in range(1, max_blocks + 1):
         comm, comm_restr = _ramp_block(n, n + 8)
-        sigmas_full.append(schatten.singular_values(comm, window=Window.INTERIOR))
-        sigmas_restr.append(schatten.singular_values(comm_restr, window=Window.INTERIOR))
+        sigmas_full.append(schatten.singular_values(comm))
+        sigmas_restr.append(schatten.singular_values(comm_restr))
 
     tab_f = rep.table("full_norms", ["B", "p", "value"])
     tab_r = rep.table("restricted_norms", ["B", "p", "value"])
@@ -196,7 +182,8 @@ def run_factorial_thresholds(m: int, delta_values, degree_sweep=None) -> Experim
     """Factorial weight family: trace-norm and Hilbert-Schmidt trends per delta."""
     if m < 2:
         raise ValueError(f"factorial thresholds require m >= 2, got {m}")
-    sweep = _degree_sweep(degree_sweep, DEFAULT_SWEEP_M2 if m == 2 else DEFAULT_SWEEP_M3)
+    sweep = schatten.sweep_degrees(
+        degree_sweep or (DEFAULT_SWEEP_M2 if m == 2 else DEFAULT_SWEEP_M3))
     N = max(sweep) + 2
     basis = enumerate_basis(m, N)
     rep = ExperimentReport("factorial_thresholds", {
@@ -210,8 +197,8 @@ def run_factorial_thresholds(m: int, delta_values, degree_sweep=None) -> Experim
         w = wm.factorial_delta_weights(basis, delta)
         shifts = [ops.coordinate_shift(w, i) for i in range(1, m + 1)]
         comms = ops.cross_commutators(shifts)
-        tr = {key: _window_norms(C, sweep, [1]) for key, C in comms.items()}
-        hs = {i: _window_norms(Z, sweep, [2]) for i, Z in enumerate(shifts, start=1)}
+        tr = {key: schatten.window_norms(C, sweep, [1]) for key, C in comms.items()}
+        hs = {i: schatten.window_norms(Z, sweep, [2]) for i, Z in enumerate(shifts, start=1)}
         trend_tr, trend_hs = [], []
         for d in sweep:
             for (i, j), v in sorted(tr.items()):
@@ -240,7 +227,8 @@ def run_submodule_probe(family: str, m: int, k: int, generators, p_values,
                       degree_sweep=None, delta: float | None = None) -> ExperimentReport:
     """Cross-commutator trends for restrictions to a graded submodule."""
     _check_p_values(p_values)
-    sweep = _degree_sweep(degree_sweep, DEFAULT_SWEEP_M2 if m == 2 else DEFAULT_SWEEP_M3)
+    sweep = schatten.sweep_degrees(
+        degree_sweep or (DEFAULT_SWEEP_M2 if m == 2 else DEFAULT_SWEEP_M3))
     N = max(sweep) + 2
     basis = enumerate_basis(m, N, k)
     w = wm.family_weights(family, basis, delta)
@@ -265,7 +253,7 @@ def run_submodule_probe(family: str, m: int, k: int, generators, p_values,
                                     "fit_residual"])
     for side, Ys in sides.items():
         comms = ops.cross_commutators(Ys)
-        norms = {key: _window_norms(C, sweep, p_values) for key, C in comms.items()}
+        norms = {key: schatten.window_norms(C, sweep, p_values) for key, C in comms.items()}
         for p in p_values:
             trend = []
             for d in sweep:
@@ -276,8 +264,7 @@ def run_submodule_probe(family: str, m: int, k: int, generators, p_values,
             verdict, details = schatten.convergence_diagnostic(trend)
             rep.set_verdict(f"{side}_p={_fmt(p)}", verdict, details)
         for (i, j), C in comms.items():
-            fit = schatten.decay_exponent_fit(
-                schatten.singular_values(C, window=Window.INTERIOR))
+            fit = schatten.decay_exponent_fit(schatten.singular_values(C))
             if fit is not None:
                 fits.add(side, i, j, fit.beta, fit.critical_exponent, fit.residual)
     return rep
@@ -304,7 +291,7 @@ def run_trace_inequality_check(family: str, m: int, points=None, generators=None
     """Trace inequality 0 <= Tr P_n <= ||C_n||_1 along nested invariant subspaces."""
     if (points is None) == (generators is None):
         raise ValueError("provide exactly one of points / generators")
-    sweep = _degree_sweep(degree_sweep, (24, 32, 40) if m == 1 else (12, 16, 20))
+    sweep = schatten.sweep_degrees(degree_sweep or ((24, 32, 40) if m == 1 else (12, 16, 20)))
     rep = ExperimentReport("trace_inequality_check", {
         "family": family, "m": m, "delta": delta,
         "points": [str(p) for p in points] if points else [],
@@ -346,7 +333,7 @@ def run_trace_inequality_check(family: str, m: int, points=None, generators=None
                     f"max|z|^(N+1) = {r ** (N + 1):.1e}; try a larger --degrees"
                 ) from None
             comm = ops.self_commutator(Tn)
-            wit = schatten.ap_witness(comm, p=1, window=Window.FULL)
+            wit = schatten.ap_witness(comm, p=1)
             tr_p = float(np.real(np.trace(wit.positive_part)))
             c1 = wit.p_norm_of_c
             holds = -INEQUALITY_SLACK <= tr_p <= c1 + INEQUALITY_SLACK
@@ -389,8 +376,8 @@ def run_quotient_smoothness_probe(generators, m: int, p_values, degree_sweep=Non
     if m not in (2, 3):
         raise ValueError(f"quotient probe supports m in {{2, 3}}, got {m}")
     _check_p_values(p_values)
-    sweep = _degree_sweep(degree_sweep,
-                          DEFAULT_SWEEP_M2[:4] if m == 2 else DEFAULT_SWEEP_M3[:4])
+    sweep = schatten.sweep_degrees(
+        degree_sweep or (DEFAULT_SWEEP_M2[:4] if m == 2 else DEFAULT_SWEEP_M3[:4]))
     generators = list(generators)
     homogeneous = all(g.is_homogeneous for g in generators)
     rep = ExperimentReport("quotient_smoothness_probe", {
@@ -418,7 +405,7 @@ def run_quotient_smoothness_probe(generators, m: int, p_values, degree_sweep=Non
         # quotient-module action = compression of the shifts to the complement
         Rs = [ops.compress_to_frame(Z, S.comp) for Z in shifts]
         comms = ops.cross_commutators(Rs)
-        norms = {key: _window_norms(C, [N], p_values) for key, C in comms.items()}
+        norms = {key: schatten.window_norms(C, [N], p_values) for key, C in comms.items()}
         for p in p_values:
             vmax = 0.0
             for (i, j), norm in norms.items():
@@ -431,8 +418,7 @@ def run_quotient_smoothness_probe(generators, m: int, p_values, degree_sweep=Non
         rep.set_verdict(f"quotient_p={_fmt(p)}", verdict, details)
     N, comms = last_comms
     for (i, j), C in comms.items():
-        fit = schatten.decay_exponent_fit(
-            schatten.singular_values(C, window=Window.INTERIOR, max_window_degree=N))
+        fit = schatten.decay_exponent_fit(schatten.singular_values(C, N))
         if fit is not None:
             fits.add(i, j, fit.beta, fit.critical_exponent, fit.residual)
     return rep

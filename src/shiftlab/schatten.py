@@ -1,14 +1,12 @@
 """Singular values, Schatten norms, spectral splits and convergence verdicts.
 
-A Schatten norm is spectrum_norm of a window_spectrum.  window_spectra
-takes graded windows block by degree block from the sparse window
-(shift_operators.block_singular_values), and a whole sweep of nested windows
-{degree <= d} from one pass over the widest: each block value carries the
-smallest window degree that holds it, and window d keeps the values labelled
-<= d.  Ungraded windows and windows mixing degree offsets are one block and
-go through singular_values, once per window.  A sweep takes each operator's
-spectra once and derives every (d, p) norm from them; window_spectrum is the
-one-window case.
+Everything here reads an operator's interior window (TruncatedOperator.window,
+the whole matrix when ungraded), optionally cut to degrees <= d.  Graded
+windows go block by degree block (shift_operators.block_singular_values), and
+a sweep of nested windows takes one pass over the widest: window d keeps the
+block values labelled <= d.  Ungraded windows and windows mixing degree
+offsets are one block and go through singular_values, once per window.
+window_norms derives every (d, p) norm of a sweep from those spectra.
 
 singular_values is the full dense spectrum of a window.  It refuses windows
 wider than DENSE_SVD_LIMIT before densifying; there is no sparse-iteration
@@ -28,11 +26,6 @@ SELF_ADJOINT_TOL = 1e-10
 # decay_exponent_fit: rank window [FIT_START*n, FIT_STOP*n] of the n nonzero
 # singular values, and the fewest values it fits
 FIT_START, FIT_STOP, MIN_TAIL = 0.05, 0.4, 20
-
-
-class Window(enum.Enum):
-    FULL = "full"
-    INTERIOR = "interior"
 
 
 class Verdict(enum.Enum):
@@ -72,17 +65,9 @@ class DecayFit:
     window: tuple  # (first k, last k), 1-based
 
 
-def _window_indices(T: TruncatedOperator, window: Window, max_window_degree=None):
-    if window is Window.FULL and max_window_degree is None:
-        return np.arange(T.dimension)
-    return T.window_indices(max_window_degree)
-
-
-def _windowed(T: TruncatedOperator, window: Window, max_window_degree=None) -> np.ndarray:
-    if window is Window.FULL and max_window_degree is None:
-        M = T.dense()
-    else:
-        M = T.windowed_dense(max_window_degree)
+def _densify(W) -> np.ndarray:
+    """A sparse window densified; non-finite entries are refused."""
+    M = W.toarray()
     if not np.all(np.isfinite(M)):
         raise ValueError("operator has non-finite entries")
     return M
@@ -95,45 +80,36 @@ def check_dense_svd_size(n: int, what: str = "window"):
                          f"refusing a dense SVD of that size")
 
 
-def singular_values(T: TruncatedOperator, window: Window = Window.FULL,
-                    max_window_degree=None) -> np.ndarray:
-    """Descending singular values of the (windowed) finite section, by dense SVD."""
-    check_dense_svd_size(_window_indices(T, window, max_window_degree).size)
-    M = _windowed(T, window, max_window_degree)
+def singular_values(T: TruncatedOperator, max_window_degree=None) -> np.ndarray:
+    """Descending singular values of the interior window, by dense SVD."""
+    W = T.window(max_window_degree)
+    check_dense_svd_size(W.shape[0])
+    M = _densify(W)
     if min(M.shape) == 0:
         return np.zeros(0)
     return np.linalg.svd(M, compute_uv=False)
 
 
-def window_spectra(T: TruncatedOperator, degrees, window: Window = Window.INTERIOR) -> dict:
-    """{d: window_spectrum(T, window, d)} for every d of degrees, from one block pass.
+def window_spectra(T: TruncatedOperator, degrees) -> dict:
+    """{d: singular values of the interior window d} for every d of degrees,
+    in no fixed order and up to zeros, from one block pass.
 
     Graded single-offset windows take the blocks of the widest window once
-    (shift_operators.block_singular_values); window d keeps the values
-    labelled <= d, which are exactly its own blocks' values in the same
-    order.  Ungraded and mixed-offset operators take one singular_values
-    call per window.  A degree None stands for the whole window.
+    (shift_operators.block_singular_values) and are never densified whole;
+    window d keeps the values labelled <= d, which are exactly its own
+    blocks' values in the same order.  Ungraded and mixed-offset operators
+    take one singular_values call per window.  A degree None stands for the
+    whole interior window.
     """
     degrees = list(degrees)
     widest = None if None in degrees else max(degrees)
     if is_graded(T.space):
-        idx = _window_indices(T, window, widest)
-        degs = np.asarray(T.space.degrees)[idx]
-        blocks = block_singular_values(T.mat.tocsr()[idx][:, idx], degs, degs)
+        degs = np.asarray(T.space.degrees)[T.window_indices(widest)]
+        blocks = block_singular_values(T.window(widest), degs, degs)
         if blocks is not None:
             s, labels = blocks
             return {d: s if d is None else s[labels <= d] for d in degrees}
-    return {d: singular_values(T, window, d) for d in degrees}
-
-
-def window_spectrum(T: TruncatedOperator, window: Window = Window.FULL,
-                    max_window_degree=None) -> np.ndarray:
-    """Singular values of the (windowed) section, in no fixed order and up to zeros.
-
-    Graded single-offset windows go block by degree block and are never
-    densified whole; others go through singular_values.
-    """
-    return window_spectra(T, [max_window_degree], window)[max_window_degree]
+    return {d: singular_values(T, d) for d in degrees}
 
 
 def check_p(p):
@@ -152,18 +128,15 @@ def spectrum_norm(s: np.ndarray, p: float) -> float:
     return float(np.sum(s ** p) ** (1.0 / p))
 
 
-def schatten_norm(T: TruncatedOperator, p: float, window: Window = Window.FULL,
-                  max_window_degree=None) -> float:
-    """(sum sigma_k^p)^(1/p); p = inf gives the operator norm."""
-    return spectrum_norm(window_spectrum(T, window, max_window_degree), p)
+def window_norms(T: TruncatedOperator, degrees, p_values) -> dict:
+    """{(d, p): Schatten p-norm of T's interior window d}, from one spectral pass."""
+    return {(d, p): spectrum_norm(s, p)
+            for d, s in window_spectra(T, degrees).items() for p in p_values}
 
 
-def trace(T: TruncatedOperator, window: Window = Window.FULL,
-          max_window_degree=None):
-    """Sum of the diagonal of the (windowed) section."""
-    M = _windowed(T, window, max_window_degree)
-    t = complex(np.trace(M))
-    return t.real if abs(t.imag) < 1e-14 * max(1.0, abs(t.real)) else t
+def schatten_norm(T: TruncatedOperator, p: float, max_window_degree=None) -> float:
+    """(sum sigma_k^p)^(1/p) of the interior window; p = inf gives its operator norm."""
+    return window_norms(T, [max_window_degree], [p])[max_window_degree, p]
 
 
 @dataclass(frozen=True)
@@ -180,10 +153,10 @@ class ApWitness:
     p_norm_of_c: float
 
 
-def ap_witness(self_commutator: TruncatedOperator, p: float,
-               window: Window = Window.FULL) -> ApWitness:
-    """Split a self-adjoint commutator into positive and negative spectral parts."""
-    M = _windowed(self_commutator, window)
+def ap_witness(self_commutator: TruncatedOperator, p: float) -> ApWitness:
+    """Split a self-adjoint commutator's interior window into positive and
+    negative spectral parts."""
+    M = _densify(self_commutator.window())
     scale = max(1.0, float(np.abs(M).max(initial=0.0)))
     if np.abs(M - M.conj().T).max(initial=0.0) > SELF_ADJOINT_TOL * scale:
         raise ValueError("ap_witness requires a self-adjoint input")
@@ -219,6 +192,18 @@ def decay_exponent_fit(sigma) -> DecayFit | None:
     critical = 1.0 / beta if beta > 0 else np.inf
     return DecayFit(beta=beta, residual=residual, critical_exponent=critical,
                     window=(k0 + 1, k1))
+
+
+def sweep_degrees(degrees) -> list:
+    """The sorted truncation degrees of a sweep; a negative or repeated degree
+    is a usage error (a repeat would be a zero gap in the trend)."""
+    sweep = sorted(degrees)
+    if sweep[0] < 0:
+        raise ValueError(f"sweep degree {sweep[0]} is negative")
+    for a, b in zip(sweep, sweep[1:]):
+        if a == b:
+            raise ValueError(f"sweep degree {a} is repeated")
+    return sweep
 
 
 def convergence_diagnostic(values_by_degree,

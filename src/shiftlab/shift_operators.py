@@ -4,8 +4,8 @@ Every operator carries an interior degree W: matrix entries whose row and
 column degrees are both <= W agree exactly with the corresponding entries of
 the untruncated operator.  Coordinate shifts raise degree by exactly 1, so
 each multiplication eats a bounded strip at the truncation boundary; the
-bookkeeping here tracks that strip so norms and traces can be computed on
-uncontaminated sub-blocks only.
+bookkeeping here tracks that strip, and TruncatedOperator.window, the block
+of degrees <= W, is the one uncontaminated section every norm and fit reads.
 """
 
 from dataclasses import dataclass, field
@@ -126,12 +126,10 @@ class TruncatedOperator:
             w = min(w, max_window_degree)
         return np.nonzero(np.asarray(self.space.degrees) <= w)[0]
 
-    def dense(self) -> np.ndarray:
-        return self.mat.toarray()
-
-    def windowed_dense(self, max_window_degree=None) -> np.ndarray:
+    def window(self, max_window_degree=None) -> sp.csr_matrix:
+        """The interior window as a CSR matrix: the whole matrix when ungraded."""
         idx = self.window_indices(max_window_degree)
-        return self.mat.tocsr()[np.ix_(idx, idx)].toarray()
+        return self.mat.tocsr()[idx][:, idx]
 
 
 def _same_space(a: TruncatedOperator, b: TruncatedOperator):
@@ -357,10 +355,14 @@ def invariance_residual(T: TruncatedOperator, frame: SubspaceFrame) -> float:
 def restrict_to_invariant(T: TruncatedOperator, frame: SubspaceFrame,
                           tol: float = INVARIANCE_TOL) -> TruncatedOperator:
     """Express T on an invariant subspace in the frame's orthonormal basis."""
+    _check_invariant(T, frame, tol)
+    return compress_to_frame(T, frame)
+
+
+def _check_invariant(T: TruncatedOperator, frame: SubspaceFrame, tol: float):
     resid = invariance_residual(T, frame)
     if resid > tol:
         raise InvarianceError(resid, tol)
-    return compress_to_frame(T, frame)
 
 
 def compress_to_frame(T: TruncatedOperator, frame: SubspaceFrame) -> TruncatedOperator:
@@ -371,7 +373,11 @@ def compress_to_frame(T: TruncatedOperator, frame: SubspaceFrame) -> TruncatedOp
     """
     # a dense product, also for sparse frames: a sparse one rounds differently,
     # and decay_exponent_fit counts round-off-sized singular values
-    Q = frame.dense()
+    return _compress(T, frame, frame.dense())
+
+
+def _compress(T: TruncatedOperator, frame: SubspaceFrame, Q: np.ndarray) -> TruncatedOperator:
+    """compress_to_frame with the frame's columns already densified as Q."""
     R = Q.conj().T @ (T.mat @ Q)
     space = frame.to_space(T.space.max_degree)
     return TruncatedOperator(space, sp.csr_matrix(R),
@@ -397,9 +403,10 @@ def restricted_commutator_decomposition(T: TruncatedOperator,
                                         frame: SubspaceFrame) -> BlockDecomposition:
     """Split the self-commutator of T restricted to an invariant frame into
     its compression and positive corner summands."""
-    Y = restrict_to_invariant(T, frame)
-    diag = compress_to_frame(self_commutator(T), frame)
-    Q = frame.dense()
+    _check_invariant(T, frame, INVARIANCE_TOL)
+    Q = frame.dense()   # densified once for all three products
+    Y = _compress(T, frame, Q)
+    diag = _compress(self_commutator(T), frame, Q)
     # (I - QQ*)T*Q, whose Gram matrix is the corner
     V = T.mat.conj().T @ Q
     V = V - Q @ (Q.conj().T @ V)

@@ -180,22 +180,22 @@ def check_condition(w: WeightSet, condition: Condition, p: float | None = None,
                                thresholds={"contractive_slack": 1e-12})
 
     if condition is Condition.CROSS_COMMUTATOR_SP:
-        if p is None or p < 1:
+        if p is None:
             raise ValueError("CROSS_COMMUTATOR_SP requires p >= 1")
+        schatten.check_p(p)
         if not degrees:
             raise ValueError("CROSS_COMMUTATOR_SP requires a list of truncation degrees")
+        degrees = schatten.sweep_degrees(degrees)
         m = w.basis.num_vars
-        interior = w.basis.max_degree - 2
+        shifts = [shift_operators.coordinate_shift(w, i) for i in range(1, m + 1)]
+        comms = shift_operators.cross_commutators(shifts).values()
+        interior = min(C.interior_degree for C in comms)
         bad = [d for d in degrees if d > interior]
         if bad:
             raise ValueError(f"requested degrees {bad} exceed the interior window {interior}")
-        shifts = [shift_operators.coordinate_shift(w, i) for i in range(1, m + 1)]
-        comms = shift_operators.cross_commutators(shifts).values()
-        degrees = sorted(degrees)
         # one commutator's spectra at a time: peak memory is one operator's windows
-        norms = [{d: schatten.spectrum_norm(s, p)
-                  for d, s in schatten.window_spectra(C, degrees).items()} for C in comms]
-        trend = [(d, max(n[d] for n in norms)) for d in degrees]
+        norms = [schatten.window_norms(C, degrees, [p]) for C in comms]
+        trend = [(d, max(n[d, p] for n in norms)) for d in degrees]
         verdict, details = schatten.convergence_diagnostic(trend)
         witness = trend[-1][1]
         return ConditionReport(condition, p, verdict is schatten.Verdict.CONVERGING,

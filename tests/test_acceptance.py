@@ -7,9 +7,9 @@ import time
 import numpy as np
 import pytest
 
-from shiftlab import (Verdict, Window, coordinate_shift, decay_exponent_fit,
+from shiftlab import (Verdict, coordinate_shift, decay_exponent_fit,
                       drury_arveson_weights, enumerate_basis, monomial_generator,
-                      schatten_norm, self_commutator, singular_values, trace)
+                      schatten_norm, self_commutator, singular_values)
 from shiftlab.cli import main as cli_main
 from shiftlab.experiments import (run_submodule_probe, run_trace_inequality_check,
                                   run_direct_sum_trends, run_ramp_block_norms,
@@ -113,7 +113,7 @@ def test_criterion_6_critical_schatten_exponent():
     basis = enumerate_basis(2, 40)
     w = drury_arveson_weights(basis)
     C = self_commutator(coordinate_shift(w, 1))
-    fit = decay_exponent_fit(singular_values(C, window=Window.INTERIOR))
+    fit = decay_exponent_fit(singular_values(C))
     dt = time.perf_counter() - t0
     ok = fit is not None and 1.7 <= fit.critical_exponent <= 2.3 and dt < 180
     _line("criterion 6 (critical Schatten exponent, m=2)", ok,
@@ -163,7 +163,7 @@ def test_criterion_8_property_suites():
         m = int(rng.integers(1, 4))
         w = random_weight_set(rng, m, int(rng.integers(3, 7)))
         C = self_commutator(coordinate_shift(w, int(rng.integers(1, m + 1))))
-        assert abs(trace(C)) < 1e-12
+        assert abs(np.trace(C.mat.toarray())) < 1e-12
 
     # graded basis counts
     for _ in range(100):

@@ -182,6 +182,22 @@ def test_negative_sweep_degree_is_usage_error(argv, tmp_path, capsys):
     assert not any(tmp_path.iterdir())
 
 
+@pytest.mark.parametrize("argv", [
+    ["factorial-family", "--m", "2", "--delta", "1.0"],
+    ["submodule-probe", "--m", "2", "--gens", "z1^2-z2^2"],
+    ["quotient-probe", "--m", "2", "--gens", "z1-z2"],
+    ["trace-inequality", "--m", "1", "--points", "0.3"],
+])
+def test_repeated_sweep_degree_is_usage_error(argv, tmp_path, capsys, monkeypatch):
+    # a repeat would duplicate table rows and put a zero gap into the trend
+    def refuse(*args, **kwargs):
+        raise AssertionError("basis built before the sweep was checked")
+    monkeypatch.setattr(xp, "enumerate_basis", refuse)
+    assert run_cli(argv + ["--degrees", "8,8,12,16"], tmp_path) == 2
+    assert "error: sweep degree 8 is repeated" in capsys.readouterr().err
+    assert not any(tmp_path.iterdir())
+
+
 def test_quotient_probe_rejects_non_coinvariant_complement(tmp_path, capsys):
     # at degree 60 the homogeneous frame of z1^2-z2^2 has lost exactness: a
     # defect of the frame builder, so exit 1, not wrong numbers with exit 0

@@ -1,7 +1,11 @@
-"""No shiftlab module reaches into another module's private names."""
+"""No shiftlab module reaches into another module's private names, and every
+test module imports."""
 
 import ast
+import importlib
 from pathlib import Path
+
+import pytest
 
 import shiftlab
 
@@ -53,3 +57,10 @@ def test_private_names_are_detected():
         "<module>:5: uses sm._kernel_columns",
         "<module>:5: uses shift_operators._norm_scale",
     ]
+
+
+@pytest.mark.parametrize("name", sorted(p.stem for p in Path(__file__).parent.glob("test_*.py")))
+def test_every_test_module_imports(name):
+    # a test module that no longer imports is a collection error, which a run
+    # that continues on collection errors would report apart from its failures
+    importlib.import_module(name)

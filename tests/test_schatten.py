@@ -3,13 +3,13 @@ import pytest
 import scipy.sparse as sp
 from hypothesis import given, settings, strategies as st
 
-from shiftlab import (DiagnosticThresholds, Verdict, Window, add, adjoint,
+from shiftlab import (DiagnosticThresholds, Verdict, add, adjoint,
                       ap_witness, bergman_ball_weights, commutator, compress_to_frame,
                       convergence_diagnostic, coordinate_shift,
                       decay_exponent_fit, drury_arveson_weights, enumerate_basis,
                       factorial_delta_weights, homogeneous_submodule,
                       parse_polynomial, restrict_to_invariant, scale,
-                      schatten_norm, self_commutator, singular_values, trace,
+                      schatten_norm, self_commutator, singular_values,
                       ungraded_submodule)
 from shiftlab import cli, schatten
 from shiftlab.shift_operators import RestrictedSpace, TruncatedOperator
@@ -102,14 +102,14 @@ def test_trace_of_commutator_vanishes(rng):
         m = int(rng.integers(1, 4))
         w = random_weight_set(rng, m, int(rng.integers(3, 7)))
         C = self_commutator(coordinate_shift(w, int(rng.integers(1, m + 1))))
-        assert abs(trace(C)) < 1e-12
+        assert abs(np.trace(C.mat.toarray())) < 1e-12
 
 
 def test_ap_witness_split(rng):
     w = random_weight_set(rng, 2, 6)
     C = self_commutator(coordinate_shift(w, 1))
     wit = ap_witness(C, p=2.0)
-    M = C.dense()
+    M = C.window().toarray()
     assert np.abs(wit.positive_part + wit.compact_part - M).max() < 1e-10
     assert np.linalg.eigvalsh(wit.positive_part).min() > -1e-10
     assert np.linalg.eigvalsh(wit.compact_part).max() < 1e-10
@@ -173,9 +173,24 @@ def test_windowed_norm_excludes_truncation_boundary(rng):
     # spurious boundary row; the interior window must be strictly smaller
     w = random_weight_set(rng, 2, 10)
     C = self_commutator(coordinate_shift(w, 1))
-    full = schatten_norm(C, 1, window=Window.FULL)
-    interior = schatten_norm(C, 1, window=Window.INTERIOR)
+    full = np.linalg.svd(C.mat.toarray(), compute_uv=False).sum()
+    interior = schatten_norm(C, 1)
     assert interior < full
+
+
+@pytest.mark.parametrize("i, j", [(1, 1), (1, 2)])
+def test_default_window_is_the_interior_window(i, j):
+    # no window argument: the interior window, never the contaminated full section
+    w = drury_arveson_weights(enumerate_basis(2, 10))
+    C = commutator(coordinate_shift(w, i), coordinate_shift(w, j))
+    assert C.window().shape[0] < C.dimension
+    s = np.linalg.svd(C.window().toarray(), compute_uv=False)
+    assert np.allclose(singular_values(C), s, rtol=1e-12, atol=0)
+    for p in ORACLE_PS:
+        expected = s.max() if p == np.inf else np.sum(s ** p) ** (1 / p)
+        assert schatten_norm(C, p) == pytest.approx(expected, rel=1e-12)
+    with pytest.raises(TypeError):
+        schatten_norm(C, 1, window="full")
 
 
 # --- block-by-degree Schatten norms against the dense SVD of the whole window
@@ -184,7 +199,7 @@ ORACLE_PS = (1.0, 2.0, 3.0, np.inf)
 
 
 def _dense_norm(T, p, d):
-    s = np.linalg.svd(T.windowed_dense(d), compute_uv=False)
+    s = np.linalg.svd(T.window(d).toarray(), compute_uv=False)
     if s.size == 0:
         return 0.0
     return float(s.max()) if p == np.inf else float(np.sum(s ** p) ** (1 / p))
@@ -193,7 +208,7 @@ def _dense_norm(T, p, d):
 def _assert_matches_dense_oracle(T, degrees):
     for d in degrees:
         for p in ORACLE_PS:
-            got = schatten_norm(T, p, window=Window.INTERIOR, max_window_degree=d)
+            got = schatten_norm(T, p, max_window_degree=d)
             assert got == pytest.approx(_dense_norm(T, p, d), rel=1e-12, abs=1e-300), (d, p)
 
 
@@ -329,7 +344,7 @@ def test_nested_windows_one_dense_spectrum_per_window(kind, count_dense_spectra)
     spectra = schatten.window_spectra(T, SWEEP)
     assert len(count_dense_spectra) == len(SWEEP)
     for d in SWEEP:
-        assert np.array_equal(spectra[d], singular_values(T, Window.INTERIOR, d))
+        assert np.array_equal(spectra[d], singular_values(T, d))
     _assert_matches_dense_oracle(T, SWEEP)
 
 
@@ -339,8 +354,8 @@ def test_block_norms_all_zero_window():
               TruncatedOperator(w.basis, sp.csr_matrix((w.basis.dimension,) * 2),
                                 interior_degree=4)):
         for p in ORACLE_PS:
-            assert schatten_norm(T, p, window=Window.INTERIOR) == 0.0
-            assert schatten_norm(T, p, window=Window.INTERIOR, max_window_degree=0) == 0.0
+            assert schatten_norm(T, p) == 0.0
+            assert schatten_norm(T, p, max_window_degree=0) == 0.0
 
 
 def test_non_finite_entry_rejected():
@@ -350,7 +365,7 @@ def test_non_finite_entry_rejected():
     mat.data[0] = np.nan
     graded = TruncatedOperator(w.basis, mat, interior_degree=Z.interior_degree)
     with pytest.raises(ValueError, match="non-finite"):
-        schatten_norm(graded, 1.0, window=Window.INTERIOR)
+        schatten_norm(graded, 1.0)
     ungraded = _wrap(mat.toarray())
     with pytest.raises(ValueError, match="non-finite"):
         schatten_norm(ungraded, 1.0)
@@ -369,11 +384,10 @@ def test_graded_window_is_never_densified_whole(monkeypatch):
 
     def refuse(*args, **kwargs):
         raise AssertionError("whole window densified")
-    monkeypatch.setattr(TruncatedOperator, "dense", refuse)
-    monkeypatch.setattr(TruncatedOperator, "windowed_dense", refuse)
+    monkeypatch.setattr(schatten, "singular_values", refuse)
     for p in ORACLE_PS:
         expected = sigma.max() if p == np.inf else np.sum(sigma ** p) ** (1 / p)
-        got = schatten_norm(C, p, window=Window.INTERIOR, max_window_degree=d)
+        got = schatten_norm(C, p, max_window_degree=d)
         assert got == pytest.approx(expected, rel=1e-12)
 
 
@@ -381,10 +395,13 @@ def test_dense_svd_limit_raises_before_densifying(monkeypatch, tmp_path):
     monkeypatch.setattr(schatten, "DENSE_SVD_LIMIT", 10)
     M = _wrap(np.eye(12))
     with monkeypatch.context() as mp:
-        def refuse(*args, **kwargs):
-            raise AssertionError("densified before the size check")
-        mp.setattr(TruncatedOperator, "dense", refuse)
-        mp.setattr(TruncatedOperator, "windowed_dense", refuse)
+        real_window = TruncatedOperator.window
+
+        class Undensifiable(sp.csr_matrix):
+            def toarray(self, *args, **kwargs):
+                raise AssertionError("densified before the size check")
+        mp.setattr(TruncatedOperator, "window",
+                   lambda T, *a: Undensifiable(real_window(T, *a)))
         with pytest.raises(ValueError, match="window dimension 12"):
             singular_values(M)
     assert singular_values(_wrap(np.eye(10))).size == 10
@@ -396,15 +413,16 @@ def test_dense_svd_limit_raises_before_densifying(monkeypatch, tmp_path):
 
 @pytest.mark.parametrize("m, gen", [(2, "z1^2-z2^2"), (3, "z1*z2"), (3, "z1^2-z2*z3")])
 def test_ungraded_quotient_matches_graded_quotient(m, gen):
-    # one ideal as one dense block (BLAS products, dense spectrum) and degree
-    # by degree (sparse products, block spectra): the complements coincide
+    # one ideal as one dense block (BLAS products) and degree by degree
+    # (sparse products): the complements coincide, and so do the spectra of
+    # the commutators' whole sections
     w = bergman_ball_weights(enumerate_basis(m, 8))
     g = [parse_polynomial(gen, m)]
-    norms = []
+    spectra = []
     for S in (homogeneous_submodule(w, g), ungraded_submodule(w, g)):
         Rs = [compress_to_frame(coordinate_shift(w, i), S.comp) for i in range(1, m + 1)]
-        norms.append(np.array([schatten_norm(commutator(Rs[i], Rs[j]), p, window=Window.FULL)
-                               for i in range(m) for j in range(i, m) for p in ORACLE_PS]))
-    graded, ungraded = norms
-    assert graded.min() > 0
-    assert np.abs(ungraded - graded).max() <= 1e-12 * np.abs(graded).min()
+        spectra.append([np.linalg.svd(commutator(Rs[i], Rs[j]).mat.toarray(), compute_uv=False)
+                        for i in range(m) for j in range(i, m)])
+    for graded, ungraded in zip(*spectra):
+        assert graded.max() > 0
+        assert np.abs(ungraded - graded).max() <= 1e-12 * graded.max()

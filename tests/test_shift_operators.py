@@ -79,9 +79,22 @@ def test_windowed_block_agrees_with_untruncated(rng):
 
     c_small = self_commutator(coordinate_shift(w_small, 1))
     c_big = self_commutator(coordinate_shift(w_big, 1))
-    win = c_small.windowed_dense()  # degrees <= 4
+    win = c_small.window().toarray()  # degrees <= 4
     n = win.shape[0]
     assert np.abs(win - _dense(c_big)[:n, :n]).max() < 1e-13
+
+
+def test_window_is_the_interior_block(rng):
+    w = random_weight_set(rng, 2, 6)
+    C = self_commutator(coordinate_shift(w, 1))    # interior degree 4
+    degs = np.asarray(w.basis.degrees)
+    for d, keep in ((None, degs <= 4), (3, degs <= 3), (9, degs <= 4)):
+        assert np.array_equal(C.window(d).toarray(), _dense(C)[np.ix_(keep, keep)])
+    # an ungraded space has no boundary strip: its window is the whole matrix
+    S = ungraded_submodule(w, [parse_polynomial("z1-z2^2", 2)])
+    R = self_commutator(compress_to_frame(coordinate_shift(w, 1), S.comp))
+    for d in (None, 0):
+        assert np.array_equal(R.window(d).toarray(), _dense(R))
 
 
 def test_adjoint_is_conjugate_transpose(rng):
@@ -279,6 +292,20 @@ def test_restricted_commutator_decomposition_matches_dense_ambient_oracle(seed, 
     lhs = _dense(self_commutator(dec.restricted))
     rhs = _dense(dec.diagonal_part) + _dense(dec.corner_part)
     assert np.abs(lhs - rhs).max(initial=0.0) < tol
+
+
+def test_restricted_commutator_decomposition_densifies_the_frame_once(monkeypatch):
+    w = drury_arveson_weights(enumerate_basis(3, 6))
+    S = homogeneous_submodule(w, [parse_polynomial("z1^2 - z2^2", num_vars=3)])
+    calls = []
+    real = SubspaceFrame.dense
+
+    def counted(frame):
+        calls.append(frame)
+        return real(frame)
+    monkeypatch.setattr(SubspaceFrame, "dense", counted)
+    restricted_commutator_decomposition(coordinate_shift(w, 1), S.sub)
+    assert calls == [S.sub]
 
 
 def test_invariance_residual_of_noninvariant_pairs():

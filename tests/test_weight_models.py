@@ -8,6 +8,7 @@ from scipy.stats import qmc
 from shiftlab import (Condition, WeightSet, bergman_ball_weights, check_condition,
                       drury_arveson_weights, enumerate_basis, ramp_weights,
                       factorial_delta_weights, family_weights, hardy_ball_weights)
+from shiftlab import shift_operators
 
 
 def _alpha_rows(basis):
@@ -136,6 +137,29 @@ def test_condition_cross_commutator_trend():
         check_condition(w, Condition.CROSS_COMMUTATOR_SP, p=1.0, degrees=[25])
     with pytest.raises(ValueError):
         check_condition(w, Condition.CROSS_COMMUTATOR_SP, p=0.5, degrees=[8, 12])
+
+
+def test_condition_cross_commutator_rejects_bad_sweep_before_building(monkeypatch):
+    w = factorial_delta_weights(enumerate_basis(2, 12), delta=1.5)
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("operator built before the input was checked")
+    monkeypatch.setattr(shift_operators, "coordinate_shift", refuse)
+    with pytest.raises(ValueError, match="sweep degree 6 is repeated"):
+        check_condition(w, Condition.CROSS_COMMUTATOR_SP, p=1.0, degrees=[6, 6, 8, 10])
+    for p in (0.5, np.nan):
+        with pytest.raises(ValueError, match="Schatten p-norm requires p >= 1"):
+            check_condition(w, Condition.CROSS_COMMUTATOR_SP, p=p, degrees=[6, 8])
+
+
+def test_condition_cross_commutator_window_is_the_commutators_interior():
+    # [Z_i*, Z_j] on a basis of degree <= 12 is exact up to degree 10
+    w = factorial_delta_weights(enumerate_basis(2, 12), delta=1.5)
+    rep = check_condition(w, Condition.CROSS_COMMUTATOR_SP, p=1.0, degrees=[4, 6, 8, 10])
+    assert [d for d, _ in rep.trend] == [4, 6, 8, 10]
+    with pytest.raises(ValueError, match=r"requested degrees \[11\] exceed the interior "
+                                         r"window 10"):
+        check_condition(w, Condition.CROSS_COMMUTATOR_SP, p=1.0, degrees=[4, 11])
 
 
 def test_to_table_text_roundtrip_values():
