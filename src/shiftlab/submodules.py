@@ -103,9 +103,11 @@ def monomial_submodule(w: WeightSet, generators) -> SubmoduleBasis:
                           coordinate_frame(np.nonzero(~member)[0]))
 
 
-def multiple_vectors(w: WeightSet, g: PolynomialGenerator, lo: int, hi: int) -> sp.csr_matrix:
+def multiple_vectors(w: WeightSet, g: PolynomialGenerator, lo: int, hi: int,
+                     scaled: bool = True) -> sp.csr_matrix:
     """Columns z^q * g in orthonormal coordinates (coefficients scaled by
-    lambda), one per multi-index q with lo <= |q| <= hi, in basis order.
+    lambda), one per multi-index q with lo <= |q| <= hi, in basis order;
+    with scaled=False, the plain coefficient vectors in monomial coordinates.
 
     A CSR matrix, so that callers densify only the rows they need; real when
     every coefficient of g is real, complex otherwise.
@@ -119,7 +121,9 @@ def multiple_vectors(w: WeightSet, g: PolynomialGenerator, lo: int, hi: int) -> 
     rows = b.rank((shifts[:, None, :] + alphas).reshape(-1, b.num_vars),
                   np.tile([c for _, c, _ in g.terms], len(shifts)))
     cols = np.repeat(np.arange(len(shifts)), len(alphas))
-    vals = np.tile(coefs, len(shifts)) * w.lam[rows]
+    vals = np.tile(coefs, len(shifts))
+    if scaled:
+        vals = vals * w.lam[rows]
     return sp.csr_matrix((vals, (rows, cols)), shape=(b.dimension, len(shifts)))
 
 
@@ -217,16 +221,41 @@ def span_of_point_evaluations(w: WeightSet, points) -> SubmoduleBasis:
 
 
 def ungraded_submodule(w: WeightSet, generators) -> SubmoduleBasis:
-    """Degreewise closure of { z^q * g : |q| + deg g <= N } for arbitrary generators.
+    """Span of { z^q * g : |q| + deg g <= N } for arbitrary generators.
 
     Used for non-homogeneous ideals; no graded decomposition is claimed.
+
+    The rank is decided on the unscaled coefficient vectors X of the
+    multiples, never on lambda-scaled values, whose entries span the whole
+    range of the weights.  The multiples of one nonzero polynomial are
+    linearly independent, so a principal ideal's rank is its number of
+    multiples, C(N - deg g + m, m); with several generators a pivoted QR of
+    X keeps the columns above DEFAULT_RANK_TOL * |R_11|.  The kept columns
+    are scaled by lambda and orthonormalized by one complete Householder QR
+    with the ambient rows sorted by decreasing lambda, which is accurate
+    for row-scaled matrices (Cox & Higham, 1998); its first r columns span
+    the submodule and the rest its complement.
+
+    The span is I cap P_<=N only for a principal ideal: with several
+    generators, a combination of top-degree multiples can cancel into a
+    low-degree element of the ideal that no multiple listed here reaches.
     """
     b = w.basis
     generators = list(generators)
     if not generators:
         raise ValueError("empty generator list")
     schatten.check_dense_svd_size(b.dimension, "ambient")
-    M = np.hstack([multiple_vectors(w, g, 0, b.max_degree - g.max_degree).toarray()
-                   for g in generators])
-    on, on_comp = _orthonormalize(M)
-    return SubmoduleBasis(w, SubspaceFrame.ungraded(on), SubspaceFrame.ungraded(on_comp))
+    X = sp.hstack([multiple_vectors(w, g, 0, b.max_degree - g.max_degree, scaled=False)
+                   for g in generators], format="csc")
+    if len(generators) > 1:
+        import scipy.linalg  # not at module level: the import adds ~5 MB to every run
+        R, piv = scipy.linalg.qr(X.toarray(), mode="r", pivoting=True)
+        diag = np.abs(np.diag(R))
+        del R
+        X = X[:, np.sort(piv[:np.count_nonzero(diag > DEFAULT_RANK_TOL * diag[0])])]
+    order = np.argsort(-w.lam, kind="stable")
+    Q = np.linalg.qr((sp.diags(w.lam[order]) @ X[order]).toarray(), mode="complete")[0]
+    r = X.shape[1]
+    del X
+    Q = Q[np.argsort(order)]
+    return SubmoduleBasis(w, SubspaceFrame.ungraded(Q[:, :r]), SubspaceFrame.ungraded(Q[:, r:]))

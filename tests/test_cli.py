@@ -1,3 +1,4 @@
+import csv
 import json
 import os
 import subprocess
@@ -206,6 +207,20 @@ def test_quotient_probe_rejects_non_coinvariant_complement(tmp_path, capsys):
     assert code == 1
     assert "complement frame is not invariant under Z_" in capsys.readouterr().err
     assert not any(tmp_path.iterdir())
+
+
+def test_ungraded_quotient_norms_settle_at_large_degree(tmp_path):
+    # the ungraded frame keeps every multiple of z1-z2^2 out to degree 62,
+    # where the bergman-ball weights fall to 3e-11: the largest p=1 norm
+    # barely moves from degree 40 to 60
+    code = run_cli(["quotient-probe", "--m", "2", "--gens", "z1-z2^2", "--p", "1",
+                    "--degrees", "40,60"], tmp_path)
+    assert code == 0
+    with open(tmp_path / "quotient_smoothness_probe-t" / "quotient_commutator_norms.csv") as f:
+        rows = list(csv.DictReader(f))
+    largest = {N: max(float(r["value"]) for r in rows if r["degree"] == str(N))
+               for N in (40, 60)}
+    assert abs(largest[60] - largest[40]) <= 0.05 * largest[40]
 
 
 def test_trace_inequality_rejects_coincident_points(tmp_path, capsys):

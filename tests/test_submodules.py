@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+import scipy.linalg
+import scipy.sparse as sp
 from hypothesis import given, settings, strategies as st
 
 from shiftlab import (PolynomialGenerator, RankCollapseError, bergman_ball_weights,
@@ -217,6 +219,47 @@ def test_graded_and_ungraded_agree_on_complex_homogeneous_generators(seed, m, de
     assert np.abs(P_graded - P_ungraded).max() < 1e-10
 
 
+def _largest_column_residual(S, w, gens):
+    """max over generator multiples M_col of |(I - QQ*) M_col| / |M_col|, Q = S.sub."""
+    M = sp.hstack([submodules.multiple_vectors(w, g, 0, w.basis.max_degree - g.max_degree)
+                   for g in gens], format="csc")
+    Q = S.sub.columns
+    Md = M.toarray()
+    R = Md - Q @ (M.T @ Q.conj()).T
+    return float((np.linalg.norm(R, axis=0) / np.linalg.norm(Md, axis=0)).max())
+
+
+@pytest.mark.parametrize("family", [bergman_ball_weights, drury_arveson_weights])
+@pytest.mark.parametrize("m,N,k,text", [(2, 62, 1, "z1-z2^2"), (2, 72, 1, "z1-z2^2"),
+                                        (2, 44, 2, "z1 - z2^2 (c1)")])
+def test_principal_ungraded_frame_keeps_every_multiple(family, m, N, k, text):
+    # the multiples z^q*g of a nonzero g are independent: the rank is their
+    # number, whatever the weights' range, and each lies in the frame's span
+    w = family(enumerate_basis(m, N, k))
+    g = parse_polynomial(text, m, k)
+    S = ungraded_submodule(w, [g])
+    assert S.sub.rank == math.comb(N - g.max_degree + m, m)
+    assert S.sub.rank + S.comp.rank == w.basis.dimension
+    assert _largest_column_residual(S, w, [g]) <= 1e-13
+
+
+@pytest.mark.parametrize("family", [bergman_ball_weights, drury_arveson_weights])
+@pytest.mark.parametrize("m,N,texts,rank", [
+    (2, 30, ["z1-z2^2", "z1*z2"], 492),
+    # the second generator is z2 times the first: it adds no direction
+    (3, 10, ["z1-z2*z3", "z1*z2-z2^2*z3"], 165),
+])
+def test_ungraded_frame_keeps_independent_multiples_of_several_generators(family, m, N,
+                                                                          texts, rank):
+    w = family(enumerate_basis(m, N))
+    gens = [parse_polynomial(t, m) for t in texts]
+    S = ungraded_submodule(w, gens)
+    assert S.sub.rank == rank
+    assert S.sub.rank + S.comp.rank == w.basis.dimension
+    # the dropped multiples lie in the span of the kept ones
+    assert _largest_column_residual(S, w, gens) <= 1e-12
+
+
 def test_frames_expose_stored_bytes_and_graded_frames_stay_per_slice():
     # graded frames store each slice's block, not ambient-length columns:
     # at most (slice dim)^2 float64 values with int32 row indices per slice
@@ -239,7 +282,8 @@ def test_frames_expose_stored_bytes_and_graded_frames_stay_per_slice():
 
 
 def test_ambient_frames_refuse_large_spaces_before_any_work(monkeypatch, tmp_path):
-    # both builders take a full-matrices SVD of ambient size
+    # both builders factorise an ambient-size matrix (QR or SVD): the size
+    # check comes before any vector is built and before any factorisation
     w = drury_arveson_weights(enumerate_basis(2, 8))
     assert w.basis.dimension == 45
     monkeypatch.setattr(schatten, "DENSE_SVD_LIMIT", 44)
@@ -249,8 +293,11 @@ def test_ambient_frames_refuse_large_spaces_before_any_work(monkeypatch, tmp_pat
     for name in ("multiple_vectors", "kernel_columns"):
         monkeypatch.setattr(submodules, name, refuse)
     monkeypatch.setattr(np.linalg, "svd", refuse)
-    with pytest.raises(ValueError, match="ambient dimension 45 exceeds DENSE_SVD_LIMIT=44"):
-        ungraded_submodule(w, [parse_polynomial("z1 - z2^2", num_vars=2)])
+    monkeypatch.setattr(np.linalg, "qr", refuse)
+    monkeypatch.setattr(scipy.linalg, "qr", refuse)
+    for gens in (["z1 - z2^2"], ["z1 - z2^2", "z1*z2"]):
+        with pytest.raises(ValueError, match="ambient dimension 45 exceeds DENSE_SVD_LIMIT=44"):
+            ungraded_submodule(w, [parse_polynomial(g, num_vars=2) for g in gens])
     with pytest.raises(ValueError, match="ambient dimension 45 exceeds DENSE_SVD_LIMIT=44"):
         span_of_point_evaluations(w, [(0.3, 0.1)])
     code = cli.main(["quotient-probe", "--m", "2", "--gens", "z1-z2^2", "--degrees", "6,8",
