@@ -453,9 +453,12 @@ def run_restriction_identity_check(trials: int = 200, seed: int = 0,
             gens.append(alpha)
         S = submodules.monomial_submodule(w, gens)
         decomp = ops.restricted_commutator_decomposition(T, S.sub)
-        lhs = ops.self_commutator(decomp.restricted).mat.toarray()
-        rhs = decomp.diagonal_part.mat.toarray() + decomp.corner_part.mat.toarray()
-        residual = float(np.abs(lhs - rhs).max(initial=0.0))
+        Y = decomp.restricted.mat.toarray()
+        lhs = Y.conj().T @ Y
+        lhs -= Y @ Y.conj().T
+        lhs -= decomp.diagonal_part + decomp.corner_part
+        residual = float(np.abs(lhs).max(initial=0.0))
+        del decomp, Y, lhs   # dense r x r blocks: free them before the next trial
         tab.add(t, m, N, residual)
         worst = max(worst, residual)
     passed = worst < residual_tol

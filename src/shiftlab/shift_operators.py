@@ -162,9 +162,13 @@ def coordinate_shift(w: WeightSet, i: int) -> TruncatedOperator:
     target = b.exponents[:top].copy()
     target[:, i - 1] += 1
     rows = b.rank(target, b.components[:top])
-    cols = np.arange(top)
     vals = np.exp(w.log_lambda[rows] - w.log_lambda[:top])
-    mat = sp.csr_matrix((vals, (rows, cols)), shape=(b.dimension, b.dimension))
+    # grlex is a monomial order, so rows increase with the column: the CSR
+    # arrays are one entry per hit row, the columns in order
+    indptr = np.zeros(b.dimension + 1, dtype=np.int64)
+    indptr[rows + 1] = 1
+    mat = sp.csr_matrix((vals, np.arange(top), np.cumsum(indptr)),
+                        shape=(b.dimension, b.dimension))
     return TruncatedOperator(b, mat, interior_degree=b.max_degree - 1, degree_raise=1)
 
 
@@ -373,12 +377,12 @@ def compress_to_frame(T: TruncatedOperator, frame: SubspaceFrame) -> TruncatedOp
     """
     # a dense product, also for sparse frames: a sparse one rounds differently,
     # and decay_exponent_fit counts round-off-sized singular values
-    return _compress(T, frame, frame.dense())
+    Q = frame.dense()
+    return _in_frame(T, frame, Q.conj().T @ (T.mat @ Q))
 
 
-def _compress(T: TruncatedOperator, frame: SubspaceFrame, Q: np.ndarray) -> TruncatedOperator:
-    """compress_to_frame with the frame's columns already densified as Q."""
-    R = Q.conj().T @ (T.mat @ Q)
+def _in_frame(T: TruncatedOperator, frame: SubspaceFrame, R: np.ndarray) -> TruncatedOperator:
+    """The r x r matrix R, in the frame's coordinates, as an operator with T's bookkeeping."""
     space = frame.to_space(T.space.max_degree)
     return TruncatedOperator(space, sp.csr_matrix(R),
                              interior_degree=T.interior_degree,
@@ -390,39 +394,42 @@ class BlockDecomposition:
     """The restriction Y of T to an invariant frame and the two summands of
     its self-commutator, [Y*,Y] = diagonal_part + corner_part.
 
-    diagonal_part = Q*[T*,T]Q, corner_part = Q*T(I - QQ*)T*Q; all three are
-    r x r operators in the frame's coordinates.
+    diagonal_part = Q*[T*,T]Q and corner_part = Q*T(I - QQ*)T*Q are r x r
+    Hermitian ndarrays in the frame's coordinates; restricted is Y = Q*TQ as
+    an operator, equal to restrict_to_invariant(T, frame).
     """
 
-    diagonal_part: TruncatedOperator
-    corner_part: TruncatedOperator
+    diagonal_part: np.ndarray
+    corner_part: np.ndarray
     restricted: TruncatedOperator
 
 
 def restricted_commutator_decomposition(T: TruncatedOperator,
                                         frame: SubspaceFrame) -> BlockDecomposition:
     """Split the self-commutator of T restricted to an invariant frame into
-    its compression and positive corner summands."""
+    its compression and positive corner summands.
+
+    Everything is read off the two ambient products TQ and U = T*Q, with Q
+    the frame densified once: Y = Q*(TQ), Q*[T*,T]Q = (TQ)*(TQ) - U*U and,
+    with V = (I - QQ*)U, the corner is V*V.  No ambient operator is formed.
+    """
     _check_invariant(T, frame, INVARIANCE_TOL)
-    Q = frame.dense()   # densified once for all three products
-    Y = _compress(T, frame, Q)
-    diag = _compress(self_commutator(T), frame, Q)
-    # (I - QQ*)T*Q, whose Gram matrix is the corner
-    V = T.mat.conj().T @ Q
-    V = V - Q @ (Q.conj().T @ V)
-    corner = V.conj().T @ V
+    Q = frame.dense()
+    TQ, U = T.mat @ Q, T.mat.conj().T @ Q
+    Y = _in_frame(T, frame, Q.conj().T @ TQ)
+    diag = TQ.conj().T @ TQ - U.conj().T @ U
+    U -= Q @ (Q.conj().T @ U)   # now V = (I - QQ*)T*Q
+    corner = U.conj().T @ U
+    del TQ, U                   # the ambient temporaries, before the r x r checks
 
     scale_sq = max(1.0, _norm_scale(T) ** 2)
-    for name, M in (("diagonal", diag.mat.toarray()), ("corner", corner)):
+    for name, M in (("diagonal", diag), ("corner", corner)):
         if np.abs(M - M.conj().T).max(initial=0.0) > SELF_ADJOINT_TOL * scale_sq:
             raise TheoremViolationError(f"{name} part failed self-adjointness check")
     eig_min = float(np.linalg.eigvalsh((corner + corner.conj().T) / 2).min(initial=0.0))
     if eig_min < -PSD_TOL * scale_sq:
         raise TheoremViolationError(f"corner part not positive semidefinite: min eig {eig_min:.3e}")
-
-    corner_op = TruncatedOperator(diag.space, sp.csr_matrix(corner),
-                                  interior_degree=diag.interior_degree)
-    return BlockDecomposition(diag, corner_op, Y)
+    return BlockDecomposition(diag, corner, Y)
 
 
 def direct_sum(operators) -> TruncatedOperator:

@@ -247,7 +247,7 @@ def ungraded_submodule(w: WeightSet, generators) -> SubmoduleBasis:
     schatten.check_dense_svd_size(b.dimension, "ambient")
     X = sp.hstack([multiple_vectors(w, g, 0, b.max_degree - g.max_degree, scaled=False)
                    for g in generators], format="csc")
-    if len(generators) > 1:
+    if len(generators) > 1 and X.shape[1]:   # no multiple within degree N: {0}
         import scipy.linalg  # not at module level: the import adds ~5 MB to every run
         R, piv = scipy.linalg.qr(X.toarray(), mode="r", pivoting=True)
         diag = np.abs(np.diag(R))

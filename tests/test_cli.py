@@ -223,6 +223,14 @@ def test_ungraded_quotient_norms_settle_at_large_degree(tmp_path):
     assert abs(largest[60] - largest[40]) <= 0.05 * largest[40]
 
 
+def test_quotient_by_generators_with_no_multiple_in_range_is_the_whole_space(tmp_path):
+    # no multiple of either generator fits in degree 12: the submodule is {0}
+    code = run_cli(["quotient-probe", "--m", "2", "--gens", "z1^20+z2;z2^20+z1", "--p", "1",
+                    "--degrees", "6,8,10,12"], tmp_path)
+    assert code == 0
+    assert (tmp_path / "quotient_smoothness_probe-t" / "report.json").exists()
+
+
 def test_trace_inequality_rejects_coincident_points(tmp_path, capsys):
     assert run_cli(["trace-inequality", "--m", "1", "--points", "0.5;0.5"], tmp_path) == 2
     assert "nearly coincident evaluation points" in capsys.readouterr().err

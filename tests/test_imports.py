@@ -1,8 +1,10 @@
-"""No shiftlab module reaches into another module's private names, and every
-test module imports."""
+"""No shiftlab module reaches into another module's private names, every
+test module imports, and the benchmark's traced groups name real functions."""
 
 import ast
 import importlib
+import importlib.util
+import inspect
 from pathlib import Path
 
 import pytest
@@ -64,3 +66,40 @@ def test_every_test_module_imports(name):
     # a test module that no longer imports is a collection error, which a run
     # that continues on collection errors would report apart from its failures
     importlib.import_module(name)
+
+
+def _benchmark_layers():
+    """perfbench/layers.py, which imports nothing from shiftlab."""
+    path = Path(__file__).parents[1] / "perfbench" / "layers.py"
+    spec = importlib.util.spec_from_file_location("perfbench_layers", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def _is_public_function(qualname):
+    module, _, name = qualname.partition(".")
+    if module not in SIBLINGS or _private(name):
+        return False
+    return inspect.isfunction(getattr(importlib.import_module(f"shiftlab.{module}"), name, None))
+
+
+def groups_without_a_function(groups):
+    """Self-time groups none of whose names is a public shiftlab function:
+    a rename would silently read their metric as 0."""
+    return [metric for metric, names in groups.items()
+            if not any(_is_public_function(n) for n in names)]
+
+
+def test_every_traced_self_time_group_names_a_function():
+    assert groups_without_a_function(_benchmark_layers().SELF_TIME_GROUPS) == []
+
+
+def test_stale_self_time_groups_are_detected():
+    groups = {"ok": ("shift_operators.coordinate_shift", "shift_operators.gone"),
+              "renamed": ("shift_operators.gone",),
+              "private": ("shift_operators._norm_scale",),
+              "not_a_function": ("shift_operators.INVARIANCE_TOL",),
+              "no_module": ("nowhere.coordinate_shift",)}
+    assert groups_without_a_function(groups) == ["renamed", "private", "not_a_function",
+                                                  "no_module"]

@@ -143,7 +143,7 @@ def test_restriction_identity_monomial_submodules(rng):
 
         dec = restricted_commutator_decomposition(T, S.sub)
         lhs = _dense(self_commutator(dec.restricted))
-        rhs = _dense(dec.diagonal_part) + _dense(dec.corner_part)
+        rhs = dec.diagonal_part + dec.corner_part
         assert np.abs(lhs - rhs).max(initial=0.0) < 1e-12
 
 
@@ -152,7 +152,7 @@ def test_restriction_identity_corner_is_psd(rng):
     S = monomial_submodule(w, [monomial_generator((1, 1), num_vars=2)])
     T = coordinate_shift(w, 1)
     dec = restricted_commutator_decomposition(T, S.sub)
-    eigs = np.linalg.eigvalsh(_dense(dec.corner_part))
+    eigs = np.linalg.eigvalsh(dec.corner_part)
     assert eigs.min() > -1e-12
 
 
@@ -287,10 +287,10 @@ def test_restricted_commutator_decomposition_matches_dense_ambient_oracle(seed, 
     corner = F.conj().T @ (P @ Tm @ Pperp @ Tm.conj().T @ P) @ F
     # entries are quadratic in T: errors relative to its largest entry squared
     tol = 1e-12 * max(1.0, np.abs(Tm).max() ** 2)
-    assert np.abs(_dense(dec.diagonal_part) - diagonal).max(initial=0.0) < tol
-    assert np.abs(_dense(dec.corner_part) - corner).max(initial=0.0) < tol
+    assert np.abs(dec.diagonal_part - diagonal).max(initial=0.0) < tol
+    assert np.abs(dec.corner_part - corner).max(initial=0.0) < tol
     lhs = _dense(self_commutator(dec.restricted))
-    rhs = _dense(dec.diagonal_part) + _dense(dec.corner_part)
+    rhs = dec.diagonal_part + dec.corner_part
     assert np.abs(lhs - rhs).max(initial=0.0) < tol
 
 
@@ -306,6 +306,26 @@ def test_restricted_commutator_decomposition_densifies_the_frame_once(monkeypatc
     monkeypatch.setattr(SubspaceFrame, "dense", counted)
     restricted_commutator_decomposition(coordinate_shift(w, 1), S.sub)
     assert calls == [S.sub]
+
+
+@pytest.mark.parametrize("kind", ["monomial", "homogeneous-real", "homogeneous-complex"])
+def test_restricted_commutator_decomposition_forms_no_ambient_operator(kind, monkeypatch):
+    # everything comes from TQ and T*Q: no ambient product or commutator
+    rng = np.random.default_rng(11)
+    w, S = _random_submodule(rng, 3, kind)
+    T = add(coordinate_shift(w, 1), scale(coordinate_shift(w, 2), 0.5 - 0.25j))
+    expected = restrict_to_invariant(T, S.sub).mat
+
+    def refuse(*args):
+        raise AssertionError("ambient operator formed")
+    for name in ("multiply", "self_commutator", "commutator"):
+        monkeypatch.setattr(shift_operators, name, refuse)
+    dec = restricted_commutator_decomposition(T, S.sub)
+    assert np.array_equal(dec.restricted.mat.toarray(), expected.toarray())
+    r = S.sub.rank
+    for part in (dec.diagonal_part, dec.corner_part):
+        assert isinstance(part, np.ndarray) and part.shape == (r, r)
+        assert np.abs(part - part.conj().T).max(initial=0.0) <= 1e-13
 
 
 def test_invariance_residual_of_noninvariant_pairs():
@@ -407,8 +427,8 @@ def _shift_by_monomial_loop(w, i):
     return sp.csr_matrix((vals, (dst, src)), shape=(b.dimension, b.dimension)), comp0
 
 
-@pytest.mark.parametrize("m,N,k", [(1, 12, 1), (1, 0, 2), (2, 10, 2), (3, 8, 1),
-                                   (3, 5, 3), (4, 6, 1)])
+@pytest.mark.parametrize("m,N,k", [(1, 12, 1), (1, 0, 2), (1, 9, 2), (2, 10, 2), (3, 8, 1),
+                                   (3, 5, 2), (3, 5, 3), (4, 6, 1), (4, 4, 2)])
 @pytest.mark.parametrize("family", ["random", "drury-arveson", "bergman-ball",
                                     "hardy-ball", "factorial-delta"])
 def test_coordinate_shift_is_bit_identical_to_monomial_loop(m, N, k, family, rng):
@@ -417,7 +437,9 @@ def test_coordinate_shift_is_bit_identical_to_monomial_loop(m, N, k, family, rng
     else:
         w = family_weights(family, enumerate_basis(m, N, k), delta=1.5)
     for i in range(1, m + 1):
+        # built from its CSR arrays directly: they must be the (values, (rows, cols)) build's
         got = coordinate_shift(w, i).mat
+        assert got.has_canonical_format
         expected, comp0 = _shift_by_monomial_loop(w, i)
         for name in ("data", "indices", "indptr"):
             a, b = getattr(got, name), getattr(expected, name)

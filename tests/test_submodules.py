@@ -7,6 +7,7 @@ import scipy.sparse as sp
 from hypothesis import given, settings, strategies as st
 
 from shiftlab import (PolynomialGenerator, RankCollapseError, bergman_ball_weights,
+                      compress_to_frame, coordinate_shift, cross_commutators,
                       drury_arveson_weights, enumerate_basis,
                       homogeneous_submodule, monomial_generator,
                       monomial_submodule, parse_polynomial, projection_matrix,
@@ -58,6 +59,29 @@ def test_homogeneous_agrees_with_monomial(rng):
     Pm = projection_matrix(monomial_submodule(w, [gen]), Side.SUBMODULE)
     Ph = projection_matrix(homogeneous_submodule(w, [gen]), Side.SUBMODULE)
     assert np.abs(Pm - Ph).max() < 1e-10
+
+
+def _commutator_hs_sum(S, m):
+    """sum over all (i, j) of ||[S_i*, S_j]||_2^2 on the interior window, S_i the
+    compressions of the shifts to the quotient; no SVD."""
+    shifts = [compress_to_frame(coordinate_shift(S.weights, i), S.comp) for i in range(1, m + 1)]
+    return sum((1 if i == j else 2) * float(np.sum(np.abs(C.window().data) ** 2))
+               for (i, j), C in cross_commutators(shifts).items())
+
+
+@pytest.mark.parametrize("family,m,N", [(drury_arveson_weights, 2, 20),
+                                        (drury_arveson_weights, 2, 40),
+                                        (bergman_ball_weights, 3, 10)])
+def test_rotation_oracle_binomial_quotient_matches_monomial_quotient(family, m, N):
+    # z1^2-z2^2 = 2uv with u, v = (z1 -+ z2)/sqrt(2): a unitary change of
+    # variables, under which these weights are invariant, carries the ideal
+    # [z1^2-z2^2] to [z1*z2].  The HS sum over all pairs is unitarily
+    # invariant, and the monomial side has exact coordinate frames.
+    w = family(enumerate_basis(m, N))
+    binomial = homogeneous_submodule(w, [parse_polynomial("z1^2-z2^2", num_vars=m)])
+    monomial = monomial_submodule(w, [(1, 1) + (0,) * (m - 2)])
+    a, b = _commutator_hs_sum(binomial, m), _commutator_hs_sum(monomial, m)
+    assert abs(a - b) <= 1e-12 * b
 
 
 def test_homogeneous_binomial_ideal_dimensions():
@@ -258,6 +282,16 @@ def test_ungraded_frame_keeps_independent_multiples_of_several_generators(family
     assert S.sub.rank + S.comp.rank == w.basis.dimension
     # the dropped multiples lie in the span of the kept ones
     assert _largest_column_residual(S, w, gens) <= 1e-12
+
+
+@pytest.mark.parametrize("texts", [["z1^20+z2"], ["z1^20+z2", "z2^20+z1"]])
+def test_ungraded_submodule_with_no_multiple_in_range_is_zero(texts):
+    w = drury_arveson_weights(enumerate_basis(2, 12))
+    S = ungraded_submodule(w, [parse_polynomial(t, 2) for t in texts])
+    assert S.sub.rank == 0
+    assert S.comp.rank == w.basis.dimension
+    assert np.allclose(S.comp.columns.T @ S.comp.columns, np.eye(w.basis.dimension),
+                       rtol=0, atol=1e-14)
 
 
 def test_frames_expose_stored_bytes_and_graded_frames_stay_per_slice():
