@@ -405,20 +405,21 @@ def run_quotient_smoothness_probe(generators, m: int, p_values, degree_sweep=Non
         # quotient-module action = compression of the shifts to the complement
         Rs = [ops.compress_to_frame(Z, S.comp) for Z in shifts]
         comms = ops.cross_commutators(Rs)
-        norms = {key: schatten.window_norms(C, [N], p_values) for key, C in comms.items()}
+        spectra = {key: schatten.window_spectra(C, [N])[N] for key, C in comms.items()}
         for p in p_values:
-            vmax = 0.0
+            norms = {key: schatten.spectrum_norm(s, p) for key, s in spectra.items()}
             for (i, j), norm in norms.items():
-                tab.add(i, j, p, N, norm[N, p])
-                vmax = max(vmax, norm[N, p])
-            trends[p].append((N, vmax))
-        last_comms = (N, comms)
+                tab.add(i, j, p, N, norm)
+            trends[p].append((N, max(norms.values())))
+        last_comms = (N, comms, spectra)
     for p, trend in trends.items():
         verdict, details = schatten.convergence_diagnostic(trend)
         rep.set_verdict(f"quotient_p={_fmt(p)}", verdict, details)
-    N, comms = last_comms
+    N, comms, spectra = last_comms
     for (i, j), C in comms.items():
-        fit = schatten.decay_exponent_fit(schatten.singular_values(C, N))
+        # ungraded: the norms' spectrum is singular_values; graded ones are block spectra
+        s = schatten.singular_values(C, N) if ops.is_graded(C.space) else spectra[i, j]
+        fit = schatten.decay_exponent_fit(s)
         if fit is not None:
             fits.add(i, j, fit.beta, fit.critical_exponent, fit.residual)
     return rep

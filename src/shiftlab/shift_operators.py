@@ -128,6 +128,8 @@ class TruncatedOperator:
 
     def window(self, max_window_degree=None) -> sp.csr_matrix:
         """The interior window as a CSR matrix: the whole matrix when ungraded."""
+        if not is_graded(self.space):
+            return self.mat.tocsr()
         idx = self.window_indices(max_window_degree)
         return self.mat.tocsr()[idx][:, idx]
 
@@ -178,19 +180,29 @@ def adjoint(T: TruncatedOperator) -> TruncatedOperator:
                              degree_raise=-T.degree_raise)
 
 
+def _full_csr(M: np.ndarray) -> sp.csr_matrix:
+    """A C-ordered dense block as a CSR holding every entry, with no scan for zeros."""
+    n, k = M.shape
+    return sp.csr_matrix((M.ravel(), np.tile(np.arange(k), n), np.arange(0, n * k + 1, k)),
+                         shape=M.shape)
+
+
+def _product(A: TruncatedOperator, B: TruncatedOperator, mat,
+             adjoint_a: bool = False) -> TruncatedOperator:
+    """A B (A* B when adjoint_a) with matrix mat: the composed interior and degree raise."""
+    raise_a = -A.degree_raise if adjoint_a else A.degree_raise
+    interior = min(A.interior_degree, B.interior_degree) - max(raise_a, B.degree_raise, 0)
+    return TruncatedOperator(A.space, mat, interior_degree=interior,
+                             degree_raise=raise_a + B.degree_raise)
+
+
 def multiply(A: TruncatedOperator, B: TruncatedOperator) -> TruncatedOperator:
     """A B.  An ungraded space is one dense block: its product goes through
-    BLAS and is stored sparse like every other operator."""
+    BLAS and is stored as a CSR holding every entry."""
     _same_space(A, B)
-    interior = min(A.interior_degree, B.interior_degree) \
-        - max(A.degree_raise, B.degree_raise, 0)
     if is_graded(A.space):
-        mat = (A.mat @ B.mat).tocsr()
-    else:
-        mat = sp.csr_matrix(A.mat.toarray() @ B.mat.toarray())
-    return TruncatedOperator(A.space, mat,
-                             interior_degree=interior,
-                             degree_raise=A.degree_raise + B.degree_raise)
+        return _product(A, B, (A.mat @ B.mat).tocsr())
+    return _product(A, B, _full_csr(A.mat.toarray() @ B.mat.toarray()))
 
 
 def add(A: TruncatedOperator, B: TruncatedOperator) -> TruncatedOperator:
@@ -211,9 +223,17 @@ def scale(T: TruncatedOperator, c) -> TruncatedOperator:
 
 
 def commutator(A: TruncatedOperator, B: TruncatedOperator) -> TruncatedOperator:
-    """[A*, B] = A*B - BA* for two operators on the same space."""
-    As = adjoint(A)
-    return subtract(multiply(As, B), multiply(B, As))
+    """[A*, B] = A*B - BA* for two operators on the same space.  An ungraded
+    space is one dense block: two BLAS products, A* C-ordered as multiply's
+    operands are, so every entry rounds as in the composed form."""
+    _same_space(A, B)
+    if is_graded(A.space):
+        As = adjoint(A)
+        return subtract(multiply(As, B), multiply(B, As))
+    a, b = np.ascontiguousarray(A.mat.toarray().conj().T), B.mat.toarray()
+    C = a @ b
+    C -= b @ a
+    return _product(A, B, _full_csr(C), adjoint_a=True)
 
 
 def self_commutator(T: TruncatedOperator) -> TruncatedOperator:
@@ -317,9 +337,7 @@ def invariance_residual(T: TruncatedOperator, frame: SubspaceFrame) -> float:
     if not frame.graded:
         Q = frame.columns
         Y = T.mat @ Q
-        resid = (Y - Q @ (Q.conj().T @ Y))[T.window_indices()]
-        s = np.linalg.svd(resid, compute_uv=False) if resid.size else np.zeros(0)
-        return float(s.max(initial=0.0)) / _norm_scale(T)
+        return _dense_residual(T, Y - Q @ (Q.conj().T @ Y), _norm_scale(T))
 
     deg = np.asarray(T.space.degrees)
     col_deg = np.asarray(frame.col_degrees)
@@ -356,15 +374,26 @@ def invariance_residual(T: TruncatedOperator, frame: SubspaceFrame) -> float:
     return float(sigma) / _norm_scale(T)
 
 
+def _dense_residual(T: TruncatedOperator, D: np.ndarray, scale: float,
+                    tol: float = -1.0) -> float:
+    """Relative 2-norm of the dense residual D on T's interior rows (a view
+    when they lead D); the Frobenius bound instead when that is at most tol."""
+    idx = T.window_indices()
+    D = D[:idx.size] if np.array_equal(idx, np.arange(idx.size)) else D[idx]
+    bound = float(np.sqrt(np.vdot(D, D).real)) / scale
+    if bound <= tol:
+        return bound
+    return float(np.linalg.svd(D, compute_uv=False).max(initial=0.0)) / scale
+
+
 def restrict_to_invariant(T: TruncatedOperator, frame: SubspaceFrame,
                           tol: float = INVARIANCE_TOL) -> TruncatedOperator:
     """Express T on an invariant subspace in the frame's orthonormal basis."""
-    _check_invariant(T, frame, tol)
+    _check_invariant(invariance_residual(T, frame), tol)
     return compress_to_frame(T, frame)
 
 
-def _check_invariant(T: TruncatedOperator, frame: SubspaceFrame, tol: float):
-    resid = invariance_residual(T, frame)
+def _check_invariant(resid: float, tol: float):
     if resid > tol:
         raise InvarianceError(resid, tol)
 
@@ -384,7 +413,9 @@ def compress_to_frame(T: TruncatedOperator, frame: SubspaceFrame) -> TruncatedOp
 def _in_frame(T: TruncatedOperator, frame: SubspaceFrame, R: np.ndarray) -> TruncatedOperator:
     """The r x r matrix R, in the frame's coordinates, as an operator with T's bookkeeping."""
     space = frame.to_space(T.space.max_degree)
-    return TruncatedOperator(space, sp.csr_matrix(R),
+    # a graded restriction keeps only its nonzeros, so its products stay sparse
+    mat = sp.csr_matrix(R) if frame.graded else _full_csr(R)
+    return TruncatedOperator(space, mat,
                              interior_degree=T.interior_degree,
                              degree_raise=T.degree_raise)
 
@@ -412,24 +443,28 @@ def restricted_commutator_decomposition(T: TruncatedOperator,
     Everything is read off the two ambient products TQ and U = T*Q, with Q
     the frame densified once: Y = Q*(TQ), Q*[T*,T]Q = (TQ)*(TQ) - U*U and,
     with V = (I - QQ*)U, the corner is V*V.  No ambient operator is formed.
+    The invariance residual is that of TQ - QY, formed in place in TQ.
     """
-    _check_invariant(T, frame, INVARIANCE_TOL)
+    scale = _norm_scale(T)
     Q = frame.dense()
     TQ, U = T.mat @ Q, T.mat.conj().T @ Q
-    Y = _in_frame(T, frame, Q.conj().T @ TQ)
+    Y = Q.conj().T @ TQ
     diag = TQ.conj().T @ TQ - U.conj().T @ U
+    TQ -= Q @ Y                 # now (I - QQ*)TQ
+    _check_invariant(_dense_residual(T, TQ, scale, INVARIANCE_TOL), INVARIANCE_TOL)
+    del TQ
     U -= Q @ (Q.conj().T @ U)   # now V = (I - QQ*)T*Q
     corner = U.conj().T @ U
-    del TQ, U                   # the ambient temporaries, before the r x r checks
+    del U                       # the ambient temporaries, before the r x r checks
 
-    scale_sq = max(1.0, _norm_scale(T) ** 2)
+    scale_sq = max(1.0, scale ** 2)
     for name, M in (("diagonal", diag), ("corner", corner)):
         if np.abs(M - M.conj().T).max(initial=0.0) > SELF_ADJOINT_TOL * scale_sq:
             raise TheoremViolationError(f"{name} part failed self-adjointness check")
     eig_min = float(np.linalg.eigvalsh((corner + corner.conj().T) / 2).min(initial=0.0))
     if eig_min < -PSD_TOL * scale_sq:
         raise TheoremViolationError(f"corner part not positive semidefinite: min eig {eig_min:.3e}")
-    return BlockDecomposition(diag, corner, Y)
+    return BlockDecomposition(diag, corner, _in_frame(T, frame, Y))
 
 
 def direct_sum(operators) -> TruncatedOperator:

@@ -5,7 +5,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from shiftlab import monomial_generator, parse_polynomial, schatten
+from shiftlab import monomial_generator, parse_polynomial, schatten, shift_operators as ops
 from shiftlab.experiments import (TheoremViolationError, run_submodule_probe,
                                   run_trace_inequality_check,
                                   run_direct_sum_trends, run_ramp_block_norms,
@@ -124,16 +124,31 @@ def test_csv_floats_roundtrip(tmp_path):
 def test_sweeps_take_one_spectrum_per_window(probe, monkeypatch):
     # every (d, p) of a sweep is derived from one spectral pass per operator;
     # the quotient probe builds new operators per degree, one window each
-    calls = []
-    real = schatten.window_spectra
+    calls, dense_calls, commutators = [], [], []
+    real, real_dense = schatten.window_spectra, schatten.singular_values
+    real_commutators = ops.cross_commutators
 
     def counted(T, degrees, *args, **kwargs):
         calls.append(tuple(degrees))
         return real(T, degrees, *args, **kwargs)
+
+    def counted_dense(T, *args, **kwargs):
+        dense_calls.append(T)
+        return real_dense(T, *args, **kwargs)
+
+    def kept(operators):
+        commutators.append(real_commutators(operators))
+        return commutators[-1]
     monkeypatch.setattr(schatten, "window_spectra", counted)
-    for sweep in ([4, 5, 6, 7], [3, 5, 6, 7, 8, 9]):
+    monkeypatch.setattr(schatten, "singular_values", counted_dense)
+    monkeypatch.setattr(ops, "cross_commutators", kept)
+    sweeps = [[4, 5, 6, 7], [3, 5, 6, 7, 8, 9]]
+    if probe == "quotient-ungraded":
+        sweeps.append([10, 20, 30, 40])       # wide enough for decay fits
+    for sweep in sweeps:
         for p_values in ([1.0], [1.0, 2.0, 3.0, np.inf]):
             calls.clear()
+            dense_calls.clear()
             # three pairs (1,1), (1,2), (2,2) at m=2
             if probe == "submodule":
                 run_submodule_probe("drury-arveson", m=2, k=1,
@@ -146,7 +161,16 @@ def test_sweeps_take_one_spectrum_per_window(probe, monkeypatch):
                 expected = [tuple(sweep)] * 5 * 2      # per (operator, delta)
             else:
                 gen = "z1^2 - z2^2" if probe == "quotient-graded" else "z1 - z2^2"
-                run_quotient_smoothness_probe([parse_polynomial(gen, 2)], m=2,
-                                              p_values=p_values, degree_sweep=sweep)
+                rep = run_quotient_smoothness_probe([parse_polynomial(gen, 2)], m=2,
+                                                    p_values=p_values, degree_sweep=sweep)
                 expected = [(d,) for d in sweep] * 3   # per (degree, pair)
             assert sorted(calls) == sorted(expected)
+            if probe == "quotient-ungraded":
+                # one dense spectrum per window: the decay fit reuses the last
+                # degree's, which is singular_values itself on ungraded windows
+                assert len(dense_calls) == len(sweep) * 3
+                fits = [(i, j, fit.beta, fit.critical_exponent, fit.residual)
+                        for (i, j), C in commutators[-1].items()
+                        if (fit := schatten.decay_exponent_fit(real_dense(C, sweep[-1])))]
+                assert rep.tables["decay_fits"].rows == fits
+                assert fits or sweep[-1] < 40

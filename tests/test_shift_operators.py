@@ -394,19 +394,64 @@ def test_graded_invariance_residual_never_densifies_the_frame(monkeypatch):
     assert invariance_residual(adjoint(coordinate_shift(w, 1)), S.sub) > 0.1
 
 
-def test_ungraded_products_are_blas_products_stored_sparse():
-    # every operator keeps a sparse .mat with an int nnz, also on the dense
-    # one-block (ungraded) path
+def _ungraded_compressions():
+    """Real quotient compressions and complex point-evaluation compressions."""
     w = drury_arveson_weights(enumerate_basis(3, 6))
     S = ungraded_submodule(w, [parse_polynomial("z1 - z2*z3", 3)])
-    R1, R2 = (compress_to_frame(coordinate_shift(w, i), S.comp) for i in (1, 2))
-    A, B = _dense(R1), _dense(R2)
-    results = [(R1, A), (multiply(R1, R2), A @ B),
-               (commutator(R1, R2), A.conj().T @ B - B @ A.conj().T)]
-    for T, expected in results:
-        assert not T.space.graded
-        assert sp.issparse(T.mat) and type(T.mat.nnz) is int
-        assert np.abs(_dense(T) - expected).max() < 1e-14
+    yield [compress_to_frame(coordinate_shift(w, i), S.comp) for i in (1, 2)]
+    w = drury_arveson_weights(enumerate_basis(2, 8))
+    S = span_of_point_evaluations(w, [(0.3, 0.1j), (-0.2 + 0.1j, 0.4), (0.1, -0.3)])
+    yield [compress_to_frame(adjoint(coordinate_shift(w, i)), S.comp) for i in (1, 2)]
+
+
+def test_ungraded_products_are_blas_products_stored_sparse(monkeypatch):
+    # every operator keeps a sparse .mat with an int nnz, also on the dense
+    # one-block (ungraded) path, where it holds every entry
+    cases = list(_ungraded_compressions())
+    composed = []
+    for R1, R2 in cases:
+        A, B = _dense(R1), _dense(R2)
+        results = [(R1, A), (multiply(R1, R2), A @ B),
+                   (commutator(R1, R2), A.conj().T @ B - B @ A.conj().T)]
+        for T, expected in results:
+            assert not T.space.graded
+            assert sp.issparse(T.mat) and type(T.mat.nnz) is int
+            assert T.mat.nnz == T.dimension ** 2
+            assert np.abs(_dense(T) - expected).max() < 1e-14
+        composed.append(subtract(multiply(adjoint(R1), R2), multiply(R2, adjoint(R1))))
+
+    def refuse(*args):
+        raise AssertionError("composed operator algebra called")
+    for name in ("add", "scale", "adjoint", "multiply"):
+        monkeypatch.setattr(shift_operators, name, refuse)
+    # the BLAS commutator is the composed one, entry for entry, and calls none of it
+    for (R1, R2), expected in zip(cases, composed):
+        C = commutator(R1, R2)
+        assert np.array_equal(_dense(C), _dense(expected))
+        assert (C.interior_degree, C.degree_raise) == \
+            (expected.interior_degree, expected.degree_raise)
+
+
+def test_decomposition_checks_invariance_without_invariance_residual(monkeypatch):
+    # the decomposition reads the residual off its own TQ - QY, and reports
+    # the exact 2-norm when it refuses a frame
+    w = drury_arveson_weights(enumerate_basis(3, 6))
+    S = homogeneous_submodule(w, [parse_polynomial("z1^2 - z2^2", num_vars=3)])
+    cases = [(adjoint(coordinate_shift(w, 1)), S.sub), (coordinate_shift(w, 2), S.comp)]
+    expected = [invariance_residual(T, frame) for T, frame in cases]
+    good = restricted_commutator_decomposition(coordinate_shift(w, 1), S.sub)
+
+    def refuse(*args):
+        raise AssertionError("invariance_residual called")
+    monkeypatch.setattr(shift_operators, "invariance_residual", refuse)
+    for (T, frame), resid in zip(cases, expected):
+        assert resid > 0.1
+        with pytest.raises(InvarianceError) as err:
+            restricted_commutator_decomposition(T, frame)
+        assert err.value.residual == pytest.approx(resid, rel=1e-12)
+    again = restricted_commutator_decomposition(coordinate_shift(w, 1), S.sub)
+    for name in ("diagonal_part", "corner_part"):
+        assert np.array_equal(getattr(again, name), getattr(good, name))
 
 
 def _shift_by_monomial_loop(w, i):
