@@ -173,4 +173,4 @@ def test_sweeps_take_one_spectrum_per_window(probe, monkeypatch):
                         for (i, j), C in commutators[-1].items()
                         if (fit := schatten.decay_exponent_fit(real_dense(C, sweep[-1])))]
                 assert rep.tables["decay_fits"].rows == fits
-                assert fits or sweep[-1] < 40
+                assert fits or sweep[-1] < 40      # the short sweeps fit nothing
