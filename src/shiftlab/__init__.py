@@ -9,9 +9,9 @@ reproducible CSV reports.
 from .graded_basis import GradedBasis, enumerate_basis
 from .polynomials import (PolynomialGenerator, PolynomialSyntaxError,
                           monomial_generator, parse_generators, parse_polynomial)
-from .schatten import (ApWitness, DecayFit, DiagnosticThresholds,
-                       Verdict, ap_witness, convergence_diagnostic,
-                       decay_exponent_fit, schatten_norm, singular_values)
+from .schatten import (ApWitness, DecayFit, Verdict, ap_witness,
+                       convergence_diagnostic, decay_exponent_fit,
+                       schatten_norm, singular_values)
 from .shift_operators import (BlockDecomposition, InvarianceError, RestrictedSpace,
                               SubspaceFrame, TruncatedOperator, add, adjoint,
                               commutator, compress_to_frame,

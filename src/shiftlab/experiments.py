@@ -14,7 +14,7 @@ from pathlib import Path
 import numpy as np
 
 from . import schatten, shift_operators as ops, submodules, weight_models as wm
-from .graded_basis import enumerate_basis
+from .graded_basis import DEFAULT_DIMENSION_CAP, count_up_to_degree, enumerate_basis
 from .schatten import Verdict
 from .shift_operators import SubspaceFrame, TheoremViolationError
 
@@ -272,8 +272,7 @@ def run_submodule_probe(family: str, m: int, k: int, generators, p_values,
 
 def _adjoint_closure(Tmat, vectors):
     """Close a span under a degree-lowering operator; terminates since degree drops."""
-    cols = [v / np.linalg.norm(v) for v in vectors]
-    M = np.column_stack(cols)
+    M = np.column_stack([v / np.linalg.norm(v) for v in vectors])
     for _ in range(CLOSURE_MAX_ROUNDS):
         cand = np.column_stack([M, Tmat @ M])
         U, s, _ = np.linalg.svd(cand, full_matrices=False)
@@ -285,6 +284,40 @@ def _adjoint_closure(Tmat, vectors):
     raise RuntimeError("adjoint closure did not stabilize")
 
 
+def _nested_frames(family, m, N, delta, points, generators):
+    """(Z_1*, frame) at truncation degree N, the frame spanning the first n
+    points' kernel vectors or the adjoint closure of the first n generators,
+    for n = 1, 2, ..."""
+    w = wm.family_weights(family, enumerate_basis(m, N), delta)
+    T = ops.adjoint(ops.coordinate_shift(w, 1))
+    if points:
+        K = submodules.kernel_columns(w, points, [0])
+    else:
+        K = np.hstack([submodules.multiple_vectors(w, g, 0, 0).toarray() for g in generators])
+    for n in range(1, K.shape[1] + 1):
+        if points:
+            # kernel vectors are joint eigenvectors of the adjoint shifts:
+            # their span is already invariant, no closure needed
+            cols, s, _ = np.linalg.svd(K[:, :n], full_matrices=False)
+            submodules.check_distinct_points(s)
+        else:
+            cols = _adjoint_closure(T.mat.toarray(), list(K[:, :n].T))
+        yield T, SubspaceFrame.ungraded(cols)
+
+
+def _point_sweep(family, m, points, delta, sweep):
+    """The sweep, shifted up by its step until the kernel vectors truncated at
+    its smallest degree pass the invariance check (their residual falls
+    roughly like max|z|^(2N))."""
+    while count_up_to_degree(m, sweep[0]) <= DEFAULT_DIMENSION_CAP:
+        if all(ops.invariance_residual(T, frame) <= CLOSURE_INVARIANCE_TOL
+               for T, frame in _nested_frames(family, m, sweep[0], delta, points, None)):
+            return sweep
+        sweep = [d + sweep[1] - sweep[0] for d in sweep]
+    raise ValueError(f"these points need truncation degree N={sweep[0]} or more, past "
+                     f"the basis dimension cap {DEFAULT_DIMENSION_CAP}")
+
+
 @_timed
 def run_trace_inequality_check(family: str, m: int, points=None, generators=None,
                           degree_sweep=None, delta: float | None = None) -> ExperimentReport:
@@ -292,35 +325,20 @@ def run_trace_inequality_check(family: str, m: int, points=None, generators=None
     if (points is None) == (generators is None):
         raise ValueError("provide exactly one of points / generators")
     sweep = schatten.sweep_degrees(degree_sweep or ((24, 32, 40) if m == 1 else (12, 16, 20)))
+    if points and not degree_sweep:
+        sweep = _point_sweep(family, m, points, delta, sweep)
     rep = ExperimentReport("trace_inequality_check", {
         "family": family, "m": m, "delta": delta,
         "points": [str(p) for p in points] if points else [],
         "generators": [str(sorted(g.terms)) for g in generators] if generators else [],
         "degree_sweep": sweep, "inequality_slack": INEQUALITY_SLACK})
-    tab = rep.table("trace_inequality", ["degree", "n", "trace_P", "trace_norm_C",
-                                         "holds"])
+    tab = rep.table("trace_inequality", ["degree", "n", "trace_P", "trace_norm_C", "holds"])
     trend = rep.table("c_norm_trend", ["degree", "value"])
 
-    count = len(points) if points else len(generators)
     for N in sweep:
-        basis = enumerate_basis(m, N)
-        w = wm.family_weights(family, basis, delta)
-        T = ops.adjoint(ops.coordinate_shift(w, 1))
-        if points:
-            K = submodules.kernel_columns(w, points, range(basis.multiplicity))
-        else:
-            K = np.hstack([submodules.multiple_vectors(w, g, 0, 0).toarray()
-                           for g in generators])
+        frames = _nested_frames(family, m, N, delta, points, generators)
         last = None
-        for n in range(1, count + 1):
-            if points:
-                # kernel vectors are joint eigenvectors of the adjoint shifts:
-                # their span is already invariant, no closure needed
-                cols, s, _ = np.linalg.svd(K[:, :n], full_matrices=False)
-                submodules.check_distinct_points(s)
-            else:
-                cols = _adjoint_closure(T.mat.toarray(), list(K[:, :n].T))
-            frame = SubspaceFrame.ungraded(cols)
+        for n, (T, frame) in enumerate(frames, start=1):
             try:
                 Tn = ops.restrict_to_invariant(T, frame, tol=CLOSURE_INVARIANCE_TOL)
             except ops.InvarianceError as exc:
@@ -329,8 +347,8 @@ def run_trace_inequality_check(family: str, m: int, points=None, generators=None
                 r = max(np.linalg.norm(np.asarray(z, dtype=complex)) for z in points)
                 raise ValueError(
                     f"{exc} at truncation degree N={N}: kernel vectors truncated at "
-                    f"degree N are invariant only up to a tail of order "
-                    f"max|z|^(N+1) = {r ** (N + 1):.1e}; try a larger --degrees"
+                    f"degree N are invariant only up to a tail that falls roughly like "
+                    f"max|z|^(2N) = {r ** (2 * N):.1e}; try a larger --degrees"
                 ) from None
             comm = ops.self_commutator(Tn)
             wit = schatten.ap_witness(comm, p=1)
@@ -345,7 +363,7 @@ def run_trace_inequality_check(family: str, m: int, points=None, generators=None
             last = c1
         trend.add(N, last)
     rep.verdicts["trace_inequality"] = {
-        "holds": True, "instances": len(sweep) * count,
+        "holds": True, "instances": len(sweep) * len(points or generators),
         "slack": INEQUALITY_SLACK}
     return rep
 
@@ -395,10 +413,7 @@ def run_quotient_smoothness_probe(generators, m: int, p_values, degree_sweep=Non
     for N in sweep:
         basis = enumerate_basis(m, N + 2)
         w = wm.family_weights(family, basis, delta)
-        if homogeneous:
-            S = _build_submodule(w, generators)
-        else:
-            S = submodules.ungraded_submodule(w, generators)
+        S = (_build_submodule if homogeneous else submodules.ungraded_submodule)(w, generators)
         shifts = [ops.coordinate_shift(w, i) for i in range(1, m + 1)]
         if homogeneous:
             _check_coinvariant(shifts, S.comp)

@@ -26,33 +26,16 @@ SELF_ADJOINT_TOL = 1e-10
 # decay_exponent_fit: rank window [FIT_START*n, FIT_STOP*n] of the n nonzero
 # singular values, and the fewest values it fits
 FIT_START, FIT_STOP, MIN_TAIL = 0.05, 0.4, 20
+# convergence_diagnostic, reported with every verdict: tail relative increments
+# below STALL_REL converge, increments decaying faster than a power-law exponent
+# SUMMABLE_EXPONENT are summable, and growth by DOUBLING_FACTOR without that diverges
+STALL_REL, SUMMABLE_EXPONENT, DOUBLING_FACTOR = 1e-3, 1.3, 2.0
 
 
 class Verdict(enum.Enum):
     CONVERGING = "converging"
     DIVERGING = "diverging"
     INCONCLUSIVE = "inconclusive"
-
-
-@dataclass(frozen=True)
-class DiagnosticThresholds:
-    """Knobs of the trend verdict; every report prints them.
-
-    stall_rel: tail relative increments below this count as converged.
-    summable_exponent: fitted power-law decay of the increments above this
-    counts as a summable tail.
-    doubling_factor: overall growth at or above this, with a non-summable
-    tail, counts as divergence.
-    """
-
-    stall_rel: float = 1e-3
-    summable_exponent: float = 1.3
-    doubling_factor: float = 2.0
-
-    def as_dict(self):
-        return {"stall_rel": self.stall_rel,
-                "summable_exponent": self.summable_exponent,
-                "doubling_factor": self.doubling_factor}
 
 
 @dataclass
@@ -104,8 +87,8 @@ def window_spectra(T: TruncatedOperator, degrees) -> dict:
     degrees = list(degrees)
     widest = None if None in degrees else max(degrees)
     if is_graded(T.space):
-        degs = np.asarray(T.space.degrees)[T.window_indices(widest)]
-        blocks = block_singular_values(T.window(widest), degs, degs)
+        W = T.window(widest)
+        blocks = block_singular_values(W, np.asarray(T.space.degrees)[:W.shape[0]])
         if blocks is not None:
             s, labels = blocks
             return {d: s if d is None else s[labels <= d] for d in degrees}
@@ -206,16 +189,16 @@ def sweep_degrees(degrees) -> list:
     return sweep
 
 
-def convergence_diagnostic(values_by_degree,
-                           thresholds: DiagnosticThresholds | None = None):
+def convergence_diagnostic(values_by_degree):
     """Heuristic trend verdict over truncation degrees.
 
     Returns (verdict, details); details records the thresholds used and the
     fitted increment decay, so reports can cite them.
     """
-    th = thresholds or DiagnosticThresholds()
     pts = sorted((float(d), float(v)) for d, v in values_by_degree)
-    details = {"thresholds": th.as_dict(), "points": len(pts)}
+    thresholds = {"stall_rel": STALL_REL, "summable_exponent": SUMMABLE_EXPONENT,
+                  "doubling_factor": DOUBLING_FACTOR}
+    details = {"thresholds": thresholds, "points": len(pts)}
     if len(pts) < 4:
         details["reason"] = "fewer than 4 degrees"
         return Verdict.INCONCLUSIVE, details
@@ -227,7 +210,7 @@ def convergence_diagnostic(values_by_degree,
     rel = np.abs(incs) / scale
 
     q = max(1, len(rel) // 4)
-    if np.all(rel[-q:] < th.stall_rel):
+    if np.all(rel[-q:] < STALL_REL):
         details["reason"] = "tail relative increments stalled"
         return Verdict.CONVERGING, details
 
@@ -245,11 +228,11 @@ def convergence_diagnostic(values_by_degree,
         slope, _ = np.polyfit(np.log(tail_mid[pos]), np.log(tail_inc[pos]), 1)
         s_fit = -float(slope)
         details["increment_decay_exponent"] = s_fit
-        if s_fit >= th.summable_exponent:
+        if s_fit >= SUMMABLE_EXPONENT:
             details["reason"] = "increments decay at a summable rate"
             return Verdict.CONVERGING, details
 
-    if vals[0] > 0 and vals[-1] / vals[0] >= th.doubling_factor:
+    if vals[0] > 0 and vals[-1] / vals[0] >= DOUBLING_FACTOR:
         details["reason"] = "non-summable increments and overall growth"
         return Verdict.DIVERGING, details
     details["reason"] = "no clear trend"

@@ -6,6 +6,8 @@ the untruncated operator.  Coordinate shifts raise degree by exactly 1, so
 each multiplication eats a bounded strip at the truncation boundary; the
 bookkeeping here tracks that strip, and TruncatedOperator.window, the block
 of degrees <= W, is the one uncontaminated section every norm and fit reads.
+Degree labels never decrease along a graded space or frame (checked when it
+is built), so every degree is an ordinal range and a window a leading block.
 """
 
 from dataclasses import dataclass, field
@@ -13,7 +15,6 @@ from dataclasses import dataclass, field
 import numpy as np
 import scipy.sparse as sp
 
-from .graded_basis import GradedBasis
 from .weight_models import WeightSet
 
 SELF_ADJOINT_TOL = 1e-12
@@ -48,6 +49,10 @@ class RestrictedSpace:
     max_degree: int
     graded: bool = True
 
+    def __post_init__(self):
+        if self.graded and np.any(np.diff(self.degrees) < 0):
+            raise ValueError("degree labels of a graded space must not decrease")
+
 
 def is_graded(space) -> bool:
     return getattr(space, "graded", True)
@@ -65,12 +70,17 @@ class SparseColumns(sp.csc_matrix):
 class SubspaceFrame:
     """Orthonormal columns spanning a subspace, with per-column degree labels.
 
-    Graded frames store SparseColumns, ungraded frames a dense ndarray.
+    Graded frames store SparseColumns, the columns labelled n on the ambient
+    rows of degree n; ungraded frames store a dense ndarray.
     """
 
     columns: object               # (ambient_dim, r), orthonormal
     col_degrees: np.ndarray       # (r,) int labels
     graded: bool = True
+
+    def __post_init__(self):
+        if self.graded and np.any(np.diff(self.col_degrees) < 0):
+            raise ValueError("degree labels of a graded frame must not decrease")
 
     @classmethod
     def ungraded(cls, columns: np.ndarray) -> "SubspaceFrame":
@@ -86,12 +96,6 @@ class SubspaceFrame:
         if sp.issparse(self.columns):
             return np.ascontiguousarray(self.columns.toarray())
         return self.columns
-
-    def to_space(self, ambient_max_degree: int) -> RestrictedSpace:
-        return RestrictedSpace(dimension=self.rank,
-                               degrees=np.asarray(self.col_degrees),
-                               max_degree=ambient_max_degree,
-                               graded=self.graded)
 
 
 @dataclass(frozen=True)
@@ -117,27 +121,27 @@ class TruncatedOperator:
     def dimension(self) -> int:
         return self.space.dimension
 
-    def window_indices(self, max_window_degree=None) -> np.ndarray:
-        """Ordinals inside the interior window (degree <= W, optionally tighter)."""
+    def window_size(self, max_window_degree=None) -> int:
+        """Size of the interior window (degree <= W, optionally tighter): the
+        window is the leading block of that many coordinates."""
         if not is_graded(self.space):
-            return np.arange(self.dimension)
+            return self.dimension
         w = self.interior_degree
         if max_window_degree is not None:
             w = min(w, max_window_degree)
-        return np.nonzero(np.asarray(self.space.degrees) <= w)[0]
+        return int(np.searchsorted(self.space.degrees, w, side="right"))
 
     def window(self, max_window_degree=None) -> sp.csr_matrix:
-        """The interior window as a CSR matrix: the whole matrix when ungraded."""
+        """The interior window as a CSR matrix: a copy of the leading block,
+        the whole matrix itself when ungraded."""
         if not is_graded(self.space):
             return self.mat.tocsr()
-        idx = self.window_indices(max_window_degree)
-        return self.mat.tocsr()[idx][:, idx]
+        k = self.window_size(max_window_degree)
+        return self.mat.tocsr()[:k, :k]
 
 
 def _same_space(a: TruncatedOperator, b: TruncatedOperator):
-    sa, sb = a.space, b.space
-    ok = sa is sb or sa == sb
-    if not ok:
+    if not (a.space is b.space or a.space == b.space):
         raise ValueError("operators live on different spaces")
 
 
@@ -223,13 +227,14 @@ def scale(T: TruncatedOperator, c) -> TruncatedOperator:
 
 
 def commutator(A: TruncatedOperator, B: TruncatedOperator) -> TruncatedOperator:
-    """[A*, B] = A*B - BA* for two operators on the same space.  An ungraded
-    space is one dense block: two BLAS products, A* C-ordered as multiply's
-    operands are, so every entry rounds as in the composed form."""
+    """[A*, B] = A*B - BA* for two operators on the same space, from two
+    products: sparse ones on a graded space, BLAS ones on an ungraded space,
+    which is one dense block (A* C-ordered as multiply's operands are).
+    Either way every entry rounds as in the composed form."""
     _same_space(A, B)
     if is_graded(A.space):
-        As = adjoint(A)
-        return subtract(multiply(As, B), multiply(B, As))
+        a, b = A.mat.conj().T.tocsr(), B.mat
+        return _product(A, B, a @ b - b @ a, adjoint_a=True)
     a, b = np.ascontiguousarray(A.mat.toarray().conj().T), B.mat.toarray()
     C = a @ b
     C -= b @ a
@@ -248,17 +253,17 @@ def cross_commutators(operators) -> dict:
             for i in range(1, len(T) + 1) for j in range(i, len(T) + 1)}
 
 
-def block_singular_values(W, row_degrees, col_degrees):
-    """Singular values of a sparse matrix, up to zeros, one degree block at a
-    time, each with the smallest window degree that contains it.
+def block_singular_values(W, degrees):
+    """Singular values of a square sparse matrix, up to zeros, one degree
+    block at a time, each with the smallest window degree that contains it.
 
-    W is canonicalised in place; row_degrees and col_degrees label its rows
-    and columns.  When every nonzero maps column degree n to row degree n + r
-    for one offset r (shifts, their adjoints, every commutator [A*, B] of
-    them), W is the direct sum of its (degree n + r, degree n) blocks and its
-    spectrum is the union of theirs.  An entry alone in its row and its
-    column is a 1x1 summand whose singular value is its modulus, so scaled
-    partial permutations (every operator of monomial weights) need no SVD;
+    W is canonicalised in place; degrees labels its rows and columns.  When
+    every nonzero maps column degree n to row degree n + r for one offset r
+    (shifts, their adjoints, every commutator [A*, B] of them), W is the
+    direct sum of its (degree n + r, degree n) blocks and its spectrum is
+    the union of theirs.  An entry alone in its row and its column is a 1x1
+    summand whose singular value is its modulus, so scaled partial
+    permutations (every operator of monomial weights) need no SVD;
     the other entries are densified one block at a time.
 
     Returns (values, labels): the (n + r, n) block's values are labelled
@@ -273,8 +278,8 @@ def block_singular_values(W, row_degrees, col_degrees):
     if not np.all(np.isfinite(W.data)):
         raise ValueError("operator has non-finite entries")
     W = W.tocoo()
-    col_deg = np.asarray(col_degrees)[W.col]
-    row_deg = np.asarray(row_degrees)[W.row]
+    degrees = np.asarray(degrees)
+    col_deg, row_deg = degrees[W.col], degrees[W.row]
     if np.unique(row_deg - col_deg).size > 1:
         return None
     label = np.maximum(row_deg, col_deg)
@@ -293,46 +298,19 @@ def block_singular_values(W, row_degrees, col_degrees):
     return np.concatenate(spectra), np.concatenate(labels)
 
 
-def _slice_positions(degrees: np.ndarray) -> np.ndarray:
-    """Position of each ordinal among the ordinals of its degree, in ordinal order."""
-    order = np.argsort(degrees, kind="stable")
-    counts = np.bincount(degrees)
-    starts = np.cumsum(counts) - counts
-    pos = np.empty_like(order)
-    pos[order] = np.arange(degrees.size) - starts[degrees[order]]
-    return pos
-
-
-def _dense_blocks(key, rows, cols, data, shape_of) -> dict:
-    """{k: B} with B[rows, cols] = data over the entries whose key is k, B of shape_of(k)."""
-    order = np.argsort(key, kind="stable")
-    keys, starts = np.unique(key[order], return_index=True)
-    blocks = {}
-    for k, e in zip(keys.tolist(), np.split(order, starts[1:])):
-        B = np.zeros(shape_of(k), dtype=data.dtype)
-        B[rows[e], cols[e]] = data[e]
-        blocks[k] = B
-    return blocks
-
-
-def _csc_entries(M):
-    """(rows, cols, data) of a canonical CSC matrix, read off its arrays."""
-    cols = np.repeat(np.arange(M.shape[1]), np.diff(M.indptr))
-    return M.indices, cols, M.data
-
-
 def invariance_residual(T: TruncatedOperator, frame: SubspaceFrame) -> float:
     """Relative 2-norm of (I - QQ*) T Q on the interior rows, Q = the frame's columns.
 
     A graded frame's columns labelled n live on the ambient rows of degree n:
     its slice-n block Q_n.  The residual's (t, n) block is then
-    D = T_tn Q_n - Q_t (Q_t* T_tn Q_n), densified from T's (t, n) block and
-    the frame's slices; blocks with t above the interior degree are dropped.
-    When each column degree reaches one row degree and each row degree is
-    reached from one column degree (every single-offset T), the residual is
-    the direct sum of the blocks and its norm their largest sigma_max;
-    otherwise the blocks are placed in one dense matrix of one SVD.
-    Ungraded frames (all labels 0) take one dense SVD of the ambient residual.
+    D = T_tn Q_n - Q_t (Q_t* T_tn Q_n), with T_tn and Q_n read as ordinal
+    ranges, for every (t, n) where T has entries; blocks with t above the
+    interior degree are dropped.  When each column degree reaches one row
+    degree and each row degree is reached from one column degree (every
+    single-offset T), the residual is the direct sum of the blocks and its
+    norm their largest sigma_max; otherwise the blocks are placed in one
+    dense matrix of one SVD.  Ungraded frames (all labels 0) take one dense
+    SVD of the ambient residual.
     """
     if not frame.graded:
         Q = frame.columns
@@ -340,27 +318,21 @@ def invariance_residual(T: TruncatedOperator, frame: SubspaceFrame) -> float:
         return _dense_residual(T, Y - Q @ (Q.conj().T @ Y), _norm_scale(T))
 
     deg = np.asarray(T.space.degrees)
-    col_deg = np.asarray(frame.col_degrees)
-    size = np.bincount(deg)
-    rank = np.bincount(col_deg, minlength=size.size)
-    pos, col_pos = _slice_positions(deg), _slice_positions(col_deg)
-    q_rows, q_cols, q_data = _csc_entries(frame.columns)
-    Qs = _dense_blocks(col_deg[q_cols], pos[q_rows], col_pos[q_cols], q_data,
-                       lambda n: (size[n], rank[n]))
+    top = int(deg[-1])
+    # degree n: the ambient ordinals rows[n]:rows[n + 1], the frame columns cols[n]:cols[n + 1]
+    rows = np.searchsorted(deg, np.arange(top + 2))
+    cols = np.searchsorted(frame.col_degrees, np.arange(top + 2))
+    size, rank = np.diff(rows), np.diff(cols)
+    Qs = {n: frame.columns[rows[n]:rows[n + 1], cols[n]:cols[n + 1]].toarray()
+          for n in np.flatnonzero(rank).tolist()}
 
-    A = T.mat.tocsc()
-    A.sum_duplicates()
-    rows, cols, data = _csc_entries(A)
-    row_deg, entry_col_deg = deg[rows], deg[cols]
-    keep = (row_deg <= T.interior_degree) & (rank[entry_col_deg] > 0)
-    Ts = _dense_blocks(row_deg[keep] * size.size + entry_col_deg[keep],
-                       pos[rows[keep]], pos[cols[keep]], data[keep],
-                       lambda k: (size[k // size.size], size[k % size.size]))
-
+    A = T.mat.tocsr()
+    row_deg, col_deg = np.repeat(deg, np.diff(A.indptr)), deg[A.indices]
+    keep = (row_deg <= T.interior_degree) & (rank[col_deg] > 0)
     blocks = {}
-    for k, Ttn in Ts.items():
-        t, n = divmod(k, size.size)
-        D = Ttn @ Qs[n]
+    for k in np.unique(row_deg[keep] * (top + 1) + col_deg[keep]).tolist():
+        t, n = divmod(k, top + 1)
+        D = A[rows[t]:rows[t + 1], rows[n]:rows[n + 1]].toarray() @ Qs[n]
         if t in Qs:
             D = D - Qs[t] @ (Qs[t].conj().T @ D)
         blocks[t, n] = D
@@ -376,10 +348,9 @@ def invariance_residual(T: TruncatedOperator, frame: SubspaceFrame) -> float:
 
 def _dense_residual(T: TruncatedOperator, D: np.ndarray, scale: float,
                     tol: float = -1.0) -> float:
-    """Relative 2-norm of the dense residual D on T's interior rows (a view
-    when they lead D); the Frobenius bound instead when that is at most tol."""
-    idx = T.window_indices()
-    D = D[:idx.size] if np.array_equal(idx, np.arange(idx.size)) else D[idx]
+    """Relative 2-norm of the dense residual D on T's interior rows, a view of
+    its leading rows; the Frobenius bound instead when that is at most tol."""
+    D = D[:T.window_size()]
     bound = float(np.sqrt(np.vdot(D, D).real)) / scale
     if bound <= tol:
         return bound
@@ -412,7 +383,8 @@ def compress_to_frame(T: TruncatedOperator, frame: SubspaceFrame) -> TruncatedOp
 
 def _in_frame(T: TruncatedOperator, frame: SubspaceFrame, R: np.ndarray) -> TruncatedOperator:
     """The r x r matrix R, in the frame's coordinates, as an operator with T's bookkeeping."""
-    space = frame.to_space(T.space.max_degree)
+    space = RestrictedSpace(frame.rank, np.asarray(frame.col_degrees), T.space.max_degree,
+                            graded=frame.graded)
     # a graded restriction keeps only its nonzeros, so its products stay sparse
     mat = sp.csr_matrix(R) if frame.graded else _full_csr(R)
     return TruncatedOperator(space, mat,
@@ -468,18 +440,20 @@ def restricted_commutator_decomposition(T: TruncatedOperator,
 
 
 def direct_sum(operators) -> TruncatedOperator:
-    """Block-diagonal operator on the concatenated coordinate space."""
+    """Block-diagonal operator on the summands' coordinates, ordered by degree;
+    the order is stable, so each summand keeps its own coordinate order."""
     operators = list(operators)
     if not operators:
         raise ValueError("direct_sum requires at least one operator")
     if len(operators) == 1:
         return operators[0]
-    mats = [T.mat for T in operators]
     degrees = np.concatenate([np.asarray(T.space.degrees) for T in operators])
+    order = np.argsort(degrees, kind="stable")
     graded = all(is_graded(T.space) for T in operators)
-    space = RestrictedSpace(dimension=int(degrees.size), degrees=degrees,
+    space = RestrictedSpace(dimension=int(degrees.size), degrees=degrees[order],
                             max_degree=max(T.space.max_degree for T in operators),
                             graded=graded)
-    return TruncatedOperator(space, sp.block_diag(mats, format="csr"),
+    mat = sp.block_diag([T.mat for T in operators], format="csr")[order][:, order]
+    return TruncatedOperator(space, mat,
                              interior_degree=min(T.interior_degree for T in operators),
                              degree_raise=max(T.degree_raise for T in operators))

@@ -85,32 +85,26 @@ class WeightSet:
         return "\n".join(lines) + "\n"
 
 
+def _ball_weights(basis: GradedBasis, s: int, label: str) -> WeightSet:
+    """lambda_alpha^2 = alpha! Gamma(s) / Gamma(|alpha| + s)."""
+    logw = 0.5 * (gammaln(basis.exponents + 1).sum(axis=1) + float(gammaln(s))
+                  - gammaln(basis.degrees + s))
+    return WeightSet(basis, logw, label)
+
+
 def drury_arveson_weights(basis: GradedBasis) -> WeightSet:
     """Symmetric-Fock normalization: lambda_alpha = sqrt(alpha! / |alpha|!)."""
-    logw = 0.5 * (gammaln(basis.exponents + 1).sum(axis=1) - gammaln(basis.degrees + 1))
-    return WeightSet(basis, logw, "drury-arveson")
+    return _ball_weights(basis, 1, "drury-arveson")
 
 
 def bergman_ball_weights(basis: GradedBasis) -> WeightSet:
-    """Bergman space of the unit ball, normalized volume measure.
-
-    lambda_alpha^2 = alpha! m! / (|alpha| + m)!.
-    """
-    m = basis.num_vars
-    logw = 0.5 * (gammaln(basis.exponents + 1).sum(axis=1) + float(gammaln(m + 1))
-                  - gammaln(basis.degrees + m + 1))
-    return WeightSet(basis, logw, "bergman-ball")
+    """Bergman space of the ball, normalized: lambda_alpha^2 = alpha! m! / (|alpha| + m)!."""
+    return _ball_weights(basis, basis.num_vars + 1, "bergman-ball")
 
 
 def hardy_ball_weights(basis: GradedBasis) -> WeightSet:
-    """Hardy space of the sphere, normalized surface measure.
-
-    lambda_alpha^2 = alpha! (m-1)! / (|alpha| + m - 1)!.
-    """
-    m = basis.num_vars
-    logw = 0.5 * (gammaln(basis.exponents + 1).sum(axis=1) + float(gammaln(m))
-                  - gammaln(basis.degrees + m))
-    return WeightSet(basis, logw, "hardy-ball")
+    """Hardy space of the sphere, normalized: lambda_alpha^2 = alpha! (m-1)! / (|alpha| + m-1)!."""
+    return _ball_weights(basis, basis.num_vars, "hardy-ball")
 
 
 def factorial_delta_weights(basis: GradedBasis, delta: float) -> WeightSet:

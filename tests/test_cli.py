@@ -238,17 +238,32 @@ def test_trace_inequality_rejects_coincident_points(tmp_path, capsys):
 
 
 def test_trace_inequality_names_truncation_tail(tmp_path, capsys):
-    # truncated kernel vectors are invariant only up to a tail of order
-    # max|z|^(N+1): too large at the default sweep, small enough further out
+    # truncated kernel vectors are invariant only up to a tail that falls
+    # roughly like max|z|^(2N): too large at N=12, small enough further out
     argv = ["trace-inequality", "--m", "2", "--points", "0.3,0.1;0.1,-0.2j;0.5,0.2"]
-    assert run_cli(argv, tmp_path) == 2
+    assert run_cli(argv + ["--degrees", "12,16,20"], tmp_path) == 2
     err = capsys.readouterr().err
     assert "invariance residual 4.863e-05 exceeds tolerance 1.0e-08" in err
-    assert "truncation degree N=12" in err and "max|z|^(N+1) = 3.2e-04" in err
+    assert "truncation degree N=12" in err and "max|z|^(2N) = 3.5e-07" in err
     assert "larger --degrees" in err
     assert not any(tmp_path.iterdir())
     assert run_cli(argv + ["--degrees", "30,40,50"], tmp_path) == 0
     assert "verdict trace_inequality: RECORDED" in capsys.readouterr().out
+
+
+def test_trace_inequality_default_sweep_follows_the_points(tmp_path, capsys):
+    # max|z| = 0.54: the residual is 4.9e-5 at N=12 and 6.0e-9 at N=20, so the
+    # default sweep (12, 16, 20) moves up by its step until it starts at 20
+    argv = ["trace-inequality", "--family", "bergman-ball", "--m", "2",
+            "--points", "0.3,0.1;0.1,-0.2j;0.5,0.2"]
+    assert run_cli(argv, tmp_path) == 0
+    report = json.loads((tmp_path / "trace_inequality_check-t" / "report.json").read_text())
+    assert report["parameters"]["degree_sweep"] == ["20", "24", "28"]
+    with open(tmp_path / "trace_inequality_check-t" / "trace_inequality.csv") as f:
+        assert sorted({row["degree"] for row in csv.DictReader(f)}) == ["20", "24", "28"]
+    # a point this close to the sphere needs a degree past the basis cap
+    assert run_cli(["trace-inequality", "--m", "2", "--points", "0.99,0"], tmp_path, "u") == 2
+    assert "truncation degree N=316" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("line,key", [("m = abc", "m"), ("seed = x", "seed"),

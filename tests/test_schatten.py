@@ -3,7 +3,7 @@ import pytest
 import scipy.sparse as sp
 from hypothesis import given, settings, strategies as st
 
-from shiftlab import (DiagnosticThresholds, Verdict, add, adjoint,
+from shiftlab import (Verdict, add, adjoint,
                       ap_witness, bergman_ball_weights, commutator, compress_to_frame,
                       convergence_diagnostic, coordinate_shift,
                       decay_exponent_fit, drury_arveson_weights, enumerate_basis,
@@ -161,10 +161,11 @@ def test_convergence_diagnostic_scenarios(seq, expected):
 
 
 def test_diagnostic_reports_thresholds():
-    th = DiagnosticThresholds(stall_rel=1e-5)
     seq = [(n, 1.0 + 1e-7 * n) for n in range(4, 16)]
-    verdict, details = convergence_diagnostic(seq, th)
-    assert details["thresholds"]["stall_rel"] == 1e-5
+    verdict, details = convergence_diagnostic(seq)
+    assert details["thresholds"] == {"stall_rel": schatten.STALL_REL,
+                                     "summable_exponent": schatten.SUMMABLE_EXPONENT,
+                                     "doubling_factor": schatten.DOUBLING_FACTOR}
     assert "reason" in details
 
 
@@ -380,7 +381,7 @@ def test_graded_window_is_never_densified_whole(monkeypatch):
     sigma = np.concatenate([
         np.linalg.svd(C.mat[sl.start:sl.stop, sl.start:sl.stop].toarray(), compute_uv=False)
         for sl in (b.degree_slice(n) for n in range(d + 1))])
-    assert C.window_indices(d).size == 10_660
+    assert C.window_size(d) == 10_660
 
     def refuse(*args, **kwargs):
         raise AssertionError("whole window densified")

@@ -14,7 +14,8 @@ from shiftlab import (InvarianceError, PolynomialGenerator, SubspaceFrame,
                       self_commutator, span_of_point_evaluations, subtract)
 from shiftlab import cli, shift_operators
 from shiftlab.graded_basis import compositions
-from shiftlab.shift_operators import INVARIANCE_TOL, SparseColumns, TheoremViolationError
+from shiftlab.shift_operators import (INVARIANCE_TOL, RestrictedSpace, SparseColumns,
+                                      TheoremViolationError)
 from shiftlab.submodules import Side, ungraded_submodule
 
 from conftest import random_weight_set
@@ -163,10 +164,17 @@ def test_direct_sum_block_structure(rng):
     B = coordinate_shift(w2, 1)
     D = direct_sum([A, B])
     assert D.dimension == A.dimension + B.dimension
+    # coordinates ordered by degree: z^n of A, then z^n of B, for each n
+    a_idx, b_idx = [], []
+    for n in range(7):
+        if n <= 4:
+            a_idx.append(len(a_idx) + len(b_idx))
+        b_idx.append(len(a_idx) + len(b_idx))
+    assert np.array_equal(D.space.degrees, [0, 0, 1, 1, 2, 2, 3, 3, 4, 4, 5, 6])
     M = _dense(D)
-    assert np.array_equal(M[:A.dimension, :A.dimension], _dense(A))
-    assert np.array_equal(M[A.dimension:, A.dimension:], _dense(B))
-    assert np.all(M[:A.dimension, A.dimension:] == 0)
+    assert np.array_equal(M[np.ix_(a_idx, a_idx)], _dense(A))
+    assert np.array_equal(M[np.ix_(b_idx, b_idx)], _dense(B))
+    assert np.all(M[np.ix_(a_idx, b_idx)] == 0) and np.all(M[np.ix_(b_idx, a_idx)] == 0)
     with pytest.raises(ValueError):
         direct_sum([])
 
@@ -194,7 +202,7 @@ def test_drury_arveson_row_sums():
             assert w.shift_weight(alpha, i) == pytest.approx(expected, rel=1e-12)
 
 
-def test_commutator_is_adjoint_product_difference(rng):
+def test_commutator_is_adjoint_product_difference(rng, monkeypatch):
     w = random_weight_set(rng, 2, 6)
     Z1, Z2 = coordinate_shift(w, 1), coordinate_shift(w, 2)
     A, B = Z1.mat.toarray(), Z2.mat.toarray()
@@ -206,6 +214,29 @@ def test_commutator_is_adjoint_product_difference(rng):
     for (i, j), C in comms.items():
         assert (C.mat != commutator(Zs[i - 1], Zs[j - 1]).mat).nnz == 0
     assert (self_commutator(Z1).mat != commutator(Z1, Z1).mat).nnz == 0
+
+    # the graded commutator is two sparse products, entry for entry the
+    # composed A*B - BA*, on shifts and on (complex) sub- and complement
+    # restrictions
+    w, S = _random_submodule(rng, 2, "homogeneous-complex")
+    Zs = [coordinate_shift(w, 1), coordinate_shift(w, 2)]
+    pairs = [(Zs[0], Zs[1]), (Zs[1], Zs[0]), (Zs[0], Zs[0]), (adjoint(Zs[0]), Zs[1])]
+    for frame, Ts in ((S.sub, Zs), (S.comp, [adjoint(Z) for Z in Zs])):
+        R1, R2 = (restrict_to_invariant(T, frame) for T in Ts)
+        pairs += [(R1, R2), (R2, R1), (R1, R1)]
+    composed = [subtract(multiply(adjoint(X), Y), multiply(Y, adjoint(X))) for X, Y in pairs]
+
+    def refuse(*args):
+        raise AssertionError("composed operator algebra called")
+    for name in ("adjoint", "multiply", "subtract", "scale", "add"):
+        monkeypatch.setattr(shift_operators, name, refuse)
+    for (X, Y), expected in zip(pairs, composed):
+        C = commutator(X, Y)
+        assert shift_operators.is_graded(X.space)
+        assert np.array_equal(_dense(C), _dense(expected))
+        assert C.mat.nnz == expected.mat.nnz
+        assert (C.interior_degree, C.degree_raise) == \
+            (expected.interior_degree, expected.degree_raise)
 
 
 def test_theorem_check_failure_is_exit_1(rng, monkeypatch, tmp_path):
@@ -505,3 +536,56 @@ def test_norm_scale_matches_dense_formula(seed):
         D = M.toarray()
         expected = np.sqrt(np.linalg.norm(D, 1) * np.linalg.norm(D, np.inf)) or 1.0
         assert abs(shift_operators._norm_scale(T) - expected) <= 1e-14 * expected
+
+
+def _window_cases(seed, kind):
+    """Operators of every kind whose windows are read: shifts, adjoints,
+    commutators, restrictions, ungraded compressions and direct sums."""
+    rng = np.random.default_rng(seed)
+    if kind == "ungraded":
+        return [T for pair in _ungraded_compressions() for T in (*pair, commutator(*pair))]
+    if kind == "direct-sum":
+        w1, w2 = random_weight_set(rng, 2, 4), random_weight_set(rng, 2, 6)
+        Z, Y = coordinate_shift(w1, 1), coordinate_shift(w2, 2)
+        S = monomial_submodule(w2, [(1, 1)])
+        R = restrict_to_invariant(Y, S.sub)
+        return [direct_sum([Z, Y]), direct_sum([self_commutator(Y), adjoint(Z)]),
+                direct_sum([R, Z, self_commutator(R)])]
+    if kind == "shifts":
+        Zs = [coordinate_shift(random_weight_set(rng, 2, 6), i) for i in (1, 2)]
+        return [*Zs, adjoint(Zs[0]), commutator(Zs[0], Zs[1]), multiply(Zs[0], Zs[1])]
+    w, S = _random_submodule(rng, 3, kind)
+    Zs = [coordinate_shift(w, i) for i in (1, 2, 3)]
+    Rs = [restrict_to_invariant(Z, S.sub) for Z in Zs]
+    Cs = [restrict_to_invariant(adjoint(Z), S.comp) for Z in Zs]
+    return [*Rs, *Cs, commutator(Rs[0], Rs[1]), commutator(Cs[1], Cs[0])]
+
+
+@settings(max_examples=30, deadline=None)
+@given(seed=st.integers(0, 2 ** 32 - 1),
+       kind=st.sampled_from(["shifts", "monomial", "homogeneous-real",
+                             "homogeneous-complex", "ungraded", "direct-sum"]),
+       d=st.one_of(st.none(), st.integers(-1, 8)))
+def test_window_is_the_block_of_degrees_up_to_the_interior(seed, kind, d):
+    # oracle: the coordinates of degree <= min(W, d), picked one by one;
+    # an ungraded space has no boundary strip, so its window is all of it
+    for T in _window_cases(seed, kind):
+        degs = np.asarray(T.space.degrees)
+        w = T.interior_degree if d is None else min(T.interior_degree, d)
+        graded = getattr(T.space, "graded", True)
+        idx = np.flatnonzero(degs <= w) if graded else np.arange(T.dimension)
+        W = T.window(d)
+        assert T.window_size(d) == idx.size
+        assert np.array_equal(W.toarray(), _dense(T)[np.ix_(idx, idx)])
+
+
+def test_graded_labels_must_not_decrease():
+    cols = SparseColumns(sp.eye(3, 2, format="csc"))
+    with pytest.raises(ValueError, match="must not decrease"):
+        SubspaceFrame(cols, np.array([1, 0]))
+    with pytest.raises(ValueError, match="must not decrease"):
+        RestrictedSpace(dimension=3, degrees=np.array([0, 2, 1]), max_degree=2)
+    # ungraded labels mean nothing and are not checked
+    SubspaceFrame(cols.toarray(), np.array([1, 0]), graded=False)
+    RestrictedSpace(dimension=3, degrees=np.array([0, 2, 1]), max_degree=2, graded=False)
+    assert SubspaceFrame(cols, np.array([0, 0])).rank == 2
