@@ -18,7 +18,7 @@ from .shift_operators import (BlockDecomposition, InvarianceError, RestrictedSpa
                               coordinate_shift, cross_commutators, direct_sum,
                               invariance_residual, restricted_commutator_decomposition,
                               multiply, restrict_to_invariant, scale,
-                              self_commutator, subtract)
+                              self_commutator, shift_combination, subtract)
 from .submodules import (RankCollapseError, Side, SubmoduleBasis,
                          homogeneous_submodule, monomial_submodule,
                          projection_matrix, span_of_point_evaluations,

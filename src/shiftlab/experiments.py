@@ -6,6 +6,7 @@ with.  Reports are byte-stable for a fixed (parameters, seed): wall-clock
 runtime is kept on the in-memory report only and never written to disk.
 """
 
+import bisect
 import json
 import time
 from dataclasses import dataclass, field
@@ -306,16 +307,26 @@ def _nested_frames(family, m, N, delta, points, generators):
 
 
 def _point_sweep(family, m, points, delta, sweep):
-    """The sweep, shifted up by its step until the kernel vectors truncated at
-    its smallest degree pass the invariance check (their residual falls
-    roughly like max|z|^(2N))."""
-    while count_up_to_degree(m, sweep[0]) <= DEFAULT_DIMENSION_CAP:
-        if all(ops.invariance_residual(T, frame) <= CLOSURE_INVARIANCE_TOL
-               for T, frame in _nested_frames(family, m, sweep[0], delta, points, None)):
-            return sweep
-        sweep = [d + sweep[1] - sweep[0] for d in sweep]
-    raise ValueError(f"these points need truncation degree N={sweep[0]} or more, past "
-                     f"the basis dimension cap {DEFAULT_DIMENSION_CAP}")
+    """The sweep shifted up by the fewest steps k after which the kernel vectors
+    truncated at its smallest degree pass the invariance check (their residual
+    falls roughly like max|z|^(2N)); k doubles, then bisects."""
+    step = sweep[1] - sweep[0]
+
+    def stop(k):    # past the cap, or passing: both stay true as k grows
+        N = sweep[0] + k * step
+        return count_up_to_degree(m, N) > DEFAULT_DIMENSION_CAP or all(
+            ops.invariance_residual(T, frame) <= CLOSURE_INVARIANCE_TOL
+            for T, frame in _nested_frames(family, m, N, delta, points, None))
+
+    lo, hi = -1, 0      # stop(lo) is false: no shift below 0
+    while not stop(hi):
+        lo, hi = hi, max(1, 2 * hi)
+    hi = bisect.bisect_left(range(hi), True, lo=lo + 1, key=stop)
+    sweep = [d + hi * step for d in sweep]
+    if count_up_to_degree(m, sweep[0]) > DEFAULT_DIMENSION_CAP:
+        raise ValueError(f"these points need truncation degree N={sweep[0]} or more, past "
+                         f"the basis dimension cap {DEFAULT_DIMENSION_CAP}")
+    return sweep
 
 
 @_timed
@@ -457,19 +468,14 @@ def run_restriction_identity_check(trials: int = 200, seed: int = 0,
         basis = enumerate_basis(m, N)
         w = wm.WeightSet(basis, rng.uniform(-0.7, 0.7, basis.dimension), "random")
         coeffs = rng.normal(size=m) + 1j * rng.normal(size=m)
-        T = ops.coordinate_shift(w, 1)
-        T = ops.scale(T, complex(coeffs[0]))
-        for i in range(2, m + 1):
-            T = ops.add(T, ops.scale(ops.coordinate_shift(w, i), complex(coeffs[i - 1])))
-        n_gens = int(rng.integers(1, 3))
+        T = ops.shift_combination(w, coeffs)
         gens = []
-        for _ in range(n_gens):
+        for _ in range(int(rng.integers(1, 3))):
             d = int(rng.integers(0, max(1, N // 2) + 1))
-            alpha = tuple(int(x) for x in rng.multinomial(d, np.ones(m) / m))
-            gens.append(alpha)
+            gens.append(tuple(int(x) for x in rng.multinomial(d, np.ones(m) / m)))
         S = submodules.monomial_submodule(w, gens)
         decomp = ops.restricted_commutator_decomposition(T, S.sub)
-        Y = decomp.restricted.mat.toarray()
+        Y = decomp.restricted
         lhs = Y.conj().T @ Y
         lhs -= Y @ Y.conj().T
         lhs -= decomp.diagonal_part + decomp.corner_part

@@ -91,6 +91,15 @@ class SubspaceFrame:
     def rank(self) -> int:
         return self.columns.shape[1]
 
+    @property
+    def coordinate_rows(self):
+        """Each column's row when every column is a coordinate vector stored as
+        one entry 1.0 (monomial submodules build such frames), else None."""
+        Q = self.columns
+        coordinate = (getattr(Q, "format", None) == "csc" and np.all(np.diff(Q.indptr) == 1)
+                      and np.all(Q.data == 1.0))
+        return Q.indices if coordinate else None
+
     def dense(self) -> np.ndarray:
         """The columns as a C-ordered (ambient_dim, r) ndarray."""
         if sp.issparse(self.columns):
@@ -155,26 +164,36 @@ def _norm_scale(T: TruncatedOperator) -> float:
     return float(np.sqrt(col * row)) or 1.0
 
 
-def coordinate_shift(w: WeightSet, i: int) -> TruncatedOperator:
-    """Truncated multiplication by z_i on the weight set's basis.
-
-    Columns at the top degree are zero: z_i maps them out of the truncation.
-    """
+def _shift_entries(w: WeightSet, i: int):
+    """Row and value lambda_row / lambda_column of each column of Z_i below the top degree."""
     b = w.basis
-    m = b.num_vars
-    if not 1 <= i <= m:
-        raise ValueError(f"coordinate index {i} out of range [1, {m}]")
+    if not 1 <= i <= b.num_vars:
+        raise ValueError(f"coordinate index {i} out of range [1, {b.num_vars}]")
     top = b.slice_bounds[b.max_degree]  # ordinals below the top degree
-    target = b.exponents[:top].copy()
-    target[:, i - 1] += 1
-    rows = b.rank(target, b.components[:top])
-    vals = np.exp(w.log_lambda[rows] - w.log_lambda[:top])
-    # grlex is a monomial order, so rows increase with the column: the CSR
-    # arrays are one entry per hit row, the columns in order
-    indptr = np.zeros(b.dimension + 1, dtype=np.int64)
-    indptr[rows + 1] = 1
-    mat = sp.csr_matrix((vals, np.arange(top), np.cumsum(indptr)),
-                        shape=(b.dimension, b.dimension))
+    rows = b.rank(b.exponents[:top] + np.eye(b.num_vars, dtype=np.int64)[i - 1], b.components[:top])
+    return rows, np.exp(w.log_lambda[rows] - w.log_lambda[:top])
+
+
+def coordinate_shift(w: WeightSet, i: int) -> TruncatedOperator:
+    """Truncated multiplication by z_i on the weight set's basis; top-degree columns are zero."""
+    b = w.basis
+    rows, vals = _shift_entries(w, i)
+    # grlex is a monomial order: rows increase with the column, one entry per hit row
+    indptr = np.searchsorted(rows, np.arange(b.dimension + 1))
+    mat = sp.csr_matrix((vals, np.arange(rows.size), indptr), shape=(b.dimension, b.dimension))
+    return TruncatedOperator(b, mat, interior_degree=b.max_degree - 1, degree_raise=1)
+
+
+def shift_combination(w: WeightSet, coeffs) -> TruncatedOperator:
+    """T = c_1 Z_1 + ... + c_k Z_k (k <= m) as one CSR holding c_i times each
+    entry of Z_i, as scale and add compose it: no two shifts share an entry."""
+    b = w.basis
+    rows, vals = zip(*(_shift_entries(w, i) for i in range(1, len(coeffs) + 1)))
+    cols = np.tile(np.arange(rows[0].size), len(rows))
+    rows, vals = np.concatenate(rows), np.concatenate([v * c for v, c in zip(vals, coeffs)])
+    order = np.lexsort((cols, rows))
+    indptr = np.searchsorted(rows[order], np.arange(b.dimension + 1))
+    mat = sp.csr_matrix((vals[order], cols[order], indptr), shape=(b.dimension, b.dimension))
     return TruncatedOperator(b, mat, interior_degree=b.max_degree - 1, degree_raise=1)
 
 
@@ -375,18 +394,18 @@ def compress_to_frame(T: TruncatedOperator, frame: SubspaceFrame) -> TruncatedOp
     This is the semi-invariant (quotient-module) action; use
     restrict_to_invariant when invariance is part of the contract.
     """
-    # a dense product, also for sparse frames: a sparse one rounds differently,
-    # and decay_exponent_fit counts round-off-sized singular values
-    Q = frame.dense()
-    return _in_frame(T, frame, Q.conj().T @ (T.mat @ Q))
-
-
-def _in_frame(T: TruncatedOperator, frame: SubspaceFrame, R: np.ndarray) -> TruncatedOperator:
-    """The r x r matrix R, in the frame's coordinates, as an operator with T's bookkeeping."""
-    space = RestrictedSpace(frame.rank, np.asarray(frame.col_degrees), T.space.max_degree,
-                            graded=frame.graded)
+    idx = frame.coordinate_rows
+    if idx is None:
+        # a dense product, also for sparse frames: a sparse one rounds differently,
+        # and decay_exponent_fit counts round-off-sized singular values
+        Q = frame.dense()
+        R = Q.conj().T @ (T.mat @ Q)
+    else:
+        R = T.mat.tocsr()[idx][:, idx].toarray()    # the same entries, read by index
     # a graded restriction keeps only its nonzeros, so its products stay sparse
     mat = sp.csr_matrix(R) if frame.graded else _full_csr(R)
+    space = RestrictedSpace(frame.rank, np.asarray(frame.col_degrees), T.space.max_degree,
+                            graded=frame.graded)
     return TruncatedOperator(space, mat,
                              interior_degree=T.interior_degree,
                              degree_raise=T.degree_raise)
@@ -398,13 +417,13 @@ class BlockDecomposition:
     its self-commutator, [Y*,Y] = diagonal_part + corner_part.
 
     diagonal_part = Q*[T*,T]Q and corner_part = Q*T(I - QQ*)T*Q are r x r
-    Hermitian ndarrays in the frame's coordinates; restricted is Y = Q*TQ as
-    an operator, equal to restrict_to_invariant(T, frame).
+    Hermitian ndarrays in the frame's coordinates; restricted is the r x r
+    ndarray Y = Q*TQ, the matrix of restrict_to_invariant(T, frame).
     """
 
     diagonal_part: np.ndarray
     corner_part: np.ndarray
-    restricted: TruncatedOperator
+    restricted: np.ndarray
 
 
 def restricted_commutator_decomposition(T: TruncatedOperator,
@@ -416,18 +435,33 @@ def restricted_commutator_decomposition(T: TruncatedOperator,
     the frame densified once: Y = Q*(TQ), Q*[T*,T]Q = (TQ)*(TQ) - U*U and,
     with V = (I - QQ*)U, the corner is V*V.  No ambient operator is formed.
     The invariance residual is that of TQ - QY, formed in place in TQ.
+    A frame of coordinate columns idx is read by index, bit for bit the same:
+    TQ = T[:, idx], U = T[idx, :]*, Y = TQ[idx]; I - QQ* zeroes the rows idx.
     """
     scale = _norm_scale(T)
-    Q = frame.dense()
-    TQ, U = T.mat @ Q, T.mat.conj().T @ Q
-    Y = Q.conj().T @ TQ
-    diag = TQ.conj().T @ TQ - U.conj().T @ U
-    TQ -= Q @ Y                 # now (I - QQ*)TQ
+    idx = frame.coordinate_rows
+    if idx is None:
+        Q = frame.dense()
+        TQ, U = T.mat @ Q, T.mat.conj().T @ Q
+        Y = Q.conj().T @ TQ
+        diag = TQ.conj().T @ TQ - U.conj().T @ U
+        TQ -= Q @ Y                 # now (I - QQ*)TQ
+        U -= Q @ (Q.conj().T @ U)   # now V = (I - QQ*)T*Q
+    else:
+        C = T.mat.tocoo()
+        C.sum_duplicates()
+        at = np.full(T.dimension, -1)
+        at[idx] = np.arange(idx.size)       # the frame column of each coordinate row, else -1
+        TQ, U = np.zeros((2, T.dimension, idx.size), C.dtype)
+        for M, r, c, v in ((TQ, C.row, C.col, C.data), (U, C.col, C.row, C.data.conj())):
+            e = at[c] >= 0                  # TQ = T[:, idx], then U = T[idx, :]*
+            M[r[e], at[c[e]]] = v[e]
+        Y = TQ[idx]
+        diag = TQ.conj().T @ TQ - U.conj().T @ U
+        TQ[idx] = U[idx] = 0
     _check_invariant(_dense_residual(T, TQ, scale, INVARIANCE_TOL), INVARIANCE_TOL)
-    del TQ
-    U -= Q @ (Q.conj().T @ U)   # now V = (I - QQ*)T*Q
     corner = U.conj().T @ U
-    del U                       # the ambient temporaries, before the r x r checks
+    del TQ, U                   # the ambient temporaries, before the r x r checks
 
     scale_sq = max(1.0, scale ** 2)
     for name, M in (("diagonal", diag), ("corner", corner)):
@@ -436,7 +470,7 @@ def restricted_commutator_decomposition(T: TruncatedOperator,
     eig_min = float(np.linalg.eigvalsh((corner + corner.conj().T) / 2).min(initial=0.0))
     if eig_min < -PSD_TOL * scale_sq:
         raise TheoremViolationError(f"corner part not positive semidefinite: min eig {eig_min:.3e}")
-    return BlockDecomposition(diag, corner, _in_frame(T, frame, Y))
+    return BlockDecomposition(diag, corner, Y)
 
 
 def direct_sum(operators) -> TruncatedOperator:

@@ -266,6 +266,31 @@ def test_trace_inequality_default_sweep_follows_the_points(tmp_path, capsys):
     assert "truncation degree N=316" in capsys.readouterr().err
 
 
+def _count_nested_frames(monkeypatch):
+    calls = []
+    real = xp._nested_frames
+
+    def counted(*args):
+        calls.append(args[2])
+        return real(*args)
+    monkeypatch.setattr(xp, "_nested_frames", counted)
+    return calls
+
+
+def test_trace_inequality_sweep_shift_doubles_then_bisects(tmp_path, capsys, monkeypatch):
+    # stepping by 8 from (24, 32, 40) would take 929 evaluations to reach 7456
+    calls = _count_nested_frames(monkeypatch)
+    assert run_cli(["trace-inequality", "--m", "1", "--points", "0.999"], tmp_path) == 0
+    report = json.loads((tmp_path / "trace_inequality_check-t" / "report.json").read_text())
+    assert report["parameters"]["degree_sweep"] == ["7456", "7464", "7472"]
+    assert len(calls) <= 30 and calls[-3:] == [7456, 7464, 7472]
+    # and 6,247 to reach the cap, whose first stepped degree the error names
+    calls.clear()
+    assert run_cli(["trace-inequality", "--m", "1", "--points", "0.9999"], tmp_path, "u") == 2
+    assert "truncation degree N=50000 or more" in capsys.readouterr().err
+    assert len(calls) <= 40 and max(calls) < 50000
+
+
 @pytest.mark.parametrize("line,key", [("m = abc", "m"), ("seed = x", "seed"),
                                       ("degrees = 4,x", "degrees")])
 def test_bad_config_value_is_usage_error(line, key, tmp_path, capsys):

@@ -1,10 +1,14 @@
 """No shiftlab module reaches into another module's private names, every
-test module imports, and the benchmark's traced groups name real functions."""
+test module imports, the benchmark's traced groups name real functions, and
+importing the CLI leaves scipy.linalg unloaded."""
 
 import ast
 import importlib
 import importlib.util
 import inspect
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -103,3 +107,12 @@ def test_stale_self_time_groups_are_detected():
               "no_module": ("nowhere.coordinate_shift",)}
     assert groups_without_a_function(groups) == ["renamed", "private", "not_a_function",
                                                   "no_module"]
+
+
+def test_cli_import_leaves_scipy_linalg_out():
+    # its one user, ungraded_submodule, imports it lazily: every other run skips
+    # that part of the set-up (about 5 MB and 0.09 s)
+    code = "import sys, shiftlab.cli; print('scipy.linalg' in sys.modules)"
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                         check=True, env={**os.environ, "PYTHONPATH": str(SRC.parent)})
+    assert out.stdout.strip() == "False"

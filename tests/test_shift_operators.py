@@ -11,7 +11,8 @@ from shiftlab import (InvarianceError, PolynomialGenerator, SubspaceFrame,
                       invariance_residual, parse_polynomial,
                       restricted_commutator_decomposition, monomial_generator, monomial_submodule,
                       multiply, projection_matrix, restrict_to_invariant, scale,
-                      self_commutator, span_of_point_evaluations, subtract)
+                      self_commutator, shift_combination, span_of_point_evaluations,
+                      subtract)
 from shiftlab import cli, shift_operators
 from shiftlab.graded_basis import compositions
 from shiftlab.shift_operators import (INVARIANCE_TOL, RestrictedSpace, SparseColumns,
@@ -143,7 +144,8 @@ def test_restriction_identity_monomial_submodules(rng):
             T = add(T, scale(coordinate_shift(w, i), complex(coeffs[i - 1])))
 
         dec = restricted_commutator_decomposition(T, S.sub)
-        lhs = _dense(self_commutator(dec.restricted))
+        Y = dec.restricted
+        lhs = Y.conj().T @ Y - Y @ Y.conj().T
         rhs = dec.diagonal_part + dec.corner_part
         assert np.abs(lhs - rhs).max(initial=0.0) < 1e-12
 
@@ -320,7 +322,8 @@ def test_restricted_commutator_decomposition_matches_dense_ambient_oracle(seed, 
     tol = 1e-12 * max(1.0, np.abs(Tm).max() ** 2)
     assert np.abs(dec.diagonal_part - diagonal).max(initial=0.0) < tol
     assert np.abs(dec.corner_part - corner).max(initial=0.0) < tol
-    lhs = _dense(self_commutator(dec.restricted))
+    Y = dec.restricted
+    lhs = Y.conj().T @ Y - Y @ Y.conj().T
     rhs = dec.diagonal_part + dec.corner_part
     assert np.abs(lhs - rhs).max(initial=0.0) < tol
 
@@ -352,7 +355,7 @@ def test_restricted_commutator_decomposition_forms_no_ambient_operator(kind, mon
     for name in ("multiply", "self_commutator", "commutator"):
         monkeypatch.setattr(shift_operators, name, refuse)
     dec = restricted_commutator_decomposition(T, S.sub)
-    assert np.array_equal(dec.restricted.mat.toarray(), expected.toarray())
+    assert np.array_equal(dec.restricted, expected.toarray())
     r = S.sub.rank
     for part in (dec.diagonal_part, dec.corner_part):
         assert isinstance(part, np.ndarray) and part.shape == (r, r)
@@ -589,3 +592,123 @@ def test_graded_labels_must_not_decrease():
     SubspaceFrame(cols.toarray(), np.array([1, 0]), graded=False)
     RestrictedSpace(dimension=3, degrees=np.array([0, 2, 1]), max_degree=2, graded=False)
     assert SubspaceFrame(cols, np.array([0, 0])).rank == 2
+
+
+def _composed_combination(w, coeffs):
+    T = scale(coordinate_shift(w, 1), coeffs[0])
+    for i in range(2, len(coeffs) + 1):
+        T = add(T, scale(coordinate_shift(w, i), coeffs[i - 1]))
+    return T
+
+
+@pytest.mark.parametrize("m", [1, 2, 3])
+@pytest.mark.parametrize("kind", ["real", "complex"])
+def test_shift_combination_is_the_composed_scale_add(m, kind, rng):
+    # one CSR pass, entry for entry the operator scale and add compose
+    for N in (0, 1, 4, 7):
+        w = random_weight_set(rng, m, N)
+        coeffs = rng.normal(size=m)
+        if kind == "complex":
+            coeffs = coeffs + 1j * rng.normal(size=m)
+        T, expected = shift_combination(w, coeffs), _composed_combination(w, coeffs)
+        assert T.mat.dtype == expected.mat.dtype
+        assert np.array_equal(_dense(T), _dense(expected))
+        for name in ("indptr", "indices", "data"):
+            assert np.array_equal(getattr(T.mat, name), getattr(expected.mat, name))
+        assert (T.space, T.interior_degree, T.degree_raise) == \
+            (expected.space, expected.interior_degree, expected.degree_raise)
+
+
+def _as_dense_frame(frame):
+    """The same columns stored dense: products with Q, never reads by index."""
+    return SubspaceFrame(frame.dense(), frame.col_degrees)
+
+
+def _monomial_cases(rng):
+    """(T, frame) pairs on monomial frames: random submodules and their
+    complements, a submodule of rank 0 (generator above degree N) and one of
+    full rank (generator (0, ..., 0))."""
+    for t in range(12):
+        m = 1 + t % 3
+        N = int(rng.integers(3, 8))
+        w = random_weight_set(rng, m, N)
+        coeffs = rng.normal(size=m) + 1j * rng.normal(size=m)
+        gens = [tuple(int(x) for x in rng.multinomial(int(rng.integers(0, N)), np.ones(m) / m))
+                for _ in range(int(rng.integers(1, 3)))]
+        if t == 9:
+            gens = [(N + 1,) + (0,) * (m - 1)]
+        elif t == 10:
+            gens = [(0,) * m]
+        S = monomial_submodule(w, gens)
+        T = shift_combination(w, coeffs)
+        yield T, S.sub
+        yield adjoint(T), S.comp
+        # the same span, its coordinate columns in reverse order within each degree
+        idx, degs = S.sub.coordinate_rows, S.sub.col_degrees
+        order = np.lexsort((-idx, degs))
+        cols = SparseColumns((np.ones(idx.size), idx[order], np.arange(idx.size + 1)),
+                             shape=S.sub.columns.shape)
+        yield T, SubspaceFrame(cols, degs[order])
+
+
+def test_coordinate_frames_are_read_by_index_bit_for_bit(rng):
+    ranks = set()
+    for T, frame in _monomial_cases(rng):
+        assert frame.coordinate_rows is not None
+        generic = _as_dense_frame(frame)
+        assert generic.coordinate_rows is None
+        ranks.add(frame.rank / T.dimension)
+        fast = restricted_commutator_decomposition(T, frame)
+        slow = restricted_commutator_decomposition(T, generic)
+        for name in ("diagonal_part", "corner_part", "restricted"):
+            a, b = getattr(fast, name), getattr(slow, name)
+            assert isinstance(a, np.ndarray) and a.dtype == b.dtype
+            assert np.array_equal(a, b)
+        # the compression as sp.csr_matrix(Q*(TQ)) stores it, no explicit zero
+        fast, slow = compress_to_frame(T, frame), compress_to_frame(T, generic)
+        for name in ("indptr", "indices", "data"):
+            assert np.array_equal(getattr(fast.mat, name), getattr(slow.mat, name))
+        assert fast.mat.dtype == slow.mat.dtype and np.all(fast.mat.data != 0)
+        assert (fast.space, fast.interior_degree, fast.degree_raise) == \
+            (slow.space, slow.interior_degree, slow.degree_raise)
+    assert {0.0, 1.0} <= ranks
+
+
+def test_coordinate_rows_need_single_unit_entries():
+    cols = SparseColumns((np.ones(2), np.array([3, 1]), np.arange(3)), shape=(5, 2))
+    assert np.array_equal(SubspaceFrame(cols, np.zeros(2, dtype=np.int64)).coordinate_rows,
+                          [3, 1])
+    scaled = SparseColumns((np.array([1.0, -1.0]), np.array([3, 1]), np.arange(3)), shape=(5, 2))
+    # as many entries as columns, but two in the first column and none in the second
+    two = SparseColumns((np.ones(2), np.array([0, 1]), np.array([0, 2, 2])), shape=(5, 2))
+    for Q in (scaled, two, cols.toarray()):
+        assert SubspaceFrame(Q, np.zeros(2, dtype=np.int64)).coordinate_rows is None
+
+
+def test_identity_check_composes_no_operator_and_densifies_no_frame(monkeypatch):
+    from shiftlab.experiments import run_restriction_identity_check
+
+    def refuse(*args):
+        raise AssertionError("composed operator or dense frame")
+    for name in ("scale", "add", "coordinate_shift"):
+        monkeypatch.setattr(shift_operators, name, refuse)
+    monkeypatch.setattr(SubspaceFrame, "dense", refuse)
+    rep = run_restriction_identity_check(trials=20, seed=3)
+    assert rep.verdicts["identity"]["passed"]
+
+
+def test_coordinate_read_sums_duplicate_entries(rng):
+    # a CSR may hold one position twice; the read sums them as a product would
+    w = random_weight_set(rng, 2, 6)
+    S = monomial_submodule(w, [(1, 0)])
+    T = shift_combination(w, rng.normal(size=2) + 1j * rng.normal(size=2))
+    A = T.mat
+    nnz = np.diff(A.indptr)
+    halves = sp.csr_matrix((np.repeat(A.data / 2, 2), np.repeat(A.indices, 2),
+                            np.concatenate([[0], np.cumsum(2 * nnz)])), shape=A.shape)
+    assert not halves.has_canonical_format
+    twice = shift_operators.TruncatedOperator(T.space, halves, T.interior_degree, T.degree_raise)
+    fast = restricted_commutator_decomposition(twice, S.sub)
+    slow = restricted_commutator_decomposition(T, _as_dense_frame(S.sub))
+    for name in ("diagonal_part", "corner_part", "restricted"):
+        assert np.array_equal(getattr(fast, name), getattr(slow, name))
