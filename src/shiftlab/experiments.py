@@ -419,36 +419,43 @@ def run_quotient_smoothness_probe(generators, m: int, p_values, degree_sweep=Non
     tab = rep.table("quotient_commutator_norms", ["i", "j", "p", "degree", "value"])
     fits = rep.table("decay_fits", ["i", "j", "beta", "critical_exponent", "fit_residual"])
 
+    # largest degree first: an oversize sweep fails at once, and the fit reads live commutators
+    spectra = {N: _quotient_spectra(generators, m, N, homogeneous, family, delta,
+                                    fits if N == sweep[-1] else None) for N in reversed(sweep)}
     trends = {p: [] for p in p_values}
-    last_comms = None
     for N in sweep:
-        basis = enumerate_basis(m, N + 2)
-        w = wm.family_weights(family, basis, delta)
-        S = (_build_submodule if homogeneous else submodules.ungraded_submodule)(w, generators)
-        shifts = [ops.coordinate_shift(w, i) for i in range(1, m + 1)]
-        if homogeneous:
-            _check_coinvariant(shifts, S.comp)
-        # quotient-module action = compression of the shifts to the complement
-        Rs = [ops.compress_to_frame(Z, S.comp) for Z in shifts]
-        comms = ops.cross_commutators(Rs)
-        spectra = {key: schatten.window_spectra(C, [N])[N] for key, C in comms.items()}
         for p in p_values:
-            norms = {key: schatten.spectrum_norm(s, p) for key, s in spectra.items()}
+            norms = {key: schatten.spectrum_norm(s, p) for key, s in spectra[N].items()}
             for (i, j), norm in norms.items():
                 tab.add(i, j, p, N, norm)
             trends[p].append((N, max(norms.values())))
-        last_comms = (N, comms, spectra)
     for p, trend in trends.items():
         verdict, details = schatten.convergence_diagnostic(trend)
         rep.set_verdict(f"quotient_p={_fmt(p)}", verdict, details)
-    N, comms, spectra = last_comms
+    return rep
+
+
+def _quotient_spectra(generators, m, N, homogeneous, family, delta, fits=None):
+    """{(i, j): spectrum of the window N of [R_i*, R_j]}, R_i the quotient's shifts
+    at truncation degree N + 2, adding their decay fits to a given fits table.
+    Nothing built for this degree outlives the call."""
+    w = wm.family_weights(family, enumerate_basis(m, N + 2), delta)
+    S = (_build_submodule if homogeneous else submodules.ungraded_submodule)(w, generators)
+    shifts = [ops.coordinate_shift(w, i) for i in range(1, m + 1)]
+    if homogeneous:
+        _check_coinvariant(shifts, S.comp)
+    # quotient-module action = compression of the shifts to the complement
+    comms = ops.cross_commutators([ops.compress_to_frame(Z, S.comp) for Z in shifts])
+    spectra = {key: schatten.window_spectra(C, [N])[N] for key, C in comms.items()}
+    if fits is None:
+        return spectra
     for (i, j), C in comms.items():
         # ungraded: the norms' spectrum is singular_values; graded ones are block spectra
         s = schatten.singular_values(C, N) if ops.is_graded(C.space) else spectra[i, j]
         fit = schatten.decay_exponent_fit(s)
         if fit is not None:
             fits.add(i, j, fit.beta, fit.critical_exponent, fit.residual)
-    return rep
+    return spectra
 
 
 @_timed

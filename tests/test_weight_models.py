@@ -9,6 +9,7 @@ from shiftlab import (Condition, WeightSet, bergman_ball_weights, check_conditio
                       drury_arveson_weights, enumerate_basis, ramp_weights,
                       factorial_delta_weights, family_weights, hardy_ball_weights)
 from shiftlab import shift_operators
+from shiftlab.weight_models import log_gamma_table
 
 
 def _alpha_rows(basis):
@@ -188,3 +189,24 @@ def test_ball_families_are_bit_identical_to_scalar_formula(m, N, k):
                 log_fact = log_fact + float(gammaln(c))
             expected[j] = 0.5 * (log_fact - float(gammaln(n + s)))
         assert np.array_equal(family(basis).log_lambda, expected), family.__name__
+
+
+def test_log_gamma_table_is_gammaln_at_the_integers():
+    # scipy.special serves only as the oracle: the library never imports it
+    table = log_gamma_table(100_001)
+    assert table.shape == (100_001,) and table[0] == np.inf
+    assert np.array_equal(table[1:], gammaln(np.arange(1, 100_001, dtype=float)))
+    assert log_gamma_table(0).size == 0 and np.array_equal(log_gamma_table(3), [np.inf, 0, 0])
+
+
+@pytest.mark.parametrize("m,N", [(1, 1500), (2, 60), (3, 24), (4, 14)])
+def test_log_lambda_is_the_gammaln_formula_bit_for_bit(m, N):
+    basis = enumerate_basis(m, N)
+    for family, s in ((drury_arveson_weights, 1), (bergman_ball_weights, m + 1),
+                      (hardy_ball_weights, m)):
+        expected = 0.5 * (gammaln(basis.exponents + 1).sum(axis=1) + float(gammaln(s))
+                          - gammaln(basis.degrees + s))
+        assert np.array_equal(family(basis).log_lambda, expected), family.__name__
+    for delta in (0.25, 1.0, 2.0):
+        expected = -delta * gammaln(np.asarray(basis.degrees, dtype=float) + 2.0)
+        assert np.array_equal(factorial_delta_weights(basis, delta).log_lambda, expected)
