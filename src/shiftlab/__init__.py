@@ -1,9 +1,8 @@
 """Finite-truncation laboratory for commuting weighted shifts.
 
 Builds truncated coordinate multipliers for weighted Hilbert modules,
-submodules from monomial/polynomial generators or point evaluations, and
-Schatten-class analysis of their commutators, plus canned experiments with
-reproducible CSV reports.
+submodules from monomial/polynomial generators, and Schatten-class analysis
+of their commutators, plus canned experiments with reproducible CSV reports.
 """
 
 from .graded_basis import GradedBasis, enumerate_basis
@@ -13,18 +12,16 @@ from .schatten import (ApWitness, DecayFit, Verdict, ap_witness,
                        convergence_diagnostic, decay_exponent_fit,
                        schatten_norm, singular_values)
 from .shift_operators import (BlockDecomposition, InvarianceError, RestrictedSpace,
-                              SubspaceFrame, TruncatedOperator, add, adjoint,
+                              SubspaceFrame, TruncatedOperator, adjoint,
                               commutator, compress_to_frame,
-                              coordinate_shift, cross_commutators, direct_sum,
+                              coordinate_shift, cross_commutators,
                               invariance_residual, restricted_commutator_decomposition,
-                              multiply, restrict_to_invariant, scale,
-                              self_commutator, shift_combination, subtract)
+                              multiply, restrict_to_invariant,
+                              self_commutator, shift_combination)
 from .submodules import (RankCollapseError, Side, SubmoduleBasis,
                          homogeneous_submodule, monomial_submodule,
-                         projection_matrix, span_of_point_evaluations,
-                         ungraded_submodule)
-from .weight_models import (Condition, ConditionReport, WeightSet,
-                            bergman_ball_weights, check_condition,
+                         projection_matrix, ungraded_submodule)
+from .weight_models import (WeightSet, bergman_ball_weights,
                             drury_arveson_weights, ramp_weights,
                             factorial_delta_weights, family_weights,
                             hardy_ball_weights)

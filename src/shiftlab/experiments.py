@@ -7,6 +7,7 @@ runtime is kept on the in-memory report only and never written to disk.
 """
 
 import bisect
+import functools
 import json
 import time
 from dataclasses import dataclass, field
@@ -15,7 +16,7 @@ from pathlib import Path
 import numpy as np
 
 from . import schatten, shift_operators as ops, submodules, weight_models as wm
-from .graded_basis import DEFAULT_DIMENSION_CAP, count_up_to_degree, enumerate_basis
+from .graded_basis import DIMENSION_CAP, count_up_to_degree, enumerate_basis
 from .schatten import Verdict
 from .shift_operators import SubspaceFrame, TheoremViolationError
 
@@ -92,13 +93,12 @@ def write_report(report: ExperimentReport, outdir) -> Path:
 
 
 def _timed(fn):
+    @functools.wraps(fn)
     def wrapper(*args, **kwargs):
         t0 = time.perf_counter()
         rep = fn(*args, **kwargs)
         rep.runtime_seconds = time.perf_counter() - t0
         return rep
-    wrapper.__name__ = fn.__name__
-    wrapper.__doc__ = fn.__doc__
     return wrapper
 
 
@@ -272,7 +272,8 @@ def run_submodule_probe(family: str, m: int, k: int, generators, p_values,
 
 
 def _adjoint_closure(Tmat, vectors):
-    """Close a span under a degree-lowering operator; terminates since degree drops."""
+    """Close a span under a degree-lowering sparse operator; terminates since
+    degree drops.  Tmat stays sparse: its dense form is an ambient square."""
     M = np.column_stack([v / np.linalg.norm(v) for v in vectors])
     for _ in range(CLOSURE_MAX_ROUNDS):
         cand = np.column_stack([M, Tmat @ M])
@@ -302,7 +303,7 @@ def _nested_frames(family, m, N, delta, points, generators):
             cols, s, _ = np.linalg.svd(K[:, :n], full_matrices=False)
             submodules.check_distinct_points(s)
         else:
-            cols = _adjoint_closure(T.mat.toarray(), list(K[:, :n].T))
+            cols = _adjoint_closure(T.mat, list(K[:, :n].T))
         yield T, SubspaceFrame.ungraded(cols)
 
 
@@ -314,7 +315,7 @@ def _point_sweep(family, m, points, delta, sweep):
 
     def stop(k):    # past the cap, or passing: both stay true as k grows
         N = sweep[0] + k * step
-        return count_up_to_degree(m, N) > DEFAULT_DIMENSION_CAP or all(
+        return count_up_to_degree(m, N) > DIMENSION_CAP or all(
             ops.invariance_residual(T, frame) <= CLOSURE_INVARIANCE_TOL
             for T, frame in _nested_frames(family, m, N, delta, points, None))
 
@@ -323,9 +324,9 @@ def _point_sweep(family, m, points, delta, sweep):
         lo, hi = hi, max(1, 2 * hi)
     hi = bisect.bisect_left(range(hi), True, lo=lo + 1, key=stop)
     sweep = [d + hi * step for d in sweep]
-    if count_up_to_degree(m, sweep[0]) > DEFAULT_DIMENSION_CAP:
+    if count_up_to_degree(m, sweep[0]) > DIMENSION_CAP:
         raise ValueError(f"these points need truncation degree N={sweep[0]} or more, past "
-                         f"the basis dimension cap {DEFAULT_DIMENSION_CAP}")
+                         f"the basis dimension cap {DIMENSION_CAP}")
     return sweep
 
 

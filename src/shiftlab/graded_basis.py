@@ -12,27 +12,7 @@ from math import comb
 
 import numpy as np
 
-DEFAULT_DIMENSION_CAP = 50_000
-
-
-def degree(alpha) -> int:
-    """Total degree |alpha| = sum of exponents."""
-    return int(sum(alpha))
-
-
-def compositions(n, m):
-    """All m-tuples of non-negative ints summing to n, leading exponent descending."""
-    if m == 1:
-        yield (n,)
-        return
-    for first in range(n, -1, -1):
-        for rest in compositions(n - first, m - 1):
-            yield (first,) + rest
-
-
-def count_degree_slice(m: int, n: int) -> int:
-    """Number of monomials in m variables of total degree exactly n."""
-    return comb(n + m - 1, m - 1)
+DIMENSION_CAP = 50_000
 
 
 def count_up_to_degree(m: int, N: int) -> int:
@@ -99,33 +79,18 @@ class GradedBasis:
             raise ValueError(f"multi-index {alpha} has degree {sum(alpha)} > max degree {self.max_degree}")
         raise ValueError(f"component {component} out of range [0, {self.multiplicity})")
 
-    def index_of(self, alpha, component: int = 0) -> int:
-        """Ordinal of the basis element (alpha, component)."""
-        return int(self.rank([tuple(int(a) for a in alpha)], [component])[0])
-
-    def element_at(self, i: int):
-        """Inverse of index_of: returns (multi-index, component)."""
-        if not 0 <= i < self.dimension:
-            raise ValueError(f"ordinal {i} out of range [0, {self.dimension})")
-        return tuple(int(a) for a in self.exponents[i]), int(self.components[i])
-
     def degree_slice(self, n: int) -> range:
         """Half-open ordinal range of the elements of total degree exactly n."""
         if not 0 <= n <= self.max_degree:
             raise ValueError(f"degree {n} out of range [0, {self.max_degree}]")
         return range(int(self.slice_bounds[n]), int(self.slice_bounds[n + 1]))
 
-    def contains(self, alpha) -> bool:
-        alpha = tuple(int(a) for a in alpha)
-        return (len(alpha) == self.num_vars and all(a >= 0 for a in alpha)
-                and degree(alpha) <= self.max_degree)
 
-
-def enumerate_basis(m: int, N: int, k: int = 1,
-                    dimension_cap: int = DEFAULT_DIMENSION_CAP) -> GradedBasis:
+def enumerate_basis(m: int, N: int, k: int = 1) -> GradedBasis:
     """Build the graded basis for m variables, degree <= N, multiplicity k.
 
     Deterministic: equal (m, N, k) always produce identical orderings.
+    A dimension above DIMENSION_CAP is refused before anything is built.
     """
     if m < 1:
         raise ValueError(f"number of variables must be >= 1, got {m}")
@@ -134,10 +99,9 @@ def enumerate_basis(m: int, N: int, k: int = 1,
     if k < 1:
         raise ValueError(f"multiplicity must be >= 1, got {k}")
     dim = k * count_up_to_degree(m, N)
-    if dim > dimension_cap:
-        raise ValueError(
-            f"basis dimension {dim} exceeds cap {dimension_cap}; "
-            f"raise dimension_cap explicitly if this is intentional")
+    if dim > DIMENSION_CAP:
+        raise ValueError(f"basis dimension {dim} exceeds cap {DIMENSION_CAP}; "
+                         f"lower --degrees or --m")
 
     # one variable: slice n is z^n.  Adding a leading variable, slice n lists
     # (n - |beta|, beta) for every beta of the old slices 0..n in order.

@@ -4,9 +4,9 @@ Everything here reads an operator's interior window (TruncatedOperator.window,
 the whole matrix when ungraded), optionally cut to degrees <= d.  Graded
 windows go block by degree block (shift_operators.block_singular_values), and
 a sweep of nested windows takes one pass over the widest: window d keeps the
-block values labelled <= d.  Ungraded windows and windows mixing degree
-offsets are one block and go through singular_values, once per window.
-window_norms derives every (d, p) norm of a sweep from those spectra.
+block values labelled <= d.  Ungraded windows are one block and go through
+singular_values, once per window.  window_norms derives every (d, p) norm of
+a sweep from those spectra.
 
 singular_values is the full dense spectrum of a window.  It refuses windows
 wider than DENSE_SVD_LIMIT before densifying; there is no sparse-iteration
@@ -77,22 +77,19 @@ def window_spectra(T: TruncatedOperator, degrees) -> dict:
     """{d: singular values of the interior window d} for every d of degrees,
     in no fixed order and up to zeros, from one block pass.
 
-    Graded single-offset windows take the blocks of the widest window once
-    (shift_operators.block_singular_values) and are never densified whole;
-    window d keeps the values labelled <= d, which are exactly its own
-    blocks' values in the same order.  Ungraded and mixed-offset operators
-    take one singular_values call per window.  A degree None stands for the
-    whole interior window.
+    Graded windows take the blocks of the widest window once
+    (shift_operators.block_singular_values, which refuses an operator mixing
+    degree offsets) and are never densified whole; window d keeps the values
+    labelled <= d, which are exactly its own blocks' values in the same
+    order.  Ungraded operators take one singular_values call per window.  A
+    degree None stands for the whole interior window.
     """
     degrees = list(degrees)
-    widest = None if None in degrees else max(degrees)
-    if is_graded(T.space):
-        W = T.window(widest)
-        blocks = block_singular_values(W, np.asarray(T.space.degrees)[:W.shape[0]])
-        if blocks is not None:
-            s, labels = blocks
-            return {d: s if d is None else s[labels <= d] for d in degrees}
-    return {d: singular_values(T, d) for d in degrees}
+    if not is_graded(T.space):
+        return {d: singular_values(T, d) for d in degrees}
+    W = T.window(None if None in degrees else max(degrees))
+    s, labels = block_singular_values(W, np.asarray(T.space.degrees)[:W.shape[0]])
+    return {d: s if d is None else s[labels <= d] for d in degrees}
 
 
 def check_p(p):

@@ -37,7 +37,7 @@ class InvarianceError(ValueError):
 
 @dataclass(frozen=True)
 class RestrictedSpace:
-    """Coordinate space obtained by restriction or direct sum.
+    """Coordinate space of a restriction or compression to a frame.
 
     degrees labels each coordinate with the ambient degree it came from;
     for ungraded subspaces (e.g. spans of kernel vectors) the labels are
@@ -186,7 +186,7 @@ def coordinate_shift(w: WeightSet, i: int) -> TruncatedOperator:
 
 def shift_combination(w: WeightSet, coeffs) -> TruncatedOperator:
     """T = c_1 Z_1 + ... + c_k Z_k (k <= m) as one CSR holding c_i times each
-    entry of Z_i, as scale and add compose it: no two shifts share an entry."""
+    entry of Z_i: no two shifts share an entry."""
     b = w.basis
     rows, vals = zip(*(_shift_entries(w, i) for i in range(1, len(coeffs) + 1)))
     cols = np.tile(np.arange(rows[0].size), len(rows))
@@ -228,28 +228,10 @@ def multiply(A: TruncatedOperator, B: TruncatedOperator) -> TruncatedOperator:
     return _product(A, B, _full_csr(A.mat.toarray() @ B.mat.toarray()))
 
 
-def add(A: TruncatedOperator, B: TruncatedOperator) -> TruncatedOperator:
-    _same_space(A, B)
-    return TruncatedOperator(A.space, (A.mat + B.mat).tocsr(),
-                             interior_degree=min(A.interior_degree, B.interior_degree),
-                             degree_raise=max(A.degree_raise, B.degree_raise))
-
-
-def subtract(A: TruncatedOperator, B: TruncatedOperator) -> TruncatedOperator:
-    return add(A, scale(B, -1.0))
-
-
-def scale(T: TruncatedOperator, c) -> TruncatedOperator:
-    return TruncatedOperator(T.space, (T.mat * c).tocsr(),
-                             interior_degree=T.interior_degree,
-                             degree_raise=T.degree_raise)
-
-
 def commutator(A: TruncatedOperator, B: TruncatedOperator) -> TruncatedOperator:
     """[A*, B] = A*B - BA* for two operators on the same space, from two
     products: sparse ones on a graded space, BLAS ones on an ungraded space,
-    which is one dense block (A* C-ordered as multiply's operands are).
-    Either way every entry rounds as in the composed form."""
+    which is one dense block (A* C-ordered)."""
     _same_space(A, B)
     if is_graded(A.space):
         a, b = A.mat.conj().T.tocsr(), B.mat
@@ -272,13 +254,23 @@ def cross_commutators(operators) -> dict:
             for i in range(1, len(T) + 1) for j in range(i, len(T) + 1)}
 
 
+def _check_single_offset(row_deg, col_deg):
+    """Refuse nonzeros that map degree n to n + r for more than one r.  Every
+    operator the library builds has one offset; a hand-built sum such as
+    Z1 + Z1* does not, and no routine here takes it."""
+    offsets = np.unique(row_deg - col_deg)
+    if offsets.size > 1:
+        raise ValueError(f"graded operator mixes degree offsets {offsets.tolist()}; "
+                         f"only single-offset operators are supported")
+
+
 def block_singular_values(W, degrees):
     """Singular values of a square sparse matrix, up to zeros, one degree
     block at a time, each with the smallest window degree that contains it.
 
-    W is canonicalised in place; degrees labels its rows and columns.  When
-    every nonzero maps column degree n to row degree n + r for one offset r
-    (shifts, their adjoints, every commutator [A*, B] of them), W is the
+    W is canonicalised in place; degrees labels its rows and columns.  Every
+    nonzero maps column degree n to row degree n + r for one offset r
+    (shifts, their adjoints, every commutator [A*, B] of them), so W is the
     direct sum of its (degree n + r, degree n) blocks and its spectrum is
     the union of theirs.  An entry alone in its row and its column is a 1x1
     summand whose singular value is its modulus, so scaled partial
@@ -289,7 +281,7 @@ def block_singular_values(W, degrees):
     max(n, n + r), a lone entry's max(row degree, column degree).  A block
     enters or leaves a window {degree <= d} whole, so values[labels <= d] is
     the spectrum of the window d, value for value and in the same order.
-    None when the nonzeros have more than one degree offset.
+    Nonzeros with more than one degree offset are refused with ValueError.
     """
     W = W.tocsr()
     W.sum_duplicates()
@@ -299,8 +291,7 @@ def block_singular_values(W, degrees):
     W = W.tocoo()
     degrees = np.asarray(degrees)
     col_deg, row_deg = degrees[W.col], degrees[W.row]
-    if np.unique(row_deg - col_deg).size > 1:
-        return None
+    _check_single_offset(row_deg, col_deg)
     label = np.maximum(row_deg, col_deg)
     alone = ((np.bincount(W.row, minlength=W.shape[0])[W.row] == 1)
              & (np.bincount(W.col, minlength=W.shape[1])[W.col] == 1))
@@ -324,12 +315,11 @@ def invariance_residual(T: TruncatedOperator, frame: SubspaceFrame) -> float:
     its slice-n block Q_n.  The residual's (t, n) block is then
     D = T_tn Q_n - Q_t (Q_t* T_tn Q_n), with T_tn and Q_n read as ordinal
     ranges, for every (t, n) where T has entries; blocks with t above the
-    interior degree are dropped.  When each column degree reaches one row
-    degree and each row degree is reached from one column degree (every
-    single-offset T), the residual is the direct sum of the blocks and its
-    norm their largest sigma_max; otherwise the blocks are placed in one
-    dense matrix of one SVD.  Ungraded frames (all labels 0) take one dense
-    SVD of the ambient residual.
+    interior degree are dropped.  T has one degree offset (a mixed one is
+    refused with ValueError), so each column degree reaches one row degree:
+    the residual is the direct sum of the blocks and its norm their largest
+    sigma_max.  Ungraded frames (all labels 0) take one dense SVD of the
+    ambient residual.
     """
     if not frame.graded:
         Q = frame.columns
@@ -341,28 +331,23 @@ def invariance_residual(T: TruncatedOperator, frame: SubspaceFrame) -> float:
     # degree n: the ambient ordinals rows[n]:rows[n + 1], the frame columns cols[n]:cols[n + 1]
     rows = np.searchsorted(deg, np.arange(top + 2))
     cols = np.searchsorted(frame.col_degrees, np.arange(top + 2))
-    size, rank = np.diff(rows), np.diff(cols)
+    rank = np.diff(cols)
     Qs = {n: frame.columns[rows[n]:rows[n + 1], cols[n]:cols[n + 1]].toarray()
           for n in np.flatnonzero(rank).tolist()}
 
     A = T.mat.tocsr()
     row_deg, col_deg = np.repeat(deg, np.diff(A.indptr)), deg[A.indices]
+    _check_single_offset(row_deg, col_deg)
     keep = (row_deg <= T.interior_degree) & (rank[col_deg] > 0)
-    blocks = {}
+    sigma = 0.0
     for k in np.unique(row_deg[keep] * (top + 1) + col_deg[keep]).tolist():
         t, n = divmod(k, top + 1)
         D = A[rows[t]:rows[t + 1], rows[n]:rows[n + 1]].toarray() @ Qs[n]
         if t in Qs:
             D = D - Qs[t] @ (Qs[t].conj().T @ D)
-        blocks[t, n] = D
-    row_degs = sorted({t for t, _ in blocks})
-    col_degs = sorted({n for _, n in blocks})
-    if not len(row_degs) == len(col_degs) == len(blocks):
-        blocks = {None: np.block([[blocks.get((t, n), np.zeros((size[t], rank[n])))
-                                   for n in col_degs] for t in row_degs])}
-    sigma = max((np.linalg.svd(D, compute_uv=False)[0] for D in blocks.values() if D.any()),
-                default=0.0)
-    return float(sigma) / _norm_scale(T)
+        if D.any():
+            sigma = max(sigma, float(np.linalg.svd(D, compute_uv=False)[0]))
+    return sigma / _norm_scale(T)
 
 
 def _dense_residual(T: TruncatedOperator, D: np.ndarray, scale: float,
@@ -474,22 +459,3 @@ def restricted_commutator_decomposition(T: TruncatedOperator,
         raise TheoremViolationError(f"corner part not positive semidefinite: min eig {eig_min:.3e}")
     return BlockDecomposition(diag, corner, Y)
 
-
-def direct_sum(operators) -> TruncatedOperator:
-    """Block-diagonal operator on the summands' coordinates, ordered by degree;
-    the order is stable, so each summand keeps its own coordinate order."""
-    operators = list(operators)
-    if not operators:
-        raise ValueError("direct_sum requires at least one operator")
-    if len(operators) == 1:
-        return operators[0]
-    degrees = np.concatenate([np.asarray(T.space.degrees) for T in operators])
-    order = np.argsort(degrees, kind="stable")
-    graded = all(is_graded(T.space) for T in operators)
-    space = RestrictedSpace(dimension=int(degrees.size), degrees=degrees[order],
-                            max_degree=max(T.space.max_degree for T in operators),
-                            graded=graded)
-    mat = sp.block_diag([T.mat for T in operators], format="csr")[order][:, order]
-    return TruncatedOperator(space, mat,
-                             interior_degree=min(T.interior_degree for T in operators),
-                             degree_raise=max(T.degree_raise for T in operators))

@@ -52,12 +52,6 @@ class SubmoduleBasis:
     def frame(self, side: Side) -> SubspaceFrame:
         return self.sub if side is Side.SUBMODULE else self.comp
 
-    def dim_in_degree(self, n: int, side: Side = Side.SUBMODULE) -> int:
-        if not self.sub.graded:
-            raise ValueError("submodule is not graded; per-degree dimensions undefined")
-        f = self.frame(side)
-        return int(np.count_nonzero(np.asarray(f.col_degrees) == n))
-
 
 def projection_matrix(S: SubmoduleBasis, side: Side) -> np.ndarray:
     """Orthogonal projection onto the requested side, on the full basis."""
@@ -195,29 +189,6 @@ def check_distinct_points(s):
     if s[-1] <= DEFAULT_RANK_TOL * s[0]:
         cond = float(s[0] / s[-1]) if s[-1] > 0 else np.inf
         raise RankCollapseError("nearly coincident evaluation points", cond)
-
-
-def span_of_point_evaluations(w: WeightSet, points) -> SubmoduleBasis:
-    """Complement-first construction: S-perp = span of kernel vectors at the points.
-
-    The result is generally not graded: both frames are single ungraded blocks
-    and invariance checks fall back to full-window residuals.
-    """
-    b = w.basis
-    if b.num_vars not in (1, 2):
-        raise ValueError("span_of_point_evaluations supports m in {1, 2}")
-    points = list(points)
-    if not points:
-        raise ValueError("empty point list")
-    if len(points) * b.multiplicity > b.dimension:
-        raise ValueError("more evaluation vectors than basis dimension")
-    schatten.check_dense_svd_size(b.dimension, "ambient")
-    K = kernel_columns(w, points, range(b.multiplicity))
-
-    U, s, _ = np.linalg.svd(K, full_matrices=True)
-    check_distinct_points(s)
-    r = K.shape[1]
-    return SubmoduleBasis(w, SubspaceFrame.ungraded(U[:, r:]), SubspaceFrame.ungraded(U[:, :r]))
 
 
 def ungraded_submodule(w: WeightSet, generators) -> SubmoduleBasis:

@@ -9,14 +9,13 @@ log_gamma_table: a port of the Cephes lgam behind scipy.special.gammaln, bit
 for bit the same there, so scipy.special is never imported.
 """
 
-import enum
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
 
-from .graded_basis import GradedBasis, enumerate_basis
+from .graded_basis import GradedBasis
 
 # Cephes lgam: log sqrt(2 pi), and the coefficients of its Stirling series in 1/x^2
 _LS2PI = 0.91893853320467274178
@@ -36,22 +35,6 @@ def log_gamma_table(n: int) -> np.ndarray:
     stirling = (x - 0.5) * np.fromiter(map(math.log, x), float, x.size) - x + _LS2PI + series / x
     exact = [math.inf] + [math.log(math.factorial(k - 1)) for k in range(1, 13)]
     return np.concatenate([exact, stirling])[:n]
-
-
-class Condition(enum.Enum):
-    BOUNDED = "bounded"
-    CONTRACTIVE = "contractive"
-    CROSS_COMMUTATOR_SP = "cross_commutator_sp"
-
-
-@dataclass
-class ConditionReport:
-    condition: Condition
-    p: float | None
-    satisfied_at_truncation: bool
-    witness_value: float
-    trend: list | None = None  # list of (degree, value)
-    thresholds: dict = field(default_factory=dict)
 
 
 @dataclass(frozen=True)
@@ -76,34 +59,6 @@ class WeightSet:
     def lam(self) -> np.ndarray:
         """lambda values per basis ordinal (computed once)."""
         return np.exp(self.log_lambda)
-
-    def lambda_of(self, alpha, component: int = 0) -> float:
-        return float(np.exp(self.log_lambda[self.basis.index_of(alpha, component)]))
-
-    def shift_weight(self, alpha, i: int) -> float:
-        """Matrix entry of Z_i from alpha to alpha + e_i."""
-        target = list(alpha)
-        target[i - 1] += 1
-        j0, j1 = self.basis.rank([tuple(alpha), target], [0, 0])
-        return float(np.exp(self.log_lambda[j1] - self.log_lambda[j0]))
-
-    def all_shift_weights(self, i: int) -> np.ndarray:
-        """Shift weights of Z_i for every alpha with degree < N (component 0)."""
-        b = self.basis
-        src = np.flatnonzero((b.components == 0) & (b.degrees < b.max_degree))
-        target = b.exponents[src]
-        target[:, i - 1] += 1
-        dst = b.rank(target, b.components[src])
-        return np.exp(self.log_lambda[dst] - self.log_lambda[src])
-
-    def to_table_text(self) -> str:
-        """Serialize as a text table: one line per multi-index, exponents then lambda."""
-        b = self.basis
-        lines = [f"# weight set: {self.label}",
-                 f"# m={b.num_vars} N={b.max_degree}"]
-        lines += [" ".join(str(int(a)) for a in b.exponents[j]) + f" {float(self.lam[j])!r}"
-                  for j in np.flatnonzero(b.components == 0)]
-        return "\n".join(lines) + "\n"
 
 
 def _ball_weights(basis: GradedBasis, s: int, label: str) -> WeightSet:
@@ -177,43 +132,3 @@ def family_weights(family: str, basis: GradedBasis, delta: float | None = None) 
         raise ValueError(f"unknown weight family {family!r}; "
                          f"known: {FAMILY_IDS}") from None
 
-
-def check_condition(w: WeightSet, condition: Condition, p: float | None = None,
-                    degrees: list | None = None) -> ConditionReport:
-    """Test boundedness / contractivity / S_p cross-commutator trends at truncation."""
-    from . import schatten, shift_operators  # local import: avoids a cycle
-
-    if condition in (Condition.BOUNDED, Condition.CONTRACTIVE):
-        sup = 0.0
-        for i in range(1, w.basis.num_vars + 1):
-            ws = w.all_shift_weights(i)
-            if ws.size:
-                sup = max(sup, float(ws.max()))
-        if condition is Condition.BOUNDED:
-            return ConditionReport(condition, None, bool(np.isfinite(sup)), sup)
-        return ConditionReport(condition, None, sup <= 1.0 + 1e-12, sup,
-                               thresholds={"contractive_slack": 1e-12})
-
-    if condition is Condition.CROSS_COMMUTATOR_SP:
-        if p is None:
-            raise ValueError("CROSS_COMMUTATOR_SP requires p >= 1")
-        schatten.check_p(p)
-        if not degrees:
-            raise ValueError("CROSS_COMMUTATOR_SP requires a list of truncation degrees")
-        degrees = schatten.sweep_degrees(degrees)
-        m = w.basis.num_vars
-        shifts = [shift_operators.coordinate_shift(w, i) for i in range(1, m + 1)]
-        comms = shift_operators.cross_commutators(shifts).values()
-        interior = min(C.interior_degree for C in comms)
-        bad = [d for d in degrees if d > interior]
-        if bad:
-            raise ValueError(f"requested degrees {bad} exceed the interior window {interior}")
-        # one commutator's spectra at a time: peak memory is one operator's windows
-        norms = [schatten.window_norms(C, degrees, [p]) for C in comms]
-        trend = [(d, max(n[d, p] for n in norms)) for d in degrees]
-        verdict, details = schatten.convergence_diagnostic(trend)
-        witness = trend[-1][1]
-        return ConditionReport(condition, p, verdict is schatten.Verdict.CONVERGING,
-                               witness, trend=trend, thresholds=details)
-
-    raise ValueError(f"unknown condition {condition!r}")

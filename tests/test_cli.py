@@ -223,7 +223,10 @@ def test_oversize_quotient_sweep_is_refused_before_any_submodule(gens, degrees, 
     monkeypatch.setattr(submodules, "SubmoduleBasis", refuse)
     assert run_cli(["quotient-probe", "--m", "2", "--gens", gens, "--degrees", degrees],
                    tmp_path) == 2
-    assert f"error: {reason}" in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert f"error: {reason}" in err
+    # no flag or config key sets a library parameter of that name
+    assert "dimension_cap" not in err
     assert not any(tmp_path.iterdir())
 
 

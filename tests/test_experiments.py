@@ -1,14 +1,16 @@
 import filecmp
 import gc
 import json
+import math
+import tracemalloc
 import weakref
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from shiftlab import (experiments, monomial_generator, parse_polynomial, schatten,
-                      shift_operators as ops, submodules)
+from shiftlab import (experiments, monomial_generator, parse_generators, parse_polynomial,
+                      schatten, shift_operators as ops, submodules)
 from shiftlab.experiments import (TheoremViolationError, run_submodule_probe,
                                   run_trace_inequality_check,
                                   run_direct_sum_trends, run_ramp_block_norms,
@@ -63,6 +65,22 @@ def test_trace_inequality_records_rows():
     assert len(rows) == 4  # 2 degrees x 2 nested spans
     for (_, _, tr_p, c1, holds) in rows:
         assert holds and -1e-8 <= tr_p <= c1 + 1e-8
+
+
+def test_generator_closure_keeps_the_shift_sparse():
+    # the adjoint closure multiplies by the sparse Z1*: its dense form at
+    # m=2, N=80 (dimension 3,321) would be 88 MB, four times the bound
+    dim = math.comb(82, 2)
+    tracemalloc.start()
+    try:
+        rep = run_trace_inequality_check("bergman-ball", m=2,
+                                         generators=parse_generators("z1;z2", 2),
+                                         degree_sweep=[80])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert [row[4] for row in _rows(rep, "trace_inequality")] == [True, True]
+    assert peak < dim * dim * 8 / 4
 
 
 def test_trace_inequality_input_validation():

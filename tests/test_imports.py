@@ -1,7 +1,7 @@
 """No shiftlab module reaches into another module's private names, every
 test module imports, the benchmark's traced groups name real functions,
-importing the CLI leaves scipy.linalg unloaded, and no run loads
-scipy.special."""
+importing the CLI leaves scipy.linalg unloaded, no run loads scipy.special,
+and the commands call every public function but a listed few."""
 
 import ast
 import importlib
@@ -147,3 +147,78 @@ def test_no_run_loads_scipy_special(tmp_path):
     out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
                          check=True, env={**os.environ, "PYTHONPATH": str(SRC.parent)})
     assert json.loads(out.stdout.splitlines()[-1]) == [[0] * len(TINY_RUNS), False]
+
+
+# public names that no command calls, each with the reason it stays
+UNCALLED = {
+    "shift_operators.multiply": "perfbench/layers.py's shift_operators.multiply.self_s names it",
+    "shift_operators.SparseColumns.nbytes": "perfbench/layers.py's frame_bytes counter reads it",
+    "submodules.projection_matrix": "the acceptance gate's projection checks",
+    "submodules.SubmoduleBasis.frame": "projection_matrix reads a side's frame through it",
+    "polynomials.monomial_generator": "the acceptance gate and the README quick tour",
+    "cli.RunConfig.to_text": "the config round-trip test",
+}
+
+
+def _function_of(member):
+    """The function behind a class attribute: a method, a property's getter,
+    a cached property's function or a class/static method's; else None."""
+    if isinstance(member, property):
+        return member.fget
+    if isinstance(member, (classmethod, staticmethod)):
+        return member.__func__
+    member = getattr(member, "func", member)        # functools.cached_property
+    return member if inspect.isfunction(member) else None
+
+
+def _code_key(fn):
+    code = inspect.unwrap(fn).__code__
+    return Path(code.co_filename).name, code.co_firstlineno
+
+
+def public_functions():
+    """{qualified name: (file, first line)} of every public function defined in
+    src/shiftlab and every public method of its public classes."""
+    found = {}
+    for stem in sorted(SIBLINGS - {"__init__"}):
+        module = importlib.import_module(f"shiftlab.{stem}")
+        for name, obj in vars(module).items():
+            if name.startswith("_") or getattr(obj, "__module__", None) != module.__name__:
+                continue
+            if inspect.isfunction(obj):
+                found[f"{stem}.{name}"] = _code_key(obj)
+            elif inspect.isclass(obj):
+                for attr, member in vars(obj).items():
+                    fn = _function_of(member)
+                    if fn is not None and not attr.startswith("_"):
+                        found[f"{stem}.{name}.{attr}"] = _code_key(fn)
+    return found
+
+
+def test_every_public_function_is_called_by_a_command(tmp_path):
+    # TINY_RUNS, the one family they leave out, and a run configured from a
+    # file, in one process under sys.setprofile: the functions whose code ran
+    config = tmp_path / "run.cfg"
+    config.write_text("m = 2\ndelta = 1\ndegrees = 2,3,4,5\n")
+    runs = TINY_RUNS + [
+        ["quotient-probe", "--family", "hardy-ball", "--m", "2", "--gens", "z1*z2",
+         "--p", "1", "--degrees", "3,4"],
+        ["factorial-family", "--config", str(config)],
+    ]
+    code = ("import json, sys\nfrom pathlib import Path\nfrom shiftlab.cli import main\n"
+            f"src = {str(SRC)!r}\nran = set()\n"
+            "def profile(frame, event, arg):\n"
+            "    c = frame.f_code\n"
+            "    if event == 'call' and c.co_filename.startswith(src):\n"
+            "        ran.add((Path(c.co_filename).name, c.co_firstlineno))\n"
+            "sys.setprofile(profile)\n"
+            f"codes = [main(argv + ['--out', {str(tmp_path)!r}]) for argv in {runs!r}]\n"
+            "sys.setprofile(None)\n"
+            "print(json.dumps([codes, sorted(ran)]))")
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                         check=True, env={**os.environ, "PYTHONPATH": str(SRC.parent)})
+    codes, ran = json.loads(out.stdout.splitlines()[-1])
+    assert codes == [0] * len(runs)
+    ran = {tuple(key) for key in ran}
+    uncalled = sorted(name for name, key in public_functions().items() if key not in ran)
+    assert uncalled == sorted(UNCALLED), f"public functions no command calls: {uncalled}"

@@ -3,18 +3,18 @@ import pytest
 import scipy.sparse as sp
 from hypothesis import given, settings, strategies as st
 
-from shiftlab import (Verdict, add, adjoint,
+from shiftlab import (Verdict, adjoint,
                       ap_witness, bergman_ball_weights, commutator, compress_to_frame,
                       convergence_diagnostic, coordinate_shift,
                       decay_exponent_fit, drury_arveson_weights, enumerate_basis,
                       factorial_delta_weights, homogeneous_submodule,
-                      parse_polynomial, restrict_to_invariant, scale,
-                      schatten_norm, self_commutator, singular_values,
+                      parse_polynomial, restrict_to_invariant,
+                      schatten_norm, self_commutator, shift_combination, singular_values,
                       ungraded_submodule)
 from shiftlab import cli, schatten
 from shiftlab.shift_operators import RestrictedSpace, TruncatedOperator
 
-from conftest import random_weight_set
+from conftest import random_weight_set, z1_plus_adjoint
 
 
 def _wrap(M, max_degree=0):
@@ -206,6 +206,13 @@ def _dense_norm(T, p, d):
     return float(s.max()) if p == np.inf else float(np.sum(s ** p) ** (1 / p))
 
 
+def _plus(A, B, c):
+    """A + cB from the two CSRs, with the sum's interior and degree raise."""
+    return TruncatedOperator(A.space, (A.mat + (B.mat * c).tocsr()).tocsr(),
+                             interior_degree=min(A.interior_degree, B.interior_degree),
+                             degree_raise=max(A.degree_raise, B.degree_raise))
+
+
 def _assert_matches_dense_oracle(T, degrees):
     for d in degrees:
         for p in ORACLE_PS:
@@ -260,7 +267,7 @@ def test_block_norms_random_weights(seed, m):
     w = random_weight_set(rng, m, 7 if m == 3 else 10, k=int(rng.integers(1, 3)))
     i, j = (int(x) for x in rng.integers(1, m + 1, size=2))
     Zi, Zj = coordinate_shift(w, i), coordinate_shift(w, j)
-    for T in (Zi, commutator(Zi, Zj), self_commutator(add(Zi, scale(Zj, 0.5 + 1j)))):
+    for T in (Zi, commutator(Zi, Zj), self_commutator(_plus(Zi, Zj, 0.5 + 1j))):
         _assert_matches_dense_oracle(T, (1, 3, T.interior_degree))
 
 
@@ -274,11 +281,15 @@ def test_block_norms_ungraded_quotient_falls_back(count_dense_spectra):
     assert len(count_dense_spectra) == len(ORACLE_PS)
 
 
-def test_block_norms_mixed_offsets_fall_back(count_dense_spectra):
-    w = factorial_delta_weights(enumerate_basis(2, 8), 1.0)
-    Z1 = coordinate_shift(w, 1)
-    _assert_matches_dense_oracle(add(Z1, adjoint(Z1)), (3, 6))
-    assert len(count_dense_spectra) == 2 * len(ORACLE_PS)
+def test_block_norms_refuse_mixed_offsets(count_dense_spectra):
+    # a hand-built Z1 + Z1* maps degree n to n + 1 and n - 1: no degree-block
+    # spectrum, and no dense fallback either
+    T = z1_plus_adjoint(factorial_delta_weights(enumerate_basis(2, 8), 1.0))
+    for norm in (lambda: schatten_norm(T, 2.0, max_window_degree=3),
+                 lambda: schatten.window_norms(T, (3, 6), ORACLE_PS)):
+        with pytest.raises(ValueError, match=r"mixes degree offsets \[-1, 1\]"):
+            norm()
+    assert count_dense_spectra == []
 
 
 # --- a sweep's nested windows from one block pass over the widest
@@ -327,21 +338,16 @@ def test_nested_windows_random_weights(seed, m, k):
     i, j = (int(x) for x in rng.integers(1, m + 1, size=2))
     Zi, Zj = coordinate_shift(w, i), coordinate_shift(w, j)
     c = complex(*rng.normal(size=2))
-    for T in (Zi, commutator(Zi, Zj), commutator(add(Zi, scale(Zj, c)), Zj),
-              self_commutator(add(Zi, scale(Zj, c)))):
+    for T in (Zi, commutator(Zi, Zj), commutator(_plus(Zi, Zj, c), Zj),
+              self_commutator(_plus(Zi, Zj, c))):
         _assert_nested_windows(T)
 
 
-@pytest.mark.parametrize("kind", ["ungraded-quotient", "mixed-offsets"])
-def test_nested_windows_one_dense_spectrum_per_window(kind, count_dense_spectra):
-    if kind == "ungraded-quotient":
-        w = drury_arveson_weights(enumerate_basis(3, 6))
-        S = ungraded_submodule(w, [parse_polynomial("z1-z2*z3", 3)])
-        R1, R2 = (compress_to_frame(coordinate_shift(w, i), S.comp) for i in (1, 2))
-        T = commutator(R1, R2)
-    else:
-        Z1 = coordinate_shift(factorial_delta_weights(enumerate_basis(2, 8), 1.0), 1)
-        T = add(Z1, adjoint(Z1))
+def test_nested_windows_one_dense_spectrum_per_window(count_dense_spectra):
+    w = drury_arveson_weights(enumerate_basis(3, 6))
+    S = ungraded_submodule(w, [parse_polynomial("z1-z2*z3", 3)])
+    R1, R2 = (compress_to_frame(coordinate_shift(w, i), S.comp) for i in (1, 2))
+    T = commutator(R1, R2)
     spectra = schatten.window_spectra(T, SWEEP)
     assert len(count_dense_spectra) == len(SWEEP)
     for d in SWEEP:
@@ -349,9 +355,16 @@ def test_nested_windows_one_dense_spectrum_per_window(kind, count_dense_spectra)
     _assert_matches_dense_oracle(T, SWEEP)
 
 
+def test_nested_windows_refuse_mixed_offsets(count_dense_spectra):
+    T = z1_plus_adjoint(factorial_delta_weights(enumerate_basis(2, 8), 1.0))
+    with pytest.raises(ValueError, match=r"mixes degree offsets \[-1, 1\]"):
+        schatten.window_spectra(T, SWEEP)
+    assert count_dense_spectra == []
+
+
 def test_block_norms_all_zero_window():
     w = factorial_delta_weights(enumerate_basis(2, 6), 1.0)
-    for T in (scale(coordinate_shift(w, 1), 0.0),
+    for T in (shift_combination(w, [0.0]),
               TruncatedOperator(w.basis, sp.csr_matrix((w.basis.dimension,) * 2),
                                 interior_degree=4)):
         for p in ORACLE_PS:

@@ -10,13 +10,17 @@ from shiftlab import (PolynomialGenerator, RankCollapseError, bergman_ball_weigh
                       compress_to_frame, coordinate_shift, cross_commutators,
                       drury_arveson_weights, enumerate_basis,
                       homogeneous_submodule, monomial_generator,
-                      monomial_submodule, parse_polynomial, projection_matrix,
-                      span_of_point_evaluations)
+                      monomial_submodule, parse_polynomial, projection_matrix)
 from shiftlab import cli, schatten, submodules
-from shiftlab.graded_basis import compositions
 from shiftlab.submodules import Side, ungraded_submodule
 
-from conftest import random_weight_set
+from conftest import point_evaluation_submodule, random_weight_set
+from test_graded_basis import compositions
+
+
+def _dim_in_degree(frame, n):
+    """Number of a graded frame's columns labelled with degree n."""
+    return int(np.count_nonzero(np.asarray(frame.col_degrees) == n))
 
 
 def test_monomial_submodule_membership(rng):
@@ -37,8 +41,8 @@ def test_monomial_hilbert_function():
     a, b = 2, 3
     S = monomial_submodule(w, [monomial_generator((a, b), num_vars=2)])
     for n in range(9):
-        assert S.dim_in_degree(n) == max(0, n - a - b + 1)
-        assert S.dim_in_degree(n, Side.COMPLEMENT) == (n + 1) - max(0, n - a - b + 1)
+        assert _dim_in_degree(S.sub, n) == max(0, n - a - b + 1)
+        assert _dim_in_degree(S.comp, n) == (n + 1) - max(0, n - a - b + 1)
 
 
 def test_projections_are_complementary(rng):
@@ -93,7 +97,7 @@ def test_homogeneous_binomial_ideal_dimensions():
     S = homogeneous_submodule(w, [g])
     for n in range(8):
         expected = max(0, (n + 1) - 2) if n >= 2 else 0
-        assert S.dim_in_degree(n) == expected
+        assert _dim_in_degree(S.sub, n) == expected
 
 
 def test_homogeneous_two_generators_full_cut():
@@ -123,7 +127,7 @@ def test_point_evaluations_kernel_property(rng):
     basis = enumerate_basis(2, 25)
     w = drury_arveson_weights(basis)
     pts = [(0.3, 0.1), (0.2 - 0.3j, 0.4j)]
-    S = span_of_point_evaluations(w, pts)
+    S = point_evaluation_submodule(w, pts)
     K = S.comp.columns
     for i in (1, 2):
         Zs = adjoint(coordinate_shift(w, i)).mat.toarray()
@@ -167,18 +171,9 @@ def test_kernel_columns_match_per_monomial_loop(m, N, rng):
 def test_point_evaluations_rank_collapse():
     basis = enumerate_basis(1, 15)
     w = drury_arveson_weights(basis)
+    K = submodules.kernel_columns(w, [(0.5,), (0.5 + 1e-14,)], [0])
     with pytest.raises(RankCollapseError):
-        span_of_point_evaluations(w, [(0.5,), (0.5 + 1e-14,)])
-
-
-def test_point_evaluations_input_validation():
-    basis = enumerate_basis(1, 8)
-    w = drury_arveson_weights(basis)
-    with pytest.raises(ValueError):
-        span_of_point_evaluations(w, [])
-    basis3 = enumerate_basis(3, 5)
-    with pytest.raises(ValueError):
-        span_of_point_evaluations(drury_arveson_weights(basis3), [(0.1, 0.1, 0.1)])
+        submodules.check_distinct_points(np.linalg.svd(K, compute_uv=False))
 
 
 def test_ungraded_submodule_contains_generator_multiples(rng):
@@ -189,8 +184,9 @@ def test_ungraded_submodule_contains_generator_multiples(rng):
     lam = w.lam
     # (z1 - 1) * z2 must lie in the span
     v = np.zeros(b.dimension, dtype=complex)
-    v[b.index_of((1, 1))] = lam[b.index_of((1, 1))]
-    v[b.index_of((0, 1))] = -lam[b.index_of((0, 1))]
+    j11, j01 = b.rank([(1, 1), (0, 1)], [0, 0])
+    v[j11] = lam[j11]
+    v[j01] = -lam[j01]
     v /= np.linalg.norm(v)
     F = S.sub.columns
     resid = np.linalg.norm(v - F @ (F.conj().T @ v))
@@ -303,7 +299,7 @@ def test_frames_expose_stored_bytes_and_graded_frames_stay_per_slice():
         monomial_submodule(w3, [monomial_generator((1, 1, 0), num_vars=3)]),
         homogeneous_submodule(w3, [parse_polynomial("z1^2 - z2^2", num_vars=3)]),
         ungraded_submodule(w3, [parse_polynomial("z1 - z2*z3", num_vars=3)]),
-        span_of_point_evaluations(w2, [(0.3, 0.1), (0.2 - 0.3j, 0.4j)]),
+        point_evaluation_submodule(w2, [(0.3, 0.1), (0.2 - 0.3j, 0.4j)]),
     ]
     for S in builds:
         b = S.weights.basis
@@ -316,24 +312,21 @@ def test_frames_expose_stored_bytes_and_graded_frames_stay_per_slice():
 
 
 def test_ambient_frames_refuse_large_spaces_before_any_work(monkeypatch, tmp_path):
-    # both builders factorise an ambient-size matrix (QR or SVD): the size
-    # check comes before any vector is built and before any factorisation
+    # the ungraded builder factorises an ambient-size matrix: the size check
+    # comes before any vector is built and before any factorisation
     w = drury_arveson_weights(enumerate_basis(2, 8))
     assert w.basis.dimension == 45
     monkeypatch.setattr(schatten, "DENSE_SVD_LIMIT", 44)
 
     def refuse(*args, **kwargs):
         raise AssertionError("work done before the size check")
-    for name in ("multiple_vectors", "kernel_columns"):
-        monkeypatch.setattr(submodules, name, refuse)
+    monkeypatch.setattr(submodules, "multiple_vectors", refuse)
     monkeypatch.setattr(np.linalg, "svd", refuse)
     monkeypatch.setattr(np.linalg, "qr", refuse)
     monkeypatch.setattr(scipy.linalg, "qr", refuse)
     for gens in (["z1 - z2^2"], ["z1 - z2^2", "z1*z2"]):
         with pytest.raises(ValueError, match="ambient dimension 45 exceeds DENSE_SVD_LIMIT=44"):
             ungraded_submodule(w, [parse_polynomial(g, num_vars=2) for g in gens])
-    with pytest.raises(ValueError, match="ambient dimension 45 exceeds DENSE_SVD_LIMIT=44"):
-        span_of_point_evaluations(w, [(0.3, 0.1)])
     code = cli.main(["quotient-probe", "--m", "2", "--gens", "z1-z2^2", "--degrees", "6,8",
                      "--out", str(tmp_path), "--tag", "t"])
     assert code == 2

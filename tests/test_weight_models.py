@@ -5,11 +5,12 @@ import pytest
 from scipy.special import gammaln
 from scipy.stats import qmc
 
-from shiftlab import (Condition, WeightSet, bergman_ball_weights, check_condition,
+from shiftlab import (WeightSet, bergman_ball_weights,
                       drury_arveson_weights, enumerate_basis, ramp_weights,
                       factorial_delta_weights, family_weights, hardy_ball_weights)
-from shiftlab import shift_operators
 from shiftlab.weight_models import log_gamma_table
+
+from conftest import shift_weight
 
 
 def _alpha_rows(basis):
@@ -83,7 +84,7 @@ def test_factorial_delta_shift_weight_depends_on_degree_only():
     for alpha in [(0, 0), (1, 2), (4, 1), (0, 6)]:
         n = sum(alpha)
         for i in (1, 2):
-            assert w.shift_weight(alpha, i) == pytest.approx(
+            assert shift_weight(w, alpha, i) == pytest.approx(
                 (2.0 + n) ** (-0.75), rel=1e-12)
 
 
@@ -92,7 +93,7 @@ def test_ramp_weight_profile():
     basis = enumerate_basis(1, 20)
     w = ramp_weights(n, basis)
     # shift weight sqrt(k/n) up to k = n, then 1
-    ws = w.all_shift_weights(1)
+    ws = [shift_weight(w, (k - 1,), 1) for k in range(1, basis.max_degree + 1)]
     for k, val in enumerate(ws, start=1):
         expected = math.sqrt(k / n) if k <= n else 1.0
         assert val == pytest.approx(expected, rel=1e-12)
@@ -114,63 +115,6 @@ def test_weight_set_validation():
         WeightSet(basis, np.zeros(basis.dimension + 1), "bad")
     with pytest.raises(ValueError):
         WeightSet(basis, np.array([0.0, np.inf, 0.0, 0.0]), "bad")
-
-
-def test_conditions_bounded_and_contractive():
-    basis = enumerate_basis(2, 10)
-    da = check_condition(drury_arveson_weights(basis), Condition.CONTRACTIVE)
-    assert da.satisfied_at_truncation
-    assert da.witness_value <= 1.0 + 1e-12
-    grow = WeightSet(basis, 0.5 * np.asarray(basis.degrees, dtype=float), "growing")
-    rep = check_condition(grow, Condition.CONTRACTIVE)
-    assert not rep.satisfied_at_truncation
-    assert check_condition(grow, Condition.BOUNDED).satisfied_at_truncation
-
-
-def test_condition_cross_commutator_trend():
-    basis = enumerate_basis(2, 22)
-    w = factorial_delta_weights(basis, delta=1.5)
-    rep = check_condition(w, Condition.CROSS_COMMUTATOR_SP, p=1.0,
-                          degrees=[8, 12, 16, 20])
-    assert rep.satisfied_at_truncation
-    assert rep.trend is not None and len(rep.trend) == 4
-    with pytest.raises(ValueError):
-        check_condition(w, Condition.CROSS_COMMUTATOR_SP, p=1.0, degrees=[25])
-    with pytest.raises(ValueError):
-        check_condition(w, Condition.CROSS_COMMUTATOR_SP, p=0.5, degrees=[8, 12])
-
-
-def test_condition_cross_commutator_rejects_bad_sweep_before_building(monkeypatch):
-    w = factorial_delta_weights(enumerate_basis(2, 12), delta=1.5)
-
-    def refuse(*args, **kwargs):
-        raise AssertionError("operator built before the input was checked")
-    monkeypatch.setattr(shift_operators, "coordinate_shift", refuse)
-    with pytest.raises(ValueError, match="sweep degree 6 is repeated"):
-        check_condition(w, Condition.CROSS_COMMUTATOR_SP, p=1.0, degrees=[6, 6, 8, 10])
-    for p in (0.5, np.nan):
-        with pytest.raises(ValueError, match="Schatten p-norm requires p >= 1"):
-            check_condition(w, Condition.CROSS_COMMUTATOR_SP, p=p, degrees=[6, 8])
-
-
-def test_condition_cross_commutator_window_is_the_commutators_interior():
-    # [Z_i*, Z_j] on a basis of degree <= 12 is exact up to degree 10
-    w = factorial_delta_weights(enumerate_basis(2, 12), delta=1.5)
-    rep = check_condition(w, Condition.CROSS_COMMUTATOR_SP, p=1.0, degrees=[4, 6, 8, 10])
-    assert [d for d, _ in rep.trend] == [4, 6, 8, 10]
-    with pytest.raises(ValueError, match=r"requested degrees \[11\] exceed the interior "
-                                         r"window 10"):
-        check_condition(w, Condition.CROSS_COMMUTATOR_SP, p=1.0, degrees=[4, 11])
-
-
-def test_to_table_text_roundtrip_values():
-    basis = enumerate_basis(2, 3)
-    w = drury_arveson_weights(basis)
-    lines = [l for l in w.to_table_text().splitlines() if not l.startswith("#")]
-    assert len(lines) == basis.dimension
-    exps, lam = lines[5].rsplit(" ", 1)
-    alpha = tuple(int(t) for t in exps.split())
-    assert float(lam) == pytest.approx(w.lambda_of(alpha), rel=1e-15)
 
 
 @pytest.mark.parametrize("m,N,k", [(1, 10, 1), (2, 12, 2), (3, 9, 1), (4, 7, 1), (5, 5, 1)])
