@@ -258,6 +258,16 @@ def test_trace_inequality_rejects_coincident_points(tmp_path, capsys):
     assert not any(tmp_path.iterdir())
 
 
+@pytest.mark.parametrize("points,message", [
+    ("0.3,0.1;0.9,0.9", "is not inside the open unit ball"),
+    ("0.3,0.1;0.1", "has wrong dimension, expected 2"),
+])
+def test_trace_inequality_rejects_points_without_kernel_vectors(points, message, tmp_path,
+                                                                capsys):
+    assert run_cli(["trace-inequality", "--m", "2", "--points", points], tmp_path) == 2
+    assert message in capsys.readouterr().err
+    assert not any(tmp_path.iterdir())
+
 def test_trace_inequality_names_truncation_tail(tmp_path, capsys):
     # truncated kernel vectors are invariant only up to a tail that falls
     # roughly like max|z|^(2N): too large at N=12, small enough further out

@@ -32,6 +32,13 @@ def test_degree_slice_count(m, n):
     assert len(basis.degree_slice(n)) == math.comb(n + m - 1, m - 1)
 
 
+def test_degree_slice_out_of_range():
+    basis = enumerate_basis(2, 4)
+    assert basis.degree_slice(4) == range(10, 15)
+    for n in (-1, 5):
+        with pytest.raises(ValueError, match=rf"degree {n} out of range \[0, 4\]"):
+            basis.degree_slice(n)
+
 def test_ordering_is_degree_major():
     basis = enumerate_basis(3, 5)
     degs = np.asarray(basis.degrees)

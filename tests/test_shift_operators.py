@@ -183,6 +183,29 @@ def test_drury_arveson_row_sums():
             assert shift_weight(w, alpha, i) == pytest.approx(expected, rel=1e-12)
 
 
+@pytest.mark.parametrize("m", [1, 2, 3])
+def test_drury_arveson_shifts_are_a_row_contraction(m):
+    # Z_i Z_i* sends z^beta to (beta_i / |beta|) z^beta, so sum_i Z_i Z_i* is
+    # the identity off the constants; Z_i* Z_i sends z^alpha below the top
+    # degree to ((alpha_i + 1) / (|alpha| + 1)) z^alpha, so sum_i Z_i* Z_i is
+    # (|alpha| + m) / (|alpha| + 1) there and 0 on the top degree
+    N = 6
+    w = drury_arveson_weights(enumerate_basis(m, N))
+    Zs = [coordinate_shift(w, i).mat for i in range(1, m + 1)]
+    rows = sum(Z @ Z.conj().T for Z in Zs).toarray()
+    cols = sum(Z.conj().T @ Z for Z in Zs).toarray()
+    n = np.asarray(w.basis.degrees)
+    assert np.abs(rows - np.diag((n > 0).astype(float))).max() < 1e-14
+    expected = np.where(n < N, (n + m) / (n + 1), 0.0)
+    assert np.abs(cols - np.diag(expected)).max() < 1e-14
+
+
+def test_coordinate_shift_rejects_bad_index():
+    w = drury_arveson_weights(enumerate_basis(2, 4))
+    for i in (0, 3):
+        with pytest.raises(ValueError, match=rf"coordinate index {i} out of range \[1, 2\]"):
+            coordinate_shift(w, i)
+
 def test_commutator_is_adjoint_product_difference(rng, monkeypatch):
     w = random_weight_set(rng, 2, 6)
     Z1, Z2 = coordinate_shift(w, 1), coordinate_shift(w, 2)

@@ -176,6 +176,18 @@ def test_point_evaluations_rank_collapse():
         submodules.check_distinct_points(np.linalg.svd(K, compute_uv=False))
 
 
+def test_kernel_columns_input_validation():
+    # a point of the wrong dimension, or on or outside the unit sphere, has no
+    # kernel vector; the first such point is named
+    w = drury_arveson_weights(enumerate_basis(2, 6))
+    with pytest.raises(ValueError, match="has wrong dimension, expected 2"):
+        submodules.kernel_columns(w, [(0.3, 0.1), (0.1,)], [0])
+    with pytest.raises(ValueError, match="has wrong dimension, expected 2"):
+        submodules.kernel_columns(w, [(0.1, 0.1, 0.1)], [0])
+    for z in [(0.8, 0.6), (0.9j, 0.5)]:
+        with pytest.raises(ValueError, match="is not inside the open unit ball"):
+            submodules.kernel_columns(w, [(0.3, 0.1), z], [0])
+
 def test_ungraded_submodule_contains_generator_multiples(rng):
     w = random_weight_set(rng, 2, 6)
     g = parse_polynomial("z1 - 1", num_vars=2)  # non-homogeneous

@@ -5,9 +5,10 @@ import pytest
 from scipy.special import gammaln
 from scipy.stats import qmc
 
-from shiftlab import (WeightSet, bergman_ball_weights,
+from shiftlab import (WeightSet, bergman_ball_weights, coordinate_shift,
                       drury_arveson_weights, enumerate_basis, ramp_weights,
-                      factorial_delta_weights, family_weights, hardy_ball_weights)
+                      factorial_delta_weights, family_weights, hardy_ball_weights,
+                      schatten_norm)
 from shiftlab.weight_models import log_gamma_table
 
 from conftest import shift_weight
@@ -116,6 +117,18 @@ def test_weight_set_validation():
     with pytest.raises(ValueError):
         WeightSet(basis, np.array([0.0, np.inf, 0.0, 0.0]), "bad")
 
+
+def test_shifts_bounded_and_contractive():
+    # Drury-Arveson shift weights sqrt((alpha_i + 1) / (|alpha| + 1)) are at
+    # most 1, reached on z_i^n; weights growing like e^(|alpha| / 2) give
+    # every shift weight e^0.5: bounded, but not a contraction
+    basis = enumerate_basis(2, 10)
+    da = drury_arveson_weights(basis)
+    grow = WeightSet(basis, 0.5 * np.asarray(basis.degrees, dtype=float), "growing")
+    for i in (1, 2):
+        assert schatten_norm(coordinate_shift(da, i), np.inf) == pytest.approx(1.0, rel=1e-12)
+        assert schatten_norm(coordinate_shift(grow, i), np.inf) == pytest.approx(
+            math.exp(0.5), rel=1e-12)
 
 @pytest.mark.parametrize("m,N,k", [(1, 10, 1), (2, 12, 2), (3, 9, 1), (4, 7, 1), (5, 5, 1)])
 def test_ball_families_are_bit_identical_to_scalar_formula(m, N, k):
