@@ -111,23 +111,6 @@ class RunConfig:
     tag: str = ""
     out: str = ""
 
-    def to_text(self) -> str:
-        """Serialize back to the flat config format (lossless round trip)."""
-        lines = [f"experiment = {self.experiment}"]
-        schema = SCHEMAS[self.experiment][1]
-        for key, value in self.params.items():
-            kind = schema[key][0]
-            if kind in ("int_list", "float_list"):
-                text = ",".join(str(v) for v in value)
-            elif kind == "points":
-                text = ";".join(",".join(str(c) for c in pt) for pt in value)
-            else:
-                text = str(value)
-            lines.append(f"{key} = {text}")
-        for gk in GLOBAL_KEYS:
-            lines.append(f"{gk} = {getattr(self, gk)}")
-        return "\n".join(lines) + "\n"
-
 
 def load_config_file(path: str) -> dict:
     raw = {}

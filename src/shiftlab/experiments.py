@@ -30,6 +30,8 @@ CLOSURE_INVARIANCE_TOL = 1e-8
 # adjoint closure: relative rank cut-off and bound on the closing rounds
 CLOSURE_RANK_TOL = 1e-10
 CLOSURE_MAX_ROUNDS = 200
+# identity check: largest entry of [Y*,Y] - (diagonal + corner) that passes
+IDENTITY_RESIDUAL_TOL = 1e-10
 
 
 @dataclass
@@ -148,6 +150,9 @@ def run_direct_sum_trends(max_blocks: int, p_values) -> ExperimentReport:
     if max_blocks < 8:
         raise ValueError(f"max_blocks must be >= 8, got {max_blocks}")
     _check_p_values(p_values)
+    # block n's commutator window holds degrees <= n + 6: refuse the widest
+    # before the first SVD
+    schatten.check_dense_svd_size(max_blocks + 7)
     rep = ExperimentReport("direct_sum_trends", {
         "max_blocks": max_blocks, "p_values": list(p_values)})
 
@@ -304,7 +309,7 @@ def _nested_frames(family, m, N, delta, points, generators):
             submodules.check_distinct_points(s)
         else:
             cols = _adjoint_closure(T.mat, list(K[:, :n].T))
-        yield T, SubspaceFrame.ungraded(cols)
+        yield T, SubspaceFrame(cols)
 
 
 def _point_sweep(family, m, points, delta, sweep):
@@ -447,12 +452,14 @@ def _quotient_spectra(generators, m, N, homogeneous, family, delta, fits=None):
         _check_coinvariant(shifts, S.comp)
     # quotient-module action = compression of the shifts to the complement
     comms = ops.cross_commutators([ops.compress_to_frame(Z, S.comp) for Z in shifts])
-    spectra = {key: schatten.window_spectra(C, [N])[N] for key, C in comms.items()}
+    # a graded window's norms read its block spectra and its fit the dense one;
+    # an ungraded commutator is one ndarray whose dense spectrum serves both
+    spectra = {key: schatten.window_spectra(C, [N])[N] if homogeneous
+               else schatten.singular_values(C) for key, C in comms.items()}
     if fits is None:
         return spectra
     for (i, j), C in comms.items():
-        # ungraded: the norms' spectrum is singular_values; graded ones are block spectra
-        s = schatten.singular_values(C, N) if ops.is_graded(C.space) else spectra[i, j]
+        s = schatten.singular_values(C, N) if homogeneous else spectra[i, j]
         fit = schatten.decay_exponent_fit(s)
         if fit is not None:
             fits.add(i, j, fit.beta, fit.critical_exponent, fit.residual)
@@ -460,14 +467,13 @@ def _quotient_spectra(generators, m, N, homogeneous, family, delta, fits=None):
 
 
 @_timed
-def run_restriction_identity_check(trials: int = 200, seed: int = 0,
-                     residual_tol: float = 1e-10) -> ExperimentReport:
+def run_restriction_identity_check(trials: int = 200, seed: int = 0) -> ExperimentReport:
     """Random check of the restricted self-commutator block identity."""
     if trials < 1:
         raise ValueError("trials must be >= 1")
     rng = np.random.default_rng(seed)
     rep = ExperimentReport("restriction_identity_check", {
-        "trials": trials, "residual_tol": residual_tol}, seed=seed)
+        "trials": trials, "residual_tol": IDENTITY_RESIDUAL_TOL}, seed=seed)
     tab = rep.table("residuals", ["trial", "m", "N", "residual"])
     worst = 0.0
     for t in range(trials):
@@ -491,10 +497,10 @@ def run_restriction_identity_check(trials: int = 200, seed: int = 0,
         del decomp, Y, lhs   # dense r x r blocks: free them before the next trial
         tab.add(t, m, N, residual)
         worst = max(worst, residual)
-    passed = worst < residual_tol
+    passed = worst < IDENTITY_RESIDUAL_TOL
     rep.set_verdict("identity", Verdict.CONVERGING if passed else Verdict.INCONCLUSIVE,
-                    {"max_residual": worst, "tol": residual_tol, "passed": passed})
+                    {"max_residual": worst, "tol": IDENTITY_RESIDUAL_TOL, "passed": passed})
     if not passed:
         raise TheoremViolationError(f"lemma 1 identity residual {worst!r} "
-                                    f"exceeds {residual_tol!r}")
+                                    f"exceeds {IDENTITY_RESIDUAL_TOL!r}")
     return rep

@@ -1,12 +1,12 @@
 """Singular values, Schatten norms, spectral splits and convergence verdicts.
 
-Everything here reads an operator's interior window (TruncatedOperator.window,
-the whole matrix when ungraded), optionally cut to degrees <= d.  Graded
-windows go block by degree block (shift_operators.block_singular_values), and
-a sweep of nested windows takes one pass over the widest: window d keeps the
-block values labelled <= d.  Ungraded windows are one block and go through
-singular_values, once per window.  window_norms derives every (d, p) norm of
-a sweep from those spectra.
+Everything here reads an operator's interior window (TruncatedOperator.window),
+optionally cut to degrees <= d.  Graded windows go block by degree block
+(shift_operators.block_singular_values), and a sweep of nested windows takes
+one pass over the widest: window d keeps the block values labelled <= d.
+window_norms derives every (d, p) norm of a sweep from those spectra.  An
+operator on an ungraded space is a plain r x r ndarray with no boundary
+strip: it is its own window, and singular_values and ap_witness take it whole.
 
 singular_values is the full dense spectrum of a window.  It refuses windows
 wider than DENSE_SVD_LIMIT before densifying; there is no sparse-iteration
@@ -18,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .shift_operators import TruncatedOperator, block_singular_values, is_graded
+from .shift_operators import TruncatedOperator, block_singular_values
 
 DENSE_SVD_LIMIT = 5_000
 # ap_witness: largest |M - M*| entry, relative to the largest |M| entry (or 1)
@@ -48,14 +48,6 @@ class DecayFit:
     window: tuple  # (first k, last k), 1-based
 
 
-def _densify(W) -> np.ndarray:
-    """A sparse window densified; non-finite entries are refused."""
-    M = W.toarray()
-    if not np.all(np.isfinite(M)):
-        raise ValueError("operator has non-finite entries")
-    return M
-
-
 def check_dense_svd_size(n: int, what: str = "window"):
     """Refuse a dense SVD n wide above DENSE_SVD_LIMIT, before anything is allocated."""
     if n > DENSE_SVD_LIMIT:
@@ -63,11 +55,18 @@ def check_dense_svd_size(n: int, what: str = "window"):
                          f"refusing a dense SVD of that size")
 
 
-def singular_values(T: TruncatedOperator, max_window_degree=None) -> np.ndarray:
-    """Descending singular values of the interior window, by dense SVD."""
-    W = T.window(max_window_degree)
+def _check_finite(M: np.ndarray):
+    if not np.all(np.isfinite(M)):
+        raise ValueError("operator has non-finite entries")
+
+
+def singular_values(T, max_window_degree=None) -> np.ndarray:
+    """Descending singular values of the interior window, by dense SVD; an
+    ndarray is its own window."""
+    W = T if isinstance(T, np.ndarray) else T.window(max_window_degree)
     check_dense_svd_size(W.shape[0])
-    M = _densify(W)
+    M = W if isinstance(W, np.ndarray) else W.toarray()
+    _check_finite(M)
     if min(M.shape) == 0:
         return np.zeros(0)
     return np.linalg.svd(M, compute_uv=False)
@@ -81,12 +80,9 @@ def window_spectra(T: TruncatedOperator, degrees) -> dict:
     (shift_operators.block_singular_values, which refuses an operator mixing
     degree offsets) and are never densified whole; window d keeps the values
     labelled <= d, which are exactly its own blocks' values in the same
-    order.  Ungraded operators take one singular_values call per window.  A
-    degree None stands for the whole interior window.
+    order.  A degree None stands for the whole interior window.
     """
     degrees = list(degrees)
-    if not is_graded(T.space):
-        return {d: singular_values(T, d) for d in degrees}
     W = T.window(None if None in degrees else max(degrees))
     s, labels = block_singular_values(W, np.asarray(T.space.degrees)[:W.shape[0]])
     return {d: s if d is None else s[labels <= d] for d in degrees}
@@ -133,10 +129,10 @@ class ApWitness:
     p_norm_of_c: float
 
 
-def ap_witness(self_commutator: TruncatedOperator, p: float) -> ApWitness:
-    """Split a self-adjoint commutator's interior window into positive and
-    negative spectral parts."""
-    M = _densify(self_commutator.window())
+def ap_witness(M: np.ndarray, p: float) -> ApWitness:
+    """Split a self-adjoint commutator, an ungraded space's r x r ndarray,
+    into positive and negative spectral parts."""
+    _check_finite(M)
     scale = max(1.0, float(np.abs(M).max(initial=0.0)))
     if np.abs(M - M.conj().T).max(initial=0.0) > SELF_ADJOINT_TOL * scale:
         raise ValueError("ap_witness requires a self-adjoint input")

@@ -8,6 +8,9 @@ bookkeeping here tracks that strip, and TruncatedOperator.window, the block
 of degrees <= W, is the one uncontaminated section every norm and fit reads.
 Degree labels never decrease along a graded space or frame (checked when it
 is built), so every degree is an ordinal range and a window a leading block.
+A frame without degree labels (a span of kernel vectors, a quotient by a
+non-homogeneous ideal) has no strip to track: an operator compressed to it is
+a plain r x r ndarray, and commutator takes two of them through BLAS.
 """
 
 from dataclasses import dataclass, field
@@ -37,25 +40,16 @@ class InvarianceError(ValueError):
 
 @dataclass(frozen=True)
 class RestrictedSpace:
-    """Coordinate space of a restriction or compression to a frame.
-
-    degrees labels each coordinate with the ambient degree it came from;
-    for ungraded subspaces (e.g. spans of kernel vectors) the labels are
-    meaningless and graded is False, making the interior window the full space.
-    """
+    """Coordinate space of a restriction or compression to a labelled frame:
+    degrees labels each coordinate with the ambient degree it came from."""
 
     dimension: int
     degrees: np.ndarray = field(compare=False)
     max_degree: int
-    graded: bool = True
 
     def __post_init__(self):
-        if self.graded and np.any(np.diff(self.degrees) < 0):
+        if np.any(np.diff(self.degrees) < 0):
             raise ValueError("degree labels of a graded space must not decrease")
-
-
-def is_graded(space) -> bool:
-    return getattr(space, "graded", True)
 
 
 class SparseColumns(sp.csc_matrix):
@@ -71,21 +65,16 @@ class SubspaceFrame:
     """Orthonormal columns spanning a subspace, with per-column degree labels.
 
     Graded frames store SparseColumns, the columns labelled n on the ambient
-    rows of degree n; ungraded frames store a dense ndarray.
+    rows of degree n.  A frame with no grading (e.g. a span of kernel
+    vectors) stores a dense ndarray and col_degrees None.
     """
 
-    columns: object               # (ambient_dim, r), orthonormal
-    col_degrees: np.ndarray       # (r,) int labels
-    graded: bool = True
+    columns: object                   # (ambient_dim, r), orthonormal
+    col_degrees: np.ndarray = None    # (r,) int labels, or None when ungraded
 
     def __post_init__(self):
-        if self.graded and np.any(np.diff(self.col_degrees) < 0):
+        if self.col_degrees is not None and np.any(np.diff(self.col_degrees) < 0):
             raise ValueError("degree labels of a graded frame must not decrease")
-
-    @classmethod
-    def ungraded(cls, columns: np.ndarray) -> "SubspaceFrame":
-        """A frame with no grading: every column is labelled degree 0."""
-        return cls(columns, np.zeros(columns.shape[1], dtype=np.int64), graded=False)
 
     @property
     def rank(self) -> int:
@@ -101,7 +90,8 @@ class SubspaceFrame:
         return Q.indices if coordinate else None
 
     def dense(self) -> np.ndarray:
-        """The columns as a C-ordered (ambient_dim, r) ndarray."""
+        """The columns as an (ambient_dim, r) ndarray: sparse ones densified
+        C-ordered, dense ones as stored."""
         if sp.issparse(self.columns):
             return np.ascontiguousarray(self.columns.toarray())
         return self.columns
@@ -133,18 +123,13 @@ class TruncatedOperator:
     def window_size(self, max_window_degree=None) -> int:
         """Size of the interior window (degree <= W, optionally tighter): the
         window is the leading block of that many coordinates."""
-        if not is_graded(self.space):
-            return self.dimension
         w = self.interior_degree
         if max_window_degree is not None:
             w = min(w, max_window_degree)
         return int(np.searchsorted(self.space.degrees, w, side="right"))
 
     def window(self, max_window_degree=None) -> sp.csr_matrix:
-        """The interior window as a CSR matrix: a copy of the leading block,
-        the whole matrix itself when ungraded."""
-        if not is_graded(self.space):
-            return self.mat.tocsr()
+        """The interior window as a CSR matrix: a copy of the leading block."""
         k = self.window_size(max_window_degree)
         return self.mat.tocsr()[:k, :k]
 
@@ -203,13 +188,6 @@ def adjoint(T: TruncatedOperator) -> TruncatedOperator:
                              degree_raise=-T.degree_raise)
 
 
-def _full_csr(M: np.ndarray) -> sp.csr_matrix:
-    """A C-ordered dense block as a CSR holding every entry, with no scan for zeros."""
-    n, k = M.shape
-    return sp.csr_matrix((M.ravel(), np.tile(np.arange(k), n), np.arange(0, n * k + 1, k)),
-                         shape=M.shape)
-
-
 def _product(A: TruncatedOperator, B: TruncatedOperator, mat,
              adjoint_a: bool = False) -> TruncatedOperator:
     """A B (A* B when adjoint_a) with matrix mat: the composed interior and degree raise."""
@@ -220,35 +198,33 @@ def _product(A: TruncatedOperator, B: TruncatedOperator, mat,
 
 
 def multiply(A: TruncatedOperator, B: TruncatedOperator) -> TruncatedOperator:
-    """A B.  An ungraded space is one dense block: its product goes through
-    BLAS and is stored as a CSR holding every entry."""
+    """A B."""
     _same_space(A, B)
-    if is_graded(A.space):
-        return _product(A, B, (A.mat @ B.mat).tocsr())
-    return _product(A, B, _full_csr(A.mat.toarray() @ B.mat.toarray()))
+    return _product(A, B, (A.mat @ B.mat).tocsr())
 
 
-def commutator(A: TruncatedOperator, B: TruncatedOperator) -> TruncatedOperator:
-    """[A*, B] = A*B - BA* for two operators on the same space, from two
-    products: sparse ones on a graded space, BLAS ones on an ungraded space,
-    which is one dense block (A* C-ordered)."""
+def commutator(A, B):
+    """[A*, B] = A*B - BA* from two products: sparse ones for two operators on
+    the same graded space, BLAS ones for two ndarrays, an ungraded space's
+    one dense block (A* C-ordered), whose result is an ndarray too."""
+    if isinstance(A, np.ndarray):
+        a = np.ascontiguousarray(A.conj().T)
+        C = a @ B
+        C -= B @ a
+        return C
     _same_space(A, B)
-    if is_graded(A.space):
-        a, b = A.mat.conj().T.tocsr(), B.mat
-        return _product(A, B, a @ b - b @ a, adjoint_a=True)
-    a, b = np.ascontiguousarray(A.mat.toarray().conj().T), B.mat.toarray()
-    C = a @ b
-    C -= b @ a
-    return _product(A, B, _full_csr(C), adjoint_a=True)
+    a, b = A.mat.conj().T.tocsr(), B.mat
+    return _product(A, B, a @ b - b @ a, adjoint_a=True)
 
 
-def self_commutator(T: TruncatedOperator) -> TruncatedOperator:
+def self_commutator(T):
     """[T*, T] = T*T - TT*."""
     return commutator(T, T)
 
 
 def cross_commutators(operators) -> dict:
-    """{(i, j): [T_i*, T_j]} for 1 <= i <= j <= m, of operators T_1, ..., T_m."""
+    """{(i, j): [T_i*, T_j]} for 1 <= i <= j <= m, of operators T_1, ..., T_m
+    (TruncatedOperators or ndarrays)."""
     T = list(operators)
     return {(i, j): commutator(T[i - 1], T[j - 1])
             for i in range(1, len(T) + 1) for j in range(i, len(T) + 1)}
@@ -318,10 +294,10 @@ def invariance_residual(T: TruncatedOperator, frame: SubspaceFrame) -> float:
     interior degree are dropped.  T has one degree offset (a mixed one is
     refused with ValueError), so each column degree reaches one row degree:
     the residual is the direct sum of the blocks and its norm their largest
-    sigma_max.  Ungraded frames (all labels 0) take one dense SVD of the
-    ambient residual.
+    sigma_max.  Frames without labels take one dense SVD of the ambient
+    residual.
     """
-    if not frame.graded:
+    if frame.col_degrees is None:
         Q = frame.columns
         Y = T.mat @ Q
         return _dense_residual(T, Y - Q @ (Q.conj().T @ Y), _norm_scale(T))
@@ -362,8 +338,9 @@ def _dense_residual(T: TruncatedOperator, D: np.ndarray, scale: float,
 
 
 def restrict_to_invariant(T: TruncatedOperator, frame: SubspaceFrame,
-                          tol: float = INVARIANCE_TOL) -> TruncatedOperator:
-    """Express T on an invariant subspace in the frame's orthonormal basis."""
+                          tol: float = INVARIANCE_TOL):
+    """Express T on an invariant subspace in the frame's orthonormal basis
+    (as compress_to_frame does)."""
     _check_invariant(invariance_residual(T, frame), tol)
     return compress_to_frame(T, frame)
 
@@ -373,27 +350,29 @@ def _check_invariant(resid: float, tol: float):
         raise InvarianceError(resid, tol)
 
 
-def compress_to_frame(T: TruncatedOperator, frame: SubspaceFrame) -> TruncatedOperator:
-    """Q* T Q in the frame's basis, with no invariance requirement.
+def compress_to_frame(T: TruncatedOperator, frame: SubspaceFrame):
+    """Q* T Q in the frame's basis, with no invariance requirement: a
+    TruncatedOperator on a labelled frame, the r x r ndarray on a frame
+    without labels (one dense block, with no interior strip to track).
 
     This is the semi-invariant (quotient-module) action; use
     restrict_to_invariant when invariance is part of the contract.
     """
     idx = frame.coordinate_rows
-    if idx is None or not frame.graded:
+    if idx is None:
         # a dense product, also for sparse frames: a sparse one rounds differently,
         # and decay_exponent_fit counts round-off-sized singular values
         Q = frame.dense()
         R = Q.conj().T @ (T.mat @ Q)
+        if frame.col_degrees is None:
+            return R
     else:
         R = T.mat.tocsr()[idx][:, idx]      # the same entries, read by index,
         R.sum_duplicates()                  # stored as sp.csr_matrix stores Q*(TQ)
         R.eliminate_zeros()
     # a graded restriction keeps only its nonzeros, so its products stay sparse
-    mat = sp.csr_matrix(R) if frame.graded else _full_csr(R)
-    space = RestrictedSpace(frame.rank, np.asarray(frame.col_degrees), T.space.max_degree,
-                            graded=frame.graded)
-    return TruncatedOperator(space, mat,
+    space = RestrictedSpace(frame.rank, np.asarray(frame.col_degrees), T.space.max_degree)
+    return TruncatedOperator(space, sp.csr_matrix(R),
                              interior_degree=T.interior_degree,
                              degree_raise=T.degree_raise)
 

@@ -4,7 +4,8 @@ For homogeneous generators the submodule splits degree by degree; each slice
 carries an orthonormal basis of the intersection with the homogeneous
 polynomials of that degree, plus the complementary orthonormal set.  Graded
 frames store these per-slice blocks as one sparse block-diagonal matrix
-(monomial submodules: coordinate columns); ungraded frames are dense.  All
+(monomial submodules: coordinate columns); ungraded frames store a dense
+ndarray and no degree labels.  All
 vectors are in the orthonormal monomial coordinates (z^alpha scaled by
 1/lambda_alpha), so projections and restrictions are plain matrix algebra.
 """
@@ -229,4 +230,4 @@ def ungraded_submodule(w: WeightSet, generators) -> SubmoduleBasis:
     r = X.shape[1]
     del X
     Q = Q[np.argsort(order)]
-    return SubmoduleBasis(w, SubspaceFrame.ungraded(Q[:, :r]), SubspaceFrame.ungraded(Q[:, r:]))
+    return SubmoduleBasis(w, SubspaceFrame(Q[:, :r]), SubspaceFrame(Q[:, r:]))

@@ -35,7 +35,7 @@ def point_evaluation_submodule(w, points):
     K = kernel_columns(w, points, range(w.basis.multiplicity))
     U = np.linalg.svd(K, full_matrices=True)[0]
     r = K.shape[1]
-    return SubmoduleBasis(w, SubspaceFrame.ungraded(U[:, r:]), SubspaceFrame.ungraded(U[:, :r]))
+    return SubmoduleBasis(w, SubspaceFrame(U[:, r:]), SubspaceFrame(U[:, :r]))
 
 
 def z1_plus_adjoint(w):

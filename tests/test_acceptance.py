@@ -25,7 +25,7 @@ def _line(name, ok, detail=""):
 
 def test_criterion_1_restricted_commutator_identity():
     t0 = time.perf_counter()
-    rep = run_restriction_identity_check(trials=200, seed=0, residual_tol=1e-10)
+    rep = run_restriction_identity_check(trials=200, seed=0)
     dt = time.perf_counter() - t0
     v = rep.verdicts["identity"]
     ok = v["passed"] and v["max_residual"] < 1e-10 and dt < 30
@@ -143,8 +143,7 @@ def test_criterion_8_property_suites():
         import scipy.sparse as sp
         from shiftlab.shift_operators import RestrictedSpace, TruncatedOperator
         mk = lambda M: TruncatedOperator(
-            RestrictedSpace(M.shape[0], np.zeros(M.shape[0], dtype=np.int64),
-                            0, False),
+            RestrictedSpace(M.shape[0], np.zeros(M.shape[0], dtype=np.int64), 0),
             sp.csr_matrix(M), interior_degree=0, degree_raise=0)
         A = rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n))
         B = rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n))

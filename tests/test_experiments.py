@@ -9,7 +9,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from shiftlab import (experiments, monomial_generator, parse_generators, parse_polynomial,
+from shiftlab import (cli, experiments, monomial_generator, parse_generators, parse_polynomial,
                       schatten, shift_operators as ops, submodules)
 from shiftlab.experiments import (TheoremViolationError, run_submodule_probe,
                                   run_trace_inequality_check,
@@ -44,6 +44,29 @@ def test_ramp_block_rejects_small_truncation():
 def test_direct_sum_requires_enough_blocks():
     with pytest.raises(ValueError):
         run_direct_sum_trends(4, [3.0])
+
+
+def test_direct_sum_refuses_oversize_blocks_before_any_svd(monkeypatch, tmp_path, capsys):
+    # block n's commutator window is n + 7 wide: the widest is refused before
+    # the first SVD of any block, by the call and by the CLI (exit 2)
+    widths = []
+    real = schatten.singular_values
+
+    def counted(*args, **kwargs):
+        s = real(*args, **kwargs)
+        widths.append(s.size)
+        return s
+    monkeypatch.setattr(schatten, "singular_values", counted)
+    monkeypatch.setattr(schatten, "DENSE_SVD_LIMIT", 60)
+    with pytest.raises(ValueError, match="window dimension 87 exceeds DENSE_SVD_LIMIT=60"):
+        run_direct_sum_trends(80, [3.0])
+    code = cli.main(["direct-sum", "--blocks", "80", "--out", str(tmp_path), "--tag", "t"])
+    assert code == 2 and "DENSE_SVD_LIMIT=60" in capsys.readouterr().err
+    assert widths == [] and not any(tmp_path.iterdir())
+    # the bound is tight: at max_blocks + 7 the widest window passes
+    monkeypatch.setattr(schatten, "DENSE_SVD_LIMIT", 15)
+    run_direct_sum_trends(8, [3.0])
+    assert max(widths) == 15
 
 
 def test_factorial_thresholds_reject_one_variable():
@@ -184,13 +207,15 @@ def test_sweeps_take_one_spectrum_per_window(probe, monkeypatch):
                 gen = "z1^2 - z2^2" if probe == "quotient-graded" else "z1 - z2^2"
                 rep = run_quotient_smoothness_probe([parse_polynomial(gen, 2)], m=2,
                                                     p_values=p_values, degree_sweep=sweep)
-                expected = [(d,) for d in sweep] * 3   # per (degree, pair)
+                # per (degree, pair); an ungraded commutator is one ndarray,
+                # which takes no block pass
+                expected = [(d,) for d in sweep] * 3 if probe == "quotient-graded" else []
             assert sorted(calls) == sorted(expected)
             if probe == "quotient-ungraded":
                 # one dense spectrum per window: the decay fit reuses the largest
                 # degree's, which is singular_values itself on ungraded windows
                 assert len(dense_calls) == len(sweep) * 3
-                largest = max(commutators, key=lambda comms: comms[1, 1].space.max_degree)
+                largest = max(commutators, key=lambda comms: comms[1, 1].shape[0])
                 fits = [(i, j, fit.beta, fit.critical_exponent, fit.residual)
                         for (i, j), C in largest.items()
                         if (fit := schatten.decay_exponent_fit(real_dense(C, sweep[-1])))]

@@ -156,7 +156,6 @@ UNCALLED = {
     "submodules.projection_matrix": "the acceptance gate's projection checks",
     "submodules.SubmoduleBasis.frame": "projection_matrix reads a side's frame through it",
     "polynomials.monomial_generator": "the acceptance gate and the README quick tour",
-    "cli.RunConfig.to_text": "the config round-trip test",
 }
 
 

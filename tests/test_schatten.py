@@ -17,13 +17,11 @@ from shiftlab.shift_operators import RestrictedSpace, TruncatedOperator
 from conftest import random_weight_set, z1_plus_adjoint
 
 
-def _wrap(M, max_degree=0):
-    import scipy.sparse as sp
+def _wrap(M):
+    """M as one degree block: every coordinate labelled 0, the window all of M."""
     n = M.shape[0]
-    space = RestrictedSpace(dimension=n, degrees=np.zeros(n, dtype=np.int64),
-                            max_degree=max_degree, graded=False)
-    return TruncatedOperator(space, sp.csr_matrix(M), interior_degree=max_degree,
-                             degree_raise=0)
+    space = RestrictedSpace(dimension=n, degrees=np.zeros(n, dtype=np.int64), max_degree=0)
+    return TruncatedOperator(space, sp.csr_matrix(M), interior_degree=0, degree_raise=0)
 
 
 def _random_matrix(rng, n, complex_=True):
@@ -37,14 +35,15 @@ def test_singular_values_against_numpy(rng):
     for _ in range(20):
         n = int(rng.integers(2, 30))
         M = _random_matrix(rng, n)
-        s = singular_values(_wrap(M))
-        assert np.allclose(s, np.linalg.svd(M, compute_uv=False), atol=1e-12)
+        for T in (M, _wrap(M)):     # an ndarray is its own window
+            s = singular_values(T)
+            assert np.allclose(s, np.linalg.svd(M, compute_uv=False), atol=1e-12)
 
 
 def test_singular_values_equal_sqrt_eigs_of_gram(rng):
     # independent oracle: sigma_k^2 = eigenvalues of M* M
     M = _random_matrix(rng, 25)
-    s = singular_values(_wrap(M))
+    s = singular_values(M)
     lam = np.sort(np.linalg.eigvalsh(M.conj().T @ M))[::-1]
     assert np.allclose(s ** 2, lam, atol=1e-10)
 
@@ -108,8 +107,8 @@ def test_trace_of_commutator_vanishes(rng):
 def test_ap_witness_split(rng):
     w = random_weight_set(rng, 2, 6)
     C = self_commutator(coordinate_shift(w, 1))
-    wit = ap_witness(C, p=2.0)
     M = C.window().toarray()
+    wit = ap_witness(M, p=2.0)
     assert np.abs(wit.positive_part + wit.compact_part - M).max() < 1e-10
     assert np.linalg.eigvalsh(wit.positive_part).min() > -1e-10
     assert np.linalg.eigvalsh(wit.compact_part).max() < 1e-10
@@ -122,7 +121,7 @@ def test_ap_witness_requires_self_adjoint(rng):
     w = random_weight_set(rng, 2, 5)
     Z = coordinate_shift(w, 1)
     with pytest.raises(ValueError):
-        ap_witness(Z, p=1.0)
+        ap_witness(Z.window().toarray(), p=1.0)
 
 
 def test_decay_fit_recovers_exact_power_law():
@@ -271,16 +270,6 @@ def test_block_norms_random_weights(seed, m):
         _assert_matches_dense_oracle(T, (1, 3, T.interior_degree))
 
 
-def test_block_norms_ungraded_quotient_falls_back(count_dense_spectra):
-    b = enumerate_basis(3, 6)
-    w = drury_arveson_weights(b)
-    S = ungraded_submodule(w, [parse_polynomial("z1-z2*z3", 3)])
-    R1, R2 = (compress_to_frame(coordinate_shift(w, i), S.comp) for i in (1, 2))
-    C = commutator(R1, R2)
-    _assert_matches_dense_oracle(C, (4,))
-    assert len(count_dense_spectra) == len(ORACLE_PS)
-
-
 def test_block_norms_refuse_mixed_offsets(count_dense_spectra):
     # a hand-built Z1 + Z1* maps degree n to n + 1 and n - 1: no degree-block
     # spectrum, and no dense fallback either
@@ -343,16 +332,22 @@ def test_nested_windows_random_weights(seed, m, k):
         _assert_nested_windows(T)
 
 
-def test_nested_windows_one_dense_spectrum_per_window(count_dense_spectra):
+def test_ungraded_commutator_is_its_own_window(count_dense_spectra):
+    # an ungraded quotient's commutator is one r x r ndarray with no boundary
+    # strip: every window degree reads all of it, by one dense SVD each
     w = drury_arveson_weights(enumerate_basis(3, 6))
     S = ungraded_submodule(w, [parse_polynomial("z1-z2*z3", 3)])
     R1, R2 = (compress_to_frame(coordinate_shift(w, i), S.comp) for i in (1, 2))
     T = commutator(R1, R2)
-    spectra = schatten.window_spectra(T, SWEEP)
+    assert isinstance(T, np.ndarray) and T.shape == (S.comp.rank,) * 2
+    oracle = np.linalg.svd(T, compute_uv=False)
+    spectra = {d: schatten.singular_values(T, d) for d in SWEEP}
     assert len(count_dense_spectra) == len(SWEEP)
     for d in SWEEP:
-        assert np.array_equal(spectra[d], singular_values(T, d))
-    _assert_matches_dense_oracle(T, SWEEP)
+        assert np.array_equal(spectra[d], oracle)
+        for p in ORACLE_PS:
+            expected = oracle.max() if p == np.inf else np.sum(oracle ** p) ** (1 / p)
+            assert schatten.spectrum_norm(spectra[d], p) == pytest.approx(expected, rel=1e-12)
 
 
 def test_nested_windows_refuse_mixed_offsets(count_dense_spectra):
@@ -380,9 +375,10 @@ def test_non_finite_entry_rejected():
     graded = TruncatedOperator(w.basis, mat, interior_degree=Z.interior_degree)
     with pytest.raises(ValueError, match="non-finite"):
         schatten_norm(graded, 1.0)
-    ungraded = _wrap(mat.toarray())
-    with pytest.raises(ValueError, match="non-finite"):
-        schatten_norm(ungraded, 1.0)
+    ungraded = mat.toarray()
+    for check in (singular_values, lambda M: ap_witness(M, 1.0)):
+        with pytest.raises(ValueError, match="non-finite"):
+            check(ungraded)
 
 
 def test_graded_window_is_never_densified_whole(monkeypatch):
@@ -418,6 +414,8 @@ def test_dense_svd_limit_raises_before_densifying(monkeypatch, tmp_path):
                    lambda T, *a: Undensifiable(real_window(T, *a)))
         with pytest.raises(ValueError, match="window dimension 12"):
             singular_values(M)
+    with pytest.raises(ValueError, match="window dimension 12"):
+        singular_values(np.eye(12))     # an ndarray window is refused alike
     assert singular_values(_wrap(np.eye(10))).size == 10
     # the decay fit of the submodule probe takes a dense spectrum: usage error
     code = cli.main(["submodule-probe", "--m", "2", "--gens", "z1*z2",
@@ -429,13 +427,14 @@ def test_dense_svd_limit_raises_before_densifying(monkeypatch, tmp_path):
 def test_ungraded_quotient_matches_graded_quotient(m, gen):
     # one ideal as one dense block (BLAS products) and degree by degree
     # (sparse products): the complements coincide, and so do the spectra of
-    # the commutators' whole sections
+    # the commutators' whole sections (an ungraded commutator is an ndarray)
     w = bergman_ball_weights(enumerate_basis(m, 8))
     g = [parse_polynomial(gen, m)]
     spectra = []
-    for S in (homogeneous_submodule(w, g), ungraded_submodule(w, g)):
+    for S, dense in ((homogeneous_submodule(w, g), lambda C: C.mat.toarray()),
+                     (ungraded_submodule(w, g), lambda C: C)):
         Rs = [compress_to_frame(coordinate_shift(w, i), S.comp) for i in range(1, m + 1)]
-        spectra.append([np.linalg.svd(commutator(Rs[i], Rs[j]).mat.toarray(), compute_uv=False)
+        spectra.append([np.linalg.svd(dense(commutator(Rs[i], Rs[j])), compute_uv=False)
                         for i in range(m) for j in range(i, m)])
     for graded, ungraded in zip(*spectra):
         assert graded.max() > 0

@@ -5,7 +5,7 @@ import pytest
 import scipy.sparse as sp
 from hypothesis import given, settings, strategies as st
 
-from shiftlab import (InvarianceError, PolynomialGenerator, SubspaceFrame,
+from shiftlab import (GradedBasis, InvarianceError, PolynomialGenerator, SubspaceFrame,
                       adjoint, commutator, compress_to_frame,
                       coordinate_shift, cross_commutators,
                       drury_arveson_weights, enumerate_basis, family_weights,
@@ -13,7 +13,7 @@ from shiftlab import (InvarianceError, PolynomialGenerator, SubspaceFrame,
                       invariance_residual, parse_polynomial,
                       restricted_commutator_decomposition, monomial_generator, monomial_submodule,
                       multiply, projection_matrix, restrict_to_invariant,
-                      self_commutator, shift_combination)
+                      self_commutator, shift_combination, singular_values)
 from shiftlab import cli, shift_operators
 from shiftlab.shift_operators import (INVARIANCE_TOL, RestrictedSpace, SparseColumns,
                                       TheoremViolationError, TruncatedOperator)
@@ -100,11 +100,13 @@ def test_window_is_the_interior_block(rng):
     degs = np.asarray(w.basis.degrees)
     for d, keep in ((None, degs <= 4), (3, degs <= 3), (9, degs <= 4)):
         assert np.array_equal(C.window(d).toarray(), _dense(C)[np.ix_(keep, keep)])
-    # an ungraded space has no boundary strip: its window is the whole matrix
+    # an ungraded space has no boundary strip: its commutator is an ndarray,
+    # and a window of any degree is the whole of it
     S = ungraded_submodule(w, [parse_polynomial("z1-z2^2", 2)])
     R = self_commutator(compress_to_frame(coordinate_shift(w, 1), S.comp))
+    assert isinstance(R, np.ndarray)
     for d in (None, 0):
-        assert np.array_equal(R.window(d).toarray(), _dense(R))
+        assert np.array_equal(singular_values(R, d), np.linalg.svd(R, compute_uv=False))
 
 
 def test_adjoint_is_conjugate_transpose(rng):
@@ -127,12 +129,12 @@ def test_restrict_to_invariant_rejects_noninvariant(rng):
     # span{1} is not invariant under multiplication by z1
     cols = np.zeros((Z.dimension, 1))
     cols[0, 0] = 1.0
-    frame = SubspaceFrame(cols, np.zeros(1, dtype=np.int64), graded=False)
+    frame = SubspaceFrame(cols)
     with pytest.raises(InvarianceError):
         restrict_to_invariant(Z, frame)
     # but compression is always defined
     c = compress_to_frame(Z, frame)
-    assert c.dimension == 1
+    assert c.shape == (1, 1)
 
 
 def test_restriction_identity_monomial_submodules(rng):
@@ -236,7 +238,7 @@ def test_commutator_is_adjoint_product_difference(rng, monkeypatch):
         monkeypatch.setattr(shift_operators, name, refuse)
     for (X, Y), (mat, interior, raise_) in zip(pairs, composed):
         C = commutator(X, Y)
-        assert shift_operators.is_graded(X.space)
+        assert isinstance(X.space, (GradedBasis, RestrictedSpace))
         assert np.array_equal(_dense(C), mat.toarray())
         assert C.mat.nnz == mat.nnz
         assert (C.interior_degree, C.degree_raise) == (interior, raise_)
@@ -422,41 +424,42 @@ def test_graded_invariance_residual_never_densifies_the_frame(monkeypatch):
     assert invariance_residual(adjoint(coordinate_shift(w, 1)), S.sub) > 0.1
 
 
-def _ungraded_compressions():
-    """Real quotient compressions and complex point-evaluation compressions."""
+def _ungraded_inputs():
+    """(T1, T2, frame): shifts and a real quotient's complement, adjoint shifts
+    and a complex point-evaluation complement."""
     w = drury_arveson_weights(enumerate_basis(3, 6))
     S = ungraded_submodule(w, [parse_polynomial("z1 - z2*z3", 3)])
-    yield [compress_to_frame(coordinate_shift(w, i), S.comp) for i in (1, 2)]
+    yield coordinate_shift(w, 1), coordinate_shift(w, 2), S.comp
     w = drury_arveson_weights(enumerate_basis(2, 8))
     S = point_evaluation_submodule(w, [(0.3, 0.1j), (-0.2 + 0.1j, 0.4), (0.1, -0.3)])
-    yield [compress_to_frame(adjoint(coordinate_shift(w, i)), S.comp) for i in (1, 2)]
+    yield adjoint(coordinate_shift(w, 1)), adjoint(coordinate_shift(w, 2)), S.comp
 
 
-def test_ungraded_products_are_blas_products_stored_sparse(monkeypatch):
-    # every operator keeps a sparse .mat with an int nnz, also on the dense
-    # one-block (ungraded) path, where it holds every entry
-    cases = list(_ungraded_compressions())
-    composed = []
-    for R1, R2 in cases:
-        A, B = _dense(R1), _dense(R2)
-        results = [(R1, A), (multiply(R1, R2), A @ B),
-                   (commutator(R1, R2), A.conj().T @ B - B @ A.conj().T)]
-        for T, expected in results:
-            assert not T.space.graded
-            assert sp.issparse(T.mat) and type(T.mat.nnz) is int
-            assert T.mat.nnz == T.dimension ** 2
-            assert np.abs(_dense(T) - expected).max() < 1e-14
-        composed.append(_composed_commutator(R1, R2))
+def test_ungraded_products_are_blas_products(monkeypatch):
+    # a compression to an unlabelled frame is its r x r ndarray Q*(TQ), and
+    # its commutator an ndarray of two BLAS products
+    cases, composed = [], []
+    for T1, T2, frame in _ungraded_inputs():
+        Q = frame.columns
+        R1, R2 = (compress_to_frame(T, frame) for T in (T1, T2))
+        for R, T in ((R1, T1), (R2, T2)):
+            assert isinstance(R, np.ndarray) and R.shape == (frame.rank,) * 2
+            assert np.abs(R - Q.conj().T @ (_dense(T) @ Q)).max() < 1e-14
+        C = commutator(R1, R2)
+        assert isinstance(C, np.ndarray) and C.flags.c_contiguous
+        assert np.abs(C - (R1.conj().T @ R2 - R2 @ R1.conj().T)).max() < 1e-14
+        # A*B - BA* composed of the two products, A* C-ordered
+        a = np.ascontiguousarray(R1.conj().T)
+        cases.append((R1, R2))
+        composed.append((a @ R2) + (R2 @ a) * -1.0)
 
     def refuse(*args):
         raise AssertionError("composed operator algebra called")
     for name in ("adjoint", "multiply"):
         monkeypatch.setattr(shift_operators, name, refuse)
     # the BLAS commutator is the composed one, entry for entry, and calls none of it
-    for (R1, R2), (mat, interior, raise_) in zip(cases, composed):
-        C = commutator(R1, R2)
-        assert np.array_equal(_dense(C), mat.toarray())
-        assert (C.interior_degree, C.degree_raise) == (interior, raise_)
+    for (R1, R2), expected in zip(cases, composed):
+        assert np.array_equal(commutator(R1, R2), expected)
 
 
 def test_decomposition_checks_invariance_without_invariance_residual(monkeypatch):
@@ -549,8 +552,6 @@ def _window_cases(seed, kind):
     """Operators of every kind whose windows are read: shifts, adjoints,
     commutators, restrictions, ungraded compressions and direct sums."""
     rng = np.random.default_rng(seed)
-    if kind == "ungraded":
-        return [T for pair in _ungraded_compressions() for T in (*pair, commutator(*pair))]
     if kind == "direct-sum":
         w1, w2 = random_weight_set(rng, 2, 4), random_weight_set(rng, 2, 6)
         Z, Y = coordinate_shift(w1, 1), coordinate_shift(w2, 2)
@@ -571,16 +572,14 @@ def _window_cases(seed, kind):
 @settings(max_examples=30, deadline=None)
 @given(seed=st.integers(0, 2 ** 32 - 1),
        kind=st.sampled_from(["shifts", "monomial", "homogeneous-real",
-                             "homogeneous-complex", "ungraded", "direct-sum"]),
+                             "homogeneous-complex", "direct-sum"]),
        d=st.one_of(st.none(), st.integers(-1, 8)))
 def test_window_is_the_block_of_degrees_up_to_the_interior(seed, kind, d):
-    # oracle: the coordinates of degree <= min(W, d), picked one by one;
-    # an ungraded space has no boundary strip, so its window is all of it
+    # oracle: the coordinates of degree <= min(W, d), picked one by one
     for T in _window_cases(seed, kind):
         degs = np.asarray(T.space.degrees)
         w = T.interior_degree if d is None else min(T.interior_degree, d)
-        graded = getattr(T.space, "graded", True)
-        idx = np.flatnonzero(degs <= w) if graded else np.arange(T.dimension)
+        idx = np.flatnonzero(degs <= w)
         W = T.window(d)
         assert T.window_size(d) == idx.size
         assert np.array_equal(W.toarray(), _dense(T)[np.ix_(idx, idx)])
@@ -592,9 +591,8 @@ def test_graded_labels_must_not_decrease():
         SubspaceFrame(cols, np.array([1, 0]))
     with pytest.raises(ValueError, match="must not decrease"):
         RestrictedSpace(dimension=3, degrees=np.array([0, 2, 1]), max_degree=2)
-    # ungraded labels mean nothing and are not checked
-    SubspaceFrame(cols.toarray(), np.array([1, 0]), graded=False)
-    RestrictedSpace(dimension=3, degrees=np.array([0, 2, 1]), max_degree=2, graded=False)
+    # an ungraded frame has no labels to check
+    assert SubspaceFrame(cols.toarray()).col_degrees is None
     assert SubspaceFrame(cols, np.array([0, 0])).rank == 2
 
 

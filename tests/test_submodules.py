@@ -10,7 +10,8 @@ from shiftlab import (PolynomialGenerator, RankCollapseError, bergman_ball_weigh
                       compress_to_frame, coordinate_shift, cross_commutators,
                       drury_arveson_weights, enumerate_basis,
                       homogeneous_submodule, monomial_generator,
-                      monomial_submodule, parse_polynomial, projection_matrix)
+                      monomial_submodule, parse_polynomial, projection_matrix,
+                      self_commutator)
 from shiftlab import cli, schatten, submodules
 from shiftlab.submodules import Side, ungraded_submodule
 
@@ -65,12 +66,16 @@ def test_homogeneous_agrees_with_monomial(rng):
     assert np.abs(Pm - Ph).max() < 1e-10
 
 
-def _commutator_hs_sum(S, m):
-    """sum over all (i, j) of ||[S_i*, S_j]||_2^2 on the interior window, S_i the
-    compressions of the shifts to the quotient; no SVD."""
+def _commutator_sums(S, m):
+    """(sum over all (i, j) of ||[S_i*, S_j]||_2^2, sum over i of tr [S_i*, S_i]),
+    both on the interior window, S_i the compressions of the shifts to the
+    quotient; no SVD."""
     shifts = [compress_to_frame(coordinate_shift(S.weights, i), S.comp) for i in range(1, m + 1)]
-    return sum((1 if i == j else 2) * float(np.sum(np.abs(C.window().data) ** 2))
-               for (i, j), C in cross_commutators(shifts).items())
+    comms = cross_commutators(shifts).items()
+    hs = sum((1 if i == j else 2) * float(np.sum(np.abs(C.window().data) ** 2))
+             for (i, j), C in comms)
+    trace = sum(float(C.window().diagonal().sum().real) for (i, j), C in comms if i == j)
+    return hs, trace
 
 
 @pytest.mark.parametrize("family,m,N", [(drury_arveson_weights, 2, 20),
@@ -80,12 +85,28 @@ def test_rotation_oracle_binomial_quotient_matches_monomial_quotient(family, m, 
     # z1^2-z2^2 = 2uv with u, v = (z1 -+ z2)/sqrt(2): a unitary change of
     # variables, under which these weights are invariant, carries the ideal
     # [z1^2-z2^2] to [z1*z2].  The HS sum over all pairs is unitarily
-    # invariant, and the monomial side has exact coordinate frames.
+    # invariant, and so is the trace sum over i of [S_i*, S_i]; the monomial
+    # side has exact coordinate frames.
     w = family(enumerate_basis(m, N))
     binomial = homogeneous_submodule(w, [parse_polynomial("z1^2-z2^2", num_vars=m)])
     monomial = monomial_submodule(w, [(1, 1) + (0,) * (m - 2)])
-    a, b = _commutator_hs_sum(binomial, m), _commutator_hs_sum(monomial, m)
+    (a, trace_a), (b, trace_b) = _commutator_sums(binomial, m), _commutator_sums(monomial, m)
     assert abs(a - b) <= 1e-12 * b
+    assert abs(trace_a - trace_b) <= 1e-12 * abs(trace_b)
+
+
+@pytest.mark.parametrize("text, degree", [("z1-z2", 1), ("z1*z2", 2), ("z1^2-z2^2", 2),
+                                          ("z1^2", 2), ("z1^2*z2", 3), ("z1^3-2*z2^3", 3)])
+def test_quotient_index_equals_the_degree(text, degree):
+    # Drury-Arveson space at m = 2, quotient by a homogeneous p: the compressed
+    # shifts R_i have sum_i tr [R_i*, R_i] = deg p on the window N, at the
+    # quotient probe's truncation degree N + 2
+    for N in (10, 20, 30):
+        w = drury_arveson_weights(enumerate_basis(2, N + 2))
+        S = homogeneous_submodule(w, [parse_polynomial(text, num_vars=2)])
+        Rs = [compress_to_frame(coordinate_shift(w, i), S.comp) for i in (1, 2)]
+        trace = sum(self_commutator(R).window(N).diagonal().sum() for R in Rs)
+        assert abs(trace - degree) <= 1e-12, (N, trace)
 
 
 def test_homogeneous_binomial_ideal_dimensions():
@@ -318,9 +339,9 @@ def test_frames_expose_stored_bytes_and_graded_frames_stay_per_slice():
         bound = 12 * sum(len(b.degree_slice(n)) ** 2 for n in range(b.max_degree + 1))
         for frame in (S.sub, S.comp):
             assert type(frame.columns.nbytes) is int
-            if frame.graded:
+            if frame.col_degrees is not None:
                 assert frame.columns.nbytes <= bound
-    assert [S.sub.graded for S in builds] == [True, True, False, False]
+    assert [S.sub.col_degrees is not None for S in builds] == [True, True, False, False]
 
 
 def test_ambient_frames_refuse_large_spaces_before_any_work(monkeypatch, tmp_path):
