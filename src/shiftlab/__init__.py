@@ -11,7 +11,7 @@ from .polynomials import (PolynomialGenerator, PolynomialSyntaxError,
 from .schatten import (ApWitness, DecayFit, Verdict, ap_witness,
                        convergence_diagnostic, decay_exponent_fit,
                        schatten_norm, singular_values)
-from .shift_operators import (BlockDecomposition, InvarianceError, RestrictedSpace,
+from .shift_operators import (BlockDecomposition, InvarianceError,
                               SubspaceFrame, TruncatedOperator, adjoint,
                               commutator, compress_to_frame,
                               coordinate_shift, cross_commutators,

@@ -154,6 +154,9 @@ def build_config(experiment: str, file_values: dict, flag_values: dict,
             values[key] = default
         else:
             raise ConfigError(f"missing required option --{key} for {experiment}")
+        # an empty list stands for the default only where the default is []
+        if kind.endswith("_list") and default != [] and not values[key]:
+            raise ConfigError(f"empty list for --{key} of {experiment}")
     return RunConfig(experiment=experiment, params={key: values[key] for key in schema},
                      **{key: values[key] for key in GLOBAL_KEYS})
 

@@ -243,6 +243,10 @@ def run_submodule_probe(family: str, m: int, k: int, generators, p_values,
         if not g.is_homogeneous:
             raise ValueError("submodule probe requires homogeneous or monomial generators")
     S = _build_submodule(w, generators)
+    # each side's decay fits read the window of degrees <= max(sweep): refuse
+    # an oversize one before any restriction is built
+    for frame in (S.sub, S.comp):
+        schatten.check_dense_svd_size(int(np.searchsorted(frame.degrees, sweep[-1], "right")))
 
     rep = ExperimentReport("submodule_probe", {
         "family": family, "m": m, "k": k, "delta": delta,

@@ -36,14 +36,6 @@ class GradedBasis:
     def dimension(self) -> int:
         return self.exponents.shape[0]
 
-    def __eq__(self, other):
-        return (isinstance(other, GradedBasis)
-                and (self.num_vars, self.max_degree, self.multiplicity)
-                == (other.num_vars, other.max_degree, other.multiplicity))
-
-    def __hash__(self):
-        return hash((self.num_vars, self.max_degree, self.multiplicity))
-
     def rank(self, exponents, components) -> np.ndarray:
         """Ordinals of the rows (exponents[r], components[r]), in closed form.
 

@@ -115,7 +115,7 @@ def schatten_norm(T: TruncatedOperator, p: float, max_window_degree=None) -> flo
     return window_norms(T, [max_window_degree], [p])[max_window_degree, p]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ApWitness:
     """Spectral split [T*,T] = P + C with P >= 0 and C <= 0.
 

@@ -6,8 +6,9 @@ the untruncated operator.  Coordinate shifts raise degree by exactly 1, so
 each multiplication eats a bounded strip at the truncation boundary; the
 bookkeeping here tracks that strip, and TruncatedOperator.window, the block
 of degrees <= W, is the one uncontaminated section every norm and fit reads.
-Degree labels never decrease along a graded space or frame (checked when it
-is built), so every degree is an ordinal range and a window a leading block.
+An operator lives on a GradedBasis or a labelled frame, whose degree labels
+never decrease (checked when it is built), so every degree is an ordinal
+range and a window a leading block.
 A frame without degree labels (a span of kernel vectors, a quotient by a
 non-homogeneous ideal) has no strip to track: an operator compressed to it is
 a plain r x r ndarray, and commutator takes two of them through BLAS.
@@ -38,20 +39,6 @@ class InvarianceError(ValueError):
         super().__init__(f"invariance residual {residual:.3e} exceeds tolerance {tol:.1e}")
 
 
-@dataclass(frozen=True)
-class RestrictedSpace:
-    """Coordinate space of a restriction or compression to a labelled frame:
-    degrees labels each coordinate with the ambient degree it came from."""
-
-    dimension: int
-    degrees: np.ndarray = field(compare=False)
-    max_degree: int
-
-    def __post_init__(self):
-        if np.any(np.diff(self.degrees) < 0):
-            raise ValueError("degree labels of a graded space must not decrease")
-
-
 class SparseColumns(sp.csc_matrix):
     """Sparse frame columns whose nbytes is the stored size, as for an ndarray."""
 
@@ -60,24 +47,26 @@ class SparseColumns(sp.csc_matrix):
         return self.data.nbytes + self.indices.nbytes + self.indptr.nbytes
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class SubspaceFrame:
     """Orthonormal columns spanning a subspace, with per-column degree labels.
 
     Graded frames store SparseColumns, the columns labelled n on the ambient
     rows of degree n.  A frame with no grading (e.g. a span of kernel
-    vectors) stores a dense ndarray and col_degrees None.
+    vectors) stores a dense ndarray and degrees None.  A labelled frame is
+    the space of the operators restricted or compressed to it; frames
+    compare by identity, so operators on two different frames never mix.
     """
 
-    columns: object                   # (ambient_dim, r), orthonormal
-    col_degrees: np.ndarray = None    # (r,) int labels, or None when ungraded
+    columns: object               # (ambient_dim, r), orthonormal
+    degrees: np.ndarray = None    # (r,) int labels, or None when ungraded
 
     def __post_init__(self):
-        if self.col_degrees is not None and np.any(np.diff(self.col_degrees) < 0):
+        if self.degrees is not None and np.any(np.diff(self.degrees) < 0):
             raise ValueError("degree labels of a graded frame must not decrease")
 
     @property
-    def rank(self) -> int:
+    def dimension(self) -> int:
         return self.columns.shape[1]
 
     @property
@@ -106,7 +95,7 @@ class TruncatedOperator:
     degrees <= d + r (shift: +1, shift adjoint: -1).
     """
 
-    space: object                 # GradedBasis or RestrictedSpace
+    space: object                 # GradedBasis or labelled SubspaceFrame
     mat: sp.spmatrix = field(compare=False)
     interior_degree: int
     degree_raise: int = 0
@@ -135,7 +124,7 @@ class TruncatedOperator:
 
 
 def _same_space(a: TruncatedOperator, b: TruncatedOperator):
-    if not (a.space is b.space or a.space == b.space):
+    if a.space != b.space:
         raise ValueError("operators live on different spaces")
 
 
@@ -297,7 +286,7 @@ def invariance_residual(T: TruncatedOperator, frame: SubspaceFrame) -> float:
     sigma_max.  Frames without labels take one dense SVD of the ambient
     residual.
     """
-    if frame.col_degrees is None:
+    if frame.degrees is None:
         Q = frame.columns
         Y = T.mat @ Q
         return _dense_residual(T, Y - Q @ (Q.conj().T @ Y), _norm_scale(T))
@@ -306,7 +295,7 @@ def invariance_residual(T: TruncatedOperator, frame: SubspaceFrame) -> float:
     top = int(deg[-1])
     # degree n: the ambient ordinals rows[n]:rows[n + 1], the frame columns cols[n]:cols[n + 1]
     rows = np.searchsorted(deg, np.arange(top + 2))
-    cols = np.searchsorted(frame.col_degrees, np.arange(top + 2))
+    cols = np.searchsorted(frame.degrees, np.arange(top + 2))
     rank = np.diff(cols)
     Qs = {n: frame.columns[rows[n]:rows[n + 1], cols[n]:cols[n + 1]].toarray()
           for n in np.flatnonzero(rank).tolist()}
@@ -352,8 +341,8 @@ def _check_invariant(resid: float, tol: float):
 
 def compress_to_frame(T: TruncatedOperator, frame: SubspaceFrame):
     """Q* T Q in the frame's basis, with no invariance requirement: a
-    TruncatedOperator on a labelled frame, the r x r ndarray on a frame
-    without labels (one dense block, with no interior strip to track).
+    TruncatedOperator whose space is a labelled frame, the r x r ndarray on a
+    frame without labels (one dense block, with no interior strip to track).
 
     This is the semi-invariant (quotient-module) action; use
     restrict_to_invariant when invariance is part of the contract.
@@ -364,20 +353,19 @@ def compress_to_frame(T: TruncatedOperator, frame: SubspaceFrame):
         # and decay_exponent_fit counts round-off-sized singular values
         Q = frame.dense()
         R = Q.conj().T @ (T.mat @ Q)
-        if frame.col_degrees is None:
+        if frame.degrees is None:
             return R
     else:
         R = T.mat.tocsr()[idx][:, idx]      # the same entries, read by index,
         R.sum_duplicates()                  # stored as sp.csr_matrix stores Q*(TQ)
         R.eliminate_zeros()
     # a graded restriction keeps only its nonzeros, so its products stay sparse
-    space = RestrictedSpace(frame.rank, np.asarray(frame.col_degrees), T.space.max_degree)
-    return TruncatedOperator(space, sp.csr_matrix(R),
+    return TruncatedOperator(frame, sp.csr_matrix(R),
                              interior_degree=T.interior_degree,
                              degree_raise=T.degree_raise)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class BlockDecomposition:
     """The restriction Y of T to an invariant frame and the two summands of
     its self-commutator, [Y*,Y] = diagonal_part + corner_part.

@@ -37,12 +37,12 @@ class RankCollapseError(ValueError):
         super().__init__(f"{message} (condition number {condition_number:.3e})")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class SubmoduleBasis:
     """Orthonormal bases of a submodule S and its orthocomplement.
 
     Both frames are graded when the construction is degreewise
-    (monomial/homogeneous generators); their col_degrees then label each
+    (monomial/homogeneous generators); their degrees then label each
     column with its degree.
     """
 

@@ -37,7 +37,7 @@ def log_gamma_table(n: int) -> np.ndarray:
     return np.concatenate([exact, stirling])[:n]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class WeightSet:
     """Positive monomial norms lambda_alpha on a graded basis.
 

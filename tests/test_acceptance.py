@@ -15,7 +15,7 @@ from shiftlab.experiments import (run_submodule_probe, run_trace_inequality_chec
                                   run_direct_sum_trends, run_ramp_block_norms,
                                   run_factorial_thresholds, run_restriction_identity_check)
 
-from conftest import random_weight_set
+from random_instances import random_weight_set
 
 
 def _line(name, ok, detail=""):
@@ -141,9 +141,9 @@ def test_criterion_8_property_suites():
     for _ in range(100):
         n = int(rng.integers(2, 15))
         import scipy.sparse as sp
-        from shiftlab.shift_operators import RestrictedSpace, TruncatedOperator
+        from shiftlab.shift_operators import SubspaceFrame, TruncatedOperator
         mk = lambda M: TruncatedOperator(
-            RestrictedSpace(M.shape[0], np.zeros(M.shape[0], dtype=np.int64), 0),
+            SubspaceFrame(np.eye(M.shape[0]), np.zeros(M.shape[0], dtype=np.int64)),
             sp.csr_matrix(M), interior_degree=0, degree_raise=0)
         A = rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n))
         B = rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n))

@@ -193,6 +193,34 @@ def test_repeated_sweep_degree_is_usage_error(argv, tmp_path, capsys, monkeypatc
     assert not any(tmp_path.iterdir())
 
 
+@pytest.mark.parametrize("argv,flag", [
+    (["ramp-block", "--n", ","], "n"),
+    (["ramp-block", "--p", ","], "p"),
+    (["direct-sum", "--p", ","], "p"),
+    (["factorial-family", "--m", "2", "--delta", ","], "delta"),
+    (["submodule-probe", "--m", "2", "--gens", "z1*z2", "--p", ","], "p"),
+    (["quotient-probe", "--m", "2", "--gens", "z1-z2", "--p", ","], "p"),
+    (["ramp-block", "--config", "{config}"], "p"),
+])
+def test_empty_list_is_usage_error_before_any_work(argv, flag, tmp_path, capsys, monkeypatch):
+    # an empty list would write a report with empty tables; only --degrees
+    # (and --points) read an empty list as their default
+    def refuse(*args, **kwargs):
+        raise AssertionError("basis built before the lists were checked")
+    monkeypatch.setattr(xp, "enumerate_basis", refuse)
+    config = tmp_path / "empty.cfg"
+    config.write_text("p = ,\n")
+    out = tmp_path / "out"
+    assert run_cli([a.format(config=config) for a in argv], out) == 2
+    assert f"error: empty list for --{flag} of {argv[0]}" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_empty_degrees_is_the_default_sweep():
+    cfg = parse_args(["submodule-probe", "--m", "2", "--gens", "z1", "--degrees", ","])
+    assert cfg.params["degrees"] == []
+
+
 def test_quotient_probe_rejects_non_coinvariant_complement(tmp_path, capsys):
     # at degree 60 the homogeneous frame of z1^2-z2^2 has lost exactness: a
     # defect of the frame builder, so exit 1, not wrong numbers with exit 0

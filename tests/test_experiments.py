@@ -69,6 +69,35 @@ def test_direct_sum_refuses_oversize_blocks_before_any_svd(monkeypatch, tmp_path
     assert max(widths) == 15
 
 
+def test_submodule_probe_refuses_oversize_fit_window_before_any_restriction(
+        monkeypatch, tmp_path, capsys):
+    # each side's decay fits read its window of degrees <= max(sweep): 21 wide
+    # for z1*z2 at degree 7 (15 on the complement), refused right after the frames
+    def refuse(*args, **kwargs):
+        raise AssertionError("restriction built before the fit window was checked")
+    with monkeypatch.context() as patched:
+        patched.setattr(ops, "restrict_to_invariant", refuse)
+        patched.setattr(schatten, "DENSE_SVD_LIMIT", 20)
+        code = cli.main(["submodule-probe", "--m", "2", "--gens", "z1*z2", "--p", "1,3",
+                         "--degrees", "4,5,6,7", "--out", str(tmp_path), "--tag", "t"])
+    assert code == 2
+    assert "error: window dimension 21 exceeds DENSE_SVD_LIMIT=20" in capsys.readouterr().err
+    assert not any(tmp_path.iterdir())
+    # the bound is tight: at 21 the widest fit window passes
+    widths = []
+    real = schatten.singular_values
+
+    def counted(*args, **kwargs):
+        s = real(*args, **kwargs)
+        widths.append(s.size)
+        return s
+    monkeypatch.setattr(schatten, "singular_values", counted)
+    monkeypatch.setattr(schatten, "DENSE_SVD_LIMIT", 21)
+    run_submodule_probe("drury-arveson", 2, 1, parse_generators("z1*z2", 2), [1.0],
+                        [4, 5, 6, 7])
+    assert max(widths) == 21
+
+
 def test_factorial_thresholds_reject_one_variable():
     with pytest.raises(ValueError):
         run_factorial_thresholds(1, [1.0])

@@ -12,15 +12,15 @@ from shiftlab import (Verdict, adjoint,
                       schatten_norm, self_commutator, shift_combination, singular_values,
                       ungraded_submodule)
 from shiftlab import cli, schatten
-from shiftlab.shift_operators import RestrictedSpace, TruncatedOperator
+from shiftlab.shift_operators import SubspaceFrame, TruncatedOperator
 
-from conftest import random_weight_set, z1_plus_adjoint
+from random_instances import random_weight_set, z1_plus_adjoint
 
 
 def _wrap(M):
     """M as one degree block: every coordinate labelled 0, the window all of M."""
     n = M.shape[0]
-    space = RestrictedSpace(dimension=n, degrees=np.zeros(n, dtype=np.int64), max_degree=0)
+    space = SubspaceFrame(np.eye(n), np.zeros(n, dtype=np.int64))
     return TruncatedOperator(space, sp.csr_matrix(M), interior_degree=0, degree_raise=0)
 
 
@@ -339,7 +339,7 @@ def test_ungraded_commutator_is_its_own_window(count_dense_spectra):
     S = ungraded_submodule(w, [parse_polynomial("z1-z2*z3", 3)])
     R1, R2 = (compress_to_frame(coordinate_shift(w, i), S.comp) for i in (1, 2))
     T = commutator(R1, R2)
-    assert isinstance(T, np.ndarray) and T.shape == (S.comp.rank,) * 2
+    assert isinstance(T, np.ndarray) and T.shape == (S.comp.dimension,) * 2
     oracle = np.linalg.svd(T, compute_uv=False)
     spectra = {d: schatten.singular_values(T, d) for d in SWEEP}
     assert len(count_dense_spectra) == len(SWEEP)

@@ -6,7 +6,7 @@ import scipy.sparse as sp
 from hypothesis import given, settings, strategies as st
 
 from shiftlab import (GradedBasis, InvarianceError, PolynomialGenerator, SubspaceFrame,
-                      adjoint, commutator, compress_to_frame,
+                      adjoint, ap_witness, commutator, compress_to_frame,
                       coordinate_shift, cross_commutators,
                       drury_arveson_weights, enumerate_basis, family_weights,
                       homogeneous_submodule,
@@ -15,12 +15,12 @@ from shiftlab import (GradedBasis, InvarianceError, PolynomialGenerator, Subspac
                       multiply, projection_matrix, restrict_to_invariant,
                       self_commutator, shift_combination, singular_values)
 from shiftlab import cli, shift_operators
-from shiftlab.shift_operators import (INVARIANCE_TOL, RestrictedSpace, SparseColumns,
+from shiftlab.shift_operators import (INVARIANCE_TOL, SparseColumns,
                                       TheoremViolationError, TruncatedOperator)
 from shiftlab.submodules import Side, ungraded_submodule
 
-from conftest import (point_evaluation_submodule, random_weight_set, shift_weight,
-                      z1_plus_adjoint)
+from random_instances import (point_evaluation_submodule, random_weight_set, shift_weight,
+                              z1_plus_adjoint)
 from test_graded_basis import compositions
 
 
@@ -238,7 +238,7 @@ def test_commutator_is_adjoint_product_difference(rng, monkeypatch):
         monkeypatch.setattr(shift_operators, name, refuse)
     for (X, Y), (mat, interior, raise_) in zip(pairs, composed):
         C = commutator(X, Y)
-        assert isinstance(X.space, (GradedBasis, RestrictedSpace))
+        assert isinstance(X.space, (GradedBasis, SubspaceFrame))
         assert np.array_equal(_dense(C), mat.toarray())
         assert C.mat.nnz == mat.nnz
         assert (C.interior_degree, C.degree_raise) == (interior, raise_)
@@ -356,7 +356,7 @@ def test_restricted_commutator_decomposition_forms_no_ambient_operator(kind, mon
         monkeypatch.setattr(shift_operators, name, refuse)
     dec = restricted_commutator_decomposition(T, S.sub)
     assert np.array_equal(dec.restricted, expected.toarray())
-    r = S.sub.rank
+    r = S.sub.dimension
     for part in (dec.diagonal_part, dec.corner_part):
         assert isinstance(part, np.ndarray) and part.shape == (r, r)
         assert np.abs(part - part.conj().T).max(initial=0.0) <= 1e-13
@@ -443,7 +443,7 @@ def test_ungraded_products_are_blas_products(monkeypatch):
         Q = frame.columns
         R1, R2 = (compress_to_frame(T, frame) for T in (T1, T2))
         for R, T in ((R1, T1), (R2, T2)):
-            assert isinstance(R, np.ndarray) and R.shape == (frame.rank,) * 2
+            assert isinstance(R, np.ndarray) and R.shape == (frame.dimension,) * 2
             assert np.abs(R - Q.conj().T @ (_dense(T) @ Q)).max() < 1e-14
         C = commutator(R1, R2)
         assert isinstance(C, np.ndarray) and C.flags.c_contiguous
@@ -540,8 +540,7 @@ def _direct_sum(operators):
     degree, so each summand keeps its own coordinate order."""
     degrees = np.concatenate([np.asarray(T.space.degrees) for T in operators])
     order = np.argsort(degrees, kind="stable")
-    space = RestrictedSpace(dimension=int(degrees.size), degrees=degrees[order],
-                            max_degree=max(T.space.max_degree for T in operators))
+    space = SubspaceFrame(np.eye(degrees.size), degrees[order])
     mat = sp.block_diag([T.mat for T in operators], format="csr")[order][:, order]
     return TruncatedOperator(space, mat,
                              interior_degree=min(T.interior_degree for T in operators),
@@ -585,15 +584,49 @@ def test_window_is_the_block_of_degrees_up_to_the_interior(seed, kind, d):
         assert np.array_equal(W.toarray(), _dense(T)[np.ix_(idx, idx)])
 
 
+def test_operators_on_a_submodule_and_its_complement_never_mix():
+    # z^2 at m=1, N=3: the submodule {z^2, z^3} and its complement {1, z} are
+    # both 2-dimensional, yet an operator on one never combines with one on the other
+    w = drury_arveson_weights(enumerate_basis(1, 3))
+    S = monomial_submodule(w, [(2,)])
+    Z = coordinate_shift(w, 1)
+    R, C = restrict_to_invariant(Z, S.sub), restrict_to_invariant(adjoint(Z), S.comp)
+    assert R.space is S.sub and C.space is S.comp and R.dimension == C.dimension == 2
+    assert compress_to_frame(Z, S.comp).space is S.comp
+    Z_again = coordinate_shift(drury_arveson_weights(enumerate_basis(1, 3)), 1)
+    for combine in (commutator, multiply):
+        for X, Y in ((R, C), (C, R)):
+            with pytest.raises(ValueError, match="different spaces"):
+                combine(X, Y)
+        # operators on one frame, or on equal bases, still combine
+        assert combine(R, R).space is S.sub and combine(C, C).space is S.comp
+        assert combine(Z, Z_again).space is w.basis
+
+
+def test_array_holding_dataclasses_compare_without_raising(rng):
+    # two distinct instances of each compare unequal, by identity, where a
+    # field-by-field comparison of their arrays would raise ValueError
+    w1, w2 = random_weight_set(rng, 2, 4), random_weight_set(rng, 2, 4)
+    S1, S2 = monomial_submodule(w1, [(1, 0)]), monomial_submodule(w2, [(1, 0)])
+    D1, D2 = (restricted_commutator_decomposition(coordinate_shift(w1, 1), S1.sub)
+              for _ in range(2))
+    A1, A2 = (ap_witness(D1.corner_part, 1.0) for _ in range(2))
+    for a, b in ((w1, w2), (S1, S2), (S1.sub, S2.sub), (S1.comp, S1.sub), (D1, D2), (A1, A2)):
+        assert a == a and not a == b and a != b
+    # bases compare by (m, N, k)
+    assert w1.basis == w2.basis and hash(w1.basis) == hash(w2.basis)
+    assert w1.basis != enumerate_basis(2, 5) and w1.basis != S1.sub
+
+
 def test_graded_labels_must_not_decrease():
     cols = SparseColumns(sp.eye(3, 2, format="csc"))
     with pytest.raises(ValueError, match="must not decrease"):
         SubspaceFrame(cols, np.array([1, 0]))
     with pytest.raises(ValueError, match="must not decrease"):
-        RestrictedSpace(dimension=3, degrees=np.array([0, 2, 1]), max_degree=2)
+        SubspaceFrame(np.eye(3), np.array([0, 2, 1]))
     # an ungraded frame has no labels to check
-    assert SubspaceFrame(cols.toarray()).col_degrees is None
-    assert SubspaceFrame(cols, np.array([0, 0])).rank == 2
+    assert SubspaceFrame(cols.toarray()).degrees is None
+    assert SubspaceFrame(cols, np.array([0, 0])).dimension == 2
 
 
 def _composed_combination(w, coeffs):
@@ -625,7 +658,7 @@ def test_shift_combination_is_the_composed_scale_add(m, kind, rng):
 
 def _as_dense_frame(frame):
     """The same columns stored dense: products with Q, never reads by index."""
-    return SubspaceFrame(frame.dense(), frame.col_degrees)
+    return SubspaceFrame(frame.dense(), frame.degrees)
 
 
 def _monomial_cases(rng):
@@ -648,7 +681,7 @@ def _monomial_cases(rng):
         yield T, S.sub
         yield adjoint(T), S.comp
         # the same span, its coordinate columns in reverse order within each degree
-        idx, degs = S.sub.coordinate_rows, S.sub.col_degrees
+        idx, degs = S.sub.coordinate_rows, S.sub.degrees
         order = np.lexsort((-idx, degs))
         cols = SparseColumns((np.ones(idx.size), idx[order], np.arange(idx.size + 1)),
                              shape=S.sub.columns.shape)
@@ -661,7 +694,7 @@ def test_coordinate_frames_are_read_by_index_bit_for_bit(rng):
         assert frame.coordinate_rows is not None
         generic = _as_dense_frame(frame)
         assert generic.coordinate_rows is None
-        ranks.add(frame.rank / T.dimension)
+        ranks.add(frame.dimension / T.dimension)
         fast = restricted_commutator_decomposition(T, frame)
         slow = restricted_commutator_decomposition(T, generic)
         for name in ("diagonal_part", "corner_part", "restricted"):
@@ -673,8 +706,9 @@ def test_coordinate_frames_are_read_by_index_bit_for_bit(rng):
         for name in ("indptr", "indices", "data"):
             assert np.array_equal(getattr(fast.mat, name), getattr(slow.mat, name))
         assert fast.mat.dtype == slow.mat.dtype and np.all(fast.mat.data != 0)
-        assert (fast.space, fast.interior_degree, fast.degree_raise) == \
-            (slow.space, slow.interior_degree, slow.degree_raise)
+        assert np.array_equal(fast.space.degrees, slow.space.degrees)
+        assert (fast.interior_degree, fast.degree_raise) == \
+            (slow.interior_degree, slow.degree_raise)
     assert {0.0, 1.0} <= ranks
 
 
@@ -738,7 +772,7 @@ def test_coordinate_compression_forms_no_dense_block():
     w = drury_arveson_weights(enumerate_basis(2, 70))
     frame = monomial_submodule(w, [(1, 0)]).sub
     T = coordinate_shift(w, 2)
-    r = frame.rank
+    r = frame.dimension
     assert r >= 2000 and frame.coordinate_rows is not None
     tracemalloc.start()
     try:

@@ -15,13 +15,13 @@ from shiftlab import (PolynomialGenerator, RankCollapseError, bergman_ball_weigh
 from shiftlab import cli, schatten, submodules
 from shiftlab.submodules import Side, ungraded_submodule
 
-from conftest import point_evaluation_submodule, random_weight_set
+from random_instances import point_evaluation_submodule, random_weight_set
 from test_graded_basis import compositions
 
 
 def _dim_in_degree(frame, n):
     """Number of a graded frame's columns labelled with degree n."""
-    return int(np.count_nonzero(np.asarray(frame.col_degrees) == n))
+    return int(np.count_nonzero(np.asarray(frame.degrees) == n))
 
 
 def test_monomial_submodule_membership(rng):
@@ -30,8 +30,8 @@ def test_monomial_submodule_membership(rng):
     b = w.basis
     expected = sum(1 for j in range(b.dimension)
                    if b.exponents[j][0] >= 2 and b.exponents[j][1] >= 1)
-    assert S.sub.rank == expected
-    assert S.sub.rank + S.comp.rank == b.dimension
+    assert S.sub.dimension == expected
+    assert S.sub.dimension + S.comp.dimension == b.dimension
 
 
 def test_monomial_hilbert_function():
@@ -128,7 +128,7 @@ def test_homogeneous_two_generators_full_cut():
     gens = [monomial_generator((2, 0), num_vars=2),
             monomial_generator((0, 2), num_vars=2)]
     S = homogeneous_submodule(w, gens)
-    assert S.comp.rank == 4
+    assert S.comp.dimension == 4
 
 
 def test_submodule_invariant_under_shifts(rng):
@@ -291,8 +291,8 @@ def test_principal_ungraded_frame_keeps_every_multiple(family, m, N, k, text):
     w = family(enumerate_basis(m, N, k))
     g = parse_polynomial(text, m, k)
     S = ungraded_submodule(w, [g])
-    assert S.sub.rank == math.comb(N - g.max_degree + m, m)
-    assert S.sub.rank + S.comp.rank == w.basis.dimension
+    assert S.sub.dimension == math.comb(N - g.max_degree + m, m)
+    assert S.sub.dimension + S.comp.dimension == w.basis.dimension
     assert _largest_column_residual(S, w, [g]) <= 1e-13
 
 
@@ -307,8 +307,8 @@ def test_ungraded_frame_keeps_independent_multiples_of_several_generators(family
     w = family(enumerate_basis(m, N))
     gens = [parse_polynomial(t, m) for t in texts]
     S = ungraded_submodule(w, gens)
-    assert S.sub.rank == rank
-    assert S.sub.rank + S.comp.rank == w.basis.dimension
+    assert S.sub.dimension == rank
+    assert S.sub.dimension + S.comp.dimension == w.basis.dimension
     # the dropped multiples lie in the span of the kept ones
     assert _largest_column_residual(S, w, gens) <= 1e-12
 
@@ -317,8 +317,8 @@ def test_ungraded_frame_keeps_independent_multiples_of_several_generators(family
 def test_ungraded_submodule_with_no_multiple_in_range_is_zero(texts):
     w = drury_arveson_weights(enumerate_basis(2, 12))
     S = ungraded_submodule(w, [parse_polynomial(t, 2) for t in texts])
-    assert S.sub.rank == 0
-    assert S.comp.rank == w.basis.dimension
+    assert S.sub.dimension == 0
+    assert S.comp.dimension == w.basis.dimension
     assert np.allclose(S.comp.columns.T @ S.comp.columns, np.eye(w.basis.dimension),
                        rtol=0, atol=1e-14)
 
@@ -339,9 +339,9 @@ def test_frames_expose_stored_bytes_and_graded_frames_stay_per_slice():
         bound = 12 * sum(len(b.degree_slice(n)) ** 2 for n in range(b.max_degree + 1))
         for frame in (S.sub, S.comp):
             assert type(frame.columns.nbytes) is int
-            if frame.col_degrees is not None:
+            if frame.degrees is not None:
                 assert frame.columns.nbytes <= bound
-    assert [S.sub.col_degrees is not None for S in builds] == [True, True, False, False]
+    assert [S.sub.degrees is not None for S in builds] == [True, True, False, False]
 
 
 def test_ambient_frames_refuse_large_spaces_before_any_work(monkeypatch, tmp_path):

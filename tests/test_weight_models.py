@@ -11,7 +11,7 @@ from shiftlab import (WeightSet, bergman_ball_weights, coordinate_shift,
                       schatten_norm)
 from shiftlab.weight_models import log_gamma_table
 
-from conftest import shift_weight
+from random_instances import shift_weight
 
 
 def _alpha_rows(basis):
