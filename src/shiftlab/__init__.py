@@ -8,9 +8,9 @@ of their commutators, plus canned experiments with reproducible CSV reports.
 from .graded_basis import GradedBasis, enumerate_basis
 from .polynomials import (PolynomialGenerator, PolynomialSyntaxError,
                           monomial_generator, parse_generators, parse_polynomial)
-from .schatten import (ApWitness, DecayFit, Verdict, ap_witness,
-                       convergence_diagnostic, decay_exponent_fit,
-                       schatten_norm, singular_values)
+from .schatten import (DecayFit, Verdict, convergence_diagnostic,
+                       decay_exponent_fit, schatten_norm, singular_values,
+                       spectral_split)
 from .shift_operators import (BlockDecomposition, InvarianceError,
                               SubspaceFrame, TruncatedOperator, adjoint,
                               commutator, compress_to_frame,

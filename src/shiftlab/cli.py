@@ -135,7 +135,9 @@ def build_config(experiment: str, file_values: dict, flag_values: dict,
     """Merge the values of config file `source` and flags (flags win) against the schema."""
     schema = SCHEMAS[experiment][1]
     file_values = dict(file_values)
-    file_values.pop("experiment", None)
+    named = file_values.pop("experiment", experiment)
+    if named != experiment:
+        raise ConfigError(f"{source}: config for experiment {named}, not {experiment}")
     unknown = set(file_values) - set(schema) - set(GLOBAL_KEYS)
     if unknown:
         raise ConfigError(f"unknown config keys for {experiment}: {sorted(unknown)}")
@@ -154,9 +156,14 @@ def build_config(experiment: str, file_values: dict, flag_values: dict,
             values[key] = default
         else:
             raise ConfigError(f"missing required option --{key} for {experiment}")
-        # an empty list stands for the default only where the default is []
-        if kind.endswith("_list") and default != [] and not values[key]:
-            raise ConfigError(f"empty list for --{key} of {experiment}")
+        # an empty list stands for the default only where the default is [],
+        # and schatten.sweep_degrees checks the one such list, --degrees
+        if kind.endswith("_list") and default != []:
+            if not values[key]:
+                raise ConfigError(f"empty list for --{key} of {experiment}")
+            repeated = [v for v in values[key] if values[key].count(v) > 1]
+            if repeated:
+                raise ConfigError(f"repeated value {repeated[0]} in --{key} of {experiment}")
     return RunConfig(experiment=experiment, params={key: values[key] for key in schema},
                      **{key: values[key] for key in GLOBAL_KEYS})
 
@@ -208,11 +215,18 @@ def execute(config: RunConfig) -> int:
 
     p = config.params
     delta = _nan_to_none(p.get("delta"))
+    if "family" in p and p["family"] != "factorial-delta" and delta is not None:
+        raise ConfigError(f"--delta is read only by --family factorial-delta, "
+                          f"not {p['family']}")
+    out_root = Path(config.out or os.environ.get("SHIFTLAB_OUT", "out"))
+    if out_root.exists() and not out_root.is_dir():
+        raise ConfigError(f"output root {out_root} is not a directory")
     if p.get("gens"):
         gens = parse_generators(p["gens"], p.get("m", 1), p.get("k", 1))
     else:
         gens = []
 
+    start = time.perf_counter()
     if config.experiment == "ramp-block":
         rep = xp.run_ramp_block_norms(p["n"], p["p"], p["N"])
     elif config.experiment == "direct-sum":
@@ -236,18 +250,20 @@ def execute(config: RunConfig) -> int:
         rep = xp.run_restriction_identity_check(p["trials"], seed=config.seed)
     else:
         raise ConfigError(f"unknown experiment {config.experiment}")
+    seconds = time.perf_counter() - start
 
     rep.seed = config.seed
-    out_root = Path(config.out or os.environ.get("SHIFTLAB_OUT", "out"))
-    tag = config.tag or time.strftime("%Y%m%dT%H%M%S")
-    outdir = write_report(rep, out_root / f"{rep.name}-{tag}")
-    _print_summary(rep, outdir)
+    outdir = out_root / f"{rep.name}-{config.tag or time.strftime('%Y%m%dT%H%M%S')}"
+    try:
+        write_report(rep, outdir)
+    except OSError as exc:
+        raise ConfigError(f"cannot write report {outdir}: {exc.strerror or exc}") from None
+    _print_summary(rep, outdir, seconds)
     return 0
 
 
-def _print_summary(rep, outdir):
-    print(f"{rep.name}: report written to {outdir} "
-          f"({rep.runtime_seconds:.2f}s)")
+def _print_summary(rep, outdir, seconds):
+    print(f"{rep.name}: report written to {outdir} ({seconds:.2f}s)")
     for key, value in rep.parameters.items():
         print(f"  {key} = {value}")
     for name, v in sorted(rep.verdicts.items()):

@@ -2,14 +2,12 @@
 
 Each experiment returns an ExperimentReport: flat parameters, named CSV
 tables, and verdicts that carry the diagnostic thresholds they were decided
-with.  Reports are byte-stable for a fixed (parameters, seed): wall-clock
-runtime is kept on the in-memory report only and never written to disk.
+with.  Reports are byte-stable for a fixed (parameters, seed): they hold no
+wall-clock time.
 """
 
 import bisect
-import functools
 import json
-import time
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -27,9 +25,8 @@ DEFAULT_SWEEP_M3 = (6, 9, 12, 16, 20)
 # the invariance tolerance of the closed subspaces it restricts to
 INEQUALITY_SLACK = 1e-8
 CLOSURE_INVARIANCE_TOL = 1e-8
-# adjoint closure: relative rank cut-off and bound on the closing rounds
+# adjoint closure: relative rank cut-off
 CLOSURE_RANK_TOL = 1e-10
-CLOSURE_MAX_ROUNDS = 200
 # identity check: largest entry of [Y*,Y] - (diagonal + corner) that passes
 IDENTITY_RESIDUAL_TOL = 1e-10
 
@@ -51,7 +48,6 @@ class ExperimentReport:
     tables: dict = field(default_factory=dict)     # name -> Table
     verdicts: dict = field(default_factory=dict)   # name -> dict
     seed: int = 0
-    runtime_seconds: float = 0.0                   # not serialized
 
     def table(self, name, columns) -> Table:
         t = Table(list(columns))
@@ -94,16 +90,6 @@ def write_report(report: ExperimentReport, outdir) -> Path:
     return outdir
 
 
-def _timed(fn):
-    @functools.wraps(fn)
-    def wrapper(*args, **kwargs):
-        t0 = time.perf_counter()
-        rep = fn(*args, **kwargs)
-        rep.runtime_seconds = time.perf_counter() - t0
-        return rep
-    return wrapper
-
-
 def _check_p_values(p_values):
     for p in p_values:
         schatten.check_p(p)
@@ -120,7 +106,6 @@ def _ramp_block(n: int, N: int):
     return comm, comm_restr
 
 
-@_timed
 def run_ramp_block_norms(n_values, p_values, N: int) -> ExperimentReport:
     """Single-block weighted shift: computed vs stated commutator p-norms."""
     _check_p_values(p_values)
@@ -144,35 +129,28 @@ def run_ramp_block_norms(n_values, p_values, N: int) -> ExperimentReport:
     return rep
 
 
-@_timed
 def run_direct_sum_trends(max_blocks: int, p_values) -> ExperimentReport:
     """Partial direct sums of the weighted-shift blocks vs their restrictions."""
     if max_blocks < 8:
         raise ValueError(f"max_blocks must be >= 8, got {max_blocks}")
     _check_p_values(p_values)
-    # block n's commutator window holds degrees <= n + 6: refuse the widest
-    # before the first SVD
-    schatten.check_dense_svd_size(max_blocks + 7)
     rep = ExperimentReport("direct_sum_trends", {
         "max_blocks": max_blocks, "p_values": list(p_values)})
 
+    # the commutators are diagonal: each block spectrum is exact, with no SVD
     sigmas_full, sigmas_restr = [], []
     for n in range(1, max_blocks + 1):
         comm, comm_restr = _ramp_block(n, n + 8)
-        sigmas_full.append(schatten.singular_values(comm))
-        sigmas_restr.append(schatten.singular_values(comm_restr))
+        sigmas_full.append(schatten.window_spectra(comm, [None])[None])
+        sigmas_restr.append(schatten.window_spectra(comm_restr, [None])[None])
 
     tab_f = rep.table("full_norms", ["B", "p", "value"])
     tab_r = rep.table("restricted_norms", ["B", "p", "value"])
     for p in p_values:
         seq_f, seq_r = [], []
         for B in range(1, max_blocks + 1):
-            if p == np.inf:
-                vf = max(float(s[0]) if s.size else 0.0 for s in sigmas_full[:B])
-                vr = max(float(s[0]) if s.size else 0.0 for s in sigmas_restr[:B])
-            else:
-                vf = float(sum(np.sum(s ** p) for s in sigmas_full[:B]) ** (1.0 / p))
-                vr = float(sum(np.sum(s ** p) for s in sigmas_restr[:B]) ** (1.0 / p))
+            vf = schatten.spectrum_norm(np.concatenate(sigmas_full[:B]), p)
+            vr = schatten.spectrum_norm(np.concatenate(sigmas_restr[:B]), p)
             tab_f.add(B, p, vf)
             tab_r.add(B, p, vr)
             seq_f.append((B, vf))
@@ -183,7 +161,6 @@ def run_direct_sum_trends(max_blocks: int, p_values) -> ExperimentReport:
     return rep
 
 
-@_timed
 def run_factorial_thresholds(m: int, delta_values, degree_sweep=None) -> ExperimentReport:
     """Factorial weight family: trace-norm and Hilbert-Schmidt trends per delta."""
     if m < 2:
@@ -228,7 +205,6 @@ def _build_submodule(w, generators):
     return submodules.homogeneous_submodule(w, generators)
 
 
-@_timed
 def run_submodule_probe(family: str, m: int, k: int, generators, p_values,
                       degree_sweep=None, delta: float | None = None) -> ExperimentReport:
     """Cross-commutator trends for restrictions to a graded submodule."""
@@ -280,19 +256,23 @@ def run_submodule_probe(family: str, m: int, k: int, generators, p_values,
     return rep
 
 
+def _closure_rank(s):
+    return int(np.count_nonzero(s > CLOSURE_RANK_TOL * s[0]))
+
+
 def _adjoint_closure(Tmat, vectors):
-    """Close a span under a degree-lowering sparse operator; terminates since
-    degree drops.  Tmat stays sparse: its dense form is an ambient square."""
+    """Close a span under a degree-lowering sparse operator.  Every round that
+    does not close the span raises its rank, which the dimension bounds, so
+    the rounds stop when the rank stops growing.  Tmat stays sparse: its
+    dense form is an ambient square."""
     M = np.column_stack([v / np.linalg.norm(v) for v in vectors])
-    for _ in range(CLOSURE_MAX_ROUNDS):
-        cand = np.column_stack([M, Tmat @ M])
-        U, s, _ = np.linalg.svd(cand, full_matrices=False)
-        rank = int(np.count_nonzero(s > CLOSURE_RANK_TOL * s[0]))
-        Q = U[:, :rank]
-        if rank == M.shape[1]:
-            return Q
-        M = Q
-    raise RuntimeError("adjoint closure did not stabilize")
+    rank = _closure_rank(np.linalg.svd(M, compute_uv=False))
+    while True:
+        U, s, _ = np.linalg.svd(np.column_stack([M, Tmat @ M]), full_matrices=False)
+        if _closure_rank(s) == rank:
+            return U[:, :rank]
+        rank = _closure_rank(s)
+        M = U[:, :rank]
 
 
 def _nested_frames(family, m, N, delta, points, generators):
@@ -339,7 +319,6 @@ def _point_sweep(family, m, points, delta, sweep):
     return sweep
 
 
-@_timed
 def run_trace_inequality_check(family: str, m: int, points=None, generators=None,
                           degree_sweep=None, delta: float | None = None) -> ExperimentReport:
     """Trace inequality 0 <= Tr P_n <= ||C_n||_1 along nested invariant subspaces."""
@@ -372,9 +351,7 @@ def run_trace_inequality_check(family: str, m: int, points=None, generators=None
                     f"max|z|^(2N) = {r ** (2 * N):.1e}; try a larger --degrees"
                 ) from None
             comm = ops.self_commutator(Tn)
-            wit = schatten.ap_witness(comm, p=1)
-            tr_p = float(np.real(np.trace(wit.positive_part)))
-            c1 = wit.p_norm_of_c
+            tr_p, c1 = schatten.spectral_split(comm, p=1)
             holds = -INEQUALITY_SLACK <= tr_p <= c1 + INEQUALITY_SLACK
             tab.add(N, n, tr_p, c1, holds)
             if not holds:
@@ -400,7 +377,6 @@ def _check_coinvariant(shifts, frame):
                 f"{resid:.3e} exceeds tolerance {ops.INVARIANCE_TOL:.1e}")
 
 
-@_timed
 def run_quotient_smoothness_probe(generators, m: int, p_values, degree_sweep=None,
                                   variety_dimension=None, family: str = "bergman-ball",
                                   delta: float | None = None) -> ExperimentReport:
@@ -470,7 +446,6 @@ def _quotient_spectra(generators, m, N, homogeneous, family, delta, fits=None):
     return spectra
 
 
-@_timed
 def run_restriction_identity_check(trials: int = 200, seed: int = 0) -> ExperimentReport:
     """Random check of the restricted self-commutator block identity."""
     if trials < 1:

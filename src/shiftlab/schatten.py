@@ -6,7 +6,8 @@ optionally cut to degrees <= d.  Graded windows go block by degree block
 one pass over the widest: window d keeps the block values labelled <= d.
 window_norms derives every (d, p) norm of a sweep from those spectra.  An
 operator on an ungraded space is a plain r x r ndarray with no boundary
-strip: it is its own window, and singular_values and ap_witness take it whole.
+strip: it is its own window, and singular_values and spectral_split take it
+whole.
 
 singular_values is the full dense spectrum of a window.  It refuses windows
 wider than DENSE_SVD_LIMIT before densifying; there is no sparse-iteration
@@ -21,7 +22,7 @@ import numpy as np
 from .shift_operators import TruncatedOperator, block_singular_values
 
 DENSE_SVD_LIMIT = 5_000
-# ap_witness: largest |M - M*| entry, relative to the largest |M| entry (or 1)
+# spectral_split: largest |M - M*| entry, relative to the largest |M| entry (or 1)
 SELF_ADJOINT_TOL = 1e-10
 # decay_exponent_fit: rank window [FIT_START*n, FIT_STOP*n] of the n nonzero
 # singular values, and the fewest values it fits
@@ -45,7 +46,6 @@ class DecayFit:
     beta: float
     residual: float
     critical_exponent: float
-    window: tuple  # (first k, last k), 1-based
 
 
 def check_dense_svd_size(n: int, what: str = "window"):
@@ -115,32 +115,19 @@ def schatten_norm(T: TruncatedOperator, p: float, max_window_degree=None) -> flo
     return window_norms(T, [max_window_degree], [p])[max_window_degree, p]
 
 
-@dataclass(frozen=True, eq=False)
-class ApWitness:
-    """Spectral split [T*,T] = P + C with P >= 0 and C <= 0.
+def spectral_split(M: np.ndarray, p: float) -> tuple:
+    """(Tr P, ||C||_p) of the spectral split M = P + C, P >= 0 and C <= 0, of a
+    self-adjoint commutator, an ungraded space's r x r ndarray.
 
-    This is one canonical witness; minimality of ||C||_p over all admissible
+    This is one canonical split; minimality of ||C||_p over all admissible
     splits is not claimed.
     """
-
-    positive_part: np.ndarray
-    compact_part: np.ndarray
-    p: float
-    p_norm_of_c: float
-
-
-def ap_witness(M: np.ndarray, p: float) -> ApWitness:
-    """Split a self-adjoint commutator, an ungraded space's r x r ndarray,
-    into positive and negative spectral parts."""
     _check_finite(M)
     scale = max(1.0, float(np.abs(M).max(initial=0.0)))
     if np.abs(M - M.conj().T).max(initial=0.0) > SELF_ADJOINT_TOL * scale:
-        raise ValueError("ap_witness requires a self-adjoint input")
-    M = (M + M.conj().T) / 2
-    vals, vecs = np.linalg.eigh(M)
-    pos = vecs @ np.diag(np.maximum(vals, 0.0)) @ vecs.conj().T
-    neg = vecs @ np.diag(np.minimum(vals, 0.0)) @ vecs.conj().T
-    return ApWitness(pos, neg, p, spectrum_norm(np.abs(np.minimum(vals, 0.0)), p))
+        raise ValueError("spectral_split requires a self-adjoint input")
+    vals = np.linalg.eigvalsh((M + M.conj().T) / 2)
+    return float(np.sum(np.maximum(vals, 0.0))), spectrum_norm(np.abs(np.minimum(vals, 0.0)), p)
 
 
 def decay_exponent_fit(sigma) -> DecayFit | None:
@@ -166,8 +153,7 @@ def decay_exponent_fit(sigma) -> DecayFit | None:
     residual = float(np.sqrt(np.mean((np.log(tail) - fit) ** 2)))
     beta = -float(slope)
     critical = 1.0 / beta if beta > 0 else np.inf
-    return DecayFit(beta=beta, residual=residual, critical_exponent=critical,
-                    window=(k0 + 1, k1))
+    return DecayFit(beta=beta, residual=residual, critical_exponent=critical)
 
 
 def sweep_degrees(degrees) -> list:

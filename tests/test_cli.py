@@ -1,6 +1,7 @@
 import csv
 import json
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -21,7 +22,9 @@ def test_ramp_block_end_to_end(tmp_path, capsys):
     code = run_cli(["ramp-block", "--n", "1,3", "--p", "1,2", "--N", "30"], tmp_path)
     assert code == 0
     out = capsys.readouterr().out
-    assert "report written" in out
+    # the run's wall time is printed, never written to the report
+    assert re.match(rf"ramp_block_norms: report written to {re.escape(str(tmp_path))}\S+ "
+                    r"\(\d+\.\d\ds\)\n", out)
     rep_dir = tmp_path / "ramp_block_norms-t"
     assert (rep_dir / "report.json").exists()
     assert (rep_dir / "norms.csv").exists()
@@ -216,6 +219,30 @@ def test_empty_list_is_usage_error_before_any_work(argv, flag, tmp_path, capsys,
     assert not out.exists()
 
 
+@pytest.mark.parametrize("argv,value,flag", [
+    (["ramp-block", "--n", "5,5", "--p", "1", "--N", "12"], "5", "n"),
+    (["direct-sum", "--p", "1,3,inf,3"], "3.0", "p"),
+    (["factorial-family", "--m", "2", "--delta", "1,1"], "1.0", "delta"),
+    (["submodule-probe", "--m", "2", "--gens", "z1*z2", "--p", "3,3",
+      "--degrees", "4,5,6,7"], "3.0", "p"),
+    (["quotient-probe", "--m", "2", "--gens", "z1-z2", "--p", "inf,inf"], "inf", "p"),
+    (["ramp-block", "--config", "{config}"], "2.0", "p"),
+])
+def test_repeated_list_value_is_usage_error_before_any_work(argv, value, flag, tmp_path,
+                                                           capsys, monkeypatch):
+    # a repeat would write its table rows twice, as a repeated --degrees would
+    def refuse(*args, **kwargs):
+        raise AssertionError("basis built before the lists were checked")
+    monkeypatch.setattr(xp, "enumerate_basis", refuse)
+    config = tmp_path / "repeated.cfg"
+    config.write_text("p = 2,1,2\n")
+    out = tmp_path / "out"
+    assert run_cli([a.format(config=config) for a in argv], out) == 2
+    assert (f"error: repeated value {value} in --{flag} of {argv[0]}"
+            in capsys.readouterr().err)
+    assert not out.exists()
+
+
 def test_empty_degrees_is_the_default_sweep():
     cfg = parse_args(["submodule-probe", "--m", "2", "--gens", "z1", "--degrees", ","])
     assert cfg.params["degrees"] == []
@@ -387,3 +414,51 @@ def test_factorial_family_m4_end_to_end(tmp_path, capsys):
         by_degree.setdefault(int(deg), set()).add(value)
     assert sorted(by_degree) == [12, 16, 20]
     assert all(len(values) == 1 for values in by_degree.values())
+
+
+def _cli_subprocess(argv):
+    src = str(Path(shiftlab.__file__).parents[1])
+    env = {**os.environ,
+           "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    return subprocess.run([sys.executable, "-m", "shiftlab.cli", *argv],
+                          capture_output=True, text=True, env=env, timeout=120)
+
+
+# (argv, exit code): a run that would repeat rows, ignore an option or fail
+# to write its report is a usage error, and a generator closure of more than
+# 200 rounds a success; {out} is a fresh output root, {file} a regular file
+# and {config} a config file naming another experiment
+BAD_INVOCATIONS = [
+    (["submodule-probe", "--m", "2", "--gens", "z1*z2", "--p", "3,3",
+      "--degrees", "4,5,6,7", "--out", "{out}"], 2),
+    (["ramp-block", "--n", "5,5", "--p", "1", "--N", "12", "--out", "{out}"], 2),
+    (["factorial-family", "--m", "2", "--delta", "1,1", "--out", "{out}"], 2),
+    (["submodule-probe", "--family", "hardy-ball", "--m", "2", "--gens", "z1",
+      "--delta", "2", "--degrees", "4,5,6,7", "--out", "{out}"], 2),
+    (["quotient-probe", "--family", "hardy-ball", "--m", "2", "--gens", "z1",
+      "--delta", "2", "--degrees", "4,5,6,7", "--out", "{out}"], 2),
+    (["trace-inequality", "--m", "1", "--points", "0.3", "--delta", "2",
+      "--out", "{out}"], 2),
+    (["direct-sum", "--config", "{config}", "--out", "{out}"], 2),
+    (["ramp-block", "--n", "1", "--p", "1", "--N", "12", "--out", "{file}"], 2),
+    (["ramp-block", "--n", "1", "--p", "1", "--N", "12", "--out", "{file}/sub"], 2),
+    (["trace-inequality", "--m", "1", "--gens", "z1^200", "--degrees", "200",
+      "--out", "{out}"], 0),
+]
+
+
+@pytest.mark.parametrize("argv,code", BAD_INVOCATIONS)
+def test_bad_invocations_exit_without_traceback(argv, code, tmp_path):
+    config, regular = tmp_path / "ramp.cfg", tmp_path / "regular"
+    config.write_text("experiment = ramp-block\n")
+    regular.write_text("")
+    out = tmp_path / "out"
+    proc = _cli_subprocess([a.format(out=out, config=config, file=regular)
+                            for a in argv] + ["--tag", "t"])
+    assert proc.returncode == code, proc.stderr
+    assert "Traceback" not in proc.stderr
+    if code:
+        assert proc.stderr.startswith("error: ")
+        assert not out.exists() and regular.is_file()
+    else:
+        assert (out / "trace_inequality_check-t" / "report.json").is_file()

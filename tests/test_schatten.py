@@ -4,13 +4,13 @@ import scipy.sparse as sp
 from hypothesis import given, settings, strategies as st
 
 from shiftlab import (Verdict, adjoint,
-                      ap_witness, bergman_ball_weights, commutator, compress_to_frame,
+                      bergman_ball_weights, commutator, compress_to_frame,
                       convergence_diagnostic, coordinate_shift,
                       decay_exponent_fit, drury_arveson_weights, enumerate_basis,
                       factorial_delta_weights, homogeneous_submodule,
                       parse_polynomial, restrict_to_invariant,
                       schatten_norm, self_commutator, shift_combination, singular_values,
-                      ungraded_submodule)
+                      spectral_split, ungraded_submodule)
 from shiftlab import cli, schatten
 from shiftlab.shift_operators import SubspaceFrame, TruncatedOperator
 
@@ -104,24 +104,21 @@ def test_trace_of_commutator_vanishes(rng):
         assert abs(np.trace(C.mat.toarray())) < 1e-12
 
 
-def test_ap_witness_split(rng):
+def test_spectral_split(rng):
     w = random_weight_set(rng, 2, 6)
     C = self_commutator(coordinate_shift(w, 1))
     M = C.window().toarray()
-    wit = ap_witness(M, p=2.0)
-    assert np.abs(wit.positive_part + wit.compact_part - M).max() < 1e-10
-    assert np.linalg.eigvalsh(wit.positive_part).min() > -1e-10
-    assert np.linalg.eigvalsh(wit.compact_part).max() < 1e-10
-    neg = np.linalg.eigvalsh(M)
-    expected = np.sum(np.minimum(neg, 0.0) ** 2) ** 0.5
-    assert wit.p_norm_of_c == pytest.approx(expected, abs=1e-12)
+    trace_p, norm_c = spectral_split(M, p=2.0)
+    vals = np.linalg.eigvalsh(M)
+    assert trace_p == pytest.approx(np.sum(vals[vals > 0]), abs=1e-12)
+    assert norm_c == pytest.approx(np.sum(vals[vals < 0] ** 2) ** 0.5, abs=1e-12)
 
 
-def test_ap_witness_requires_self_adjoint(rng):
+def test_spectral_split_requires_self_adjoint(rng):
     w = random_weight_set(rng, 2, 5)
     Z = coordinate_shift(w, 1)
-    with pytest.raises(ValueError):
-        ap_witness(Z.window().toarray(), p=1.0)
+    with pytest.raises(ValueError, match="requires a self-adjoint input"):
+        spectral_split(Z.window().toarray(), p=1.0)
 
 
 def test_decay_fit_recovers_exact_power_law():
@@ -376,7 +373,7 @@ def test_non_finite_entry_rejected():
     with pytest.raises(ValueError, match="non-finite"):
         schatten_norm(graded, 1.0)
     ungraded = mat.toarray()
-    for check in (singular_values, lambda M: ap_witness(M, 1.0)):
+    for check in (singular_values, lambda M: spectral_split(M, 1.0)):
         with pytest.raises(ValueError, match="non-finite"):
             check(ungraded)
 
