@@ -6,15 +6,16 @@ the untruncated operator.  Coordinate shifts raise degree by exactly 1, so
 each multiplication eats a bounded strip at the truncation boundary; the
 bookkeeping here tracks that strip, and TruncatedOperator.window, the block
 of degrees <= W, is the one uncontaminated section every norm and fit reads.
-An operator lives on a GradedBasis or a labelled frame, whose degree labels
-never decrease (checked when it is built), so every degree is an ordinal
-range and a window a leading block.
+An operator lives on a GradedBasis or a labelled frame, which holds one
+dense block per degree, so every degree is an ordinal range and a window a
+leading block; operators reach a frame one degree pair at a time.
 A frame without degree labels (a span of kernel vectors, a quotient by a
 non-homogeneous ideal) has no strip to track: an operator compressed to it is
 a plain r x r ndarray, and commutator takes two of them through BLAS.
 """
 
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 import scipy.sparse as sp
@@ -39,51 +40,46 @@ class InvarianceError(ValueError):
         super().__init__(f"invariance residual {residual:.3e} exceeds tolerance {tol:.1e}")
 
 
-class SparseColumns(sp.csc_matrix):
-    """Sparse frame columns whose nbytes is the stored size, as for an ndarray."""
-
-    @property
-    def nbytes(self) -> int:
-        return self.data.nbytes + self.indices.nbytes + self.indptr.nbytes
-
-
 @dataclass(frozen=True, eq=False)
 class SubspaceFrame:
-    """Orthonormal columns spanning a subspace, with per-column degree labels.
+    """Orthonormal columns spanning a subspace, stored as dense blocks.
 
-    Graded frames store SparseColumns, the columns labelled n on the ambient
-    rows of degree n.  A frame with no grading (e.g. a span of kernel
-    vectors) stores a dense ndarray and degrees None.  A labelled frame is
-    the space of the operators restricted or compressed to it; frames
-    compare by identity, so operators on two different frames never mix.
+    A graded frame holds one C-ordered block per degree n, shapes[n]: its
+    columns, labelled n, on the ambient rows of degree n, one after another
+    in columns.  A frame without labels is one block on every row.  Labelled
+    frames are the spaces of operators restricted or compressed to them;
+    frames compare by identity, so operators on two frames never mix.
     """
 
-    columns: object               # (ambient_dim, r), orthonormal
-    degrees: np.ndarray = None    # (r,) int labels, or None when ungraded
+    columns: np.ndarray           # graded: every block's entries, flat; else (ambient_dim, r)
+    shapes: np.ndarray = None     # (degrees, 2): each degree's ambient rows and columns
 
-    def __post_init__(self):
-        if self.degrees is not None and np.any(np.diff(self.degrees) < 0):
-            raise ValueError("degree labels of a graded frame must not decrease")
+    @classmethod
+    def from_blocks(cls, blocks):
+        """The graded frame of these blocks, one per degree 0, 1, ..."""
+        return cls(np.concatenate([B.ravel() for B in blocks]), np.array([B.shape for B in blocks]))
+
+    @cached_property
+    def degrees(self):
+        """(r,) int labels, one per column, or None when ungraded."""
+        return None if self.shapes is None else np.repeat(np.arange(len(self.shapes)),
+                                                          self.shapes[:, 1])
+
+    @cached_property
+    def offsets(self):
+        """Each degree's first ambient row, first column and first entry in columns."""
+        rows, cols = self.shapes.T
+        return tuple(np.concatenate([[0], np.cumsum(x)]) for x in (rows, cols, rows * cols))
 
     @property
     def dimension(self) -> int:
-        return self.columns.shape[1]
+        return self.columns.shape[1] if self.shapes is None else self.degrees.size
 
-    @property
-    def coordinate_rows(self):
-        """Each column's row when every column is a coordinate vector stored as
-        one entry 1.0 (monomial submodules build such frames), else None."""
-        Q = self.columns
-        coordinate = (getattr(Q, "format", None) == "csc" and np.all(np.diff(Q.indptr) == 1)
-                      and np.all(Q.data == 1.0))
-        return Q.indices if coordinate else None
-
-    def dense(self) -> np.ndarray:
-        """The columns as an (ambient_dim, r) ndarray: sparse ones densified
-        C-ordered, dense ones as stored."""
-        if sp.issparse(self.columns):
-            return np.ascontiguousarray(self.columns.toarray())
-        return self.columns
+    def blocks(self, n: int, count: int = 1) -> np.ndarray:
+        """A graded frame's blocks of degrees n, ..., n + count - 1, all of one
+        shape, as a (count, rows, columns) view."""
+        (d, k), start = self.shapes[n], self.offsets[2][n]
+        return self.columns[start:start + count * d * k].reshape(count, d, k)
 
 
 @dataclass(frozen=True)
@@ -223,9 +219,9 @@ def _check_single_offset(row_deg, col_deg):
     """Refuse nonzeros that map degree n to n + r for more than one r.  Every
     operator the library builds has one offset; a hand-built sum such as
     Z1 + Z1* does not, and no routine here takes it."""
-    offsets = np.unique(row_deg - col_deg)
-    if offsets.size > 1:
-        raise ValueError(f"graded operator mixes degree offsets {offsets.tolist()}; "
+    offsets = row_deg - col_deg
+    if (offsets != offsets[:1]).any():
+        raise ValueError(f"graded operator mixes degree offsets {np.unique(offsets).tolist()}; "
                          f"only single-offset operators are supported")
 
 
@@ -273,70 +269,96 @@ def block_singular_values(W, degrees):
     return np.concatenate(spectra), np.concatenate(labels)
 
 
-def invariance_residual(T: TruncatedOperator, frame: SubspaceFrame) -> float:
-    """Relative 2-norm of (I - QQ*) T Q on the interior rows, Q = the frame's columns.
+def _add(M: np.ndarray, row: int, col: int, X: np.ndarray):
+    """Add a stack of blocks into M down the diagonal from (row, col), in place."""
+    if X.size:
+        (_, a, b), r, s = X.shape, M.shape[1], M.itemsize
+        view = np.ndarray(X.shape, M.dtype, M, (row * r + col) * s, ((a * r + b) * s, r * s, s))
+        view += X
 
-    A graded frame's columns labelled n live on the ambient rows of degree n:
-    its slice-n block Q_n.  The residual's (t, n) block is then
-    D = T_tn Q_n - Q_t (Q_t* T_tn Q_n), with T_tn and Q_n read as ordinal
-    ranges, for every (t, n) where T has entries; blocks with t above the
-    interior degree are dropped.  T has one degree offset (a mixed one is
-    refused with ValueError), so each column degree reaches one row degree:
-    the residual is the direct sum of the blocks and its norm their largest
-    sigma_max.  Frames without labels take one dense SVD of the ambient
-    residual.
-    """
-    if frame.degrees is None:
-        Q = frame.columns
-        Y = T.mat @ Q
-        return _dense_residual(T, Y - Q @ (Q.conj().T @ Y), _norm_scale(T))
 
-    deg = np.asarray(T.space.degrees)
-    top = int(deg[-1])
-    # degree n: the ambient ordinals rows[n]:rows[n + 1], the frame columns cols[n]:cols[n + 1]
-    rows = np.searchsorted(deg, np.arange(top + 2))
-    cols = np.searchsorted(frame.degrees, np.arange(top + 2))
-    rank = np.diff(cols)
-    Qs = {n: frame.columns[rows[n]:rows[n + 1], cols[n]:cols[n + 1]].toarray()
-          for n in np.flatnonzero(rank).tolist()}
-
+def _degree_pairs(T: TruncatedOperator, frame: SubspaceFrame, adjoint: bool = False):
+    """T on the frame one degree pair (t, n) = (n + r, n) at a time, T of one
+    degree offset r (a mixed one is refused with ValueError).  Where T has
+    entries and Q_n has columns (with adjoint, also where only Q_t has),
+    T's dense block B gives P = B Q_n, G = Q_t* P and U = B* Q_t.  Runs of
+    pairs of one block shape come stacked (m = 1: 1 x 1 blocks) as (Qn, Qt,
+    P, G, U, inside, ct, cn), inside the count of P's rows of degree <= W,
+    the blocks down the diagonal from frame columns (ct, cn).  A frame
+    without labels is one block on every row: P = TQ, G = Q*P."""
+    if frame.shapes is None:
+        Q, P = frame.columns, T.mat @ frame.columns
+        U = (T.mat.conj().T @ Q)[None] if adjoint else None
+        yield Q[None], Q[None], P[None], (Q.conj().T @ P)[None], U, T.window_size(), 0, 0
+        return
     A = T.mat.tocsr()
+    deg = np.asarray(T.space.degrees)
+    d, k = frame.shapes.T
+    rows, cols, _ = frame.offsets
     row_deg, col_deg = np.repeat(deg, np.diff(A.indptr)), deg[A.indices]
     _check_single_offset(row_deg, col_deg)
-    keep = (row_deg <= T.interior_degree) & (rank[col_deg] > 0)
-    sigma = 0.0
-    for k in np.unique(row_deg[keep] * (top + 1) + col_deg[keep]).tolist():
-        t, n = divmod(k, top + 1)
-        D = A[rows[t]:rows[t + 1], rows[n]:rows[n + 1]].toarray() @ Qs[n]
-        if t in Qs:
-            D = D - Qs[t] @ (Qs[t].conj().T @ D)
-        if D.any():
-            sigma = max(sigma, float(np.linalg.svd(D, compute_uv=False)[0]))
-    return sigma / _norm_scale(T)
+    n = np.flatnonzero(np.bincount(col_deg, minlength=d.size))
+    t = n + (row_deg[0] - col_deg[0] if n.size else 0)
+    keep = (k[n] > 0) | ((k[t] > 0) & adjoint)
+    n, t = n[keep], t[keep]
+    if not n.size:
+        return
+    loc = np.arange(T.dimension) - rows[deg]    # each ordinal's place in its degree
+    i, j = np.repeat(loc, np.diff(A.indptr)), loc[A.indices]
+    # a run breaks where the degrees skip or a block shape changes
+    shape = np.stack([d[t], d[n], k[t], k[n], t <= T.interior_degree])
+    cut = (np.flatnonzero((np.diff(n) > 1) | np.diff(shape).any(axis=0)) + 1).tolist()
+    for a, b in zip([0, *cut], [*cut, n.size]):
+        (n0, t0), (dt, dn, _, _, inner), g = (int(n[a]), int(t[a])), shape[:, a].tolist(), b - a
+        e = slice(A.indptr[rows[t0]], A.indptr[rows[t0 + g]])
+        B = np.zeros((g, dt, dn), A.dtype)     # summed: a CSR may hold a position twice
+        np.add.at(B, (row_deg[e] - t0, i[e], j[e]), A.data[e])
+        Qn, Qt = frame.blocks(n0, g), frame.blocks(t0, g)
+        P = B @ Qn
+        yield (Qn, Qt, P, Qt.conj().mT @ P, B.conj().mT @ Qt if adjoint else None,
+               dt if inner else 0, cols[t0], cols[n0])
 
 
-def _dense_residual(T: TruncatedOperator, D: np.ndarray, scale: float,
-                    tol: float = -1.0) -> float:
-    """Relative 2-norm of the dense residual D on T's interior rows, a view of
-    its leading rows; the Frobenius bound instead when that is at most tol."""
-    D = D[:T.window_size()]
-    bound = float(np.sqrt(np.vdot(D, D).real)) / scale
-    if bound <= tol:
-        return bound
-    return float(np.linalg.svd(D, compute_uv=False).max(initial=0.0)) / scale
+def _residual(pairs, scale: float, tol: float | None = None):
+    """Relative 2-norm of (I - QQ*)TQ on the interior rows, the largest sigma_max of its
+    blocks P - Q_t G.  With tol it is only checked (Frobenius bound first) and raised."""
+    D = [(P - Qt @ G)[:, :inside] for _, Qt, P, G, _, inside, _, _ in pairs]
+    if tol is not None and np.sqrt(sum(np.vdot(X, X).real for X in D)) / scale <= tol:
+        return None
+    resid = max((np.linalg.norm(X, 2, axis=(1, 2)).max() for X in D if X.size), default=0.0) / scale
+    if tol is not None and resid > tol:
+        raise InvarianceError(resid, tol)
+    return resid
+
+
+def _on_frame(T: TruncatedOperator, frame: SubspaceFrame, pairs):
+    """The compression Q*TQ from the pairs' blocks G: on a labelled frame, a
+    TruncatedOperator holding only its nonzeros, so its products stay sparse."""
+    coo = [(np.zeros(0, np.result_type(T.mat.dtype, frame.columns.dtype)),
+            *np.zeros((2, 0), np.int64))]
+    for _, _, _, G, _, _, ct, cn in pairs:
+        if frame.shapes is None:
+            return G[0]
+        g, a, b = np.nonzero(G)
+        coo.append((G[g, a, b], ct + g * G.shape[1] + a, cn + g * G.shape[2] + b))
+    vals, rows, cols = map(np.concatenate, zip(*coo))
+    mat = sp.csr_matrix((vals, (rows, cols)), shape=(frame.dimension,) * 2)
+    return TruncatedOperator(frame, mat, T.interior_degree, T.degree_raise)
+
+
+def invariance_residual(T: TruncatedOperator, frame: SubspaceFrame) -> float:
+    """Relative 2-norm of (I - QQ*) T Q on the interior rows, Q the frame."""
+    return _residual(_degree_pairs(T, frame), _norm_scale(T))
 
 
 def restrict_to_invariant(T: TruncatedOperator, frame: SubspaceFrame,
                           tol: float = INVARIANCE_TOL):
     """Express T on an invariant subspace in the frame's orthonormal basis
-    (as compress_to_frame does)."""
-    _check_invariant(invariance_residual(T, frame), tol)
-    return compress_to_frame(T, frame)
-
-
-def _check_invariant(resid: float, tol: float):
-    if resid > tol:
-        raise InvarianceError(resid, tol)
+    (as compress_to_frame does), its invariance residual checked against
+    tol in the same pass over the degree pairs."""
+    pairs = list(_degree_pairs(T, frame))
+    _residual(pairs, _norm_scale(T), tol)
+    return _on_frame(T, frame, pairs)
 
 
 def compress_to_frame(T: TruncatedOperator, frame: SubspaceFrame):
@@ -347,22 +369,7 @@ def compress_to_frame(T: TruncatedOperator, frame: SubspaceFrame):
     This is the semi-invariant (quotient-module) action; use
     restrict_to_invariant when invariance is part of the contract.
     """
-    idx = frame.coordinate_rows
-    if idx is None:
-        # a dense product, also for sparse frames: a sparse one rounds differently,
-        # and decay_exponent_fit counts round-off-sized singular values
-        Q = frame.dense()
-        R = Q.conj().T @ (T.mat @ Q)
-        if frame.degrees is None:
-            return R
-    else:
-        R = T.mat.tocsr()[idx][:, idx]      # the same entries, read by index,
-        R.sum_duplicates()                  # stored as sp.csr_matrix stores Q*(TQ)
-        R.eliminate_zeros()
-    # a graded restriction keeps only its nonzeros, so its products stay sparse
-    return TruncatedOperator(frame, sp.csr_matrix(R),
-                             interior_degree=T.interior_degree,
-                             degree_raise=T.degree_raise)
+    return _on_frame(T, frame, _degree_pairs(T, frame))
 
 
 @dataclass(frozen=True, eq=False)
@@ -385,43 +392,30 @@ def restricted_commutator_decomposition(T: TruncatedOperator,
     """Split the self-commutator of T restricted to an invariant frame into
     its compression and positive corner summands.
 
-    Everything is read off the two ambient products TQ and U = T*Q, with Q
-    the frame densified once: Y = Q*(TQ), Q*[T*,T]Q = (TQ)*(TQ) - U*U and,
-    with V = (I - QQ*)U, the corner is V*V.  No ambient operator is formed.
-    The invariance residual is that of TQ - QY, formed in place in TQ.
-    A frame of coordinate columns idx is read by index, bit for bit the same:
-    TQ = T[:, idx], U = T[idx, :]*, Y = TQ[idx]; I - QQ* zeroes the rows idx.
+    Everything is read off the degree pairs' products P = T_tn Q_n and
+    U = T_tn* Q_t: Y = Q*TQ has the blocks G = Q_t* P, Q*[T*,T]Q the blocks
+    P*P - U*U and, with V = U - Q_n G*, the corner the blocks V*V, whose
+    positivity is checked block by block.  No ambient operator is formed.
+    The invariance residual is that of P - Q_t G, as restrict_to_invariant
+    checks it.
     """
+    r = frame.dimension
+    Y, diag, corner = np.zeros((3, r, r), np.result_type(T.mat.dtype, frame.columns.dtype))
+    pairs, eig_min = list(_degree_pairs(T, frame, adjoint=True)), 0.0
+    for Qn, Qt, P, G, U, inside, ct, cn in pairs:
+        _add(Y, ct, cn, G)
+        _add(diag, cn, cn, P.conj().mT @ P)
+        _add(diag, ct, ct, -(U.conj().mT @ U))
+        V = U - Qn @ G.conj().mT          # Q_n* U = G*
+        C = V.conj().mT @ V               # the corner is block diagonal: check its blocks
+        _add(corner, ct, ct, C)
+        eig_min = min(eig_min, float(np.linalg.eigvalsh((C + C.conj().mT) / 2).min(initial=0.0)))
     scale = _norm_scale(T)
-    idx = frame.coordinate_rows
-    if idx is None:
-        Q = frame.dense()
-        TQ, U = T.mat @ Q, T.mat.conj().T @ Q
-        Y = Q.conj().T @ TQ
-        diag = TQ.conj().T @ TQ - U.conj().T @ U
-        TQ -= Q @ Y                 # now (I - QQ*)TQ
-        U -= Q @ (Q.conj().T @ U)   # now V = (I - QQ*)T*Q
-    else:
-        C = T.mat.tocoo()
-        C.sum_duplicates()
-        at = np.full(T.dimension, -1)
-        at[idx] = np.arange(idx.size)       # the frame column of each coordinate row, else -1
-        TQ, U = np.zeros((2, T.dimension, idx.size), C.dtype)
-        for M, r, c, v in ((TQ, C.row, C.col, C.data), (U, C.col, C.row, C.data.conj())):
-            e = at[c] >= 0                  # TQ = T[:, idx], then U = T[idx, :]*
-            M[r[e], at[c[e]]] = v[e]
-        Y = TQ[idx]
-        diag = TQ.conj().T @ TQ - U.conj().T @ U
-        TQ[idx] = U[idx] = 0
-    _check_invariant(_dense_residual(T, TQ, scale, INVARIANCE_TOL), INVARIANCE_TOL)
-    corner = U.conj().T @ U
-    del TQ, U                   # the ambient temporaries, before the r x r checks
-
+    _residual(pairs, scale, INVARIANCE_TOL)
     scale_sq = max(1.0, scale ** 2)
     for name, M in (("diagonal", diag), ("corner", corner)):
         if np.abs(M - M.conj().T).max(initial=0.0) > SELF_ADJOINT_TOL * scale_sq:
             raise TheoremViolationError(f"{name} part failed self-adjointness check")
-    eig_min = float(np.linalg.eigvalsh((corner + corner.conj().T) / 2).min(initial=0.0))
     if eig_min < -PSD_TOL * scale_sq:
         raise TheoremViolationError(f"corner part not positive semidefinite: min eig {eig_min:.3e}")
     return BlockDecomposition(diag, corner, Y)

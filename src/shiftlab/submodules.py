@@ -2,10 +2,9 @@
 
 For homogeneous generators the submodule splits degree by degree; each slice
 carries an orthonormal basis of the intersection with the homogeneous
-polynomials of that degree, plus the complementary orthonormal set.  Graded
-frames store these per-slice blocks as one sparse block-diagonal matrix
-(monomial submodules: coordinate columns); ungraded frames store a dense
-ndarray and no degree labels.  All
+polynomials of that degree, plus the complementary orthonormal set: graded
+frames store one dense block per degree (monomial submodules: coordinate
+columns); ungraded frames a dense ndarray and no degree labels.  All
 vectors are in the orthonormal monomial coordinates (z^alpha scaled by
 1/lambda_alpha), so projections and restrictions are plain matrix algebra.
 """
@@ -18,7 +17,7 @@ import scipy.sparse as sp
 
 from . import schatten
 from .polynomials import PolynomialGenerator, monomial_generator
-from .shift_operators import SparseColumns, SubspaceFrame
+from .shift_operators import SubspaceFrame
 from .weight_models import WeightSet
 
 DEFAULT_RANK_TOL = 1e-10
@@ -55,9 +54,16 @@ class SubmoduleBasis:
 
 
 def projection_matrix(S: SubmoduleBasis, side: Side) -> np.ndarray:
-    """Orthogonal projection onto the requested side, on the full basis."""
-    F = S.frame(side).dense()
-    return F @ F.conj().T
+    """Orthogonal projection onto the requested side, on the full basis, a
+    test oracle: a graded frame's is the direct sum of its blocks' Q_n Q_n*."""
+    frame = S.frame(side)
+    if frame.shapes is None:
+        return frame.columns @ frame.columns.conj().T
+    rows = frame.offsets[0]
+    P = np.zeros((rows[-1], rows[-1]), frame.columns.dtype)
+    for n, B in enumerate(frame.blocks(n)[0] for n in range(len(frame.shapes))):
+        P[rows[n]:rows[n + 1], rows[n]:rows[n + 1]] = B @ B.conj().T
+    return P
 
 
 def _normalize_monomial_generators(generators, num_vars):
@@ -88,14 +94,19 @@ def monomial_submodule(w: WeightSet, generators) -> SubmoduleBasis:
     member = np.zeros(b.dimension, dtype=bool)
     for alpha, c in gens:
         member |= (b.components == c) & np.all(b.exponents >= alpha, axis=1)
+    return SubmoduleBasis(w, *(_coordinate_frame(b, side) for side in (member, ~member)))
 
-    def coordinate_frame(idx):
-        cols = SparseColumns((np.ones(idx.size), idx, np.arange(idx.size + 1)),
-                             shape=(b.dimension, idx.size))
-        return SubspaceFrame(cols, np.asarray(b.degrees)[idx])
 
-    return SubmoduleBasis(w, coordinate_frame(np.nonzero(member)[0]),
-                          coordinate_frame(np.nonzero(~member)[0]))
+def _coordinate_frame(b, mask) -> SubspaceFrame:
+    """The graded frame of the coordinate vectors of the ordinals in mask,
+    every block's 1.0 entries set by one scatter."""
+    d, k = np.diff(b.slice_bounds), np.bincount(b.degrees[mask], minlength=b.max_degree + 1)
+    frame = SubspaceFrame(np.zeros(d @ k), np.stack([d, k], axis=1))
+    rows, cols, entries = frame.offsets
+    j = np.flatnonzero(mask)
+    n = b.degrees[j]
+    frame.columns[entries[n] + (j - rows[n]) * k[n] + np.arange(j.size) - cols[n]] = 1.0
+    return frame
 
 
 def multiple_vectors(w: WeightSet, g: PolynomialGenerator, lo: int, hi: int,
@@ -154,15 +165,9 @@ def homogeneous_submodule(w: WeightSet, generators) -> SubmoduleBasis:
         sl = b.degree_slice(n)
         span = [multiple_vectors(w, g, n - d, n - d)[sl.start:sl.stop].toarray()
                 for g, d in zip(generators, degrees) if d <= n]
-        block = np.hstack(span) if span else np.zeros((len(sl), 0))
-        blocks.append(_orthonormalize(block))
-    sub_blocks, comp_blocks = zip(*blocks)
-
-    def pack(per_slice):
-        degs = np.repeat(np.arange(len(per_slice)), [B.shape[1] for B in per_slice])
-        return SubspaceFrame(SparseColumns(sp.block_diag(per_slice, format="csc")), degs)
-
-    return SubmoduleBasis(w, pack(sub_blocks), pack(comp_blocks))
+        blocks.append(_orthonormalize(np.hstack(span) if span else np.zeros((len(sl), 0))))
+    sub, comp = zip(*blocks)
+    return SubmoduleBasis(w, SubspaceFrame.from_blocks(sub), SubspaceFrame.from_blocks(comp))
 
 
 def kernel_columns(w: WeightSet, points, components):

@@ -89,8 +89,8 @@ def factorial_delta_weights(basis: GradedBasis, delta: float) -> WeightSet:
     The shift weight at alpha is then (2 + |alpha|)^(-delta), a function of
     the degree alone.
     """
-    if delta <= 0:
-        raise ValueError(f"delta must be positive, got {delta}")
+    if not 0 < delta < np.inf:      # nan fails both comparisons
+        raise ValueError(f"delta must be positive and finite, got {delta}")
     logw = -delta * log_gamma_table(basis.max_degree + 3)[basis.degrees + 2]
     return WeightSet(basis, logw, f"factorial-delta({delta})")
 

@@ -1,6 +1,7 @@
 """Shared helpers for randomized instances, imported by the test modules."""
 
 import numpy as np
+import scipy.linalg
 
 from shiftlab import (SubmoduleBasis, SubspaceFrame, TruncatedOperator, WeightSet,
                       coordinate_shift, enumerate_basis)
@@ -26,6 +27,14 @@ def shift_weight(w, alpha, i):
     target[i - 1] += 1
     src, dst = w.basis.rank([alpha, target], [0, 0])
     return float(np.exp(w.log_lambda[dst] - w.log_lambda[src]))
+
+
+def ambient_columns(frame):
+    """The frame's columns as one (ambient_dim, r) ndarray, a test oracle: a
+    graded frame's blocks written out on their degrees' rows and columns."""
+    if frame.degrees is None:
+        return frame.columns
+    return scipy.linalg.block_diag(*(frame.blocks(n)[0] for n in range(len(frame.shapes))))
 
 
 def point_evaluation_submodule(w, points):

@@ -143,7 +143,7 @@ def test_criterion_8_property_suites():
         import scipy.sparse as sp
         from shiftlab.shift_operators import SubspaceFrame, TruncatedOperator
         mk = lambda M: TruncatedOperator(
-            SubspaceFrame(np.eye(M.shape[0]), np.zeros(M.shape[0], dtype=np.int64)),
+            SubspaceFrame.from_blocks([np.eye(M.shape[0])]),
             sp.csr_matrix(M), interior_degree=0, degree_raise=0)
         A = rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n))
         B = rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n))

@@ -462,3 +462,20 @@ def test_bad_invocations_exit_without_traceback(argv, code, tmp_path):
         assert not out.exists() and regular.is_file()
     else:
         assert (out / "trace_inequality_check-t" / "report.json").is_file()
+
+
+@pytest.mark.parametrize("delta", ["inf", "nan"])
+@pytest.mark.parametrize("argv", [
+    ["factorial-family", "--m", "2", "--degrees", "4,5,6,7"],
+    ["submodule-probe", "--family", "factorial-delta", "--m", "2", "--gens", "z1*z2",
+     "--degrees", "4,5,6,7"],
+])
+def test_non_finite_delta_is_usage_error_without_warning(argv, delta, tmp_path):
+    # refused before any weight arithmetic: no numpy RuntimeWarning reaches stderr
+    out = tmp_path / "out"
+    proc = _cli_subprocess(argv + ["--delta", delta, "--out", str(out), "--tag", "t"])
+    assert proc.returncode == 2, proc.stderr
+    lines = proc.stderr.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error: "), proc.stderr
+    assert "Warning" not in proc.stderr and "Traceback" not in proc.stderr
+    assert not out.exists()

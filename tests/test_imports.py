@@ -1,7 +1,8 @@
 """No shiftlab module reaches into another module's private names, every
-test module imports, the benchmark's traced groups name real functions,
-importing the CLI leaves scipy.linalg unloaded, no run loads scipy.special,
-and the commands call every public function but a listed few."""
+test module imports, the benchmark's traced groups name real functions and
+its frame-bytes counter reads every builder's frames, importing the CLI
+leaves scipy.linalg unloaded, no run loads scipy.special, and the commands
+call every public function but a listed few."""
 
 import ast
 import importlib
@@ -112,6 +113,27 @@ def test_stale_self_time_groups_are_detected():
                                                   "no_module"]
 
 
+def test_traced_frame_bytes_count_every_builders_frames():
+    # the traced run counts submodules.frame_bytes from each frame's columns
+    # buffer: graded blocks and ungraded ndarrays alike
+    from random_instances import point_evaluation_submodule
+    from shiftlab import (drury_arveson_weights, enumerate_basis, homogeneous_submodule,
+                          monomial_submodule, parse_polynomial, ungraded_submodule)
+    w = drury_arveson_weights(enumerate_basis(2, 8))
+    builds = [
+        (monomial_submodule, [(1, 1)]),
+        (homogeneous_submodule, [parse_polynomial("z1^2 - z2^2", num_vars=2)]),
+        (ungraded_submodule, [parse_polynomial("z1 - z2^2", num_vars=2)]),
+        (point_evaluation_submodule, [(0.3, 0.1), (0.2 - 0.3j, 0.4j)]),
+    ]
+    for build, gens in builds:
+        counters = _benchmark_layers().Counters()
+        S = build(w, gens)
+        counters(f"submodules.{build.__name__}", (w, gens), S)
+        frame_bytes = counters.snapshot()["submodules.frame_bytes"]
+        assert frame_bytes == S.sub.columns.nbytes + S.comp.columns.nbytes > 0
+
+
 def test_cli_import_leaves_scipy_linalg_out():
     # its one user, ungraded_submodule, imports it lazily: every other run skips
     # that part of the set-up (about 5 MB and 0.09 s)
@@ -152,7 +174,6 @@ def test_no_run_loads_scipy_special(tmp_path):
 # public names that no command calls, each with the reason it stays
 UNCALLED = {
     "shift_operators.multiply": "perfbench/layers.py's shift_operators.multiply.self_s names it",
-    "shift_operators.SparseColumns.nbytes": "perfbench/layers.py's frame_bytes counter reads it",
     "submodules.projection_matrix": "the acceptance gate's projection checks",
     "submodules.SubmoduleBasis.frame": "projection_matrix reads a side's frame through it",
     "polynomials.monomial_generator": "the acceptance gate and the README quick tour",

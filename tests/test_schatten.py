@@ -20,7 +20,7 @@ from random_instances import random_weight_set, z1_plus_adjoint
 def _wrap(M):
     """M as one degree block: every coordinate labelled 0, the window all of M."""
     n = M.shape[0]
-    space = SubspaceFrame(np.eye(n), np.zeros(n, dtype=np.int64))
+    space = SubspaceFrame.from_blocks([np.eye(n)])
     return TruncatedOperator(space, sp.csr_matrix(M), interior_degree=0, degree_raise=0)
 
 

@@ -15,12 +15,12 @@ from shiftlab import (GradedBasis, InvarianceError, PolynomialGenerator, Subspac
                       multiply, projection_matrix, restrict_to_invariant,
                       self_commutator, shift_combination, singular_values)
 from shiftlab import cli, shift_operators
-from shiftlab.shift_operators import (INVARIANCE_TOL, SparseColumns,
-                                      TheoremViolationError, TruncatedOperator)
+from shiftlab.shift_operators import (INVARIANCE_TOL, TheoremViolationError,
+                                      TruncatedOperator)
 from shiftlab.submodules import Side, ungraded_submodule
 
-from random_instances import (point_evaluation_submodule, random_weight_set, shift_weight,
-                              z1_plus_adjoint)
+from random_instances import (ambient_columns, point_evaluation_submodule, random_weight_set,
+                              shift_weight, z1_plus_adjoint)
 from test_graded_basis import compositions
 
 
@@ -258,7 +258,7 @@ def test_theorem_check_failure_is_exit_1(rng, monkeypatch, tmp_path):
 def _dense_invariance_residual(T, frame):
     """Oracle: 2-norm of (I - QQ*) T Q on the interior rows, all ambient and dense."""
     Tm = T.mat.toarray()
-    Q = frame.columns.toarray() if hasattr(frame.columns, "toarray") else frame.columns
+    Q = ambient_columns(frame)
     Y = Tm @ Q
     resid = (Y - Q @ (Q.conj().T @ Y))[T.space.degrees <= T.interior_degree]
     A = np.abs(Tm)
@@ -282,13 +282,15 @@ def _random_submodule(rng, m, kind):
         if kind == "homogeneous-complex":
             coefs = coefs * np.exp(2j * np.pi * rng.uniform(size=len(alphas)))
         terms = tuple((alpha, 0, c) for alpha, c in zip(alphas, coefs.tolist()))
-        S = homogeneous_submodule(w, [PolynomialGenerator(terms=terms, num_vars=m)])
+        build = ungraded_submodule if kind == "ungraded" else homogeneous_submodule
+        S = build(w, [PolynomialGenerator(terms=terms, num_vars=m)])
     return w, S
 
 
 @settings(max_examples=30, deadline=None)
 @given(seed=st.integers(0, 2 ** 32 - 1), m=st.integers(2, 3),
-       kind=st.sampled_from(["monomial", "homogeneous-real", "homogeneous-complex", "points"]))
+       kind=st.sampled_from(["monomial", "homogeneous-real", "homogeneous-complex", "points",
+                             "ungraded"]))
 def test_invariance_residual_matches_dense_ambient_oracle(seed, m, kind):
     # point evaluations exist for m <= 2 only
     m = 2 if kind == "points" else m
@@ -304,7 +306,8 @@ def test_invariance_residual_matches_dense_ambient_oracle(seed, m, kind):
 
 @settings(max_examples=30, deadline=None)
 @given(seed=st.integers(0, 2 ** 32 - 1), m=st.integers(2, 3),
-       kind=st.sampled_from(["monomial", "homogeneous-real", "homogeneous-complex"]))
+       kind=st.sampled_from(["monomial", "homogeneous-real", "homogeneous-complex",
+                             "ungraded"]))
 def test_restricted_commutator_decomposition_matches_dense_ambient_oracle(seed, m, kind):
     # P[T*,T]P and PT(I - P)T*P on the ambient space, read in the frame's coordinates
     rng = np.random.default_rng(seed)
@@ -313,7 +316,7 @@ def test_restricted_commutator_decomposition_matches_dense_ambient_oracle(seed, 
     dec = restricted_commutator_decomposition(T, S.sub)
 
     P = projection_matrix(S, Side.SUBMODULE)
-    F = S.sub.dense()
+    F = ambient_columns(S.sub)
     Tm = _dense(T)
     Pperp = np.eye(T.dimension) - P
     diagonal = F.conj().T @ (P @ _dense(self_commutator(T)) @ P) @ F
@@ -326,20 +329,6 @@ def test_restricted_commutator_decomposition_matches_dense_ambient_oracle(seed, 
     lhs = Y.conj().T @ Y - Y @ Y.conj().T
     rhs = dec.diagonal_part + dec.corner_part
     assert np.abs(lhs - rhs).max(initial=0.0) < tol
-
-
-def test_restricted_commutator_decomposition_densifies_the_frame_once(monkeypatch):
-    w = drury_arveson_weights(enumerate_basis(3, 6))
-    S = homogeneous_submodule(w, [parse_polynomial("z1^2 - z2^2", num_vars=3)])
-    calls = []
-    real = SubspaceFrame.dense
-
-    def counted(frame):
-        calls.append(frame)
-        return real(frame)
-    monkeypatch.setattr(SubspaceFrame, "dense", counted)
-    restricted_commutator_decomposition(coordinate_shift(w, 1), S.sub)
-    assert calls == [S.sub]
 
 
 @pytest.mark.parametrize("kind", ["monomial", "homogeneous-real", "homogeneous-complex"])
@@ -402,21 +391,15 @@ def test_invariance_residual_refuses_mixed_offsets():
     # and Z1 + Z1* sends z1^n to z1^(n+1) and z1^(n-1): no residual is
     # taken block by block, and no single-offset routine takes it
     w = drury_arveson_weights(enumerate_basis(2, 8))
-    idx = w.basis.slice_bounds[0:9:2]          # z1^n is first in its slice
-    frame = SubspaceFrame(SparseColumns((np.ones(idx.size), idx, np.arange(idx.size + 1)),
-                                        shape=(w.basis.dimension, idx.size)),
-                          w.basis.degrees[idx])
+    # z1^n is first in its slice: column 0 of the identity, for even n
+    frame = SubspaceFrame.from_blocks([np.eye(n + 1)[:, :1 - n % 2] for n in range(9)])
     with pytest.raises(ValueError, match=r"mixes degree offsets \[-1, 1\]"):
         invariance_residual(z1_plus_adjoint(w), frame)
 
 
-def test_graded_invariance_residual_never_densifies_the_frame(monkeypatch):
+def test_graded_invariance_residual_never_densifies_the_frame():
     w = drury_arveson_weights(enumerate_basis(3, 24))
     S = homogeneous_submodule(w, [parse_polynomial("z1^2 - z2^2", num_vars=3)])
-
-    def refuse(self):
-        raise AssertionError("frame densified")
-    monkeypatch.setattr(SubspaceFrame, "dense", refuse)
     for i in (1, 2, 3):
         Z = coordinate_shift(w, i)
         assert invariance_residual(Z, S.sub) < INVARIANCE_TOL
@@ -540,7 +523,7 @@ def _direct_sum(operators):
     degree, so each summand keeps its own coordinate order."""
     degrees = np.concatenate([np.asarray(T.space.degrees) for T in operators])
     order = np.argsort(degrees, kind="stable")
-    space = SubspaceFrame(np.eye(degrees.size), degrees[order])
+    space = SubspaceFrame.from_blocks([np.eye(c) for c in np.bincount(degrees)])
     mat = sp.block_diag([T.mat for T in operators], format="csr")[order][:, order]
     return TruncatedOperator(space, mat,
                              interior_degree=min(T.interior_degree for T in operators),
@@ -617,17 +600,6 @@ def test_array_holding_dataclasses_compare_without_raising(rng):
     assert w1.basis != enumerate_basis(2, 5) and w1.basis != S1.sub
 
 
-def test_graded_labels_must_not_decrease():
-    cols = SparseColumns(sp.eye(3, 2, format="csc"))
-    with pytest.raises(ValueError, match="must not decrease"):
-        SubspaceFrame(cols, np.array([1, 0]))
-    with pytest.raises(ValueError, match="must not decrease"):
-        SubspaceFrame(np.eye(3), np.array([0, 2, 1]))
-    # an ungraded frame has no labels to check
-    assert SubspaceFrame(cols.toarray()).degrees is None
-    assert SubspaceFrame(cols, np.array([0, 0])).dimension == 2
-
-
 def _composed_combination(w, coeffs):
     """c_1 Z_1 + ... + c_k Z_k, one scipy scalar product and sum per shift."""
     Z = coordinate_shift(w, 1)
@@ -655,9 +627,50 @@ def test_shift_combination_is_the_composed_scale_add(m, kind, rng):
             (expected.space, expected.interior_degree, expected.degree_raise)
 
 
-def _as_dense_frame(frame):
-    """The same columns stored dense: products with Q, never reads by index."""
-    return SubspaceFrame(frame.dense(), frame.degrees)
+def _ambient_oracle(T, frame):
+    """The compression and the decomposition of T on the ambient dense frame
+    Q: (sp.csr_matrix(Q*(TQ)), Y = Q*(TQ), diagonal part, corner part), from
+    TQ, U = T*Q and V = (I - QQ*)U formed at ambient size.  The two Hermitian
+    parts are block diagonal by degree: the block of degree n is P*P - U*U
+    and V*V, over the rows of degrees n + r (for TQ) and n - r (for U and V)
+    where those columns live."""
+    Q = np.ascontiguousarray(ambient_columns(frame))
+    TQ, U = T.mat @ Q, T.mat.conj().T @ Q
+    Y = Q.conj().T @ TQ
+    V = U - Q @ (Q.conj().T @ U)
+    diag, corner = np.zeros((2, *Y.shape), Y.dtype)
+    rows, cols, _ = frame.offsets
+    r, top = T.degree_raise, len(frame.shapes) - 1
+
+    def gram(X, t, c):
+        # a contiguous copy, as the decomposition's blocks are: BLAS sums a
+        # strided column in another order
+        X = np.ascontiguousarray(X[rows[t]:rows[t + 1], c])
+        return X.conj().T @ X
+    for n in range(top + 1):
+        c = slice(cols[n], cols[n + 1])
+        if 0 <= n + r <= top:
+            diag[c, c] += gram(TQ, n + r, c)
+        if 0 <= n - r <= top:
+            diag[c, c] -= gram(U, n - r, c)
+            corner[c, c] = gram(V, n - r, c)
+    return sp.csr_matrix(Y), Y, diag, corner
+
+
+def _assert_matches_ambient_oracle(T, frame, oracle_T=None):
+    """Bit for bit: the decomposition's three arrays and the compression's
+    CSR arrays, with no explicit zero; the oracle reads oracle_T (default T)."""
+    R, *parts = _ambient_oracle(T if oracle_T is None else oracle_T, frame)
+    dec = restricted_commutator_decomposition(T, frame)
+    for name, b in zip(("restricted", "diagonal_part", "corner_part"), parts):
+        a = getattr(dec, name)
+        assert isinstance(a, np.ndarray) and a.dtype == b.dtype
+        assert np.array_equal(a, b), name
+    C = compress_to_frame(T, frame)
+    assert C.space is frame and C.mat.dtype == R.dtype and np.all(C.mat.data != 0)
+    for name in ("indptr", "indices", "data"):
+        assert np.array_equal(getattr(C.mat, name), getattr(R, name)), name
+    assert (C.interior_degree, C.degree_raise) == (T.interior_degree, T.degree_raise)
 
 
 def _monomial_cases(rng):
@@ -680,62 +693,30 @@ def _monomial_cases(rng):
         yield T, S.sub
         yield adjoint(T), S.comp
         # the same span, its coordinate columns in reverse order within each degree
-        idx, degs = S.sub.coordinate_rows, S.sub.degrees
-        order = np.lexsort((-idx, degs))
-        cols = SparseColumns((np.ones(idx.size), idx[order], np.arange(idx.size + 1)),
-                             shape=S.sub.columns.shape)
-        yield T, SubspaceFrame(cols, degs[order])
+        yield T, SubspaceFrame.from_blocks([S.sub.blocks(n)[0, :, ::-1] for n in range(N + 1)])
 
 
-def test_coordinate_frames_are_read_by_index_bit_for_bit(rng):
+def test_coordinate_frames_match_the_ambient_oracle(rng):
     ranks = set()
     for T, frame in _monomial_cases(rng):
-        assert frame.coordinate_rows is not None
-        generic = _as_dense_frame(frame)
-        assert generic.coordinate_rows is None
         ranks.add(frame.dimension / T.dimension)
-        fast = restricted_commutator_decomposition(T, frame)
-        slow = restricted_commutator_decomposition(T, generic)
-        for name in ("diagonal_part", "corner_part", "restricted"):
-            a, b = getattr(fast, name), getattr(slow, name)
-            assert isinstance(a, np.ndarray) and a.dtype == b.dtype
-            assert np.array_equal(a, b)
-        # the compression as sp.csr_matrix(Q*(TQ)) stores it, no explicit zero
-        fast, slow = compress_to_frame(T, frame), compress_to_frame(T, generic)
-        for name in ("indptr", "indices", "data"):
-            assert np.array_equal(getattr(fast.mat, name), getattr(slow.mat, name))
-        assert fast.mat.dtype == slow.mat.dtype and np.all(fast.mat.data != 0)
-        assert np.array_equal(fast.space.degrees, slow.space.degrees)
-        assert (fast.interior_degree, fast.degree_raise) == \
-            (slow.interior_degree, slow.degree_raise)
+        _assert_matches_ambient_oracle(T, frame)
     assert {0.0, 1.0} <= ranks
-
-
-def test_coordinate_rows_need_single_unit_entries():
-    cols = SparseColumns((np.ones(2), np.array([3, 1]), np.arange(3)), shape=(5, 2))
-    assert np.array_equal(SubspaceFrame(cols, np.zeros(2, dtype=np.int64)).coordinate_rows,
-                          [3, 1])
-    scaled = SparseColumns((np.array([1.0, -1.0]), np.array([3, 1]), np.arange(3)), shape=(5, 2))
-    # as many entries as columns, but two in the first column and none in the second
-    two = SparseColumns((np.ones(2), np.array([0, 1]), np.array([0, 2, 2])), shape=(5, 2))
-    for Q in (scaled, two, cols.toarray()):
-        assert SubspaceFrame(Q, np.zeros(2, dtype=np.int64)).coordinate_rows is None
 
 
 def test_identity_check_composes_no_operator_and_densifies_no_frame(monkeypatch):
     from shiftlab.experiments import run_restriction_identity_check
 
     def refuse(*args):
-        raise AssertionError("composed operator or dense frame")
+        raise AssertionError("composed operator")
     for name in ("multiply", "commutator", "coordinate_shift"):
         monkeypatch.setattr(shift_operators, name, refuse)
-    monkeypatch.setattr(SubspaceFrame, "dense", refuse)
     rep = run_restriction_identity_check(trials=20, seed=3)
     assert rep.verdicts["identity"]["passed"]
 
 
-def test_coordinate_read_sums_duplicate_entries(rng):
-    # a CSR may hold one position twice; the read sums them as a product would
+def test_duplicate_entries_are_summed_into_the_blocks(rng):
+    # a CSR may hold one position twice; the blocks sum them as a product would
     w = random_weight_set(rng, 2, 6)
     S = monomial_submodule(w, [(1, 0)])
     T = shift_combination(w, rng.normal(size=2) + 1j * rng.normal(size=2))
@@ -745,24 +726,16 @@ def test_coordinate_read_sums_duplicate_entries(rng):
                             np.concatenate([[0], np.cumsum(2 * nnz)])), shape=A.shape)
     assert not halves.has_canonical_format
     twice = shift_operators.TruncatedOperator(T.space, halves, T.interior_degree, T.degree_raise)
-    fast = restricted_commutator_decomposition(twice, S.sub)
-    slow = restricted_commutator_decomposition(T, _as_dense_frame(S.sub))
-    for name in ("diagonal_part", "corner_part", "restricted"):
-        assert np.array_equal(getattr(fast, name), getattr(slow, name))
-    fast, slow = compress_to_frame(twice, S.sub), compress_to_frame(T, _as_dense_frame(S.sub))
-    for name in ("indptr", "indices", "data"):
-        assert np.array_equal(getattr(fast.mat, name), getattr(slow.mat, name))
+    _assert_matches_ambient_oracle(twice, S.sub, oracle_T=T)
 
 
-def test_coordinate_compression_drops_explicit_zeros(rng):
-    # a zero coefficient stores zeros in T; the dense product's csr_matrix drops them
+def test_graded_compression_drops_explicit_zeros(rng):
+    # a zero coefficient stores zeros in T; the compression stores none
     w = random_weight_set(rng, 2, 6)
     frame = monomial_submodule(w, [(1, 0)]).sub
     T = shift_combination(w, [0.0, 1.0])
     assert np.count_nonzero(T.mat.data == 0) > 0
-    fast, slow = compress_to_frame(T, frame), compress_to_frame(T, _as_dense_frame(frame))
-    for name in ("indptr", "indices", "data"):
-        assert np.array_equal(getattr(fast.mat, name), getattr(slow.mat, name))
+    _assert_matches_ambient_oracle(T, frame)
 
 
 def test_coordinate_compression_forms_no_dense_block():
@@ -772,13 +745,33 @@ def test_coordinate_compression_forms_no_dense_block():
     frame = monomial_submodule(w, [(1, 0)]).sub
     T = coordinate_shift(w, 2)
     r = frame.dimension
-    assert r >= 2000 and frame.coordinate_rows is not None
+    idx = np.flatnonzero(w.basis.exponents[:, 0] >= 1)     # the rows of the multiples of z1
+    assert r == idx.size >= 2000
     tracemalloc.start()
     try:
         R = compress_to_frame(T, frame)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert R.mat.nnz == np.count_nonzero(T.mat.toarray()[np.ix_(frame.coordinate_rows,
-                                                                frame.coordinate_rows)])
+    assert R.mat.nnz == np.count_nonzero(T.mat.toarray()[np.ix_(idx, idx)])
     assert peak < r * r * 8 / 4
+
+
+def test_graded_compression_and_restriction_stay_below_one_ambient_frame():
+    # the sub frame of z1^2 - z2^2 at m=3, N=24 has r = 2,300 columns on
+    # 2,925 ambient rows: one dense ambient copy of it is 54 MB; the blocks
+    # are read one degree pair at a time
+    w = drury_arveson_weights(enumerate_basis(3, 24))
+    S = homogeneous_submodule(w, [parse_polynomial("z1^2 - z2^2", num_vars=3)])
+    Z1 = coordinate_shift(w, 1)
+    dim, r = w.basis.dimension, S.sub.dimension
+    assert (dim, r) == (2925, 2300)
+    for build in (compress_to_frame, restrict_to_invariant):
+        tracemalloc.start()
+        try:
+            R = build(Z1, S.sub)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert R.space is S.sub and R.mat.shape == (r, r)
+        assert peak < dim * r * 8, build.__name__

@@ -6,7 +6,7 @@ import scipy.linalg
 import scipy.sparse as sp
 from hypothesis import given, settings, strategies as st
 
-from shiftlab import (PolynomialGenerator, RankCollapseError, bergman_ball_weights,
+from shiftlab import (PolynomialGenerator, RankCollapseError, SubspaceFrame, bergman_ball_weights,
                       compress_to_frame, coordinate_shift, cross_commutators,
                       drury_arveson_weights, enumerate_basis,
                       homogeneous_submodule, monomial_generator,
@@ -324,8 +324,8 @@ def test_ungraded_submodule_with_no_multiple_in_range_is_zero(texts):
 
 
 def test_frames_expose_stored_bytes_and_graded_frames_stay_per_slice():
-    # graded frames store each slice's block, not ambient-length columns:
-    # at most (slice dim)^2 float64 values with int32 row indices per slice
+    # graded frames store each slice's dense block, not ambient-length
+    # columns: at most (slice dim)^2 float64 values per slice
     w3 = drury_arveson_weights(enumerate_basis(3, 10))
     w2 = drury_arveson_weights(enumerate_basis(2, 10))
     builds = [
@@ -336,12 +336,15 @@ def test_frames_expose_stored_bytes_and_graded_frames_stay_per_slice():
     ]
     for S in builds:
         b = S.weights.basis
-        bound = 12 * sum(len(b.degree_slice(n)) ** 2 for n in range(b.max_degree + 1))
+        bound = 8 * sum(len(b.degree_slice(n)) ** 2 for n in range(b.max_degree + 1))
         for frame in (S.sub, S.comp):
             assert type(frame.columns.nbytes) is int
             if frame.degrees is not None:
                 assert frame.columns.nbytes <= bound
     assert [S.sub.degrees is not None for S in builds] == [True, True, False, False]
+    # an ungraded frame has no labels; a labelled one has its blocks' columns
+    assert SubspaceFrame(np.eye(3)[:, :2]).degrees is None
+    assert SubspaceFrame.from_blocks([np.eye(3)[:, :2]]).dimension == 2
 
 
 def test_ambient_frames_refuse_large_spaces_before_any_work(monkeypatch, tmp_path):
