@@ -261,18 +261,24 @@ def _closure_rank(s):
 
 
 def _adjoint_closure(Tmat, vectors):
-    """Close a span under a degree-lowering sparse operator.  Every round that
-    does not close the span raises its rank, which the dimension bounds, so
-    the rounds stop when the rank stops growing.  Tmat stays sparse: its
-    dense form is an ambient square."""
+    """Close a span under a degree-lowering operator, Tmat its SparseEntries
+    (its dense form is an ambient square).  Each round maps only the
+    directions the last one added, orthogonalises their images against the
+    span by two Gram-Schmidt passes, and keeps the directions of the
+    remainder above the rank cut-off, relative to the span's unit columns;
+    the dimension bounds the rounds, which stop when none is kept."""
     M = np.column_stack([v / np.linalg.norm(v) for v in vectors])
-    rank = _closure_rank(np.linalg.svd(M, compute_uv=False))
+    U, s, _ = np.linalg.svd(M, full_matrices=False)
+    Q = new = U[:, :_closure_rank(s)]
     while True:
-        U, s, _ = np.linalg.svd(np.column_stack([M, Tmat @ M]), full_matrices=False)
-        if _closure_rank(s) == rank:
-            return U[:, :rank]
-        rank = _closure_rank(s)
-        M = U[:, :rank]
+        W = Tmat @ new
+        for _ in range(2):
+            W -= Q @ (Q.conj().T @ W)
+        U, s, _ = np.linalg.svd(W, full_matrices=False)
+        new = U[:, :np.count_nonzero(s > CLOSURE_RANK_TOL)]
+        if not new.shape[1]:
+            return Q
+        Q = np.column_stack([Q, new])
 
 
 def _nested_frames(family, m, N, delta, points, generators):
@@ -284,7 +290,7 @@ def _nested_frames(family, m, N, delta, points, generators):
     if points:
         K = submodules.kernel_columns(w, points, [0])
     else:
-        K = np.hstack([submodules.multiple_vectors(w, g, 0, 0).toarray() for g in generators])
+        K = np.hstack([submodules.multiple_columns(w, g, 0, 0) for g in generators])
     for n in range(1, K.shape[1] + 1):
         if points:
             # kernel vectors are joint eigenvectors of the adjoint shifts:

@@ -1,7 +1,9 @@
 """Singular values, Schatten norms, spectral splits and convergence verdicts.
 
 Everything here reads an operator's interior window (TruncatedOperator.window),
-optionally cut to degrees <= d.  Graded windows go block by degree block
+optionally cut to degrees <= d, in the store of its space: the nonzeros of
+an ambient operator (SparseEntries), the degree blocks of one on a labelled
+frame (DegreeBlocks).  Graded windows go block by degree block
 (shift_operators.block_singular_values), and a sweep of nested windows takes
 one pass over the widest: window d keeps the block values labelled <= d.
 window_norms derives every (d, p) norm of a sweep from those spectra.  An
@@ -9,9 +11,9 @@ operator on an ungraded space is a plain r x r ndarray with no boundary
 strip: it is its own window, and singular_values and spectral_split take it
 whole.
 
-singular_values is the full dense spectrum of a window.  It refuses windows
-wider than DENSE_SVD_LIMIT before densifying; there is no sparse-iteration
-fallback.
+singular_values is the full dense spectrum of a window, written out by its
+store's toarray.  It refuses windows wider than DENSE_SVD_LIMIT before
+densifying; there is no iterative fallback.
 """
 
 import enum

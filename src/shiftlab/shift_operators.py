@@ -6,9 +6,16 @@ the untruncated operator.  Coordinate shifts raise degree by exactly 1, so
 each multiplication eats a bounded strip at the truncation boundary; the
 bookkeeping here tracks that strip, and TruncatedOperator.window, the block
 of degrees <= W, is the one uncontaminated section every norm and fit reads.
-An operator lives on a GradedBasis or a labelled frame, which holds one
-dense block per degree, so every degree is an ordinal range and a window a
-leading block; operators reach a frame one degree pair at a time.
+
+An operator's matrix is held in numpy arrays native to its space.  On a
+GradedBasis it is a SparseEntries, its nonzeros sorted by row and then by
+column: every ambient operator is a weighted partial permutation of
+monomials, or a sum of m of them, so its products are joins of entries.  On
+a labelled frame it is a DegreeBlocks, one dense block per degree pair
+(n + r, n); operators reach a frame one degree pair at a time.  Both sum
+each entry of a product over the inner index in ascending order, one
+rounded product at a time (the order of scipy's sparse products), so the
+commutators every decay fit reads keep their bits.
 A frame without degree labels (a span of kernel vectors, a quotient by a
 non-homogeneous ideal) has no strip to track: an operator compressed to it is
 a plain r x r ndarray, and commutator takes two of them through BLAS.
@@ -18,7 +25,6 @@ from dataclasses import dataclass, field
 from functools import cached_property
 
 import numpy as np
-import scipy.sparse as sp
 
 from .weight_models import WeightSet
 
@@ -38,6 +44,35 @@ class InvarianceError(ValueError):
         self.residual = residual
         self.tol = tol
         super().__init__(f"invariance residual {residual:.3e} exceeds tolerance {tol:.1e}")
+
+
+def _runs(*keys):
+    """[(start, stop)] of the maximal runs along which every key is constant."""
+    K = np.stack(keys)
+    if not K.shape[1]:
+        return []
+    cut = (np.flatnonzero(np.diff(K).any(axis=0)) + 1).tolist()
+    return list(zip([0, *cut], [*cut, K.shape[1]]))
+
+
+def _times(x, y):
+    """x * y, each complex product rounded as (xr yr - xi yi) + i (xr yi + xi yr)
+    term by term, as scipy's sparse kernels round it (numpy's complex loop
+    fuses a product into the sum)."""
+    if not (np.iscomplexobj(x) and np.iscomplexobj(y)):
+        return x * y
+    out = np.empty(np.broadcast_shapes(x.shape, y.shape), np.result_type(x, y))
+    out.real = x.real * y.real - x.imag * y.imag
+    out.imag = x.real * y.imag + x.imag * y.real
+    return out
+
+
+def _add(M: np.ndarray, row: int, col: int, X: np.ndarray):
+    """Add a stack of blocks into M down the diagonal from (row, col), in place."""
+    if X.size:
+        (_, a, b), r, s = X.shape, M.shape[1], M.itemsize
+        view = np.ndarray(X.shape, M.dtype, M, (row * r + col) * s, ((a * r + b) * s, r * s, s))
+        view += X
 
 
 @dataclass(frozen=True, eq=False)
@@ -82,17 +117,205 @@ class SubspaceFrame:
         return self.columns[start:start + count * d * k].reshape(count, d, k)
 
 
+@dataclass(frozen=True, eq=False)
+class SparseEntries:
+    """The matrix of an operator on a GradedBasis: vals[e] at (rows[e],
+    cols[e]), sorted by row and then by column, no position twice and no
+    zero value."""
+
+    rows: np.ndarray
+    cols: np.ndarray
+    vals: np.ndarray
+    shape: tuple
+
+    @property
+    def nnz(self) -> int:
+        return int(self.vals.size)
+
+    @property
+    def dtype(self):
+        return self.vals.dtype
+
+    @property
+    def H(self) -> "SparseEntries":
+        """The conjugate transpose."""
+        order = np.argsort(self.cols, kind="stable")
+        return SparseEntries(self.cols[order], self.rows[order], self.vals[order].conj(),
+                             self.shape[::-1])
+
+    def leading(self, k: int) -> "SparseEntries":
+        """The leading k x k block."""
+        e = slice(0, int(np.searchsorted(self.rows, k)))
+        keep = self.cols[e] < k
+        return SparseEntries(self.rows[e][keep], self.cols[e][keep], self.vals[e][keep], (k, k))
+
+    def toarray(self) -> np.ndarray:
+        M = np.zeros(self.shape, self.dtype)
+        M[self.rows, self.cols] = self.vals
+        return M
+
+    def __matmul__(self, other):
+        """A product whose every entry sums over the inner index in ascending
+        order: with an ndarray, each row in entry order (scipy's csr_matvecs),
+        with SparseEntries as a join of entries (scipy's csr_matmat)."""
+        if isinstance(other, np.ndarray):
+            Y = np.zeros((self.shape[0], other.shape[1]), np.result_type(self.vals, other))
+            place = np.arange(self.nnz) - np.searchsorted(self.rows, self.rows)
+            for p in range(place.max(initial=-1) + 1):
+                e = place == p
+                Y[self.rows[e]] += _times(self.vals[e, None], other[self.cols[e]])
+            return Y
+        # entry (i, j) meets every entry of other's row j, in order
+        lo, hi = (np.searchsorted(other.rows, self.cols, side=s) for s in ("left", "right"))
+        a = np.repeat(np.arange(self.nnz), hi - lo)
+        b = np.arange(a.size) - np.repeat(np.cumsum(hi - lo) - hi, hi - lo)
+        n = other.shape[1]
+        keys, slot = np.unique(self.rows[a] * n + other.cols[b], return_inverse=True)
+        vals = np.zeros(keys.size, np.result_type(self.vals, other.vals))
+        np.add.at(vals, slot, _times(self.vals[a], other.vals[b]))
+        return _nonzero(keys // n, keys % n, vals, n)
+
+    def __sub__(self, other: "SparseEntries") -> "SparseEntries":
+        n = self.shape[1]
+        keys, slot = np.unique(np.concatenate([self.rows * n + self.cols,
+                                               other.rows * n + other.cols]),
+                               return_inverse=True)
+        vals = np.zeros(keys.size, np.result_type(self.vals, other.vals))
+        vals[slot[:self.nnz]] = self.vals
+        vals[slot[self.nnz:]] -= other.vals
+        return _nonzero(keys // n, keys % n, vals, n)
+
+
+def _nonzero(rows, cols, vals, n: int) -> SparseEntries:
+    """The n x n SparseEntries of these sorted entries, zeros dropped."""
+    keep = vals != 0
+    return SparseEntries(rows[keep], cols[keep], vals[keep], (n, n))
+
+
+def _add_product(C: np.ndarray, A: np.ndarray, B: np.ndarray):
+    """C += A B for stacks of blocks, each entry summed over the inner index j
+    in ascending order, one rounded product at a time.  Where every row of A,
+    or every column of B, holds at most one nonzero (the scaled partial
+    permutations of monomial frames), each entry is a single product at the
+    one j that can be nonzero, gathered in one step."""
+    nz_a, nz_b = A != 0, B != 0
+    if (nz_a.sum(axis=2) <= 1).all():
+        j = nz_a.argmax(axis=2)[:, :, None]
+    elif (nz_b.sum(axis=1) <= 1).all():
+        j = nz_b.argmax(axis=1)[:, None, :]
+    else:
+        for j in range(A.shape[2]):
+            C += _times(A[:, :, j, None], B[:, None, j, :])
+        return
+    C += _times(np.take_along_axis(A, j, axis=2), np.take_along_axis(B, j, axis=1))
+
+
+def _layout(sizes, offset: int):
+    """(n, heights, widths, starts) of the blocks (n + offset, n) over degrees
+    of sizes[n] columns: each block's column degree, shape and first entry."""
+    n = np.arange(max(0, -offset), len(sizes) - max(0, offset))
+    h, w = sizes[n + offset], sizes[n]
+    return n, h, w, np.concatenate([[0], np.cumsum(h * w)])
+
+
+@dataclass(frozen=True, eq=False)
+class DegreeBlocks:
+    """The matrix of an operator on a labelled frame, sizes[n] of whose
+    columns have degree n, that maps degree n to n + offset: its dense block
+    (n + offset, n) for every n where both degrees exist, C-ordered, one
+    after another in data."""
+
+    data: np.ndarray
+    sizes: np.ndarray
+    offset: int
+
+    @classmethod
+    def zeros(cls, sizes, offset: int, dtype) -> "DegreeBlocks":
+        return cls(np.zeros(_layout(sizes, offset)[3][-1], dtype), sizes, offset)
+
+    @cached_property
+    def layout(self):
+        return _layout(self.sizes, self.offset)
+
+    @property
+    def nnz(self) -> int:
+        return int(self.data.size)
+
+    @property
+    def dtype(self):
+        return self.data.dtype
+
+    @property
+    def shape(self) -> tuple:
+        return (int(self.sizes.sum()),) * 2
+
+    def blocks(self, n: int, count: int = 1) -> np.ndarray:
+        """The blocks of column degrees n, ..., n + count - 1, all of one
+        shape, as a (count, rows, columns) view."""
+        deg, h, w, starts = self.layout
+        i = n - deg[0]
+        return self.data[starts[i]:starts[i + count]].reshape(count, h[i], w[i])
+
+    def runs(self):
+        """[(n, count)]: the runs of consecutive blocks of one shape."""
+        n, h, w, _ = self.layout
+        return [(int(n[a]), b - a) for a, b in _runs(h, w)]
+
+    @property
+    def H(self) -> "DegreeBlocks":
+        """The conjugate transpose: the same blocks, each conjugate-transposed."""
+        parts = [self.blocks(n, g).conj().mT.ravel() for n, g in self.runs()]
+        return DegreeBlocks(np.concatenate([np.zeros(0, self.dtype), *parts]), self.sizes,
+                            -self.offset)
+
+    def leading(self, k: int) -> "DegreeBlocks":
+        """The leading k x k block, k a whole number of degrees."""
+        sizes = self.sizes[:int(np.searchsorted(np.cumsum(self.sizes), k, side="right"))]
+        return DegreeBlocks(self.data[:_layout(sizes, self.offset)[3][-1]], sizes, self.offset)
+
+    def toarray(self) -> np.ndarray:
+        M = np.zeros(self.shape, self.dtype)
+        cols = np.concatenate([[0], np.cumsum(self.sizes)])
+        for n, g in self.runs():
+            _add(M, cols[n + self.offset], cols[n], self.blocks(n, g))
+        return M
+
+    def __matmul__(self, other: "DegreeBlocks") -> "DegreeBlocks":
+        """Block n of the product is self's block n + other.offset times
+        other's block n.  Each entry is summed over the inner index in
+        ascending order, each product rounded before it is added: not by
+        BLAS, which sums in chunks and pairs and moves the round-off that
+        decay fits read."""
+        out = DegreeBlocks.zeros(self.sizes, self.offset + other.offset,
+                                 np.result_type(self.data, other.data))
+        n, h, w, _ = out.layout
+        mid = n + other.offset
+        inner = np.where((mid >= 0) & (mid < len(self.sizes)),
+                         self.sizes[np.clip(mid, 0, len(self.sizes) - 1)], 0)
+        for a, b in _runs(h, w, inner):
+            if h[a] * w[a] * inner[a]:
+                _add_product(out.blocks(n[a], b - a), self.blocks(mid[a], b - a),
+                             other.blocks(n[a], b - a))
+        return out
+
+    def __sub__(self, other: "DegreeBlocks") -> "DegreeBlocks":
+        return DegreeBlocks(self.data - other.data, self.sizes, self.offset)
+
+
 @dataclass(frozen=True)
 class TruncatedOperator:
-    """Sparse finite section of a module operator.
+    """Finite section of a module operator, in the store of its space.
 
+    mat: a SparseEntries on a GradedBasis, a DegreeBlocks on a labelled
+    SubspaceFrame.
     interior_degree W: entries with row and column degree <= W are exact.
-    degree_raise r: in the infinite picture the operator maps degree d into
-    degrees <= d + r (shift: +1, shift adjoint: -1).
+    degree_raise r: every entry maps degree d into degree d + r (shift: +1,
+    shift adjoint: -1); the routines that take T by degree pairs refuse
+    entries of another offset.
     """
 
     space: object                 # GradedBasis or labelled SubspaceFrame
-    mat: sp.spmatrix = field(compare=False)
+    mat: object = field(compare=False)
     interior_degree: int
     degree_raise: int = 0
 
@@ -113,10 +336,9 @@ class TruncatedOperator:
             w = min(w, max_window_degree)
         return int(np.searchsorted(self.space.degrees, w, side="right"))
 
-    def window(self, max_window_degree=None) -> sp.csr_matrix:
-        """The interior window as a CSR matrix: a copy of the leading block."""
-        k = self.window_size(max_window_degree)
-        return self.mat.tocsr()[:k, :k]
+    def window(self, max_window_degree=None):
+        """The interior window, the leading block, in the matrix's own store."""
+        return self.mat.leading(self.window_size(max_window_degree))
 
 
 def _same_space(a: TruncatedOperator, b: TruncatedOperator):
@@ -126,11 +348,10 @@ def _same_space(a: TruncatedOperator, b: TruncatedOperator):
 
 def _norm_scale(T: TruncatedOperator) -> float:
     """Cheap upper bound on the operator norm: sqrt(||.||_1 * ||.||_inf)."""
-    A = T.mat.tocsr()
-    a = np.abs(A.data)
-    rows = np.repeat(np.arange(A.shape[0]), np.diff(A.indptr))
-    col = np.bincount(A.indices, a, minlength=A.shape[1]).max(initial=0.0)
-    row = np.bincount(rows, a, minlength=A.shape[0]).max(initial=0.0)
+    A = T.mat
+    a = np.abs(A.vals)
+    col = np.bincount(A.cols, a, minlength=A.shape[1]).max(initial=0.0)
+    row = np.bincount(A.rows, a, minlength=A.shape[0]).max(initial=0.0)
     return float(np.sqrt(col * row)) or 1.0
 
 
@@ -149,27 +370,24 @@ def coordinate_shift(w: WeightSet, i: int) -> TruncatedOperator:
     b = w.basis
     rows, vals = _shift_entries(w, i)
     # grlex is a monomial order: rows increase with the column, one entry per hit row
-    indptr = np.searchsorted(rows, np.arange(b.dimension + 1))
-    mat = sp.csr_matrix((vals, np.arange(rows.size), indptr), shape=(b.dimension, b.dimension))
-    return TruncatedOperator(b, mat, interior_degree=b.max_degree - 1, degree_raise=1)
+    return TruncatedOperator(b, _nonzero(rows, np.arange(rows.size), vals, b.dimension),
+                             interior_degree=b.max_degree - 1, degree_raise=1)
 
 
 def shift_combination(w: WeightSet, coeffs) -> TruncatedOperator:
-    """T = c_1 Z_1 + ... + c_k Z_k (k <= m) as one CSR holding c_i times each
-    entry of Z_i: no two shifts share an entry."""
+    """T = c_1 Z_1 + ... + c_k Z_k (k <= m), holding c_i times each entry of
+    Z_i: no two shifts share an entry."""
     b = w.basis
     rows, vals = zip(*(_shift_entries(w, i) for i in range(1, len(coeffs) + 1)))
     cols = np.tile(np.arange(rows[0].size), len(rows))
     rows, vals = np.concatenate(rows), np.concatenate([v * c for v, c in zip(vals, coeffs)])
     order = np.lexsort((cols, rows))
-    indptr = np.searchsorted(rows[order], np.arange(b.dimension + 1))
-    mat = sp.csr_matrix((vals[order], cols[order], indptr), shape=(b.dimension, b.dimension))
-    return TruncatedOperator(b, mat, interior_degree=b.max_degree - 1, degree_raise=1)
+    return TruncatedOperator(b, _nonzero(rows[order], cols[order], vals[order], b.dimension),
+                             interior_degree=b.max_degree - 1, degree_raise=1)
 
 
 def adjoint(T: TruncatedOperator) -> TruncatedOperator:
-    return TruncatedOperator(T.space, T.mat.conj().T.tocsr(),
-                             interior_degree=T.interior_degree,
+    return TruncatedOperator(T.space, T.mat.H, interior_degree=T.interior_degree,
                              degree_raise=-T.degree_raise)
 
 
@@ -185,20 +403,21 @@ def _product(A: TruncatedOperator, B: TruncatedOperator, mat,
 def multiply(A: TruncatedOperator, B: TruncatedOperator) -> TruncatedOperator:
     """A B."""
     _same_space(A, B)
-    return _product(A, B, (A.mat @ B.mat).tocsr())
+    return _product(A, B, A.mat @ B.mat)
 
 
 def commutator(A, B):
-    """[A*, B] = A*B - BA* from two products: sparse ones for two operators on
-    the same graded space, BLAS ones for two ndarrays, an ungraded space's
-    one dense block (A* C-ordered), whose result is an ndarray too."""
+    """[A*, B] = A*B - BA* from two products in the store of their space
+    (SparseEntries joins on a basis, DegreeBlocks on a labelled frame), or
+    from two BLAS products for two ndarrays, an ungraded space's one dense
+    block (A* C-ordered), whose result is an ndarray too."""
     if isinstance(A, np.ndarray):
         a = np.ascontiguousarray(A.conj().T)
         C = a @ B
         C -= B @ a
         return C
     _same_space(A, B)
-    a, b = A.mat.conj().T.tocsr(), B.mat
+    a, b = A.mat.H, B.mat
     return _product(A, B, a @ b - b @ a, adjoint_a=True)
 
 
@@ -226,103 +445,115 @@ def _check_single_offset(row_deg, col_deg):
 
 
 def block_singular_values(W, degrees):
-    """Singular values of a square sparse matrix, up to zeros, one degree
-    block at a time, each with the smallest window degree that contains it.
+    """Singular values of a window, up to zeros, one degree block at a time,
+    each with the smallest window degree that contains it.
 
-    W is canonicalised in place; degrees labels its rows and columns.  Every
-    nonzero maps column degree n to row degree n + r for one offset r
-    (shifts, their adjoints, every commutator [A*, B] of them), so W is the
-    direct sum of its (degree n + r, degree n) blocks and its spectrum is
-    the union of theirs.  An entry alone in its row and its column is a 1x1
-    summand whose singular value is its modulus, so scaled partial
-    permutations (every operator of monomial weights) need no SVD;
-    the other entries are densified one block at a time.
+    W maps degree n to n + r for one offset r (shifts, their adjoints, every
+    commutator [A*, B] of them), so it is the direct sum of its (degree
+    n + r, degree n) blocks and its spectrum is the union of theirs.  A
+    DegreeBlocks holds those blocks; a SparseEntries, whose rows and columns
+    degrees labels, is densified one block at a time, and nonzeros with more
+    than one degree offset are refused with ValueError.  An entry alone in
+    its row and its column is a 1x1 summand whose singular value is its
+    modulus, so scaled partial permutations (every operator of monomial
+    weights, every restriction to a monomial submodule) need no SVD.
 
     Returns (values, labels): the (n + r, n) block's values are labelled
-    max(n, n + r), a lone entry's max(row degree, column degree).  A block
-    enters or leaves a window {degree <= d} whole, so values[labels <= d] is
-    the spectrum of the window d, value for value and in the same order.
-    Nonzeros with more than one degree offset are refused with ValueError.
+    max(n, n + r).  A block enters or leaves a window {degree <= d} whole,
+    so values[labels <= d] is the spectrum of the window d, value for value
+    and in the same order.
     """
-    W = W.tocsr()
-    W.sum_duplicates()
-    W.eliminate_zeros()
-    if not np.all(np.isfinite(W.data)):
+    if not np.all(np.isfinite(W.data if isinstance(W, DegreeBlocks) else W.vals)):
         raise ValueError("operator has non-finite entries")
-    W = W.tocoo()
-    degrees = np.asarray(degrees)
-    col_deg, row_deg = degrees[W.col], degrees[W.row]
+    parts = [(np.zeros(0), np.zeros(0, np.int64)),
+             *(_frame_spectra(W) if isinstance(W, DegreeBlocks)
+               else _entry_spectra(W, np.asarray(degrees)))]
+    return tuple(np.concatenate(x) for x in zip(*parts))
+
+
+def _frame_spectra(W: DegreeBlocks):
+    """(values, labels) of each run of equal-shape blocks: the moduli of the
+    blocks whose nonzeros are all alone in their rows and columns, the SVD
+    of the others."""
+    for n, g in W.runs():
+        X, label = W.blocks(n, g), np.maximum(n, n + W.offset) + np.arange(g)
+        nz = X != 0
+        lone = nz & (nz.sum(axis=1, keepdims=True) == 1) & (nz.sum(axis=2, keepdims=True) == 1)
+        easy = (lone == nz).all(axis=(1, 2))
+        yield np.abs(X[easy][nz[easy]]), np.repeat(label[easy], nz[easy].sum(axis=(1, 2)))
+        if X.size and not easy.all():
+            s = np.linalg.svd(X[~easy], compute_uv=False)
+            yield s.ravel(), np.repeat(label[~easy], s.shape[1])
+
+
+def _entry_spectra(W: SparseEntries, degrees):
+    """(values, labels) of the lone entries, then of each column degree's
+    dense block of the other entries."""
+    col_deg, row_deg = degrees[W.cols], degrees[W.rows]
     _check_single_offset(row_deg, col_deg)
     label = np.maximum(row_deg, col_deg)
-    alone = ((np.bincount(W.row, minlength=W.shape[0])[W.row] == 1)
-             & (np.bincount(W.col, minlength=W.shape[1])[W.col] == 1))
-    spectra, labels = [np.abs(W.data[alone])], [label[alone]]
+    alone = ((np.bincount(W.rows, minlength=W.shape[0])[W.rows] == 1)
+             & (np.bincount(W.cols, minlength=W.shape[1])[W.cols] == 1))
+    yield np.abs(W.vals[alone]), label[alone]
     rest = ~alone
-    for n in np.unique(col_deg[rest]):
+    for n in np.flatnonzero(np.bincount(col_deg[rest])):
         e = rest & (col_deg == n)
-        rows, r = np.unique(W.row[e], return_inverse=True)
-        cols, c = np.unique(W.col[e], return_inverse=True)
+        rows, r = np.unique(W.rows[e], return_inverse=True)
+        cols, c = np.unique(W.cols[e], return_inverse=True)
         B = np.zeros((rows.size, cols.size), dtype=W.dtype)
-        B[r, c] = W.data[e]
-        spectra.append(np.linalg.svd(B, compute_uv=False))
-        labels.append(np.full(spectra[-1].size, label[e][0]))
-    return np.concatenate(spectra), np.concatenate(labels)
-
-
-def _add(M: np.ndarray, row: int, col: int, X: np.ndarray):
-    """Add a stack of blocks into M down the diagonal from (row, col), in place."""
-    if X.size:
-        (_, a, b), r, s = X.shape, M.shape[1], M.itemsize
-        view = np.ndarray(X.shape, M.dtype, M, (row * r + col) * s, ((a * r + b) * s, r * s, s))
-        view += X
+        B[r, c] = W.vals[e]
+        s = np.linalg.svd(B, compute_uv=False)
+        yield s, np.full(s.size, label[e][0])
 
 
 def _degree_pairs(T: TruncatedOperator, frame: SubspaceFrame, adjoint: bool = False):
-    """T on the frame one degree pair (t, n) = (n + r, n) at a time, T of one
-    degree offset r (a mixed one is refused with ValueError).  Where T has
-    entries and Q_n has columns (with adjoint, also where only Q_t has),
-    T's dense block B gives P = B Q_n, G = Q_t* P and U = B* Q_t.  Runs of
-    pairs of one block shape come stacked (m = 1: 1 x 1 blocks) as (Qn, Qt,
-    P, G, U, inside, ct, cn), inside the count of P's rows of degree <= W,
-    the blocks down the diagonal from frame columns (ct, cn).  A frame
-    without labels is one block on every row: P = TQ, G = Q*P."""
+    """T on the frame one degree pair (t, n) = (n + r, n) at a time, r T's
+    degree_raise (entries of a mixed offset, or of another one, are refused
+    with ValueError).  Where T has entries and Q_n has columns (with
+    adjoint, also where only Q_t has), T's dense block B gives P = B Q_n,
+    G = Q_t* P and U = B* Q_t.  Runs of
+    pairs of one block shape come stacked (m = 1: 1 x 1 blocks) as (n, Qn,
+    Qt, P, G, U, inside, ct, cn), n the run's first column degree, inside
+    the count of P's rows of degree <= W, the blocks down the diagonal from
+    frame columns (ct, cn).  A frame without labels is one block on every
+    row: P = TQ, G = Q*P."""
     if frame.shapes is None:
         Q, P = frame.columns, T.mat @ frame.columns
-        U = (T.mat.conj().T @ Q)[None] if adjoint else None
-        yield Q[None], Q[None], P[None], (Q.conj().T @ P)[None], U, T.window_size(), 0, 0
+        U = (T.mat.H @ Q)[None] if adjoint else None
+        yield 0, Q[None], Q[None], P[None], (Q.conj().T @ P)[None], U, T.window_size(), 0, 0
         return
-    A = T.mat.tocsr()
+    A = T.mat
     deg = np.asarray(T.space.degrees)
     d, k = frame.shapes.T
     rows, cols, _ = frame.offsets
-    row_deg, col_deg = np.repeat(deg, np.diff(A.indptr)), deg[A.indices]
+    row_deg, col_deg = deg[A.rows], deg[A.cols]
     _check_single_offset(row_deg, col_deg)
+    if A.nnz and row_deg[0] - col_deg[0] != T.degree_raise:
+        raise ValueError(f"entries map degree n to n + {row_deg[0] - col_deg[0]}, "
+                         f"but degree_raise is {T.degree_raise}")
     n = np.flatnonzero(np.bincount(col_deg, minlength=d.size))
-    t = n + (row_deg[0] - col_deg[0] if n.size else 0)
+    t = n + T.degree_raise
     keep = (k[n] > 0) | ((k[t] > 0) & adjoint)
     n, t = n[keep], t[keep]
-    if not n.size:
-        return
     loc = np.arange(T.dimension) - rows[deg]    # each ordinal's place in its degree
-    i, j = np.repeat(loc, np.diff(A.indptr)), loc[A.indices]
+    i, j = loc[A.rows], loc[A.cols]
     # a run breaks where the degrees skip or a block shape changes
-    shape = np.stack([d[t], d[n], k[t], k[n], t <= T.interior_degree])
-    cut = (np.flatnonzero((np.diff(n) > 1) | np.diff(shape).any(axis=0)) + 1).tolist()
-    for a, b in zip([0, *cut], [*cut, n.size]):
-        (n0, t0), (dt, dn, _, _, inner), g = (int(n[a]), int(t[a])), shape[:, a].tolist(), b - a
-        e = slice(A.indptr[rows[t0]], A.indptr[rows[t0 + g]])
-        B = np.zeros((g, dt, dn), A.dtype)     # summed: a CSR may hold a position twice
-        np.add.at(B, (row_deg[e] - t0, i[e], j[e]), A.data[e])
+    for a, b in _runs(n - np.arange(n.size), d[t], d[n], k[t], k[n], t <= T.interior_degree):
+        n0, t0, g = int(n[a]), int(t[a]), b - a
+        dt, dn = int(d[t0]), int(d[n0])
+        e = slice(*np.searchsorted(A.rows, rows[[t0, t0 + g]]))
+        B = np.zeros((g, dt, dn), A.dtype)
+        B[row_deg[e] - t0, i[e], j[e]] = A.vals[e]
         Qn, Qt = frame.blocks(n0, g), frame.blocks(t0, g)
         P = B @ Qn
-        yield (Qn, Qt, P, Qt.conj().mT @ P, B.conj().mT @ Qt if adjoint else None,
-               dt if inner else 0, cols[t0], cols[n0])
+        yield (n0, Qn, Qt, P, Qt.conj().mT @ P, B.conj().mT @ Qt if adjoint else None,
+               dt if t0 <= T.interior_degree else 0, cols[t0], cols[n0])
 
 
 def _residual(pairs, scale: float, tol: float | None = None):
     """Relative 2-norm of (I - QQ*)TQ on the interior rows, the largest sigma_max of its
     blocks P - Q_t G.  With tol it is only checked (Frobenius bound first) and raised."""
-    D = [(P - Qt @ G)[:, :inside] for _, Qt, P, G, _, inside, _, _ in pairs]
+    D = [(P - Qt @ G)[:, :inside] for _, _, Qt, P, G, _, inside, _, _ in pairs]
     if tol is not None and np.sqrt(sum(np.vdot(X, X).real for X in D)) / scale <= tol:
         return None
     resid = max((np.linalg.norm(X, 2, axis=(1, 2)).max() for X in D if X.size), default=0.0) / scale
@@ -333,17 +564,14 @@ def _residual(pairs, scale: float, tol: float | None = None):
 
 def _on_frame(T: TruncatedOperator, frame: SubspaceFrame, pairs):
     """The compression Q*TQ from the pairs' blocks G: on a labelled frame, a
-    TruncatedOperator holding only its nonzeros, so its products stay sparse."""
-    coo = [(np.zeros(0, np.result_type(T.mat.dtype, frame.columns.dtype)),
-            *np.zeros((2, 0), np.int64))]
-    for _, _, _, G, _, _, ct, cn in pairs:
-        if frame.shapes is None:
-            return G[0]
-        g, a, b = np.nonzero(G)
-        coo.append((G[g, a, b], ct + g * G.shape[1] + a, cn + g * G.shape[2] + b))
-    vals, rows, cols = map(np.concatenate, zip(*coo))
-    mat = sp.csr_matrix((vals, (rows, cols)), shape=(frame.dimension,) * 2)
-    return TruncatedOperator(frame, mat, T.interior_degree, T.degree_raise)
+    TruncatedOperator holding them as its DegreeBlocks."""
+    if frame.shapes is None:
+        return next(iter(pairs))[4][0]
+    out = DegreeBlocks.zeros(frame.shapes[:, 1], T.degree_raise,
+                             np.result_type(T.mat.dtype, frame.columns.dtype))
+    for n, _, _, _, G, *_ in pairs:
+        out.blocks(n, len(G))[...] = G
+    return TruncatedOperator(frame, out, T.interior_degree, T.degree_raise)
 
 
 def invariance_residual(T: TruncatedOperator, frame: SubspaceFrame) -> float:
@@ -402,7 +630,7 @@ def restricted_commutator_decomposition(T: TruncatedOperator,
     r = frame.dimension
     Y, diag, corner = np.zeros((3, r, r), np.result_type(T.mat.dtype, frame.columns.dtype))
     pairs, eig_min = list(_degree_pairs(T, frame, adjoint=True)), 0.0
-    for Qn, Qt, P, G, U, inside, ct, cn in pairs:
+    for _, Qn, Qt, P, G, U, _, ct, cn in pairs:
         _add(Y, ct, cn, G)
         _add(diag, cn, cn, P.conj().mT @ P)
         _add(diag, ct, ct, -(U.conj().mT @ U))

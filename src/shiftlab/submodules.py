@@ -13,7 +13,6 @@ from dataclasses import dataclass
 import enum
 
 import numpy as np
-import scipy.sparse as sp
 
 from . import schatten
 from .polynomials import PolynomialGenerator, monomial_generator
@@ -110,13 +109,15 @@ def _coordinate_frame(b, mask) -> SubspaceFrame:
 
 
 def multiple_vectors(w: WeightSet, g: PolynomialGenerator, lo: int, hi: int,
-                     scaled: bool = True) -> sp.csr_matrix:
-    """Columns z^q * g in orthonormal coordinates (coefficients scaled by
+                     scaled: bool = True):
+    """The multiples z^q * g in orthonormal coordinates (coefficients scaled by
     lambda), one per multi-index q with lo <= |q| <= hi, in basis order;
     with scaled=False, the plain coefficient vectors in monomial coordinates.
 
-    A CSR matrix, so that callers densify only the rows they need; real when
-    every coefficient of g is real, complex otherwise.
+    Returns (rows, vals), each (multiples, terms of g): the c-th multiple has
+    the value vals[c, t] on the ordinal rows[c, t], and no other nonzero, so
+    that callers scatter only the rows they need.  Real when every
+    coefficient of g is real, complex otherwise.
     """
     b = w.basis
     coefs = np.array([complex(coef) for _, _, coef in g.terms])
@@ -126,11 +127,20 @@ def multiple_vectors(w: WeightSet, g: PolynomialGenerator, lo: int, hi: int,
     shifts = b.exponents[b.slice_bounds[lo]:b.slice_bounds[max(hi + 1, lo)]:b.multiplicity]
     rows = b.rank((shifts[:, None, :] + alphas).reshape(-1, b.num_vars),
                   np.tile([c for _, c, _ in g.terms], len(shifts)))
-    cols = np.repeat(np.arange(len(shifts)), len(alphas))
-    vals = np.tile(coefs, len(shifts))
-    if scaled:
-        vals = vals * w.lam[rows]
-    return sp.csr_matrix((vals, (rows, cols)), shape=(b.dimension, len(shifts)))
+    rows = rows.reshape(len(shifts), len(alphas))
+    vals = np.broadcast_to(coefs, rows.shape)
+    return rows, vals * w.lam[rows] if scaled else vals.copy()
+
+
+def multiple_columns(w: WeightSet, g: PolynomialGenerator, lo: int, hi: int,
+                     rows: range | None = None) -> np.ndarray:
+    """multiple_vectors' (scaled) multiples as dense columns on the ordinals
+    in rows, all of them by default; rows must hold every multiple's nonzeros."""
+    at, vals = multiple_vectors(w, g, lo, hi)
+    rows = range(w.basis.dimension) if rows is None else rows
+    M = np.zeros((len(rows), len(at)), vals.dtype)
+    M[at - rows.start, np.arange(len(at))[:, None]] = vals
+    return M
 
 
 def _orthonormalize(columns: np.ndarray):
@@ -163,7 +173,7 @@ def homogeneous_submodule(w: WeightSet, generators) -> SubmoduleBasis:
     blocks = []
     for n in range(b.max_degree + 1):
         sl = b.degree_slice(n)
-        span = [multiple_vectors(w, g, n - d, n - d)[sl.start:sl.stop].toarray()
+        span = [multiple_columns(w, g, n - d, n - d, sl)
                 for g, d in zip(generators, degrees) if d <= n]
         blocks.append(_orthonormalize(np.hstack(span) if span else np.zeros((len(sl), 0))))
     sub, comp = zip(*blocks)
@@ -222,17 +232,31 @@ def ungraded_submodule(w: WeightSet, generators) -> SubmoduleBasis:
     if not generators:
         raise ValueError("empty generator list")
     schatten.check_dense_svd_size(b.dimension, "ambient")
-    X = sp.hstack([multiple_vectors(w, g, 0, b.max_degree - g.max_degree, scaled=False)
-                   for g in generators], format="csc")
-    if len(generators) > 1 and X.shape[1]:   # no multiple within degree N: {0}
+    # every multiple's nonzeros: ordinal rows, column cols, unscaled vals
+    parts = [multiple_vectors(w, g, 0, b.max_degree - g.max_degree, scaled=False)
+             for g in generators]
+    rows, vals = (np.concatenate([part[i].ravel() for part in parts]) for i in (0, 1))
+    counts = [len(part[0]) for part in parts]
+    r = sum(counts)
+    cols = np.repeat(np.arange(r), np.repeat([part[0].shape[1] for part in parts], counts))
+    if len(generators) > 1 and r:   # no multiple within degree N: {0}
         import scipy.linalg  # not at module level: the import adds ~5 MB to every run
-        R, piv = scipy.linalg.qr(X.toarray(), mode="r", pivoting=True)
+        X = np.zeros((b.dimension, r), vals.dtype)
+        X[rows, cols] = vals
+        R, piv = scipy.linalg.qr(X, mode="r", pivoting=True)
+        del X
         diag = np.abs(np.diag(R))
         del R
-        X = X[:, np.sort(piv[:np.count_nonzero(diag > DEFAULT_RANK_TOL * diag[0])])]
+        kept = np.zeros(r, bool)
+        kept[piv[:np.count_nonzero(diag > DEFAULT_RANK_TOL * diag[0])]] = True
+        e = kept[cols]
+        rows, cols, vals, r = rows[e], (np.cumsum(kept) - 1)[cols[e]], vals[e], int(kept.sum())
+    # the kept multiples, lambda-scaled, their rows sorted by decreasing lambda
     order = np.argsort(-w.lam, kind="stable")
-    Q = np.linalg.qr((sp.diags(w.lam[order]) @ X[order]).toarray(), mode="complete")[0]
-    r = X.shape[1]
+    place = np.argsort(order)
+    X = np.zeros((b.dimension, r), vals.dtype)
+    X[place[rows], cols] = vals * w.lam[rows]
+    Q = np.linalg.qr(X, mode="complete")[0]
     del X
-    Q = Q[np.argsort(order)]
+    Q = Q[place]
     return SubmoduleBasis(w, SubspaceFrame(Q[:, :r]), SubspaceFrame(Q[:, r:]))

@@ -5,6 +5,7 @@ import scipy.linalg
 
 from shiftlab import (SubmoduleBasis, SubspaceFrame, TruncatedOperator, WeightSet,
                       coordinate_shift, enumerate_basis)
+from shiftlab.shift_operators import DegreeBlocks, SparseEntries
 from shiftlab.submodules import kernel_columns
 
 
@@ -37,6 +38,23 @@ def ambient_columns(frame):
     return scipy.linalg.block_diag(*(frame.blocks(n)[0] for n in range(len(frame.shapes))))
 
 
+def sparse_entries(D):
+    """The SparseEntries of a square ndarray: its nonzeros in row-major order."""
+    rows, cols = np.nonzero(D)
+    return SparseEntries(rows, cols, D[rows, cols], D.shape)
+
+
+def frame_operator(frame, M, offset=0):
+    """M, an r x r ndarray in a labelled frame's coordinates that maps degree
+    n to n + offset, as the DegreeBlocks of its (n + offset, n) blocks."""
+    out = DegreeBlocks.zeros(frame.shapes[:, 1], offset, M.dtype)
+    cols = np.concatenate([[0], np.cumsum(out.sizes)])
+    for n in out.layout[0]:
+        out.blocks(n)[0] = M[cols[n + offset]:cols[n + offset + 1], cols[n]:cols[n + 1]]
+    assert np.array_equal(out.toarray(), M), "M has entries off its degree blocks"
+    return out
+
+
 def point_evaluation_submodule(w, points):
     """Ungraded frames of the points' kernel vectors (the complement) and of
     their orthocomplement (the submodule), from one full SVD."""
@@ -50,5 +68,6 @@ def z1_plus_adjoint(w):
     """Z1 + Z1*, built by hand: it maps degree n to n + 1 and to n - 1, two
     degree offsets, which no library operation produces."""
     Z1 = coordinate_shift(w, 1)
-    return TruncatedOperator(w.basis, (Z1.mat + Z1.mat.T).tocsr(),
+    D = Z1.mat.toarray()
+    return TruncatedOperator(w.basis, sparse_entries(D + D.T),
                              interior_degree=Z1.interior_degree)

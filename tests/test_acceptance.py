@@ -140,11 +140,11 @@ def test_criterion_8_property_suites():
     # Schatten axioms on random matrices
     for _ in range(100):
         n = int(rng.integers(2, 15))
-        import scipy.sparse as sp
-        from shiftlab.shift_operators import SubspaceFrame, TruncatedOperator
+        from shiftlab.shift_operators import DegreeBlocks, SubspaceFrame, TruncatedOperator
         mk = lambda M: TruncatedOperator(
             SubspaceFrame.from_blocks([np.eye(M.shape[0])]),
-            sp.csr_matrix(M), interior_degree=0, degree_raise=0)
+            DegreeBlocks(M.ravel(), np.array([M.shape[0]]), 0), interior_degree=0,
+            degree_raise=0)
         A = rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n))
         B = rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n))
         n1, n2, ninf = (schatten_norm(mk(A), p) for p in (1.0, 2.0, np.inf))

@@ -9,7 +9,8 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from shiftlab import (cli, experiments, monomial_generator, parse_generators, parse_polynomial,
+from shiftlab import (adjoint, bergman_ball_weights, cli, coordinate_shift, enumerate_basis,
+                      experiments, monomial_generator, parse_generators, parse_polynomial,
                       schatten, shift_operators as ops, submodules)
 from shiftlab.experiments import (TheoremViolationError, run_submodule_probe,
                                   run_trace_inequality_check,
@@ -134,6 +135,25 @@ def test_generator_closure_keeps_the_shift_sparse():
         tracemalloc.stop()
     assert [row[4] for row in _rows(rep, "trace_inequality")] == [True, True]
     assert peak < dim * dim * 8 / 4
+
+
+def test_generator_closure_maps_each_direction_once():
+    # each round maps only the directions the last one added: z1^210 at m=1
+    # needs 211 rounds and 211 columns through Z1*, not one per column per round
+    w = bergman_ball_weights(enumerate_basis(1, 210))
+    Zs = adjoint(coordinate_shift(w, 1))
+
+    class Counted:
+        columns = 0
+
+        def __matmul__(self, X):
+            Counted.columns += X.shape[1]
+            return Zs.mat @ X
+    v = np.zeros(w.basis.dimension)
+    v[210] = 1.0
+    Q = experiments._adjoint_closure(Counted(), [v])
+    assert Q.shape[1] == 211 and Counted.columns == 211
+    assert np.abs(Q.T @ Q - np.eye(211)).max() < 1e-13
 
 
 def test_generator_closure_runs_until_its_rank_stops_growing():

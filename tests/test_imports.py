@@ -1,8 +1,8 @@
 """No shiftlab module reaches into another module's private names, every
 test module imports, the benchmark's traced groups name real functions and
-its frame-bytes counter reads every builder's frames, importing the CLI
-leaves scipy.linalg unloaded, no run loads scipy.special, and the commands
-call every public function but a listed few."""
+its frame-bytes counter reads every builder's frames, neither importing the
+CLI nor any run loads scipy (but scipy.linalg in one multi-generator
+quotient), and the commands call every public function but a listed few."""
 
 import ast
 import importlib
@@ -134,15 +134,6 @@ def test_traced_frame_bytes_count_every_builders_frames():
         assert frame_bytes == S.sub.columns.nbytes + S.comp.columns.nbytes > 0
 
 
-def test_cli_import_leaves_scipy_linalg_out():
-    # its one user, ungraded_submodule, imports it lazily: every other run skips
-    # that part of the set-up (about 5 MB and 0.09 s)
-    code = "import sys, shiftlab.cli; print('scipy.linalg' in sys.modules)"
-    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
-                         check=True, env={**os.environ, "PYTHONPATH": str(SRC.parent)})
-    assert out.stdout.strip() == "False"
-
-
 # every subcommand at a tiny size; the quotient probe with one and two generators
 TINY_RUNS = [
     ["ramp-block", "--n", "1,2", "--p", "1", "--N", "12"],
@@ -159,21 +150,54 @@ TINY_RUNS = [
 ]
 
 
-def test_no_run_loads_scipy_special(tmp_path):
-    # the weights' log-gamma is a table of their own (weight_models.log_gamma_table):
-    # scipy.special, about 6 MB and 0.07 s of set-up, is never imported
+# the one run that may load scipy: an ungraded quotient with several
+# generators, whose rank comes from scipy.linalg's pivoted QR
+SCIPY_LINALG_RUN = ["quotient-probe", "--m", "2", "--gens", "z1-z2^2;z1*z2", "--p", "1",
+                    "--degrees", "3,4"]
+
+
+def scipy_after_each(runs, out):
+    """In one fresh interpreter: the scipy modules loaded by import
+    shiftlab.cli, then after each run in turn (each must exit 0)."""
+    code = ("import json, sys\n"
+            "loaded = lambda: sorted(m for m in sys.modules if m.split('.')[0] == 'scipy')\n"
+            "from shiftlab.cli import main\n"
+            "found = [loaded()]\n"
+            "for argv in json.loads(sys.argv[1]):\n"
+            f"    assert main(argv + ['--out', {str(out)!r}]) == 0, argv\n"
+            "    found.append(loaded())\n"
+            "print(json.dumps(found))")
+    proc = subprocess.run([sys.executable, "-c", code, json.dumps(runs)], capture_output=True,
+                          text=True, check=True,
+                          env={**os.environ, "PYTHONPATH": str(SRC.parent)})
+    return json.loads(proc.stdout.splitlines()[-1])
+
+
+def test_cli_import_loads_no_scipy(tmp_path):
+    # numpy and the standard library are the runtime: scipy.sparse cost every
+    # run about 0.2 s and 24 MB of set-up
+    assert scipy_after_each([], tmp_path) == [[]]
+
+
+def test_no_run_loads_scipy_but_the_multi_generator_quotient(tmp_path):
+    # nor does a run: operators are numpy arrays, the weights' log-gamma is
+    # weight_models.log_gamma_table (scipy.special, 0.07 s and 6 MB, is out)
     assert {argv[0] for argv in TINY_RUNS} == set(shiftlab.cli.SCHEMAS)
-    code = ("import json, sys\nfrom shiftlab.cli import main\n"
-            f"codes = [main(argv + ['--out', {str(tmp_path)!r}]) for argv in {TINY_RUNS!r}]\n"
-            "print(json.dumps([codes, 'scipy.special' in sys.modules]))")
-    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
-                         check=True, env={**os.environ, "PYTHONPATH": str(SRC.parent)})
-    assert json.loads(out.stdout.splitlines()[-1]) == [[0] * len(TINY_RUNS), False]
+    others = [argv for argv in TINY_RUNS if argv != SCIPY_LINALG_RUN]
+    assert len(others) == len(TINY_RUNS) - 1
+    assert scipy_after_each(others, tmp_path) == [[]] * len(TINY_RUNS)
+    _, modules = scipy_after_each([SCIPY_LINALG_RUN], tmp_path)
+    assert "scipy.linalg" in modules
+    assert not any(m.startswith(("scipy.sparse", "scipy.special")) for m in modules), modules
 
 
 # public names that no command calls, each with the reason it stays
 UNCALLED = {
     "shift_operators.multiply": "perfbench/layers.py's shift_operators.multiply.self_s names it",
+    "shift_operators.DegreeBlocks.nnz": "perfbench/layers.py's shift_operators.out_nnz reads it",
+    "shift_operators.SparseEntries.toarray": "a dense window, as DegreeBlocks.toarray; no "
+                                             "command takes the dense spectrum of an ambient "
+                                             "window",
     "submodules.projection_matrix": "the acceptance gate's projection checks",
     "submodules.SubmoduleBasis.frame": "projection_matrix reads a side's frame through it",
     "polynomials.monomial_generator": "the acceptance gate and the README quick tour",
