@@ -250,7 +250,8 @@ def run_submodule_probe(family: str, m: int, k: int, generators, p_values,
             verdict, details = schatten.convergence_diagnostic(trend)
             rep.set_verdict(f"{side}_p={_fmt(p)}", verdict, details)
         for (i, j), C in comms.items():
-            fit = schatten.decay_exponent_fit(schatten.singular_values(C))
+            s = schatten.singular_values(C)
+            fit = schatten.decay_exponent_fit(s[s > 0])
             if fit is not None:
                 fits.add(side, i, j, fit.beta, fit.critical_exponent, fit.residual)
     return rep
@@ -427,10 +428,23 @@ def run_quotient_smoothness_probe(generators, m: int, p_values, degree_sweep=Non
     return rep
 
 
+def _slice_spectrum(C, labels):
+    """The singular values of an ungraded commutator, up to zeros, one
+    weighted-degree block of its nonzeros at a time (labels: its columns')."""
+    rows, cols = np.nonzero(C)
+    return ops.block_singular_values(ops.SparseEntries(rows, cols, C[rows, cols], C.shape),
+                                     labels)[0]
+
+
 def _quotient_spectra(generators, m, N, homogeneous, family, delta, fits=None):
     """{(i, j): spectrum of the window N of [R_i*, R_j]}, R_i the quotient's shifts
     at truncation degree N + 2, adding their decay fits to a given fits table.
-    Nothing built for this degree outlives the call."""
+    Nothing built for this degree outlives the call.
+
+    An ungraded commutator is one r x r ndarray, but [R_i*, R_j] maps the
+    complement's weighted degree s to s + w_j - w_i and holds exact zeros
+    elsewhere, so its spectrum is block_singular_values' of its nonzeros,
+    labelled by the complement's weighted degrees."""
     w = wm.family_weights(family, enumerate_basis(m, N + 2), delta)
     S = (_build_submodule if homogeneous else submodules.ungraded_submodule)(w, generators)
     shifts = [ops.coordinate_shift(w, i) for i in range(1, m + 1)]
@@ -438,14 +452,22 @@ def _quotient_spectra(generators, m, N, homogeneous, family, delta, fits=None):
         _check_coinvariant(shifts, S.comp)
     # quotient-module action = compression of the shifts to the complement
     comms = ops.cross_commutators([ops.compress_to_frame(Z, S.comp) for Z in shifts])
-    # a graded window's norms read its block spectra and its fit the dense one;
-    # an ungraded commutator is one ndarray whose dense spectrum serves both
-    spectra = {key: schatten.window_spectra(C, [N])[N] if homogeneous
-               else schatten.singular_values(C) for key, C in comms.items()}
+    if homogeneous:
+        spectra = {key: schatten.window_spectra(C, [N])[N] for key, C in comms.items()}
+    else:
+        spectra = {key: _slice_spectrum(C, S.comp.weighted_degrees) for key, C in comms.items()}
     if fits is None:
         return spectra
     for (i, j), C in comms.items():
-        s = schatten.singular_values(C, N) if homogeneous else spectra[i, j]
+        if homogeneous:
+            # a graded fit takes the dense window's positive values
+            s = schatten.singular_values(C, N)
+            s = s[s > 0]
+        else:
+            # an ungraded fit counts all r values: the block spectrum, sorted,
+            # padded with the zeros it leaves out
+            s = np.sort(spectra[i, j])[::-1]
+            s = np.pad(s, (0, C.shape[0] - s.size))
         fit = schatten.decay_exponent_fit(s)
         if fit is not None:
             fits.add(i, j, fit.beta, fit.critical_exponent, fit.residual)

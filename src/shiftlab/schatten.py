@@ -9,11 +9,16 @@ one pass over the widest: window d keeps the block values labelled <= d.
 window_norms derives every (d, p) norm of a sweep from those spectra.  An
 operator on an ungraded space is a plain r x r ndarray with no boundary
 strip: it is its own window, and singular_values and spectral_split take it
-whole.
+whole.  The quotient probe reads an ungraded commutator's spectrum by
+weighted-degree blocks instead (experiments), so no command takes one's
+dense SVD.
 
 singular_values is the full dense spectrum of a window, written out by its
-store's toarray.  It refuses windows wider than DENSE_SVD_LIMIT before
-densifying; there is no iterative fallback.
+store's toarray; the commands take it only for graded decay fits.  It
+refuses windows wider than DENSE_SVD_LIMIT before densifying; there is no
+iterative fallback.  decay_exponent_fit counts every value it is given,
+zeros included: graded fits pass the positive values, an ungraded fit all
+r values of its commutator.
 """
 
 import enum
@@ -26,8 +31,8 @@ from .shift_operators import TruncatedOperator, block_singular_values
 DENSE_SVD_LIMIT = 5_000
 # spectral_split: largest |M - M*| entry, relative to the largest |M| entry (or 1)
 SELF_ADJOINT_TOL = 1e-10
-# decay_exponent_fit: rank window [FIT_START*n, FIT_STOP*n] of the n nonzero
-# singular values, and the fewest values it fits
+# decay_exponent_fit: rank window [FIT_START*n, FIT_STOP*n] of the n singular
+# values it is given, and the fewest values it fits
 FIT_START, FIT_STOP, MIN_TAIL = 0.05, 0.4, 20
 # convergence_diagnostic, reported with every verdict: tail relative increments
 # below STALL_REL converge, increments decaying faster than a power-law exponent
@@ -133,21 +138,25 @@ def spectral_split(M: np.ndarray, p: float) -> tuple:
 
 
 def decay_exponent_fit(sigma) -> DecayFit | None:
-    """Fit log sigma_k vs log k over a central rank window; None when too short.
+    """Fit log sigma_k vs log k over a central rank window of the n values
+    sigma, in descending order; None when the window is too short or
+    reaches a zero.
 
-    The window [FIT_START*n, FIT_STOP*n] skips the non-asymptotic head and,
+    Every value given counts towards n, zeros included: the caller chooses
+    the spectrum.  Graded callers pass the dense window's positive values;
+    an ungraded quotient passes all r values of its r x r commutator.  The
+    window [FIT_START*n, FIT_STOP*n] skips the non-asymptotic head and,
     crucially, the deep tail: in a finite section the smallest singular
     values are truncation artifacts that decay far faster than the operator's
     true spectrum (calibrated on the m-shift cross-commutator, where the
     deep-tail slope is ~-3.5 against a true -0.5).
     """
     s = np.asarray(sigma, dtype=float)
-    s = s[s > 0]
     n = s.size
     k0 = max(0, int(np.floor(n * FIT_START)))
     k1 = max(k0, int(np.ceil(n * FIT_STOP)))
     tail = s[k0:k1]
-    if tail.size < MIN_TAIL:
+    if tail.size < MIN_TAIL or not tail[-1] > 0:
         return None
     ks = np.arange(k0 + 1, k1 + 1, dtype=float)
     slope, intercept = np.polyfit(np.log(ks), np.log(tail), 1)

@@ -81,13 +81,16 @@ class SubspaceFrame:
 
     A graded frame holds one C-ordered block per degree n, shapes[n]: its
     columns, labelled n, on the ambient rows of degree n, one after another
-    in columns.  A frame without labels is one block on every row.  Labelled
-    frames are the spaces of operators restricted or compressed to them;
-    frames compare by identity, so operators on two frames never mix.
+    in columns.  A frame without labels is one block on every row; when each
+    of its columns lies in one weighted slice (submodules.ungraded_submodule),
+    weighted_degrees holds their weighted degrees.  Labelled frames are the
+    spaces of operators restricted or compressed to them; frames compare by
+    identity, so operators on two frames never mix.
     """
 
     columns: np.ndarray           # graded: every block's entries, flat; else (ambient_dim, r)
     shapes: np.ndarray = None     # (degrees, 2): each degree's ambient rows and columns
+    weighted_degrees: np.ndarray = None   # ungraded: (r,) int, one per column, or None
 
     @classmethod
     def from_blocks(cls, blocks):
@@ -486,24 +489,37 @@ def _frame_spectra(W: DegreeBlocks):
             yield s.ravel(), np.repeat(label[~easy], s.shape[1])
 
 
+def _ranks_in_group(group, x):
+    """Each element's rank among the distinct values of x in its group, and
+    each group's count of them; the groups are 0, 1, ..., k - 1."""
+    span = int(x.max()) + 1
+    keys, rank = np.unique(group * span + x, return_inverse=True)
+    first = np.searchsorted(keys, np.arange(group.max() + 1) * span)
+    return rank - first[group], np.diff(np.append(first, keys.size))
+
+
 def _entry_spectra(W: SparseEntries, degrees):
     """(values, labels) of the lone entries, then of each column degree's
-    dense block of the other entries."""
+    dense block of the other entries, on the rows and columns they reach
+    (in ascending order)."""
     col_deg, row_deg = degrees[W.cols], degrees[W.rows]
     _check_single_offset(row_deg, col_deg)
     label = np.maximum(row_deg, col_deg)
     alone = ((np.bincount(W.rows, minlength=W.shape[0])[W.rows] == 1)
              & (np.bincount(W.cols, minlength=W.shape[1])[W.cols] == 1))
     yield np.abs(W.vals[alone]), label[alone]
-    rest = ~alone
-    for n in np.flatnonzero(np.bincount(col_deg[rest])):
-        e = rest & (col_deg == n)
-        rows, r = np.unique(W.rows[e], return_inverse=True)
-        cols, c = np.unique(W.cols[e], return_inverse=True)
-        B = np.zeros((rows.size, cols.size), dtype=W.dtype)
-        B[r, c] = W.vals[e]
+    e = np.flatnonzero(~alone)
+    if not e.size:
+        return
+    e = e[np.argsort(col_deg[e], kind="stable")]
+    block = np.unique(col_deg[e], return_inverse=True)[1]
+    (i, h), (j, w) = (_ranks_in_group(block, x[e]) for x in (W.rows, W.cols))
+    ends = np.cumsum(np.bincount(block))
+    for a, z, height, width in zip(np.r_[0, ends[:-1]], ends, h, w):
+        B = np.zeros((height, width), dtype=W.dtype)
+        B[i[a:z], j[a:z]] = W.vals[e[a:z]]
         s = np.linalg.svd(B, compute_uv=False)
-        yield s, np.full(s.size, label[e][0])
+        yield s, np.full(s.size, label[e[a]])
 
 
 def _degree_pairs(T: TruncatedOperator, frame: SubspaceFrame, adjoint: bool = False):

@@ -4,13 +4,19 @@ For homogeneous generators the submodule splits degree by degree; each slice
 carries an orthonormal basis of the intersection with the homogeneous
 polynomials of that degree, plus the complementary orthonormal set: graded
 frames store one dense block per degree (monomial submodules: coordinate
-columns); ungraded frames a dense ndarray and no degree labels.  All
-vectors are in the orthonormal monomial coordinates (z^alpha scaled by
-1/lambda_alpha), so projections and restrictions are plain matrix algebra.
+columns).  Other generators split by weighted degree w . alpha instead, w
+the smallest positive integer weight that makes every generator weighted
+homogeneous (w = 0, one slice, when there is none): ungraded frames are
+dense ndarrays on the ambient rows, their columns built slice by slice and
+labelled with their weighted degrees.  All vectors are in the orthonormal
+monomial coordinates (z^alpha scaled by 1/lambda_alpha), so projections and
+restrictions are plain matrix algebra.
 """
 
 from dataclasses import dataclass
 import enum
+from itertools import combinations, count
+from math import gcd
 
 import numpy as np
 
@@ -207,21 +213,96 @@ def check_distinct_points(s):
         raise RankCollapseError("nearly coincident evaluation points", cond)
 
 
-def ungraded_submodule(w: WeightSet, generators) -> SubmoduleBasis:
-    """Span of { z^q * g : |q| + deg g <= N } for arbitrary generators.
+def _eliminate(u: list, v: list, c: int) -> list:
+    """v[c] u - u[c] v, which is zero at c, divided by its entries' gcd."""
+    x = [v[c] * a - u[c] * b for a, b in zip(u, v)]
+    g = gcd(*x)
+    return [a // g for a in x] if g else x
 
-    Used for non-homogeneous ideals; no graded decomposition is claimed.
+
+def _reduced_rows(rows, m: int) -> dict:
+    """{pivot column: integer row} spanning the rows over Q, each row zero
+    in every other row's pivot column (Gauss-Jordan in Python ints)."""
+    pivots = {}
+    for row in rows:
+        for c, r in pivots.items():
+            if row[c]:
+                row = _eliminate(row, r, c)
+        c = next((j for j in range(m) if row[j]), None)
+        if c is not None:
+            for d, r in list(pivots.items()):
+                if r[c]:
+                    pivots[d] = _eliminate(r, row, c)
+            pivots[c] = row
+    return pivots
+
+
+def homogeneity_weight(generators, num_vars: int) -> tuple:
+    """The positive integer weight w of smallest sum, ties broken by the
+    lexicographically smallest, under which every generator is
+    w-homogeneous (all its terms z^alpha have one weighted degree
+    w . alpha); all zeros when no positive w exists.
+
+    Exact in Python ints.  w solves (alpha_t - alpha_0) . w = 0 for the
+    terms of each generator; in reduced form each pivot coordinate is a
+    rational combination of the free ones.  Fourier-Motzkin elimination of
+    the free coordinates from the strict inequalities w > 0 decides whether
+    a positive solution exists (none is left, each would read 0 > 0, exactly
+    when one does).  If so, a positive integer one does too, and the free
+    coordinates are searched by their sum t = 1, 2, ... until no smaller
+    sum is left.
+    """
+    pivots = _reduced_rows([[a - b for a, b in zip(alpha, g.terms[0][0])]
+                            for g in generators for alpha, _, _ in g.terms[1:]], num_vars)
+    free = [j for j in range(num_vars) if j not in pivots]
+    # w_c = -(r . w_free) / r[c] > 0 for each pivot row r, and w_free > 0
+    ineqs = [[int(f == e) for e in free] for f in free] + [
+        [(-1 if r[c] > 0 else 1) * r[f] for f in free] for c, r in pivots.items()]
+    for c in range(len(free)):
+        pos, neg = [u for u in ineqs if u[c] > 0], [u for u in ineqs if u[c] < 0]
+        ineqs = [u for u in ineqs if not u[c]] + [_eliminate(v, u, c) for u in pos for v in neg]
+    if ineqs:
+        return (0,) * num_vars
+    best = None
+    for t in count(len(free)):
+        if best is not None and t + len(pivots) > sum(best):
+            return tuple(best)
+        for bars in combinations(range(1, t), len(free) - 1):
+            w = [0] * num_vars
+            for f, a, b in zip(free, (0, *bars), (*bars, t)):
+                w[f] = b - a
+            for c, r in pivots.items():
+                w[c], rest = divmod(-sum(r[f] * w[f] for f in free), r[c])
+                if rest or w[c] <= 0:
+                    break
+            else:
+                best = min(best or w, w, key=lambda v: (sum(v), v))
+
+
+def ungraded_submodule(w: WeightSet, generators) -> SubmoduleBasis:
+    """Span of { z^q * g : |q| + deg g <= N } for arbitrary generators,
+    built one weighted slice at a time.
+
+    No grading by total degree is claimed.  Under the weight
+    homogeneity_weight(generators) every multiple z^q * g is weighted
+    homogeneous, so it lies in one weighted slice {alpha : w . alpha = s,
+    |alpha| <= N}, and the span is the direct sum of the slices' spans.
+    With no positive weight, w = 0 makes the whole basis one slice.
 
     The rank is decided on the unscaled coefficient vectors X of the
     multiples, never on lambda-scaled values, whose entries span the whole
     range of the weights.  The multiples of one nonzero polynomial are
     linearly independent, so a principal ideal's rank is its number of
     multiples, C(N - deg g + m, m); with several generators a pivoted QR of
-    X keeps the columns above DEFAULT_RANK_TOL * |R_11|.  The kept columns
-    are scaled by lambda and orthonormalized by one complete Householder QR
-    with the ambient rows sorted by decreasing lambda, which is accurate
-    for row-scaled matrices (Cox & Higham, 1998); its first r columns span
-    the submodule and the rest its complement.
+    X keeps the columns above DEFAULT_RANK_TOL * |R_11|.  Each slice's kept
+    multiples are scaled by lambda and orthonormalized by one complete
+    Householder QR with the slice's rows sorted by decreasing lambda, which
+    is accurate for row-scaled matrices (Cox & Higham, 1998); its first
+    columns span the submodule's part of the slice and the rest the
+    complement's.  Both frames hold their columns on the ambient rows, in
+    slice order, with each column's weighted degree as weighted_degrees.
+    Together they fill an ambient square: schatten.DENSE_SVD_LIMIT bounds
+    the ambient dimension before any vector is built.
 
     The span is I cap P_<=N only for a principal ideal: with several
     generators, a combination of top-degree multiples can cancel into a
@@ -251,12 +332,28 @@ def ungraded_submodule(w: WeightSet, generators) -> SubmoduleBasis:
         kept[piv[:np.count_nonzero(diag > DEFAULT_RANK_TOL * diag[0])]] = True
         e = kept[cols]
         rows, cols, vals, r = rows[e], (np.cumsum(kept) - 1)[cols[e]], vals[e], int(kept.sum())
-    # the kept multiples, lambda-scaled, their rows sorted by decreasing lambda
-    order = np.argsort(-w.lam, kind="stable")
-    place = np.argsort(order)
-    X = np.zeros((b.dimension, r), vals.dtype)
-    X[place[rows], cols] = vals * w.lam[rows]
-    Q = np.linalg.qr(X, mode="complete")[0]
-    del X
-    Q = Q[place]
-    return SubmoduleBasis(w, SubspaceFrame(Q[:, :r]), SubspaceFrame(Q[:, r:]))
+    wdeg = b.exponents @ np.array(homogeneity_weight(generators, b.num_vars))
+    # rows by slice, then by decreasing lambda; the kept multiples, lambda-scaled,
+    # renumbered by slice, and their entries by multiple
+    order = np.lexsort((-w.lam, wdeg))
+    col_deg = np.zeros(r, np.int64)
+    col_deg[cols] = wdeg[rows]
+    by_slice = np.argsort(col_deg, kind="stable")
+    cols = np.argsort(by_slice)[cols]
+    e = np.argsort(cols, kind="stable")
+    rows, cols, vals = np.argsort(order)[rows[e]], cols[e], vals[e] * w.lam[rows[e]]
+    slices = np.arange(wdeg.max() + 2)
+    row_at, col_at = np.searchsorted(wdeg[order], slices), np.searchsorted(col_deg[by_slice], slices)
+    entry_at = np.searchsorted(cols, col_at)
+    sub = np.zeros((b.dimension, r), vals.dtype)
+    comp = np.zeros((b.dimension, b.dimension - r), vals.dtype)
+    for t in np.flatnonzero(np.diff(row_at)):
+        (r0, r1), (c0, c1), (e0, e1) = row_at[t:t + 2], col_at[t:t + 2], entry_at[t:t + 2]
+        X = np.zeros((r1 - r0, c1 - c0), vals.dtype)
+        X[rows[e0:e1] - r0, cols[e0:e1] - c0] = vals[e0:e1]
+        Q = np.linalg.qr(X, mode="complete")[0]
+        sub[order[r0:r1], c0:c1] = Q[:, :c1 - c0]
+        comp[order[r0:r1], r0 - c0:r1 - c1] = Q[:, c1 - c0:]
+    labels = np.repeat(slices[:-1], np.diff(row_at) - np.diff(col_at))
+    return SubmoduleBasis(w, SubspaceFrame(sub, weighted_degrees=col_deg[by_slice]),
+                          SubspaceFrame(comp, weighted_degrees=labels))

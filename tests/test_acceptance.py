@@ -113,7 +113,8 @@ def test_criterion_6_critical_schatten_exponent():
     basis = enumerate_basis(2, 40)
     w = drury_arveson_weights(basis)
     C = self_commutator(coordinate_shift(w, 1))
-    fit = decay_exponent_fit(singular_values(C))
+    s = singular_values(C)
+    fit = decay_exponent_fit(s[s > 0])    # a graded window: its 38 exact zeros do not count
     dt = time.perf_counter() - t0
     ok = fit is not None and 1.7 <= fit.critical_exponent <= 2.3 and dt < 180
     _line("criterion 6 (critical Schatten exponent, m=2)", ok,

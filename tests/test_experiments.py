@@ -273,14 +273,19 @@ def test_sweeps_take_one_spectrum_per_window(probe, monkeypatch):
                 expected = [(d,) for d in sweep] * 3 if probe == "quotient-graded" else []
             assert sorted(calls) == sorted(expected)
             if probe == "quotient-ungraded":
-                # one dense spectrum per window: the decay fit reuses the largest
-                # degree's, which is singular_values itself on ungraded windows
-                assert len(dense_calls) == len(sweep) * 3
+                # no dense spectrum: the windows read weighted-degree blocks, and
+                # the decay fit counts all r values of the largest degree's
+                # commutators, as the dense SVD of each r x r array holds them
+                assert dense_calls == []
                 largest = max(commutators, key=lambda comms: comms[1, 1].shape[0])
                 fits = [(i, j, fit.beta, fit.critical_exponent, fit.residual)
                         for (i, j), C in largest.items()
-                        if (fit := schatten.decay_exponent_fit(real_dense(C, sweep[-1])))]
-                assert rep.tables["decay_fits"].rows == fits
+                        if (fit := schatten.decay_exponent_fit(
+                            np.linalg.svd(C, compute_uv=False)))]
+                rows = rep.tables["decay_fits"].rows
+                assert [row[:2] for row in rows] == [row[:2] for row in fits]
+                assert np.allclose([row[2:] for row in rows], [row[2:] for row in fits],
+                                   rtol=1e-10, atol=0)
                 assert fits or sweep[-1] < 40      # the short sweeps fit nothing
 
 
@@ -307,3 +312,92 @@ def test_quotient_sweep_holds_one_degree_at_a_time(gen, monkeypatch):
     # the rows are still written in ascending degree order
     assert [row[3] for row in rep.tables["quotient_commutator_norms"].rows] == \
         [d for d in (4, 6, 8, 10) for _ in range(3)]
+
+
+def _kept_commutators(monkeypatch):
+    """The commutators of every cross_commutators call, in call order."""
+    kept, real = [], ops.cross_commutators
+
+    def keep(operators):
+        kept.append(real(operators))
+        return kept[-1]
+    monkeypatch.setattr(ops, "cross_commutators", keep)
+    return kept
+
+
+@pytest.mark.parametrize("N", [8, 12, 14])
+def test_ungraded_block_spectra_match_the_dense_svd(N, monkeypatch):
+    # the quotient-ungraded-m3 ideal: each commutator's weighted-degree block
+    # spectrum, sorted and padded with the zeros it leaves out, is the dense
+    # SVD of its r x r array; no dense spectrum is taken
+    kept = _kept_commutators(monkeypatch)
+    monkeypatch.setattr(schatten, "singular_values", None)
+    spectra = experiments._quotient_spectra([parse_polynomial("z1-z2*z3", 3)], 3, N, False,
+                                            "bergman-ball", None)
+    (comms,) = kept
+    assert spectra.keys() == comms.keys()
+    for key, C in comms.items():
+        dense = np.linalg.svd(C, compute_uv=False)
+        s = np.sort(spectra[key])[::-1]
+        assert s.size <= dense.size
+        assert np.abs(np.pad(s, (0, dense.size - s.size)) - dense).max() <= 1e-13 * dense[0]
+
+
+def _counting_spectrum(r):
+    """A synthetic spectrum with exact zeros, not a power law: its decay fit
+    depends on the rank window, that is on how many values count."""
+    s = np.exp(-np.arange(r) / 10.0)
+    s[-r // 4:] = 0.0
+    return s
+
+
+def test_decay_fit_counts_every_value_it_is_given():
+    s = _counting_spectrum(200)
+    window = s[10:80]      # [0.05 n, 0.4 n] of all n = 200 values
+    slope = np.polyfit(np.log(np.arange(11, 81)), np.log(window), 1)[0]
+    assert schatten.decay_exponent_fit(s).beta == pytest.approx(-slope, rel=1e-12)
+    assert schatten.decay_exponent_fit(s).beta != schatten.decay_exponent_fit(s[s > 0]).beta
+    # a window that reaches an exact zero fits nothing
+    s[50:] = 0.0
+    assert schatten.decay_exponent_fit(s) is None
+
+
+def _fit_rows(fits):
+    return [(i, j, fit.beta, fit.critical_exponent, fit.residual) for (i, j), fit in fits]
+
+
+def test_graded_callers_fit_the_positive_values(monkeypatch):
+    # the submodule probe and the homogeneous quotient drop the zeros of the
+    # dense window before fitting
+    s = _counting_spectrum(120)
+    monkeypatch.setattr(schatten, "singular_values", lambda T, d=None: s)
+    expected = schatten.decay_exponent_fit(s[s > 0])
+    assert expected != schatten.decay_exponent_fit(s)
+    gens = [parse_polynomial("z1^2 - z2^2", 2)]
+    rep = run_submodule_probe("drury-arveson", m=2, k=1, generators=gens, p_values=[1.0],
+                              degree_sweep=[4, 5, 6, 7])
+    assert [row[3:] for row in rep.tables["decay_fits"].rows] == \
+        [(expected.beta, expected.critical_exponent, expected.residual)] * 6
+    rep = run_quotient_smoothness_probe(gens, m=2, p_values=[1.0], degree_sweep=[4, 5, 6, 7])
+    assert rep.tables["decay_fits"].rows == _fit_rows(
+        ((i, j), expected) for i, j in ((1, 1), (1, 2), (2, 2)))
+
+
+def test_ungraded_quotient_fits_all_r_values(monkeypatch):
+    # an ungraded fit pads the block spectrum with zeros to r values
+    kept = _kept_commutators(monkeypatch)
+    widths = []
+
+    def synthetic(W, labels):
+        widths.append(W.shape[0])
+        s = _counting_spectrum(W.shape[0])
+        return s[s > 0][::-1], np.zeros(np.count_nonzero(s), np.int64)
+    monkeypatch.setattr(ops, "block_singular_values", synthetic)
+    rep = run_quotient_smoothness_probe([parse_polynomial("z1 - z2^2", 2)], m=2,
+                                        p_values=[1.0], degree_sweep=[10, 20, 30, 40])
+    r = kept[0][1, 1].shape[0]
+    assert widths[:3] == [r] * 3
+    expected = schatten.decay_exponent_fit(_counting_spectrum(r))
+    assert expected is not None
+    assert rep.tables["decay_fits"].rows == _fit_rows(
+        ((i, j), expected) for i, j in ((1, 1), (1, 2), (2, 2)))

@@ -2,7 +2,8 @@
 test module imports, the benchmark's traced groups name real functions and
 its frame-bytes counter reads every builder's frames, neither importing the
 CLI nor any run loads scipy (but scipy.linalg in one multi-generator
-quotient), and the commands call every public function but a listed few."""
+quotient), fractions or decimal, and the commands call every public function
+but a listed few."""
 
 import ast
 import importlib
@@ -156,11 +157,12 @@ SCIPY_LINALG_RUN = ["quotient-probe", "--m", "2", "--gens", "z1-z2^2;z1*z2", "--
                     "--degrees", "3,4"]
 
 
-def scipy_after_each(runs, out):
-    """In one fresh interpreter: the scipy modules loaded by import
-    shiftlab.cli, then after each run in turn (each must exit 0)."""
+def scipy_after_each(runs, out, roots=("scipy",)):
+    """In one fresh interpreter: the modules under the given top-level
+    packages (scipy by default) loaded by import shiftlab.cli, then after
+    each run in turn (each must exit 0)."""
     code = ("import json, sys\n"
-            "loaded = lambda: sorted(m for m in sys.modules if m.split('.')[0] == 'scipy')\n"
+            f"loaded = lambda: sorted(m for m in sys.modules if m.split('.')[0] in {roots!r})\n"
             "from shiftlab.cli import main\n"
             "found = [loaded()]\n"
             "for argv in json.loads(sys.argv[1]):\n"
@@ -189,6 +191,13 @@ def test_no_run_loads_scipy_but_the_multi_generator_quotient(tmp_path):
     _, modules = scipy_after_each([SCIPY_LINALG_RUN], tmp_path)
     assert "scipy.linalg" in modules
     assert not any(m.startswith(("scipy.sparse", "scipy.special")) for m in modules), modules
+
+
+def test_no_import_or_run_loads_fractions_or_decimal(tmp_path):
+    # the weight search of an ungraded quotient is exact in Python ints and
+    # adds no import to the set-up every command pays
+    found = scipy_after_each(TINY_RUNS, tmp_path, ("fractions", "decimal"))
+    assert found == [[]] * (len(TINY_RUNS) + 1)
 
 
 # public names that no command calls, each with the reason it stays

@@ -1,4 +1,6 @@
+import itertools
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -7,7 +9,7 @@ from hypothesis import given, settings, strategies as st
 
 from shiftlab import (PolynomialGenerator, RankCollapseError, SubspaceFrame, bergman_ball_weights,
                       compress_to_frame, coordinate_shift, cross_commutators,
-                      drury_arveson_weights, enumerate_basis,
+                      drury_arveson_weights, enumerate_basis, hardy_ball_weights,
                       homogeneous_submodule, monomial_generator,
                       monomial_submodule, parse_polynomial, projection_matrix,
                       self_commutator)
@@ -366,3 +368,133 @@ def test_ambient_frames_refuse_large_spaces_before_any_work(monkeypatch, tmp_pat
                      "--out", str(tmp_path), "--tag", "t"])
     assert code == 2
     assert not any(tmp_path.iterdir())
+
+
+# the weighted-slice oracle's generators: (m, generator texts, their weight)
+COMPLEX_GENERATOR = PolynomialGenerator(terms=(((1, 0), 0, 1.0), ((0, 2), 0, -0.5 + 1j)),
+                                        num_vars=2)
+SLICED_IDEALS = [
+    (3, ["z1-z2*z3"], (2, 1, 1)),
+    (2, ["z1-z2^2"], (2, 1)),
+    (2, ["z1^3-z2^2"], (2, 3)),          # the cusp
+    (2, ["z1-z2^2", "z1*z2"], (2, 1)),
+    (2, [COMPLEX_GENERATOR], (2, 1)),
+    (2, ["z1-z2^2-z2^3"], (0, 0)),       # no common positive weight
+]
+
+
+def _generators(m, texts):
+    return [t if isinstance(t, PolynomialGenerator) else parse_polynomial(t, m) for t in texts]
+
+
+@pytest.mark.parametrize("m, texts, weight", SLICED_IDEALS + [
+    (3, ["z1^7*z2-z3^5"], (1, 3, 2)),
+    (3, ["z1+z2-z3"], (1, 1, 1)),
+    (4, ["z1*z2-z3^3", "z4^2-z1"], (2, 1, 1, 1)),
+    (2, ["z1-1"], (0, 0)),
+    (2, ["z1^20+z2", "z2^20+z1"], (0, 0)),
+])
+def test_homogeneity_weight_is_the_smallest_positive_one(m, texts, weight):
+    gens = _generators(m, texts)
+    assert submodules.homogeneity_weight(gens, m) == weight
+    # by brute force over the positive weights with entries up to 12: the
+    # homogeneous ones, of which the first by (sum, lexicographic) order
+    def homogeneous(w):
+        return all(len({np.dot(w, alpha) for alpha, _, _ in g.terms}) == 1 for g in gens)
+    found = [w for w in itertools.product(range(1, 13), repeat=m) if homogeneous(w)]
+    assert min(found, key=lambda w: (sum(w), w), default=(0,) * m) == weight
+
+
+@pytest.mark.parametrize("m, texts, weight", [
+    # one free coordinate: the primitive solution, found without a search
+    # over all compositions of its sum
+    (3, ["z1^29-z2^28", "z2^29-z3^27"], (756, 783, 841)),
+    (3, ["z1-z2^29*z3^29"], (58, 1, 1)),
+])
+def test_homogeneity_weight_with_large_entries(m, texts, weight):
+    gens = _generators(m, texts)
+    assert submodules.homogeneity_weight(gens, m) == weight
+    assert all(len({np.dot(weight, alpha) for alpha, _, _ in g.terms}) == 1 for g in gens)
+
+
+def _dense_oracle_projectors(w, gens):
+    """Projectors onto the span of every multiple z^q g (|q| + deg g <= N),
+    lambda-scaled, and onto its complement, from one dense ambient QR: numpy
+    only, sharing no code with the library's frames.  The span's basis is
+    taken from the unscaled multiples' SVD and scaled; its QR runs with the
+    rows sorted by decreasing lambda."""
+    b = w.basis
+    ordinal = {tuple(int(a) for a in e): j for j, e in enumerate(b.exponents)}
+    columns = []
+    for g in gens:
+        for q in b.exponents[:b.slice_bounds[b.max_degree - g.max_degree + 1]]:
+            v = np.zeros(b.dimension, complex)
+            for alpha, _, coef in g.terms:
+                v[ordinal[tuple(int(x) for x in np.add(q, alpha))]] = coef
+            columns.append(v)
+    X = np.column_stack(columns)
+    U, s, _ = np.linalg.svd(X)
+    rank = int(np.count_nonzero(s > 1e-10 * s[0]))
+    order = np.argsort(-w.lam, kind="stable")
+    Q = np.empty((b.dimension, b.dimension), complex)
+    Q[order] = np.linalg.qr((w.lam[:, None] * U[:, :rank])[order], mode="complete")[0]
+    return [F @ F.conj().T for F in (Q[:, :rank], Q[:, rank:])]
+
+
+@pytest.mark.parametrize("family", [bergman_ball_weights, drury_arveson_weights,
+                                    hardy_ball_weights])
+@pytest.mark.parametrize("m, texts, weight", SLICED_IDEALS)
+def test_weighted_slice_frames_match_one_dense_ambient_qr(family, m, texts, weight):
+    w = family(enumerate_basis(m, 8 if m == 3 else 14))
+    gens = _generators(m, texts)
+    S = ungraded_submodule(w, gens)
+    oracle = _dense_oracle_projectors(w, gens)
+    wdeg = w.basis.exponents @ np.array(weight)
+    for frame, P in zip((S.sub, S.comp), oracle):
+        F = frame.columns
+        assert np.abs(F.conj().T @ F - np.eye(F.shape[1])).max() <= 1e-13
+        assert np.abs(F @ F.conj().T - P).max() <= 1e-12
+        # each column lies in the one weighted slice its label names, and
+        # the labels run in slice order
+        assert np.array_equal(frame.weighted_degrees, np.sort(frame.weighted_degrees))
+        assert not (F * (wdeg[:, None] != frame.weighted_degrees)).any()
+
+
+@pytest.mark.parametrize("family", [bergman_ball_weights, drury_arveson_weights,
+                                    hardy_ball_weights])
+def test_weight_zero_reproduces_the_single_ambient_qr_bit_for_bit(family):
+    # z1-z2^2-z2^3 has no positive weight: the whole basis is one slice, and
+    # the frames are the complete QR of all the lambda-scaled multiples,
+    # rows sorted by decreasing lambda
+    w = family(enumerate_basis(2, 14))
+    g = parse_polynomial("z1-z2^2-z2^3", 2)
+    S = ungraded_submodule(w, [g])
+    b = w.basis
+    ordinal = {tuple(int(a) for a in e): j for j, e in enumerate(b.exponents)}
+    qs = b.exponents[:b.slice_bounds[b.max_degree - g.max_degree + 1]]
+    X = np.zeros((b.dimension, len(qs)))
+    for c, q in enumerate(qs):
+        for alpha, _, coef in g.terms:
+            row = ordinal[tuple(int(x) for x in np.add(q, alpha))]
+            X[row, c] = coef * w.lam[row]
+    order = np.argsort(-w.lam, kind="stable")
+    Q = np.linalg.qr(X[order], mode="complete")[0][np.argsort(order)]
+    assert np.array_equal(S.sub.columns, Q[:, :len(qs)])
+    assert np.array_equal(S.comp.columns, Q[:, len(qs):])
+    assert not S.sub.weighted_degrees.any() and not S.comp.weighted_degrees.any()
+
+
+def test_sliced_frames_allocate_little_beside_themselves():
+    # the two frames fill one ambient square (97 MB at dimension 3,486); the
+    # one complete QR of all the multiples peaked at 387 MB for them
+    w = bergman_ball_weights(enumerate_basis(2, 82))
+    g = parse_polynomial("z1-z2^2", 2)
+    tracemalloc.start()
+    try:
+        S = ungraded_submodule(w, [g])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    frames = S.sub.columns.nbytes + S.comp.columns.nbytes
+    assert frames == 8 * 3486 ** 2
+    assert peak < 1.25 * frames
