@@ -428,23 +428,15 @@ def run_quotient_smoothness_probe(generators, m: int, p_values, degree_sweep=Non
     return rep
 
 
-def _slice_spectrum(C, labels):
-    """The singular values of an ungraded commutator, up to zeros, one
-    weighted-degree block of its nonzeros at a time (labels: its columns')."""
-    rows, cols = np.nonzero(C)
-    return ops.block_singular_values(ops.SparseEntries(rows, cols, C[rows, cols], C.shape),
-                                     labels)[0]
-
-
 def _quotient_spectra(generators, m, N, homogeneous, family, delta, fits=None):
     """{(i, j): spectrum of the window N of [R_i*, R_j]}, R_i the quotient's shifts
     at truncation degree N + 2, adding their decay fits to a given fits table.
     Nothing built for this degree outlives the call.
 
-    An ungraded commutator is one r x r ndarray, but [R_i*, R_j] maps the
-    complement's weighted degree s to s + w_j - w_i and holds exact zeros
-    elsewhere, so its spectrum is block_singular_values' of its nonzeros,
-    labelled by the complement's weighted degrees."""
+    An ungraded complement is sliced by weighted degree (or, with no
+    positive weight, one unlabelled block), so [R_i*, R_j] is the
+    DegreeBlocks of its slice pairs (s + w_j - w_i, s) (or one r x r
+    ndarray), and its spectrum is block_singular_values' of those blocks."""
     w = wm.family_weights(family, enumerate_basis(m, N + 2), delta)
     S = (_build_submodule if homogeneous else submodules.ungraded_submodule)(w, generators)
     shifts = [ops.coordinate_shift(w, i) for i in range(1, m + 1)]
@@ -455,7 +447,7 @@ def _quotient_spectra(generators, m, N, homogeneous, family, delta, fits=None):
     if homogeneous:
         spectra = {key: schatten.window_spectra(C, [N])[N] for key, C in comms.items()}
     else:
-        spectra = {key: _slice_spectrum(C, S.comp.weighted_degrees) for key, C in comms.items()}
+        spectra = {key: ops.block_singular_values(C)[0] for key, C in comms.items()}
     if fits is None:
         return spectra
     for (i, j), C in comms.items():

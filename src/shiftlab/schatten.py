@@ -2,16 +2,17 @@
 
 Everything here reads an operator's interior window (TruncatedOperator.window),
 optionally cut to degrees <= d, in the store of its space: the nonzeros of
-an ambient operator (SparseEntries), the degree blocks of one on a labelled
+an ambient operator (SparseEntries), the degree blocks of one on a graded
 frame (DegreeBlocks).  Graded windows go block by degree block
 (shift_operators.block_singular_values), and a sweep of nested windows takes
 one pass over the widest: window d keeps the block values labelled <= d.
 window_norms derives every (d, p) norm of a sweep from those spectra.  An
-operator on an ungraded space is a plain r x r ndarray with no boundary
+operator on an unlabelled space is a plain r x r ndarray with no boundary
 strip: it is its own window, and singular_values and spectral_split take it
-whole.  The quotient probe reads an ungraded commutator's spectrum by
-weighted-degree blocks instead (experiments), so no command takes one's
-dense SVD.
+whole.  The quotient probe reads the spectrum of an ungraded commutator,
+such an ndarray or the bare DegreeBlocks of a frame sliced by weighted
+degree, with block_singular_values instead (experiments), so no command
+takes its dense SVD.
 
 singular_values is the full dense spectrum of a window, written out by its
 store's toarray; the commands take it only for graded decay fits.  It
@@ -55,11 +56,12 @@ class DecayFit:
     critical_exponent: float
 
 
-def check_dense_svd_size(n: int, what: str = "window"):
-    """Refuse a dense SVD n wide above DENSE_SVD_LIMIT, before anything is allocated."""
+def check_dense_svd_size(n: int, what: str = "window", task: str = "a dense SVD"):
+    """Refuse a dense factorisation (task) n wide above DENSE_SVD_LIMIT,
+    before anything is allocated."""
     if n > DENSE_SVD_LIMIT:
         raise ValueError(f"{what} dimension {n} exceeds DENSE_SVD_LIMIT={DENSE_SVD_LIMIT}; "
-                         f"refusing a dense SVD of that size")
+                         f"refusing {task} of that size")
 
 
 def _check_finite(M: np.ndarray):
@@ -124,7 +126,7 @@ def schatten_norm(T: TruncatedOperator, p: float, max_window_degree=None) -> flo
 
 def spectral_split(M: np.ndarray, p: float) -> tuple:
     """(Tr P, ||C||_p) of the spectral split M = P + C, P >= 0 and C <= 0, of a
-    self-adjoint commutator, an ungraded space's r x r ndarray.
+    self-adjoint commutator, an unlabelled space's r x r ndarray.
 
     This is one canonical split; minimality of ||C||_p over all admissible
     splits is not claimed.

@@ -11,14 +11,21 @@ An operator's matrix is held in numpy arrays native to its space.  On a
 GradedBasis it is a SparseEntries, its nonzeros sorted by row and then by
 column: every ambient operator is a weighted partial permutation of
 monomials, or a sum of m of them, so its products are joins of entries.  On
-a labelled frame it is a DegreeBlocks, one dense block per degree pair
+a graded frame it is a DegreeBlocks, one dense block per degree pair
 (n + r, n); operators reach a frame one degree pair at a time.  Both sum
 each entry of a product over the inner index in ascending order, one
 rounded product at a time (the order of scipy's sparse products), so the
 commutators every decay fit reads keep their bits.
-A frame without degree labels (a span of kernel vectors, a quotient by a
-non-homogeneous ideal) has no strip to track: an operator compressed to it is
-a plain r x r ndarray, and commutator takes two of them through BLAS.
+A frame sliced by weighted degree (a quotient by a quasi-homogeneous ideal)
+holds one dense block per slice s: Z_i maps slice s to s + w_i, so an
+operator compressed to it is a bare DegreeBlocks of offset w_i, with no
+interior strip to track, and commutator takes two of them by one batched
+BLAS product per run of equal block shapes.  Such a frame is only
+compressed to: the routines that check invariance on the interior rows
+refuse it.  A frame without labels (a span of kernel vectors, a quotient by
+an ideal with no positive weight) is one block on every row: an operator
+compressed to it is a plain r x r ndarray, and commutator takes two of them
+through BLAS.
 """
 
 from dataclasses import dataclass, field
@@ -81,16 +88,17 @@ class SubspaceFrame:
 
     A graded frame holds one C-ordered block per degree n, shapes[n]: its
     columns, labelled n, on the ambient rows of degree n, one after another
-    in columns.  A frame without labels is one block on every row; when each
-    of its columns lies in one weighted slice (submodules.ungraded_submodule),
-    weighted_degrees holds their weighted degrees.  Labelled frames are the
-    spaces of operators restricted or compressed to them; frames compare by
+    in columns.  A sliced frame (submodules.ungraded_submodule) holds one
+    block per weighted degree s the same way, on the rows of that slice:
+    rows lists each block's ambient ordinals, block after block.  A frame
+    without labels is one block on every row.  Graded frames are the spaces
+    of operators restricted or compressed to them; frames compare by
     identity, so operators on two frames never mix.
     """
 
-    columns: np.ndarray           # graded: every block's entries, flat; else (ambient_dim, r)
-    shapes: np.ndarray = None     # (degrees, 2): each degree's ambient rows and columns
-    weighted_degrees: np.ndarray = None   # ungraded: (r,) int, one per column, or None
+    columns: np.ndarray           # blocks' entries, flat; unlabelled: (ambient_dim, r)
+    shapes: np.ndarray = None     # (labels, 2): each block's rows and columns
+    rows: np.ndarray = None       # sliced: each block row's ambient ordinal
 
     @classmethod
     def from_blocks(cls, blocks):
@@ -99,23 +107,34 @@ class SubspaceFrame:
 
     @cached_property
     def degrees(self):
-        """(r,) int labels, one per column, or None when ungraded."""
-        return None if self.shapes is None else np.repeat(np.arange(len(self.shapes)),
-                                                          self.shapes[:, 1])
+        """(r,) int degree labels, one per column; None unless graded."""
+        return None if self.shapes is None or self.rows is not None else np.repeat(
+            np.arange(len(self.shapes)), self.shapes[:, 1])
 
     @cached_property
     def offsets(self):
-        """Each degree's first ambient row, first column and first entry in columns."""
+        """Each block's first row, first column and first entry in columns."""
         rows, cols = self.shapes.T
         return tuple(np.concatenate([[0], np.cumsum(x)]) for x in (rows, cols, rows * cols))
 
-    @property
+    @cached_property
+    def slices(self):
+        """(label, place): each ambient ordinal's block and its row within the
+        block.  A graded frame's rows are the ordinals in order, so its labels
+        are their degrees."""
+        label = np.repeat(np.arange(len(self.shapes)), self.shapes[:, 0])
+        rows = np.arange(label.size) if self.rows is None else self.rows
+        at = np.empty((2, label.size), np.int64)
+        at[:, rows] = label, np.arange(label.size) - self.offsets[0][label]
+        return at[0], at[1]
+
+    @cached_property
     def dimension(self) -> int:
-        return self.columns.shape[1] if self.shapes is None else self.degrees.size
+        return self.columns.shape[1] if self.shapes is None else int(self.shapes[:, 1].sum())
 
     def blocks(self, n: int, count: int = 1) -> np.ndarray:
-        """A graded frame's blocks of degrees n, ..., n + count - 1, all of one
-        shape, as a (count, rows, columns) view."""
+        """The blocks n, ..., n + count - 1, all of one shape, as a
+        (count, rows, columns) view."""
         (d, k), start = self.shapes[n], self.offsets[2][n]
         return self.columns[start:start + count * d * k].reshape(count, d, k)
 
@@ -223,10 +242,10 @@ def _layout(sizes, offset: int):
 
 @dataclass(frozen=True, eq=False)
 class DegreeBlocks:
-    """The matrix of an operator on a labelled frame, sizes[n] of whose
-    columns have degree n, that maps degree n to n + offset: its dense block
-    (n + offset, n) for every n where both degrees exist, C-ordered, one
-    after another in data."""
+    """The matrix of an operator on a graded or sliced frame, sizes[n] of
+    whose columns have degree (or weighted degree) n, that maps degree n to
+    n + offset: its dense block (n + offset, n) for every n where both
+    degrees exist, C-ordered, one after another in data."""
 
     data: np.ndarray
     sizes: np.ndarray
@@ -289,6 +308,10 @@ class DegreeBlocks:
         ascending order, each product rounded before it is added: not by
         BLAS, which sums in chunks and pairs and moves the round-off that
         decay fits read."""
+        return self._product(other, _add_product)
+
+    def _product(self, other: "DegreeBlocks", add) -> "DegreeBlocks":
+        """The product, each run of equal-shape blocks added by add(C, A, B)."""
         out = DegreeBlocks.zeros(self.sizes, self.offset + other.offset,
                                  np.result_type(self.data, other.data))
         n, h, w, _ = out.layout
@@ -297,8 +320,8 @@ class DegreeBlocks:
                          self.sizes[np.clip(mid, 0, len(self.sizes) - 1)], 0)
         for a, b in _runs(h, w, inner):
             if h[a] * w[a] * inner[a]:
-                _add_product(out.blocks(n[a], b - a), self.blocks(mid[a], b - a),
-                             other.blocks(n[a], b - a))
+                add(out.blocks(n[a], b - a), self.blocks(mid[a], b - a),
+                    other.blocks(n[a], b - a))
         return out
 
     def __sub__(self, other: "DegreeBlocks") -> "DegreeBlocks":
@@ -309,7 +332,7 @@ class DegreeBlocks:
 class TruncatedOperator:
     """Finite section of a module operator, in the store of its space.
 
-    mat: a SparseEntries on a GradedBasis, a DegreeBlocks on a labelled
+    mat: a SparseEntries on a GradedBasis, a DegreeBlocks on a graded
     SubspaceFrame.
     interior_degree W: entries with row and column degree <= W are exact.
     degree_raise r: every entry maps degree d into degree d + r (shift: +1,
@@ -317,7 +340,7 @@ class TruncatedOperator:
     entries of another offset.
     """
 
-    space: object                 # GradedBasis or labelled SubspaceFrame
+    space: object                 # GradedBasis or graded SubspaceFrame
     mat: object = field(compare=False)
     interior_degree: int
     degree_raise: int = 0
@@ -409,16 +432,25 @@ def multiply(A: TruncatedOperator, B: TruncatedOperator) -> TruncatedOperator:
     return _product(A, B, A.mat @ B.mat)
 
 
+def _matmul(C, A, B):
+    np.matmul(A, B, out=C)
+
+
 def commutator(A, B):
     """[A*, B] = A*B - BA* from two products in the store of their space
-    (SparseEntries joins on a basis, DegreeBlocks on a labelled frame), or
-    from two BLAS products for two ndarrays, an ungraded space's one dense
-    block (A* C-ordered), whose result is an ndarray too."""
+    (SparseEntries joins on a basis, DegreeBlocks on a graded frame); from
+    two BLAS products for two ndarrays, an unlabelled space's one dense
+    block (A* C-ordered), and for two bare DegreeBlocks, a sliced frame's,
+    one batched BLAS product per run of equal block shapes; their result
+    is of their kind."""
     if isinstance(A, np.ndarray):
         a = np.ascontiguousarray(A.conj().T)
         C = a @ B
         C -= B @ a
         return C
+    if isinstance(A, DegreeBlocks):
+        a = A.H
+        return a._product(B, _matmul) - B._product(a, _matmul)
     _same_space(A, B)
     a, b = A.mat.H, B.mat
     return _product(A, B, a @ b - b @ a, adjoint_a=True)
@@ -447,16 +479,19 @@ def _check_single_offset(row_deg, col_deg):
                          f"only single-offset operators are supported")
 
 
-def block_singular_values(W, degrees):
+def block_singular_values(W, degrees=None):
     """Singular values of a window, up to zeros, one degree block at a time,
     each with the smallest window degree that contains it.
 
     W maps degree n to n + r for one offset r (shifts, their adjoints, every
     commutator [A*, B] of them), so it is the direct sum of its (degree
     n + r, degree n) blocks and its spectrum is the union of theirs.  A
-    DegreeBlocks holds those blocks; a SparseEntries, whose rows and columns
-    degrees labels, is densified one block at a time, and nonzeros with more
-    than one degree offset are refused with ValueError.  An entry alone in
+    DegreeBlocks holds those blocks (a sliced frame's operators too, by
+    weighted degree); a SparseEntries, whose rows and columns degrees
+    labels, is densified one block at a time, and nonzeros with more than
+    one degree offset are refused with ValueError.  An ndarray, an
+    unlabelled space's operator, is read as the SparseEntries of its
+    nonzeros, every degree 0.  An entry alone in
     its row and its column is a 1x1 summand whose singular value is its
     modulus, so scaled partial permutations (every operator of monomial
     weights, every restriction to a monomial submodule) need no SVD.
@@ -466,6 +501,9 @@ def block_singular_values(W, degrees):
     so values[labels <= d] is the spectrum of the window d, value for value
     and in the same order.
     """
+    if isinstance(W, np.ndarray):       # its nonzeros, every one labelled 0
+        rows, cols = np.nonzero(W)
+        W, degrees = SparseEntries(rows, cols, W[rows, cols], W.shape), np.zeros(W.shape[0], np.int64)
     if not np.all(np.isfinite(W.data if isinstance(W, DegreeBlocks) else W.vals)):
         raise ValueError("operator has non-finite entries")
     parts = [(np.zeros(0), np.zeros(0, np.int64)),
@@ -523,47 +561,66 @@ def _entry_spectra(W: SparseEntries, degrees):
 
 
 def _degree_pairs(T: TruncatedOperator, frame: SubspaceFrame, adjoint: bool = False):
-    """T on the frame one degree pair (t, n) = (n + r, n) at a time, r T's
-    degree_raise (entries of a mixed offset, or of another one, are refused
-    with ValueError).  Where T has entries and Q_n has columns (with
+    """(offset, pairs): T on the frame one block pair (t, n) = (n + offset, n)
+    at a time, offset the label offset of T's entries (on a graded frame its
+    degree_raise; entries of mixed offsets, or of another one there, are
+    refused with ValueError).  Where T has entries and Q_n has columns (with
     adjoint, also where only Q_t has), T's dense block B gives P = B Q_n,
-    G = Q_t* P and U = B* Q_t.  Runs of
-    pairs of one block shape come stacked (m = 1: 1 x 1 blocks) as (n, Qn,
-    Qt, P, G, U, inside, ct, cn), n the run's first column degree, inside
-    the count of P's rows of degree <= W, the blocks down the diagonal from
-    frame columns (ct, cn).  A frame without labels is one block on every
-    row: P = TQ, G = Q*P."""
+    G = Q_t* P and U = B* Q_t.  Runs of pairs of one block shape come
+    stacked (m = 1: 1 x 1 blocks) as (n, Qn, Qt, P, G, U, inside, ct, cn),
+    n the run's first column label, inside the count of P's rows of degree
+    <= W (on a graded frame; a sliced one has no interior strip), the blocks
+    down the diagonal from frame columns (ct, cn).  A frame without labels
+    is one block on every row: P = TQ, G = Q*P."""
     if frame.shapes is None:
         Q, P = frame.columns, T.mat @ frame.columns
         U = (T.mat.H @ Q)[None] if adjoint else None
-        yield 0, Q[None], Q[None], P[None], (Q.conj().T @ P)[None], U, T.window_size(), 0, 0
-        return
+        return 0, [(0, Q[None], Q[None], P[None], (Q.conj().T @ P)[None], U,
+                    T.window_size(), 0, 0)]
     A = T.mat
-    deg = np.asarray(T.space.degrees)
     d, k = frame.shapes.T
     rows, cols, _ = frame.offsets
-    row_deg, col_deg = deg[A.rows], deg[A.cols]
-    _check_single_offset(row_deg, col_deg)
-    if A.nnz and row_deg[0] - col_deg[0] != T.degree_raise:
-        raise ValueError(f"entries map degree n to n + {row_deg[0] - col_deg[0]}, "
+    label, loc = frame.slices
+    if label.size != T.dimension:
+        raise ValueError(f"frame has {label.size} ambient rows, operator dimension is {T.dimension}")
+    # the entries by row block: a graded frame's rows are the ordinals in order
+    e = slice(None) if frame.rows is None else np.argsort(label[A.rows], kind="stable")
+    at, vals = (A.rows[e], A.cols[e]), A.vals[e]
+    row_label, col_label = label[at[0]], label[at[1]]
+    _check_single_offset(row_label, col_label)
+    offset = int(row_label[0] - col_label[0]) if A.nnz else T.degree_raise
+    if frame.rows is None and offset != T.degree_raise:
+        raise ValueError(f"entries map degree n to n + {offset}, "
                          f"but degree_raise is {T.degree_raise}")
-    n = np.flatnonzero(np.bincount(col_deg, minlength=d.size))
-    t = n + T.degree_raise
+    i, j = loc[at[0]], loc[at[1]]
+    n = np.flatnonzero(np.bincount(col_label, minlength=d.size))
+    t = n + offset
     keep = (k[n] > 0) | ((k[t] > 0) & adjoint)
     n, t = n[keep], t[keep]
-    loc = np.arange(T.dimension) - rows[deg]    # each ordinal's place in its degree
-    i, j = loc[A.rows], loc[A.cols]
-    # a run breaks where the degrees skip or a block shape changes
-    for a, b in _runs(n - np.arange(n.size), d[t], d[n], k[t], k[n], t <= T.interior_degree):
-        n0, t0, g = int(n[a]), int(t[a]), b - a
-        dt, dn = int(d[t0]), int(d[n0])
-        e = slice(*np.searchsorted(A.rows, rows[[t0, t0 + g]]))
-        B = np.zeros((g, dt, dn), A.dtype)
-        B[row_deg[e] - t0, i[e], j[e]] = A.vals[e]
-        Qn, Qt = frame.blocks(n0, g), frame.blocks(t0, g)
-        P = B @ Qn
-        yield (n0, Qn, Qt, P, Qt.conj().mT @ P, B.conj().mT @ Qt if adjoint else None,
-               dt if t0 <= T.interior_degree else 0, cols[t0], cols[n0])
+
+    def pairs():
+        # a run breaks where the labels skip or a block shape changes
+        for a, b in _runs(n - np.arange(n.size), d[t], d[n], k[t], k[n], t <= T.interior_degree):
+            n0, t0, g = int(n[a]), int(t[a]), b - a
+            dt, dn = int(d[t0]), int(d[n0])
+            e = slice(*np.searchsorted(row_label, [t0, t0 + g]))
+            B = np.zeros((g, dt, dn), A.dtype)
+            B[row_label[e] - t0, i[e], j[e]] = vals[e]
+            Qn, Qt = frame.blocks(n0, g), frame.blocks(t0, g)
+            P = B @ Qn
+            yield (n0, Qn, Qt, P, Qt.conj().mT @ P, B.conj().mT @ Qt if adjoint else None,
+                   dt if t0 <= T.interior_degree else 0, cols[t0], cols[n0])
+    return offset, pairs()
+
+
+def _interior_pairs(T: TruncatedOperator, frame: SubspaceFrame, adjoint: bool = False):
+    """The pairs of _degree_pairs for a routine that checks invariance on the
+    interior rows, which a frame sliced by weighted degree does not have:
+    such a frame is refused with ValueError."""
+    if frame.rows is not None:
+        raise ValueError("a frame sliced by weighted degree has no interior rows to check "
+                         "invariance on; compress_to_frame is its only operation")
+    return _degree_pairs(T, frame, adjoint)[1]
 
 
 def _residual(pairs, scale: float, tol: float | None = None):
@@ -578,42 +635,48 @@ def _residual(pairs, scale: float, tol: float | None = None):
     return resid
 
 
-def _on_frame(T: TruncatedOperator, frame: SubspaceFrame, pairs):
-    """The compression Q*TQ from the pairs' blocks G: on a labelled frame, a
-    TruncatedOperator holding them as its DegreeBlocks."""
+def _on_frame(T: TruncatedOperator, frame: SubspaceFrame, offset: int, pairs):
+    """The compression Q*TQ from the pairs' blocks G: on a graded frame, a
+    TruncatedOperator holding them as its DegreeBlocks; on a sliced frame,
+    the bare DegreeBlocks."""
     if frame.shapes is None:
         return next(iter(pairs))[4][0]
-    out = DegreeBlocks.zeros(frame.shapes[:, 1], T.degree_raise,
+    out = DegreeBlocks.zeros(frame.shapes[:, 1], offset,
                              np.result_type(T.mat.dtype, frame.columns.dtype))
     for n, _, _, _, G, *_ in pairs:
         out.blocks(n, len(G))[...] = G
-    return TruncatedOperator(frame, out, T.interior_degree, T.degree_raise)
+    return out if frame.rows is not None else TruncatedOperator(frame, out, T.interior_degree,
+                                                                T.degree_raise)
 
 
 def invariance_residual(T: TruncatedOperator, frame: SubspaceFrame) -> float:
-    """Relative 2-norm of (I - QQ*) T Q on the interior rows, Q the frame."""
-    return _residual(_degree_pairs(T, frame), _norm_scale(T))
+    """Relative 2-norm of (I - QQ*) T Q on the interior rows, Q the frame
+    (graded or unlabelled)."""
+    return _residual(_interior_pairs(T, frame), _norm_scale(T))
 
 
 def restrict_to_invariant(T: TruncatedOperator, frame: SubspaceFrame,
                           tol: float = INVARIANCE_TOL):
     """Express T on an invariant subspace in the frame's orthonormal basis
     (as compress_to_frame does), its invariance residual checked against
-    tol in the same pass over the degree pairs."""
-    pairs = list(_degree_pairs(T, frame))
+    tol in the same pass over the degree pairs.  A sliced frame is refused
+    with ValueError: it has no interior rows."""
+    pairs = list(_interior_pairs(T, frame))
     _residual(pairs, _norm_scale(T), tol)
-    return _on_frame(T, frame, pairs)
+    return _on_frame(T, frame, T.degree_raise, pairs)
 
 
 def compress_to_frame(T: TruncatedOperator, frame: SubspaceFrame):
     """Q* T Q in the frame's basis, with no invariance requirement: a
-    TruncatedOperator whose space is a labelled frame, the r x r ndarray on a
-    frame without labels (one dense block, with no interior strip to track).
+    TruncatedOperator whose space is a graded frame, the bare DegreeBlocks
+    of a sliced frame's slice pairs, the r x r ndarray on a frame without
+    labels (one dense block); neither of the last two has an interior strip
+    to track.
 
     This is the semi-invariant (quotient-module) action; use
     restrict_to_invariant when invariance is part of the contract.
     """
-    return _on_frame(T, frame, _degree_pairs(T, frame))
+    return _on_frame(T, frame, *_degree_pairs(T, frame))
 
 
 @dataclass(frozen=True, eq=False)
@@ -641,11 +704,11 @@ def restricted_commutator_decomposition(T: TruncatedOperator,
     P*P - U*U and, with V = U - Q_n G*, the corner the blocks V*V, whose
     positivity is checked block by block.  No ambient operator is formed.
     The invariance residual is that of P - Q_t G, as restrict_to_invariant
-    checks it.
+    checks it, and a sliced frame is refused the same way.
     """
     r = frame.dimension
     Y, diag, corner = np.zeros((3, r, r), np.result_type(T.mat.dtype, frame.columns.dtype))
-    pairs, eig_min = list(_degree_pairs(T, frame, adjoint=True)), 0.0
+    pairs, eig_min = list(_interior_pairs(T, frame, adjoint=True)), 0.0
     for _, Qn, Qt, P, G, U, _, ct, cn in pairs:
         _add(Y, ct, cn, G)
         _add(diag, cn, cn, P.conj().mT @ P)

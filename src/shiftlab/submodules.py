@@ -6,11 +6,11 @@ polynomials of that degree, plus the complementary orthonormal set: graded
 frames store one dense block per degree (monomial submodules: coordinate
 columns).  Other generators split by weighted degree w . alpha instead, w
 the smallest positive integer weight that makes every generator weighted
-homogeneous (w = 0, one slice, when there is none): ungraded frames are
-dense ndarrays on the ambient rows, their columns built slice by slice and
-labelled with their weighted degrees.  All vectors are in the orthonormal
-monomial coordinates (z^alpha scaled by 1/lambda_alpha), so projections and
-restrictions are plain matrix algebra.
+homogeneous: their frames are sliced, one dense block per weighted slice on
+that slice's rows.  With no such weight (w = 0) the whole basis is one
+slice, and the frames are unlabelled ndarrays on the ambient rows.  All
+vectors are in the orthonormal monomial coordinates (z^alpha scaled by
+1/lambda_alpha), so projections and restrictions are plain matrix algebra.
 """
 
 from dataclasses import dataclass
@@ -47,7 +47,8 @@ class SubmoduleBasis:
 
     Both frames are graded when the construction is degreewise
     (monomial/homogeneous generators); their degrees then label each
-    column with its degree.
+    column with its degree.  ungraded_submodule's are sliced by weighted
+    degree, or unlabelled when no positive weight exists.
     """
 
     weights: WeightSet
@@ -60,14 +61,17 @@ class SubmoduleBasis:
 
 def projection_matrix(S: SubmoduleBasis, side: Side) -> np.ndarray:
     """Orthogonal projection onto the requested side, on the full basis, a
-    test oracle: a graded frame's is the direct sum of its blocks' Q_n Q_n*."""
+    test oracle: a graded or sliced frame's is the direct sum of its blocks'
+    Q_n Q_n* on their rows."""
     frame = S.frame(side)
     if frame.shapes is None:
         return frame.columns @ frame.columns.conj().T
     rows = frame.offsets[0]
+    at = np.arange(rows[-1]) if frame.rows is None else frame.rows
     P = np.zeros((rows[-1], rows[-1]), frame.columns.dtype)
-    for n, B in enumerate(frame.blocks(n)[0] for n in range(len(frame.shapes))):
-        P[rows[n]:rows[n + 1], rows[n]:rows[n + 1]] = B @ B.conj().T
+    for n in range(len(frame.shapes)):
+        B, R = frame.blocks(n)[0], at[rows[n]:rows[n + 1]]
+        P[np.ix_(R, R)] = B @ B.conj().T
     return P
 
 
@@ -289,20 +293,23 @@ def ungraded_submodule(w: WeightSet, generators) -> SubmoduleBasis:
     |alpha| <= N}, and the span is the direct sum of the slices' spans.
     With no positive weight, w = 0 makes the whole basis one slice.
 
-    The rank is decided on the unscaled coefficient vectors X of the
+    The rank is decided on the unscaled coefficient vectors of the
     multiples, never on lambda-scaled values, whose entries span the whole
     range of the weights.  The multiples of one nonzero polynomial are
     linearly independent, so a principal ideal's rank is its number of
     multiples, C(N - deg g + m, m); with several generators a pivoted QR of
-    X keeps the columns above DEFAULT_RANK_TOL * |R_11|.  Each slice's kept
-    multiples are scaled by lambda and orthonormalized by one complete
-    Householder QR with the slice's rows sorted by decreasing lambda, which
-    is accurate for row-scaled matrices (Cox & Higham, 1998); its first
-    columns span the submodule's part of the slice and the rest the
-    complement's.  Both frames hold their columns on the ambient rows, in
-    slice order, with each column's weighted degree as weighted_degrees.
-    Together they fill an ambient square: schatten.DENSE_SVD_LIMIT bounds
-    the ambient dimension before any vector is built.
+    each slice's multiples keeps the columns above DEFAULT_RANK_TOL * |R_11|
+    (each multiple lies in one slice, so for exact data the slices' ranks
+    add up to the span's).  Each slice's kept multiples are scaled by lambda
+    and orthonormalized by one complete Householder QR with the slice's
+    rows sorted by decreasing lambda, which is accurate for row-scaled
+    matrices (Cox & Higham, 1998); its first columns span the submodule's
+    part of the slice and the rest the complement's.  With w > 0 both frames
+    are sliced: slice s's block of each sits on the slice's rows in that
+    order, and schatten.DENSE_SVD_LIMIT bounds the widest slice.  With
+    w = 0 the frames are unlabelled ndarrays on the ambient rows, which
+    fill an ambient square, and the limit bounds the ambient dimension.
+    Either bound is checked before any vector is built.
 
     The span is I cap P_<=N only for a principal ideal: with several
     generators, a combination of top-degree multiples can cancel into a
@@ -312,7 +319,12 @@ def ungraded_submodule(w: WeightSet, generators) -> SubmoduleBasis:
     generators = list(generators)
     if not generators:
         raise ValueError("empty generator list")
-    schatten.check_dense_svd_size(b.dimension, "ambient")
+    weight = homogeneity_weight(generators, b.num_vars)
+    wdeg = b.exponents @ np.array(weight)
+    sizes = np.bincount(wdeg)       # each slice's rows; w = 0: one slice, the basis
+    sliced = any(weight)
+    schatten.check_dense_svd_size(int(sizes.max()), "weighted slice" if sliced else "ambient",
+                                  "a dense QR of a slice" if sliced else "a dense QR")
     # every multiple's nonzeros: ordinal rows, column cols, unscaled vals
     parts = [multiple_vectors(w, g, 0, b.max_degree - g.max_degree, scaled=False)
              for g in generators]
@@ -320,40 +332,53 @@ def ungraded_submodule(w: WeightSet, generators) -> SubmoduleBasis:
     counts = [len(part[0]) for part in parts]
     r = sum(counts)
     cols = np.repeat(np.arange(r), np.repeat([part[0].shape[1] for part in parts], counts))
-    if len(generators) > 1 and r:   # no multiple within degree N: {0}
-        import scipy.linalg  # not at module level: the import adds ~5 MB to every run
-        X = np.zeros((b.dimension, r), vals.dtype)
-        X[rows, cols] = vals
-        R, piv = scipy.linalg.qr(X, mode="r", pivoting=True)
-        del X
-        diag = np.abs(np.diag(R))
-        del R
-        kept = np.zeros(r, bool)
-        kept[piv[:np.count_nonzero(diag > DEFAULT_RANK_TOL * diag[0])]] = True
-        e = kept[cols]
-        rows, cols, vals, r = rows[e], (np.cumsum(kept) - 1)[cols[e]], vals[e], int(kept.sum())
-    wdeg = b.exponents @ np.array(homogeneity_weight(generators, b.num_vars))
-    # rows by slice, then by decreasing lambda; the kept multiples, lambda-scaled,
-    # renumbered by slice, and their entries by multiple
-    order = np.lexsort((-w.lam, wdeg))
+    # the multiples renumbered by slice, and their entries by multiple
     col_deg = np.zeros(r, np.int64)
     col_deg[cols] = wdeg[rows]
     by_slice = np.argsort(col_deg, kind="stable")
     cols = np.argsort(by_slice)[cols]
     e = np.argsort(cols, kind="stable")
-    rows, cols, vals = np.argsort(order)[rows[e]], cols[e], vals[e] * w.lam[rows[e]]
-    slices = np.arange(wdeg.max() + 2)
-    row_at, col_at = np.searchsorted(wdeg[order], slices), np.searchsorted(col_deg[by_slice], slices)
+    rows, cols, vals, col_deg = rows[e], cols[e], vals[e], col_deg[by_slice]
+    slices = np.arange(sizes.size + 1)
+    row_at = np.concatenate([[0], np.cumsum(sizes)])
+    if len(generators) > 1 and r:   # no multiple within degree N: {0}
+        import scipy.linalg  # not at module level: the import adds ~5 MB to every run
+        # each slice's unscaled multiples on its rows in ordinal order
+        by_ordinal = np.argsort(wdeg, kind="stable")
+        place = np.empty_like(by_ordinal)
+        place[by_ordinal] = np.arange(b.dimension) - row_at[wdeg[by_ordinal]]
+        col_at = np.searchsorted(col_deg, slices)
+        entry_at = np.searchsorted(cols, col_at)
+        kept = np.zeros(r, bool)
+        for t in np.flatnonzero(np.diff(col_at)):
+            (c0, c1), (e0, e1) = col_at[t:t + 2], entry_at[t:t + 2]
+            X = np.zeros((sizes[t], c1 - c0), vals.dtype)
+            X[place[rows[e0:e1]], cols[e0:e1] - c0] = vals[e0:e1]
+            R, piv = scipy.linalg.qr(X, mode="r", pivoting=True)
+            diag = np.abs(np.diag(R))
+            kept[c0 + piv[:np.count_nonzero(diag > DEFAULT_RANK_TOL * diag[0])]] = True
+        e = kept[cols]
+        rows, cols, vals = rows[e], (np.cumsum(kept) - 1)[cols[e]], vals[e]
+        col_deg, r = col_deg[kept], int(kept.sum())
+    # rows by slice, then by decreasing lambda; the kept multiples lambda-scaled
+    order = np.lexsort((-w.lam, wdeg))
+    rows, vals = np.argsort(order)[rows], vals * w.lam[rows]
+    col_at = np.searchsorted(col_deg, slices)
     entry_at = np.searchsorted(cols, col_at)
-    sub = np.zeros((b.dimension, r), vals.dtype)
-    comp = np.zeros((b.dimension, b.dimension - r), vals.dtype)
-    for t in np.flatnonzero(np.diff(row_at)):
+    k = np.diff(col_at)
+    if sliced:
+        sub, comp = (SubspaceFrame(np.empty(sizes @ c, vals.dtype), np.stack([sizes, c], axis=1),
+                                   order) for c in (k, sizes - k))
+    else:
+        sub, comp = (SubspaceFrame(np.zeros((b.dimension, c), vals.dtype))
+                     for c in (r, b.dimension - r))
+    for t in np.flatnonzero(sizes):
         (r0, r1), (c0, c1), (e0, e1) = row_at[t:t + 2], col_at[t:t + 2], entry_at[t:t + 2]
         X = np.zeros((r1 - r0, c1 - c0), vals.dtype)
         X[rows[e0:e1] - r0, cols[e0:e1] - c0] = vals[e0:e1]
         Q = np.linalg.qr(X, mode="complete")[0]
-        sub[order[r0:r1], c0:c1] = Q[:, :c1 - c0]
-        comp[order[r0:r1], r0 - c0:r1 - c1] = Q[:, c1 - c0:]
-    labels = np.repeat(slices[:-1], np.diff(row_at) - np.diff(col_at))
-    return SubmoduleBasis(w, SubspaceFrame(sub, weighted_degrees=col_deg[by_slice]),
-                          SubspaceFrame(comp, weighted_degrees=labels))
+        if sliced:
+            sub.blocks(t)[0][...], comp.blocks(t)[0][...] = Q[:, :c1 - c0], Q[:, c1 - c0:]
+        else:       # the one slice: its rows back in ordinal order
+            sub.columns[order], comp.columns[order] = Q[:, :c1 - c0], Q[:, c1 - c0:]
+    return SubmoduleBasis(w, sub, comp)

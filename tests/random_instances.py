@@ -1,7 +1,6 @@
 """Shared helpers for randomized instances, imported by the test modules."""
 
 import numpy as np
-import scipy.linalg
 
 from shiftlab import (SubmoduleBasis, SubspaceFrame, TruncatedOperator, WeightSet,
                       coordinate_shift, enumerate_basis)
@@ -31,11 +30,20 @@ def shift_weight(w, alpha, i):
 
 
 def ambient_columns(frame):
-    """The frame's columns as one (ambient_dim, r) ndarray, a test oracle: a
-    graded frame's blocks written out on their degrees' rows and columns."""
-    if frame.degrees is None:
+    """The frame's columns as one (ambient_dim, r) ndarray, a test oracle read
+    from the stored arrays alone: a graded frame's blocks written out on
+    their degrees' rows and columns, a sliced frame's on their slices' rows
+    (frame.rows) and columns."""
+    if frame.shapes is None:
         return frame.columns
-    return scipy.linalg.block_diag(*(frame.blocks(n)[0] for n in range(len(frame.shapes))))
+    heights, widths = frame.shapes.T
+    rows = np.arange(heights.sum()) if frame.rows is None else frame.rows
+    Q = np.zeros((rows.size, widths.sum()), frame.columns.dtype)
+    r0 = c0 = e0 = 0
+    for h, k in zip(heights, widths):
+        Q[rows[r0:r0 + h], c0:c0 + k] = frame.columns[e0:e0 + h * k].reshape(h, k)
+        r0, c0, e0 = r0 + h, c0 + k, e0 + h * k
+    return Q
 
 
 def sparse_entries(D):

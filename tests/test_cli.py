@@ -261,7 +261,8 @@ def test_quotient_probe_rejects_non_coinvariant_complement(tmp_path, capsys):
 @pytest.mark.parametrize("gens,degrees,reason", [
     ("z1-z2^2", "40,60,3000", "basis dimension 4510506 exceeds cap 50000"),
     ("z1^2-z2^2", "40,60,3000", "basis dimension 4510506 exceeds cap 50000"),
-    ("z1-z2^2", "4,6,100", "ambient dimension 5356 exceeds DENSE_SVD_LIMIT=5000"),
+    # with no positive weight the frames fill an ambient square
+    ("z1-z2^2-z2^3", "4,6,100", "ambient dimension 5356 exceeds DENSE_SVD_LIMIT=5000"),
 ])
 def test_oversize_quotient_sweep_is_refused_before_any_submodule(gens, degrees, reason,
                                                                 tmp_path, capsys, monkeypatch):
@@ -277,6 +278,23 @@ def test_oversize_quotient_sweep_is_refused_before_any_submodule(gens, degrees, 
     # no flag or config key sets a library parameter of that name
     assert "dimension_cap" not in err
     assert not any(tmp_path.iterdir())
+
+
+@pytest.mark.parametrize("m, gens, degrees", [(2, "z1-z2^2", "20,40,60,100"),
+                                              (3, "z1-z2*z3", "10,16,22,28")])
+def test_sliced_quotients_run_past_the_ambient_limit(m, gens, degrees, tmp_path):
+    # sliced frames hold no ambient square: these bases (5,356 and 5,456
+    # wide) are past DENSE_SVD_LIMIT, their widest weighted slices are not
+    code = run_cli(["quotient-probe", "--m", str(m), "--gens", gens, "--p", "1,3",
+                    "--degrees", degrees], tmp_path)
+    assert code == 0
+    out = tmp_path / "quotient_smoothness_probe-t"
+    with open(out / "quotient_commutator_norms.csv") as f:
+        rows = list(csv.DictReader(f))
+    pairs = m * (m + 1) // 2
+    assert [r["degree"] for r in rows] == [d for d in degrees.split(",") for _ in range(2 * pairs)]
+    assert all(float(r["value"]) > 0 for r in rows)
+    assert json.loads((out / "report.json").read_text())["parameters"]["homogeneous"] == "false"
 
 
 def test_ungraded_quotient_norms_settle_at_large_degree(tmp_path):

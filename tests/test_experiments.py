@@ -281,7 +281,7 @@ def test_sweeps_take_one_spectrum_per_window(probe, monkeypatch):
                 fits = [(i, j, fit.beta, fit.critical_exponent, fit.residual)
                         for (i, j), C in largest.items()
                         if (fit := schatten.decay_exponent_fit(
-                            np.linalg.svd(C, compute_uv=False)))]
+                            np.linalg.svd(C.toarray(), compute_uv=False)))]
                 rows = rep.tables["decay_fits"].rows
                 assert [row[:2] for row in rows] == [row[:2] for row in fits]
                 assert np.allclose([row[2:] for row in rows], [row[2:] for row in fits],
@@ -337,7 +337,7 @@ def test_ungraded_block_spectra_match_the_dense_svd(N, monkeypatch):
     (comms,) = kept
     assert spectra.keys() == comms.keys()
     for key, C in comms.items():
-        dense = np.linalg.svd(C, compute_uv=False)
+        dense = np.linalg.svd(C.toarray(), compute_uv=False)
         s = np.sort(spectra[key])[::-1]
         assert s.size <= dense.size
         assert np.abs(np.pad(s, (0, dense.size - s.size)) - dense).max() <= 1e-13 * dense[0]
@@ -388,7 +388,7 @@ def test_ungraded_quotient_fits_all_r_values(monkeypatch):
     kept = _kept_commutators(monkeypatch)
     widths = []
 
-    def synthetic(W, labels):
+    def synthetic(W, labels=None):
         widths.append(W.shape[0])
         s = _counting_spectrum(W.shape[0])
         return s[s > 0][::-1], np.zeros(np.count_nonzero(s), np.int64)

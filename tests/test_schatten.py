@@ -329,10 +329,11 @@ def test_nested_windows_random_weights(seed, m, k):
 
 
 def test_ungraded_commutator_is_its_own_window(count_dense_spectra):
-    # an ungraded quotient's commutator is one r x r ndarray with no boundary
-    # strip: every window degree reads all of it, by one dense SVD each
+    # a quotient by an ideal with no positive weight has one unlabelled
+    # block: its commutator is one r x r ndarray with no boundary strip, and
+    # every window degree reads all of it, by one dense SVD each
     w = drury_arveson_weights(enumerate_basis(3, 6))
-    S = ungraded_submodule(w, [parse_polynomial("z1-z2*z3", 3)])
+    S = ungraded_submodule(w, [parse_polynomial("z1-z2^2-z2^3", 3)])
     R1, R2 = (compress_to_frame(coordinate_shift(w, i), S.comp) for i in (1, 2))
     T = commutator(R1, R2)
     assert isinstance(T, np.ndarray) and T.shape == (S.comp.dimension,) * 2
@@ -426,14 +427,14 @@ def test_dense_svd_limit_raises_before_densifying(monkeypatch, tmp_path):
 
 @pytest.mark.parametrize("m, gen", [(2, "z1^2-z2^2"), (3, "z1*z2"), (3, "z1^2-z2*z3")])
 def test_ungraded_quotient_matches_graded_quotient(m, gen):
-    # one ideal as one dense block (BLAS products) and degree by degree
-    # (block products): the complements coincide, and so do the spectra of
-    # the commutators' whole sections (an ungraded commutator is an ndarray)
+    # one ideal by weighted slices (batched BLAS products) and degree by
+    # degree (block products): the complements coincide, and so do the
+    # spectra of the commutators' whole sections
     w = bergman_ball_weights(enumerate_basis(m, 8))
     g = [parse_polynomial(gen, m)]
     spectra = []
     for S, dense in ((homogeneous_submodule(w, g), lambda C: C.mat.toarray()),
-                     (ungraded_submodule(w, g), lambda C: C)):
+                     (ungraded_submodule(w, g), lambda C: C.toarray())):
         Rs = [compress_to_frame(coordinate_shift(w, i), S.comp) for i in range(1, m + 1)]
         spectra.append([np.linalg.svd(dense(commutator(Rs[i], Rs[j])), compute_uv=False)
                         for i in range(m) for j in range(i, m)])

@@ -5,7 +5,8 @@ import pytest
 import scipy.sparse as sp
 from hypothesis import given, settings, strategies as st
 
-from shiftlab import (GradedBasis, InvarianceError, PolynomialGenerator, SubspaceFrame,
+from shiftlab import (GradedBasis, InvarianceError, PolynomialGenerator, SubmoduleBasis,
+                      SubspaceFrame,
                       adjoint, commutator, compress_to_frame,
                       coordinate_shift, cross_commutators,
                       drury_arveson_weights, enumerate_basis, family_weights,
@@ -105,9 +106,10 @@ def test_window_is_the_interior_block(rng):
     degs = np.asarray(w.basis.degrees)
     for d, keep in ((None, degs <= 4), (3, degs <= 3), (9, degs <= 4)):
         assert np.array_equal(C.window(d).toarray(), _dense(C)[np.ix_(keep, keep)])
-    # an ungraded space has no boundary strip: its commutator is an ndarray,
-    # and a window of any degree is the whole of it
-    S = ungraded_submodule(w, [parse_polynomial("z1-z2^2", 2)])
+    # an unlabelled space (an ideal with no positive weight) has no boundary
+    # strip: its commutator is an ndarray, and a window of any degree is the
+    # whole of it
+    S = ungraded_submodule(w, [parse_polynomial("z1-z2^2-z2^3", 2)])
     R = self_commutator(compress_to_frame(coordinate_shift(w, 1), S.comp))
     assert isinstance(R, np.ndarray)
     for d in (None, 0):
@@ -293,6 +295,10 @@ def _random_submodule(rng, m, kind):
         terms = tuple((alpha, 0, c) for alpha, c in zip(alphas, coefs.tolist()))
         build = ungraded_submodule if kind == "ungraded" else homogeneous_submodule
         S = build(w, [PolynomialGenerator(terms=terms, num_vars=m)])
+        if kind == "ungraded":
+            # the span ungraded_submodule finds, on unlabelled frames: a
+            # sliced frame has no interior rows to check invariance on
+            S = SubmoduleBasis(w, *(SubspaceFrame(ambient_columns(F)) for F in (S.sub, S.comp)))
     return w, S
 
 
@@ -432,10 +438,11 @@ def test_graded_invariance_residual_never_densifies_the_frame():
 
 
 def _ungraded_inputs():
-    """(T1, T2, frame): shifts and a real quotient's complement, adjoint shifts
-    and a complex point-evaluation complement."""
+    """(T1, T2, frame): shifts and the complement of a real quotient by an
+    ideal with no positive weight, adjoint shifts and a complex
+    point-evaluation complement."""
     w = drury_arveson_weights(enumerate_basis(3, 6))
-    S = ungraded_submodule(w, [parse_polynomial("z1 - z2*z3", 3)])
+    S = ungraded_submodule(w, [parse_polynomial("z1 - z2^2 - z2^3", 3)])
     yield coordinate_shift(w, 1), coordinate_shift(w, 2), S.comp
     w = drury_arveson_weights(enumerate_basis(2, 8))
     S = point_evaluation_submodule(w, [(0.3, 0.1j), (-0.2 + 0.1j, 0.4), (0.1, -0.3)])
@@ -467,6 +474,70 @@ def test_ungraded_products_are_blas_products(monkeypatch):
     # the BLAS commutator is the composed one, entry for entry, and calls none of it
     for (R1, R2), expected in zip(cases, composed):
         assert np.array_equal(commutator(R1, R2), expected)
+
+
+def test_unlabelled_block_spectrum_is_the_entry_spectrum_bit_for_bit():
+    # an unlabelled commutator (a quotient by an ideal with no positive
+    # weight) is one block: the moduli of its lone entries, then the SVD of
+    # the other nonzeros on the rows and columns they reach, value for value
+    # what its nonzeros give as a SparseEntries labelled 0
+    for T1, T2, frame in _ungraded_inputs():
+        R1, R2 = (compress_to_frame(T, frame) for T in (T1, T2))
+        for C in (commutator(R1, R2), self_commutator(R2)):
+            C = C.copy()
+            C[0, :], C[:, 0] = 0, 0
+            C[0, 0] = 0.5           # a lone entry beside the dense block
+            values, labels = shift_operators.block_singular_values(C)
+            expected = shift_operators.block_singular_values(
+                sparse_entries(C), np.zeros(C.shape[0], np.int64))
+            assert np.array_equal(values, expected[0]) and not labels.any()
+            assert values[0] == 0.5
+
+
+def test_sliced_commutators_are_batched_blas_products(monkeypatch):
+    # a compression to a sliced frame is the DegreeBlocks of its slice pairs
+    # (s + w_i, s), and the commutator of two is the DegreeBlocks of offset
+    # w_j - w_i: one batched BLAS product per run of equal block shapes,
+    # never the graded frames' ascending-order kernel
+    w = drury_arveson_weights(enumerate_basis(3, 8))
+    S = ungraded_submodule(w, [parse_polynomial("z1 - z2*z3", 3)])     # w = (2, 1, 1)
+    R = [compress_to_frame(coordinate_shift(w, i), S.comp) for i in (1, 2, 3)]
+    assert [X.offset for X in R] == [2, 1, 1]
+    dense = [X.toarray() for X in R]
+
+    def refuse(*args):
+        raise AssertionError("ascending-order kernel called")
+    monkeypatch.setattr(shift_operators, "_add_product", refuse)
+    for i, j in ((0, 0), (0, 1), (1, 2), (2, 2)):
+        C = commutator(R[i], R[j])
+        assert C.offset == R[j].offset - R[i].offset
+        expected = dense[i].conj().T @ dense[j] - dense[j] @ dense[i].conj().T
+        assert np.abs(C.toarray() - expected).max() < 1e-14
+
+
+def test_sliced_frames_are_only_compressed_to():
+    # a sliced frame has no interior rows, so the routines that check
+    # invariance refuse it before any work; compress_to_frame takes it
+    w = drury_arveson_weights(enumerate_basis(2, 8))
+    S = ungraded_submodule(w, [parse_polynomial("z1 - z2^2", 2)])     # w = (2, 1)
+    Z = coordinate_shift(w, 1)
+    assert S.sub.rows is not None and S.comp.rows is not None
+    for frame in (S.sub, S.comp):
+        for call in (invariance_residual, restrict_to_invariant,
+                     restricted_commutator_decomposition):
+            with pytest.raises(ValueError, match="sliced by weighted degree"):
+                call(Z, frame)
+        assert compress_to_frame(Z, frame).offset == 2
+
+
+def test_frames_of_another_space_are_refused():
+    # a graded or sliced frame maps each ambient ordinal to a block row, so
+    # an operator on a space of another dimension is refused
+    w, small = (drury_arveson_weights(enumerate_basis(2, N)) for N in (8, 6))
+    for S in (monomial_submodule(small, [(1, 1)]),
+              ungraded_submodule(small, [parse_polynomial("z1 - z2^2", 2)])):
+        with pytest.raises(ValueError, match="ambient rows"):
+            compress_to_frame(coordinate_shift(w, 1), S.comp)
 
 
 def test_decomposition_checks_invariance_without_invariance_residual(monkeypatch):

@@ -13,10 +13,10 @@ from shiftlab import (PolynomialGenerator, RankCollapseError, SubspaceFrame, ber
                       homogeneous_submodule, monomial_generator,
                       monomial_submodule, parse_polynomial, projection_matrix,
                       self_commutator)
-from shiftlab import cli, schatten, submodules
+from shiftlab import cli, schatten, shift_operators, submodules
 from shiftlab.submodules import Side, ungraded_submodule
 
-from random_instances import point_evaluation_submodule, random_weight_set
+from random_instances import ambient_columns, point_evaluation_submodule, random_weight_set
 from test_graded_basis import compositions
 
 
@@ -278,7 +278,7 @@ def _largest_column_residual(S, w, gens):
     """max over generator multiples M_col of |(I - QQ*) M_col| / |M_col|, Q = S.sub."""
     Md = np.hstack([submodules.multiple_columns(w, g, 0, w.basis.max_degree - g.max_degree)
                     for g in gens])
-    Q = S.sub.columns
+    Q = ambient_columns(S.sub)
     R = Md - Q @ (Q.conj().T @ Md)
     return float((np.linalg.norm(R, axis=0) / np.linalg.norm(Md, axis=0)).max())
 
@@ -320,8 +320,8 @@ def test_ungraded_submodule_with_no_multiple_in_range_is_zero(texts):
     S = ungraded_submodule(w, [parse_polynomial(t, 2) for t in texts])
     assert S.sub.dimension == 0
     assert S.comp.dimension == w.basis.dimension
-    assert np.allclose(S.comp.columns.T @ S.comp.columns, np.eye(w.basis.dimension),
-                       rtol=0, atol=1e-14)
+    Q = ambient_columns(S.comp)
+    assert np.allclose(Q.T @ Q, np.eye(w.basis.dimension), rtol=0, atol=1e-14)
 
 
 def test_frames_expose_stored_bytes_and_graded_frames_stay_per_slice():
@@ -349,8 +349,9 @@ def test_frames_expose_stored_bytes_and_graded_frames_stay_per_slice():
 
 
 def test_ambient_frames_refuse_large_spaces_before_any_work(monkeypatch, tmp_path):
-    # the ungraded builder factorises an ambient-size matrix: the size check
-    # comes before any vector is built and before any factorisation
+    # with no positive weight the ungraded builder factorises an ambient-size
+    # matrix: the size check comes before any vector is built and before any
+    # factorisation
     w = drury_arveson_weights(enumerate_basis(2, 8))
     assert w.basis.dimension == 45
     monkeypatch.setattr(schatten, "DENSE_SVD_LIMIT", 44)
@@ -361,10 +362,33 @@ def test_ambient_frames_refuse_large_spaces_before_any_work(monkeypatch, tmp_pat
     monkeypatch.setattr(np.linalg, "svd", refuse)
     monkeypatch.setattr(np.linalg, "qr", refuse)
     monkeypatch.setattr(scipy.linalg, "qr", refuse)
-    for gens in (["z1 - z2^2"], ["z1 - z2^2", "z1*z2"]):
+    for gens in (["z1 - z2^2 - z2^3"], ["z1 - z2^2 - z2^3", "z1*z2"]):
         with pytest.raises(ValueError, match="ambient dimension 45 exceeds DENSE_SVD_LIMIT=44"):
             ungraded_submodule(w, [parse_polynomial(g, num_vars=2) for g in gens])
-    code = cli.main(["quotient-probe", "--m", "2", "--gens", "z1-z2^2", "--degrees", "6,8",
+    code = cli.main(["quotient-probe", "--m", "2", "--gens", "z1-z2^2-z2^3", "--degrees", "6,8",
+                     "--out", str(tmp_path), "--tag", "t"])
+    assert code == 2
+    assert not any(tmp_path.iterdir())
+
+
+def test_sliced_frames_refuse_a_wide_slice_before_any_work(monkeypatch, tmp_path):
+    # with a positive weight each slice is factorised alone: the widest slice
+    # is checked, before any vector is built and before any factorisation
+    w = drury_arveson_weights(enumerate_basis(2, 8))
+    g = parse_polynomial("z1 - z2^2", num_vars=2)
+    widest = int(np.bincount(w.basis.exponents @ np.array([2, 1])).max())
+    assert widest == 5
+    monkeypatch.setattr(schatten, "DENSE_SVD_LIMIT", widest - 1)
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("work done before the size check")
+    monkeypatch.setattr(submodules, "multiple_vectors", refuse)
+    monkeypatch.setattr(np.linalg, "qr", refuse)
+    monkeypatch.setattr(scipy.linalg, "qr", refuse)
+    with pytest.raises(ValueError, match="weighted slice dimension 5 exceeds DENSE_SVD_LIMIT=4; "
+                                         "refusing a dense QR of a slice of that size"):
+        ungraded_submodule(w, [g])
+    code = cli.main(["quotient-probe", "--m", "2", "--gens", "z1-z2^2", "--degrees", "4,6",
                      "--out", str(tmp_path), "--tag", "t"])
     assert code == 2
     assert not any(tmp_path.iterdir())
@@ -451,13 +475,90 @@ def test_weighted_slice_frames_match_one_dense_ambient_qr(family, m, texts, weig
     oracle = _dense_oracle_projectors(w, gens)
     wdeg = w.basis.exponents @ np.array(weight)
     for frame, P in zip((S.sub, S.comp), oracle):
-        F = frame.columns
+        F = ambient_columns(frame)
         assert np.abs(F.conj().T @ F - np.eye(F.shape[1])).max() <= 1e-13
         assert np.abs(F @ F.conj().T - P).max() <= 1e-12
-        # each column lies in the one weighted slice its label names, and
-        # the labels run in slice order
-        assert np.array_equal(frame.weighted_degrees, np.sort(frame.weighted_degrees))
-        assert not (F * (wdeg[:, None] != frame.weighted_degrees)).any()
+        # each column lies in the one weighted slice its block names, and
+        # the blocks run in slice order (w = 0: one unlabelled block)
+        labels = (np.zeros(F.shape[1], np.int64) if frame.shapes is None else
+                  np.repeat(np.arange(len(frame.shapes)), frame.shapes[:, 1]))
+        assert (frame.shapes is None) == (weight[0] == 0)
+        assert not (F * (wdeg[:, None] != labels)).any()
+
+
+def _dense_shift(w, i):
+    """Z_i on the weight set's basis as a dense ndarray, built from the
+    exponents and lambda alone: z^alpha -> (lambda_(alpha+e_i) /
+    lambda_alpha) z^(alpha+e_i), the top degree annihilated."""
+    b = w.basis
+    ordinal = {tuple(int(a) for a in e): j for j, e in enumerate(b.exponents)}
+    Z = np.zeros((b.dimension, b.dimension))
+    for j, e in enumerate(b.exponents):
+        target = ordinal.get(tuple(int(a) + (t == i - 1) for t, a in enumerate(e)))
+        if target is not None:
+            Z[target, j] = w.lam[target] / w.lam[j]
+    return Z
+
+
+@pytest.mark.parametrize("family", [bergman_ball_weights, drury_arveson_weights,
+                                    hardy_ball_weights])
+@pytest.mark.parametrize("m, texts, weight", [case for case in SLICED_IDEALS if case[2][0]])
+def test_sliced_compressions_and_spectra_match_dense_products(family, m, texts, weight):
+    # the sliced store against dense ambient products built in the test: each
+    # compression is Q*Z_iQ, and each commutator's block spectrum, sorted
+    # and padded with the zeros it leaves out, is the dense r x r SVD
+    w = family(enumerate_basis(m, 8 if m == 3 else 14))
+    S = ungraded_submodule(w, _generators(m, texts))
+    shifts = [_dense_shift(w, i) for i in range(1, m + 1)]
+    for frame in (S.sub, S.comp):
+        Q = ambient_columns(frame)
+        R = [compress_to_frame(coordinate_shift(w, i), frame) for i in range(1, m + 1)]
+        dense = [Q.conj().T @ Z @ Q for Z in shifts]
+        for X, D, w_i in zip(R, dense, weight):
+            assert X.offset == w_i
+            assert np.abs(X.toarray() - D).max(initial=0.0) <= 1e-13
+        for (i, j), C in cross_commutators(R).items():
+            A, B = dense[i - 1], dense[j - 1]
+            expected = np.linalg.svd(A.conj().T @ B - B @ A.conj().T, compute_uv=False)
+            s = np.sort(shift_operators.block_singular_values(C)[0])[::-1]
+            assert s.size <= expected.size
+            assert np.abs(np.pad(s, (0, expected.size - s.size)) - expected).max(
+                initial=0.0) <= 1e-12 * expected.max(initial=1.0)
+
+
+def _slice_ranks_of_one_ambient_qr(w, gens, weight):
+    """Each weighted slice's count of the multiples that one pivoted QR of all
+    the unscaled multiples keeps, on the ambient rows."""
+    b = w.basis
+    ordinal = {tuple(int(a) for a in e): j for j, e in enumerate(b.exponents)}
+    X, slices = [], []
+    for g in gens:
+        for q in b.exponents[:b.slice_bounds[b.max_degree - g.max_degree + 1]]:
+            v = np.zeros(b.dimension, complex)
+            for alpha, _, coef in g.terms:
+                v[ordinal[tuple(int(x) for x in np.add(q, alpha))]] = coef
+            X.append(v)
+            slices.append(int(np.dot(weight, np.add(q, g.terms[0][0]))))
+    R, piv = scipy.linalg.qr(np.column_stack(X), mode="r", pivoting=True)
+    diag = np.abs(np.diag(R))
+    kept = piv[:np.count_nonzero(diag > submodules.DEFAULT_RANK_TOL * diag[0])]
+    return np.bincount(np.array(slices)[kept], minlength=int((b.exponents @ weight).max()) + 1)
+
+
+@pytest.mark.parametrize("family", [bergman_ball_weights, drury_arveson_weights,
+                                    hardy_ball_weights])
+@pytest.mark.parametrize("N", [14, 40])
+def test_per_slice_ranks_equal_one_ambient_pivoted_qr(family, N):
+    # the rank of several generators is decided slice by slice; each
+    # multiple lies in one slice, so the counts are those of one pivoted QR
+    # of every multiple on the ambient rows
+    w = family(enumerate_basis(2, N))
+    gens = _generators(2, ["z1-z2^2", "z1*z2"])
+    S = ungraded_submodule(w, gens)
+    expected = _slice_ranks_of_one_ambient_qr(w, gens, (2, 1))
+    assert np.array_equal(S.sub.shapes[:, 1], expected)
+    assert S.sub.dimension == expected.sum() < sum(
+        math.comb(N - g.max_degree + 2, 2) for g in gens)
 
 
 @pytest.mark.parametrize("family", [bergman_ball_weights, drury_arveson_weights,
@@ -481,12 +582,13 @@ def test_weight_zero_reproduces_the_single_ambient_qr_bit_for_bit(family):
     Q = np.linalg.qr(X[order], mode="complete")[0][np.argsort(order)]
     assert np.array_equal(S.sub.columns, Q[:, :len(qs)])
     assert np.array_equal(S.comp.columns, Q[:, len(qs):])
-    assert not S.sub.weighted_degrees.any() and not S.comp.weighted_degrees.any()
+    assert S.sub.shapes is None and S.comp.shapes is None
 
 
 def test_sliced_frames_allocate_little_beside_themselves():
-    # the two frames fill one ambient square (97 MB at dimension 3,486); the
-    # one complete QR of all the multiples peaked at 387 MB for them
+    # the two frames store one square block per weighted slice, 8 * sum n_s^2
+    # bytes (0.78 MB at dimension 3,486, where the ambient square took
+    # 97.2 MB); the build peaks at 1.34 MB under tracemalloc
     w = bergman_ball_weights(enumerate_basis(2, 82))
     g = parse_polynomial("z1-z2^2", 2)
     tracemalloc.start()
@@ -495,6 +597,29 @@ def test_sliced_frames_allocate_little_beside_themselves():
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
+    sizes = np.bincount(w.basis.exponents @ np.array([2, 1]))
+    assert np.array_equal(S.sub.shapes[:, 0], sizes)
+    assert np.array_equal(S.comp.shapes[:, 0], sizes)
     frames = S.sub.columns.nbytes + S.comp.columns.nbytes
-    assert frames == 8 * 3486 ** 2
-    assert peak < 1.25 * frames
+    assert frames == 8 * int(sizes @ sizes) == 776_384
+    assert peak <= 1.25 * 1_335_191
+
+
+@pytest.mark.parametrize("m, N, text, measured", [(2, 82, "z1-z2^2", 299_526),
+                                                 (3, 16, "z1-z2*z3", 256_172)])
+def test_sliced_compressions_allocate_no_ambient_temporary(m, N, text, measured):
+    # the compressions of the shifts to a sliced complement read Z_i one
+    # slice pair at a time: no D x r array (the ambient frames' compressions
+    # peaked at 18.4 MB and 9.3 MB here)
+    w = bergman_ball_weights(enumerate_basis(m, N))
+    S = ungraded_submodule(w, [parse_polynomial(text, m)])
+    shifts = [coordinate_shift(w, i) for i in range(1, m + 1)]
+    tracemalloc.start()
+    try:
+        compressions = [compress_to_frame(Z, S.comp) for Z in shifts]
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(compressions) == m
+    assert peak <= 1.25 * measured
+    assert peak < 8 * w.basis.dimension * S.comp.dimension
