@@ -18,7 +18,7 @@ from .shift_operators import (BlockDecomposition, InvarianceError,
                               invariance_residual, restricted_commutator_decomposition,
                               multiply, restrict_to_invariant,
                               self_commutator, shift_combination)
-from .submodules import (RankCollapseError, Side, SubmoduleBasis,
+from .submodules import (RankCollapseError, SubmoduleBasis,
                          homogeneous_submodule, monomial_submodule,
                          projection_matrix, ungraded_submodule)
 from .weight_models import (WeightSet, bergman_ball_weights,

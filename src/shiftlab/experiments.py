@@ -358,7 +358,7 @@ def run_trace_inequality_check(family: str, m: int, points=None, generators=None
                     f"max|z|^(2N) = {r ** (2 * N):.1e}; try a larger --degrees"
                 ) from None
             comm = ops.self_commutator(Tn)
-            tr_p, c1 = schatten.spectral_split(comm, p=1)
+            tr_p, c1 = schatten.spectral_split(comm.toarray(), p=1)
             holds = -INEQUALITY_SLACK <= tr_p <= c1 + INEQUALITY_SLACK
             tab.add(N, n, tr_p, c1, holds)
             if not holds:
@@ -435,8 +435,8 @@ def _quotient_spectra(generators, m, N, homogeneous, family, delta, fits=None):
 
     An ungraded complement is sliced by weighted degree (or, with no
     positive weight, one unlabelled block), so [R_i*, R_j] is the
-    DegreeBlocks of its slice pairs (s + w_j - w_i, s) (or one r x r
-    ndarray), and its spectrum is block_singular_values' of those blocks."""
+    DegreeBlocks of its slice pairs (s + w_j - w_i, s) (or of its one r x r
+    block), and its spectrum is block_singular_values' of those blocks."""
     w = wm.family_weights(family, enumerate_basis(m, N + 2), delta)
     S = (_build_submodule if homogeneous else submodules.ungraded_submodule)(w, generators)
     shifts = [ops.coordinate_shift(w, i) for i in range(1, m + 1)]

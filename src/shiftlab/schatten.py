@@ -7,12 +7,10 @@ frame (DegreeBlocks).  Graded windows go block by degree block
 (shift_operators.block_singular_values), and a sweep of nested windows takes
 one pass over the widest: window d keeps the block values labelled <= d.
 window_norms derives every (d, p) norm of a sweep from those spectra.  An
-operator on an unlabelled space is a plain r x r ndarray with no boundary
-strip: it is its own window, and singular_values and spectral_split take it
-whole.  The quotient probe reads the spectrum of an ungraded commutator,
-such an ndarray or the bare DegreeBlocks of a frame sliced by weighted
-degree, with block_singular_values instead (experiments), so no command
-takes its dense SVD.
+operator on a sliced or unlabelled frame is a bare DegreeBlocks with no
+boundary strip: the quotient probe reads its spectrum with
+block_singular_values (experiments), and trace-inequality hands
+spectral_split its dense form, an r x r ndarray.
 
 singular_values is the full dense spectrum of a window, written out by its
 store's toarray; the commands take it only for graded decay fits.  It
@@ -69,12 +67,11 @@ def _check_finite(M: np.ndarray):
         raise ValueError("operator has non-finite entries")
 
 
-def singular_values(T, max_window_degree=None) -> np.ndarray:
-    """Descending singular values of the interior window, by dense SVD; an
-    ndarray is its own window."""
-    W = T if isinstance(T, np.ndarray) else T.window(max_window_degree)
+def singular_values(T: TruncatedOperator, max_window_degree=None) -> np.ndarray:
+    """Descending singular values of the interior window, by dense SVD."""
+    W = T.window(max_window_degree)
     check_dense_svd_size(W.shape[0])
-    M = W if isinstance(W, np.ndarray) else W.toarray()
+    M = W.toarray()
     _check_finite(M)
     if min(M.shape) == 0:
         return np.zeros(0)
@@ -126,7 +123,7 @@ def schatten_norm(T: TruncatedOperator, p: float, max_window_degree=None) -> flo
 
 def spectral_split(M: np.ndarray, p: float) -> tuple:
     """(Tr P, ||C||_p) of the spectral split M = P + C, P >= 0 and C <= 0, of a
-    self-adjoint commutator, an unlabelled space's r x r ndarray.
+    self-adjoint commutator, the r x r ndarray of an unlabelled frame's.
 
     This is one canonical split; minimality of ||C||_p over all admissible
     splits is not claimed.

@@ -16,16 +16,18 @@ a graded frame it is a DegreeBlocks, one dense block per degree pair
 each entry of a product over the inner index in ascending order, one
 rounded product at a time (the order of scipy's sparse products), so the
 commutators every decay fit reads keep their bits.
-A frame sliced by weighted degree (a quotient by a quasi-homogeneous ideal)
-holds one dense block per slice s: Z_i maps slice s to s + w_i, so an
-operator compressed to it is a bare DegreeBlocks of offset w_i, with no
-interior strip to track, and commutator takes two of them by one batched
-BLAS product per run of equal block shapes.  Such a frame is only
-compressed to: the routines that check invariance on the interior rows
-refuse it.  A frame without labels (a span of kernel vectors, a quotient by
-an ideal with no positive weight) is one block on every row: an operator
-compressed to it is a plain r x r ndarray, and commutator takes two of them
-through BLAS.
+Every operator restricted or compressed to a frame is a DegreeBlocks; the
+frame's labels decide only whether there is an interior strip to track.  A
+graded frame's is wrapped in a TruncatedOperator.  A frame sliced by
+weighted degree (a quotient by a quasi-homogeneous ideal) holds one dense
+block per slice s: Z_i maps slice s to s + w_i, so an operator compressed to
+it is a bare DegreeBlocks of offset w_i.  A frame without labels (a span of
+kernel vectors, a quotient by an ideal with no positive weight) is one
+block on every row, and an operator on it the bare DegreeBlocks of one
+r x r block of offset 0.  Neither has an interior strip, and commutator
+takes two bare DegreeBlocks by one batched BLAS product per run of equal
+block shapes.  A sliced frame is only compressed to: the routines that
+check invariance on the interior rows refuse it.
 """
 
 from dataclasses import dataclass, field
@@ -91,9 +93,9 @@ class SubspaceFrame:
     in columns.  A sliced frame (submodules.ungraded_submodule) holds one
     block per weighted degree s the same way, on the rows of that slice:
     rows lists each block's ambient ordinals, block after block.  A frame
-    without labels is one block on every row.  Graded frames are the spaces
-    of operators restricted or compressed to them; frames compare by
-    identity, so operators on two frames never mix.
+    without labels is one block on every row, columns itself.  Graded
+    frames are the spaces of operators restricted or compressed to them;
+    frames compare by identity, so operators on two frames never mix.
     """
 
     columns: np.ndarray           # blocks' entries, flat; unlabelled: (ambient_dim, r)
@@ -129,8 +131,13 @@ class SubspaceFrame:
         return at[0], at[1]
 
     @cached_property
+    def sizes(self) -> np.ndarray:
+        """Each block's column count: [r] for a frame without labels."""
+        return np.array(self.columns.shape[1:]) if self.shapes is None else self.shapes[:, 1]
+
+    @cached_property
     def dimension(self) -> int:
-        return self.columns.shape[1] if self.shapes is None else int(self.shapes[:, 1].sum())
+        return int(self.sizes.sum())
 
     def blocks(self, n: int, count: int = 1) -> np.ndarray:
         """The blocks n, ..., n + count - 1, all of one shape, as a
@@ -242,10 +249,11 @@ def _layout(sizes, offset: int):
 
 @dataclass(frozen=True, eq=False)
 class DegreeBlocks:
-    """The matrix of an operator on a graded or sliced frame, sizes[n] of
-    whose columns have degree (or weighted degree) n, that maps degree n to
-    n + offset: its dense block (n + offset, n) for every n where both
-    degrees exist, C-ordered, one after another in data."""
+    """The matrix of an operator on a frame, sizes[n] of whose columns have
+    degree (or weighted degree) n, that maps degree n to n + offset: its
+    dense block (n + offset, n) for every n where both degrees exist,
+    C-ordered, one after another in data.  On a frame without labels it is
+    one r x r block of offset 0."""
 
     data: np.ndarray
     sizes: np.ndarray
@@ -438,16 +446,10 @@ def _matmul(C, A, B):
 
 def commutator(A, B):
     """[A*, B] = A*B - BA* from two products in the store of their space
-    (SparseEntries joins on a basis, DegreeBlocks on a graded frame); from
-    two BLAS products for two ndarrays, an unlabelled space's one dense
-    block (A* C-ordered), and for two bare DegreeBlocks, a sliced frame's,
-    one batched BLAS product per run of equal block shapes; their result
-    is of their kind."""
-    if isinstance(A, np.ndarray):
-        a = np.ascontiguousarray(A.conj().T)
-        C = a @ B
-        C -= B @ a
-        return C
+    (SparseEntries joins on a basis, DegreeBlocks on a graded frame); for
+    two bare DegreeBlocks (a sliced or unlabelled frame's), one batched BLAS
+    product per run of equal block shapes, A*'s blocks C-ordered, and a
+    bare DegreeBlocks."""
     if isinstance(A, DegreeBlocks):
         a = A.H
         return a._product(B, _matmul) - B._product(a, _matmul)
@@ -463,7 +465,7 @@ def self_commutator(T):
 
 def cross_commutators(operators) -> dict:
     """{(i, j): [T_i*, T_j]} for 1 <= i <= j <= m, of operators T_1, ..., T_m
-    (TruncatedOperators or ndarrays)."""
+    (TruncatedOperators or bare DegreeBlocks)."""
     T = list(operators)
     return {(i, j): commutator(T[i - 1], T[j - 1])
             for i in range(1, len(T) + 1) for j in range(i, len(T) + 1)}
@@ -487,23 +489,19 @@ def block_singular_values(W, degrees=None):
     commutator [A*, B] of them), so it is the direct sum of its (degree
     n + r, degree n) blocks and its spectrum is the union of theirs.  A
     DegreeBlocks holds those blocks (a sliced frame's operators too, by
-    weighted degree); a SparseEntries, whose rows and columns degrees
-    labels, is densified one block at a time, and nonzeros with more than
-    one degree offset are refused with ValueError.  An ndarray, an
-    unlabelled space's operator, is read as the SparseEntries of its
-    nonzeros, every degree 0.  An entry alone in
-    its row and its column is a 1x1 summand whose singular value is its
-    modulus, so scaled partial permutations (every operator of monomial
-    weights, every restriction to a monomial submodule) need no SVD.
+    weighted degree, and an unlabelled frame's as its one block); a
+    SparseEntries, whose rows and columns degrees labels, is densified one
+    block at a time, and nonzeros with more than one degree offset are
+    refused with ValueError.  An entry alone in its row and its column is a
+    1x1 summand whose singular value is its modulus, so scaled partial
+    permutations (every operator of monomial weights, every restriction to
+    a monomial submodule) need no SVD.
 
     Returns (values, labels): the (n + r, n) block's values are labelled
     max(n, n + r).  A block enters or leaves a window {degree <= d} whole,
     so values[labels <= d] is the spectrum of the window d, value for value
     and in the same order.
     """
-    if isinstance(W, np.ndarray):       # its nonzeros, every one labelled 0
-        rows, cols = np.nonzero(W)
-        W, degrees = SparseEntries(rows, cols, W[rows, cols], W.shape), np.zeros(W.shape[0], np.int64)
     if not np.all(np.isfinite(W.data if isinstance(W, DegreeBlocks) else W.vals)):
         raise ValueError("operator has non-finite entries")
     parts = [(np.zeros(0), np.zeros(0, np.int64)),
@@ -614,13 +612,13 @@ def _degree_pairs(T: TruncatedOperator, frame: SubspaceFrame, adjoint: bool = Fa
 
 
 def _interior_pairs(T: TruncatedOperator, frame: SubspaceFrame, adjoint: bool = False):
-    """The pairs of _degree_pairs for a routine that checks invariance on the
-    interior rows, which a frame sliced by weighted degree does not have:
-    such a frame is refused with ValueError."""
+    """_degree_pairs for a routine that checks invariance on the interior
+    rows, which a frame sliced by weighted degree does not have: such a
+    frame is refused with ValueError."""
     if frame.rows is not None:
         raise ValueError("a frame sliced by weighted degree has no interior rows to check "
                          "invariance on; compress_to_frame is its only operation")
-    return _degree_pairs(T, frame, adjoint)[1]
+    return _degree_pairs(T, frame, adjoint)
 
 
 def _residual(pairs, scale: float, tol: float | None = None):
@@ -636,23 +634,21 @@ def _residual(pairs, scale: float, tol: float | None = None):
 
 
 def _on_frame(T: TruncatedOperator, frame: SubspaceFrame, offset: int, pairs):
-    """The compression Q*TQ from the pairs' blocks G: on a graded frame, a
-    TruncatedOperator holding them as its DegreeBlocks; on a sliced frame,
-    the bare DegreeBlocks."""
-    if frame.shapes is None:
-        return next(iter(pairs))[4][0]
-    out = DegreeBlocks.zeros(frame.shapes[:, 1], offset,
-                             np.result_type(T.mat.dtype, frame.columns.dtype))
+    """The compression Q*TQ, the DegreeBlocks of the pairs' blocks G: on a
+    graded frame wrapped in a TruncatedOperator, on a sliced or unlabelled
+    one bare."""
+    out = DegreeBlocks.zeros(frame.sizes, offset, np.result_type(T.mat.dtype, frame.columns.dtype))
     for n, _, _, _, G, *_ in pairs:
         out.blocks(n, len(G))[...] = G
-    return out if frame.rows is not None else TruncatedOperator(frame, out, T.interior_degree,
-                                                                T.degree_raise)
+    if frame.degrees is None:
+        return out
+    return TruncatedOperator(frame, out, T.interior_degree, T.degree_raise)
 
 
 def invariance_residual(T: TruncatedOperator, frame: SubspaceFrame) -> float:
     """Relative 2-norm of (I - QQ*) T Q on the interior rows, Q the frame
     (graded or unlabelled)."""
-    return _residual(_interior_pairs(T, frame), _norm_scale(T))
+    return _residual(_interior_pairs(T, frame)[1], _norm_scale(T))
 
 
 def restrict_to_invariant(T: TruncatedOperator, frame: SubspaceFrame,
@@ -661,17 +657,17 @@ def restrict_to_invariant(T: TruncatedOperator, frame: SubspaceFrame,
     (as compress_to_frame does), its invariance residual checked against
     tol in the same pass over the degree pairs.  A sliced frame is refused
     with ValueError: it has no interior rows."""
-    pairs = list(_interior_pairs(T, frame))
+    offset, pairs = _interior_pairs(T, frame)
+    pairs = list(pairs)
     _residual(pairs, _norm_scale(T), tol)
-    return _on_frame(T, frame, T.degree_raise, pairs)
+    return _on_frame(T, frame, offset, pairs)
 
 
 def compress_to_frame(T: TruncatedOperator, frame: SubspaceFrame):
     """Q* T Q in the frame's basis, with no invariance requirement: a
     TruncatedOperator whose space is a graded frame, the bare DegreeBlocks
-    of a sliced frame's slice pairs, the r x r ndarray on a frame without
-    labels (one dense block); neither of the last two has an interior strip
-    to track.
+    of a sliced frame's slice pairs or of an unlabelled frame's one r x r
+    block; neither of the last two has an interior strip to track.
 
     This is the semi-invariant (quotient-module) action; use
     restrict_to_invariant when invariance is part of the contract.
@@ -708,7 +704,7 @@ def restricted_commutator_decomposition(T: TruncatedOperator,
     """
     r = frame.dimension
     Y, diag, corner = np.zeros((3, r, r), np.result_type(T.mat.dtype, frame.columns.dtype))
-    pairs, eig_min = list(_interior_pairs(T, frame, adjoint=True)), 0.0
+    pairs, eig_min = list(_interior_pairs(T, frame, adjoint=True)[1]), 0.0
     for _, Qn, Qt, P, G, U, _, ct, cn in pairs:
         _add(Y, ct, cn, G)
         _add(diag, cn, cn, P.conj().mT @ P)

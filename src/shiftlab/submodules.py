@@ -14,7 +14,6 @@ vectors are in the orthonormal monomial coordinates (z^alpha scaled by
 """
 
 from dataclasses import dataclass
-import enum
 from itertools import combinations, count
 from math import gcd
 
@@ -26,11 +25,6 @@ from .shift_operators import SubspaceFrame
 from .weight_models import WeightSet
 
 DEFAULT_RANK_TOL = 1e-10
-
-
-class Side(enum.Enum):
-    SUBMODULE = "submodule"
-    COMPLEMENT = "complement"
 
 
 class RankCollapseError(ValueError):
@@ -55,15 +49,11 @@ class SubmoduleBasis:
     sub: SubspaceFrame
     comp: SubspaceFrame
 
-    def frame(self, side: Side) -> SubspaceFrame:
-        return self.sub if side is Side.SUBMODULE else self.comp
 
-
-def projection_matrix(S: SubmoduleBasis, side: Side) -> np.ndarray:
-    """Orthogonal projection onto the requested side, on the full basis, a
+def projection_matrix(frame: SubspaceFrame) -> np.ndarray:
+    """Orthogonal projection onto the frame's span, on the full basis, a
     test oracle: a graded or sliced frame's is the direct sum of its blocks'
     Q_n Q_n* on their rows."""
-    frame = S.frame(side)
     if frame.shapes is None:
         return frame.columns @ frame.columns.conj().T
     rows = frame.offsets[0]
@@ -160,8 +150,20 @@ def _orthonormalize(columns: np.ndarray):
     complement within the columns' coordinate space).
     """
     U, s, _ = np.linalg.svd(columns, full_matrices=True)
-    rank = int(np.count_nonzero(s > DEFAULT_RANK_TOL * s[0])) if s.size and s[0] > 0 else 0
+    rank = _rank(s)
     return U[:, :rank], U[:, rank:]
+
+
+def _rank(s) -> int:
+    """The count of singular values s, in descending order, above
+    DEFAULT_RANK_TOL times the largest."""
+    return int(np.count_nonzero(s > DEFAULT_RANK_TOL * s[0])) if s.size and s[0] > 0 else 0
+
+
+def _span(columns: np.ndarray) -> np.ndarray:
+    """The left singular vectors of columns above the rank cut-off."""
+    U, s, _ = np.linalg.svd(columns, full_matrices=False)
+    return U[:, :_rank(s)]
 
 
 def homogeneous_submodule(w: WeightSet, generators) -> SubmoduleBasis:
@@ -297,19 +299,20 @@ def ungraded_submodule(w: WeightSet, generators) -> SubmoduleBasis:
     multiples, never on lambda-scaled values, whose entries span the whole
     range of the weights.  The multiples of one nonzero polynomial are
     linearly independent, so a principal ideal's rank is its number of
-    multiples, C(N - deg g + m, m); with several generators a pivoted QR of
-    each slice's multiples keeps the columns above DEFAULT_RANK_TOL * |R_11|
-    (each multiple lies in one slice, so for exact data the slices' ranks
-    add up to the span's).  Each slice's kept multiples are scaled by lambda
-    and orthonormalized by one complete Householder QR with the slice's
-    rows sorted by decreasing lambda, which is accurate for row-scaled
-    matrices (Cox & Higham, 1998); its first columns span the submodule's
-    part of the slice and the rest the complement's.  With w > 0 both frames
-    are sliced: slice s's block of each sits on the slice's rows in that
-    order, and schatten.DENSE_SVD_LIMIT bounds the widest slice.  With
-    w = 0 the frames are unlabelled ndarrays on the ambient rows, which
-    fill an ambient square, and the limit bounds the ambient dimension.
-    Either bound is checked before any vector is built.
+    multiples, C(N - deg g + m, m), and they span the slice themselves.
+    With several generators a slice's span is the left singular vectors of
+    its multiples whose singular values are above DEFAULT_RANK_TOL times
+    the largest (each multiple lies in one slice, so for exact data the
+    slices' ranks add up to the span's).  Each slice's spanning vectors are
+    scaled by lambda and orthonormalized by one complete Householder QR
+    with the slice's rows sorted by decreasing lambda, which is accurate for
+    row-scaled matrices (Cox & Higham, 1998); its first columns span the
+    submodule's part of the slice and the rest the complement's.  With
+    w > 0 both frames are sliced: slice s's block of each sits on the
+    slice's rows in that order, and schatten.DENSE_SVD_LIMIT bounds the
+    widest slice.  With w = 0 the frames are unlabelled ndarrays on the
+    ambient rows, which fill an ambient square, and the limit bounds the
+    ambient dimension.  Either bound is checked before any vector is built.
 
     The span is I cap P_<=N only for a principal ideal: with several
     generators, a combination of top-degree multiples can cancel into a
@@ -339,46 +342,34 @@ def ungraded_submodule(w: WeightSet, generators) -> SubmoduleBasis:
     cols = np.argsort(by_slice)[cols]
     e = np.argsort(cols, kind="stable")
     rows, cols, vals, col_deg = rows[e], cols[e], vals[e], col_deg[by_slice]
-    slices = np.arange(sizes.size + 1)
-    row_at = np.concatenate([[0], np.cumsum(sizes)])
-    if len(generators) > 1 and r:   # no multiple within degree N: {0}
-        import scipy.linalg  # not at module level: the import adds ~5 MB to every run
-        # each slice's unscaled multiples on its rows in ordinal order
-        by_ordinal = np.argsort(wdeg, kind="stable")
-        place = np.empty_like(by_ordinal)
-        place[by_ordinal] = np.arange(b.dimension) - row_at[wdeg[by_ordinal]]
-        col_at = np.searchsorted(col_deg, slices)
-        entry_at = np.searchsorted(cols, col_at)
-        kept = np.zeros(r, bool)
-        for t in np.flatnonzero(np.diff(col_at)):
-            (c0, c1), (e0, e1) = col_at[t:t + 2], entry_at[t:t + 2]
-            X = np.zeros((sizes[t], c1 - c0), vals.dtype)
-            X[place[rows[e0:e1]], cols[e0:e1] - c0] = vals[e0:e1]
-            R, piv = scipy.linalg.qr(X, mode="r", pivoting=True)
-            diag = np.abs(np.diag(R))
-            kept[c0 + piv[:np.count_nonzero(diag > DEFAULT_RANK_TOL * diag[0])]] = True
-        e = kept[cols]
-        rows, cols, vals = rows[e], (np.cumsum(kept) - 1)[cols[e]], vals[e]
-        col_deg, r = col_deg[kept], int(kept.sum())
-    # rows by slice, then by decreasing lambda; the kept multiples lambda-scaled
+    # rows by slice, then by decreasing lambda
     order = np.lexsort((-w.lam, wdeg))
-    rows, vals = np.argsort(order)[rows], vals * w.lam[rows]
-    col_at = np.searchsorted(col_deg, slices)
+    rows, lam = np.argsort(order)[rows], w.lam[order]
+    row_at = np.concatenate([[0], np.cumsum(sizes)])
+    col_at = np.searchsorted(col_deg, np.arange(sizes.size + 1))
     entry_at = np.searchsorted(cols, col_at)
-    k = np.diff(col_at)
+
+    def multiples(t):
+        """Slice t's unscaled multiples on its rows."""
+        (r0, r1), (c0, c1), (e0, e1) = row_at[t:t + 2], col_at[t:t + 2], entry_at[t:t + 2]
+        X = np.zeros((r1 - r0, c1 - c0), vals.dtype)
+        X[rows[e0:e1] - r0, cols[e0:e1] - c0] = vals[e0:e1]
+        return X
+    # one generator's multiples span their slices; several generators' spans come from SVDs
+    spans = [_span(multiples(t)) for t in range(sizes.size)] if len(generators) > 1 else None
+    k = np.diff(col_at) if spans is None else np.array([U.shape[1] for U in spans])
     if sliced:
         sub, comp = (SubspaceFrame(np.empty(sizes @ c, vals.dtype), np.stack([sizes, c], axis=1),
                                    order) for c in (k, sizes - k))
     else:
         sub, comp = (SubspaceFrame(np.zeros((b.dimension, c), vals.dtype))
-                     for c in (r, b.dimension - r))
+                     for c in (k[0], b.dimension - k[0]))
     for t in np.flatnonzero(sizes):
-        (r0, r1), (c0, c1), (e0, e1) = row_at[t:t + 2], col_at[t:t + 2], entry_at[t:t + 2]
-        X = np.zeros((r1 - r0, c1 - c0), vals.dtype)
-        X[rows[e0:e1] - r0, cols[e0:e1] - c0] = vals[e0:e1]
+        X = multiples(t) if spans is None else spans[t]
+        X *= lam[row_at[t]:row_at[t + 1], None]
         Q = np.linalg.qr(X, mode="complete")[0]
         if sliced:
-            sub.blocks(t)[0][...], comp.blocks(t)[0][...] = Q[:, :c1 - c0], Q[:, c1 - c0:]
+            sub.blocks(t)[0][...], comp.blocks(t)[0][...] = Q[:, :k[t]], Q[:, k[t]:]
         else:       # the one slice: its rows back in ordinal order
-            sub.columns[order], comp.columns[order] = Q[:, :c1 - c0], Q[:, c1 - c0:]
+            sub.columns[order], comp.columns[order] = Q[:, :k[t]], Q[:, k[t]:]
     return SubmoduleBasis(w, sub, comp)

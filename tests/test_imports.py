@@ -1,9 +1,9 @@
 """No shiftlab module reaches into another module's private names, every
 test module imports, the benchmark's traced groups name real functions and
-its frame-bytes counter reads every builder's frames, neither importing the
-CLI nor any run loads scipy (but scipy.linalg in one multi-generator
-quotient), fractions or decimal, and the commands call every public function
-but a listed few."""
+its frame-bytes counter reads every builder's frames, numpy is the one
+runtime dependency: neither importing the CLI nor any run loads scipy,
+fractions or decimal, and the commands call every public function but a
+listed few."""
 
 import ast
 import importlib
@@ -151,12 +151,6 @@ TINY_RUNS = [
 ]
 
 
-# the one run that may load scipy: an ungraded quotient with several
-# generators, whose rank comes from scipy.linalg's pivoted QR
-SCIPY_LINALG_RUN = ["quotient-probe", "--m", "2", "--gens", "z1-z2^2;z1*z2", "--p", "1",
-                    "--degrees", "3,4"]
-
-
 def scipy_after_each(runs, out, roots=("scipy",)):
     """In one fresh interpreter: the modules under the given top-level
     packages (scipy by default) loaded by import shiftlab.cli, then after
@@ -181,16 +175,20 @@ def test_cli_import_loads_no_scipy(tmp_path):
     assert scipy_after_each([], tmp_path) == [[]]
 
 
-def test_no_run_loads_scipy_but_the_multi_generator_quotient(tmp_path):
+def test_no_run_loads_scipy(tmp_path):
     # nor does a run: operators are numpy arrays, the weights' log-gamma is
     # weight_models.log_gamma_table (scipy.special, 0.07 s and 6 MB, is out)
+    # and a slice's rank of several generators comes from numpy's SVD
     assert {argv[0] for argv in TINY_RUNS} == set(shiftlab.cli.SCHEMAS)
-    others = [argv for argv in TINY_RUNS if argv != SCIPY_LINALG_RUN]
-    assert len(others) == len(TINY_RUNS) - 1
-    assert scipy_after_each(others, tmp_path) == [[]] * len(TINY_RUNS)
-    _, modules = scipy_after_each([SCIPY_LINALG_RUN], tmp_path)
-    assert "scipy.linalg" in modules
-    assert not any(m.startswith(("scipy.sparse", "scipy.special")) for m in modules), modules
+    assert scipy_after_each(TINY_RUNS, tmp_path) == [[]] * (len(TINY_RUNS) + 1)
+
+
+def test_numpy_is_the_only_runtime_dependency():
+    # scipy is a test oracle only: pyproject.toml lists it under the test extra
+    tomllib = pytest.importorskip("tomllib")
+    project = tomllib.loads((SRC.parents[1] / "pyproject.toml").read_text())["project"]
+    assert [d.split(">")[0] for d in project["dependencies"]] == ["numpy"]
+    assert any(d.startswith("scipy") for d in project["optional-dependencies"]["test"])
 
 
 def test_no_import_or_run_loads_fractions_or_decimal(tmp_path):
@@ -208,7 +206,6 @@ UNCALLED = {
                                              "command takes the dense spectrum of an ambient "
                                              "window",
     "submodules.projection_matrix": "the acceptance gate's projection checks",
-    "submodules.SubmoduleBasis.frame": "projection_matrix reads a side's frame through it",
     "polynomials.monomial_generator": "the acceptance gate and the README quick tour",
 }
 

@@ -12,7 +12,8 @@ from shiftlab import (Verdict, adjoint,
                       schatten_norm, self_commutator, shift_combination, singular_values,
                       spectral_split, ungraded_submodule)
 from shiftlab import cli, schatten
-from shiftlab.shift_operators import DegreeBlocks, SparseEntries, SubspaceFrame, TruncatedOperator
+from shiftlab.shift_operators import (DegreeBlocks, SparseEntries, SubspaceFrame, TruncatedOperator,
+                                      block_singular_values)
 
 from random_instances import frame_operator, random_weight_set, sparse_entries, z1_plus_adjoint
 
@@ -34,15 +35,14 @@ def test_singular_values_against_numpy(rng):
     for _ in range(20):
         n = int(rng.integers(2, 30))
         M = _random_matrix(rng, n)
-        for T in (M, _wrap(M)):     # an ndarray is its own window
-            s = singular_values(T)
-            assert np.allclose(s, np.linalg.svd(M, compute_uv=False), atol=1e-12)
+        s = singular_values(_wrap(M))
+        assert np.allclose(s, np.linalg.svd(M, compute_uv=False), atol=1e-12)
 
 
 def test_singular_values_equal_sqrt_eigs_of_gram(rng):
     # independent oracle: sigma_k^2 = eigenvalues of M* M
     M = _random_matrix(rng, 25)
-    s = singular_values(M)
+    s = singular_values(_wrap(M))
     lam = np.sort(np.linalg.eigvalsh(M.conj().T @ M))[::-1]
     assert np.allclose(s ** 2, lam, atol=1e-10)
 
@@ -328,23 +328,25 @@ def test_nested_windows_random_weights(seed, m, k):
         _assert_nested_windows(T)
 
 
-def test_ungraded_commutator_is_its_own_window(count_dense_spectra):
+def test_ungraded_commutator_is_one_block(count_dense_spectra):
     # a quotient by an ideal with no positive weight has one unlabelled
-    # block: its commutator is one r x r ndarray with no boundary strip, and
-    # every window degree reads all of it, by one dense SVD each
+    # block: its commutator is the bare DegreeBlocks of one r x r block of
+    # offset 0, with no boundary strip, and its block spectrum, every value
+    # labelled 0, is the dense spectrum of the whole block
     w = drury_arveson_weights(enumerate_basis(3, 6))
     S = ungraded_submodule(w, [parse_polynomial("z1-z2^2-z2^3", 3)])
     R1, R2 = (compress_to_frame(coordinate_shift(w, i), S.comp) for i in (1, 2))
     T = commutator(R1, R2)
-    assert isinstance(T, np.ndarray) and T.shape == (S.comp.dimension,) * 2
-    oracle = np.linalg.svd(T, compute_uv=False)
-    spectra = {d: schatten.singular_values(T, d) for d in SWEEP}
-    assert len(count_dense_spectra) == len(SWEEP)
-    for d in SWEEP:
-        assert np.array_equal(spectra[d], oracle)
-        for p in ORACLE_PS:
-            expected = oracle.max() if p == np.inf else np.sum(oracle ** p) ** (1 / p)
-            assert schatten.spectrum_norm(spectra[d], p) == pytest.approx(expected, rel=1e-12)
+    assert isinstance(T, DegreeBlocks) and T.offset == 0
+    assert np.array_equal(T.sizes, [S.comp.dimension])
+    oracle = np.linalg.svd(T.toarray(), compute_uv=False)
+    s, labels = block_singular_values(T)
+    assert s.size == oracle.size and not labels.any()
+    assert np.abs(np.sort(s)[::-1] - oracle).max() <= 1e-13 * oracle[0]
+    for p in ORACLE_PS:
+        expected = oracle.max() if p == np.inf else np.sum(oracle ** p) ** (1 / p)
+        assert schatten.spectrum_norm(s, p) == pytest.approx(expected, rel=1e-12)
+    assert count_dense_spectra == []
 
 
 def test_nested_windows_refuse_mixed_offsets(count_dense_spectra):
@@ -371,12 +373,13 @@ def test_non_finite_entry_rejected():
     vals[0] = np.nan
     mat = SparseEntries(Z.mat.rows, Z.mat.cols, vals, Z.mat.shape)
     graded = TruncatedOperator(w.basis, mat, interior_degree=Z.interior_degree)
-    with pytest.raises(ValueError, match="non-finite"):
-        schatten_norm(graded, 1.0)
-    ungraded = mat.toarray()
-    for check in (singular_values, lambda M: spectral_split(M, 1.0)):
+    # an ambient window, an unlabelled frame's one block and a dense matrix
+    unlabelled = DegreeBlocks(mat.toarray().ravel(), np.array([mat.shape[0]]), 0)
+    for check in (lambda: schatten_norm(graded, 1.0), lambda: singular_values(graded),
+                  lambda: block_singular_values(unlabelled),
+                  lambda: spectral_split(mat.toarray(), 1.0)):
         with pytest.raises(ValueError, match="non-finite"):
-            check(ungraded)
+            check()
 
 
 def test_graded_window_is_never_densified_whole(monkeypatch):
@@ -416,8 +419,6 @@ def test_dense_svd_limit_raises_before_densifying(monkeypatch, tmp_path):
         mp.setattr(TruncatedOperator, "window", window)
         with pytest.raises(ValueError, match="window dimension 12"):
             singular_values(M)
-    with pytest.raises(ValueError, match="window dimension 12"):
-        singular_values(np.eye(12))     # an ndarray window is refused alike
     assert singular_values(_wrap(np.eye(10))).size == 10
     # the decay fit of the submodule probe takes a dense spectrum: usage error
     code = cli.main(["submodule-probe", "--m", "2", "--gens", "z1*z2",

@@ -14,11 +14,11 @@ from shiftlab import (GradedBasis, InvarianceError, PolynomialGenerator, Submodu
                       invariance_residual, parse_polynomial,
                       restricted_commutator_decomposition, monomial_generator, monomial_submodule,
                       multiply, projection_matrix, restrict_to_invariant,
-                      self_commutator, shift_combination, singular_values)
+                      self_commutator, shift_combination)
 from shiftlab import cli, shift_operators
-from shiftlab.shift_operators import (INVARIANCE_TOL, TheoremViolationError,
+from shiftlab.shift_operators import (INVARIANCE_TOL, DegreeBlocks, TheoremViolationError,
                                       TruncatedOperator)
-from shiftlab.submodules import Side, ungraded_submodule
+from shiftlab.submodules import ungraded_submodule
 
 from random_instances import (ambient_columns, frame_operator, point_evaluation_submodule,
                               random_weight_set, shift_weight, sparse_entries, z1_plus_adjoint)
@@ -107,13 +107,13 @@ def test_window_is_the_interior_block(rng):
     for d, keep in ((None, degs <= 4), (3, degs <= 3), (9, degs <= 4)):
         assert np.array_equal(C.window(d).toarray(), _dense(C)[np.ix_(keep, keep)])
     # an unlabelled space (an ideal with no positive weight) has no boundary
-    # strip: its commutator is an ndarray, and a window of any degree is the
-    # whole of it
+    # strip: its commutator is a bare DegreeBlocks, one r x r block of offset
+    # 0, taken whole
     S = ungraded_submodule(w, [parse_polynomial("z1-z2^2-z2^3", 2)])
     R = self_commutator(compress_to_frame(coordinate_shift(w, 1), S.comp))
-    assert isinstance(R, np.ndarray)
-    for d in (None, 0):
-        assert np.array_equal(singular_values(R, d), np.linalg.svd(R, compute_uv=False))
+    assert isinstance(R, DegreeBlocks) and R.offset == 0
+    assert np.array_equal(R.sizes, [S.comp.dimension])
+    assert np.array_equal(R.blocks(0)[0], R.toarray())
 
 
 def test_adjoint_is_conjugate_transpose(rng):
@@ -330,7 +330,7 @@ def test_restricted_commutator_decomposition_matches_dense_ambient_oracle(seed, 
     T = shift_combination(w, rng.normal(size=m) + 1j * rng.normal(size=m))
     dec = restricted_commutator_decomposition(T, S.sub)
 
-    P = projection_matrix(S, Side.SUBMODULE)
+    P = projection_matrix(S.sub)
     F = ambient_columns(S.sub)
     Tm = _dense(T)
     Pperp = np.eye(T.dimension) - P
@@ -450,22 +450,24 @@ def _ungraded_inputs():
 
 
 def test_ungraded_products_are_blas_products(monkeypatch):
-    # a compression to an unlabelled frame is its r x r ndarray Q*(TQ), and
-    # its commutator an ndarray of two BLAS products
+    # a compression to an unlabelled frame is the one r x r block Q*(TQ) of
+    # a bare DegreeBlocks, and its commutator one of two BLAS products
     cases, composed = [], []
     for T1, T2, frame in _ungraded_inputs():
         Q = frame.columns
         R1, R2 = (compress_to_frame(T, frame) for T in (T1, T2))
         for R, T in ((R1, T1), (R2, T2)):
-            assert isinstance(R, np.ndarray) and R.shape == (frame.dimension,) * 2
-            assert np.abs(R - Q.conj().T @ (_dense(T) @ Q)).max() < 1e-14
+            assert isinstance(R, DegreeBlocks) and R.offset == 0
+            assert R.shape == (frame.dimension,) * 2
+            assert np.abs(R.toarray() - Q.conj().T @ (_dense(T) @ Q)).max() < 1e-14
         C = commutator(R1, R2)
-        assert isinstance(C, np.ndarray) and C.flags.c_contiguous
-        assert np.abs(C - (R1.conj().T @ R2 - R2 @ R1.conj().T)).max() < 1e-14
+        assert isinstance(C, DegreeBlocks) and C.offset == 0
+        r1, r2 = R1.toarray(), R2.toarray()
+        assert np.abs(C.toarray() - (r1.conj().T @ r2 - r2 @ r1.conj().T)).max() < 1e-14
         # A*B - BA* composed of the two products, A* C-ordered
-        a = np.ascontiguousarray(R1.conj().T)
+        a = np.ascontiguousarray(r1.conj().T)
         cases.append((R1, R2))
-        composed.append((a @ R2) + (R2 @ a) * -1.0)
+        composed.append((a @ r2) + (r2 @ a) * -1.0)
 
     def refuse(*args):
         raise AssertionError("composed operator algebra called")
@@ -473,25 +475,48 @@ def test_ungraded_products_are_blas_products(monkeypatch):
         monkeypatch.setattr(shift_operators, name, refuse)
     # the BLAS commutator is the composed one, entry for entry, and calls none of it
     for (R1, R2), expected in zip(cases, composed):
-        assert np.array_equal(commutator(R1, R2), expected)
+        assert np.array_equal(commutator(R1, R2).toarray(), expected)
 
 
-def test_unlabelled_block_spectrum_is_the_entry_spectrum_bit_for_bit():
+def test_unlabelled_block_spectrum_is_its_dense_spectrum():
     # an unlabelled commutator (a quotient by an ideal with no positive
-    # weight) is one block: the moduli of its lone entries, then the SVD of
-    # the other nonzeros on the rows and columns they reach, value for value
-    # what its nonzeros give as a SparseEntries labelled 0
+    # weight, a span of kernel vectors) is one block: its spectrum is the
+    # SVD of the whole block, every value labelled 0, lone entries included
     for T1, T2, frame in _ungraded_inputs():
         R1, R2 = (compress_to_frame(T, frame) for T in (T1, T2))
         for C in (commutator(R1, R2), self_commutator(R2)):
-            C = C.copy()
-            C[0, :], C[:, 0] = 0, 0
-            C[0, 0] = 0.5           # a lone entry beside the dense block
-            values, labels = shift_operators.block_singular_values(C)
-            expected = shift_operators.block_singular_values(
-                sparse_entries(C), np.zeros(C.shape[0], np.int64))
-            assert np.array_equal(values, expected[0]) and not labels.any()
-            assert values[0] == 0.5
+            M = C.toarray()
+            M[0, :], M[:, 0] = 0, 0
+            M[0, 0] = 0.5           # a lone entry beside the dense block
+            for X in (C.toarray(), M):
+                values, labels = shift_operators.block_singular_values(
+                    DegreeBlocks(X.ravel(), C.sizes, 0))
+                oracle = np.linalg.svd(X, compute_uv=False)
+                assert values.size == X.shape[0] and not labels.any()
+                assert np.abs(np.sort(values)[::-1] - oracle).max() <= 1e-13 * oracle[0]
+
+
+def test_operators_on_frames_are_degree_blocks():
+    # one store: a compression or restriction to a graded frame is a
+    # TruncatedOperator holding a DegreeBlocks, to a sliced or unlabelled
+    # frame the bare DegreeBlocks, never an ndarray
+    w = drury_arveson_weights(enumerate_basis(2, 8))
+    Z1 = coordinate_shift(w, 1)
+    graded = homogeneous_submodule(w, [parse_polynomial("z1^2-z2^2", 2)])
+    sliced = ungraded_submodule(w, [parse_polynomial("z1-z2^2", 2)])
+    unlabelled = ungraded_submodule(w, [parse_polynomial("z1-z2^2-z2^3", 2)])
+    points = point_evaluation_submodule(w, [(0.05, 0.02j), (-0.03 + 0.01j, 0.04)])
+    for X in (restrict_to_invariant(Z1, graded.sub), compress_to_frame(Z1, graded.comp)):
+        assert isinstance(X, TruncatedOperator) and isinstance(X.mat, DegreeBlocks)
+    for frame in (sliced.comp, unlabelled.comp, points.comp):
+        X = compress_to_frame(Z1, frame)
+        assert isinstance(X, DegreeBlocks)
+        assert np.array_equal(X.sizes, frame.sizes)
+    # an unlabelled frame's one block has offset 0, whatever T's degree_raise
+    for T in (adjoint(Z1), adjoint(coordinate_shift(w, 2))):
+        X = restrict_to_invariant(T, points.comp)
+        assert isinstance(X, DegreeBlocks) and X.offset == 0
+        assert np.array_equal(X.sizes, [2])
 
 
 def test_sliced_commutators_are_batched_blas_products(monkeypatch):

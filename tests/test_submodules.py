@@ -14,7 +14,7 @@ from shiftlab import (PolynomialGenerator, RankCollapseError, SubspaceFrame, ber
                       monomial_submodule, parse_polynomial, projection_matrix,
                       self_commutator)
 from shiftlab import cli, schatten, shift_operators, submodules
-from shiftlab.submodules import Side, ungraded_submodule
+from shiftlab.submodules import ungraded_submodule
 
 from random_instances import ambient_columns, point_evaluation_submodule, random_weight_set
 from test_graded_basis import compositions
@@ -50,8 +50,8 @@ def test_monomial_hilbert_function():
 def test_projections_are_complementary(rng):
     w = random_weight_set(rng, 2, 5)
     S = monomial_submodule(w, [monomial_generator((1, 2), num_vars=2)])
-    P = projection_matrix(S, Side.SUBMODULE)
-    Pc = projection_matrix(S, Side.COMPLEMENT)
+    P = projection_matrix(S.sub)
+    Pc = projection_matrix(S.comp)
     n = w.basis.dimension
     assert np.abs(P @ P - P).max() < 1e-12
     assert np.abs(P + Pc - np.eye(n)).max() < 1e-12
@@ -62,8 +62,8 @@ def test_homogeneous_agrees_with_monomial(rng):
     # projection
     w = random_weight_set(rng, 2, 6)
     gen = monomial_generator((1, 1), num_vars=2)
-    Pm = projection_matrix(monomial_submodule(w, [gen]), Side.SUBMODULE)
-    Ph = projection_matrix(homogeneous_submodule(w, [gen]), Side.SUBMODULE)
+    Pm = projection_matrix(monomial_submodule(w, [gen]).sub)
+    Ph = projection_matrix(homogeneous_submodule(w, [gen]).sub)
     assert np.abs(Pm - Ph).max() < 1e-10
 
 
@@ -241,10 +241,10 @@ def _linear(a, b):
 
 def test_homogeneous_keeps_imaginary_coefficients():
     w = drury_arveson_weights(enumerate_basis(2, 5))
-    P_plus, P_minus = (projection_matrix(homogeneous_submodule(w, [_linear(1.0, c)]),
-                                         Side.SUBMODULE) for c in (1j, -1j))
+    P_plus, P_minus = (projection_matrix(homogeneous_submodule(w, [_linear(1.0, c)]).sub)
+                       for c in (1j, -1j))
     assert np.abs(P_plus - P_minus).max() > 0.1
-    P_ungraded = projection_matrix(ungraded_submodule(w, [_linear(1.0, 1j)]), Side.SUBMODULE)
+    P_ungraded = projection_matrix(ungraded_submodule(w, [_linear(1.0, 1j)]).sub)
     assert np.abs(P_plus - P_ungraded).max() < 1e-10
 
 
@@ -269,8 +269,8 @@ def test_graded_and_ungraded_agree_on_complex_homogeneous_generators(seed, m, de
         coefs = rng.uniform(0.5, 2.0, len(alphas)) * np.exp(2j * np.pi * rng.uniform(size=len(alphas)))
         terms = tuple((alpha, 0, complex(coef)) for alpha, coef in zip(alphas, coefs))
         gens.append(PolynomialGenerator(terms=terms, num_vars=m))
-    P_graded = projection_matrix(homogeneous_submodule(w, gens), Side.SUBMODULE)
-    P_ungraded = projection_matrix(ungraded_submodule(w, gens), Side.SUBMODULE)
+    P_graded = projection_matrix(homogeneous_submodule(w, gens).sub)
+    P_ungraded = projection_matrix(ungraded_submodule(w, gens).sub)
     assert np.abs(P_graded - P_ungraded).max() < 1e-10
 
 
@@ -383,6 +383,7 @@ def test_sliced_frames_refuse_a_wide_slice_before_any_work(monkeypatch, tmp_path
     def refuse(*args, **kwargs):
         raise AssertionError("work done before the size check")
     monkeypatch.setattr(submodules, "multiple_vectors", refuse)
+    monkeypatch.setattr(np.linalg, "svd", refuse)
     monkeypatch.setattr(np.linalg, "qr", refuse)
     monkeypatch.setattr(scipy.linalg, "qr", refuse)
     with pytest.raises(ValueError, match="weighted slice dimension 5 exceeds DENSE_SVD_LIMIT=4; "
@@ -533,12 +534,14 @@ def _slice_ranks_of_one_ambient_qr(w, gens, weight):
     ordinal = {tuple(int(a) for a in e): j for j, e in enumerate(b.exponents)}
     X, slices = [], []
     for g in gens:
-        for q in b.exponents[:b.slice_bounds[b.max_degree - g.max_degree + 1]]:
+        for q in b.exponents[:b.slice_bounds[max(0, b.max_degree - g.max_degree + 1)]]:
             v = np.zeros(b.dimension, complex)
             for alpha, _, coef in g.terms:
                 v[ordinal[tuple(int(x) for x in np.add(q, alpha))]] = coef
             X.append(v)
             slices.append(int(np.dot(weight, np.add(q, g.terms[0][0]))))
+    if not X:
+        return np.zeros(int((b.exponents @ weight).max()) + 1, np.int64)
     R, piv = scipy.linalg.qr(np.column_stack(X), mode="r", pivoting=True)
     diag = np.abs(np.diag(R))
     kept = piv[:np.count_nonzero(diag > submodules.DEFAULT_RANK_TOL * diag[0])]
@@ -559,6 +562,29 @@ def test_per_slice_ranks_equal_one_ambient_pivoted_qr(family, N):
     assert np.array_equal(S.sub.shapes[:, 1], expected)
     assert S.sub.dimension == expected.sum() < sum(
         math.comb(N - g.max_degree + 2, 2) for g in gens)
+
+
+@pytest.mark.parametrize("family", [bergman_ball_weights, drury_arveson_weights,
+                                    hardy_ball_weights])
+@pytest.mark.parametrize("m, N, texts", [
+    (2, 20, ["z1^3-z2^2", "z1*z2^2"]),
+    (2, 16, ["z1-z2^2", "z1^2-z2^4"]),      # a redundant generator
+    (3, 9, ["z1-z2*z3", "z1*z2"]),
+    (3, 8, ["z1-z2*z3", "z2^2-z3^2", "z1*z3"]),
+    (2, 12, ["z1-z2^2-z2^3", "z1*z2"]),     # w = 0: one slice
+    (2, 3, ["z1^2-z2^4", "z2^5"]),          # no multiple within degree N
+])
+def test_svd_slice_ranks_equal_pivoted_qr_ranks(family, m, N, texts):
+    # a slice's rank of several generators is its count of singular values
+    # above the cut-off; the pivoted QR of every multiple (scipy, the
+    # oracle) keeps as many
+    w = family(enumerate_basis(m, N))
+    gens = _generators(m, texts)
+    weight = submodules.homogeneity_weight(gens, m)
+    S = ungraded_submodule(w, gens)
+    expected = _slice_ranks_of_one_ambient_qr(w, gens, weight)
+    ranks = S.sub.sizes if any(weight) else [S.sub.dimension]
+    assert np.array_equal(ranks, expected)
 
 
 @pytest.mark.parametrize("family", [bergman_ball_weights, drury_arveson_weights,
