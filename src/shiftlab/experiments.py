@@ -205,6 +205,15 @@ def _build_submodule(w, generators):
     return submodules.homogeneous_submodule(w, generators)
 
 
+def _restrict(side, frame, T, name):
+    """T restricted to a side's frame, which its builder made invariant: a
+    frame that is not is a defect of the builder, not of the input."""
+    try:
+        return ops.restrict_to_invariant(T, frame)
+    except ops.InvarianceError as exc:
+        raise TheoremViolationError(f"{side} frame is not invariant under {name}: {exc}") from None
+
+
 def run_submodule_probe(family: str, m: int, k: int, generators, p_values,
                       degree_sweep=None, delta: float | None = None) -> ExperimentReport:
     """Cross-commutator trends for restrictions to a graded submodule."""
@@ -231,8 +240,10 @@ def run_submodule_probe(family: str, m: int, k: int, generators, p_values,
 
     shifts = [ops.coordinate_shift(w, i) for i in range(1, m + 1)]
     sides = {
-        "restriction": [ops.restrict_to_invariant(Z, S.sub) for Z in shifts],
-        "complement": [ops.restrict_to_invariant(ops.adjoint(Z), S.comp) for Z in shifts],
+        "restriction": [_restrict("restriction", S.sub, Z, f"Z_{i}")
+                        for i, Z in enumerate(shifts, start=1)],
+        "complement": [_restrict("complement", S.comp, ops.adjoint(Z), f"Z_{i}*")
+                       for i, Z in enumerate(shifts, start=1)],
     }
     tab = rep.table("cross_commutator_norms", ["side", "i", "j", "p", "degree", "value"])
     fits = rep.table("decay_fits", ["side", "i", "j", "beta", "critical_exponent",

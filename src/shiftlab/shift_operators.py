@@ -12,10 +12,10 @@ GradedBasis it is a SparseEntries, its nonzeros sorted by row and then by
 column: every ambient operator is a weighted partial permutation of
 monomials, or a sum of m of them, so its products are joins of entries.  On
 a graded frame it is a DegreeBlocks, one dense block per degree pair
-(n + r, n); operators reach a frame one degree pair at a time.  Both sum
-each entry of a product over the inner index in ascending order, one
-rounded product at a time (the order of scipy's sparse products), so the
-commutators every decay fit reads keep their bits.
+(n + r, n); operators reach a frame one degree pair at a time.  Block
+products keep scipy's summation order, the inner index ascending, because
+decay fits read their round-off, except products of partial permutations:
+a product of single terms is exact whatever the order, so BLAS takes them.
 Every operator restricted or compressed to a frame is a DegreeBlocks; the
 frame's labels decide only whether there is an interior strip to track.  A
 graded frame's is wrapped in a TruncatedOperator.  A frame sliced by
@@ -62,18 +62,6 @@ def _runs(*keys):
         return []
     cut = (np.flatnonzero(np.diff(K).any(axis=0)) + 1).tolist()
     return list(zip([0, *cut], [*cut, K.shape[1]]))
-
-
-def _times(x, y):
-    """x * y, each complex product rounded as (xr yr - xi yi) + i (xr yi + xi yr)
-    term by term, as scipy's sparse kernels round it (numpy's complex loop
-    fuses a product into the sum)."""
-    if not (np.iscomplexobj(x) and np.iscomplexobj(y)):
-        return x * y
-    out = np.empty(np.broadcast_shapes(x.shape, y.shape), np.result_type(x, y))
-    out.real = x.real * y.real - x.imag * y.imag
-    out.imag = x.real * y.imag + x.imag * y.real
-    return out
 
 
 def _add(M: np.ndarray, row: int, col: int, X: np.ndarray):
@@ -185,14 +173,14 @@ class SparseEntries:
 
     def __matmul__(self, other):
         """A product whose every entry sums over the inner index in ascending
-        order: with an ndarray, each row in entry order (scipy's csr_matvecs),
-        with SparseEntries as a join of entries (scipy's csr_matmat)."""
+        order: with an ndarray, each row in entry order, with SparseEntries
+        as a join of entries."""
         if isinstance(other, np.ndarray):
             Y = np.zeros((self.shape[0], other.shape[1]), np.result_type(self.vals, other))
             place = np.arange(self.nnz) - np.searchsorted(self.rows, self.rows)
             for p in range(place.max(initial=-1) + 1):
                 e = place == p
-                Y[self.rows[e]] += _times(self.vals[e, None], other[self.cols[e]])
+                Y[self.rows[e]] += self.vals[e, None] * other[self.cols[e]]
             return Y
         # entry (i, j) meets every entry of other's row j, in order
         lo, hi = (np.searchsorted(other.rows, self.cols, side=s) for s in ("left", "right"))
@@ -201,7 +189,7 @@ class SparseEntries:
         n = other.shape[1]
         keys, slot = np.unique(self.rows[a] * n + other.cols[b], return_inverse=True)
         vals = np.zeros(keys.size, np.result_type(self.vals, other.vals))
-        np.add.at(vals, slot, _times(self.vals[a], other.vals[b]))
+        np.add.at(vals, slot, self.vals[a] * other.vals[b])
         return _nonzero(keys // n, keys % n, vals, n)
 
     def __sub__(self, other: "SparseEntries") -> "SparseEntries":
@@ -223,20 +211,16 @@ def _nonzero(rows, cols, vals, n: int) -> SparseEntries:
 
 def _add_product(C: np.ndarray, A: np.ndarray, B: np.ndarray):
     """C += A B for stacks of blocks, each entry summed over the inner index j
-    in ascending order, one rounded product at a time.  Where every row of A,
-    or every column of B, holds at most one nonzero (the scaled partial
-    permutations of monomial frames), each entry is a single product at the
-    one j that can be nonzero, gathered in one step."""
-    nz_a, nz_b = A != 0, B != 0
-    if (nz_a.sum(axis=2) <= 1).all():
-        j = nz_a.argmax(axis=2)[:, :, None]
-    elif (nz_b.sum(axis=1) <= 1).all():
-        j = nz_b.argmax(axis=1)[:, None, :]
-    else:
-        for j in range(A.shape[2]):
-            C += _times(A[:, :, j, None], B[:, None, j, :])
+    in ascending order, one rounded product at a time: BLAS sums in chunks
+    and pairs, and decay fits read the round-off of real blocks.  Where every
+    row of A, or every column of B, holds at most one nonzero (the scaled
+    partial permutations of monomial frames), each entry is one rounded
+    product plus exact zeros, which BLAS returns bit for bit."""
+    if ((A != 0).sum(axis=2) <= 1).all() or ((B != 0).sum(axis=1) <= 1).all():
+        C += A @ B
         return
-    C += _times(np.take_along_axis(A, j, axis=2), np.take_along_axis(B, j, axis=1))
+    for j in range(A.shape[2]):
+        C += A[:, :, j, None] * B[:, None, j, :]
 
 
 def _layout(sizes, offset: int):
@@ -312,10 +296,7 @@ class DegreeBlocks:
 
     def __matmul__(self, other: "DegreeBlocks") -> "DegreeBlocks":
         """Block n of the product is self's block n + other.offset times
-        other's block n.  Each entry is summed over the inner index in
-        ascending order, each product rounded before it is added: not by
-        BLAS, which sums in chunks and pairs and moves the round-off that
-        decay fits read."""
+        other's block n, each run of them summed by _add_product."""
         return self._product(other, _add_product)
 
     def _product(self, other: "DegreeBlocks", add) -> "DegreeBlocks":
@@ -489,13 +470,12 @@ def block_singular_values(W, degrees=None):
     commutator [A*, B] of them), so it is the direct sum of its (degree
     n + r, degree n) blocks and its spectrum is the union of theirs.  A
     DegreeBlocks holds those blocks (a sliced frame's operators too, by
-    weighted degree, and an unlabelled frame's as its one block); a
-    SparseEntries, whose rows and columns degrees labels, is densified one
-    block at a time, and nonzeros with more than one degree offset are
-    refused with ValueError.  An entry alone in its row and its column is a
-    1x1 summand whose singular value is its modulus, so scaled partial
-    permutations (every operator of monomial weights, every restriction to
-    a monomial submodule) need no SVD.
+    weighted degree, and an unlabelled frame's as its one block).  A
+    SparseEntries, whose rows and columns degrees labels, must be a weighted
+    partial permutation, as every ambient operator the commands read is:
+    each entry is then a 1x1 summand whose singular value is its modulus.
+    Nonzeros with more than one degree offset, or two nonzeros in one row
+    or column, are refused with ValueError.
 
     Returns (values, labels): the (n + r, n) block's values are labelled
     max(n, n + r).  A block enters or leaves a window {degree <= d} whole,
@@ -504,9 +484,15 @@ def block_singular_values(W, degrees=None):
     """
     if not np.all(np.isfinite(W.data if isinstance(W, DegreeBlocks) else W.vals)):
         raise ValueError("operator has non-finite entries")
-    parts = [(np.zeros(0), np.zeros(0, np.int64)),
-             *(_frame_spectra(W) if isinstance(W, DegreeBlocks)
-               else _entry_spectra(W, np.asarray(degrees)))]
+    if isinstance(W, SparseEntries):
+        degrees = np.asarray(degrees)
+        col_deg, row_deg = degrees[W.cols], degrees[W.rows]
+        _check_single_offset(row_deg, col_deg)
+        if max(np.bincount(x).max(initial=0) for x in (W.rows, W.cols)) > 1:
+            raise ValueError("operator is not a weighted partial permutation: two nonzeros "
+                             "share a row or a column, so it has no entrywise spectrum")
+        return np.abs(W.vals), np.maximum(row_deg, col_deg)
+    parts = [(np.zeros(0), np.zeros(0, np.int64)), *_frame_spectra(W)]
     return tuple(np.concatenate(x) for x in zip(*parts))
 
 
@@ -523,39 +509,6 @@ def _frame_spectra(W: DegreeBlocks):
         if X.size and not easy.all():
             s = np.linalg.svd(X[~easy], compute_uv=False)
             yield s.ravel(), np.repeat(label[~easy], s.shape[1])
-
-
-def _ranks_in_group(group, x):
-    """Each element's rank among the distinct values of x in its group, and
-    each group's count of them; the groups are 0, 1, ..., k - 1."""
-    span = int(x.max()) + 1
-    keys, rank = np.unique(group * span + x, return_inverse=True)
-    first = np.searchsorted(keys, np.arange(group.max() + 1) * span)
-    return rank - first[group], np.diff(np.append(first, keys.size))
-
-
-def _entry_spectra(W: SparseEntries, degrees):
-    """(values, labels) of the lone entries, then of each column degree's
-    dense block of the other entries, on the rows and columns they reach
-    (in ascending order)."""
-    col_deg, row_deg = degrees[W.cols], degrees[W.rows]
-    _check_single_offset(row_deg, col_deg)
-    label = np.maximum(row_deg, col_deg)
-    alone = ((np.bincount(W.rows, minlength=W.shape[0])[W.rows] == 1)
-             & (np.bincount(W.cols, minlength=W.shape[1])[W.cols] == 1))
-    yield np.abs(W.vals[alone]), label[alone]
-    e = np.flatnonzero(~alone)
-    if not e.size:
-        return
-    e = e[np.argsort(col_deg[e], kind="stable")]
-    block = np.unique(col_deg[e], return_inverse=True)[1]
-    (i, h), (j, w) = (_ranks_in_group(block, x[e]) for x in (W.rows, W.cols))
-    ends = np.cumsum(np.bincount(block))
-    for a, z, height, width in zip(np.r_[0, ends[:-1]], ends, h, w):
-        B = np.zeros((height, width), dtype=W.dtype)
-        B[i[a:z], j[a:z]] = W.vals[e[a:z]]
-        s = np.linalg.svd(B, compute_uv=False)
-        yield s, np.full(s.size, label[e[a]])
 
 
 def _degree_pairs(T: TruncatedOperator, frame: SubspaceFrame, adjoint: bool = False):

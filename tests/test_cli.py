@@ -258,6 +258,18 @@ def test_quotient_probe_rejects_non_coinvariant_complement(tmp_path, capsys):
     assert not any(tmp_path.iterdir())
 
 
+def test_submodule_probe_rejects_non_invariant_frame(tmp_path, capsys):
+    # the same frame defect in the submodule probe is a theorem failure too:
+    # truncated at degree 72, the sub frame of z1-z2 is off by 0.75 under Z_1
+    code = run_cli(["submodule-probe", "--m", "2", "--family", "drury-arveson",
+                    "--gens", "z1-z2", "--p", "1", "--degrees", "40,50,60,70"], tmp_path)
+    assert code == 1
+    err = capsys.readouterr().err
+    assert "THEOREM CHECK FAILED: restriction frame is not invariant under Z_1: " \
+           "invariance residual" in err
+    assert not any(tmp_path.iterdir())
+
+
 @pytest.mark.parametrize("gens,degrees,reason", [
     ("z1-z2^2", "40,60,3000", "basis dimension 4510506 exceeds cap 50000"),
     ("z1^2-z2^2", "40,60,3000", "basis dimension 4510506 exceeds cap 50000"),

@@ -262,8 +262,14 @@ def test_block_norms_random_weights(seed, m):
     w = random_weight_set(rng, m, 7 if m == 3 else 10, k=int(rng.integers(1, 3)))
     i, j = (int(x) for x in rng.integers(1, m + 1, size=2))
     Zi, Zj = coordinate_shift(w, i), coordinate_shift(w, j)
-    for T in (Zi, commutator(Zi, Zj), self_commutator(_plus(Zi, Zj, 0.5 + 1j))):
+    plus = self_commutator(_plus(Zi, Zj, 0.5 + 1j))
+    for T in (Zi, commutator(Zi, Zj)):
         _assert_matches_dense_oracle(T, (1, 3, T.interior_degree))
+    if i == j:      # Z_i + cZ_i = (1 + c)Z_i
+        _assert_matches_dense_oracle(plus, (1, 3, plus.interior_degree))
+    else:           # Z_i + cZ_j is no partial permutation, nor its self-commutator
+        with pytest.raises(ValueError, match="not a weighted partial permutation"):
+            schatten_norm(plus, 1.0)
 
 
 def test_block_norms_refuse_mixed_offsets(count_dense_spectra):
@@ -323,9 +329,14 @@ def test_nested_windows_random_weights(seed, m, k):
     i, j = (int(x) for x in rng.integers(1, m + 1, size=2))
     Zi, Zj = coordinate_shift(w, i), coordinate_shift(w, j)
     c = complex(*rng.normal(size=2))
-    for T in (Zi, commutator(Zi, Zj), commutator(_plus(Zi, Zj, c), Zj),
-              self_commutator(_plus(Zi, Zj, c))):
+    for T in (Zi, commutator(Zi, Zj)):
         _assert_nested_windows(T)
+    for T in (commutator(_plus(Zi, Zj, c), Zj), self_commutator(_plus(Zi, Zj, c))):
+        if i == j:      # Z_i + cZ_i = (1 + c)Z_i
+            _assert_nested_windows(T)
+        else:           # Z_i + cZ_j is no partial permutation, nor its commutators
+            with pytest.raises(ValueError, match="not a weighted partial permutation"):
+                schatten.window_spectra(T, SWEEP)
 
 
 def test_ungraded_commutator_is_one_block(count_dense_spectra):

@@ -478,6 +478,36 @@ def test_ungraded_products_are_blas_products(monkeypatch):
         assert np.array_equal(commutator(R1, R2).toarray(), expected)
 
 
+@settings(max_examples=25, deadline=None)
+@given(seed=st.integers(0, 2 ** 32 - 1), m=st.integers(1, 3), k=st.integers(1, 2))
+def test_ambient_shifts_and_commutators_are_partial_permutations(seed, m, k):
+    # [Z_i*, Z_j] sends e_alpha to a multiple of e_(alpha + e_j - e_i): every
+    # entry of Z_i, Z_i* and [Z_i*, Z_j] is alone in its row and its column,
+    # so an ambient window's spectrum is its entries' moduli
+    rng = np.random.default_rng(seed)
+    w = random_weight_set(rng, m, 7 if m == 3 else 10, k=k)
+    Zs = [coordinate_shift(w, i) for i in range(1, m + 1)]
+    for T in (*Zs, *map(adjoint, Zs), *(commutator(A, B) for A in Zs for B in Zs)):
+        nz = _dense(T) != 0
+        assert nz.any()
+        assert nz.sum(axis=0).max() == nz.sum(axis=1).max() == 1
+        s, _ = shift_operators.block_singular_values(T.mat, w.basis.degrees)
+        assert np.array_equal(np.sort(s), np.sort(np.abs(_dense(T)[nz])))
+
+
+def test_block_spectrum_refuses_other_ambient_operators(monkeypatch):
+    # [T*, T] of T = Z_1 + 0.5 Z_2 holds two nonzeros in some rows: no
+    # entrywise spectrum, and no dense fallback either
+    w = drury_arveson_weights(enumerate_basis(2, 8))
+    C = self_commutator(shift_combination(w, (1, 0.5)))
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("dense SVD called")
+    monkeypatch.setattr(np.linalg, "svd", refuse)
+    with pytest.raises(ValueError, match="not a weighted partial permutation"):
+        shift_operators.block_singular_values(C.mat, w.basis.degrees)
+
+
 def test_unlabelled_block_spectrum_is_its_dense_spectrum():
     # an unlabelled commutator (a quotient by an ideal with no positive
     # weight, a span of kernel vectors) is one block: its spectrum is the
@@ -901,34 +931,58 @@ def _scipy_commutator(A, B):
 
 
 def _kernel_cases(rng, m):
-    """Lists of operators on one space: shifts and combinations of them on the
-    basis, then the restrictions, complements and quotient compressions of
-    the shifts on a random monomial and two random homogeneous submodules."""
+    """(kind, operators): lists of operators on one space, shifts and
+    combinations of them on the basis, then the restrictions, complements
+    and quotient compressions of the shifts on a random monomial and two
+    random homogeneous submodules."""
     for kind in ("monomial", "homogeneous-real", "homogeneous-complex"):
         w, S = _random_submodule(rng, m, kind)
         Zs = [coordinate_shift(w, i) for i in range(1, m + 1)]
         if kind == "monomial":
-            yield Zs
-            yield [shift_combination(w, rng.normal(size=m) + 1j * rng.normal(size=m))
-                   for _ in range(2)]
-        yield [restrict_to_invariant(Z, S.sub) for Z in Zs]
-        yield [restrict_to_invariant(adjoint(Z), S.comp) for Z in Zs]
-        yield [compress_to_frame(Z, S.comp) for Z in Zs]
+            yield kind, Zs
+            yield kind, [shift_combination(w, rng.normal(size=m) + 1j * rng.normal(size=m))
+                         for _ in range(2)]
+        yield kind, [restrict_to_invariant(Z, S.sub) for Z in Zs]
+        yield kind, [restrict_to_invariant(adjoint(Z), S.comp) for Z in Zs]
+        yield kind, [compress_to_frame(Z, S.comp) for Z in Zs]
 
 
 @pytest.mark.parametrize("m", [1, 2, 3])
-def test_commutators_sum_as_scipy_csr_products_bit_for_bit(m):
-    # decay fits read round-off singular values, so the commutators' bits are
-    # pinned: each entry of a product sums its rounded terms over the inner
-    # index in ascending order, as scipy's csr_matmat does (BLAS would not)
+def test_commutators_sum_as_scipy_csr_products_bit_for_bit(m, monkeypatch):
+    # decay fits read round-off singular values, so the real commutators'
+    # bits are pinned: each entry of a product sums its rounded terms over
+    # the inner index in ascending order, as scipy's csr_matmat does (BLAS
+    # would not), except on blocks of partial permutations, the monomial
+    # frames', where every entry is one product and BLAS returns it exactly.
+    # Complex products are rounded as numpy rounds them: within 1e-15
+    branches = []
+    add_product = shift_operators._add_product
+
+    class Spied(np.ndarray):
+        def __matmul__(self, other):
+            branches[-1] = "blas"
+            return np.asarray(self) @ other
+
+    def spy(C, A, B):
+        branches.append("loop")
+        add_product(C, A.view(Spied), B)
+    monkeypatch.setattr(shift_operators, "_add_product", spy)
     rng = np.random.default_rng(m)
-    widths = set()
+    widths, loops = set(), 0
     for _ in range(4):
-        for Ts in _kernel_cases(rng, m):
+        for kind, Ts in _kernel_cases(rng, m):
             if isinstance(Ts[0].space, SubspaceFrame):
                 widths.update(Ts[0].space.shapes[:, 1].tolist())
+            branches.clear()
             for i in range(len(Ts)):
                 for j in range(i, len(Ts)):
-                    C = commutator(Ts[i], Ts[j])
-                    assert np.array_equal(_dense(C), _scipy_commutator(Ts[i], Ts[j]))
+                    C, oracle = _dense(commutator(Ts[i], Ts[j])), _scipy_commutator(Ts[i], Ts[j])
+                    if np.iscomplexobj(C):
+                        assert np.abs(C - oracle).max() <= 1e-15 * np.abs(oracle).max()
+                    else:
+                        assert np.array_equal(C, oracle)
+            if kind == "monomial":
+                assert "loop" not in branches
+            loops += branches.count("loop")
     assert 1 in widths      # frames with blocks one column wide are covered
+    assert (loops > 0) == (m > 1)    # m = 1: every block is 1 x 1
