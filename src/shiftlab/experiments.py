@@ -468,9 +468,12 @@ def _quotient_spectra(generators, m, N, homogeneous, family, delta, fits=None):
             s = s[s > 0]
         else:
             # an ungraded fit counts all r values: the block spectrum, sorted,
-            # padded with the zeros it leaves out
+            # padded with the zeros it leaves out, and values at or below
+            # s_max r eps (numpy's matrix_rank cut) zeroed as round-off, so
+            # a commutator of low numerical rank gives no fit
             s = np.sort(spectra[i, j])[::-1]
             s = np.pad(s, (0, C.shape[0] - s.size))
+            s[s <= s.max(initial=0.0) * s.size * np.finfo(float).eps] = 0.0
         fit = schatten.decay_exponent_fit(s)
         if fit is not None:
             fits.add(i, j, fit.beta, fit.critical_exponent, fit.residual)

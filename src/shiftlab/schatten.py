@@ -3,7 +3,8 @@
 Everything here reads an operator's interior window (TruncatedOperator.window),
 optionally cut to degrees <= d, in the store of its space: the nonzeros of
 an ambient operator (SparseEntries), the degree blocks of one on a graded
-frame (DegreeBlocks).  Graded windows go block by degree block
+frame (DegreeBlocks).  Graded windows go by degree blocks, the narrow ones
+zero-padded into one stack per size class
 (shift_operators.block_singular_values), and a sweep of nested windows takes
 one pass over the widest: window d keeps the block values labelled <= d.
 window_norms derives every (d, p) norm of a sweep from those spectra.  An

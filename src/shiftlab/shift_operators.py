@@ -28,6 +28,13 @@ r x r block of offset 0.  Neither has an interior strip, and commutator
 takes two bare DegreeBlocks by one batched BLAS product per run of equal
 block shapes.  A sliced frame is only compressed to: the routines that
 check invariance on the interior rows refuse it.
+
+Spectra of DegreeBlocks, and a sliced frame's slice QRs (submodules), go
+by size class: a block whose larger side is at most STACK_SIDE is
+zero-padded to S x S, S = 4 ceil(side / 4), and each class is one LAPACK
+call per stack of up to STACK_ENTRIES padded entries (size_classes).  A
+sliced frame's blocks have many distinct shapes, so runs of one shape
+would mean about one call per slice.
 """
 
 from dataclasses import dataclass, field
@@ -40,6 +47,9 @@ from .weight_models import WeightSet
 SELF_ADJOINT_TOL = 1e-12
 INVARIANCE_TOL = 1e-10
 PSD_TOL = 1e-10
+# blocks whose larger side is at most STACK_SIDE are factorised zero-padded,
+# STACK_ENTRIES padded entries per LAPACK call at most
+STACK_SIDE, STACK_ENTRIES = 32, 2 ** 12
 
 
 class TheoremViolationError(AssertionError):
@@ -463,8 +473,9 @@ def _check_single_offset(row_deg, col_deg):
 
 
 def block_singular_values(W, degrees=None):
-    """Singular values of a window, up to zeros, one degree block at a time,
-    each with the smallest window degree that contains it.
+    """Singular values of a window, up to zeros, block by block (the narrow
+    blocks one stack per size class), each with the smallest window degree
+    that contains it.
 
     W maps degree n to n + r for one offset r (shifts, their adjoints, every
     commutator [A*, B] of them), so it is the direct sum of its (degree
@@ -479,8 +490,8 @@ def block_singular_values(W, degrees=None):
 
     Returns (values, labels): the (n + r, n) block's values are labelled
     max(n, n + r).  A block enters or leaves a window {degree <= d} whole,
-    so values[labels <= d] is the spectrum of the window d, value for value
-    and in the same order.
+    and its stack depends on its shape alone, so values[labels <= d] is the
+    spectrum of the window d, value for value and in the same order.
     """
     if not np.all(np.isfinite(W.data if isinstance(W, DegreeBlocks) else W.vals)):
         raise ValueError("operator has non-finite entries")
@@ -496,19 +507,54 @@ def block_singular_values(W, degrees=None):
     return tuple(np.concatenate(x) for x in zip(*parts))
 
 
+def size_classes(heights, widths):
+    """[(S, index)]: the blocks with both sides positive and the larger side
+    at most STACK_SIDE, grouped by S = 4 ceil(side / 4) in increasing order
+    and cut into chunks of at most STACK_ENTRIES / S^2 blocks; index the
+    positions of a chunk's blocks, ascending.  A block's S depends on its
+    shape alone, so blocks zero-padded to S x S share one LAPACK call per
+    chunk however the other blocks are shaped."""
+    side = np.maximum(heights, widths)
+    S = np.where((np.minimum(heights, widths) > 0) & (side <= STACK_SIDE), -(-side // 4) * 4, 0)
+    out = []
+    for s in np.flatnonzero(np.bincount(S)[1:]) + 1:
+        index, step = np.flatnonzero(S == s), max(1, STACK_ENTRIES // s ** 2)
+        out += [(int(s), index[a:a + step]) for a in range(0, index.size, step)]
+    return out
+
+
+def _stacks(W: DegreeBlocks):
+    """W's blocks as stacks (X, labels, counts), counts each block's number
+    of singular values, min(rows, columns): each chunk of size_classes
+    zero-padded to S x S and gathered by one fancy index, then the wider
+    blocks in their runs of one shape."""
+    n, h, w, starts = W.layout
+    label, count = np.maximum(n, n + W.offset), np.minimum(h, w)
+    wide = np.maximum(h, w) > STACK_SIDE
+    for S, b in size_classes(h, w):
+        i, j, hb, wb = np.arange(S)[:, None], np.arange(S), h[b, None, None], w[b, None, None]
+        inside = (i < hb) & (j < wb)
+        X = np.zeros(inside.shape, W.dtype)
+        X[inside] = W.data[(starts[b, None, None] + i * wb + j)[inside]]
+        yield X, label[b], count[b]
+    for a, c in _runs(h, w) if wide.any() else ():
+        if wide[a]:
+            yield W.blocks(int(n[a]), c - a), label[a:c], count[a:c]
+
+
 def _frame_spectra(W: DegreeBlocks):
-    """(values, labels) of each run of equal-shape blocks: the moduli of the
-    blocks whose nonzeros are all alone in their rows and columns, the SVD
-    of the others."""
-    for n, g in W.runs():
-        X, label = W.blocks(n, g), np.maximum(n, n + W.offset) + np.arange(g)
+    """(values, labels) of each of _stacks' stacks: the moduli of the blocks
+    whose nonzeros are all alone in their rows and columns, one SVD of the
+    others, each block's values cut to its count (a zero-padded block's extra
+    values are its padding's zeros)."""
+    for X, label, count in _stacks(W):
         nz = X != 0
         lone = nz & (nz.sum(axis=1, keepdims=True) == 1) & (nz.sum(axis=2, keepdims=True) == 1)
         easy = (lone == nz).all(axis=(1, 2))
         yield np.abs(X[easy][nz[easy]]), np.repeat(label[easy], nz[easy].sum(axis=(1, 2)))
-        if X.size and not easy.all():
-            s = np.linalg.svd(X[~easy], compute_uv=False)
-            yield s.ravel(), np.repeat(label[~easy], s.shape[1])
+        if not easy.all():
+            s, count = np.linalg.svd(X[~easy], compute_uv=False), count[~easy]
+            yield s[np.arange(s.shape[1]) < count[:, None]], np.repeat(label[~easy], count)
 
 
 def _degree_pairs(T: TruncatedOperator, frame: SubspaceFrame, adjoint: bool = False):

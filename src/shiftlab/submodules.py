@@ -21,7 +21,7 @@ import numpy as np
 
 from . import schatten
 from .polynomials import PolynomialGenerator, monomial_generator
-from .shift_operators import SubspaceFrame
+from .shift_operators import STACK_SIDE, SubspaceFrame, size_classes
 from .weight_models import WeightSet
 
 DEFAULT_RANK_TOL = 1e-10
@@ -307,7 +307,11 @@ def ungraded_submodule(w: WeightSet, generators) -> SubmoduleBasis:
     scaled by lambda and orthonormalized by one complete Householder QR
     with the slice's rows sorted by decreasing lambda, which is accurate for
     row-scaled matrices (Cox & Higham, 1998); its first columns span the
-    submodule's part of the slice and the rest the complement's.  With
+    submodule's part of the slice and the rest the complement's.  Slices
+    no higher than STACK_SIDE are zero-padded to S x S and factorised one
+    stack per size class (shift_operators.size_classes): a padded row is
+    zero in every Householder reflector, so the leading block of each
+    padded Q is its slice's complete Q.  With
     w > 0 both frames are sliced: slice s's block of each sits on the
     slice's rows in that order, and schatten.DENSE_SVD_LIMIT bounds the
     widest slice.  With w = 0 the frames are unlabelled ndarrays on the
@@ -364,10 +368,25 @@ def ungraded_submodule(w: WeightSet, generators) -> SubmoduleBasis:
     else:
         sub, comp = (SubspaceFrame(np.zeros((b.dimension, c), vals.dtype))
                      for c in (k[0], b.dimension - k[0]))
-    for t in np.flatnonzero(sizes):
+
+    def scaled(t):
+        """Slice t's spanning vectors, scaled by lambda."""
         X = multiples(t) if spans is None else spans[t]
-        X *= lam[row_at[t]:row_at[t + 1], None]
-        Q = np.linalg.qr(X, mode="complete")[0]
+        return X * lam[row_at[t]:row_at[t + 1], None]
+
+    def complete_qrs():
+        """(t, Q) for every slice: the narrow ones in the zero-padded stacks
+        of size_classes, the wider ones one by one."""
+        for S, ts in size_classes(sizes, sizes):
+            X = np.zeros((ts.size, S, S), vals.dtype)
+            for x, t in zip(X, ts):
+                Y = scaled(t)
+                x[:Y.shape[0], :Y.shape[1]] = Y
+            yield from zip(ts, np.linalg.qr(X, mode="complete")[0])
+        for t in np.flatnonzero(sizes > STACK_SIDE):
+            yield t, np.linalg.qr(scaled(t), mode="complete")[0]
+    for t, Q in complete_qrs():
+        Q = Q[:sizes[t], :sizes[t]]
         if sliced:
             sub.blocks(t)[0][...], comp.blocks(t)[0][...] = Q[:, :k[t]], Q[:, k[t]:]
         else:       # the one slice: its rows back in ordinal order

@@ -323,6 +323,20 @@ def test_ungraded_quotient_norms_settle_at_large_degree(tmp_path):
     assert abs(largest[60] - largest[40]) <= 0.05 * largest[40]
 
 
+def test_ungraded_fit_counts_round_off_as_zeros(tmp_path):
+    # at degree 12, [R_1*, R_3] and [R_2*, R_3] of the quotient by
+    # (z1 - z2 z3, z1 z2) have 15 values above s_max r eps among r = 56; the
+    # rest are round-off, which were once fitted as beta 20.4 and 20.6 with
+    # residual 10.1.  Zeroed, they reach into the rank window: no fit
+    code = run_cli(["quotient-probe", "--m", "3", "--gens", "z1-z2*z3;z1*z2", "--p", "1,3",
+                    "--degrees", "6,8,10,12"], tmp_path)
+    assert code == 0
+    with open(tmp_path / "quotient_smoothness_probe-t" / "decay_fits.csv") as f:
+        rows = list(csv.DictReader(f))
+    assert [(r["i"], r["j"]) for r in rows] == [("1", "1"), ("1", "2"), ("2", "2"), ("3", "3")]
+    assert all(0 < float(r["beta"]) < 2 and float(r["fit_residual"]) < 0.1 for r in rows)
+
+
 def test_quotient_by_generators_with_no_multiple_in_range_is_the_whole_space(tmp_path):
     # no multiple of either generator fits in degree 12: the submodule is {0}
     code = run_cli(["quotient-probe", "--m", "2", "--gens", "z1^20+z2;z2^20+z1", "--p", "1",

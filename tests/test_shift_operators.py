@@ -526,6 +526,72 @@ def test_unlabelled_block_spectrum_is_its_dense_spectrum():
                 assert np.abs(np.sort(values)[::-1] - oracle).max() <= 1e-13 * oracle[0]
 
 
+def _random_degree_blocks(rng, offset, dtype):
+    """A DegreeBlocks of offset over degrees of 0, 1, 3, 4, 5, 31, 32 and 33
+    columns, each twice, shuffled: around the padded sides 4 and 32 and past
+    the widest stacked one.  Each block is at random dense, lone-entry (a
+    scaled partial permutation with some empty rows) or zero."""
+    sizes = rng.permutation(np.repeat([0, 1, 3, 4, 5, 31, 32, 33], 2))
+    W = DegreeBlocks.zeros(sizes, offset, dtype)
+    for B in (B for n, g in W.runs() for B in W.blocks(n, g)):
+        values = rng.normal(size=B.shape) + (1j * rng.normal(size=B.shape) if W.dtype.kind == "c"
+                                             else 0)
+        kind = rng.integers(3)
+        if kind == 0:
+            B[...] = values
+        elif kind == 1:
+            k = min(B.shape)
+            rows, cols, keep = rng.permutation(B.shape[0])[:k], rng.permutation(B.shape[1])[:k], \
+                rng.random(k) < 0.7
+            B[rows[keep], cols[keep]] = values[rows[keep], cols[keep]]
+    return W
+
+
+@pytest.mark.parametrize("dtype", [float, complex])
+@pytest.mark.parametrize("offset", [0, 1, -3])
+def test_stacked_block_spectra_match_per_block_svds(offset, dtype):
+    # narrow blocks are zero-padded into one stack per size class: each
+    # block's values, cut to its rank, are its own SVD's; a lone-entry block
+    # gives its nonzeros' moduli, as many as it has
+    rng = np.random.default_rng(offset + 7)
+    for _ in range(4):
+        W = _random_degree_blocks(rng, offset, dtype)
+        values, labels = shift_operators.block_singular_values(W)
+        n, h, w, _ = W.layout
+        scale = np.abs(W.data).max(initial=1.0) * 10
+        for d, B in zip(n, (B for m, g in W.runs() for B in W.blocks(m, g))):
+            mine = np.sort(values[labels == max(d, d + offset)])[::-1]
+            nz = B != 0
+            lone = (nz.sum(axis=0) <= 1).all() and (nz.sum(axis=1) <= 1).all()
+            assert mine.size == (nz.sum() if lone else min(B.shape))
+            oracle = np.linalg.svd(B, compute_uv=False) if B.size else np.zeros(0)
+            assert np.abs(np.pad(mine, (0, oracle.size - mine.size)) - oracle).max(
+                initial=0.0) <= 1e-14 * scale
+
+
+def test_sliced_commutator_takes_one_svd_per_size_class(monkeypatch):
+    # the complement of z1 - z2 z3 at m = 3, N = 12 has 25 weighted slices
+    # of at most 13 columns: the 20 blocks of [R_1*, R_2] that are no
+    # partial permutation share one LAPACK call per padded side (4 in all),
+    # not one each
+    w = family_weights("bergman-ball", enumerate_basis(3, 12))
+    frame = ungraded_submodule(w, [parse_polynomial("z1-z2*z3", 3)]).comp
+    C = commutator(*(compress_to_frame(coordinate_shift(w, i), frame) for i in (1, 2)))
+    n, h, w_, _ = C.layout
+    assert max(h.max(), w_.max()) <= shift_operators.STACK_SIDE
+    dense = {4 * -(-max(B.shape) // 4) for m, g in C.runs() for B in C.blocks(m, g)
+             if ((B != 0).sum(axis=0) > 1).any() or ((B != 0).sum(axis=1) > 1).any()}
+    calls, real = [], np.linalg.svd
+
+    def spy(X, *args, **kwargs):
+        calls.append(X.shape)
+        return real(X, *args, **kwargs)
+    monkeypatch.setattr(np.linalg, "svd", spy)
+    shift_operators.block_singular_values(C)
+    assert sorted(S for _, S, _ in calls) == sorted(dense)
+    assert sum(g for g, _, _ in calls) > len(calls)
+
+
 def test_operators_on_frames_are_degree_blocks():
     # one store: a compression or restriction to a graded frame is a
     # TruncatedOperator holding a DegreeBlocks, to a sliced or unlabelled

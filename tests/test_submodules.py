@@ -487,6 +487,58 @@ def test_weighted_slice_frames_match_one_dense_ambient_qr(family, m, texts, weig
         assert not (F * (wdeg[:, None] != labels)).any()
 
 
+def _per_slice_qrs(w, gens, weight):
+    """{s: (rows, Q, k)}: weighted slice s's ordinals, sorted by decreasing
+    lambda, the complete QR, unpadded, of its lambda-scaled multiples (their
+    SVD span when there are several generators) on those rows, and its
+    rank k: numpy only, one slice at a time."""
+    b = w.basis
+    ordinal = {tuple(int(a) for a in e): j for j, e in enumerate(b.exponents)}
+    wdeg = b.exponents @ np.array(weight)
+    multiples = {}
+    for g in gens:
+        for q in b.exponents[:b.slice_bounds[b.max_degree - g.max_degree + 1]]:
+            terms = {ordinal[tuple(int(x) for x in np.add(q, alpha))]: coef
+                     for alpha, _, coef in g.terms}
+            multiples.setdefault(int(wdeg[next(iter(terms))]), []).append(terms)
+    out = {}
+    for s in range(int(wdeg.max()) + 1):
+        rows = np.flatnonzero(wdeg == s)
+        rows = rows[np.argsort(-w.lam[rows], kind="stable")]
+        at = {j: i for i, j in enumerate(rows)}
+        X = np.zeros((rows.size, len(multiples.get(s, []))), complex)
+        for c, terms in enumerate(multiples.get(s, [])):
+            for j, coef in terms.items():
+                X[at[j], c] = coef
+        if len(gens) > 1 and X.size:
+            U, sv, _ = np.linalg.svd(X, full_matrices=False)
+            X = U[:, :int(np.count_nonzero(sv > 1e-10 * sv[0]))]
+        out[s] = rows, np.linalg.qr(w.lam[rows, None] * X, mode="complete")[0], X.shape[1]
+    return out
+
+
+@pytest.mark.parametrize("m, texts, weight", [case for case in SLICED_IDEALS if case[2][0]])
+def test_stacked_slice_qrs_match_per_slice_qrs(m, texts, weight):
+    # slices at most STACK_SIDE rows high are factorised zero-padded in
+    # stacks, the rest one by one: each slice's block of sub and comp side
+    # by side is unitary, on the rows of the per-slice QR, and the two span
+    # the same spaces as its columns do
+    w = bergman_ball_weights(enumerate_basis(m, 70 if m == 2 else 16))
+    gens = _generators(m, texts)
+    S = ungraded_submodule(w, gens)
+    oracle = _per_slice_qrs(w, gens, weight)
+    heights = S.sub.shapes[:, 0]
+    assert heights.max() > shift_operators.STACK_SIDE or weight == (2, 3)    # the cusp: 24
+    rows = np.split(S.sub.rows, np.cumsum(heights)[:-1])
+    for s, (at, Q, k) in oracle.items():
+        sub, comp = S.sub.blocks(s)[0], S.comp.blocks(s)[0]
+        F = np.hstack([sub, comp])
+        assert np.array_equal(rows[s], at) and sub.shape[1] == k
+        assert np.abs(F.conj().T @ F - np.eye(len(at))).max(initial=0.0) <= 1e-14
+        for X, Y in ((sub, Q[:, :k]), (comp, Q[:, k:])):
+            assert np.abs(X @ X.conj().T - Y @ Y.conj().T).max(initial=0.0) <= 1e-13
+
+
 def _dense_shift(w, i):
     """Z_i on the weight set's basis as a dense ndarray, built from the
     exponents and lambda alone: z^alpha -> (lambda_(alpha+e_i) /
