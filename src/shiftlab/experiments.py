@@ -133,30 +133,37 @@ def run_direct_sum_trends(max_blocks: int, p_values) -> ExperimentReport:
     """Partial direct sums of the weighted-shift blocks vs their restrictions."""
     if max_blocks < 8:
         raise ValueError(f"max_blocks must be >= 8, got {max_blocks}")
+    # the last block's basis is the largest: refuse it before the first is built
+    dim = count_up_to_degree(1, max_blocks + 8)
+    if dim > DIMENSION_CAP:
+        raise ValueError(f"--blocks {max_blocks} needs a basis of dimension {dim}, "
+                         f"past the basis dimension cap {DIMENSION_CAP}")
     _check_p_values(p_values)
     rep = ExperimentReport("direct_sum_trends", {
         "max_blocks": max_blocks, "p_values": list(p_values)})
 
-    # the commutators are diagonal: each block spectrum is exact, with no SVD
-    sigmas_full, sigmas_restr = [], []
+    # the commutators are diagonal: each block spectrum is exact, with no SVD.
+    # Each block keeps only its sum of sigma^p per p (its max for p = inf):
+    # the norms at B blocks are running totals of those, raised to 1/p
+    sums = np.zeros((2, max_blocks, len(p_values)))
     for n in range(1, max_blocks + 1):
-        comm, comm_restr = _ramp_block(n, n + 8)
-        sigmas_full.append(schatten.window_spectra(comm, [None])[None])
-        sigmas_restr.append(schatten.window_spectra(comm_restr, [None])[None])
+        for side, C in enumerate(_ramp_block(n, n + 8)):
+            s = schatten.window_spectra(C, [None])[None]
+            sums[side, n - 1] = [s.max(initial=0.0) if p == np.inf else np.sum(s ** p)
+                                 for p in p_values]
 
     tab_f = rep.table("full_norms", ["B", "p", "value"])
     tab_r = rep.table("restricted_norms", ["B", "p", "value"])
-    for p in p_values:
-        seq_f, seq_r = [], []
-        for B in range(1, max_blocks + 1):
-            vf = schatten.spectrum_norm(np.concatenate(sigmas_full[:B]), p)
-            vr = schatten.spectrum_norm(np.concatenate(sigmas_restr[:B]), p)
+    for k, p in enumerate(p_values):
+        if p == np.inf:
+            values = np.maximum.accumulate(sums[..., k], axis=1).tolist()
+        else:
+            values = (np.cumsum(sums[..., k], axis=1) ** (1.0 / p)).tolist()
+        for B, (vf, vr) in enumerate(zip(*values), start=1):
             tab_f.add(B, p, vf)
             tab_r.add(B, p, vr)
-            seq_f.append((B, vf))
-            seq_r.append((B, vr))
-        for label, seq in (("full", seq_f), ("restricted", seq_r)):
-            verdict, details = schatten.convergence_diagnostic(seq)
+        for label, seq in zip(("full", "restricted"), values):
+            verdict, details = schatten.convergence_diagnostic(enumerate(seq, start=1))
             rep.set_verdict(f"{label}_p={_fmt(p)}", verdict, details)
     return rep
 
@@ -179,8 +186,8 @@ def run_factorial_thresholds(m: int, delta_values, degree_sweep=None) -> Experim
     for delta in delta_values:
         w = wm.factorial_delta_weights(basis, delta)
         shifts = [ops.coordinate_shift(w, i) for i in range(1, m + 1)]
-        comms = ops.cross_commutators(shifts)
-        tr = {key: schatten.window_norms(C, sweep, [1]) for key, C in comms.items()}
+        tr = {key: schatten.window_norms(C, sweep, [1])
+              for key, C in ops.cross_commutators(shifts)}
         hs = {i: schatten.window_norms(Z, sweep, [2]) for i, Z in enumerate(shifts, start=1)}
         trend_tr, trend_hs = [], []
         for d in sweep:
@@ -249,8 +256,15 @@ def run_submodule_probe(family: str, m: int, k: int, generators, p_values,
     fits = rep.table("decay_fits", ["side", "i", "j", "beta", "critical_exponent",
                                     "fit_residual"])
     for side, Ys in sides.items():
-        comms = ops.cross_commutators(Ys)
-        norms = {key: schatten.window_norms(C, sweep, p_values) for key, C in comms.items()}
+        # one commutator at a time: its norms and fit, dropped before the next is built
+        norms = {}
+        for (i, j), C in ops.cross_commutators(Ys):
+            norms[i, j] = schatten.window_norms(C, sweep, p_values)
+            s = schatten.singular_values(C)
+            del C
+            fit = schatten.decay_exponent_fit(s[s > 0])
+            if fit is not None:
+                fits.add(side, i, j, fit.beta, fit.critical_exponent, fit.residual)
         for p in p_values:
             trend = []
             for d in sweep:
@@ -260,11 +274,6 @@ def run_submodule_probe(family: str, m: int, k: int, generators, p_values,
                 trend.append((d, max(vals.values())))
             verdict, details = schatten.convergence_diagnostic(trend)
             rep.set_verdict(f"{side}_p={_fmt(p)}", verdict, details)
-        for (i, j), C in comms.items():
-            s = schatten.singular_values(C)
-            fit = schatten.decay_exponent_fit(s[s > 0])
-            if fit is not None:
-                fits.add(side, i, j, fit.beta, fit.critical_exponent, fit.residual)
     return rep
 
 
@@ -453,15 +462,14 @@ def _quotient_spectra(generators, m, N, homogeneous, family, delta, fits=None):
     shifts = [ops.coordinate_shift(w, i) for i in range(1, m + 1)]
     if homogeneous:
         _check_coinvariant(shifts, S.comp)
-    # quotient-module action = compression of the shifts to the complement
-    comms = ops.cross_commutators([ops.compress_to_frame(Z, S.comp) for Z in shifts])
-    if homogeneous:
-        spectra = {key: schatten.window_spectra(C, [N])[N] for key, C in comms.items()}
-    else:
-        spectra = {key: ops.block_singular_values(C)[0] for key, C in comms.items()}
-    if fits is None:
-        return spectra
-    for (i, j), C in comms.items():
+    # quotient-module action = compression of the shifts to the complement;
+    # one commutator at a time: its spectrum and its fit, then it is dropped
+    spectra = {}
+    for (i, j), C in ops.cross_commutators([ops.compress_to_frame(Z, S.comp) for Z in shifts]):
+        spectra[i, j] = (schatten.window_spectra(C, [N])[N] if homogeneous
+                         else ops.block_singular_values(C)[0])
+        if fits is None:
+            continue
         if homogeneous:
             # a graded fit takes the dense window's positive values
             s = schatten.singular_values(C, N)

@@ -454,12 +454,15 @@ def self_commutator(T):
     return commutator(T, T)
 
 
-def cross_commutators(operators) -> dict:
-    """{(i, j): [T_i*, T_j]} for 1 <= i <= j <= m, of operators T_1, ..., T_m
-    (TruncatedOperators or bare DegreeBlocks)."""
+def cross_commutators(operators):
+    """Yield ((i, j), [T_i*, T_j]) for 1 <= i <= j <= m in row-major order, of
+    operators T_1, ..., T_m (TruncatedOperators or bare DegreeBlocks), each
+    commutator built only when it is asked for: a caller that drops each one
+    before asking for the next holds one at a time."""
     T = list(operators)
-    return {(i, j): commutator(T[i - 1], T[j - 1])
-            for i in range(1, len(T) + 1) for j in range(i, len(T) + 1)}
+    for i in range(1, len(T) + 1):
+        for j in range(i, len(T) + 1):
+            yield (i, j), commutator(T[i - 1], T[j - 1])
 
 
 def _check_single_offset(row_deg, col_deg):

@@ -1,11 +1,22 @@
 """Shared helpers for randomized instances, imported by the test modules."""
 
+import tracemalloc
+
 import numpy as np
 
 from shiftlab import (SubmoduleBasis, SubspaceFrame, TruncatedOperator, WeightSet,
                       coordinate_shift, enumerate_basis)
 from shiftlab.shift_operators import DegreeBlocks, SparseEntries
 from shiftlab.submodules import kernel_columns
+
+
+def traced_peak(fn, *args, **kwargs):
+    """(fn(*args, **kwargs), the peak bytes tracemalloc traced during the call)."""
+    tracemalloc.start()
+    try:
+        return fn(*args, **kwargs), tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
 
 
 def random_weight_set(rng, m, N, k=1, spread=0.7, label="random"):

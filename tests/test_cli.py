@@ -151,6 +151,22 @@ def test_verdicts_printed_in_summary(tmp_path, capsys):
     assert "verdict" in out and "DIVERGING" in out
 
 
+def test_direct_sum_refuses_blocks_past_the_cap_before_any_block(tmp_path, capsys,
+                                                                 monkeypatch):
+    # block n's basis has n + 9 monomials, so the last block of --blocks 49992
+    # is past the cap; that is refused before the first block is built
+    def refuse(*args, **kwargs):
+        raise AssertionError("block built before --blocks was checked")
+    monkeypatch.setattr(xp, "enumerate_basis", refuse)
+    assert run_cli(["direct-sum", "--blocks", "49992", "--p", "3"], tmp_path) == 2
+    err = capsys.readouterr().err
+    assert f"error: --blocks 49992 needs a basis of dimension 50001, past the basis " \
+           f"dimension cap {xp.DIMENSION_CAP}" in err
+    assert not any(tmp_path.iterdir())
+    with pytest.raises(AssertionError, match="block built"):
+        xp.run_direct_sum_trends(49991, [3.0])      # the largest accepted
+
+
 @pytest.mark.parametrize("argv", [
     ["ramp-block"],
     ["direct-sum"],

@@ -2,7 +2,6 @@ import filecmp
 import gc
 import json
 import math
-import tracemalloc
 import weakref
 from pathlib import Path
 
@@ -17,6 +16,8 @@ from shiftlab.experiments import (TheoremViolationError, run_submodule_probe,
                                   run_direct_sum_trends, run_ramp_block_norms,
                                   run_factorial_thresholds, run_restriction_identity_check,
                                   run_quotient_smoothness_probe, write_report)
+
+from random_instances import traced_peak
 
 
 def _rows(rep, table):
@@ -47,11 +48,24 @@ def test_direct_sum_requires_enough_blocks():
         run_direct_sum_trends(4, [3.0])
 
 
-def test_direct_sum_reads_block_spectra_without_svd(monkeypatch):
+def _assert_same_verdict(a, b):
+    """Verdict dicts equal, but for the increment exponent, which is fitted to
+    differences of the norms and moves with their summation order."""
+    a, b = dict(a), dict(b)
+    ea, eb = a.pop("increment_decay_exponent", None), b.pop("increment_decay_exponent", None)
+    assert a == b
+    assert (ea is None) == (eb is None)
+    if ea is not None:
+        assert ea == pytest.approx(eb, rel=1e-12, abs=1e-14)
+
+
+@pytest.mark.parametrize("blocks", [64, 200])
+def test_direct_sum_reads_block_spectra_without_svd(blocks, monkeypatch):
     # the ramp commutators are diagonal, so their block spectra are exact: no
-    # dense SVD runs, and every (B, p) value matches one taken from them
+    # dense SVD runs.  Each block keeps one sum of sigma^p per p, and every
+    # (B, p) value and verdict matches those of the first B spectra put together
     oracle = {}
-    for n in range(1, 65):
+    for n in range(1, blocks + 1):
         comm, comm_restr = experiments._ramp_block(n, n + 8)
         for label, C in (("full", comm), ("restricted", comm_restr)):
             oracle.setdefault(label, []).append(
@@ -60,15 +74,64 @@ def test_direct_sum_reads_block_spectra_without_svd(monkeypatch):
     def refuse(*args, **kwargs):
         raise AssertionError("dense SVD in direct-sum")
     monkeypatch.setattr(schatten, "singular_values", refuse)
-    p_values = [1.0, 3.0, np.inf]
-    rep = run_direct_sum_trends(64, p_values)
+    p_values = [1.0, 1.5, 2.0, 3.0, np.inf]
+    rep = run_direct_sum_trends(blocks, p_values)
     for label in ("full", "restricted"):
         rows = _rows(rep, f"{label}_norms")
-        assert [(B, p) for B, p, _ in rows] == [(B, p) for p in p_values for B in range(1, 65)]
-        for B, p, value in rows:
-            s = np.concatenate(oracle[label][:B])
-            expected = s.max() if p == np.inf else np.sum(s ** p) ** (1 / p)
-            assert value == pytest.approx(expected, rel=1e-12)
+        assert [(B, p) for B, p, _ in rows] == \
+            [(B, p) for p in p_values for B in range(1, blocks + 1)]
+        for k, p in enumerate(p_values):
+            seq = []
+            for B, _, value in rows[k * blocks:(k + 1) * blocks]:
+                s = np.concatenate(oracle[label][:B])
+                seq.append((B, s.max() if p == np.inf else np.sum(s ** p) ** (1 / p)))
+                assert value == pytest.approx(seq[-1][1], rel=1e-13)
+            verdict, details = schatten.convergence_diagnostic(seq)
+            _assert_same_verdict(rep.verdicts[f"{label}_p={experiments._fmt(p)}"],
+                                 {"verdict": verdict.value, **details})
+
+
+def test_submodule_probe_allocates_one_commutator_at_a_time():
+    # each commutator's norms and decay fit are taken in one pass before the
+    # next is built: the call peaked at 4.42 MB under tracemalloc (6.51 MB
+    # holding all six commutators of a side); what is left at the peak is
+    # the frames, the six restrictions, one commutator and its dense fit window
+    gens = [parse_polynomial("z1^2-z2^2", 3)]
+    rep, peak = traced_peak(run_submodule_probe, "drury-arveson", 3, 1, gens, [1, 3],
+                            [6, 8, 10, 12, 14])
+    assert len(_rows(rep, "cross_commutator_norms")) == 2 * 2 * 5 * 6
+    assert peak <= 1.25 * 4_422_870
+
+
+@pytest.mark.parametrize("probe", ["submodule", "factorial", "quotient-graded",
+                                   "quotient-ungraded"])
+def test_sweeps_hold_at_most_two_commutators(probe, monkeypatch):
+    # a sweep reads each commutator and drops it: only the one it reads and
+    # the one being built are alive, never a whole side's m(m+1)/2
+    refs, alive, real = [], [], ops.commutator
+
+    def tracked(A, B):
+        C = real(A, B)
+        refs.append(weakref.ref(C))
+        gc.collect()
+        alive.append(sum(ref() is not None for ref in refs))
+        return C
+    monkeypatch.setattr(ops, "commutator", tracked)
+    sweep = [4, 5, 6, 7]
+    if probe == "submodule":
+        run_submodule_probe("drury-arveson", m=3, k=1, p_values=[1.0], degree_sweep=sweep,
+                            generators=[parse_polynomial("z1^2 - z2^2", 3)])
+        count = 2 * 6
+    elif probe == "factorial":
+        run_factorial_thresholds(3, [0.5, 2.0], degree_sweep=sweep)
+        count = 2 * 6
+    else:
+        gen = "z1^2 - z2^2" if probe == "quotient-graded" else "z1 - z2*z3"
+        run_quotient_smoothness_probe([parse_polynomial(gen, 3)], m=3, p_values=[1.0],
+                                      degree_sweep=sweep)
+        count = 4 * 6
+    assert len(alive) == count
+    assert max(alive) <= 2
 
 
 def test_submodule_probe_refuses_oversize_fit_window_before_any_restriction(
@@ -125,14 +188,8 @@ def test_generator_closure_keeps_the_shift_sparse():
     # the adjoint closure multiplies by the sparse Z1*: its dense form at
     # m=2, N=80 (dimension 3,321) would be 88 MB, four times the bound
     dim = math.comb(82, 2)
-    tracemalloc.start()
-    try:
-        rep = run_trace_inequality_check("bergman-ball", m=2,
-                                         generators=parse_generators("z1;z2", 2),
-                                         degree_sweep=[80])
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
+    rep, peak = traced_peak(run_trace_inequality_check, "bergman-ball", m=2,
+                            generators=parse_generators("z1;z2", 2), degree_sweep=[80])
     assert [row[4] for row in _rows(rep, "trace_inequality")] == [True, True]
     assert peak < dim * dim * 8 / 4
 
@@ -242,8 +299,8 @@ def test_sweeps_take_one_spectrum_per_window(probe, monkeypatch):
         return real_dense(T, *args, **kwargs)
 
     def kept(operators):
-        commutators.append(real_commutators(operators))
-        return commutators[-1]
+        commutators.append(dict(real_commutators(operators)))
+        return iter(commutators[-1].items())
     monkeypatch.setattr(schatten, "window_spectra", counted)
     monkeypatch.setattr(schatten, "singular_values", counted_dense)
     monkeypatch.setattr(ops, "cross_commutators", kept)
@@ -315,12 +372,13 @@ def test_quotient_sweep_holds_one_degree_at_a_time(gen, monkeypatch):
 
 
 def _kept_commutators(monkeypatch):
-    """The commutators of every cross_commutators call, in call order."""
+    """The commutators of every cross_commutators call, in call order, each
+    call's as one dict (which keeps them all alive)."""
     kept, real = [], ops.cross_commutators
 
     def keep(operators):
-        kept.append(real(operators))
-        return kept[-1]
+        kept.append(dict(real(operators)))
+        return iter(kept[-1].items())
     monkeypatch.setattr(ops, "cross_commutators", keep)
     return kept
 

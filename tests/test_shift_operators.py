@@ -1,5 +1,3 @@
-import tracemalloc
-
 import numpy as np
 import pytest
 import scipy.sparse as sp
@@ -21,7 +19,8 @@ from shiftlab.shift_operators import (INVARIANCE_TOL, DegreeBlocks, TheoremViola
 from shiftlab.submodules import ungraded_submodule
 
 from random_instances import (ambient_columns, frame_operator, point_evaluation_submodule,
-                              random_weight_set, shift_weight, sparse_entries, z1_plus_adjoint)
+                              random_weight_set, shift_weight, sparse_entries, traced_peak,
+                              z1_plus_adjoint)
 from test_graded_basis import compositions
 
 
@@ -226,7 +225,7 @@ def test_commutator_is_adjoint_product_difference(rng, monkeypatch):
     assert np.abs(commutator(Z1, Z2).mat.toarray()
                   - (A.conj().T @ B - B @ A.conj().T)).max() < 1e-14
     Zs = [Z1, Z2]
-    comms = cross_commutators(Zs)
+    comms = dict(cross_commutators(Zs))
     assert list(comms) == [(1, 1), (1, 2), (2, 2)]
     for (i, j), C in comms.items():
         assert np.array_equal(_dense(C), _dense(commutator(Zs[i - 1], Zs[j - 1])))
@@ -954,12 +953,7 @@ def test_coordinate_compression_forms_no_dense_block():
     r = frame.dimension
     idx = np.flatnonzero(w.basis.exponents[:, 0] >= 1)     # the rows of the multiples of z1
     assert r == idx.size >= 2000
-    tracemalloc.start()
-    try:
-        R = compress_to_frame(T, frame)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
+    R, peak = traced_peak(compress_to_frame, T, frame)
     inside = np.isin(T.mat.rows, idx) & np.isin(T.mat.cols, idx)
     assert np.count_nonzero(R.mat.data) == np.count_nonzero(inside)
     assert peak < r * r * 8 / 4
@@ -978,12 +972,7 @@ def test_graded_compression_and_restriction_stay_below_one_ambient_frame():
     dim, r = w.basis.dimension, S.sub.dimension
     assert (dim, r) == (2925, 2300)
     for build, bound in ((compress_to_frame, 6.8e6), (restrict_to_invariant, 13.1e6)):
-        tracemalloc.start()
-        try:
-            R = build(Z1, S.sub)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
+        R, peak = traced_peak(build, Z1, S.sub)
         assert R.space is S.sub and R.mat.shape == (r, r) and R.mat.nnz == 356_730
         assert peak < bound, (build.__name__, peak)
 

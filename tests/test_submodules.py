@@ -1,6 +1,5 @@
 import itertools
 import math
-import tracemalloc
 
 import numpy as np
 import pytest
@@ -16,7 +15,8 @@ from shiftlab import (PolynomialGenerator, RankCollapseError, SubspaceFrame, ber
 from shiftlab import cli, schatten, shift_operators, submodules
 from shiftlab.submodules import ungraded_submodule
 
-from random_instances import ambient_columns, point_evaluation_submodule, random_weight_set
+from random_instances import (ambient_columns, point_evaluation_submodule, random_weight_set,
+                              traced_peak)
 from test_graded_basis import compositions
 
 
@@ -72,7 +72,7 @@ def _commutator_sums(S, m):
     both on the interior window, S_i the compressions of the shifts to the
     quotient; no SVD."""
     shifts = [compress_to_frame(coordinate_shift(S.weights, i), S.comp) for i in range(1, m + 1)]
-    comms = cross_commutators(shifts).items()
+    comms = list(cross_commutators(shifts))
     hs = sum((1 if i == j else 2) * float(np.sum(np.abs(C.window().data) ** 2))
              for (i, j), C in comms)
     trace = sum(float(C.window().toarray().diagonal().sum().real)
@@ -570,7 +570,7 @@ def test_sliced_compressions_and_spectra_match_dense_products(family, m, texts, 
         for X, D, w_i in zip(R, dense, weight):
             assert X.offset == w_i
             assert np.abs(X.toarray() - D).max(initial=0.0) <= 1e-13
-        for (i, j), C in cross_commutators(R).items():
+        for (i, j), C in cross_commutators(R):
             A, B = dense[i - 1], dense[j - 1]
             expected = np.linalg.svd(A.conj().T @ B - B @ A.conj().T, compute_uv=False)
             s = np.sort(shift_operators.block_singular_values(C)[0])[::-1]
@@ -669,12 +669,7 @@ def test_sliced_frames_allocate_little_beside_themselves():
     # 97.2 MB); the build peaks at 1.34 MB under tracemalloc
     w = bergman_ball_weights(enumerate_basis(2, 82))
     g = parse_polynomial("z1-z2^2", 2)
-    tracemalloc.start()
-    try:
-        S = ungraded_submodule(w, [g])
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
+    S, peak = traced_peak(ungraded_submodule, w, [g])
     sizes = np.bincount(w.basis.exponents @ np.array([2, 1]))
     assert np.array_equal(S.sub.shapes[:, 0], sizes)
     assert np.array_equal(S.comp.shapes[:, 0], sizes)
@@ -692,12 +687,7 @@ def test_sliced_compressions_allocate_no_ambient_temporary(m, N, text, measured)
     w = bergman_ball_weights(enumerate_basis(m, N))
     S = ungraded_submodule(w, [parse_polynomial(text, m)])
     shifts = [coordinate_shift(w, i) for i in range(1, m + 1)]
-    tracemalloc.start()
-    try:
-        compressions = [compress_to_frame(Z, S.comp) for Z in shifts]
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
+    compressions, peak = traced_peak(lambda: [compress_to_frame(Z, S.comp) for Z in shifts])
     assert len(compressions) == m
     assert peak <= 1.25 * measured
     assert peak < 8 * w.basis.dimension * S.comp.dimension
