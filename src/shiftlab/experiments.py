@@ -458,14 +458,16 @@ def _quotient_spectra(generators, m, N, homogeneous, family, delta, fits=None):
     DegreeBlocks of its slice pairs (s + w_j - w_i, s) (or of its one r x r
     block), and its spectrum is block_singular_values' of those blocks."""
     w = wm.family_weights(family, enumerate_basis(m, N + 2), delta)
-    S = (_build_submodule if homogeneous else submodules.ungraded_submodule)(w, generators)
+    # only the complement is read: the submodule's frame is dropped at once
+    comp = (_build_submodule if homogeneous else submodules.ungraded_submodule)(
+        w, generators).comp
     shifts = [ops.coordinate_shift(w, i) for i in range(1, m + 1)]
     if homogeneous:
-        _check_coinvariant(shifts, S.comp)
+        _check_coinvariant(shifts, comp)
     # quotient-module action = compression of the shifts to the complement;
     # one commutator at a time: its spectrum and its fit, then it is dropped
     spectra = {}
-    for (i, j), C in ops.cross_commutators([ops.compress_to_frame(Z, S.comp) for Z in shifts]):
+    for (i, j), C in ops.cross_commutators([ops.compress_to_frame(Z, comp) for Z in shifts]):
         spectra[i, j] = (schatten.window_spectra(C, [N])[N] if homogeneous
                          else ops.block_singular_values(C)[0])
         if fits is None:

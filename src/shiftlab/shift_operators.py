@@ -6,6 +6,8 @@ the untruncated operator.  Coordinate shifts raise degree by exactly 1, so
 each multiplication eats a bounded strip at the truncation boundary; the
 bookkeeping here tracks that strip, and TruncatedOperator.window, the block
 of degrees <= W, is the one uncontaminated section every norm and fit reads.
+A commutator on a graded frame holds only the blocks of that window: the
+blocks past W are zero because they are never formed.
 
 An operator's matrix is held in numpy arrays native to its space.  On a
 GradedBasis it is a SparseEntries, its nonzeros sorted by row and then by
@@ -309,11 +311,17 @@ class DegreeBlocks:
         other's block n, each run of them summed by _add_product."""
         return self._product(other, _add_product)
 
-    def _product(self, other: "DegreeBlocks", add) -> "DegreeBlocks":
-        """The product, each run of equal-shape blocks added by add(C, A, B)."""
+    def _product(self, other: "DegreeBlocks", add, window=None) -> "DegreeBlocks":
+        """The product, each run of equal-shape blocks added by add(C, A, B).
+        With a window degree W (a graded commutator's interior), only the
+        blocks (n + offset, n) with max(n, n + offset) <= W are formed; the
+        others stay zero.  A formed block is the same sum either way."""
         out = DegreeBlocks.zeros(self.sizes, self.offset + other.offset,
                                  np.result_type(self.data, other.data))
         n, h, w, _ = out.layout
+        if window is not None:
+            stop = np.searchsorted(n, window - max(out.offset, 0), side="right")
+            n, h, w = n[:stop], h[:stop], w[:stop]
         mid = n + other.offset
         inner = np.where((mid >= 0) & (mid < len(self.sizes)),
                          self.sizes[np.clip(mid, 0, len(self.sizes) - 1)], 0)
@@ -334,6 +342,8 @@ class TruncatedOperator:
     mat: a SparseEntries on a GradedBasis, a DegreeBlocks on a graded
     SubspaceFrame.
     interior_degree W: entries with row and column degree <= W are exact.
+    A commutator on a graded frame holds only those: its blocks past W are
+    zero, never formed.
     degree_raise r: every entry maps degree d into degree d + r (shift: +1,
     shift adjoint: -1); the routines that take T by degree pairs refuse
     entries of another offset.
@@ -416,19 +426,17 @@ def adjoint(T: TruncatedOperator) -> TruncatedOperator:
                              degree_raise=-T.degree_raise)
 
 
-def _product(A: TruncatedOperator, B: TruncatedOperator, mat,
-             adjoint_a: bool = False) -> TruncatedOperator:
-    """A B (A* B when adjoint_a) with matrix mat: the composed interior and degree raise."""
+def _composed(A: TruncatedOperator, B: TruncatedOperator, adjoint_a: bool = False):
+    """(interior degree, degree raise) of A B (A* B when adjoint_a)."""
     raise_a = -A.degree_raise if adjoint_a else A.degree_raise
-    interior = min(A.interior_degree, B.interior_degree) - max(raise_a, B.degree_raise, 0)
-    return TruncatedOperator(A.space, mat, interior_degree=interior,
-                             degree_raise=raise_a + B.degree_raise)
+    return (min(A.interior_degree, B.interior_degree) - max(raise_a, B.degree_raise, 0),
+            raise_a + B.degree_raise)
 
 
 def multiply(A: TruncatedOperator, B: TruncatedOperator) -> TruncatedOperator:
     """A B."""
     _same_space(A, B)
-    return _product(A, B, A.mat @ B.mat)
+    return TruncatedOperator(A.space, A.mat @ B.mat, *_composed(A, B))
 
 
 def _matmul(C, A, B):
@@ -436,17 +444,24 @@ def _matmul(C, A, B):
 
 
 def commutator(A, B):
-    """[A*, B] = A*B - BA* from two products in the store of their space
-    (SparseEntries joins on a basis, DegreeBlocks on a graded frame); for
-    two bare DegreeBlocks (a sliced or unlabelled frame's), one batched BLAS
-    product per run of equal block shapes, A*'s blocks C-ordered, and a
-    bare DegreeBlocks."""
+    """[A*, B] = A*B - BA* from two products in the store of their space.
+    On a basis, SparseEntries joins.  On a graded frame, DegreeBlocks
+    products that form only the blocks of the commutator's interior window
+    W: every block past W is zero because it is never formed, and nothing
+    reads it.  For two bare DegreeBlocks (a sliced or unlabelled frame's,
+    which have no interior), one batched BLAS product per run of equal
+    block shapes, A*'s blocks C-ordered, and a bare DegreeBlocks."""
     if isinstance(A, DegreeBlocks):
         a = A.H
         return a._product(B, _matmul) - B._product(a, _matmul)
     _same_space(A, B)
+    interior, raise_ = _composed(A, B, adjoint_a=True)
     a, b = A.mat.H, B.mat
-    return _product(A, B, a @ b - b @ a, adjoint_a=True)
+    if isinstance(b, DegreeBlocks):
+        mat = a._product(b, _add_product, interior) - b._product(a, _add_product, interior)
+    else:
+        mat = a @ b - b @ a
+    return TruncatedOperator(A.space, mat, interior, raise_)
 
 
 def self_commutator(T):

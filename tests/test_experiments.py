@@ -371,6 +371,31 @@ def test_quotient_sweep_holds_one_degree_at_a_time(gen, monkeypatch):
         [d for d in (4, 6, 8, 10) for _ in range(3)]
 
 
+@pytest.mark.parametrize("gen, builder", [("z1^2 - z2^2", "homogeneous_submodule"),
+                                          ("z1*z2", "monomial_submodule"),
+                                          ("z1 - z2*z3", "ungraded_submodule")])
+def test_quotient_drops_the_submodule_frame_before_compressing(gen, builder, monkeypatch):
+    # the quotient reads the complement only: the submodule's frame (29.3 of
+    # 33.0 MB of frames for z1-z2*z3 at m=3, N=42) is freed before the first
+    # compression, not held through the sweep
+    subs, freed = [], []
+    real_build, real_compress = getattr(submodules, builder), ops.compress_to_frame
+
+    def build(*args):
+        S = real_build(*args)
+        subs.append(weakref.ref(S.sub))
+        return S
+
+    def compress(T, frame):
+        freed.append(subs[-1]() is None)
+        return real_compress(T, frame)
+    monkeypatch.setattr(submodules, builder, build)
+    monkeypatch.setattr(ops, "compress_to_frame", compress)
+    experiments._quotient_spectra([parse_polynomial(gen, 3)], 3, 8,
+                                  builder != "ungraded_submodule", "bergman-ball", None)
+    assert len(subs) == 1 and freed == [True] * 3
+
+
 def _kept_commutators(monkeypatch):
     """The commutators of every cross_commutators call, in call order, each
     call's as one dict (which keeps them all alive)."""

@@ -440,16 +440,26 @@ def test_dense_svd_limit_raises_before_densifying(monkeypatch, tmp_path):
 @pytest.mark.parametrize("m, gen", [(2, "z1^2-z2^2"), (3, "z1*z2"), (3, "z1^2-z2*z3")])
 def test_ungraded_quotient_matches_graded_quotient(m, gen):
     # one ideal by weighted slices (batched BLAS products) and degree by
-    # degree (block products): the complements coincide, and so do the
-    # spectra of the commutators' whole sections
+    # degree (block products): the complements coincide (the ideal's weight
+    # is (1, ..., 1), so each slice is a degree), and so do the spectra of
+    # the commutators' interior windows.  The graded commutator forms only
+    # that window: every entry past it is zero
     w = bergman_ball_weights(enumerate_basis(m, 8))
     g = [parse_polynomial(gen, m)]
-    spectra = []
-    for S, dense in ((homogeneous_submodule(w, g), lambda C: C.mat.toarray()),
-                     (ungraded_submodule(w, g), lambda C: C.toarray())):
-        Rs = [compress_to_frame(coordinate_shift(w, i), S.comp) for i in range(1, m + 1)]
-        spectra.append([np.linalg.svd(dense(commutator(Rs[i], Rs[j])), compute_uv=False)
-                        for i in range(m) for j in range(i, m)])
+    pairs = [(i, j) for i in range(m) for j in range(i, m)]
+    comp = homogeneous_submodule(w, g).comp
+    Rs = [compress_to_frame(coordinate_shift(w, i), comp) for i in range(1, m + 1)]
+    comms = [commutator(Rs[i], Rs[j]) for i, j in pairs]
+    for C in comms:
+        k, D = C.window_size(), C.mat.toarray()
+        assert not D[k:].any() and not D[:k, k:].any()
+    comp = ungraded_submodule(w, g).comp
+    Rs = [compress_to_frame(coordinate_shift(w, i), comp) for i in range(1, m + 1)]
+    assert np.array_equal(Rs[0].sizes, comms[0].mat.sizes)
+    windows = [(C.window(), commutator(Rs[i], Rs[j]).leading(C.window_size()))
+               for C, (i, j) in zip(comms, pairs)]
+    spectra = [[np.linalg.svd(W.toarray(), compute_uv=False) for W in side]
+               for side in zip(*windows)]
     for graded, ungraded in zip(*spectra):
         assert graded.max() > 0
         assert np.abs(ungraded - graded).max() <= 1e-12 * graded.max()

@@ -33,6 +33,19 @@ def _csr(E):
     return sp.csr_matrix((E.vals, (E.rows, E.cols)), shape=E.shape)
 
 
+def _formed(C, M):
+    """The dense oracle M of the commutator C cut to the blocks C forms: all
+    of M on a basis; on a graded frame M's interior window, zero past it,
+    once C is checked to hold exact zeros there (never formed)."""
+    if isinstance(C.space, GradedBasis):
+        return M
+    k, D = C.window_size(), _dense(C)
+    assert not D[k:].any() and not D[:k, k:].any()
+    out = np.zeros_like(M)
+    out[:k, :k] = M[:k, :k]
+    return out
+
+
 def _composed_commutator(X, Y):
     """[X*, Y] composed of the products P = X*Y and R = YX* and their
     difference: (matrix, interior degree, degree raise)."""
@@ -233,7 +246,7 @@ def test_commutator_is_adjoint_product_difference(rng, monkeypatch):
 
     # the graded commutator is two products in its space's store, entry for entry the
     # composed A*B - BA*, on shifts and on (complex) sub- and complement
-    # restrictions
+    # restrictions: whole on the basis, its interior window on a frame
     w, S = _random_submodule(rng, 2, "homogeneous-complex")
     Zs = [coordinate_shift(w, 1), coordinate_shift(w, 2)]
     pairs = [(Zs[0], Zs[1]), (Zs[1], Zs[0]), (Zs[0], Zs[0]), (adjoint(Zs[0]), Zs[1])]
@@ -249,9 +262,54 @@ def test_commutator_is_adjoint_product_difference(rng, monkeypatch):
     for (X, Y), (mat, interior, raise_) in zip(pairs, composed):
         C = commutator(X, Y)
         assert isinstance(X.space, (GradedBasis, SubspaceFrame))
-        assert np.array_equal(_dense(C), mat.toarray())
+        assert np.array_equal(_dense(C), _formed(C, mat.toarray()))
         assert C.mat.nnz == mat.nnz
         assert (C.interior_degree, C.degree_raise) == (interior, raise_)
+
+
+def test_graded_commutator_forms_only_its_interior(rng, monkeypatch, tmp_path):
+    # nothing reads a graded commutator past its interior window W, so its
+    # block products form no block (n + r, n) with max(n, n + r) > W: on the
+    # submodule-m3 benchmark command (N = 16, W = 14) that is the degree-15
+    # and degree-16 blocks, the widest ones
+    calls, real_add, real_commutator = [], shift_operators._add_product, commutator
+
+    def add(C, A, B):
+        calls[-1].append(((C.ctypes.data - C.base.ctypes.data) // C.itemsize, len(C)))
+        real_add(C, A, B)
+
+    def spied(A, B):
+        calls.append([])
+        C = real_commutator(A, B)
+        n, _, _, starts = C.mat.layout
+        for entry, count in calls[-1]:
+            last = np.searchsorted(starts, entry, side="right") - 2 + count
+            assert max(n[last], n[last] + C.mat.offset) <= C.interior_degree
+        return C
+    monkeypatch.setattr(shift_operators, "_add_product", add)
+    monkeypatch.setattr(shift_operators, "commutator", spied)
+    assert cli.main(["submodule-probe", "--family", "drury-arveson", "--m", "3",
+                     "--gens", "z1^2-z2^2", "--p", "1,3", "--degrees", "6,8,10,12,14",
+                     "--out", str(tmp_path), "--tag", "t"]) == 0
+    assert len(calls) == 12 and all(calls)
+    monkeypatch.undo()
+
+    # on random graded frames, real and complex, the window is the whole
+    # product's window bit for bit (DegreeBlocks @, which multiply keeps),
+    # and every block past it is exactly zero
+    for m, kind in ((2, "homogeneous-real"), (2, "homogeneous-complex"), (3, "monomial"),
+                    (3, "homogeneous-complex")):
+        w, S = _random_submodule(rng, m, kind)
+        Zs = [coordinate_shift(w, i) for i in range(1, m + 1)]
+        for Ts in ([restrict_to_invariant(Z, S.sub) for Z in Zs],
+                   [restrict_to_invariant(adjoint(Z), S.comp) for Z in Zs],
+                   [compress_to_frame(Z, S.comp) for Z in Zs]):
+            for A in Ts:
+                for B in Ts:
+                    C, a = commutator(A, B), A.mat.H
+                    W, whole = C.window(), a @ B.mat - B.mat @ a
+                    assert np.array_equal(W.data, whole.leading(W.shape[0]).data)
+                    assert not C.mat.data[W.nnz:].any()
 
 
 def test_theorem_check_failure_is_exit_1(rng, monkeypatch, tmp_path):
@@ -1009,7 +1067,8 @@ def test_commutators_sum_as_scipy_csr_products_bit_for_bit(m, monkeypatch):
     # the inner index in ascending order, as scipy's csr_matmat does (BLAS
     # would not), except on blocks of partial permutations, the monomial
     # frames', where every entry is one product and BLAS returns it exactly.
-    # Complex products are rounded as numpy rounds them: within 1e-15
+    # Complex products are rounded as numpy rounds them: within 1e-15.  On
+    # a graded frame only the interior window is formed (_formed)
     branches = []
     add_product = shift_operators._add_product
 
@@ -1031,11 +1090,12 @@ def test_commutators_sum_as_scipy_csr_products_bit_for_bit(m, monkeypatch):
             branches.clear()
             for i in range(len(Ts)):
                 for j in range(i, len(Ts)):
-                    C, oracle = _dense(commutator(Ts[i], Ts[j])), _scipy_commutator(Ts[i], Ts[j])
+                    C, oracle = commutator(Ts[i], Ts[j]), _scipy_commutator(Ts[i], Ts[j])
+                    C, formed = _dense(C), _formed(C, oracle)
                     if np.iscomplexobj(C):
-                        assert np.abs(C - oracle).max() <= 1e-15 * np.abs(oracle).max()
+                        assert np.abs(C - formed).max() <= 1e-15 * np.abs(oracle).max()
                     else:
-                        assert np.array_equal(C, oracle)
+                        assert np.array_equal(C, formed)
             if kind == "monomial":
                 assert "loop" not in branches
             loops += branches.count("loop")
