@@ -227,6 +227,12 @@ def run_submodule_probe(family: str, m: int, k: int, generators, p_values,
     _check_p_values(p_values)
     sweep = schatten.sweep_degrees(
         degree_sweep or (DEFAULT_SWEEP_M2 if m == 2 else DEFAULT_SWEEP_M3))
+    # the two sides' fit windows (degrees <= max(sweep)) add up to the ambient
+    # one: past twice the limit one of them is over it, refused before any frame
+    ambient = k * count_up_to_degree(m, sweep[-1])
+    if ambient > 2 * schatten.DENSE_SVD_LIMIT:
+        raise ValueError(f"ambient window dimension {ambient} exceeds 2*DENSE_SVD_LIMIT="
+                         f"{2 * schatten.DENSE_SVD_LIMIT}: a side's fit window is over the limit")
     N = max(sweep) + 2
     basis = enumerate_basis(m, N, k)
     w = wm.family_weights(family, basis, delta)
@@ -235,10 +241,9 @@ def run_submodule_probe(family: str, m: int, k: int, generators, p_values,
         if not g.is_homogeneous:
             raise ValueError("submodule probe requires homogeneous or monomial generators")
     S = _build_submodule(w, generators)
-    # each side's decay fits read the window of degrees <= max(sweep): refuse
-    # an oversize one before any restriction is built
-    for frame in (S.sub, S.comp):
-        schatten.check_dense_svd_size(int(np.searchsorted(frame.degrees, sweep[-1], "right")))
+    # and each side's window exactly, before any restriction is built
+    for n in [np.searchsorted(f.degrees, sweep[-1], "right") for f in (S.sub, S.comp)]:
+        schatten.check_dense_svd_size(int(n))
 
     rep = ExperimentReport("submodule_probe", {
         "family": family, "m": m, "k": k, "delta": delta,
@@ -252,6 +257,7 @@ def run_submodule_probe(family: str, m: int, k: int, generators, p_values,
         "complement": [_restrict("complement", S.comp, ops.adjoint(Z), f"Z_{i}*")
                        for i, Z in enumerate(shifts, start=1)],
     }
+    del S       # the restrictions keep the frames' labels only: the columns go
     tab = rep.table("cross_commutator_norms", ["side", "i", "j", "p", "degree", "value"])
     fits = rep.table("decay_fits", ["side", "i", "j", "beta", "critical_exponent",
                                     "fit_residual"])
@@ -464,10 +470,13 @@ def _quotient_spectra(generators, m, N, homogeneous, family, delta, fits=None):
     shifts = [ops.coordinate_shift(w, i) for i in range(1, m + 1)]
     if homogeneous:
         _check_coinvariant(shifts, comp)
-    # quotient-module action = compression of the shifts to the complement;
-    # one commutator at a time: its spectrum and its fit, then it is dropped
+    # quotient-module action = compression of the shifts to the complement,
+    # whose frame goes then; one commutator at a time: its spectrum and its
+    # fit, then it is dropped
+    Rs = [ops.compress_to_frame(Z, comp) for Z in shifts]
+    del comp
     spectra = {}
-    for (i, j), C in ops.cross_commutators([ops.compress_to_frame(Z, comp) for Z in shifts]):
+    for (i, j), C in ops.cross_commutators(Rs):
         spectra[i, j] = (schatten.window_spectra(C, [N])[N] if homogeneous
                          else ops.block_singular_values(C)[0])
         if fits is None:

@@ -6,8 +6,9 @@ the untruncated operator.  Coordinate shifts raise degree by exactly 1, so
 each multiplication eats a bounded strip at the truncation boundary; the
 bookkeeping here tracks that strip, and TruncatedOperator.window, the block
 of degrees <= W, is the one uncontaminated section every norm and fit reads.
-A commutator on a graded frame holds only the blocks of that window: the
-blocks past W are zero because they are never formed.
+A commutator or product on a graded frame stores only the blocks of that
+window: its mat is the leading section of degrees <= W, and nothing past W
+is formed.
 
 An operator's matrix is held in numpy arrays native to its space.  On a
 GradedBasis it is a SparseEntries, its nonzeros sorted by row and then by
@@ -20,7 +21,8 @@ decay fits read their round-off, except products of partial permutations:
 a product of single terms is exact whatever the order, so BLAS takes them.
 Every operator restricted or compressed to a frame is a DegreeBlocks; the
 frame's labels decide only whether there is an interior strip to track.  A
-graded frame's is wrapped in a TruncatedOperator.  A frame sliced by
+graded frame's is wrapped in a TruncatedOperator on the frame's space, its
+labels and dimension without its columns.  A frame sliced by
 weighted degree (a quotient by a quasi-homogeneous ideal) holds one dense
 block per slice s: Z_i maps slice s to s + w_i, so an operator compressed to
 it is a bare DegreeBlocks of offset w_i.  A frame without labels (a span of
@@ -93,9 +95,10 @@ class SubspaceFrame:
     in columns.  A sliced frame (submodules.ungraded_submodule) holds one
     block per weighted degree s the same way, on the rows of that slice:
     rows lists each block's ambient ordinals, block after block.  A frame
-    without labels is one block on every row, columns itself.  Graded
-    frames are the spaces of operators restricted or compressed to them;
-    frames compare by identity, so operators on two frames never mix.
+    without labels is one block on every row, columns itself.  Operators
+    restricted or compressed to a graded frame live on its space, which
+    keeps no columns and compares by identity: operators on two frames
+    never mix, and none of them keeps its frame alive.
     """
 
     columns: np.ndarray           # blocks' entries, flat; unlabelled: (ambient_dim, r)
@@ -112,6 +115,10 @@ class SubspaceFrame:
         """(r,) int degree labels, one per column; None unless graded."""
         return None if self.shapes is None or self.rows is not None else np.repeat(
             np.arange(len(self.shapes)), self.shapes[:, 1])
+
+    @cached_property
+    def space(self) -> "FrameSpace":
+        return FrameSpace(self.degrees, self.dimension)
 
     @cached_property
     def offsets(self):
@@ -147,6 +154,14 @@ class SubspaceFrame:
 
 
 @dataclass(frozen=True, eq=False)
+class FrameSpace:
+    """A graded frame's degree labels and dimension, all its operators read of it."""
+
+    degrees: np.ndarray
+    dimension: int
+
+
+@dataclass(frozen=True, eq=False)
 class SparseEntries:
     """The matrix of an operator on a GradedBasis: vals[e] at (rows[e],
     cols[e]), sorted by row and then by column, no position twice and no
@@ -173,7 +188,9 @@ class SparseEntries:
                              self.shape[::-1])
 
     def leading(self, k: int) -> "SparseEntries":
-        """The leading k x k block."""
+        """The leading k x k block, 0 <= k <= shape (ValueError otherwise)."""
+        if not 0 <= k <= self.shape[0]:
+            raise ValueError(f"leading({k}) is outside a {self.shape[0]} x {self.shape[0]} matrix")
         e = slice(0, int(np.searchsorted(self.rows, k)))
         keep = self.cols[e] < k
         return SparseEntries(self.rows[e][keep], self.cols[e][keep], self.vals[e][keep], (k, k))
@@ -295,8 +312,12 @@ class DegreeBlocks:
                             -self.offset)
 
     def leading(self, k: int) -> "DegreeBlocks":
-        """The leading k x k block, k a whole number of degrees."""
-        sizes = self.sizes[:int(np.searchsorted(np.cumsum(self.sizes), k, side="right"))]
+        """The leading k x k block, its trailing empty degrees included; a k
+        that is not a whole number of degrees is refused with ValueError."""
+        cut = np.cumsum([0, *self.sizes])
+        if k not in cut:
+            raise ValueError(f"leading({k}) cuts a degree of a {cut[-1]} x {cut[-1]} DegreeBlocks")
+        sizes = self.sizes[:int(np.searchsorted(cut, k, side="right")) - 1]
         return DegreeBlocks(self.data[:_layout(sizes, self.offset)[3][-1]], sizes, self.offset)
 
     def toarray(self) -> np.ndarray:
@@ -306,22 +327,17 @@ class DegreeBlocks:
             _add(M, cols[n + self.offset], cols[n], self.blocks(n, g))
         return M
 
-    def __matmul__(self, other: "DegreeBlocks") -> "DegreeBlocks":
-        """Block n of the product is self's block n + other.offset times
-        other's block n, each run of them summed by _add_product."""
-        return self._product(other, _add_product)
-
     def _product(self, other: "DegreeBlocks", add, window=None) -> "DegreeBlocks":
-        """The product, each run of equal-shape blocks added by add(C, A, B).
-        With a window degree W (a graded commutator's interior), only the
-        blocks (n + offset, n) with max(n, n + offset) <= W are formed; the
-        others stay zero.  A formed block is the same sum either way."""
-        out = DegreeBlocks.zeros(self.sizes, self.offset + other.offset,
+        """The product: its block n is self's block n + other.offset times
+        other's block n, each run of equal-shape blocks added by add(C, A, B).
+        With a window degree W (a graded product's interior), it is laid
+        out on the degrees <= W alone: only the blocks (n + offset, n) with
+        max(n, n + offset) <= W are allocated and formed, each the same sum
+        as in the whole product."""
+        sizes = self.sizes if window is None else self.sizes[:max(window + 1, 0)]
+        out = DegreeBlocks.zeros(sizes, self.offset + other.offset,
                                  np.result_type(self.data, other.data))
         n, h, w, _ = out.layout
-        if window is not None:
-            stop = np.searchsorted(n, window - max(out.offset, 0), side="right")
-            n, h, w = n[:stop], h[:stop], w[:stop]
         mid = n + other.offset
         inner = np.where((mid >= 0) & (mid < len(self.sizes)),
                          self.sizes[np.clip(mid, 0, len(self.sizes) - 1)], 0)
@@ -331,8 +347,9 @@ class DegreeBlocks:
                     other.blocks(n[a], b - a))
         return out
 
-    def __sub__(self, other: "DegreeBlocks") -> "DegreeBlocks":
-        return DegreeBlocks(self.data - other.data, self.sizes, self.offset)
+    def __isub__(self, other: "DegreeBlocks") -> "DegreeBlocks":
+        np.subtract(self.data, other.data, out=self.data)
+        return self
 
 
 @dataclass(frozen=True)
@@ -340,24 +357,26 @@ class TruncatedOperator:
     """Finite section of a module operator, in the store of its space.
 
     mat: a SparseEntries on a GradedBasis, a DegreeBlocks on a graded
-    SubspaceFrame.
+    frame's space; either a leading section that holds at least the
+    interior window, which every reader goes through.
     interior_degree W: entries with row and column degree <= W are exact.
-    A commutator on a graded frame holds only those: its blocks past W are
-    zero, never formed.
+    A commutator or product on a graded frame stores only those: its mat
+    is the window.
     degree_raise r: every entry maps degree d into degree d + r (shift: +1,
     shift adjoint: -1); the routines that take T by degree pairs refuse
     entries of another offset.
     """
 
-    space: object                 # GradedBasis or graded SubspaceFrame
+    space: object                 # GradedBasis or a graded SubspaceFrame's space
     mat: object = field(compare=False)
     interior_degree: int
     degree_raise: int = 0
 
     def __post_init__(self):
-        n = self.space.dimension
-        if self.mat.shape != (n, n):
-            raise ValueError(f"matrix shape {self.mat.shape} does not match space dimension {n}")
+        (h, k), n = self.mat.shape, self.space.dimension
+        if not h == k <= n or k < self.window_size():
+            raise ValueError(f"matrix shape {self.mat.shape} is not a leading section of "
+                             f"dimension {n} that holds the interior window")
 
     @property
     def dimension(self) -> int:
@@ -434,9 +453,12 @@ def _composed(A: TruncatedOperator, B: TruncatedOperator, adjoint_a: bool = Fals
 
 
 def multiply(A: TruncatedOperator, B: TruncatedOperator) -> TruncatedOperator:
-    """A B."""
+    """A B: on a graded frame, as a commutator, its interior window alone."""
     _same_space(A, B)
-    return TruncatedOperator(A.space, A.mat @ B.mat, *_composed(A, B))
+    interior, raise_ = _composed(A, B)
+    a, b = A.mat, B.mat
+    mat = a._product(b, _add_product, interior) if isinstance(b, DegreeBlocks) else a @ b
+    return TruncatedOperator(A.space, mat, interior, raise_)
 
 
 def _matmul(C, A, B):
@@ -446,19 +468,23 @@ def _matmul(C, A, B):
 def commutator(A, B):
     """[A*, B] = A*B - BA* from two products in the store of their space.
     On a basis, SparseEntries joins.  On a graded frame, DegreeBlocks
-    products that form only the blocks of the commutator's interior window
-    W: every block past W is zero because it is never formed, and nothing
-    reads it.  For two bare DegreeBlocks (a sliced or unlabelled frame's,
-    which have no interior), one batched BLAS product per run of equal
-    block shapes, A*'s blocks C-ordered, and a bare DegreeBlocks."""
+    products laid out on the commutator's interior window W alone, the
+    second subtracted from the first in place: its mat is the window, and
+    nothing past W is formed or stored.  For two bare DegreeBlocks (a
+    sliced or unlabelled frame's, which have no interior), one batched BLAS
+    product per run of equal block shapes, A*'s blocks C-ordered, and a
+    bare DegreeBlocks."""
     if isinstance(A, DegreeBlocks):
         a = A.H
-        return a._product(B, _matmul) - B._product(a, _matmul)
+        C = a._product(B, _matmul)
+        C -= B._product(a, _matmul)
+        return C
     _same_space(A, B)
     interior, raise_ = _composed(A, B, adjoint_a=True)
     a, b = A.mat.H, B.mat
     if isinstance(b, DegreeBlocks):
-        mat = a._product(b, _add_product, interior) - b._product(a, _add_product, interior)
+        mat = a._product(b, _add_product, interior)
+        mat -= b._product(a, _add_product, interior)
     else:
         mat = a @ b - b @ a
     return TruncatedOperator(A.space, mat, interior, raise_)
@@ -659,7 +685,7 @@ def _on_frame(T: TruncatedOperator, frame: SubspaceFrame, offset: int, pairs):
         out.blocks(n, len(G))[...] = G
     if frame.degrees is None:
         return out
-    return TruncatedOperator(frame, out, T.interior_degree, T.degree_raise)
+    return TruncatedOperator(frame.space, out, T.interior_degree, T.degree_raise)
 
 
 def invariance_residual(T: TruncatedOperator, frame: SubspaceFrame) -> float:

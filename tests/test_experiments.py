@@ -94,13 +94,15 @@ def test_direct_sum_reads_block_spectra_without_svd(blocks, monkeypatch):
 def test_submodule_probe_allocates_one_commutator_at_a_time():
     # each commutator's norms and decay fit are taken in one pass before the
     # next is built: the call peaked at 4.42 MB under tracemalloc (6.51 MB
-    # holding all six commutators of a side); what is left at the peak is
-    # the frames, the six restrictions, one commutator and its dense fit window
+    # holding all six commutators of a side), and at 3.44 MB once the frames
+    # were dropped after the restrictions and each commutator stored only its
+    # window; what is left at the peak is the six restrictions, one
+    # commutator's window and its dense fit window
     gens = [parse_polynomial("z1^2-z2^2", 3)]
     rep, peak = traced_peak(run_submodule_probe, "drury-arveson", 3, 1, gens, [1, 3],
                             [6, 8, 10, 12, 14])
     assert len(_rows(rep, "cross_commutator_norms")) == 2 * 2 * 5 * 6
-    assert peak <= 1.25 * 4_422_870
+    assert peak <= 1.25 * 3_435_235
 
 
 @pytest.mark.parametrize("probe", ["submodule", "factorial", "quotient-graded",
@@ -161,6 +163,69 @@ def test_submodule_probe_refuses_oversize_fit_window_before_any_restriction(
     run_submodule_probe("drury-arveson", 2, 1, parse_generators("z1*z2", 2), [1.0],
                         [4, 5, 6, 7])
     assert max(widths) == 21
+
+
+def test_submodule_probe_refuses_an_oversize_ambient_window_before_any_frame(
+        monkeypatch, tmp_path, capsys):
+    # the two sides' fit windows add up to the ambient window of degrees <=
+    # max(sweep), k C(d + m, m): past 2 DENSE_SVD_LIMIT one side is over the
+    # limit, refused before any frame is built (z1^2-z2^2 to degree 40 at
+    # m=3 was refused only after both frames, a process of 236 MB)
+    def refuse(*args, **kwargs):
+        raise AssertionError("a frame was built before the ambient window was checked")
+    with monkeypatch.context() as patched:
+        for builder in ("monomial_submodule", "homogeneous_submodule"):
+            patched.setattr(submodules, builder, refuse)
+        for degrees, ambient in (("10,20,40", 12_341), ("10,20,30,50", 23_426)):
+            code = cli.main(["submodule-probe", "--m", "3", "--gens", "z1^2-z2^2",
+                             "--degrees", degrees, "--out", str(tmp_path), "--tag", "t"])
+            assert code == 2
+            assert (f"error: ambient window dimension {ambient} exceeds "
+                    f"2*DENSE_SVD_LIMIT=10000") in capsys.readouterr().err
+        patched.setattr(schatten, "DENSE_SVD_LIMIT", 17)
+        with pytest.raises(ValueError, match="ambient window dimension 36 exceeds "
+                                             "2\\*DENSE_SVD_LIMIT=34"):
+            run_submodule_probe("drury-arveson", 2, 1, parse_generators("z1*z2", 2), [1.0],
+                                [4, 5, 6, 7])
+    assert not any(tmp_path.iterdir())
+    # the bound is tight: with the ambient window at exactly twice the limit
+    # the frames are built, and the exact per-side check refuses the wider side
+    monkeypatch.setattr(schatten, "DENSE_SVD_LIMIT", 18)
+    with pytest.raises(ValueError, match="^window dimension 21 exceeds DENSE_SVD_LIMIT=18"):
+        run_submodule_probe("drury-arveson", 2, 1, parse_generators("z1*z2", 2), [1.0],
+                            [4, 5, 6, 7])
+
+
+@pytest.mark.parametrize("probe", ["submodule", "quotient-graded", "quotient-ungraded"])
+def test_sweeps_free_the_frames_columns_before_the_first_commutator(probe, monkeypatch):
+    # an operator on a frame keeps its degree labels, not its columns, and
+    # the sweeps drop their frames once the operators exist: no frame's
+    # columns are alive when the first commutator is built
+    columns, alive, real = [], [], ops.commutator
+
+    def tracked(build):
+        def wrapper(*args):
+            S = build(*args)
+            columns.extend(weakref.ref(f.columns) for f in (S.sub, S.comp))
+            return S
+        return wrapper
+
+    def first(A, B):
+        if not alive:
+            gc.collect()
+            alive.append(sum(ref() is not None for ref in columns))
+        return real(A, B)
+    monkeypatch.setattr(experiments, "_build_submodule", tracked(experiments._build_submodule))
+    monkeypatch.setattr(submodules, "ungraded_submodule", tracked(submodules.ungraded_submodule))
+    monkeypatch.setattr(ops, "commutator", first)
+    if probe == "submodule":
+        run_submodule_probe("drury-arveson", 3, 1, [parse_polynomial("z1^2-z2^2", 3)], [1.0],
+                            [4, 5, 6])
+    else:
+        gen = "z1^2 - z2^2" if probe == "quotient-graded" else "z1 - z2*z3"
+        experiments._quotient_spectra([parse_polynomial(gen, 3)], 3, 8,
+                                      probe == "quotient-graded", "bergman-ball", None)
+    assert len(columns) == 2 and alive == [0]
 
 
 def test_factorial_thresholds_reject_one_variable():

@@ -14,8 +14,8 @@ from shiftlab import (GradedBasis, InvarianceError, PolynomialGenerator, Submodu
                       multiply, projection_matrix, restrict_to_invariant,
                       self_commutator, shift_combination)
 from shiftlab import cli, shift_operators
-from shiftlab.shift_operators import (INVARIANCE_TOL, DegreeBlocks, TheoremViolationError,
-                                      TruncatedOperator)
+from shiftlab.shift_operators import (INVARIANCE_TOL, DegreeBlocks, FrameSpace,
+                                      TheoremViolationError, TruncatedOperator)
 from shiftlab.submodules import ungraded_submodule
 
 from random_instances import (ambient_columns, frame_operator, point_evaluation_submodule,
@@ -25,7 +25,10 @@ from test_graded_basis import compositions
 
 
 def _dense(T):
-    return T.mat.toarray()
+    """T's matrix on its whole space, zero past the leading section it stores."""
+    M, k = np.zeros((T.dimension,) * 2, T.mat.dtype), T.mat.shape[0]
+    M[:k, :k] = T.mat.toarray()
+    return M
 
 
 def _csr(E):
@@ -34,13 +37,13 @@ def _csr(E):
 
 
 def _formed(C, M):
-    """The dense oracle M of the commutator C cut to the blocks C forms: all
+    """The dense oracle M of the commutator C cut to the blocks C stores: all
     of M on a basis; on a graded frame M's interior window, zero past it,
-    once C is checked to hold exact zeros there (never formed)."""
+    once C is checked to store nothing past that window."""
     if isinstance(C.space, GradedBasis):
         return M
-    k, D = C.window_size(), _dense(C)
-    assert not D[k:].any() and not D[:k, k:].any()
+    k = C.window_size()
+    assert C.mat.shape == (k, k)
     out = np.zeros_like(M)
     out[:k, :k] = M[:k, :k]
     return out
@@ -48,9 +51,11 @@ def _formed(C, M):
 
 def _composed_commutator(X, Y):
     """[X*, Y] composed of the products P = X*Y and R = YX* and their
-    difference: (matrix, interior degree, degree raise)."""
+    difference: (operator, interior degree, degree raise)."""
     P, R = multiply(adjoint(X), Y), multiply(Y, adjoint(X))
-    return (P.mat - R.mat,
+    mat = P.mat
+    mat -= R.mat
+    return (TruncatedOperator(X.space, mat, P.interior_degree, P.degree_raise),
             min(P.interior_degree, R.interior_degree), max(P.degree_raise, R.degree_raise))
 
 
@@ -259,19 +264,20 @@ def test_commutator_is_adjoint_product_difference(rng, monkeypatch):
         raise AssertionError("composed operator algebra called")
     for name in ("adjoint", "multiply"):
         monkeypatch.setattr(shift_operators, name, refuse)
-    for (X, Y), (mat, interior, raise_) in zip(pairs, composed):
+    for (X, Y), (D, interior, raise_) in zip(pairs, composed):
         C = commutator(X, Y)
-        assert isinstance(X.space, (GradedBasis, SubspaceFrame))
-        assert np.array_equal(_dense(C), _formed(C, mat.toarray()))
-        assert C.mat.nnz == mat.nnz
+        assert isinstance(X.space, (GradedBasis, FrameSpace))
+        assert np.array_equal(_dense(C), _formed(C, _dense(D)))
+        assert C.mat.nnz == D.mat.nnz
         assert (C.interior_degree, C.degree_raise) == (interior, raise_)
 
 
 def test_graded_commutator_forms_only_its_interior(rng, monkeypatch, tmp_path):
     # nothing reads a graded commutator past its interior window W, so its
-    # block products form no block (n + r, n) with max(n, n + r) > W: on the
-    # submodule-m3 benchmark command (N = 16, W = 14) that is the degree-15
-    # and degree-16 blocks, the widest ones
+    # block products form no block (n + r, n) with max(n, n + r) > W, and it
+    # stores its window alone: on the submodule-m3 benchmark command (N = 16,
+    # W = 14) the degree-15 and degree-16 blocks, the widest ones, are
+    # neither formed nor stored
     calls, real_add, real_commutator = [], shift_operators._add_product, commutator
 
     def add(C, A, B):
@@ -285,6 +291,7 @@ def test_graded_commutator_forms_only_its_interior(rng, monkeypatch, tmp_path):
         for entry, count in calls[-1]:
             last = np.searchsorted(starts, entry, side="right") - 2 + count
             assert max(n[last], n[last] + C.mat.offset) <= C.interior_degree
+        assert C.mat.nnz == C.window().nnz
         return C
     monkeypatch.setattr(shift_operators, "_add_product", add)
     monkeypatch.setattr(shift_operators, "commutator", spied)
@@ -295,8 +302,8 @@ def test_graded_commutator_forms_only_its_interior(rng, monkeypatch, tmp_path):
     monkeypatch.undo()
 
     # on random graded frames, real and complex, the window is the whole
-    # product's window bit for bit (DegreeBlocks @, which multiply keeps),
-    # and every block past it is exactly zero
+    # product's window bit for bit (DegreeBlocks._product with no window),
+    # and nothing past it is stored
     for m, kind in ((2, "homogeneous-real"), (2, "homogeneous-complex"), (3, "monomial"),
                     (3, "homogeneous-complex")):
         w, S = _random_submodule(rng, m, kind)
@@ -307,9 +314,51 @@ def test_graded_commutator_forms_only_its_interior(rng, monkeypatch, tmp_path):
             for A in Ts:
                 for B in Ts:
                     C, a = commutator(A, B), A.mat.H
-                    W, whole = C.window(), a @ B.mat - B.mat @ a
+                    W, whole = C.window(), a._product(B.mat, shift_operators._add_product)
+                    whole -= B.mat._product(a, shift_operators._add_product)
                     assert np.array_equal(W.data, whole.leading(W.shape[0]).data)
-                    assert not C.mat.data[W.nnz:].any()
+                    assert C.mat.nnz == W.nnz
+
+
+def test_degree_blocks_leading_refuses_a_cut_degree():
+    # a graded commutator stores its window alone, so a leading(k) that cut a
+    # degree or reached past the store would silently drop blocks
+    B = DegreeBlocks(np.arange(1.0, 15.0), np.array([1, 2, 3]), 0)
+    for k in (0, 1, 3, 6):
+        assert np.array_equal(B.leading(k).toarray(), B.toarray()[:k, :k])
+    for k in (-1, 2, 4, 5, 7, 99):
+        with pytest.raises(ValueError, match=rf"leading\({k}\) cuts a degree"):
+            B.leading(k)
+
+
+def test_sparse_entries_leading_refuses_k_past_its_shape():
+    Z = coordinate_shift(drury_arveson_weights(enumerate_basis(2, 4)), 1).mat
+    assert Z.shape == (15, 15) and Z.leading(15).nnz == Z.nnz
+    assert np.array_equal(Z.leading(6).toarray(), Z.toarray()[:6, :6])
+    for k in (-1, 16, 99):
+        with pytest.raises(ValueError, match=rf"leading\({k}\) is outside a 15 x 15"):
+            Z.leading(k)
+
+
+def test_operator_mat_is_a_leading_section_holding_its_window(rng):
+    # a graded commutator's mat is its window; one that falls short of the
+    # window, or is wider than the space, is refused
+    w, S = _random_submodule(rng, 2, "homogeneous-real")
+    R = restrict_to_invariant(coordinate_shift(w, 1), S.sub)
+    C = commutator(R, R)
+    k = C.window_size()
+    assert C.mat.shape == (k, k) < (R.dimension,) * 2
+    short = C.mat.leading(int(np.searchsorted(C.space.degrees, C.interior_degree)))
+    for mat, space in ((short, C.space), (R.mat, FrameSpace(R.space.degrees[:-1], R.dimension - 1))):
+        with pytest.raises(ValueError, match="not a leading section"):
+            TruncatedOperator(space, mat, C.interior_degree, C.degree_raise)
+    # products on a frame, like commutators, store their interior window,
+    # so they take a window-only operand on either side
+    for X, Y in ((R, C), (C, R), (adjoint(R), commutator(R, adjoint(R)))):
+        P = multiply(X, Y)
+        k = P.window_size()
+        assert P.mat.shape == (k, k)
+        assert np.allclose(P.mat.toarray(), (_dense(X) @ _dense(Y))[:k, :k], rtol=0, atol=1e-14)
 
 
 def test_theorem_check_failure_is_exit_1(rng, monkeypatch, tmp_path):
@@ -798,7 +847,7 @@ def _direct_sum(operators):
     degrees = np.concatenate([np.asarray(T.space.degrees) for T in operators])
     order = np.argsort(degrees, kind="stable")
     space = SubspaceFrame.from_blocks([np.eye(c) for c in np.bincount(degrees)])
-    M = sp.block_diag([T.mat.toarray() for T in operators]).toarray()[np.ix_(order, order)]
+    M = sp.block_diag([_dense(T) for T in operators]).toarray()[np.ix_(order, order)]
     raise_, = {T.degree_raise for T in operators}
     return TruncatedOperator(space, frame_operator(space, M, raise_),
                              interior_degree=min(T.interior_degree for T in operators),
@@ -849,15 +898,16 @@ def test_operators_on_a_submodule_and_its_complement_never_mix():
     S = monomial_submodule(w, [(2,)])
     Z = coordinate_shift(w, 1)
     R, C = restrict_to_invariant(Z, S.sub), restrict_to_invariant(adjoint(Z), S.comp)
-    assert R.space is S.sub and C.space is S.comp and R.dimension == C.dimension == 2
-    assert compress_to_frame(Z, S.comp).space is S.comp
+    assert R.space is S.sub.space and C.space is S.comp.space
+    assert R.dimension == C.dimension == 2
+    assert compress_to_frame(Z, S.comp).space is S.comp.space
     Z_again = coordinate_shift(drury_arveson_weights(enumerate_basis(1, 3)), 1)
     for combine in (commutator, multiply):
         for X, Y in ((R, C), (C, R)):
             with pytest.raises(ValueError, match="different spaces"):
                 combine(X, Y)
         # operators on one frame, or on equal bases, still combine
-        assert combine(R, R).space is S.sub and combine(C, C).space is S.comp
+        assert combine(R, R).space is S.sub.space and combine(C, C).space is S.comp.space
         assert combine(Z, Z_again).space is w.basis
 
 
@@ -946,7 +996,7 @@ def _assert_matches_ambient_oracle(T, frame):
         assert isinstance(a, np.ndarray) and a.dtype == b.dtype
         assert np.array_equal(a, b), name
     C = compress_to_frame(T, frame)
-    assert C.space is frame and C.mat.dtype == parts[0].dtype
+    assert C.space is frame.space and C.mat.dtype == parts[0].dtype
     assert np.array_equal(C.mat.toarray(), parts[0])
     assert (C.interior_degree, C.degree_raise) == (T.interior_degree, T.degree_raise)
 
@@ -1031,7 +1081,7 @@ def test_graded_compression_and_restriction_stay_below_one_ambient_frame():
     assert (dim, r) == (2925, 2300)
     for build, bound in ((compress_to_frame, 6.8e6), (restrict_to_invariant, 13.1e6)):
         R, peak = traced_peak(build, Z1, S.sub)
-        assert R.space is S.sub and R.mat.shape == (r, r) and R.mat.nnz == 356_730
+        assert R.space is S.sub.space and R.mat.shape == (r, r) and R.mat.nnz == 356_730
         assert peak < bound, (build.__name__, peak)
 
 
@@ -1085,8 +1135,8 @@ def test_commutators_sum_as_scipy_csr_products_bit_for_bit(m, monkeypatch):
     widths, loops = set(), 0
     for _ in range(4):
         for kind, Ts in _kernel_cases(rng, m):
-            if isinstance(Ts[0].space, SubspaceFrame):
-                widths.update(Ts[0].space.shapes[:, 1].tolist())
+            if isinstance(Ts[0].space, FrameSpace):
+                widths.update(Ts[0].mat.sizes.tolist())
             branches.clear()
             for i in range(len(Ts)):
                 for j in range(i, len(Ts)):
