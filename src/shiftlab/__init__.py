@@ -18,9 +18,8 @@ from .shift_operators import (BlockDecomposition, InvarianceError,
                               invariance_residual, restricted_commutator_decomposition,
                               multiply, restrict_to_invariant,
                               self_commutator, shift_combination)
-from .submodules import (RankCollapseError, SubmoduleBasis,
-                         homogeneous_submodule, monomial_submodule,
-                         projection_matrix, ungraded_submodule)
+from .submodules import (RankCollapseError, SubmoduleBasis, projection_matrix,
+                         submodule)
 from .weight_models import (WeightSet, bergman_ball_weights,
                             drury_arveson_weights, ramp_weights,
                             factorial_delta_weights, family_weights,

@@ -15,6 +15,7 @@ import numpy as np
 
 from . import schatten, shift_operators as ops, submodules, weight_models as wm
 from .graded_basis import DIMENSION_CAP, count_up_to_degree, enumerate_basis
+from .polynomials import monomial_generator
 from .schatten import Verdict
 from .shift_operators import SubspaceFrame, TheoremViolationError
 
@@ -100,7 +101,7 @@ def _ramp_block(n: int, N: int):
     w = wm.ramp_weights(n, basis)
     S = ops.coordinate_shift(w, 1)
     comm = ops.self_commutator(S)
-    tail = submodules.monomial_submodule(w, [(n - 1,)]).sub
+    tail = submodules.submodule(w, [monomial_generator((n - 1,))]).sub
     restricted = ops.restrict_to_invariant(S, tail)
     comm_restr = ops.self_commutator(restricted)
     return comm, comm_restr
@@ -206,12 +207,6 @@ def run_factorial_thresholds(m: int, delta_values, degree_sweep=None) -> Experim
     return rep
 
 
-def _build_submodule(w, generators):
-    if all(len(g.terms) == 1 for g in generators):
-        return submodules.monomial_submodule(w, generators)
-    return submodules.homogeneous_submodule(w, generators)
-
-
 def _restrict(side, frame, T, name):
     """T restricted to a side's frame, which its builder made invariant: a
     frame that is not is a defect of the builder, not of the input."""
@@ -240,7 +235,7 @@ def run_submodule_probe(family: str, m: int, k: int, generators, p_values,
     for g in generators:
         if not g.is_homogeneous:
             raise ValueError("submodule probe requires homogeneous or monomial generators")
-    S = _build_submodule(w, generators)
+    S = submodules.submodule(w, generators)
     # and each side's window exactly, before any restriction is built
     for n in [np.searchsorted(f.degrees, sweep[-1], "right") for f in (S.sub, S.comp)]:
         schatten.check_dense_svd_size(int(n))
@@ -384,7 +379,7 @@ def run_trace_inequality_check(family: str, m: int, points=None, generators=None
                     f"max|z|^(2N) = {r ** (2 * N):.1e}; try a larger --degrees"
                 ) from None
             comm = ops.self_commutator(Tn)
-            tr_p, c1 = schatten.spectral_split(comm.toarray(), p=1)
+            tr_p, c1 = schatten.spectral_split(comm.mat.toarray(), p=1)
             holds = -INEQUALITY_SLACK <= tr_p <= c1 + INEQUALITY_SLACK
             tab.add(N, n, tr_p, c1, holds)
             if not holds:
@@ -460,13 +455,12 @@ def _quotient_spectra(generators, m, N, homogeneous, family, delta, fits=None):
     Nothing built for this degree outlives the call.
 
     An ungraded complement is sliced by weighted degree (or, with no
-    positive weight, one unlabelled block), so [R_i*, R_j] is the
-    DegreeBlocks of its slice pairs (s + w_j - w_i, s) (or of its one r x r
-    block), and its spectrum is block_singular_values' of those blocks."""
+    positive weight, one unlabelled block), so [R_i*, R_j] holds its slice
+    pairs (s + w_j - w_i, s) (or its one r x r block) and has no interior:
+    its window N is the whole operator."""
     w = wm.family_weights(family, enumerate_basis(m, N + 2), delta)
     # only the complement is read: the submodule's frame is dropped at once
-    comp = (_build_submodule if homogeneous else submodules.ungraded_submodule)(
-        w, generators).comp
+    comp = submodules.submodule(w, generators).comp
     shifts = [ops.coordinate_shift(w, i) for i in range(1, m + 1)]
     if homogeneous:
         _check_coinvariant(shifts, comp)
@@ -477,8 +471,7 @@ def _quotient_spectra(generators, m, N, homogeneous, family, delta, fits=None):
     del comp
     spectra = {}
     for (i, j), C in ops.cross_commutators(Rs):
-        spectra[i, j] = (schatten.window_spectra(C, [N])[N] if homogeneous
-                         else ops.block_singular_values(C)[0])
+        spectra[i, j] = schatten.window_spectra(C, [N])[N]
         if fits is None:
             continue
         if homogeneous:
@@ -491,7 +484,7 @@ def _quotient_spectra(generators, m, N, homogeneous, family, delta, fits=None):
             # s_max r eps (numpy's matrix_rank cut) zeroed as round-off, so
             # a commutator of low numerical rank gives no fit
             s = np.sort(spectra[i, j])[::-1]
-            s = np.pad(s, (0, C.shape[0] - s.size))
+            s = np.pad(s, (0, C.dimension - s.size))
             s[s <= s.max(initial=0.0) * s.size * np.finfo(float).eps] = 0.0
         fit = schatten.decay_exponent_fit(s)
         if fit is not None:
@@ -518,8 +511,8 @@ def run_restriction_identity_check(trials: int = 200, seed: int = 0) -> Experime
         gens = []
         for _ in range(int(rng.integers(1, 3))):
             d = int(rng.integers(0, max(1, N // 2) + 1))
-            gens.append(tuple(int(x) for x in rng.multinomial(d, np.ones(m) / m)))
-        S = submodules.monomial_submodule(w, gens)
+            gens.append(monomial_generator(rng.multinomial(d, np.ones(m) / m)))
+        S = submodules.submodule(w, gens)
         decomp = ops.restricted_commutator_decomposition(T, S.sub)
         Y = decomp.restricted
         lhs = Y.conj().T @ Y

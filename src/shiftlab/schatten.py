@@ -8,10 +8,10 @@ zero-padded into one stack per size class
 (shift_operators.block_singular_values), and a sweep of nested windows takes
 one pass over the widest: window d keeps the block values labelled <= d.
 window_norms derives every (d, p) norm of a sweep from those spectra.  An
-operator on a sliced or unlabelled frame is a bare DegreeBlocks with no
-boundary strip: the quotient probe reads its spectrum with
-block_singular_values (experiments), and trace-inequality hands
-spectral_split its dense form, an r x r ndarray.
+operator on a sliced or unlabelled frame has no boundary strip
+(interior_degree None): every window of it is the whole operator, its
+blocks' spectrum, and trace-inequality hands spectral_split its dense form,
+an r x r ndarray.
 
 singular_values is the full dense spectrum of a window, written out by its
 store's toarray; the commands take it only for graded decay fits.  It
@@ -87,9 +87,11 @@ def window_spectra(T: TruncatedOperator, degrees) -> dict:
     (shift_operators.block_singular_values, which refuses an operator mixing
     degree offsets) and are never densified whole; window d keeps the values
     labelled <= d, which are exactly its own blocks' values in the same
-    order.  A degree None stands for the whole interior window.
+    order.  A degree None, or an operator with no interior, reads it whole.
     """
     degrees = list(degrees)
+    if T.interior_degree is None:
+        return dict.fromkeys(degrees, block_singular_values(T.mat)[0])
     W = T.window(None if None in degrees else max(degrees))
     s, labels = block_singular_values(W, np.asarray(T.space.degrees)[:W.shape[0]])
     return {d: s if d is None else s[labels <= d] for d in degrees}

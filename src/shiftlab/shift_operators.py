@@ -1,37 +1,37 @@
 """Finite truncations of module operators and their algebra.
 
-Every operator carries an interior degree W: matrix entries whose row and
-column degrees are both <= W agree exactly with the corresponding entries of
-the untruncated operator.  Coordinate shifts raise degree by exactly 1, so
-each multiplication eats a bounded strip at the truncation boundary; the
-bookkeeping here tracks that strip, and TruncatedOperator.window, the block
-of degrees <= W, is the one uncontaminated section every norm and fit reads.
-A commutator or product on a graded frame stores only the blocks of that
-window: its mat is the leading section of degrees <= W, and nothing past W
-is formed.
+An operator on a basis or a graded frame carries an interior degree W:
+matrix entries whose row and column degrees are both <= W agree exactly
+with the corresponding entries of the untruncated operator.  Coordinate
+shifts raise degree by exactly 1, so each multiplication eats a bounded
+strip at the truncation boundary; the bookkeeping here tracks that strip,
+and TruncatedOperator.window, the block of degrees <= W, is the one
+uncontaminated section every norm and fit reads.  A commutator or product
+on a graded frame stores only the blocks of that window: its mat is the
+leading section of degrees <= W, and nothing past W is formed.
 
 An operator's matrix is held in numpy arrays native to its space.  On a
 GradedBasis it is a SparseEntries, its nonzeros sorted by row and then by
 column: every ambient operator is a weighted partial permutation of
 monomials, or a sum of m of them, so its products are joins of entries.  On
-a graded frame it is a DegreeBlocks, one dense block per degree pair
-(n + r, n); operators reach a frame one degree pair at a time.  Block
-products keep scipy's summation order, the inner index ascending, because
-decay fits read their round-off, except products of partial permutations:
-a product of single terms is exact whatever the order, so BLAS takes them.
-Every operator restricted or compressed to a frame is a DegreeBlocks; the
-frame's labels decide only whether there is an interior strip to track.  A
-graded frame's is wrapped in a TruncatedOperator on the frame's space, its
-labels and dimension without its columns.  A frame sliced by
-weighted degree (a quotient by a quasi-homogeneous ideal) holds one dense
-block per slice s: Z_i maps slice s to s + w_i, so an operator compressed to
-it is a bare DegreeBlocks of offset w_i.  A frame without labels (a span of
-kernel vectors, a quotient by an ideal with no positive weight) is one
-block on every row, and an operator on it the bare DegreeBlocks of one
-r x r block of offset 0.  Neither has an interior strip, and commutator
-takes two bare DegreeBlocks by one batched BLAS product per run of equal
-block shapes.  A sliced frame is only compressed to: the routines that
-check invariance on the interior rows refuse it.
+a frame it is a DegreeBlocks, one dense block per degree pair (n + r, n);
+operators reach a frame one degree pair at a time.  Every operator on a
+frame is a TruncatedOperator on the frame's space, its labels and
+dimension without its columns; the frame's labels decide only whether
+there is an interior strip to track.  On a graded frame there is, and
+block products keep scipy's summation order, the inner index ascending,
+because decay fits read their round-off, except products of partial
+permutations: a product of single terms is exact whatever the order, so
+BLAS takes them.  A frame sliced by weighted degree (a quotient by a
+quasi-homogeneous ideal) holds one dense block per slice s: Z_i maps slice
+s to s + w_i, so an operator compressed to it has the slice blocks of
+offset w_i.  A frame without labels (a span of kernel vectors, a quotient
+by an ideal with no positive weight) is one block on every row, and an
+operator on it one r x r block of offset 0.  Neither has an interior strip
+(interior_degree None): the one window is the whole operator, and its
+products are one batched BLAS product per run of equal block shapes.  A
+sliced frame is only compressed to: the routines that check invariance on
+the interior rows refuse it.
 
 Spectra of DegreeBlocks, and a sliced frame's slice QRs (submodules), go
 by size class: a block whose larger side is at most STACK_SIDE is
@@ -92,13 +92,13 @@ class SubspaceFrame:
 
     A graded frame holds one C-ordered block per degree n, shapes[n]: its
     columns, labelled n, on the ambient rows of degree n, one after another
-    in columns.  A sliced frame (submodules.ungraded_submodule) holds one
-    block per weighted degree s the same way, on the rows of that slice:
-    rows lists each block's ambient ordinals, block after block.  A frame
-    without labels is one block on every row, columns itself.  Operators
-    restricted or compressed to a graded frame live on its space, which
-    keeps no columns and compares by identity: operators on two frames
-    never mix, and none of them keeps its frame alive.
+    in columns.  A sliced frame (submodules.submodule of generators not all
+    homogeneous) holds one block per weighted degree s the same way, on
+    the rows of that slice: rows lists each block's ambient ordinals, block
+    after block.  A frame without labels is one block on every row,
+    columns itself.  Operators restricted or compressed to a frame live on
+    its space, which keeps no columns and compares by identity: operators
+    on two frames never mix, and none of them keeps its frame alive.
     """
 
     columns: np.ndarray           # blocks' entries, flat; unlabelled: (ambient_dim, r)
@@ -155,7 +155,7 @@ class SubspaceFrame:
 
 @dataclass(frozen=True, eq=False)
 class FrameSpace:
-    """A graded frame's degree labels and dimension, all its operators read of it."""
+    """A frame's degree labels (None unless graded) and dimension, which its operators read."""
 
     degrees: np.ndarray
     dimension: int
@@ -327,13 +327,13 @@ class DegreeBlocks:
             _add(M, cols[n + self.offset], cols[n], self.blocks(n, g))
         return M
 
-    def _product(self, other: "DegreeBlocks", add, window=None) -> "DegreeBlocks":
+    def _product(self, other: "DegreeBlocks", window=None) -> "DegreeBlocks":
         """The product: its block n is self's block n + other.offset times
-        other's block n, each run of equal-shape blocks added by add(C, A, B).
-        With a window degree W (a graded product's interior), it is laid
-        out on the degrees <= W alone: only the blocks (n + offset, n) with
-        max(n, n + offset) <= W are allocated and formed, each the same sum
-        as in the whole product."""
+        other's block n.  With a window degree W (a graded product's
+        interior) it is laid out on the degrees <= W alone: only the blocks
+        (n + offset, n) with max(n, n + offset) <= W are allocated and
+        formed, each by _add_product, the same sum as in the whole product.
+        With none, each run of equal-shape blocks is one np.matmul."""
         sizes = self.sizes if window is None else self.sizes[:max(window + 1, 0)]
         out = DegreeBlocks.zeros(sizes, self.offset + other.offset,
                                  np.result_type(self.data, other.data))
@@ -343,8 +343,12 @@ class DegreeBlocks:
                          self.sizes[np.clip(mid, 0, len(self.sizes) - 1)], 0)
         for a, b in _runs(h, w, inner):
             if h[a] * w[a] * inner[a]:
-                add(out.blocks(n[a], b - a), self.blocks(mid[a], b - a),
-                    other.blocks(n[a], b - a))
+                C, A, B = (out.blocks(n[a], b - a), self.blocks(mid[a], b - a),
+                           other.blocks(n[a], b - a))
+                if window is None:
+                    np.matmul(A, B, out=C)
+                else:
+                    _add_product(C, A, B)
         return out
 
     def __isub__(self, other: "DegreeBlocks") -> "DegreeBlocks":
@@ -356,20 +360,21 @@ class DegreeBlocks:
 class TruncatedOperator:
     """Finite section of a module operator, in the store of its space.
 
-    mat: a SparseEntries on a GradedBasis, a DegreeBlocks on a graded
-    frame's space; either a leading section that holds at least the
-    interior window, which every reader goes through.
+    mat: a SparseEntries on a GradedBasis, a DegreeBlocks on a frame's
+    space; either a leading section that holds at least the interior
+    window, which every reader goes through.
     interior_degree W: entries with row and column degree <= W are exact.
     A commutator or product on a graded frame stores only those: its mat
-    is the window.
+    is the window.  None on a sliced or unlabelled frame: the one window
+    is the whole operator, whatever degree it is asked for.
     degree_raise r: every entry maps degree d into degree d + r (shift: +1,
     shift adjoint: -1); the routines that take T by degree pairs refuse
     entries of another offset.
     """
 
-    space: object                 # GradedBasis or a graded SubspaceFrame's space
+    space: object                 # GradedBasis or a SubspaceFrame's space
     mat: object = field(compare=False)
-    interior_degree: int
+    interior_degree: int | None
     degree_raise: int = 0
 
     def __post_init__(self):
@@ -385,6 +390,8 @@ class TruncatedOperator:
     def window_size(self, max_window_degree=None) -> int:
         """Size of the interior window (degree <= W, optionally tighter): the
         window is the leading block of that many coordinates."""
+        if self.interior_degree is None:
+            return self.dimension
         w = self.interior_degree
         if max_window_degree is not None:
             w = min(w, max_window_degree)
@@ -446,10 +453,11 @@ def adjoint(T: TruncatedOperator) -> TruncatedOperator:
 
 
 def _composed(A: TruncatedOperator, B: TruncatedOperator, adjoint_a: bool = False):
-    """(interior degree, degree raise) of A B (A* B when adjoint_a)."""
+    """(interior degree, degree raise) of A B (A* B when adjoint_a); no interior gives none."""
     raise_a = -A.degree_raise if adjoint_a else A.degree_raise
-    return (min(A.interior_degree, B.interior_degree) - max(raise_a, B.degree_raise, 0),
-            raise_a + B.degree_raise)
+    interior = None if A.interior_degree is None else (
+        min(A.interior_degree, B.interior_degree) - max(raise_a, B.degree_raise, 0))
+    return interior, raise_a + B.degree_raise
 
 
 def multiply(A: TruncatedOperator, B: TruncatedOperator) -> TruncatedOperator:
@@ -457,34 +465,24 @@ def multiply(A: TruncatedOperator, B: TruncatedOperator) -> TruncatedOperator:
     _same_space(A, B)
     interior, raise_ = _composed(A, B)
     a, b = A.mat, B.mat
-    mat = a._product(b, _add_product, interior) if isinstance(b, DegreeBlocks) else a @ b
+    mat = a._product(b, interior) if isinstance(b, DegreeBlocks) else a @ b
     return TruncatedOperator(A.space, mat, interior, raise_)
-
-
-def _matmul(C, A, B):
-    np.matmul(A, B, out=C)
 
 
 def commutator(A, B):
     """[A*, B] = A*B - BA* from two products in the store of their space.
-    On a basis, SparseEntries joins.  On a graded frame, DegreeBlocks
-    products laid out on the commutator's interior window W alone, the
-    second subtracted from the first in place: its mat is the window, and
-    nothing past W is formed or stored.  For two bare DegreeBlocks (a
-    sliced or unlabelled frame's, which have no interior), one batched BLAS
-    product per run of equal block shapes, A*'s blocks C-ordered, and a
-    bare DegreeBlocks."""
-    if isinstance(A, DegreeBlocks):
-        a = A.H
-        C = a._product(B, _matmul)
-        C -= B._product(a, _matmul)
-        return C
+    On a basis, SparseEntries joins.  On a frame, DegreeBlocks products,
+    the second subtracted from the first in place: on a graded frame laid
+    out on the commutator's interior window W alone, so that its mat is the
+    window and nothing past W is formed or stored; on a sliced or
+    unlabelled frame, which has no interior, one batched BLAS product per
+    run of equal block shapes, A*'s blocks C-ordered."""
     _same_space(A, B)
     interior, raise_ = _composed(A, B, adjoint_a=True)
     a, b = A.mat.H, B.mat
     if isinstance(b, DegreeBlocks):
-        mat = a._product(b, _add_product, interior)
-        mat -= b._product(a, _add_product, interior)
+        mat = a._product(b, interior)
+        mat -= b._product(a, interior)
     else:
         mat = a @ b - b @ a
     return TruncatedOperator(A.space, mat, interior, raise_)
@@ -497,9 +495,9 @@ def self_commutator(T):
 
 def cross_commutators(operators):
     """Yield ((i, j), [T_i*, T_j]) for 1 <= i <= j <= m in row-major order, of
-    operators T_1, ..., T_m (TruncatedOperators or bare DegreeBlocks), each
-    commutator built only when it is asked for: a caller that drops each one
-    before asking for the next holds one at a time."""
+    TruncatedOperators T_1, ..., T_m, each commutator built only when it is
+    asked for: a caller that drops each one before asking for the next
+    holds one at a time."""
     T = list(operators)
     for i in range(1, len(T) + 1):
         for j in range(i, len(T) + 1):
@@ -677,15 +675,14 @@ def _residual(pairs, scale: float, tol: float | None = None):
 
 
 def _on_frame(T: TruncatedOperator, frame: SubspaceFrame, offset: int, pairs):
-    """The compression Q*TQ, the DegreeBlocks of the pairs' blocks G: on a
-    graded frame wrapped in a TruncatedOperator, on a sliced or unlabelled
-    one bare."""
+    """The compression Q*TQ, the DegreeBlocks of the pairs' blocks G on the
+    frame's space: with T's interior on a graded frame, with none on a
+    sliced or unlabelled one."""
     out = DegreeBlocks.zeros(frame.sizes, offset, np.result_type(T.mat.dtype, frame.columns.dtype))
     for n, _, _, _, G, *_ in pairs:
         out.blocks(n, len(G))[...] = G
-    if frame.degrees is None:
-        return out
-    return TruncatedOperator(frame.space, out, T.interior_degree, T.degree_raise)
+    interior = None if frame.degrees is None else T.interior_degree
+    return TruncatedOperator(frame.space, out, interior, offset)
 
 
 def invariance_residual(T: TruncatedOperator, frame: SubspaceFrame) -> float:
@@ -708,9 +705,8 @@ def restrict_to_invariant(T: TruncatedOperator, frame: SubspaceFrame,
 
 def compress_to_frame(T: TruncatedOperator, frame: SubspaceFrame):
     """Q* T Q in the frame's basis, with no invariance requirement: a
-    TruncatedOperator whose space is a graded frame, the bare DegreeBlocks
-    of a sliced frame's slice pairs or of an unlabelled frame's one r x r
-    block; neither of the last two has an interior strip to track.
+    TruncatedOperator on the frame's space holding a graded frame's degree
+    pairs, a sliced frame's slice pairs or an unlabelled frame's one block.
 
     This is the semi-invariant (quotient-module) action; use
     restrict_to_invariant when invariance is part of the contract.

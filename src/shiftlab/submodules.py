@@ -1,4 +1,4 @@
-"""Submodules of a weighted module from monomial or polynomial generators.
+"""Submodules of a weighted module from polynomial generators.
 
 For homogeneous generators the submodule splits degree by degree; each slice
 carries an orthonormal basis of the intersection with the homogeneous
@@ -20,7 +20,7 @@ from math import gcd
 import numpy as np
 
 from . import schatten
-from .polynomials import PolynomialGenerator, monomial_generator
+from .polynomials import PolynomialGenerator
 from .shift_operators import STACK_SIDE, SubspaceFrame, size_classes
 from .weight_models import WeightSet
 
@@ -39,10 +39,9 @@ class RankCollapseError(ValueError):
 class SubmoduleBasis:
     """Orthonormal bases of a submodule S and its orthocomplement.
 
-    Both frames are graded when the construction is degreewise
-    (monomial/homogeneous generators); their degrees then label each
-    column with its degree.  ungraded_submodule's are sliced by weighted
-    degree, or unlabelled when no positive weight exists.
+    Both frames are graded when the generators are homogeneous (their
+    degrees then label each column with its degree); otherwise they are
+    sliced by weighted degree, or unlabelled when no positive weight exists.
     """
 
     weights: WeightSet
@@ -65,33 +64,37 @@ def projection_matrix(frame: SubspaceFrame) -> np.ndarray:
     return P
 
 
-def _normalize_monomial_generators(generators, num_vars):
-    out = []
-    for g in generators:
-        if isinstance(g, PolynomialGenerator):
-            if len(g.terms) != 1:
-                raise ValueError("monomial_submodule requires single-term generators")
-            alpha, c, _ = g.terms[0]
-            out.append((tuple(alpha), c))
-        elif isinstance(g, tuple) and len(g) == 2 and isinstance(g[1], int) \
-                and not isinstance(g[0], int):
-            out.append((tuple(int(a) for a in g[0]), g[1]))
-        else:
-            out.append((tuple(int(a) for a in g), 0))
-    for alpha, _ in out:
-        if len(alpha) != num_vars:
-            raise ValueError(f"generator {alpha} has wrong number of exponents")
-    return out
+def submodule(w: WeightSet, generators) -> SubmoduleBasis:
+    """The submodule these PolynomialGenerators generate, and its complement:
+    coordinate frames when every generator is one term, graded when all are
+    homogeneous, otherwise sliced by weighted degree (unlabelled with no
+    positive weight).  An empty list, or a generator of another variable
+    count or with a component outside [0, multiplicity), is a ValueError."""
+    b = w.basis
+    generators = list(generators)
+    if not generators:
+        raise ValueError("empty generator list")
+    for t, g in enumerate(generators):
+        if g.num_vars != b.num_vars:
+            raise ValueError(f"generator #{t} {g.terms} has {g.num_vars} variables, "
+                             f"basis has {b.num_vars}")
+        for _, c, _ in g.terms:
+            if not 0 <= c < b.multiplicity:
+                raise ValueError(f"generator #{t} {g.terms}: component {c} out of range "
+                                 f"[0, {b.multiplicity})")
+    if all(len(g.terms) == 1 for g in generators):
+        return _monomial_submodule(w, generators)
+    if all(g.is_homogeneous for g in generators):
+        return _homogeneous_submodule(w, generators)
+    return _ungraded_submodule(w, generators)
 
 
-def monomial_submodule(w: WeightSet, generators) -> SubmoduleBasis:
+def _monomial_submodule(w: WeightSet, generators) -> SubmoduleBasis:
     """Submodule generated by monomials: spanned by all componentwise multiples."""
     b = w.basis
-    gens = _normalize_monomial_generators(generators, b.num_vars)
-    if not gens:
-        raise ValueError("empty generator list")
     member = np.zeros(b.dimension, dtype=bool)
-    for alpha, c in gens:
+    for g in generators:
+        (alpha, c, _), = g.terms
         member |= (b.components == c) & np.all(b.exponents >= alpha, axis=1)
     return SubmoduleBasis(w, *(_coordinate_frame(b, side) for side in (member, ~member)))
 
@@ -166,21 +169,13 @@ def _span(columns: np.ndarray) -> np.ndarray:
     return U[:, :_rank(s)]
 
 
-def homogeneous_submodule(w: WeightSet, generators) -> SubmoduleBasis:
+def _homogeneous_submodule(w: WeightSet, generators) -> SubmoduleBasis:
     """Submodule generated by homogeneous polynomials, built degree by degree.
 
     Degree-n slice: orthonormalize { z^q * g : deg g + |q| = n } in the
     lambda-weighted inner product and complete to the full slice.
     """
     b = w.basis
-    generators = list(generators)
-    if not generators:
-        raise ValueError("empty generator list")
-    for t, g in enumerate(generators):
-        if not g.is_homogeneous:
-            raise ValueError(f"generator #{t} is not homogeneous")
-        if g.num_vars != b.num_vars:
-            raise ValueError(f"generator #{t} has {g.num_vars} variables, basis has {b.num_vars}")
     degrees = [g.homogeneous_degree for g in generators]
     blocks = []
     for n in range(b.max_degree + 1):
@@ -285,7 +280,7 @@ def homogeneity_weight(generators, num_vars: int) -> tuple:
                 best = min(best or w, w, key=lambda v: (sum(v), v))
 
 
-def ungraded_submodule(w: WeightSet, generators) -> SubmoduleBasis:
+def _ungraded_submodule(w: WeightSet, generators) -> SubmoduleBasis:
     """Span of { z^q * g : |q| + deg g <= N } for arbitrary generators,
     built one weighted slice at a time.
 
@@ -323,9 +318,6 @@ def ungraded_submodule(w: WeightSet, generators) -> SubmoduleBasis:
     low-degree element of the ideal that no multiple listed here reaches.
     """
     b = w.basis
-    generators = list(generators)
-    if not generators:
-        raise ValueError("empty generator list")
     weight = homogeneity_weight(generators, b.num_vars)
     wdeg = b.exponents @ np.array(weight)
     sizes = np.bincount(wdeg)       # each slice's rows; w = 0: one slice, the basis

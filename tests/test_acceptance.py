@@ -174,13 +174,13 @@ def test_criterion_8_property_suites():
         assert basis.dimension == k * math.comb(N + m, m)
 
     # projection idempotency
-    from shiftlab import monomial_submodule, projection_matrix
+    from shiftlab import projection_matrix, submodule
     for _ in range(100):
         m = int(rng.integers(1, 4))
         N = int(rng.integers(2, 7))
         w = random_weight_set(rng, m, N)
         alpha = tuple(rng.multinomial(int(rng.integers(0, N + 1)), np.ones(m) / m))
-        S = monomial_submodule(w, [monomial_generator(alpha, num_vars=m)])
+        S = submodule(w, [monomial_generator(alpha, num_vars=m)])
         P = projection_matrix(S.sub)
         assert np.abs(P @ P - P).max(initial=0.0) < 1e-12
         assert np.abs(P - P.conj().T).max(initial=0.0) < 1e-12

@@ -174,8 +174,7 @@ def test_submodule_probe_refuses_an_oversize_ambient_window_before_any_frame(
     def refuse(*args, **kwargs):
         raise AssertionError("a frame was built before the ambient window was checked")
     with monkeypatch.context() as patched:
-        for builder in ("monomial_submodule", "homogeneous_submodule"):
-            patched.setattr(submodules, builder, refuse)
+        patched.setattr(submodules, "submodule", refuse)
         for degrees, ambient in (("10,20,40", 12_341), ("10,20,30,50", 23_426)):
             code = cli.main(["submodule-probe", "--m", "3", "--gens", "z1^2-z2^2",
                              "--degrees", degrees, "--out", str(tmp_path), "--tag", "t"])
@@ -215,8 +214,7 @@ def test_sweeps_free_the_frames_columns_before_the_first_commutator(probe, monke
             gc.collect()
             alive.append(sum(ref() is not None for ref in columns))
         return real(A, B)
-    monkeypatch.setattr(experiments, "_build_submodule", tracked(experiments._build_submodule))
-    monkeypatch.setattr(submodules, "ungraded_submodule", tracked(submodules.ungraded_submodule))
+    monkeypatch.setattr(submodules, "submodule", tracked(submodules.submodule))
     monkeypatch.setattr(ops, "commutator", first)
     if probe == "submodule":
         run_submodule_probe("drury-arveson", 3, 1, [parse_polynomial("z1^2-z2^2", 3)], [1.0],
@@ -390,20 +388,20 @@ def test_sweeps_take_one_spectrum_per_window(probe, monkeypatch):
                 gen = "z1^2 - z2^2" if probe == "quotient-graded" else "z1 - z2^2"
                 rep = run_quotient_smoothness_probe([parse_polynomial(gen, 2)], m=2,
                                                     p_values=p_values, degree_sweep=sweep)
-                # per (degree, pair); an ungraded commutator is one ndarray,
-                # which takes no block pass
-                expected = [(d,) for d in sweep] * 3 if probe == "quotient-graded" else []
+                # per (degree, pair): a graded commutator's window N, an
+                # ungraded one, which has no interior, whole
+                expected = [(d,) for d in sweep] * 3
             assert sorted(calls) == sorted(expected)
             if probe == "quotient-ungraded":
                 # no dense spectrum: the windows read weighted-degree blocks, and
                 # the decay fit counts all r values of the largest degree's
                 # commutators, as the dense SVD of each r x r array holds them
                 assert dense_calls == []
-                largest = max(commutators, key=lambda comms: comms[1, 1].shape[0])
+                largest = max(commutators, key=lambda comms: comms[1, 1].dimension)
                 fits = [(i, j, fit.beta, fit.critical_exponent, fit.residual)
                         for (i, j), C in largest.items()
                         if (fit := schatten.decay_exponent_fit(
-                            np.linalg.svd(C.toarray(), compute_uv=False)))]
+                            np.linalg.svd(C.mat.toarray(), compute_uv=False)))]
                 rows = rep.tables["decay_fits"].rows
                 assert [row[:2] for row in rows] == [row[:2] for row in fits]
                 assert np.allclose([row[2:] for row in rows], [row[2:] for row in fits],
@@ -425,8 +423,7 @@ def test_quotient_sweep_holds_one_degree_at_a_time(gen, monkeypatch):
             built.extend((w.basis.max_degree, weakref.ref(f)) for f in (S.sub, S.comp))
             return S
         return wrapper
-    monkeypatch.setattr(experiments, "_build_submodule", tracked(experiments._build_submodule))
-    monkeypatch.setattr(submodules, "ungraded_submodule", tracked(submodules.ungraded_submodule))
+    monkeypatch.setattr(submodules, "submodule", tracked(submodules.submodule))
     rep = run_quotient_smoothness_probe([parse_polynomial(gen, 2)], m=2, p_values=[1.0],
                                         degree_sweep=[4, 6, 8, 10])
     assert [N for N, _ in built[::2]] == [12, 10, 8, 6]     # largest degree first
@@ -436,9 +433,9 @@ def test_quotient_sweep_holds_one_degree_at_a_time(gen, monkeypatch):
         [d for d in (4, 6, 8, 10) for _ in range(3)]
 
 
-@pytest.mark.parametrize("gen, builder", [("z1^2 - z2^2", "homogeneous_submodule"),
-                                          ("z1*z2", "monomial_submodule"),
-                                          ("z1 - z2*z3", "ungraded_submodule")])
+@pytest.mark.parametrize("gen, builder", [("z1^2 - z2^2", "_homogeneous_submodule"),
+                                          ("z1*z2", "_monomial_submodule"),
+                                          ("z1 - z2*z3", "_ungraded_submodule")])
 def test_quotient_drops_the_submodule_frame_before_compressing(gen, builder, monkeypatch):
     # the quotient reads the complement only: the submodule's frame (29.3 of
     # 33.0 MB of frames for z1-z2*z3 at m=3, N=42) is freed before the first
@@ -457,7 +454,7 @@ def test_quotient_drops_the_submodule_frame_before_compressing(gen, builder, mon
     monkeypatch.setattr(submodules, builder, build)
     monkeypatch.setattr(ops, "compress_to_frame", compress)
     experiments._quotient_spectra([parse_polynomial(gen, 3)], 3, 8,
-                                  builder != "ungraded_submodule", "bergman-ball", None)
+                                  builder != "_ungraded_submodule", "bergman-ball", None)
     assert len(subs) == 1 and freed == [True] * 3
 
 
@@ -485,7 +482,7 @@ def test_ungraded_block_spectra_match_the_dense_svd(N, monkeypatch):
     (comms,) = kept
     assert spectra.keys() == comms.keys()
     for key, C in comms.items():
-        dense = np.linalg.svd(C.toarray(), compute_uv=False)
+        dense = np.linalg.svd(C.mat.toarray(), compute_uv=False)
         s = np.sort(spectra[key])[::-1]
         assert s.size <= dense.size
         assert np.abs(np.pad(s, (0, dense.size - s.size)) - dense).max() <= 1e-13 * dense[0]
@@ -540,12 +537,48 @@ def test_ungraded_quotient_fits_all_r_values(monkeypatch):
         widths.append(W.shape[0])
         s = _counting_spectrum(W.shape[0])
         return s[s > 0][::-1], np.zeros(np.count_nonzero(s), np.int64)
-    monkeypatch.setattr(ops, "block_singular_values", synthetic)
+    monkeypatch.setattr(schatten, "block_singular_values", synthetic)
     rep = run_quotient_smoothness_probe([parse_polynomial("z1 - z2^2", 2)], m=2,
                                         p_values=[1.0], degree_sweep=[10, 20, 30, 40])
-    r = kept[0][1, 1].shape[0]
+    r = kept[0][1, 1].dimension
     assert widths[:3] == [r] * 3
     expected = schatten.decay_exponent_fit(_counting_spectrum(r))
     assert expected is not None
     assert rep.tables["decay_fits"].rows == _fit_rows(
         ((i, j), expected) for i, j in ((1, 1), (1, 2), (2, 2)))
+
+
+def _same_to_round_off(a, b, rel=1e-12, zero=1e-12):
+    """perfbench/checks.py's float rule: equal to rel relative to the larger
+    magnitude, and two values both below zero are round-off around 0."""
+    scale = max(abs(a), abs(b))
+    return a == b or scale < zero or abs(a - b) <= rel * scale
+
+
+@pytest.mark.parametrize("family, delta, m, gens", [
+    ("drury-arveson", None, 2, "z1^2-z2^2"),
+    ("hardy-ball", None, 3, "z1^2-z2^2"),
+    ("bergman-ball", None, 3, "z1*z2"),
+    ("drury-arveson", None, 3, "z1^2-z2^2;z1*z3"),
+    ("bergman-ball", None, 2, "z1^3-2.5*z1*z2^2"),
+    ("factorial-delta", 1.5, 2, "z1^2-z2^2"),
+])
+def test_quotient_and_complement_side_norms_agree(family, delta, m, gens):
+    # two code paths to one spectrum: the quotient compresses Z_i to the
+    # complement Q of a homogeneous ideal, R_i = Q*Z_iQ, one truncation per
+    # degree; the submodule probe restricts Z_i* to it at one truncation,
+    # Y_i = Q*Z_i*Q = R_i*.  Then [R_i*, R_j] = -[Y_i*, Y_j]*, so their norm
+    # tables agree on every window (the decay fits are left out: they read
+    # round-off)
+    generators = parse_generators(gens, m)
+    sweep, p_values = ([4, 6, 8, 10] if m == 2 else [4, 5, 6, 7]), [1.0, 2.0, np.inf]
+    quotient = run_quotient_smoothness_probe(generators, m, p_values, sweep,
+                                             family=family, delta=delta)
+    probe = run_submodule_probe(family, m, 1, generators, p_values, sweep, delta=delta)
+    q = {tuple(row[:4]): row[4] for row in _rows(quotient, "quotient_commutator_norms")}
+    c = {tuple(row[1:5]): row[5] for row in _rows(probe, "cross_commutator_norms")
+         if row[0] == "complement"}
+    assert q.keys() == c.keys() and len(q) == len(sweep) * len(p_values) * m * (m + 1) // 2
+    assert max(q.values()) > 0
+    assert all(_same_to_round_off(q[key], c[key]) for key in q), \
+        max(abs(q[key] - c[key]) / max(abs(q[key]), abs(c[key]), 1e-300) for key in q)

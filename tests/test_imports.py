@@ -116,17 +116,13 @@ def test_stale_self_time_groups_are_detected():
 
 def test_traced_frame_bytes_count_every_builders_frames():
     # the traced run counts submodules.frame_bytes from each frame's columns
-    # buffer: graded blocks and ungraded ndarrays alike
+    # buffer: coordinate, graded, sliced and unlabelled frames alike
     from random_instances import point_evaluation_submodule
-    from shiftlab import (drury_arveson_weights, enumerate_basis, homogeneous_submodule,
-                          monomial_submodule, parse_polynomial, ungraded_submodule)
+    from shiftlab import drury_arveson_weights, enumerate_basis, parse_generators, submodule
     w = drury_arveson_weights(enumerate_basis(2, 8))
-    builds = [
-        (monomial_submodule, [(1, 1)]),
-        (homogeneous_submodule, [parse_polynomial("z1^2 - z2^2", num_vars=2)]),
-        (ungraded_submodule, [parse_polynomial("z1 - z2^2", num_vars=2)]),
-        (point_evaluation_submodule, [(0.3, 0.1), (0.2 - 0.3j, 0.4j)]),
-    ]
+    builds = [(submodule, parse_generators(text, 2))
+              for text in ("z1*z2", "z1^2 - z2^2", "z1 - z2^2", "z1 - z2^2 - z2^3")]
+    builds.append((point_evaluation_submodule, [(0.3, 0.1), (0.2 - 0.3j, 0.4j)]))
     for build, gens in builds:
         counters = _benchmark_layers().Counters()
         S = build(w, gens)
@@ -209,7 +205,6 @@ UNCALLED = {
                                              "command takes the dense spectrum of an ambient "
                                              "window",
     "submodules.projection_matrix": "the acceptance gate's projection checks",
-    "polynomials.monomial_generator": "the acceptance gate and the README quick tour",
 }
 
 

@@ -7,13 +7,13 @@ from shiftlab import (Verdict, adjoint,
                       bergman_ball_weights, commutator, compress_to_frame,
                       convergence_diagnostic, coordinate_shift,
                       decay_exponent_fit, drury_arveson_weights, enumerate_basis,
-                      factorial_delta_weights, homogeneous_submodule,
-                      parse_polynomial, restrict_to_invariant,
+                      factorial_delta_weights, parse_polynomial, restrict_to_invariant,
                       schatten_norm, self_commutator, shift_combination, singular_values,
-                      spectral_split, ungraded_submodule)
+                      spectral_split, submodule)
 from shiftlab import cli, schatten
-from shiftlab.shift_operators import (DegreeBlocks, SparseEntries, SubspaceFrame, TruncatedOperator,
-                                      block_singular_values)
+from shiftlab.shift_operators import (DegreeBlocks, FrameSpace, SparseEntries, SubspaceFrame,
+                                      TruncatedOperator, block_singular_values)
+from shiftlab.submodules import _ungraded_submodule
 
 from random_instances import frame_operator, random_weight_set, sparse_entries, z1_plus_adjoint
 
@@ -243,7 +243,7 @@ def test_block_norms_factorial_partial_permutations(count_dense_spectra):
 def test_block_norms_homogeneous_submodule_multi_entry_blocks(count_dense_spectra):
     b = enumerate_basis(3, 9)
     w = drury_arveson_weights(b)
-    S = homogeneous_submodule(w, [parse_polynomial("z1^2-z2^2", 3)])
+    S = submodule(w, [parse_polynomial("z1^2-z2^2", 3)])
     shifts = [coordinate_shift(w, i) for i in (1, 2, 3)]
     for Ys in ([restrict_to_invariant(Z, S.sub) for Z in shifts],
                [restrict_to_invariant(adjoint(Z), S.comp) for Z in shifts]):
@@ -312,7 +312,7 @@ def test_nested_windows_factorial(count_dense_spectra):
 def test_nested_windows_restricted_commutators(count_dense_spectra):
     b = enumerate_basis(3, 9)
     w = drury_arveson_weights(b)
-    S = homogeneous_submodule(w, [parse_polynomial("z1^2-z2^2", 3)])
+    S = submodule(w, [parse_polynomial("z1^2-z2^2", 3)])
     shifts = [coordinate_shift(w, i) for i in (1, 2, 3)]
     for Ys in ([restrict_to_invariant(Z, S.sub) for Z in shifts],
                [restrict_to_invariant(adjoint(Z), S.comp) for Z in shifts]):
@@ -341,18 +341,20 @@ def test_nested_windows_random_weights(seed, m, k):
 
 def test_ungraded_commutator_is_one_block(count_dense_spectra):
     # a quotient by an ideal with no positive weight has one unlabelled
-    # block: its commutator is the bare DegreeBlocks of one r x r block of
-    # offset 0, with no boundary strip, and its block spectrum, every value
-    # labelled 0, is the dense spectrum of the whole block
+    # block: its commutator holds one r x r block of offset 0, with no
+    # boundary strip, and its block spectrum, every value labelled 0, is the
+    # dense spectrum of the whole block, which every window reads
     w = drury_arveson_weights(enumerate_basis(3, 6))
-    S = ungraded_submodule(w, [parse_polynomial("z1-z2^2-z2^3", 3)])
+    S = submodule(w, [parse_polynomial("z1-z2^2-z2^3", 3)])
     R1, R2 = (compress_to_frame(coordinate_shift(w, i), S.comp) for i in (1, 2))
     T = commutator(R1, R2)
-    assert isinstance(T, DegreeBlocks) and T.offset == 0
-    assert np.array_equal(T.sizes, [S.comp.dimension])
-    oracle = np.linalg.svd(T.toarray(), compute_uv=False)
-    s, labels = block_singular_values(T)
+    assert T.interior_degree is None and T.mat.offset == 0
+    assert np.array_equal(T.mat.sizes, [S.comp.dimension])
+    oracle = np.linalg.svd(T.mat.toarray(), compute_uv=False)
+    s, labels = block_singular_values(T.mat)
     assert s.size == oracle.size and not labels.any()
+    spectra = schatten.window_spectra(T, [None, 0, 2, 99])
+    assert all(np.array_equal(v, s) for v in spectra.values())
     assert np.abs(np.sort(s)[::-1] - oracle).max() <= 1e-13 * oracle[0]
     for p in ORACLE_PS:
         expected = oracle.max() if p == np.inf else np.sum(oracle ** p) ** (1 / p)
@@ -385,9 +387,11 @@ def test_non_finite_entry_rejected():
     mat = SparseEntries(Z.mat.rows, Z.mat.cols, vals, Z.mat.shape)
     graded = TruncatedOperator(w.basis, mat, interior_degree=Z.interior_degree)
     # an ambient window, an unlabelled frame's one block and a dense matrix
-    unlabelled = DegreeBlocks(mat.toarray().ravel(), np.array([mat.shape[0]]), 0)
+    unlabelled = TruncatedOperator(FrameSpace(None, mat.shape[0]),
+                                   DegreeBlocks(mat.toarray().ravel(), np.array([mat.shape[0]]), 0),
+                                   interior_degree=None)
     for check in (lambda: schatten_norm(graded, 1.0), lambda: singular_values(graded),
-                  lambda: block_singular_values(unlabelled),
+                  lambda: schatten_norm(unlabelled, 1.0),
                   lambda: spectral_split(mat.toarray(), 1.0)):
         with pytest.raises(ValueError, match="non-finite"):
             check()
@@ -447,15 +451,15 @@ def test_ungraded_quotient_matches_graded_quotient(m, gen):
     w = bergman_ball_weights(enumerate_basis(m, 8))
     g = [parse_polynomial(gen, m)]
     pairs = [(i, j) for i in range(m) for j in range(i, m)]
-    comp = homogeneous_submodule(w, g).comp
+    comp = submodule(w, g).comp
     Gs = [compress_to_frame(coordinate_shift(w, i), comp) for i in range(1, m + 1)]
     comms = [commutator(Gs[i], Gs[j]) for i, j in pairs]
     for C in comms:
         assert C.mat.shape == (C.window_size(),) * 2
-    comp = ungraded_submodule(w, g).comp
+    comp = _ungraded_submodule(w, g).comp
     Rs = [compress_to_frame(coordinate_shift(w, i), comp) for i in range(1, m + 1)]
-    assert np.array_equal(Rs[0].sizes, Gs[0].mat.sizes)
-    windows = [(C.window(), commutator(Rs[i], Rs[j]).leading(C.window_size()))
+    assert np.array_equal(Rs[0].mat.sizes, Gs[0].mat.sizes)
+    windows = [(C.window(), commutator(Rs[i], Rs[j]).mat.leading(C.window_size()))
                for C, (i, j) in zip(comms, pairs)]
     spectra = [[np.linalg.svd(W.toarray(), compute_uv=False) for W in side]
                for side in zip(*windows)]

@@ -8,15 +8,14 @@ from shiftlab import (GradedBasis, InvarianceError, PolynomialGenerator, Submodu
                       adjoint, commutator, compress_to_frame,
                       coordinate_shift, cross_commutators,
                       drury_arveson_weights, enumerate_basis, family_weights,
-                      homogeneous_submodule,
                       invariance_residual, parse_polynomial,
-                      restricted_commutator_decomposition, monomial_generator, monomial_submodule,
+                      restricted_commutator_decomposition, monomial_generator,
                       multiply, projection_matrix, restrict_to_invariant,
-                      self_commutator, shift_combination)
+                      self_commutator, shift_combination, submodule)
 from shiftlab import cli, shift_operators
 from shiftlab.shift_operators import (INVARIANCE_TOL, DegreeBlocks, FrameSpace,
                                       TheoremViolationError, TruncatedOperator)
-from shiftlab.submodules import ungraded_submodule
+from shiftlab.submodules import _ungraded_submodule
 
 from random_instances import (ambient_columns, frame_operator, point_evaluation_submodule,
                               random_weight_set, shift_weight, sparse_entries, traced_peak,
@@ -124,20 +123,22 @@ def test_window_is_the_interior_block(rng):
     for d, keep in ((None, degs <= 4), (3, degs <= 3), (9, degs <= 4)):
         assert np.array_equal(C.window(d).toarray(), _dense(C)[np.ix_(keep, keep)])
     # an unlabelled space (an ideal with no positive weight) has no boundary
-    # strip: its commutator is a bare DegreeBlocks, one r x r block of offset
-    # 0, taken whole
-    S = ungraded_submodule(w, [parse_polynomial("z1-z2^2-z2^3", 2)])
+    # strip: its commutator has no interior, one r x r block of offset 0,
+    # and every window of it is the whole operator
+    S = submodule(w, [parse_polynomial("z1-z2^2-z2^3", 2)])
     R = self_commutator(compress_to_frame(coordinate_shift(w, 1), S.comp))
-    assert isinstance(R, DegreeBlocks) and R.offset == 0
-    assert np.array_equal(R.sizes, [S.comp.dimension])
-    assert np.array_equal(R.blocks(0)[0], R.toarray())
+    assert R.interior_degree is None and R.mat.offset == 0
+    assert np.array_equal(R.mat.sizes, [S.comp.dimension])
+    assert np.array_equal(R.mat.blocks(0)[0], R.mat.toarray())
+    for d in (None, 0, 3, 99):
+        assert np.array_equal(R.window(d).toarray(), R.mat.toarray())
 
 
 def test_adjoint_is_conjugate_transpose(rng):
     w = random_weight_set(rng, 2, 5)
     T = shift_combination(w, [0.0, 0.3 + 0.4j])
     # on the basis and on a labelled frame, where each degree block is transposed
-    frame = monomial_submodule(w, [(1, 0)]).sub
+    frame = submodule(w, [monomial_generator((1, 0))]).sub
     for X in (T, restrict_to_invariant(T, frame), compress_to_frame(adjoint(T), frame)):
         assert np.array_equal(_dense(adjoint(X)), _dense(X).conj().T)
         assert adjoint(X).degree_raise == -X.degree_raise
@@ -162,7 +163,7 @@ def test_restrict_to_invariant_rejects_noninvariant(rng):
         restrict_to_invariant(Z, frame)
     # but compression is always defined
     c = compress_to_frame(Z, frame)
-    assert c.shape == (1, 1)
+    assert c.mat.shape == (1, 1) and c.dimension == 1
 
 
 def test_restriction_identity_monomial_submodules(rng):
@@ -173,7 +174,7 @@ def test_restriction_identity_monomial_submodules(rng):
         N = int(rng.integers(3, 8))
         w = random_weight_set(rng, m, N)
         gen_alpha = tuple(rng.multinomial(int(rng.integers(0, N)), np.ones(m) / m))
-        S = monomial_submodule(w, [monomial_generator(gen_alpha, num_vars=m)])
+        S = submodule(w, [monomial_generator(gen_alpha, num_vars=m)])
         coeffs = rng.normal(size=m) + 1j * rng.normal(size=m)
         T = shift_combination(w, coeffs)
 
@@ -186,7 +187,7 @@ def test_restriction_identity_monomial_submodules(rng):
 
 def test_restriction_identity_corner_is_psd(rng):
     w = random_weight_set(rng, 2, 6)
-    S = monomial_submodule(w, [monomial_generator((1, 1), num_vars=2)])
+    S = submodule(w, [monomial_generator((1, 1), num_vars=2)])
     T = coordinate_shift(w, 1)
     dec = restricted_commutator_decomposition(T, S.sub)
     eigs = np.linalg.eigvalsh(dec.corner_part)
@@ -302,8 +303,8 @@ def test_graded_commutator_forms_only_its_interior(rng, monkeypatch, tmp_path):
     monkeypatch.undo()
 
     # on random graded frames, real and complex, the window is the whole
-    # product's window bit for bit (DegreeBlocks._product with no window),
-    # and nothing past it is stored
+    # product's window bit for bit (DegreeBlocks._product with the window at
+    # the top degree), and nothing past it is stored
     for m, kind in ((2, "homogeneous-real"), (2, "homogeneous-complex"), (3, "monomial"),
                     (3, "homogeneous-complex")):
         w, S = _random_submodule(rng, m, kind)
@@ -313,9 +314,9 @@ def test_graded_commutator_forms_only_its_interior(rng, monkeypatch, tmp_path):
                    [compress_to_frame(Z, S.comp) for Z in Zs]):
             for A in Ts:
                 for B in Ts:
-                    C, a = commutator(A, B), A.mat.H
-                    W, whole = C.window(), a._product(B.mat, shift_operators._add_product)
-                    whole -= B.mat._product(a, shift_operators._add_product)
+                    C, a, top = commutator(A, B), A.mat.H, len(A.mat.sizes) - 1
+                    W, whole = C.window(), a._product(B.mat, top)
+                    whole -= B.mat._product(a, top)
                     assert np.array_equal(W.data, whole.leading(W.shape[0]).data)
                     assert C.mat.nnz == W.nnz
 
@@ -364,7 +365,7 @@ def test_operator_mat_is_a_leading_section_holding_its_window(rng):
 def test_theorem_check_failure_is_exit_1(rng, monkeypatch, tmp_path):
     monkeypatch.setattr(shift_operators, "PSD_TOL", -1.0)
     w = random_weight_set(rng, 2, 5)
-    S = monomial_submodule(w, [(1, 0)])
+    S = submodule(w, [monomial_generator((1, 0))])
     with pytest.raises(TheoremViolationError, match="positive semidefinite"):
         restricted_commutator_decomposition(coordinate_shift(w, 1), S.sub)
     code = cli.main(["identity-check", "--trials", "1",
@@ -386,9 +387,9 @@ def _dense_invariance_residual(T, frame):
 def _random_submodule(rng, m, kind):
     w = random_weight_set(rng, m, 6 if m == 2 else 5)
     if kind == "monomial":
-        gens = [tuple(int(x) for x in rng.multinomial(int(rng.integers(1, 4)), np.ones(m) / m))
+        gens = [monomial_generator(rng.multinomial(int(rng.integers(1, 4)), np.ones(m) / m))
                 for _ in range(int(rng.integers(1, 3)))]
-        S = monomial_submodule(w, gens)
+        S = submodule(w, gens)
     elif kind == "points":
         pts = [tuple(0.4 * (rng.uniform(-1, 1, m) + 1j * rng.uniform(-1, 1, m)))
                for _ in range(int(rng.integers(1, 3)))]
@@ -399,10 +400,10 @@ def _random_submodule(rng, m, kind):
         if kind == "homogeneous-complex":
             coefs = coefs * np.exp(2j * np.pi * rng.uniform(size=len(alphas)))
         terms = tuple((alpha, 0, c) for alpha, c in zip(alphas, coefs.tolist()))
-        build = ungraded_submodule if kind == "ungraded" else homogeneous_submodule
+        build = _ungraded_submodule if kind == "ungraded" else submodule
         S = build(w, [PolynomialGenerator(terms=terms, num_vars=m)])
         if kind == "ungraded":
-            # the span ungraded_submodule finds, on unlabelled frames: a
+            # the span the ungraded builder finds, on unlabelled frames: a
             # sliced frame has no interior rows to check invariance on
             S = SubmoduleBasis(w, *(SubspaceFrame(ambient_columns(F)) for F in (S.sub, S.comp)))
     return w, S
@@ -474,7 +475,7 @@ def test_restricted_commutator_decomposition_forms_no_ambient_operator(kind, mon
 
 def test_invariance_residual_of_noninvariant_pairs():
     w = drury_arveson_weights(enumerate_basis(2, 8))
-    S = homogeneous_submodule(w, [parse_polynomial("z1^2 - z2^2", num_vars=2)])
+    S = submodule(w, [parse_polynomial("z1^2 - z2^2", num_vars=2)])
     Z1 = coordinate_shift(w, 1)
     for T, frame in ((Z1, S.comp), (adjoint(Z1), S.sub)):
         got = invariance_residual(T, frame)
@@ -535,7 +536,7 @@ def test_graded_routines_refuse_entries_off_the_degree_raise():
 
 def test_graded_invariance_residual_never_densifies_the_frame():
     w = drury_arveson_weights(enumerate_basis(3, 24))
-    S = homogeneous_submodule(w, [parse_polynomial("z1^2 - z2^2", num_vars=3)])
+    S = submodule(w, [parse_polynomial("z1^2 - z2^2", num_vars=3)])
     for i in (1, 2, 3):
         Z = coordinate_shift(w, i)
         assert invariance_residual(Z, S.sub) < INVARIANCE_TOL
@@ -548,7 +549,7 @@ def _ungraded_inputs():
     ideal with no positive weight, adjoint shifts and a complex
     point-evaluation complement."""
     w = drury_arveson_weights(enumerate_basis(3, 6))
-    S = ungraded_submodule(w, [parse_polynomial("z1 - z2^2 - z2^3", 3)])
+    S = submodule(w, [parse_polynomial("z1 - z2^2 - z2^3", 3)])
     yield coordinate_shift(w, 1), coordinate_shift(w, 2), S.comp
     w = drury_arveson_weights(enumerate_basis(2, 8))
     S = point_evaluation_submodule(w, [(0.3, 0.1j), (-0.2 + 0.1j, 0.4), (0.1, -0.3)])
@@ -556,20 +557,20 @@ def _ungraded_inputs():
 
 
 def test_ungraded_products_are_blas_products(monkeypatch):
-    # a compression to an unlabelled frame is the one r x r block Q*(TQ) of
-    # a bare DegreeBlocks, and its commutator one of two BLAS products
+    # a compression to an unlabelled frame is the one r x r block Q*(TQ),
+    # with no interior, and its commutator one of two BLAS products
     cases, composed = [], []
     for T1, T2, frame in _ungraded_inputs():
         Q = frame.columns
         R1, R2 = (compress_to_frame(T, frame) for T in (T1, T2))
         for R, T in ((R1, T1), (R2, T2)):
-            assert isinstance(R, DegreeBlocks) and R.offset == 0
-            assert R.shape == (frame.dimension,) * 2
-            assert np.abs(R.toarray() - Q.conj().T @ (_dense(T) @ Q)).max() < 1e-14
+            assert R.interior_degree is None and R.mat.offset == 0
+            assert R.mat.shape == (frame.dimension,) * 2
+            assert np.abs(R.mat.toarray() - Q.conj().T @ (_dense(T) @ Q)).max() < 1e-14
         C = commutator(R1, R2)
-        assert isinstance(C, DegreeBlocks) and C.offset == 0
-        r1, r2 = R1.toarray(), R2.toarray()
-        assert np.abs(C.toarray() - (r1.conj().T @ r2 - r2 @ r1.conj().T)).max() < 1e-14
+        assert C.interior_degree is None and C.mat.offset == 0
+        r1, r2 = R1.mat.toarray(), R2.mat.toarray()
+        assert np.abs(C.mat.toarray() - (r1.conj().T @ r2 - r2 @ r1.conj().T)).max() < 1e-14
         # A*B - BA* composed of the two products, A* C-ordered
         a = np.ascontiguousarray(r1.conj().T)
         cases.append((R1, R2))
@@ -581,7 +582,7 @@ def test_ungraded_products_are_blas_products(monkeypatch):
         monkeypatch.setattr(shift_operators, name, refuse)
     # the BLAS commutator is the composed one, entry for entry, and calls none of it
     for (R1, R2), expected in zip(cases, composed):
-        assert np.array_equal(commutator(R1, R2).toarray(), expected)
+        assert np.array_equal(commutator(R1, R2).mat.toarray(), expected)
 
 
 @settings(max_examples=25, deadline=None)
@@ -620,7 +621,7 @@ def test_unlabelled_block_spectrum_is_its_dense_spectrum():
     # SVD of the whole block, every value labelled 0, lone entries included
     for T1, T2, frame in _ungraded_inputs():
         R1, R2 = (compress_to_frame(T, frame) for T in (T1, T2))
-        for C in (commutator(R1, R2), self_commutator(R2)):
+        for C in (commutator(R1, R2).mat, self_commutator(R2).mat):
             M = C.toarray()
             M[0, :], M[:, 0] = 0, 0
             M[0, 0] = 0.5           # a lone entry beside the dense block
@@ -681,8 +682,8 @@ def test_sliced_commutator_takes_one_svd_per_size_class(monkeypatch):
     # partial permutation share one LAPACK call per padded side (4 in all),
     # not one each
     w = family_weights("bergman-ball", enumerate_basis(3, 12))
-    frame = ungraded_submodule(w, [parse_polynomial("z1-z2*z3", 3)]).comp
-    C = commutator(*(compress_to_frame(coordinate_shift(w, i), frame) for i in (1, 2)))
+    frame = submodule(w, [parse_polynomial("z1-z2*z3", 3)]).comp
+    C = commutator(*(compress_to_frame(coordinate_shift(w, i), frame) for i in (1, 2))).mat
     n, h, w_, _ = C.layout
     assert max(h.max(), w_.max()) <= shift_operators.STACK_SIDE
     dense = {4 * -(-max(B.shape) // 4) for m, g in C.runs() for B in C.blocks(m, g)
@@ -699,26 +700,28 @@ def test_sliced_commutator_takes_one_svd_per_size_class(monkeypatch):
 
 
 def test_operators_on_frames_are_degree_blocks():
-    # one store: a compression or restriction to a graded frame is a
-    # TruncatedOperator holding a DegreeBlocks, to a sliced or unlabelled
-    # frame the bare DegreeBlocks, never an ndarray
+    # one kind: a compression or restriction to any frame is a
+    # TruncatedOperator on the frame's space holding a DegreeBlocks, never
+    # an ndarray; on a sliced or unlabelled frame it has no interior
     w = drury_arveson_weights(enumerate_basis(2, 8))
     Z1 = coordinate_shift(w, 1)
-    graded = homogeneous_submodule(w, [parse_polynomial("z1^2-z2^2", 2)])
-    sliced = ungraded_submodule(w, [parse_polynomial("z1-z2^2", 2)])
-    unlabelled = ungraded_submodule(w, [parse_polynomial("z1-z2^2-z2^3", 2)])
+    graded = submodule(w, [parse_polynomial("z1^2-z2^2", 2)])
+    sliced = submodule(w, [parse_polynomial("z1-z2^2", 2)])
+    unlabelled = submodule(w, [parse_polynomial("z1-z2^2-z2^3", 2)])
     points = point_evaluation_submodule(w, [(0.05, 0.02j), (-0.03 + 0.01j, 0.04)])
     for X in (restrict_to_invariant(Z1, graded.sub), compress_to_frame(Z1, graded.comp)):
         assert isinstance(X, TruncatedOperator) and isinstance(X.mat, DegreeBlocks)
+        assert X.interior_degree == Z1.interior_degree
     for frame in (sliced.comp, unlabelled.comp, points.comp):
         X = compress_to_frame(Z1, frame)
-        assert isinstance(X, DegreeBlocks)
-        assert np.array_equal(X.sizes, frame.sizes)
+        assert isinstance(X, TruncatedOperator) and isinstance(X.mat, DegreeBlocks)
+        assert X.space is frame.space and X.interior_degree is None
+        assert np.array_equal(X.mat.sizes, frame.sizes)
     # an unlabelled frame's one block has offset 0, whatever T's degree_raise
     for T in (adjoint(Z1), adjoint(coordinate_shift(w, 2))):
         X = restrict_to_invariant(T, points.comp)
-        assert isinstance(X, DegreeBlocks) and X.offset == 0
-        assert np.array_equal(X.sizes, [2])
+        assert X.interior_degree is None and X.mat.offset == X.degree_raise == 0
+        assert np.array_equal(X.mat.sizes, [2])
 
 
 def test_sliced_commutators_are_batched_blas_products(monkeypatch):
@@ -727,26 +730,26 @@ def test_sliced_commutators_are_batched_blas_products(monkeypatch):
     # w_j - w_i: one batched BLAS product per run of equal block shapes,
     # never the graded frames' ascending-order kernel
     w = drury_arveson_weights(enumerate_basis(3, 8))
-    S = ungraded_submodule(w, [parse_polynomial("z1 - z2*z3", 3)])     # w = (2, 1, 1)
+    S = submodule(w, [parse_polynomial("z1 - z2*z3", 3)])     # w = (2, 1, 1)
     R = [compress_to_frame(coordinate_shift(w, i), S.comp) for i in (1, 2, 3)]
-    assert [X.offset for X in R] == [2, 1, 1]
-    dense = [X.toarray() for X in R]
+    assert [X.mat.offset for X in R] == [X.degree_raise for X in R] == [2, 1, 1]
+    dense = [X.mat.toarray() for X in R]
 
     def refuse(*args):
         raise AssertionError("ascending-order kernel called")
     monkeypatch.setattr(shift_operators, "_add_product", refuse)
     for i, j in ((0, 0), (0, 1), (1, 2), (2, 2)):
         C = commutator(R[i], R[j])
-        assert C.offset == R[j].offset - R[i].offset
+        assert C.mat.offset == C.degree_raise == R[j].degree_raise - R[i].degree_raise
         expected = dense[i].conj().T @ dense[j] - dense[j] @ dense[i].conj().T
-        assert np.abs(C.toarray() - expected).max() < 1e-14
+        assert np.abs(C.mat.toarray() - expected).max() < 1e-14
 
 
 def test_sliced_frames_are_only_compressed_to():
     # a sliced frame has no interior rows, so the routines that check
     # invariance refuse it before any work; compress_to_frame takes it
     w = drury_arveson_weights(enumerate_basis(2, 8))
-    S = ungraded_submodule(w, [parse_polynomial("z1 - z2^2", 2)])     # w = (2, 1)
+    S = submodule(w, [parse_polynomial("z1 - z2^2", 2)])     # w = (2, 1)
     Z = coordinate_shift(w, 1)
     assert S.sub.rows is not None and S.comp.rows is not None
     for frame in (S.sub, S.comp):
@@ -754,15 +757,15 @@ def test_sliced_frames_are_only_compressed_to():
                      restricted_commutator_decomposition):
             with pytest.raises(ValueError, match="sliced by weighted degree"):
                 call(Z, frame)
-        assert compress_to_frame(Z, frame).offset == 2
+        assert compress_to_frame(Z, frame).mat.offset == 2
 
 
 def test_frames_of_another_space_are_refused():
     # a graded or sliced frame maps each ambient ordinal to a block row, so
     # an operator on a space of another dimension is refused
     w, small = (drury_arveson_weights(enumerate_basis(2, N)) for N in (8, 6))
-    for S in (monomial_submodule(small, [(1, 1)]),
-              ungraded_submodule(small, [parse_polynomial("z1 - z2^2", 2)])):
+    for S in (submodule(small, [monomial_generator((1, 1))]),
+              submodule(small, [parse_polynomial("z1 - z2^2", 2)])):
         with pytest.raises(ValueError, match="ambient rows"):
             compress_to_frame(coordinate_shift(w, 1), S.comp)
 
@@ -771,7 +774,7 @@ def test_decomposition_checks_invariance_without_invariance_residual(monkeypatch
     # the decomposition reads the residual off its own TQ - QY, and reports
     # the exact 2-norm when it refuses a frame
     w = drury_arveson_weights(enumerate_basis(3, 6))
-    S = homogeneous_submodule(w, [parse_polynomial("z1^2 - z2^2", num_vars=3)])
+    S = submodule(w, [parse_polynomial("z1^2 - z2^2", num_vars=3)])
     cases = [(adjoint(coordinate_shift(w, 1)), S.sub), (coordinate_shift(w, 2), S.comp)]
     expected = [invariance_residual(T, frame) for T, frame in cases]
     good = restricted_commutator_decomposition(coordinate_shift(w, 1), S.sub)
@@ -861,7 +864,7 @@ def _window_cases(seed, kind):
     if kind == "direct-sum":
         w1, w2 = random_weight_set(rng, 2, 4), random_weight_set(rng, 2, 6)
         Z, Y = coordinate_shift(w1, 1), coordinate_shift(w2, 2)
-        S = monomial_submodule(w2, [(1, 1)])
+        S = submodule(w2, [monomial_generator((1, 1))])
         R = restrict_to_invariant(Y, S.sub)
         return [_direct_sum([Z, Y]), _direct_sum([adjoint(Y), adjoint(Z)]),
                 _direct_sum([self_commutator(R), self_commutator(Z), self_commutator(Y)])]
@@ -895,7 +898,7 @@ def test_operators_on_a_submodule_and_its_complement_never_mix():
     # z^2 at m=1, N=3: the submodule {z^2, z^3} and its complement {1, z} are
     # both 2-dimensional, yet an operator on one never combines with one on the other
     w = drury_arveson_weights(enumerate_basis(1, 3))
-    S = monomial_submodule(w, [(2,)])
+    S = submodule(w, [monomial_generator((2,))])
     Z = coordinate_shift(w, 1)
     R, C = restrict_to_invariant(Z, S.sub), restrict_to_invariant(adjoint(Z), S.comp)
     assert R.space is S.sub.space and C.space is S.comp.space
@@ -915,7 +918,7 @@ def test_array_holding_dataclasses_compare_without_raising(rng):
     # two distinct instances of each compare unequal, by identity, where a
     # field-by-field comparison of their arrays would raise ValueError
     w1, w2 = random_weight_set(rng, 2, 4), random_weight_set(rng, 2, 4)
-    S1, S2 = monomial_submodule(w1, [(1, 0)]), monomial_submodule(w2, [(1, 0)])
+    S1, S2 = (submodule(w_, [monomial_generator((1, 0))]) for w_ in (w1, w2))
     D1, D2 = (restricted_commutator_decomposition(coordinate_shift(w1, 1), S1.sub)
               for _ in range(2))
     for a, b in ((w1, w2), (S1, S2), (S1.sub, S2.sub), (S1.comp, S1.sub), (D1, D2)):
@@ -1016,7 +1019,7 @@ def _monomial_cases(rng):
             gens = [(N + 1,) + (0,) * (m - 1)]
         elif t == 10:
             gens = [(0,) * m]
-        S = monomial_submodule(w, gens)
+        S = submodule(w, [monomial_generator(g) for g in gens])
         T = shift_combination(w, coeffs)
         yield T, S.sub
         yield adjoint(T), S.comp
@@ -1046,7 +1049,7 @@ def test_identity_check_composes_no_operator_and_densifies_no_frame(monkeypatch)
 def test_zero_coefficients_store_no_entries(rng):
     # a zero coefficient adds no entry to T; its compressions still match
     w = random_weight_set(rng, 2, 6)
-    frame = monomial_submodule(w, [(1, 0)]).sub
+    frame = submodule(w, [monomial_generator((1, 0))]).sub
     T = shift_combination(w, [0.0, 1.0])
     assert T.mat.nnz == coordinate_shift(w, 2).mat.nnz and np.all(T.mat.vals != 0)
     _assert_matches_ambient_oracle(T, frame)
@@ -1056,7 +1059,7 @@ def test_coordinate_compression_forms_no_dense_block():
     # the sub frame of z1 at m=2, N=70 has r = 2,485 columns: an r x r float64
     # block would be 49 MB, four times the bound
     w = drury_arveson_weights(enumerate_basis(2, 70))
-    frame = monomial_submodule(w, [(1, 0)]).sub
+    frame = submodule(w, [monomial_generator((1, 0))]).sub
     T = coordinate_shift(w, 2)
     r = frame.dimension
     idx = np.flatnonzero(w.basis.exponents[:, 0] >= 1)     # the rows of the multiples of z1
@@ -1075,7 +1078,7 @@ def test_graded_compression_and_restriction_stay_below_one_ambient_frame():
     # and 10.5 MB (26 and 32 MB through a COO-to-CSR build), bounded here
     # 25% above
     w = drury_arveson_weights(enumerate_basis(3, 24))
-    S = homogeneous_submodule(w, [parse_polynomial("z1^2 - z2^2", num_vars=3)])
+    S = submodule(w, [parse_polynomial("z1^2 - z2^2", num_vars=3)])
     Z1 = coordinate_shift(w, 1)
     dim, r = w.basis.dimension, S.sub.dimension
     assert (dim, r) == (2925, 2300)

@@ -9,11 +9,10 @@ from hypothesis import given, settings, strategies as st
 from shiftlab import (PolynomialGenerator, RankCollapseError, SubspaceFrame, bergman_ball_weights,
                       compress_to_frame, coordinate_shift, cross_commutators,
                       drury_arveson_weights, enumerate_basis, hardy_ball_weights,
-                      homogeneous_submodule, monomial_generator,
-                      monomial_submodule, parse_polynomial, projection_matrix,
-                      self_commutator)
+                      monomial_generator, parse_polynomial, projection_matrix,
+                      self_commutator, submodule)
 from shiftlab import cli, schatten, shift_operators, submodules
-from shiftlab.submodules import ungraded_submodule
+from shiftlab.submodules import _homogeneous_submodule, _ungraded_submodule
 
 from random_instances import (ambient_columns, point_evaluation_submodule, random_weight_set,
                               traced_peak)
@@ -27,7 +26,7 @@ def _dim_in_degree(frame, n):
 
 def test_monomial_submodule_membership(rng):
     w = random_weight_set(rng, 2, 6)
-    S = monomial_submodule(w, [monomial_generator((2, 1), num_vars=2)])
+    S = submodule(w, [monomial_generator((2, 1), num_vars=2)])
     b = w.basis
     expected = sum(1 for j in range(b.dimension)
                    if b.exponents[j][0] >= 2 and b.exponents[j][1] >= 1)
@@ -41,7 +40,7 @@ def test_monomial_hilbert_function():
     basis = enumerate_basis(2, 8)
     w = drury_arveson_weights(basis)
     a, b = 2, 3
-    S = monomial_submodule(w, [monomial_generator((a, b), num_vars=2)])
+    S = submodule(w, [monomial_generator((a, b), num_vars=2)])
     for n in range(9):
         assert _dim_in_degree(S.sub, n) == max(0, n - a - b + 1)
         assert _dim_in_degree(S.comp, n) == (n + 1) - max(0, n - a - b + 1)
@@ -49,7 +48,7 @@ def test_monomial_hilbert_function():
 
 def test_projections_are_complementary(rng):
     w = random_weight_set(rng, 2, 5)
-    S = monomial_submodule(w, [monomial_generator((1, 2), num_vars=2)])
+    S = submodule(w, [monomial_generator((1, 2), num_vars=2)])
     P = projection_matrix(S.sub)
     Pc = projection_matrix(S.comp)
     n = w.basis.dimension
@@ -58,12 +57,12 @@ def test_projections_are_complementary(rng):
 
 
 def test_homogeneous_agrees_with_monomial(rng):
-    # single-monomial ideals can be built either way; both must give the same
-    # projection
+    # single-monomial ideals can be built either way (submodule takes
+    # coordinate frames); both must give the same projection
     w = random_weight_set(rng, 2, 6)
     gen = monomial_generator((1, 1), num_vars=2)
-    Pm = projection_matrix(monomial_submodule(w, [gen]).sub)
-    Ph = projection_matrix(homogeneous_submodule(w, [gen]).sub)
+    Pm = projection_matrix(submodule(w, [gen]).sub)
+    Ph = projection_matrix(_homogeneous_submodule(w, [gen]).sub)
     assert np.abs(Pm - Ph).max() < 1e-10
 
 
@@ -90,8 +89,8 @@ def test_rotation_oracle_binomial_quotient_matches_monomial_quotient(family, m, 
     # invariant, and so is the trace sum over i of [S_i*, S_i]; the monomial
     # side has exact coordinate frames.
     w = family(enumerate_basis(m, N))
-    binomial = homogeneous_submodule(w, [parse_polynomial("z1^2-z2^2", num_vars=m)])
-    monomial = monomial_submodule(w, [(1, 1) + (0,) * (m - 2)])
+    binomial = submodule(w, [parse_polynomial("z1^2-z2^2", num_vars=m)])
+    monomial = submodule(w, [monomial_generator((1, 1) + (0,) * (m - 2))])
     (a, trace_a), (b, trace_b) = _commutator_sums(binomial, m), _commutator_sums(monomial, m)
     assert abs(a - b) <= 1e-12 * b
     assert abs(trace_a - trace_b) <= 1e-12 * abs(trace_b)
@@ -105,7 +104,7 @@ def test_quotient_index_equals_the_degree(text, degree):
     # quotient probe's truncation degree N + 2
     for N in (10, 20, 30):
         w = drury_arveson_weights(enumerate_basis(2, N + 2))
-        S = homogeneous_submodule(w, [parse_polynomial(text, num_vars=2)])
+        S = submodule(w, [parse_polynomial(text, num_vars=2)])
         Rs = [compress_to_frame(coordinate_shift(w, i), S.comp) for i in (1, 2)]
         trace = sum(self_commutator(R).window(N).toarray().diagonal().sum() for R in Rs)
         assert abs(trace - degree) <= 1e-12, (N, trace)
@@ -117,27 +116,28 @@ def test_homogeneous_binomial_ideal_dimensions():
     basis = enumerate_basis(2, 7)
     w = bergman_ball_weights(basis)
     g = parse_polynomial("z1^2 - z2^2", num_vars=2)
-    S = homogeneous_submodule(w, [g])
+    S = submodule(w, [g])
     for n in range(8):
         expected = max(0, (n + 1) - 2) if n >= 2 else 0
         assert _dim_in_degree(S.sub, n) == expected
 
 
 def test_homogeneous_two_generators_full_cut():
-    # (z1^2, z2^2) leaves quotient basis {1, z1, z2, z1 z2}
+    # (z1^2, z2^2) leaves quotient basis {1, z1, z2, z1 z2}, by coordinate
+    # frames and by per-degree SVDs
     basis = enumerate_basis(2, 6)
     w = drury_arveson_weights(basis)
     gens = [monomial_generator((2, 0), num_vars=2),
             monomial_generator((0, 2), num_vars=2)]
-    S = homogeneous_submodule(w, gens)
-    assert S.comp.dimension == 4
+    for build in (submodule, _homogeneous_submodule):
+        assert build(w, gens).comp.dimension == 4
 
 
 def test_submodule_invariant_under_shifts(rng):
     from shiftlab import coordinate_shift, invariance_residual
     w = random_weight_set(rng, 2, 6)
     g = parse_polynomial("z1^2 - z2^2", num_vars=2)
-    S = homogeneous_submodule(w, [g])
+    S = submodule(w, [g])
     for i in (1, 2):
         Z = coordinate_shift(w, i)
         assert invariance_residual(Z, S.sub) < 1e-10
@@ -211,10 +211,73 @@ def test_kernel_columns_input_validation():
         with pytest.raises(ValueError, match="is not inside the open unit ball"):
             submodules.kernel_columns(w, [(0.3, 0.1), z], [0])
 
+
+BUILDERS = ("_monomial_submodule", "_homogeneous_submodule", "_ungraded_submodule")
+
+
+@pytest.mark.parametrize("texts, builder, kind", [
+    (["z1*z2"], "_monomial_submodule", "coordinate"),
+    (["z1^2-z2^2"], "_homogeneous_submodule", "graded"),
+    (["z1-z2^2"], "_ungraded_submodule", "sliced"),
+    (["z1-z2^2-z2^3"], "_ungraded_submodule", "unlabelled"),
+    (["z1*z2", "z1-z2^2"], "_ungraded_submodule", "sliced"),
+])
+def test_submodule_picks_the_frame_kind_from_the_generators(monkeypatch, texts, builder, kind):
+    # all single-term: coordinate frames; all homogeneous: graded; otherwise
+    # sliced by the weight (2, 1), or unlabelled with no positive weight
+    called = []
+    for name in BUILDERS:
+        def spy(*args, name=name, real=getattr(submodules, name)):
+            called.append(name)
+            return real(*args)
+        monkeypatch.setattr(submodules, name, spy)
+    w = drury_arveson_weights(enumerate_basis(2, 8))
+    S = submodule(w, [parse_polynomial(t, 2) for t in texts])
+    assert called == [builder]
+    for frame in (S.sub, S.comp):
+        assert (frame.degrees is not None) == (kind in ("coordinate", "graded"))
+        assert (frame.shapes is None) == (kind == "unlabelled")
+        if kind == "coordinate":
+            assert np.isin(frame.columns, (0.0, 1.0)).all()
+        if kind == "sliced":
+            heights = np.bincount(w.basis.exponents @ np.array([2, 1]))
+            assert np.array_equal(frame.shapes[:, 0], heights)
+
+
+def test_submodule_refuses_an_empty_generator_list():
+    w = drury_arveson_weights(enumerate_basis(2, 4))
+    with pytest.raises(ValueError, match="empty generator list"):
+        submodule(w, [])
+
+
+@pytest.mark.parametrize("text", ["z1*z3", "z1^2-z3^2", "z1-z2*z3"])
+def test_submodule_refuses_a_generator_of_another_variable_count(text):
+    # whichever builder the generators would reach: the ungraded one failed
+    # inside numpy on a broadcast, not on the generator
+    w = drury_arveson_weights(enumerate_basis(2, 4))
+    gens = [parse_polynomial("z1-z2^2", 2), parse_polynomial(text, 3)]
+    with pytest.raises(ValueError, match=r"generator #1 \(.*\) has 3 variables, basis has 2"):
+        submodule(w, gens)
+
+
+@pytest.mark.parametrize("gens", [
+    [monomial_generator((1, 0), num_vars=2, component=5)],
+    [parse_polynomial("z1^2 (c1) - z2^2 (c1)", 2, 2)],
+    [parse_polynomial("z1-z2^2", 2), parse_polynomial("z1 (c1)", 2, 2)],
+])
+def test_submodule_refuses_a_component_past_the_multiplicity(gens):
+    # a coordinate frame of component 5 on a k = 1 basis was empty, with no error
+    w = drury_arveson_weights(enumerate_basis(2, 4))
+    t, c = len(gens) - 1, gens[-1].terms[0][1]
+    with pytest.raises(ValueError, match=rf"generator #{t} \(.*\): component {c} out of range "
+                                         r"\[0, 1\)"):
+        submodule(w, gens)
+
+
 def test_ungraded_submodule_contains_generator_multiples(rng):
     w = random_weight_set(rng, 2, 6)
     g = parse_polynomial("z1 - 1", num_vars=2)  # non-homogeneous
-    S = ungraded_submodule(w, [g])
+    S = submodule(w, [g])
     b = w.basis
     lam = w.lam
     # (z1 - 1) * z2 must lie in the span
@@ -228,11 +291,16 @@ def test_ungraded_submodule_contains_generator_multiples(rng):
     assert resid < 1e-10
 
 
-def test_nonhomogeneous_rejected_by_homogeneous_builder(rng):
+def test_nonhomogeneous_generator_is_not_built_degree_by_degree(rng, monkeypatch):
+    # the degreewise builder assumes homogeneous generators: submodule never
+    # hands it another, and slices z1^2 + z2 by its weight (1, 2) instead
+    def refuse(*args):
+        raise AssertionError("a non-homogeneous generator reached the degreewise builder")
+    monkeypatch.setattr(submodules, "_homogeneous_submodule", refuse)
     w = random_weight_set(rng, 2, 5)
-    g = parse_polynomial("z1^2 + z2", num_vars=2)
-    with pytest.raises(ValueError):
-        homogeneous_submodule(w, [g])
+    S = submodule(w, [parse_polynomial("z1^2 + z2", num_vars=2)])
+    assert S.sub.rows is not None
+    assert np.array_equal(S.sub.shapes[:, 0], np.bincount(w.basis.exponents @ np.array([1, 2])))
 
 
 def _linear(a, b):
@@ -241,16 +309,16 @@ def _linear(a, b):
 
 def test_homogeneous_keeps_imaginary_coefficients():
     w = drury_arveson_weights(enumerate_basis(2, 5))
-    P_plus, P_minus = (projection_matrix(homogeneous_submodule(w, [_linear(1.0, c)]).sub)
+    P_plus, P_minus = (projection_matrix(submodule(w, [_linear(1.0, c)]).sub)
                        for c in (1j, -1j))
     assert np.abs(P_plus - P_minus).max() > 0.1
-    P_ungraded = projection_matrix(ungraded_submodule(w, [_linear(1.0, 1j)]).sub)
+    P_ungraded = projection_matrix(_ungraded_submodule(w, [_linear(1.0, 1j)]).sub)
     assert np.abs(P_plus - P_ungraded).max() < 1e-10
 
 
 def test_real_generators_give_real_graded_frames():
     w = drury_arveson_weights(enumerate_basis(2, 5))
-    for build in (homogeneous_submodule, ungraded_submodule):
+    for build in (submodule, _ungraded_submodule):
         S = build(w, [parse_polynomial("z1^2 - z2^2", num_vars=2)])
         assert S.sub.columns.dtype == S.comp.columns.dtype == np.float64
         S = build(w, [_linear(1.0, 1j)])
@@ -269,8 +337,8 @@ def test_graded_and_ungraded_agree_on_complex_homogeneous_generators(seed, m, de
         coefs = rng.uniform(0.5, 2.0, len(alphas)) * np.exp(2j * np.pi * rng.uniform(size=len(alphas)))
         terms = tuple((alpha, 0, complex(coef)) for alpha, coef in zip(alphas, coefs))
         gens.append(PolynomialGenerator(terms=terms, num_vars=m))
-    P_graded = projection_matrix(homogeneous_submodule(w, gens).sub)
-    P_ungraded = projection_matrix(ungraded_submodule(w, gens).sub)
+    P_graded = projection_matrix(submodule(w, gens).sub)
+    P_ungraded = projection_matrix(_ungraded_submodule(w, gens).sub)
     assert np.abs(P_graded - P_ungraded).max() < 1e-10
 
 
@@ -291,7 +359,7 @@ def test_principal_ungraded_frame_keeps_every_multiple(family, m, N, k, text):
     # number, whatever the weights' range, and each lies in the frame's span
     w = family(enumerate_basis(m, N, k))
     g = parse_polynomial(text, m, k)
-    S = ungraded_submodule(w, [g])
+    S = submodule(w, [g])
     assert S.sub.dimension == math.comb(N - g.max_degree + m, m)
     assert S.sub.dimension + S.comp.dimension == w.basis.dimension
     assert _largest_column_residual(S, w, [g]) <= 1e-13
@@ -307,7 +375,7 @@ def test_ungraded_frame_keeps_independent_multiples_of_several_generators(family
                                                                           texts, rank):
     w = family(enumerate_basis(m, N))
     gens = [parse_polynomial(t, m) for t in texts]
-    S = ungraded_submodule(w, gens)
+    S = submodule(w, gens)
     assert S.sub.dimension == rank
     assert S.sub.dimension + S.comp.dimension == w.basis.dimension
     # the dropped multiples lie in the span of the kept ones
@@ -317,7 +385,7 @@ def test_ungraded_frame_keeps_independent_multiples_of_several_generators(family
 @pytest.mark.parametrize("texts", [["z1^20+z2"], ["z1^20+z2", "z2^20+z1"]])
 def test_ungraded_submodule_with_no_multiple_in_range_is_zero(texts):
     w = drury_arveson_weights(enumerate_basis(2, 12))
-    S = ungraded_submodule(w, [parse_polynomial(t, 2) for t in texts])
+    S = submodule(w, [parse_polynomial(t, 2) for t in texts])
     assert S.sub.dimension == 0
     assert S.comp.dimension == w.basis.dimension
     Q = ambient_columns(S.comp)
@@ -330,9 +398,9 @@ def test_frames_expose_stored_bytes_and_graded_frames_stay_per_slice():
     w3 = drury_arveson_weights(enumerate_basis(3, 10))
     w2 = drury_arveson_weights(enumerate_basis(2, 10))
     builds = [
-        monomial_submodule(w3, [monomial_generator((1, 1, 0), num_vars=3)]),
-        homogeneous_submodule(w3, [parse_polynomial("z1^2 - z2^2", num_vars=3)]),
-        ungraded_submodule(w3, [parse_polynomial("z1 - z2*z3", num_vars=3)]),
+        submodule(w3, [monomial_generator((1, 1, 0), num_vars=3)]),
+        submodule(w3, [parse_polynomial("z1^2 - z2^2", num_vars=3)]),
+        submodule(w3, [parse_polynomial("z1 - z2*z3", num_vars=3)]),
         point_evaluation_submodule(w2, [(0.3, 0.1), (0.2 - 0.3j, 0.4j)]),
     ]
     for S in builds:
@@ -364,7 +432,7 @@ def test_ambient_frames_refuse_large_spaces_before_any_work(monkeypatch, tmp_pat
     monkeypatch.setattr(scipy.linalg, "qr", refuse)
     for gens in (["z1 - z2^2 - z2^3"], ["z1 - z2^2 - z2^3", "z1*z2"]):
         with pytest.raises(ValueError, match="ambient dimension 45 exceeds DENSE_SVD_LIMIT=44"):
-            ungraded_submodule(w, [parse_polynomial(g, num_vars=2) for g in gens])
+            submodule(w, [parse_polynomial(g, num_vars=2) for g in gens])
     code = cli.main(["quotient-probe", "--m", "2", "--gens", "z1-z2^2-z2^3", "--degrees", "6,8",
                      "--out", str(tmp_path), "--tag", "t"])
     assert code == 2
@@ -388,7 +456,7 @@ def test_sliced_frames_refuse_a_wide_slice_before_any_work(monkeypatch, tmp_path
     monkeypatch.setattr(scipy.linalg, "qr", refuse)
     with pytest.raises(ValueError, match="weighted slice dimension 5 exceeds DENSE_SVD_LIMIT=4; "
                                          "refusing a dense QR of a slice of that size"):
-        ungraded_submodule(w, [g])
+        submodule(w, [g])
     code = cli.main(["quotient-probe", "--m", "2", "--gens", "z1-z2^2", "--degrees", "4,6",
                      "--out", str(tmp_path), "--tag", "t"])
     assert code == 2
@@ -472,7 +540,7 @@ def _dense_oracle_projectors(w, gens):
 def test_weighted_slice_frames_match_one_dense_ambient_qr(family, m, texts, weight):
     w = family(enumerate_basis(m, 8 if m == 3 else 14))
     gens = _generators(m, texts)
-    S = ungraded_submodule(w, gens)
+    S = submodule(w, gens)
     oracle = _dense_oracle_projectors(w, gens)
     wdeg = w.basis.exponents @ np.array(weight)
     for frame, P in zip((S.sub, S.comp), oracle):
@@ -525,7 +593,7 @@ def test_stacked_slice_qrs_match_per_slice_qrs(m, texts, weight):
     # the same spaces as its columns do
     w = bergman_ball_weights(enumerate_basis(m, 70 if m == 2 else 16))
     gens = _generators(m, texts)
-    S = ungraded_submodule(w, gens)
+    S = submodule(w, gens)
     oracle = _per_slice_qrs(w, gens, weight)
     heights = S.sub.shapes[:, 0]
     assert heights.max() > shift_operators.STACK_SIDE or weight == (2, 3)    # the cusp: 24
@@ -561,19 +629,19 @@ def test_sliced_compressions_and_spectra_match_dense_products(family, m, texts, 
     # compression is Q*Z_iQ, and each commutator's block spectrum, sorted
     # and padded with the zeros it leaves out, is the dense r x r SVD
     w = family(enumerate_basis(m, 8 if m == 3 else 14))
-    S = ungraded_submodule(w, _generators(m, texts))
+    S = submodule(w, _generators(m, texts))
     shifts = [_dense_shift(w, i) for i in range(1, m + 1)]
     for frame in (S.sub, S.comp):
         Q = ambient_columns(frame)
         R = [compress_to_frame(coordinate_shift(w, i), frame) for i in range(1, m + 1)]
         dense = [Q.conj().T @ Z @ Q for Z in shifts]
         for X, D, w_i in zip(R, dense, weight):
-            assert X.offset == w_i
-            assert np.abs(X.toarray() - D).max(initial=0.0) <= 1e-13
+            assert X.mat.offset == w_i and X.interior_degree is None
+            assert np.abs(X.mat.toarray() - D).max(initial=0.0) <= 1e-13
         for (i, j), C in cross_commutators(R):
             A, B = dense[i - 1], dense[j - 1]
             expected = np.linalg.svd(A.conj().T @ B - B @ A.conj().T, compute_uv=False)
-            s = np.sort(shift_operators.block_singular_values(C)[0])[::-1]
+            s = np.sort(shift_operators.block_singular_values(C.mat)[0])[::-1]
             assert s.size <= expected.size
             assert np.abs(np.pad(s, (0, expected.size - s.size)) - expected).max(
                 initial=0.0) <= 1e-12 * expected.max(initial=1.0)
@@ -609,7 +677,7 @@ def test_per_slice_ranks_equal_one_ambient_pivoted_qr(family, N):
     # of every multiple on the ambient rows
     w = family(enumerate_basis(2, N))
     gens = _generators(2, ["z1-z2^2", "z1*z2"])
-    S = ungraded_submodule(w, gens)
+    S = submodule(w, gens)
     expected = _slice_ranks_of_one_ambient_qr(w, gens, (2, 1))
     assert np.array_equal(S.sub.shapes[:, 1], expected)
     assert S.sub.dimension == expected.sum() < sum(
@@ -633,7 +701,7 @@ def test_svd_slice_ranks_equal_pivoted_qr_ranks(family, m, N, texts):
     w = family(enumerate_basis(m, N))
     gens = _generators(m, texts)
     weight = submodules.homogeneity_weight(gens, m)
-    S = ungraded_submodule(w, gens)
+    S = submodule(w, gens)
     expected = _slice_ranks_of_one_ambient_qr(w, gens, weight)
     ranks = S.sub.sizes if any(weight) else [S.sub.dimension]
     assert np.array_equal(ranks, expected)
@@ -647,7 +715,7 @@ def test_weight_zero_reproduces_the_single_ambient_qr_bit_for_bit(family):
     # rows sorted by decreasing lambda
     w = family(enumerate_basis(2, 14))
     g = parse_polynomial("z1-z2^2-z2^3", 2)
-    S = ungraded_submodule(w, [g])
+    S = submodule(w, [g])
     b = w.basis
     ordinal = {tuple(int(a) for a in e): j for j, e in enumerate(b.exponents)}
     qs = b.exponents[:b.slice_bounds[b.max_degree - g.max_degree + 1]]
@@ -669,7 +737,7 @@ def test_sliced_frames_allocate_little_beside_themselves():
     # 97.2 MB); the build peaks at 1.34 MB under tracemalloc
     w = bergman_ball_weights(enumerate_basis(2, 82))
     g = parse_polynomial("z1-z2^2", 2)
-    S, peak = traced_peak(ungraded_submodule, w, [g])
+    S, peak = traced_peak(submodule, w, [g])
     sizes = np.bincount(w.basis.exponents @ np.array([2, 1]))
     assert np.array_equal(S.sub.shapes[:, 0], sizes)
     assert np.array_equal(S.comp.shapes[:, 0], sizes)
@@ -685,7 +753,7 @@ def test_sliced_compressions_allocate_no_ambient_temporary(m, N, text, measured)
     # slice pair at a time: no D x r array (the ambient frames' compressions
     # peaked at 18.4 MB and 9.3 MB here)
     w = bergman_ball_weights(enumerate_basis(m, N))
-    S = ungraded_submodule(w, [parse_polynomial(text, m)])
+    S = submodule(w, [parse_polynomial(text, m)])
     shifts = [coordinate_shift(w, i) for i in range(1, m + 1)]
     compressions, peak = traced_peak(lambda: [compress_to_frame(Z, S.comp) for Z in shifts])
     assert len(compressions) == m
