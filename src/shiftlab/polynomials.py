@@ -40,6 +40,10 @@ class PolynomialGenerator:
             raise ValueError("generator has no nonzero terms")
         seen = set()
         for alpha, c, coef in self.terms:
+            if len(alpha) != self.num_vars:
+                raise ValueError(f"term {alpha, c, coef}: {len(alpha)} exponents, not {self.num_vars}")
+            if any(a < 0 for a in alpha):
+                raise ValueError(f"term {alpha, c, coef}: negative exponent")
             if (alpha, c) in seen:
                 raise ValueError(f"duplicate term for multi-index {alpha}, component {c}")
             seen.add((alpha, c))

@@ -606,19 +606,17 @@ def _degree_pairs(T: TruncatedOperator, frame: SubspaceFrame, adjoint: bool = Fa
     refused with ValueError).  Where T has entries and Q_n has columns (with
     adjoint, also where only Q_t has), T's dense block B gives P = B Q_n,
     G = Q_t* P and U = B* Q_t.  Runs of pairs of one block shape come
-    stacked (m = 1: 1 x 1 blocks) as (n, Qn, Qt, P, G, U, inside, ct, cn),
-    n the run's first column label, inside the count of P's rows of degree
-    <= W (on a graded frame; a sliced one has no interior strip), the blocks
-    down the diagonal from frame columns (ct, cn).  A frame without labels
-    is one block on every row: P = TQ, G = Q*P."""
+    stacked (m = 1: 1 x 1 blocks) as (n, Qn, Qt, P, G, U, inside), n the
+    run's first column label, inside the count of P's rows of degree <= W
+    (on a graded frame; a sliced one has no interior strip).  A frame
+    without labels is one block on every row: P = TQ, G = Q*P."""
     if frame.shapes is None:
         Q, P = frame.columns, T.mat @ frame.columns
         U = (T.mat.H @ Q)[None] if adjoint else None
         return 0, [(0, Q[None], Q[None], P[None], (Q.conj().T @ P)[None], U,
-                    T.window_size(), 0, 0)]
+                    T.window_size())]
     A = T.mat
     d, k = frame.shapes.T
-    rows, cols, _ = frame.offsets
     label, loc = frame.slices
     if label.size != T.dimension:
         raise ValueError(f"frame has {label.size} ambient rows, operator dimension is {T.dimension}")
@@ -648,7 +646,7 @@ def _degree_pairs(T: TruncatedOperator, frame: SubspaceFrame, adjoint: bool = Fa
             Qn, Qt = frame.blocks(n0, g), frame.blocks(t0, g)
             P = B @ Qn
             yield (n0, Qn, Qt, P, Qt.conj().mT @ P, B.conj().mT @ Qt if adjoint else None,
-                   dt if t0 <= T.interior_degree else 0, cols[t0], cols[n0])
+                   dt if t0 <= T.interior_degree else 0)
     return offset, pairs()
 
 
@@ -665,7 +663,7 @@ def _interior_pairs(T: TruncatedOperator, frame: SubspaceFrame, adjoint: bool = 
 def _residual(pairs, scale: float, tol: float | None = None):
     """Relative 2-norm of (I - QQ*)TQ on the interior rows, the largest sigma_max of its
     blocks P - Q_t G.  With tol it is only checked (Frobenius bound first) and raised."""
-    D = [(P - Qt @ G)[:, :inside] for _, _, Qt, P, G, _, inside, _, _ in pairs]
+    D = [(P - Qt @ G)[:, :inside] for _, _, Qt, P, G, _, inside in pairs]
     if tol is not None and np.sqrt(sum(np.vdot(X, X).real for X in D)) / scale <= tol:
         return None
     resid = max((np.linalg.norm(X, 2, axis=(1, 2)).max() for X in D if X.size), default=0.0) / scale
@@ -719,14 +717,25 @@ class BlockDecomposition:
     """The restriction Y of T to an invariant frame and the two summands of
     its self-commutator, [Y*,Y] = diagonal_part + corner_part.
 
-    diagonal_part = Q*[T*,T]Q and corner_part = Q*T(I - QQ*)T*Q are r x r
-    Hermitian ndarrays in the frame's coordinates; restricted is the r x r
-    ndarray Y = Q*TQ, the matrix of restrict_to_invariant(T, frame).
+    All three are DegreeBlocks on the frame's sizes: restricted is Y = Q*TQ,
+    restrict_to_invariant(T, frame).mat, and diagonal_part = Q*[T*,T]Q and
+    corner_part = Q*T(I - QQ*)T*Q are Hermitian and block diagonal (offset 0).
     """
 
-    diagonal_part: np.ndarray
-    corner_part: np.ndarray
-    restricted: np.ndarray
+    diagonal_part: DegreeBlocks
+    corner_part: DegreeBlocks
+    restricted: DegreeBlocks
+
+    def residual(self) -> float:
+        """max |[Y*,Y] - diagonal_part - corner_part| over every block, the top degree
+        included: Y's block G, degree n to n + r, adds G*G at n, subtracts GG* at n + r."""
+        Y, s = self.restricted, self.diagonal_part.layout[3]
+        D = -(self.diagonal_part.data + self.corner_part.data)
+        for n, g in Y.runs():
+            G, t = Y.blocks(n, g), n + Y.offset
+            D[s[n]:s[n + g]] += (G.conj().mT @ G).ravel()
+            D[s[t]:s[t + g]] -= (G @ G.conj().mT).ravel()
+        return float(np.abs(D).max(initial=0.0))
 
 
 def restricted_commutator_decomposition(T: TruncatedOperator,
@@ -741,24 +750,27 @@ def restricted_commutator_decomposition(T: TruncatedOperator,
     The invariance residual is that of P - Q_t G, as restrict_to_invariant
     checks it, and a sliced frame is refused the same way.
     """
-    r = frame.dimension
-    Y, diag, corner = np.zeros((3, r, r), np.result_type(T.mat.dtype, frame.columns.dtype))
-    pairs, eig_min = list(_interior_pairs(T, frame, adjoint=True)[1]), 0.0
-    for _, Qn, Qt, P, G, U, _, ct, cn in pairs:
-        _add(Y, ct, cn, G)
-        _add(diag, cn, cn, P.conj().mT @ P)
-        _add(diag, ct, ct, -(U.conj().mT @ U))
+    offset, pairs = _interior_pairs(T, frame, adjoint=True)
+    pairs, eig_min = list(pairs), 0.0
+    Y = DegreeBlocks.zeros(frame.sizes, offset, np.result_type(T.mat.dtype, frame.columns.dtype))
+    diag, corner = (DegreeBlocks.zeros(frame.sizes, 0, Y.dtype) for _ in range(2))
+    for n, Qn, _, P, G, U, _ in pairs:
+        t, g = n + offset, len(G)
+        Y.blocks(n, g)[...] = G
+        diag.blocks(n, g)[...] += P.conj().mT @ P
+        diag.blocks(t, g)[...] -= U.conj().mT @ U
         V = U - Qn @ G.conj().mT          # Q_n* U = G*
-        C = V.conj().mT @ V               # the corner is block diagonal: check its blocks
-        _add(corner, ct, ct, C)
+        C = np.matmul(V.conj().mT, V, out=corner.blocks(t, g))   # block diagonal: check its blocks
         eig_min = min(eig_min, float(np.linalg.eigvalsh((C + C.conj().mT) / 2).min(initial=0.0)))
     scale = _norm_scale(T)
     _residual(pairs, scale, INVARIANCE_TOL)
     scale_sq = max(1.0, scale ** 2)
+    e, w = np.arange(diag.nnz), np.repeat(diag.sizes, diag.sizes ** 2)   # entry, its block's side
+    i = e - np.repeat(diag.layout[3][:-1], diag.sizes ** 2)             # its place (a, b): a w + b
+    swap = e - i + i % w * w + i // w                                   # the place (b, a)
     for name, M in (("diagonal", diag), ("corner", corner)):
-        if np.abs(M - M.conj().T).max(initial=0.0) > SELF_ADJOINT_TOL * scale_sq:
+        if np.abs(M.data - M.data[swap].conj()).max(initial=0.0) > SELF_ADJOINT_TOL * scale_sq:
             raise TheoremViolationError(f"{name} part failed self-adjointness check")
     if eig_min < -PSD_TOL * scale_sq:
         raise TheoremViolationError(f"corner part not positive semidefinite: min eig {eig_min:.3e}")
     return BlockDecomposition(diag, corner, Y)
-

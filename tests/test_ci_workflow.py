@@ -1,7 +1,8 @@
 """The CI workflow agrees with the files it tests against, read as text:
 its floor pins with pyproject.toml's floors, its test step with ROADMAP's
-tier-1 command, and its oldest Python with every source module's syntax.
-The YAML is read as text: PyYAML is no declared test dependency."""
+tier-1 command, and its oldest Python with every source module's syntax;
+and the job has a time limit and the single-thread BLAS pin.  The YAML is
+read as text: PyYAML is no declared test dependency."""
 
 import ast
 import re
@@ -45,3 +46,11 @@ def test_workflow_matches_the_floors_the_tier1_command_and_the_oldest_python():
     assert sources
     for path in sources:
         ast.parse(path.read_text(), filename=str(path), feature_version=oldest)
+
+
+def test_tier1_job_has_a_time_limit_and_one_blas_thread():
+    # a hung run would hold a runner for GitHub's default 360 minutes; the
+    # bit-for-bit tests pin BLAS products that one OpenBLAS thread sums
+    job = WORKFLOW.read_text().split("\n  tier1:\n", 1)[1].split("\n    steps:\n", 1)[0]
+    assert re.search(r"^    timeout-minutes: 20$", job, re.M)
+    assert re.search(r'^    env:\n      OPENBLAS_NUM_THREADS: "1"$', job, re.M)

@@ -237,6 +237,17 @@ def test_identity_check_verdict_fields():
     assert v["passed"] and v["max_residual"] < 1e-10
 
 
+def test_identity_check_holds_no_r_by_r_array():
+    # the decomposition's parts and its residual are degree blocks: the call
+    # peaked at 2.78 MB under tracemalloc with dense r x r parts and [Y*,Y],
+    # and at 0.92 MB on blocks.  A short run first keeps numpy's one-time
+    # set-up (0.75 MB) out of the trace whatever ran before
+    run_restriction_identity_check(3, seed=0)
+    rep, peak = traced_peak(run_restriction_identity_check, 300, seed=3000)
+    assert rep.verdicts["identity"]["passed"]
+    assert peak <= 1.25 * 916_034
+
+
 def test_trace_inequality_records_rows():
     rep = run_trace_inequality_check("bergman-ball", m=1,
                                 points=[(0.4,), (-0.2 + 0.1j,)],

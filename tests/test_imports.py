@@ -200,7 +200,6 @@ def test_no_import_or_run_loads_fractions_or_decimal(tmp_path):
 # public names that no command calls, each with the reason it stays
 UNCALLED = {
     "shift_operators.multiply": "perfbench/layers.py's shift_operators.multiply.self_s names it",
-    "shift_operators.DegreeBlocks.nnz": "perfbench/layers.py's shift_operators.out_nnz reads it",
     "shift_operators.SparseEntries.toarray": "a dense window, as DegreeBlocks.toarray; no "
                                              "command takes the dense spectrum of an ambient "
                                              "window",

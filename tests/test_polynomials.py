@@ -69,6 +69,19 @@ def test_generator_validation():
                             num_vars=2)
 
 
+@pytest.mark.parametrize("terms, message", [
+    # was built into a 10-dimensional submodule at m = 2, N = 4
+    ((((-1, 1), 0, 1.0),), r"term \(\(-1, 1\), 0, 1.0\): negative exponent"),
+    # failed inside numpy on a broadcast
+    ((((1, 1, 1), 0, 1.0),), r"term \(\(1, 1, 1\), 0, 1.0\): 3 exponents, not 2"),
+    # raised IndexError
+    ((((1,), 0, 1.0), ((0, 2), 0, 1.0)), r"term \(\(1,\), 0, 1.0\): 1 exponents, not 2"),
+], ids=["negative-exponent", "too-many-exponents", "too-few-exponents"])
+def test_generator_refuses_a_malformed_multi_index(terms, message):
+    with pytest.raises(ValueError, match=message):
+        PolynomialGenerator(terms=terms, num_vars=2)
+
+
 def test_cancellation_of_terms_rejected():
     # a polynomial that cancels to zero has no terms left
     with pytest.raises((PolynomialSyntaxError, ValueError)):

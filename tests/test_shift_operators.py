@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 import scipy.sparse as sp
@@ -179,9 +181,9 @@ def test_restriction_identity_monomial_submodules(rng):
         T = shift_combination(w, coeffs)
 
         dec = restricted_commutator_decomposition(T, S.sub)
-        Y = dec.restricted
+        Y = dec.restricted.toarray()
         lhs = Y.conj().T @ Y - Y @ Y.conj().T
-        rhs = dec.diagonal_part + dec.corner_part
+        rhs = dec.diagonal_part.toarray() + dec.corner_part.toarray()
         assert np.abs(lhs - rhs).max(initial=0.0) < 1e-12
 
 
@@ -190,7 +192,7 @@ def test_restriction_identity_corner_is_psd(rng):
     S = submodule(w, [monomial_generator((1, 1), num_vars=2)])
     T = coordinate_shift(w, 1)
     dec = restricted_commutator_decomposition(T, S.sub)
-    eigs = np.linalg.eigvalsh(dec.corner_part)
+    eigs = np.linalg.eigvalsh(dec.corner_part.toarray())
     assert eigs.min() > -1e-12
 
 
@@ -445,11 +447,11 @@ def test_restricted_commutator_decomposition_matches_dense_ambient_oracle(seed, 
     corner = F.conj().T @ (P @ Tm @ Pperp @ Tm.conj().T @ P) @ F
     # entries are quadratic in T: errors relative to its largest entry squared
     tol = 1e-12 * max(1.0, np.abs(Tm).max() ** 2)
-    assert np.abs(dec.diagonal_part - diagonal).max(initial=0.0) < tol
-    assert np.abs(dec.corner_part - corner).max(initial=0.0) < tol
-    Y = dec.restricted
+    assert np.abs(dec.diagonal_part.toarray() - diagonal).max(initial=0.0) < tol
+    assert np.abs(dec.corner_part.toarray() - corner).max(initial=0.0) < tol
+    Y = dec.restricted.toarray()
     lhs = Y.conj().T @ Y - Y @ Y.conj().T
-    rhs = dec.diagonal_part + dec.corner_part
+    rhs = dec.diagonal_part.toarray() + dec.corner_part.toarray()
     assert np.abs(lhs - rhs).max(initial=0.0) < tol
 
 
@@ -466,11 +468,87 @@ def test_restricted_commutator_decomposition_forms_no_ambient_operator(kind, mon
     for name in ("multiply", "self_commutator", "commutator"):
         monkeypatch.setattr(shift_operators, name, refuse)
     dec = restricted_commutator_decomposition(T, S.sub)
-    assert np.array_equal(dec.restricted, expected.toarray())
+    assert np.array_equal(dec.restricted.toarray(), expected.toarray())
     r = S.sub.dimension
-    for part in (dec.diagonal_part, dec.corner_part):
+    for part in (dec.diagonal_part.toarray(), dec.corner_part.toarray()):
         assert isinstance(part, np.ndarray) and part.shape == (r, r)
         assert np.abs(part - part.conj().T).max(initial=0.0) <= 1e-13
+
+
+def _dense_identity_residual(dec):
+    """max |[Y*,Y] - diagonal - corner|, each part written out by toarray."""
+    Y = dec.restricted.toarray()
+    lhs = Y.conj().T @ Y - Y @ Y.conj().T
+    return np.abs(lhs - dec.diagonal_part.toarray() - dec.corner_part.toarray()).max(initial=0.0)
+
+
+@settings(max_examples=30, deadline=None)
+@given(seed=st.integers(0, 2 ** 32 - 1), m=st.integers(2, 3),
+       kind=st.sampled_from(["monomial", "homogeneous-real", "homogeneous-complex",
+                             "ungraded"]))
+def test_decomposition_residual_matches_the_dense_identity(seed, m, kind):
+    # the parts are degree blocks on the frame's sizes, the restriction the
+    # mat of restrict_to_invariant, and the blockwise residual is the dense one
+    rng = np.random.default_rng(seed)
+    w, S = _random_submodule(rng, m, kind)
+    T = shift_combination(w, rng.normal(size=m) + 1j * rng.normal(size=m))
+    for X, frame in ((T, S.sub), (adjoint(T), S.comp)):
+        dec = restricted_commutator_decomposition(X, frame)
+        R = restrict_to_invariant(X, frame).mat
+        assert np.array_equal(dec.restricted.data, R.data) and dec.restricted.offset == R.offset
+        for part in (dec.restricted, dec.diagonal_part, dec.corner_part):
+            assert isinstance(part, DegreeBlocks) and np.array_equal(part.sizes, frame.sizes)
+        assert dec.diagonal_part.offset == dec.corner_part.offset == 0
+        assert abs(dec.residual() - _dense_identity_residual(dec)) <= 1e-13
+
+
+def test_decomposition_residual_sees_every_block(rng):
+    # one entry of any block of either summand, the top degree's included,
+    # perturbed by 1e-6 moves the residual to 1e-6
+    w = random_weight_set(rng, 3, 5)
+    T = shift_combination(w, [1.0, 0.5 - 0.25j, 0.3j])
+    dec = restricted_commutator_decomposition(T, submodule(w, [monomial_generator((1, 0, 0))]).sub)
+    assert dec.residual() < 1e-13
+    for name in ("diagonal_part", "corner_part"):
+        part = getattr(dec, name)
+        starts = part.layout[3]
+        assert part.sizes[-1] > 0
+        for n in np.flatnonzero(part.sizes):
+            data = part.data.copy()
+            data[starts[n + 1] - 1] += 1e-6         # the last entry of degree n's block
+            bad = dataclasses.replace(dec, **{name: DegreeBlocks(data, part.sizes, 0)})
+            assert bad.residual() == pytest.approx(1e-6, rel=1e-6), (name, n)
+
+
+def test_identity_check_fails_on_a_perturbed_top_degree_corner_block(monkeypatch, tmp_path):
+    # identity-check reads the residual of every block: a commutator's
+    # interior window would miss the top degree
+    real, calls = shift_operators.restricted_commutator_decomposition, []
+
+    def perturbed(T, frame):
+        dec = real(T, frame)
+        corner = dec.corner_part
+        assert corner.sizes[-1] > 0
+        data = corner.data.copy()
+        data[-1] += 1e-6                            # the last entry of the top degree's block
+        calls.append(frame)
+        return dataclasses.replace(dec, corner_part=DegreeBlocks(data, corner.sizes, 0))
+    args = ["identity-check", "--trials", "1", "--out", str(tmp_path)]
+    assert cli.main([*args, "--tag", "good"]) == 0
+    monkeypatch.setattr(shift_operators, "restricted_commutator_decomposition", perturbed)
+    assert cli.main([*args, "--tag", "bad"]) == 1 and len(calls) == 1
+
+
+def test_decomposition_and_residual_form_no_r_by_r_array():
+    # the full-rank frame at m = 3, N = 16 has r = 969 columns, and one
+    # complex r x r array is 15 MB: the dense parts and [Y*,Y] peaked at
+    # 90 MB under tracemalloc, the degree blocks at 14.6 MB
+    w = drury_arveson_weights(enumerate_basis(3, 16))
+    frame = submodule(w, [monomial_generator((0, 0, 0))]).sub
+    T = shift_combination(w, [1.0, 0.5 - 0.25j, 0.3j])
+    assert frame.dimension == w.basis.dimension == 969
+    residual, peak = traced_peak(lambda: restricted_commutator_decomposition(T, frame).residual())
+    assert residual < 1e-13 and peak <= 25e6, peak
 
 
 def test_invariance_residual_of_noninvariant_pairs():
@@ -789,7 +867,7 @@ def test_decomposition_checks_invariance_without_invariance_residual(monkeypatch
         assert err.value.residual == pytest.approx(resid, rel=1e-12)
     again = restricted_commutator_decomposition(coordinate_shift(w, 1), S.sub)
     for name in ("diagonal_part", "corner_part"):
-        assert np.array_equal(getattr(again, name), getattr(good, name))
+        assert np.array_equal(getattr(again, name).toarray(), getattr(good, name).toarray())
 
 
 def _shift_by_monomial_loop(w, i):
@@ -990,12 +1068,12 @@ def _ambient_oracle(T, frame):
 
 
 def _assert_matches_ambient_oracle(T, frame):
-    """Bit for bit: the decomposition's three arrays and the compression's
-    blocks, written out densely."""
+    """Bit for bit: the decomposition's three parts and the compression's
+    blocks, written out densely by toarray."""
     parts = _ambient_oracle(T, frame)
     dec = restricted_commutator_decomposition(T, frame)
     for name, b in zip(("restricted", "diagonal_part", "corner_part"), parts):
-        a = getattr(dec, name)
+        a = getattr(dec, name).toarray()
         assert isinstance(a, np.ndarray) and a.dtype == b.dtype
         assert np.array_equal(a, b), name
     C = compress_to_frame(T, frame)
