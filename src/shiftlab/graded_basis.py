@@ -8,6 +8,7 @@ in closed form (GradedBasis.rank); no per-monomial table is kept.
 """
 
 from dataclasses import dataclass, field
+from functools import cached_property
 from math import comb
 
 import numpy as np
@@ -36,6 +37,16 @@ class GradedBasis:
     def dimension(self) -> int:
         return self.exponents.shape[0]
 
+    @cached_property
+    def binomials(self) -> np.ndarray:
+        """binomials[b, a] = C(a, b) for b < m, a < N + m - 1: exact
+        integers, the table rank reads, built once per basis."""
+        m, N = self.num_vars, self.max_degree
+        binom = np.array([[comb(a, b) for a in range(N + m - 1)] for b in range(m)],
+                         dtype=np.int64)
+        binom.setflags(write=False)
+        return binom
+
     def rank(self, exponents, components) -> np.ndarray:
         """Ordinals of the rows (exponents[r], components[r]), in closed form.
 
@@ -55,9 +66,7 @@ class GradedBasis:
         if bad.any():
             r = int(np.argmax(bad))
             self._reject(tuple(int(a) for a in exps[r]), int(comps[r]))
-        # binom[b, a] = C(a, b), exact integers
-        binom = np.array([[comb(a, b) for a in range(N + m - 1)] for b in range(m)],
-                         dtype=np.int64)
+        binom = self.binomials
         within = np.zeros(len(exps), dtype=np.int64)
         for t in range(m - 1):
             within += binom[m - t - 1, tails[:, t + 1] + m - t - 2]

@@ -15,10 +15,14 @@ GradedBasis it is a SparseEntries, its nonzeros sorted by row and then by
 column: every ambient operator is a weighted partial permutation of
 monomials, or a sum of m of them, so its products are joins of entries.  On
 a frame it is a DegreeBlocks, one dense block per degree pair (n + r, n);
-operators reach a frame one degree pair at a time.  Every operator on a
-frame is a TruncatedOperator on the frame's space, its labels and
-dimension without its columns; the frame's labels decide only whether
-there is an interior strip to track.  On a graded frame there is, and
+operators reach a frame one degree pair at a time.  A coordinate frame (a
+monomial submodule's or its complement's) records its columns' ambient
+ordinals, and its blocks of 0/1 columns are never multiplied: one scatter
+of the operator's entries over every degree pair gives the very values
+those products give.  Every operator on a frame is a
+TruncatedOperator on the frame's space, its labels and dimension without
+its columns; the frame's labels decide only whether there is an interior
+strip to track.  On a graded frame there is, and
 block products keep scipy's summation order, the inner index ascending,
 because decay fits read their round-off, except products of partial
 permutations: a product of single terms is exact whatever the order, so
@@ -71,10 +75,10 @@ class InvarianceError(ValueError):
 
 def _runs(*keys):
     """[(start, stop)] of the maximal runs along which every key is constant."""
-    K = np.stack(keys)
+    K = np.array(keys)
     if not K.shape[1]:
         return []
-    cut = (np.flatnonzero(np.diff(K).any(axis=0)) + 1).tolist()
+    cut = (np.flatnonzero((K[:, 1:] != K[:, :-1]).any(axis=0)) + 1).tolist()
     return list(zip([0, *cut], [*cut, K.shape[1]]))
 
 
@@ -96,14 +100,19 @@ class SubspaceFrame:
     homogeneous) holds one block per weighted degree s the same way, on
     the rows of that slice: rows lists each block's ambient ordinals, block
     after block.  A frame without labels is one block on every row,
-    columns itself.  Operators restricted or compressed to a frame live on
-    its space, which keeps no columns and compares by identity: operators
-    on two frames never mix, and none of them keeps its frame alive.
+    columns itself.  A coordinate frame (submodules of monomials) is a
+    graded frame of coordinate vectors that also records each column's
+    ambient ordinal, ascending: operators reach it by selecting entries,
+    not by multiplying blocks.  Operators restricted or compressed to a
+    frame live on its space, which keeps no columns and compares by
+    identity: operators on two frames never mix, and none of them keeps its
+    frame alive.
     """
 
     columns: np.ndarray           # blocks' entries, flat; unlabelled: (ambient_dim, r)
     shapes: np.ndarray = None     # (labels, 2): each block's rows and columns
     rows: np.ndarray = None       # sliced: each block row's ambient ordinal
+    ordinals: np.ndarray = None   # coordinate: each column's ambient ordinal
 
     @classmethod
     def from_blocks(cls, blocks):
@@ -136,6 +145,14 @@ class SubspaceFrame:
         at = np.empty((2, label.size), np.int64)
         at[:, rows] = label, np.arange(label.size) - self.offsets[0][label]
         return at[0], at[1]
+
+    @cached_property
+    def places(self):
+        """A coordinate frame's column of each ambient ordinal, counted
+        within its block; -1 where the frame has none."""
+        place = np.full(self.offsets[0][-1], -1)
+        place[self.ordinals] = np.arange(self.ordinals.size) - self.offsets[1][self.degrees]
+        return place
 
     @cached_property
     def sizes(self) -> np.ndarray:
@@ -274,7 +291,11 @@ class DegreeBlocks:
 
     @classmethod
     def zeros(cls, sizes, offset: int, dtype) -> "DegreeBlocks":
-        return cls(np.zeros(_layout(sizes, offset)[3][-1], dtype), sizes, offset)
+        """The store of zeros, its layout computed once and cached."""
+        layout = _layout(sizes, offset)
+        out = cls(np.zeros(layout[3][-1], dtype), sizes, offset)
+        out.__dict__["layout"] = layout
+        return out
 
     @cached_property
     def layout(self):
@@ -599,22 +620,29 @@ def _frame_spectra(W: DegreeBlocks):
             yield s[np.arange(s.shape[1]) < count[:, None]], np.repeat(label[~easy], count)
 
 
-def _degree_pairs(T: TruncatedOperator, frame: SubspaceFrame, adjoint: bool = False):
+def _degree_pairs(T: TruncatedOperator, frame: SubspaceFrame, adjoint: bool = False,
+                  remainder: bool = False):
     """(offset, pairs): T on the frame one block pair (t, n) = (n + offset, n)
     at a time, offset the label offset of T's entries (on a graded frame its
     degree_raise; entries of mixed offsets, or of another one there, are
-    refused with ValueError).  Where T has entries and Q_n has columns (with
-    adjoint, also where only Q_t has), T's dense block B gives P = B Q_n,
-    G = Q_t* P and U = B* Q_t.  Runs of pairs of one block shape come
-    stacked (m = 1: 1 x 1 blocks) as (n, Qn, Qt, P, G, U, inside), n the
-    run's first column label, inside the count of P's rows of degree <= W
-    (on a graded frame; a sliced one has no interior strip).  A frame
-    without labels is one block on every row: P = TQ, G = Q*P."""
+    refused with ValueError).  Pairs where T has entries and Q_n has columns
+    (with adjoint, also where only Q_t has) come in runs of one block shape,
+    stacked (m = 1: 1 x 1 blocks), as (n, G, P, U, V, D): n the run's first
+    column label, G = Q_t* T_tn Q_n; with adjoint P = T_tn Q_n, U = T_tn* Q_t
+    and V = U - Q_n G*; with remainder D = P - Q_t G on P's rows of degree
+    <= W (on a graded frame; a sliced one has no interior strip); the
+    quantities not asked for are None.
+
+    On a coordinate frame every product only selects entries of T, so one
+    scatter of T's entries fills every quantity over all the pairs with the
+    values those products give.  Other frames build T's dense block B for each run
+    and multiply: P = B Q_n, G = Q_t* P, U = B* Q_t, and V and D from them.
+    A frame without labels is one block on every row: P = TQ, G = Q*P."""
     if frame.shapes is None:
         Q, P = frame.columns, T.mat @ frame.columns
         U = (T.mat.H @ Q)[None] if adjoint else None
-        return 0, [(0, Q[None], Q[None], P[None], (Q.conj().T @ P)[None], U,
-                    T.window_size())]
+        return 0, [_product_pair(0, Q[None], Q[None], P[None], (Q.conj().T @ P)[None], U,
+                                 T.window_size(), adjoint, remainder)]
     A = T.mat
     d, k = frame.shapes.T
     label, loc = frame.slices
@@ -634,10 +662,12 @@ def _degree_pairs(T: TruncatedOperator, frame: SubspaceFrame, adjoint: bool = Fa
     t = n + offset
     keep = (k[n] > 0) | ((k[t] > 0) & adjoint)
     n, t = n[keep], t[keep]
+    inside = t <= T.interior_degree
+    # a run breaks where the labels skip or a block shape changes
+    runs = _runs(n - np.arange(n.size), d[t], d[n], k[t], k[n], inside)
 
-    def pairs():
-        # a run breaks where the labels skip or a block shape changes
-        for a, b in _runs(n - np.arange(n.size), d[t], d[n], k[t], k[n], t <= T.interior_degree):
+    def multiplied():
+        for a, b in runs:
             n0, t0, g = int(n[a]), int(t[a]), b - a
             dt, dn = int(d[t0]), int(d[n0])
             e = slice(*np.searchsorted(row_label, [t0, t0 + g]))
@@ -645,25 +675,70 @@ def _degree_pairs(T: TruncatedOperator, frame: SubspaceFrame, adjoint: bool = Fa
             B[row_label[e] - t0, i[e], j[e]] = vals[e]
             Qn, Qt = frame.blocks(n0, g), frame.blocks(t0, g)
             P = B @ Qn
-            yield (n0, Qn, Qt, P, Qt.conj().mT @ P, B.conj().mT @ Qt if adjoint else None,
-                   dt if t0 <= T.interior_degree else 0)
-    return offset, pairs()
+            yield _product_pair(n0, Qn, Qt, P, Qt.conj().mT @ P,
+                                B.conj().mT @ Qt if adjoint else None, dt if inside[a] else 0,
+                                adjoint, remainder)
+
+    def selected():
+        # an entry (row, column) belongs to the pair of its column's label;
+        # G, P and D take it where the frame has its column, U and V its
+        # conjugate where the frame has its row, V and D where it lacks the
+        # other: every entry taken is in a pair kept
+        if not runs:        # no pair, and no block to place an entry in
+            return
+        pair = np.zeros(d.size, np.int64)
+        pair[n] = np.arange(n.size)
+        pair = pair[col_label]
+        ct, cn = frame.places[at[0]], frame.places[at[1]]
+        has_t, has_n = ct >= 0, cn >= 0
+        # each quantity's entries taken, block heights and widths by pair,
+        # and each entry's row, column and value there
+        parts = {"G": (has_t & has_n, k[t], k[n], ct, cn, vals)}
+        if adjoint:
+            parts.update(P=(has_n, d[t], k[n], i, cn, vals),
+                         U=(has_t, d[n], k[t], j, ct, vals.conj()),
+                         V=(has_t & ~has_n, d[n], k[t], j, ct, vals.conj()))
+        if remainder:
+            parts["D"] = (has_n & ~has_t & (row_label <= T.interior_degree),
+                          np.where(inside, d[t], 0), k[n], i, cn, vals)
+        # every quantity's blocks one after another in one array, filled by
+        # one scatter; the entries a quantity does not take land in a spare
+        # last slot
+        taken, h, w, row, col, x = (np.array(z) for z in zip(*parts.values()))
+        block = np.arange(0, h.size, n.size)[:, None] + pair
+        starts = np.concatenate([[0], np.cumsum(h * w)])
+        w = w.ravel()
+        X = np.zeros(starts[-1] + 1, np.result_type(A.dtype, frame.columns.dtype))
+        X[np.where(taken, starts[block] + row * w[block] + col, starts[-1])] = x
+        s, h, w = starts.tolist(), h.ravel().tolist(), w.tolist()
+        for a, b in runs:
+            views = {name: X[s[c + a]:s[c + b]].reshape(b - a, h[c + a], w[c + a])
+                     for name, c in zip(parts, range(0, len(s) - 1, n.size))}
+            yield (int(n[a]), *map(views.get, "GPUVD"))
+    return offset, (multiplied if frame.ordinals is None else selected)()
+
+
+def _product_pair(n, Qn, Qt, P, G, U, inside, adjoint, remainder):
+    """A run's pair tuple from its frame blocks' products: V = U - Q_n G*
+    (Q_n* U = G*) and D = P - Q_t G on P's first inside rows."""
+    return (n, G, P if adjoint else None, U, U - Qn @ G.conj().mT if adjoint else None,
+            (P - Qt @ G)[:, :inside] if remainder else None)
 
 
 def _interior_pairs(T: TruncatedOperator, frame: SubspaceFrame, adjoint: bool = False):
-    """_degree_pairs for a routine that checks invariance on the interior
-    rows, which a frame sliced by weighted degree does not have: such a
-    frame is refused with ValueError."""
+    """_degree_pairs with the remainders D, for a routine that checks
+    invariance on the interior rows, which a frame sliced by weighted degree
+    does not have: such a frame is refused with ValueError."""
     if frame.rows is not None:
         raise ValueError("a frame sliced by weighted degree has no interior rows to check "
                          "invariance on; compress_to_frame is its only operation")
-    return _degree_pairs(T, frame, adjoint)
+    return _degree_pairs(T, frame, adjoint, remainder=True)
 
 
-def _residual(pairs, scale: float, tol: float | None = None):
-    """Relative 2-norm of (I - QQ*)TQ on the interior rows, the largest sigma_max of its
-    blocks P - Q_t G.  With tol it is only checked (Frobenius bound first) and raised."""
-    D = [(P - Qt @ G)[:, :inside] for _, _, Qt, P, G, _, inside in pairs]
+def _residual(remainders, scale: float, tol: float | None = None):
+    """Relative 2-norm of (I - QQ*)TQ on the interior rows, the largest sigma_max of the
+    remainders D.  With tol it is only checked (Frobenius bound first) and raised."""
+    D = list(remainders)
     if tol is not None and np.sqrt(sum(np.vdot(X, X).real for X in D)) / scale <= tol:
         return None
     resid = max((np.linalg.norm(X, 2, axis=(1, 2)).max() for X in D if X.size), default=0.0) / scale
@@ -677,7 +752,7 @@ def _on_frame(T: TruncatedOperator, frame: SubspaceFrame, offset: int, pairs):
     frame's space: with T's interior on a graded frame, with none on a
     sliced or unlabelled one."""
     out = DegreeBlocks.zeros(frame.sizes, offset, np.result_type(T.mat.dtype, frame.columns.dtype))
-    for n, _, _, _, G, *_ in pairs:
+    for n, G, *_ in pairs:
         out.blocks(n, len(G))[...] = G
     interior = None if frame.degrees is None else T.interior_degree
     return TruncatedOperator(frame.space, out, interior, offset)
@@ -686,7 +761,7 @@ def _on_frame(T: TruncatedOperator, frame: SubspaceFrame, offset: int, pairs):
 def invariance_residual(T: TruncatedOperator, frame: SubspaceFrame) -> float:
     """Relative 2-norm of (I - QQ*) T Q on the interior rows, Q the frame
     (graded or unlabelled)."""
-    return _residual(_interior_pairs(T, frame)[1], _norm_scale(T))
+    return _residual((D for *_, D in _interior_pairs(T, frame)[1]), _norm_scale(T))
 
 
 def restrict_to_invariant(T: TruncatedOperator, frame: SubspaceFrame,
@@ -697,7 +772,7 @@ def restrict_to_invariant(T: TruncatedOperator, frame: SubspaceFrame,
     with ValueError: it has no interior rows."""
     offset, pairs = _interior_pairs(T, frame)
     pairs = list(pairs)
-    _residual(pairs, _norm_scale(T), tol)
+    _residual((D for *_, D in pairs), _norm_scale(T), tol)
     return _on_frame(T, frame, offset, pairs)
 
 
@@ -738,32 +813,44 @@ class BlockDecomposition:
         return float(np.abs(D).max(initial=0.0))
 
 
+def _add_run(Y: DegreeBlocks, diag: DegreeBlocks, corner: DegreeBlocks, pair):
+    """Write one run of degree pairs (n, G, P, U, V, D) into the
+    decomposition: Y's blocks G, the diagonal part's P*P - U*U and the
+    corner's V*V.  Returns its remainders D and the least eigenvalue of its
+    corner blocks' Hermitian parts, or 0."""
+    n, G, P, U, V, D = pair
+    t, g = n + Y.offset, len(G)
+    Y.blocks(n, g)[...] = G
+    diag.blocks(n, g)[...] += P.conj().mT @ P
+    diag.blocks(t, g)[...] -= U.conj().mT @ U
+    C = np.matmul(V.conj().mT, V, out=corner.blocks(t, g))   # block diagonal: check its blocks
+    return D, float(np.linalg.eigvalsh((C + C.conj().mT) / 2).min(initial=0.0))
+
+
 def restricted_commutator_decomposition(T: TruncatedOperator,
                                         frame: SubspaceFrame) -> BlockDecomposition:
     """Split the self-commutator of T restricted to an invariant frame into
     its compression and positive corner summands.
 
-    Everything is read off the degree pairs' products P = T_tn Q_n and
-    U = T_tn* Q_t: Y = Q*TQ has the blocks G = Q_t* P, Q*[T*,T]Q the blocks
-    P*P - U*U and, with V = U - Q_n G*, the corner the blocks V*V, whose
-    positivity is checked block by block.  No ambient operator is formed.
-    The invariance residual is that of P - Q_t G, as restrict_to_invariant
-    checks it, and a sliced frame is refused the same way.
+    Everything is read off the degree pairs (_degree_pairs), P = T_tn Q_n,
+    U = T_tn* Q_t, V = U - Q_n G* and D = P - Q_t G, in one pass over their
+    runs: Y = Q*TQ has the blocks G = Q_t* P, Q*[T*,T]Q the blocks
+    P*P - U*U and the corner the blocks V*V, whose positivity is checked
+    block by block.  No ambient operator is formed, and on a coordinate
+    frame no frame block is read.  The invariance residual is that of D,
+    as restrict_to_invariant checks it, and a sliced frame is refused the
+    same way.
     """
     offset, pairs = _interior_pairs(T, frame, adjoint=True)
-    pairs, eig_min = list(pairs), 0.0
     Y = DegreeBlocks.zeros(frame.sizes, offset, np.result_type(T.mat.dtype, frame.columns.dtype))
     diag, corner = (DegreeBlocks.zeros(frame.sizes, 0, Y.dtype) for _ in range(2))
-    for n, Qn, _, P, G, U, _ in pairs:
-        t, g = n + offset, len(G)
-        Y.blocks(n, g)[...] = G
-        diag.blocks(n, g)[...] += P.conj().mT @ P
-        diag.blocks(t, g)[...] -= U.conj().mT @ U
-        V = U - Qn @ G.conj().mT          # Q_n* U = G*
-        C = np.matmul(V.conj().mT, V, out=corner.blocks(t, g))   # block diagonal: check its blocks
-        eig_min = min(eig_min, float(np.linalg.eigvalsh((C + C.conj().mT) / 2).min(initial=0.0)))
+    runs = [_add_run(Y, diag, corner, pair) for pair in pairs]
     scale = _norm_scale(T)
-    _residual(pairs, scale, INVARIANCE_TOL)
+    _residual((D for D, _ in runs), scale, INVARIANCE_TOL)
+    eig_min = min((e for _, e in runs), default=0.0)
+    # on a coordinate frame the remainders are views of the one scatter of
+    # every quantity: let it go before the checks' temporaries
+    del runs
     scale_sq = max(1.0, scale ** 2)
     e, w = np.arange(diag.nnz), np.repeat(diag.sizes, diag.sizes ** 2)   # entry, its block's side
     i = e - np.repeat(diag.layout[3][:-1], diag.sizes ** 2)             # its place (a, b): a w + b

@@ -100,12 +100,12 @@ def _monomial_submodule(w: WeightSet, generators) -> SubmoduleBasis:
 
 
 def _coordinate_frame(b, mask) -> SubspaceFrame:
-    """The graded frame of the coordinate vectors of the ordinals in mask,
-    every block's 1.0 entries set by one scatter."""
+    """The coordinate frame of the ordinals in mask: graded, every block's
+    1.0 entries set by one scatter, and the ordinals recorded."""
     d, k = np.diff(b.slice_bounds), np.bincount(b.degrees[mask], minlength=b.max_degree + 1)
-    frame = SubspaceFrame(np.zeros(d @ k), np.stack([d, k], axis=1))
-    rows, cols, entries = frame.offsets
     j = np.flatnonzero(mask)
+    frame = SubspaceFrame(np.zeros(d @ k), np.stack([d, k], axis=1), ordinals=j)
+    rows, cols, entries = frame.offsets
     n = b.degrees[j]
     frame.columns[entries[n] + (j - rows[n]) * k[n] + np.arange(j.size) - cols[n]] = 1.0
     return frame

@@ -1,8 +1,9 @@
 """The CI workflow agrees with the files it tests against, read as text:
 its floor pins with pyproject.toml's floors, its test step with ROADMAP's
 tier-1 command, and its oldest Python with every source module's syntax;
-and the job has a time limit and the single-thread BLAS pin.  The YAML is
-read as text: PyYAML is no declared test dependency."""
+and the job has a time limit and the single-thread BLAS pin; a runtime
+warning fails the tests.  The YAML is read as text: PyYAML is no declared
+test dependency."""
 
 import ast
 import re
@@ -54,3 +55,14 @@ def test_tier1_job_has_a_time_limit_and_one_blas_thread():
     job = WORKFLOW.read_text().split("\n  tier1:\n", 1)[1].split("\n    steps:\n", 1)[0]
     assert re.search(r"^    timeout-minutes: 20$", job, re.M)
     assert re.search(r'^    env:\n      OPENBLAS_NUM_THREADS: "1"$', job, re.M)
+
+
+def test_runtime_warnings_fail_tier1():
+    # a numpy overflow, invalid-value or divide warning fails the tests,
+    # locally and in the tier1 job, which runs pytest from the repository
+    # root and so reads pyproject.toml's options
+    pyproject = (ROOT / "pyproject.toml").read_text()
+    section = pyproject.split("[tool.pytest.ini_options]\n", 1)[1].split("\n[", 1)[0]
+    assert re.search(r'^filterwarnings = \["error::RuntimeWarning"\]$', section, re.M)
+    run = re.search(r"run: (.+)", _step(WORKFLOW.read_text(), "Tier-1 tests")).group(1)
+    assert "python -m pytest" in run and "-W" not in run and "-p no:warnings" not in run

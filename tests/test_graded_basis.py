@@ -125,3 +125,27 @@ def test_rank_rejects_non_elements(alpha, component, message):
     batch = [(0, 0), alpha] if len(alpha) == 2 else [alpha]
     with pytest.raises(ValueError, match=message):
         basis.rank(batch, [0] * (len(batch) - 1) + [component])
+
+
+@pytest.mark.parametrize("m,N,k", [(1, 0, 1), (1, 9, 2), (2, 6, 1), (3, 5, 2), (4, 4, 1)])
+def test_rank_builds_its_binomial_table_once_per_basis(m, N, k, monkeypatch):
+    # the table is C(a, b) for b < m, a < N + m - 1, computed once: every
+    # later rank reads the cached table, and every rank is the enumeration's
+    from shiftlab import graded_basis
+    basis, other = enumerate_basis(m, N, k), enumerate_basis(m, N, k)
+    calls = []
+
+    def counted(a, b):
+        calls.append((a, b))
+        return math.comb(a, b)
+    monkeypatch.setattr(graded_basis, "comb", counted)
+    for _ in range(3):
+        assert np.array_equal(basis.rank(basis.exponents, basis.components),
+                              np.arange(basis.dimension))
+    assert sorted(calls) == [(a, b) for a in range(N + m - 1) for b in range(m)]
+    assert np.array_equal(basis.binomials, [[math.comb(a, b) for a in range(N + m - 1)]
+                                            for b in range(m)])
+    assert basis.binomials is basis.binomials and not basis.binomials.flags.writeable
+    # another basis of the same (m, N, k) builds its own
+    other.rank(basis.exponents[:1], basis.components[:1])
+    assert len(calls) == 2 * m * (N + m - 1)

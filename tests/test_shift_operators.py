@@ -1113,6 +1113,89 @@ def test_coordinate_frames_match_the_ambient_oracle(rng):
     assert {0.0, 1.0} <= ranks
 
 
+def _routine_outputs(T, frame):
+    """What the four routines that read T by degree pairs give on the frame:
+    the compression, the restriction, the decomposition and the invariance
+    residual, the InvarianceError's residual where a routine refuses."""
+    out = {"residual": invariance_residual(T, frame), "compress": compress_to_frame(T, frame)}
+    for name, routine in (("restrict", restrict_to_invariant),
+                          ("decomposition", restricted_commutator_decomposition)):
+        try:
+            out[name] = routine(T, frame)
+        except InvarianceError as err:
+            out[name] = err.residual
+    return out
+
+
+def _assert_same_blocks(a, b):
+    assert a.dtype == b.dtype and a.offset == b.offset and np.array_equal(a.sizes, b.sizes)
+    assert np.array_equal(a.data, b.data)
+
+
+def test_coordinate_frames_select_what_block_products_give(rng):
+    # a coordinate frame and the same blocks without its ordinals, which
+    # take the block products: every routine returns the same bits, and
+    # Z_1* on a monomial submodule is refused with the same residual
+    cases = [(T, f) for T, f in _monomial_cases(rng) if f.ordinals is not None]
+    w = random_weight_set(rng, 2, 6)
+    cases.append((adjoint(coordinate_shift(w, 1)), submodule(w, [monomial_generator((1, 1))]).sub))
+    refused = 0
+    for T, frame in cases:
+        got = _routine_outputs(T, frame)
+        expected = _routine_outputs(T, SubspaceFrame(frame.columns, frame.shapes))
+        assert got["residual"] == expected["residual"]
+        for name in ("compress", "restrict"):
+            if isinstance(expected[name], float):
+                continue
+            a, b = got[name], expected[name]
+            assert (a.interior_degree, a.degree_raise) == (b.interior_degree, b.degree_raise)
+            _assert_same_blocks(a.mat, b.mat)
+        if isinstance(expected["decomposition"], float):
+            refused += 1
+            assert got["residual"] > INVARIANCE_TOL
+            assert got["restrict"] == got["decomposition"] == expected["restrict"] \
+                == expected["decomposition"]
+            continue
+        for name in ("restricted", "diagonal_part", "corner_part"):
+            _assert_same_blocks(getattr(got["decomposition"], name),
+                                getattr(expected["decomposition"], name))
+    assert refused == 1
+
+
+def test_commands_read_no_block_of_a_coordinate_frame(monkeypatch, tmp_path):
+    # identity-check and ramp-block reach their coordinate frames only by
+    # selecting T's entries
+    blocks, reads = SubspaceFrame.blocks, []
+
+    def guarded(self, n, count=1):
+        if self.ordinals is not None:
+            reads.append(n)
+            raise AssertionError("a coordinate frame's block was read")
+        return blocks(self, n, count)
+    monkeypatch.setattr(SubspaceFrame, "blocks", guarded)
+    for args in (["identity-check", "--trials", "20"], ["ramp-block"]):
+        assert cli.main([*args, "--out", str(tmp_path)]) == 0, args
+    assert reads == []
+
+
+@pytest.mark.parametrize("kind", ["monomial", "homogeneous-real"])
+def test_decomposition_lays_out_each_store_once(kind, monkeypatch):
+    # the restriction, the diagonal and the corner part are built by
+    # DegreeBlocks.zeros, which caches the layout it computes: three
+    # layouts, and the residual reads them from the cache
+    rng = np.random.default_rng(5)
+    w, S = _random_submodule(rng, 3, kind)
+    T = shift_combination(w, [1.0, 0.5 - 0.25j, 0.3j])
+    layout, calls = shift_operators._layout, []
+
+    def counted(*args):
+        calls.append(args)
+        return layout(*args)
+    monkeypatch.setattr(shift_operators, "_layout", counted)
+    dec = restricted_commutator_decomposition(T, S.sub)
+    assert dec.residual() < 1e-13 and len(calls) == 3
+
+
 def test_identity_check_composes_no_operator_and_densifies_no_frame(monkeypatch):
     from shiftlab.experiments import run_restriction_identity_check
 
