@@ -187,24 +187,44 @@ def run_factorial_thresholds(m: int, delta_values, degree_sweep=None) -> Experim
     for delta in delta_values:
         w = wm.factorial_delta_weights(basis, delta)
         shifts = [ops.coordinate_shift(w, i) for i in range(1, m + 1)]
-        tr = {key: schatten.window_norms(C, sweep, [1])
-              for key, C in ops.cross_commutators(shifts)}
+        tr = _commutator_norms(shifts, sweep, [1])
         hs = {i: schatten.window_norms(Z, sweep, [2]) for i, Z in enumerate(shifts, start=1)}
-        trend_tr, trend_hs = [], []
         for d in sweep:
-            for (i, j), v in sorted(tr.items()):
+            for (i, j), v in tr.items():
                 tab.add(delta, i, j, d, v[d, 1])
-            trend_tr.append((d, max(v[d, 1] for v in tr.values())))
-            for i, v in sorted(hs.items()):
+            for i, v in hs.items():
                 tab_hs.add(delta, i, d, v[d, 2])
-            trend_hs.append((d, max(v[d, 2] for v in hs.values())))
-        v_tr, det_tr = schatten.convergence_diagnostic(trend_tr)
-        v_hs, det_hs = schatten.convergence_diagnostic(trend_hs)
-        rep.set_verdict(f"trace_norm_delta={_fmt(delta)}", v_tr, det_tr)
-        rep.set_verdict(f"hs_norm_delta={_fmt(delta)}", v_hs, det_hs)
+        v_tr = _trend_verdict(rep, f"trace_norm_delta={_fmt(delta)}", tr, sweep, 1)
+        v_hs = _trend_verdict(rep, f"hs_norm_delta={_fmt(delta)}", hs, sweep, 2)
         summary.add(delta, v_tr.value, v_hs.value,
                     delta > (m - 1) / 2, delta > m / 2)
     return rep
+
+
+def _commutator_norms(operators, degrees, p_values, fits=None, *row):
+    """{(i, j): {(d, p): Schatten p-norm of the window d}} of the
+    cross-commutators [T_i*, T_j] of the operators, d in degrees, adding
+    the top window's decay fit (schatten.window_fit), if any, to a given
+    fits table after the row's leading cells.  One commutator at a time:
+    one spectral pass over its windows, dropped before the next is built."""
+    norms = {}
+    for (i, j), C in ops.cross_commutators(operators):
+        spectra = schatten.window_spectra(C, degrees)
+        norms[i, j] = {(d, p): schatten.spectrum_norm(s, p)
+                       for d, s in spectra.items() for p in p_values}
+        fit = fits is not None and schatten.window_fit(C, spectra[max(degrees)])
+        del C
+        if fit:
+            fits.add(*row, i, j, fit.beta, fit.critical_exponent, fit.residual)
+    return norms
+
+
+def _trend_verdict(rep, name, norms, sweep, p):
+    """The verdict, set as name, on the trend of the sweep's largest p-norms."""
+    verdict, details = schatten.convergence_diagnostic(
+        [(d, max(v[d, p] for v in norms.values())) for d in sweep])
+    rep.set_verdict(name, verdict, details)
+    return verdict
 
 
 def _restrict(side, frame, T, name):
@@ -257,24 +277,12 @@ def run_submodule_probe(family: str, m: int, k: int, generators, p_values,
     fits = rep.table("decay_fits", ["side", "i", "j", "beta", "critical_exponent",
                                     "fit_residual"])
     for side, Ys in sides.items():
-        # one commutator at a time: its norms and fit, dropped before the next is built
-        norms = {}
-        for (i, j), C in ops.cross_commutators(Ys):
-            norms[i, j] = schatten.window_norms(C, sweep, p_values)
-            s = schatten.singular_values(C)
-            del C
-            fit = schatten.decay_exponent_fit(s[s > 0])
-            if fit is not None:
-                fits.add(side, i, j, fit.beta, fit.critical_exponent, fit.residual)
+        norms = _commutator_norms(Ys, sweep, p_values, fits, side)
         for p in p_values:
-            trend = []
             for d in sweep:
-                vals = {key: v[d, p] for key, v in norms.items()}
-                for (i, j), v in sorted(vals.items()):
-                    tab.add(side, i, j, p, d, v)
-                trend.append((d, max(vals.values())))
-            verdict, details = schatten.convergence_diagnostic(trend)
-            rep.set_verdict(f"{side}_p={_fmt(p)}", verdict, details)
+                for (i, j), v in norms.items():
+                    tab.add(side, i, j, p, d, v[d, p])
+            _trend_verdict(rep, f"{side}_p={_fmt(p)}", norms, sweep, p)
     return rep
 
 
@@ -394,27 +402,19 @@ def run_trace_inequality_check(family: str, m: int, points=None, generators=None
     return rep
 
 
-def _check_coinvariant(shifts, frame):
-    """The quotient's frame must be invariant under every adjoint shift; a
-    frame that is not is a defect of its builder, not of the input."""
-    for i, Z in enumerate(shifts, start=1):
-        resid = ops.invariance_residual(ops.adjoint(Z), frame)
-        if resid > ops.INVARIANCE_TOL:
-            raise TheoremViolationError(
-                f"complement frame is not invariant under Z_{i}*: residual "
-                f"{resid:.3e} exceeds tolerance {ops.INVARIANCE_TOL:.1e}")
-
-
 def run_quotient_smoothness_probe(generators, m: int, p_values, degree_sweep=None,
                                   variety_dimension=None, family: str = "bergman-ball",
                                   delta: float | None = None) -> ExperimentReport:
     """Quotient-module cross-commutator decay for an ideal's submodule.
 
     The zero-variety dimension is user-supplied and only echoed in the report.
-    For homogeneous ideals the complement frame must be invariant under every
-    Z_i* (TheoremViolationError otherwise).  Non-homogeneous ideals are not
-    checked: truncating z_i*f at degree N drops its top-degree part, so the
-    truncated complement is not Z*-invariant even when the frame is exact.
+    A generator past the largest truncation degree, max(sweep) + 2, has no
+    multiple in any truncation and is refused before any basis.  For
+    homogeneous ideals the complement frame there must be invariant under
+    every Z_i*, the submodule probe's gate (TheoremViolationError
+    otherwise).  Non-homogeneous ideals are not checked: truncating z_i*f at
+    degree N drops its top-degree part, so the truncated complement is not
+    Z*-invariant even when the frame is exact.
     """
     if m not in (2, 3):
         raise ValueError(f"quotient probe supports m in {{2, 3}}, got {m}")
@@ -422,74 +422,61 @@ def run_quotient_smoothness_probe(generators, m: int, p_values, degree_sweep=Non
     sweep = schatten.sweep_degrees(
         degree_sweep or (DEFAULT_SWEEP_M2[:4] if m == 2 else DEFAULT_SWEEP_M3[:4]))
     generators = list(generators)
-    homogeneous = all(g.is_homogeneous for g in generators)
+    for t, g in enumerate(generators):
+        if g.max_degree > sweep[-1] + 2:
+            raise ValueError(f"generator #{t} {g.terms} has degree {g.max_degree}, past the "
+                             f"largest truncation degree {sweep[-1] + 2}: none holds a multiple")
     rep = ExperimentReport("quotient_smoothness_probe", {
         "family": family, "m": m, "delta": delta,
         "generators": [str(sorted(g.terms)) for g in generators],
         "p_values": list(p_values), "degree_sweep": sweep,
-        "homogeneous": homogeneous,
+        "homogeneous": all(g.is_homogeneous for g in generators),
         "variety_dimension_as_supplied":
             variety_dimension if variety_dimension is not None else "not supplied"})
     tab = rep.table("quotient_commutator_norms", ["i", "j", "p", "degree", "value"])
     fits = rep.table("decay_fits", ["i", "j", "beta", "critical_exponent", "fit_residual"])
 
-    # largest degree first: an oversize sweep fails at once, and the fit reads live commutators
-    spectra = {N: _quotient_spectra(generators, m, N, homogeneous, family, delta,
-                                    fits if N == sweep[-1] else None) for N in reversed(sweep)}
-    trends = {p: [] for p in p_values}
+    norms = _quotient_norms(generators, m, sweep, family, delta, p_values, fits)
     for N in sweep:
         for p in p_values:
-            norms = {key: schatten.spectrum_norm(s, p) for key, s in spectra[N].items()}
-            for (i, j), norm in norms.items():
-                tab.add(i, j, p, N, norm)
-            trends[p].append((N, max(norms.values())))
-    for p, trend in trends.items():
-        verdict, details = schatten.convergence_diagnostic(trend)
-        rep.set_verdict(f"quotient_p={_fmt(p)}", verdict, details)
+            for (i, j), v in norms.items():
+                tab.add(i, j, p, N, v[N, p])
+    for p in p_values:
+        _trend_verdict(rep, f"quotient_p={_fmt(p)}", norms, sweep, p)
     return rep
 
 
-def _quotient_spectra(generators, m, N, homogeneous, family, delta, fits=None):
-    """{(i, j): spectrum of the window N of [R_i*, R_j]}, R_i the quotient's shifts
-    at truncation degree N + 2, adding their decay fits to a given fits table.
-    Nothing built for this degree outlives the call.
+def _quotient_norms(generators, m, sweep, family, delta, p_values, fits):
+    """{(i, j): {(N, p): Schatten p-norm of the window N of [R_i*, R_j]}} for
+    every N of the sweep, R_i the quotient's shifts at truncation degree
+    N + 2, adding the largest degree's decay fits to the fits table.
 
-    An ungraded complement is sliced by weighted degree (or, with no
-    positive weight, one unlabelled block), so [R_i*, R_j] holds its slice
-    pairs (s + w_j - w_i, s) (or its one r x r block) and has no interior:
-    its window N is the whole operator."""
-    w = wm.family_weights(family, enumerate_basis(m, N + 2), delta)
-    # only the complement is read: the submodule's frame is dropped at once
-    comp = submodules.submodule(w, generators).comp
-    shifts = [ops.coordinate_shift(w, i) for i in range(1, m + 1)]
-    if homogeneous:
-        _check_coinvariant(shifts, comp)
-    # quotient-module action = compression of the shifts to the complement,
-    # whose frame goes then; one commutator at a time: its spectrum and its
-    # fit, then it is dropped
-    Rs = [ops.compress_to_frame(Z, comp) for Z in shifts]
-    del comp
-    spectra = {}
-    for (i, j), C in ops.cross_commutators(Rs):
-        spectra[i, j] = schatten.window_spectra(C, [N])[N]
-        if fits is None:
-            continue
-        if homogeneous:
-            # a graded fit takes the dense window's positive values
-            s = schatten.singular_values(C, N)
-            s = s[s > 0]
-        else:
-            # an ungraded fit counts all r values: the block spectrum, sorted,
-            # padded with the zeros it leaves out, and values at or below
-            # s_max r eps (numpy's matrix_rank cut) zeroed as round-off, so
-            # a commutator of low numerical rank gives no fit
-            s = np.sort(spectra[i, j])[::-1]
-            s = np.pad(s, (0, C.dimension - s.size))
-            s[s <= s.max(initial=0.0) * s.size * np.finfo(float).eps] = 0.0
-        fit = schatten.decay_exponent_fit(s)
-        if fit is not None:
-            fits.add(i, j, fit.beta, fit.critical_exponent, fit.residual)
-    return spectra
+    The largest degree is built first, so an oversize sweep fails at once.
+    A graded complement's degree blocks do not depend on the truncation, so
+    that build's window N is bit for bit a build's at N + 2: it gives the
+    whole sweep, once checked Z_i*-invariant.  An ungraded complement
+    (sliced, or one unlabelled block) has no interior, and its window N is
+    the whole operator: each smaller degree is built in turn."""
+    norms = {}
+    for N in reversed(sweep):
+        w = wm.family_weights(family, enumerate_basis(m, N + 2), delta)
+        # only the complement is read: the submodule's frame is dropped at once
+        comp = submodules.submodule(w, generators).comp
+        shifts = [ops.coordinate_shift(w, i) for i in range(1, m + 1)]
+        graded = comp.degrees is not None
+        if graded:
+            for i, Z in enumerate(shifts, start=1):
+                _restrict("complement", comp, ops.adjoint(Z), f"Z_{i}*")
+        # the quotient's action compresses the shifts to the complement, whose frame goes then
+        Rs = [ops.compress_to_frame(Z, comp) for Z in shifts]
+        del comp
+        built = _commutator_norms(Rs, sweep if graded else [N], p_values,
+                                  fits if N == sweep[-1] else None)
+        for key, v in built.items():
+            norms.setdefault(key, {}).update(v)
+        if graded:
+            break
+    return norms
 
 
 def run_restriction_identity_check(trials: int = 200, seed: int = 0) -> ExperimentReport:

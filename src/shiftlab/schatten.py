@@ -13,12 +13,12 @@ operator on a sliced or unlabelled frame has no boundary strip
 blocks' spectrum, and trace-inequality hands spectral_split its dense form,
 an r x r ndarray.
 
-singular_values is the full dense spectrum of a window, written out by its
-store's toarray; the commands take it only for graded decay fits.  It
+singular_values is the full dense spectrum of the interior window, written
+out by its store's toarray; the commands take it only in window_fit.  It
 refuses windows wider than DENSE_SVD_LIMIT before densifying; there is no
 iterative fallback.  decay_exponent_fit counts every value it is given,
-zeros included: graded fits pass the positive values, an ungraded fit all
-r values of its commutator.
+zeros included; window_fit, the commands' one fit rule, gives it the dense
+window's positive values, or all r values of an operator with no interior.
 """
 
 import enum
@@ -68,9 +68,9 @@ def _check_finite(M: np.ndarray):
         raise ValueError("operator has non-finite entries")
 
 
-def singular_values(T: TruncatedOperator, max_window_degree=None) -> np.ndarray:
+def singular_values(T: TruncatedOperator) -> np.ndarray:
     """Descending singular values of the interior window, by dense SVD."""
-    W = T.window(max_window_degree)
+    W = T.window()
     check_dense_svd_size(W.shape[0])
     M = W.toarray()
     _check_finite(M)
@@ -144,14 +144,13 @@ def decay_exponent_fit(sigma) -> DecayFit | None:
     sigma, in descending order; None when the window is too short or
     reaches a zero.
 
-    Every value given counts towards n, zeros included: the caller chooses
-    the spectrum.  Graded callers pass the dense window's positive values;
-    an ungraded quotient passes all r values of its r x r commutator.  The
-    window [FIT_START*n, FIT_STOP*n] skips the non-asymptotic head and,
-    crucially, the deep tail: in a finite section the smallest singular
-    values are truncation artifacts that decay far faster than the operator's
-    true spectrum (calibrated on the m-shift cross-commutator, where the
-    deep-tail slope is ~-3.5 against a true -0.5).
+    Every value given counts towards n, zeros included: the caller (for the
+    commands, window_fit) chooses the spectrum.  The window [FIT_START*n,
+    FIT_STOP*n] skips the non-asymptotic head and, crucially, the deep
+    tail: in a finite section the smallest singular values are truncation
+    artifacts that decay far faster than the operator's true spectrum
+    (calibrated on the m-shift cross-commutator, where the deep-tail slope
+    is ~-3.5 against a true -0.5).
     """
     s = np.asarray(sigma, dtype=float)
     n = s.size
@@ -167,6 +166,19 @@ def decay_exponent_fit(sigma) -> DecayFit | None:
     beta = -float(slope)
     critical = 1.0 / beta if beta > 0 else np.inf
     return DecayFit(beta=beta, residual=residual, critical_exponent=critical)
+
+
+def window_fit(T: TruncatedOperator, s: np.ndarray) -> DecayFit | None:
+    """The decay fit of T's interior window, s its block spectrum: with an
+    interior, of the dense window's positive values; without one, of all r
+    values, s sorted and padded with the zeros it leaves out, values at or
+    below s_max r eps (numpy's matrix_rank cut) zeroed as round-off."""
+    if T.interior_degree is not None:
+        s = singular_values(T)
+        return decay_exponent_fit(s[s > 0])
+    s = np.pad(np.sort(s)[::-1], (0, T.dimension - s.size))
+    s[s <= s.max(initial=0.0) * s.size * np.finfo(float).eps] = 0.0
+    return decay_exponent_fit(s)
 
 
 def sweep_degrees(degrees) -> list:

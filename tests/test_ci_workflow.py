@@ -2,10 +2,12 @@
 its floor pins with pyproject.toml's floors, its test step with ROADMAP's
 tier-1 command, and its oldest Python with every source module's syntax;
 and the job has a time limit and the single-thread BLAS pin; a runtime
-warning fails the tests.  The YAML is read as text: PyYAML is no declared
+warning fails the tests; the installed console script runs, and names the
+CLI's main.  The YAML is read as text: PyYAML is no declared
 test dependency."""
 
 import ast
+import importlib
 import re
 from pathlib import Path
 
@@ -66,3 +68,20 @@ def test_runtime_warnings_fail_tier1():
     assert re.search(r'^filterwarnings = \["error::RuntimeWarning"\]$', section, re.M)
     run = re.search(r"run: (.+)", _step(WORKFLOW.read_text(), "Tier-1 tests")).group(1)
     assert "python -m pytest" in run and "-W" not in run and "-p no:warnings" not in run
+
+
+def test_tier1_job_runs_the_installed_console_script():
+    # tier-1 imports shiftlab from src: only a run of the installed script
+    # shows that the package installs with a working entry point
+    workflow = WORKFLOW.read_text()
+    steps = re.findall(r"^      - name: (.+)$", workflow, re.M)
+    install = steps.index("Install shiftlab")
+    assert steps[install + 1] == "Run the installed console script"
+    assert re.search(r"^        run: shiftlab list-families$",
+                     _step(workflow, "Run the installed console script"), re.M)
+    # and the script pyproject.toml declares is the CLI's main
+    scripts = (ROOT / "pyproject.toml").read_text().split("[project.scripts]\n", 1)[1]
+    target = re.match(r'shiftlab = "([\w.]+):(\w+)"\n', scripts)
+    assert target
+    from shiftlab.cli import main
+    assert getattr(importlib.import_module(target.group(1)), target.group(2)) is main

@@ -353,12 +353,35 @@ def test_ungraded_fit_counts_round_off_as_zeros(tmp_path):
     assert all(0 < float(r["beta"]) < 2 and float(r["fit_residual"]) < 0.1 for r in rows)
 
 
-def test_quotient_by_generators_with_no_multiple_in_range_is_the_whole_space(tmp_path):
-    # no multiple of either generator fits in degree 12: the submodule is {0}
+def test_quotient_refuses_generators_with_no_multiple_in_range(tmp_path, capsys):
+    # no multiple of either generator fits in the largest truncation, degree
+    # 14: a generator past it is a usage error, not a quotient by {0}
     code = run_cli(["quotient-probe", "--m", "2", "--gens", "z1^20+z2;z2^20+z1", "--p", "1",
                     "--degrees", "6,8,10,12"], tmp_path)
-    assert code == 0
-    assert (tmp_path / "quotient_smoothness_probe-t" / "report.json").exists()
+    assert code == 2
+    assert re.search(r"error: generator #0 .* has degree 20, past the largest truncation "
+                     r"degree 14", capsys.readouterr().err)
+    assert not any(tmp_path.iterdir())
+
+
+def test_quotient_refuses_a_generator_past_the_truncation_before_its_weight(
+        tmp_path, capsys, monkeypatch):
+    # the weight search of z1^n - z2 walks weight sums up to n + 1: z1^10000-z2
+    # took 2.1 s at --degrees 3,4, and z1^100000-z2 ran for minutes, though no
+    # truncation of degree <= 6 holds a multiple of either
+    def refuse(*args):
+        raise AssertionError("homogeneity weight searched")
+    with monkeypatch.context() as patched:
+        patched.setattr(submodules, "homogeneity_weight", refuse)
+        code = run_cli(["quotient-probe", "--m", "2", "--gens", "z1^400-z2", "--p", "1",
+                        "--degrees", "3,4"], tmp_path)
+    assert code == 2
+    assert re.search(r"error: generator #0 .* has degree 400, past the largest truncation "
+                     r"degree 6: ", capsys.readouterr().err)
+    assert not any(tmp_path.iterdir())
+    # a generator of exactly max(sweep) + 2 has its one multiple in range
+    assert run_cli(["quotient-probe", "--m", "2", "--gens", "z1^6-z2", "--p", "1",
+                    "--degrees", "3,4"], tmp_path) == 0
 
 
 def test_trace_inequality_rejects_coincident_points(tmp_path, capsys):

@@ -8,9 +8,10 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from shiftlab import (adjoint, bergman_ball_weights, cli, coordinate_shift, enumerate_basis,
-                      experiments, monomial_generator, parse_generators, parse_polynomial,
-                      schatten, shift_operators as ops, submodules)
+from shiftlab import (adjoint, bergman_ball_weights, cli, compress_to_frame, coordinate_shift,
+                      cross_commutators, enumerate_basis, experiments, family_weights,
+                      monomial_generator, parse_generators, parse_polynomial, schatten,
+                      shift_operators as ops, submodules)
 from shiftlab.experiments import (TheoremViolationError, run_submodule_probe,
                                   run_trace_inequality_check,
                                   run_direct_sum_trends, run_ramp_block_norms,
@@ -131,7 +132,9 @@ def test_sweeps_hold_at_most_two_commutators(probe, monkeypatch):
         gen = "z1^2 - z2^2" if probe == "quotient-graded" else "z1 - z2*z3"
         run_quotient_smoothness_probe([parse_polynomial(gen, 3)], m=3, p_values=[1.0],
                                       degree_sweep=sweep)
-        count = 4 * 6
+        # a graded quotient reads its sweep from one build, an ungraded one
+        # builds every degree
+        count = 6 if probe == "quotient-graded" else 4 * 6
     assert len(alive) == count
     assert max(alive) <= 2
 
@@ -221,8 +224,7 @@ def test_sweeps_free_the_frames_columns_before_the_first_commutator(probe, monke
                             [4, 5, 6])
     else:
         gen = "z1^2 - z2^2" if probe == "quotient-graded" else "z1 - z2*z3"
-        experiments._quotient_spectra([parse_polynomial(gen, 3)], 3, 8,
-                                      probe == "quotient-graded", "bergman-ball", None)
+        run_quotient_smoothness_probe([parse_polynomial(gen, 3)], 3, [1.0], [8])
     assert len(columns) == 2 and alive == [0]
 
 
@@ -359,7 +361,7 @@ def test_csv_floats_roundtrip(tmp_path):
                                    "quotient-ungraded"])
 def test_sweeps_take_one_spectrum_per_window(probe, monkeypatch):
     # every (d, p) of a sweep is derived from one spectral pass per operator;
-    # the quotient probe builds new operators per degree, one window each
+    # an ungraded quotient builds new operators per degree, one window each
     calls, dense_calls, commutators = [], [], []
     real, real_dense = schatten.window_spectra, schatten.singular_values
     real_commutators = ops.cross_commutators
@@ -395,12 +397,15 @@ def test_sweeps_take_one_spectrum_per_window(probe, monkeypatch):
                 # the factorial sweep has fixed p values: 1 and 2
                 run_factorial_thresholds(2, [0.5, 2.0], degree_sweep=sweep)
                 expected = [tuple(sweep)] * 5 * 2      # per (operator, delta)
+            elif probe == "quotient-graded":
+                run_quotient_smoothness_probe([parse_polynomial("z1^2 - z2^2", 2)], m=2,
+                                              p_values=p_values, degree_sweep=sweep)
+                expected = [tuple(sweep)] * 3           # per pair, of the one build
             else:
-                gen = "z1^2 - z2^2" if probe == "quotient-graded" else "z1 - z2^2"
-                rep = run_quotient_smoothness_probe([parse_polynomial(gen, 2)], m=2,
+                rep = run_quotient_smoothness_probe([parse_polynomial("z1 - z2^2", 2)], m=2,
                                                     p_values=p_values, degree_sweep=sweep)
-                # per (degree, pair): a graded commutator's window N, an
-                # ungraded one, which has no interior, whole
+                # per (degree, pair): an ungraded commutator, which has no
+                # interior, whole
                 expected = [(d,) for d in sweep] * 3
             assert sorted(calls) == sorted(expected)
             if probe == "quotient-ungraded":
@@ -420,10 +425,11 @@ def test_sweeps_take_one_spectrum_per_window(probe, monkeypatch):
                 assert fits or sweep[-1] < 40      # the short sweeps fit nothing
 
 
-@pytest.mark.parametrize("gen", ["z1-z2^2", "z1^2-z2^2"])
-def test_quotient_sweep_holds_one_degree_at_a_time(gen, monkeypatch):
-    # when a degree's submodule is built, every frame of the degrees before
-    # it is already freed: only their spectra are carried
+@pytest.mark.parametrize("gen, builds", [("z1-z2^2", [12, 10, 8, 6]), ("z1^2-z2^2", [12])])
+def test_quotient_sweep_holds_one_degree_at_a_time(gen, builds, monkeypatch):
+    # an ungraded quotient builds every degree, and when a degree's submodule
+    # is built, every frame of the degrees before it is already freed: only
+    # their norms are carried.  A graded one reads its sweep from one build
     built, alive = [], []
 
     def tracked(build):
@@ -437,8 +443,8 @@ def test_quotient_sweep_holds_one_degree_at_a_time(gen, monkeypatch):
     monkeypatch.setattr(submodules, "submodule", tracked(submodules.submodule))
     rep = run_quotient_smoothness_probe([parse_polynomial(gen, 2)], m=2, p_values=[1.0],
                                         degree_sweep=[4, 6, 8, 10])
-    assert [N for N, _ in built[::2]] == [12, 10, 8, 6]     # largest degree first
-    assert alive == [[]] * 4
+    assert [N for N, _ in built[::2]] == builds     # largest degree first
+    assert alive == [[]] * len(builds)
     # the rows are still written in ascending degree order
     assert [row[3] for row in rep.tables["quotient_commutator_norms"].rows] == \
         [d for d in (4, 6, 8, 10) for _ in range(3)]
@@ -464,9 +470,77 @@ def test_quotient_drops_the_submodule_frame_before_compressing(gen, builder, mon
         return real_compress(T, frame)
     monkeypatch.setattr(submodules, builder, build)
     monkeypatch.setattr(ops, "compress_to_frame", compress)
-    experiments._quotient_spectra([parse_polynomial(gen, 3)], 3, 8,
-                                  builder != "_ungraded_submodule", "bergman-ball", None)
+    run_quotient_smoothness_probe([parse_polynomial(gen, 3)], 3, [1.0], [8])
     assert len(subs) == 1 and freed == [True] * 3
+
+
+def test_graded_quotient_reads_its_sweep_from_one_build(monkeypatch):
+    # one submodule at max(sweep) + 2, its complement checked by m
+    # restrictions of Z_i* there, and one spectral pass per pair over the
+    # whole sweep
+    builds, restricted, windows = [], [], []
+    real_build, real_restrict = submodules.submodule, ops.restrict_to_invariant
+    real_spectra = schatten.window_spectra
+
+    def build(w, generators):
+        builds.append((w.basis.max_degree, real_build(w, generators)))
+        return builds[-1][1]
+
+    def restrict(T, frame, *args, **kwargs):
+        restricted.append((T.degree_raise, frame))
+        return real_restrict(T, frame, *args, **kwargs)
+
+    def spectra(T, degrees):
+        windows.append(tuple(degrees))
+        return real_spectra(T, degrees)
+    monkeypatch.setattr(submodules, "submodule", build)
+    monkeypatch.setattr(ops, "restrict_to_invariant", restrict)
+    monkeypatch.setattr(schatten, "window_spectra", spectra)
+    sweep = [4, 5, 6, 7]
+    run_quotient_smoothness_probe([parse_polynomial("z1^2 - z2^2", 3)], 3, [1.0, 3.0], sweep,
+                                  family="drury-arveson")
+    (N, S), = builds
+    assert N == 9
+    assert len(restricted) == 3
+    assert all(raise_ == -1 and frame is S.comp for raise_, frame in restricted)
+    assert windows == [tuple(sweep)] * 6
+
+
+@pytest.mark.parametrize("m, family, delta, gens", [
+    (2, "bergman-ball", None, "z1^2-z2^2"),
+    (3, "drury-arveson", None, "z1^2-z2^2"),
+    (3, "bergman-ball", None, "z1*z2"),
+    (3, "drury-arveson", None, "z1^2-z2^2;z1*z3"),
+    (2, "factorial-delta", 1.5, "z1^2-z2^2"),
+])
+def test_graded_quotient_windows_equal_their_own_builds(m, family, delta, gens):
+    # a graded complement's blocks do not depend on the truncation: the one
+    # build's window N is bit for bit the window N of a build at N + 2,
+    # compressed and read here by public calls alone
+    generators = parse_generators(gens, m)
+    p_values = [1.0, 2.0, 3.0, np.inf]
+    rep = run_quotient_smoothness_probe(generators, m, p_values, family=family, delta=delta)
+    expected = {}
+    for N in rep.parameters["degree_sweep"]:
+        w = family_weights(family, enumerate_basis(m, N + 2), delta)
+        comp = submodules.submodule(w, generators).comp
+        Rs = [compress_to_frame(coordinate_shift(w, i), comp) for i in range(1, m + 1)]
+        for (i, j), C in cross_commutators(Rs):
+            s = schatten.window_spectra(C, [N])[N]
+            expected.update({(i, j, p, N): schatten.spectrum_norm(s, p) for p in p_values})
+    got = {tuple(row[:4]): row[4] for row in _rows(rep, "quotient_commutator_norms")}
+    assert got.keys() == expected.keys()
+    assert [key for key in got if got[key] != expected[key]] == []
+
+
+def test_graded_quotient_holds_no_more_than_its_largest_build():
+    # the one build is the largest degree's, which the per-degree sweep built
+    # too: the call peaked at 2.09 MB under tracemalloc building every degree
+    gens = [parse_polynomial("z1^2-z2^2", 3)]
+    rep, peak = traced_peak(run_quotient_smoothness_probe, gens, 3, [1, 3],
+                            [6, 8, 10, 12, 14], family="drury-arveson")
+    assert len(_rows(rep, "quotient_commutator_norms")) == 6 * 2 * 5
+    assert peak <= 1.25 * 2_092_175
 
 
 def _kept_commutators(monkeypatch):
@@ -486,15 +560,20 @@ def test_ungraded_block_spectra_match_the_dense_svd(N, monkeypatch):
     # the quotient-ungraded-m3 ideal: each commutator's weighted-degree block
     # spectrum, sorted and padded with the zeros it leaves out, is the dense
     # SVD of its r x r array; no dense spectrum is taken
-    kept = _kept_commutators(monkeypatch)
+    kept, spectra, real = _kept_commutators(monkeypatch), [], schatten.window_spectra
+
+    def spectrum(T, degrees):
+        out = real(T, degrees)
+        spectra.append(out[N])
+        return out
+    monkeypatch.setattr(schatten, "window_spectra", spectrum)
     monkeypatch.setattr(schatten, "singular_values", None)
-    spectra = experiments._quotient_spectra([parse_polynomial("z1-z2*z3", 3)], 3, N, False,
-                                            "bergman-ball", None)
+    run_quotient_smoothness_probe([parse_polynomial("z1-z2*z3", 3)], 3, [1.0], [N])
     (comms,) = kept
-    assert spectra.keys() == comms.keys()
-    for key, C in comms.items():
+    assert len(spectra) == len(comms) == 6
+    for s, C in zip(spectra, comms.values()):
         dense = np.linalg.svd(C.mat.toarray(), compute_uv=False)
-        s = np.sort(spectra[key])[::-1]
+        s = np.sort(s)[::-1]
         assert s.size <= dense.size
         assert np.abs(np.pad(s, (0, dense.size - s.size)) - dense).max() <= 1e-13 * dense[0]
 

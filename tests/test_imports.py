@@ -243,14 +243,16 @@ def public_functions():
 
 
 def test_every_public_function_is_called_by_a_command(tmp_path):
-    # TINY_RUNS, the one family they leave out, and a run configured from a
-    # file, in one process under sys.setprofile: the functions whose code ran
+    # TINY_RUNS, the one family they leave out, a run configured from a
+    # file and the default sweep of points, which checks their invariance,
+    # in one process under sys.setprofile: the functions whose code ran
     config = tmp_path / "run.cfg"
     config.write_text("m = 2\ndelta = 1\ndegrees = 2,3,4,5\n")
     runs = TINY_RUNS + [
         ["quotient-probe", "--family", "hardy-ball", "--m", "2", "--gens", "z1*z2",
          "--p", "1", "--degrees", "3,4"],
         ["factorial-family", "--config", str(config)],
+        ["trace-inequality", "--m", "2", "--points", "0.1,0.1"],
     ]
     code = ("import json, sys\nfrom pathlib import Path\nfrom shiftlab.cli import main\n"
             f"src = {str(SRC)!r}\nran = set()\n"
